@@ -1,8 +1,9 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
 # (see ROADMAP.md): build, the full test suite, the full suite again under
-# the race detector, and a fast data-plane-integrity smoke. Tier-2 adds vet
-# and the fixed-seed chaos soaks (connection lifecycle, PE failure, control
-# plane, resource churn, data-plane integrity, combined).
+# the race detector, a fast data-plane-integrity smoke, and the benchmark
+# module's own vet + smoke test. Tier-2 adds vet and the fixed-seed chaos
+# soaks (connection lifecycle, PE failure, control plane, resource churn,
+# data-plane integrity, combined).
 
 GO ?= go
 
@@ -10,11 +11,11 @@ GO ?= go
 # CHAOS_SEED=<seed> make soak (failures print the seed to replay).
 CHAOS_SEED ?= 1786034998553156286
 
-.PHONY: all tier1 tier2 build test vet race soak smoke incident-smoke rail-smoke footprint-smoke trace-demo bench clean
+.PHONY: all tier1 tier2 build test vet race soak smoke incident-smoke rail-smoke footprint-smoke bench-smoke trace-demo bench clean
 
 all: tier1
 
-tier1: build test race smoke incident-smoke rail-smoke footprint-smoke
+tier1: build test race smoke incident-smoke rail-smoke footprint-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -86,6 +87,14 @@ footprint-smoke:
 	echo "$$out" | grep -q '"reconciled": true' || \
 		{ echo "footprint-smoke: census did not reconcile against the measured heap"; exit 1; }; \
 	echo "footprint-smoke: census reconciled at np=64"
+
+# benchmark/ is a nested module, so `go build ./... && go test ./...` at the
+# root never compiles it — yet it reads the program's exported structs
+# (cluster.Result, gasnet.Stats, ib.HCAStats) directly. Vet and smoke-test it
+# here so a refactor of those cannot break the benchmark silently. Seconds of
+# wall time; asserts no timing.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Write an 8-PE sample Perfetto trace (open trace-demo.json at
 # https://ui.perfetto.dev) plus the text report with phase breakdown,

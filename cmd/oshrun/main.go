@@ -706,41 +706,23 @@ func main() {
 	fmt.Printf("avg RC endpoints/PE: %7.1f   avg peers/PE: %.1f   (simulated in %v real)\n",
 		res.AvgEndpoints(), res.AvgPeers(), res.Wall.Round(1e6))
 
-	// One unified failure/resilience table: link-level recovery and
-	// PE-failure counters, all-zero rows suppressed.
-	if c := res.Counters(); c != (cluster.Counters{}) {
-		rows := []struct {
-			label string
-			v     int
-		}{
-			{"link faults", c.LinkFaults}, {"pe failures", c.PEFailures},
-			{"reconnects", c.Reconnects}, {"heartbeats sent", c.HeartbeatsSent},
-			{"evictions", c.Evictions}, {"false suspicions", c.FalseSuspicions},
-			{"retransmits", c.Retransmits}, {"aborts propagated", c.AbortsPropagated},
-			{"pmi retries", c.PMIRetries}, {"pmi timeouts", c.PMITimeouts},
-			{"fallback exchanges", c.FallbackExchanges}, {"corrupt frames", c.CorruptFrames},
-			{"credit stalls", c.CreditStalls}, {"rnr naks", c.RNRNaks},
-			{"alloc failures", c.AllocFailures}, {"bounce fallbacks", c.BounceFallbacks},
-			{"admission rejects", c.AdmissionRejects},
-			{"rc corrupt frames", c.RCCorruptFrames}, {"torn writes", c.TornWrites},
-			{"dup ops suppressed", c.DupOpsSuppressed}, {"integrity retransmits", c.IntegrityRetransmits},
-			{"path migrations", c.PathMigrations}, {"rail failovers", c.RailFailovers},
-			{"partition suspends", c.PartitionSuspensions}, {"partition heals", c.PartitionHeals},
+	// One unified failure/resilience table, two rows abreast in the order the
+	// counters are declared; all-zero rows (and an all-zero table) suppressed.
+	col := 0
+	obs.EachCounter(res.Counters(), func(d obs.CounterDef, v int64) {
+		if d.Table != "resilience" || v == 0 {
+			return
 		}
-		fmt.Printf("\n--- resilience counters (all PEs) ---\n")
-		col := 0
-		for _, r := range rows {
-			if r.v == 0 {
-				continue
-			}
-			fmt.Printf("%-18s %8d    ", r.label, r.v)
-			if col++; col%2 == 0 {
-				fmt.Println()
-			}
+		if col == 0 {
+			fmt.Printf("\n--- resilience counters (all PEs) ---\n")
 		}
-		if col%2 != 0 {
+		fmt.Printf("%-18s %8d    ", d.Label, v)
+		if col++; col%2 == 0 {
 			fmt.Println()
 		}
+	})
+	if col%2 != 0 {
+		fmt.Println()
 	}
 
 	if res.Obs != nil {

@@ -70,28 +70,28 @@ func TestChaosRunByteIdenticalResults(t *testing.T) {
 	if fi.Flaps() == 0 {
 		t.Error("no link flaps injected; the faulted leg tested nothing")
 	}
-	if faultyRes.TotalLinkFaults() == 0 {
+	if faultyRes.Counters().LinkFaults == 0 {
 		t.Error("no link faults detected despite injected flaps")
 	}
-	if faultyRes.TotalReconnects() == 0 {
+	if faultyRes.Counters().Reconnects == 0 {
 		t.Error("no reconnects recorded in cluster.Result despite flaps")
 	}
-	if faultyRes.TotalEvictions() == 0 {
+	if faultyRes.Counters().Evictions == 0 {
 		t.Error("no evictions recorded in cluster.Result despite the QP cap")
 	}
 
 	// Fault-free guard: without an injector or cap, the resilience machinery
 	// must never fire — the happy path pays nothing.
-	if n := cleanRes.TotalLinkFaults(); n != 0 {
+	if n := cleanRes.Counters().LinkFaults; n != 0 {
 		t.Errorf("fault-free run recorded %d link faults", n)
 	}
-	if n := cleanRes.TotalReconnects(); n != 0 {
+	if n := cleanRes.Counters().Reconnects; n != 0 {
 		t.Errorf("fault-free run recorded %d reconnects", n)
 	}
-	if n := cleanRes.TotalEvictions(); n != 0 {
+	if n := cleanRes.Counters().Evictions; n != 0 {
 		t.Errorf("fault-free run recorded %d evictions", n)
 	}
-	if n := cleanRes.TotalRetransmits(); n != 0 {
+	if n := cleanRes.Counters().Retransmits; n != 0 {
 		t.Errorf("fault-free run recorded %d retransmissions", n)
 	}
 	if c := cleanRes.Counters(); c.PEFailures != 0 || c.HeartbeatsSent != 0 ||

@@ -244,42 +244,14 @@ func (r *Result) AvgConns() float64 {
 	return float64(sum) / float64(len(r.PEs))
 }
 
-// TotalLinkFaults sums the broken-connection detections across PEs.
-func (r *Result) TotalLinkFaults() int {
-	sum := 0
-	for _, p := range r.PEs {
-		sum += p.Stats.LinkFaults
+// Counters sums the per-PE conduit counters over the job. PeersContacted and
+// Flows are per-PE values, not counters, and stay zero in the sum.
+func (r *Result) Counters() gasnet.Stats {
+	var t gasnet.Stats
+	for i := range r.PEs {
+		obs.AddCounters(&t, &r.PEs[i].Stats)
 	}
-	return sum
-}
-
-// TotalReconnects sums the connections re-established after a fault or
-// eviction across PEs.
-func (r *Result) TotalReconnects() int {
-	sum := 0
-	for _, p := range r.PEs {
-		sum += p.Stats.Reconnects
-	}
-	return sum
-}
-
-// TotalEvictions sums the idle connections evicted to honor the live-QP cap
-// across PEs.
-func (r *Result) TotalEvictions() int {
-	sum := 0
-	for _, p := range r.PEs {
-		sum += p.Stats.Evictions
-	}
-	return sum
-}
-
-// TotalRetransmits sums the UD handshake retransmissions across PEs.
-func (r *Result) TotalRetransmits() int {
-	sum := 0
-	for _, p := range r.PEs {
-		sum += p.Stats.Retransmits
-	}
-	return sum
+	return t
 }
 
 // RunEnvs launches a job but hands each PE its raw substrate environment

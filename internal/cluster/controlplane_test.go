@@ -149,7 +149,7 @@ func TestCorruptFramesByteIdentical(t *testing.T) {
 	if c.CorruptFrames > fi.Corrupts() {
 		t.Errorf("detected %d corrupt frames but only %d were injected", c.CorruptFrames, fi.Corrupts())
 	}
-	if faultyRes.TotalRetransmits() == 0 {
+	if faultyRes.Counters().Retransmits == 0 {
 		t.Error("no retransmissions recovered the discarded frames")
 	}
 	if math.Float64bits(clean.Checksum) != math.Float64bits(faulty.Checksum) ||

@@ -80,77 +80,6 @@ func exitCodeForPanic(p any) (int, bool) {
 	return exitCodeForErr(err)
 }
 
-// Counters is the unified failure/resilience counter block aggregated across
-// all PEs — one table for the oshrun report instead of ad-hoc blocks.
-type Counters struct {
-	LinkFaults       int // broken connections detected
-	Reconnects       int // connections re-established after fault/eviction
-	Evictions        int // idle connections evicted under the QP cap
-	Retransmits      int // UD handshake retransmissions
-	PEFailures       int // peers confirmed dead by the failure detector
-	HeartbeatsSent   int // explicit liveness probes sent
-	FalseSuspicions  int // suspicions cleared by later traffic
-	AbortsPropagated int // abort datagrams fanned out to peers
-
-	// Control-plane leg (PMI resilience and checksummed UD control frames).
-	PMIRetries        int // PMI ops retried after a transient fault
-	PMITimeouts       int // PMI ops that failed permanently
-	FallbackExchanges int // Iallgather exchanges degraded to Put-Fence-Get
-	CorruptFrames     int // UD control frames discarded by checksum
-
-	// Resource-exhaustion leg (finite adapter budgets and backpressure).
-	CreditStalls     int // sends that blocked on a zero receive-credit window
-	RNRNaks          int // sends NAKed receiver-not-ready and retried
-	AllocFailures    int // QP/MR allocations refused (budget or injected)
-	BounceFallbacks  int // heap registrations degraded to bounce-buffering
-	AdmissionRejects int // connection REQs rejected at a QP cap
-
-	// Data-plane integrity leg (RC payload faults and exactly-once recovery).
-	RCCorruptFrames      int // RC payloads damaged in flight and detected
-	TornWrites           int // RDMA writes torn mid-transfer by link faults
-	DupOpsSuppressed     int // duplicate framed ops suppressed by dedup ledgers
-	IntegrityRetransmits int // framed sends replayed after NAK/RTO/reconnect
-
-	// Multi-rail leg (path migration and partition tolerance).
-	PathMigrations       int // RC paths migrated to the alternate rail (APM)
-	RailFailovers        int // connections rebuilt on another rail after APM failed
-	PartitionSuspensions int // peers suspended as partitioned instead of declared dead
-	PartitionHeals       int // suspended peers that came back after their partition healed
-}
-
-// Counters sums the per-PE failure/resilience counters.
-func (r *Result) Counters() Counters {
-	var c Counters
-	for _, p := range r.PEs {
-		c.LinkFaults += p.Stats.LinkFaults
-		c.Reconnects += p.Stats.Reconnects
-		c.Evictions += p.Stats.Evictions
-		c.Retransmits += p.Stats.Retransmits
-		c.PEFailures += p.Stats.PEFailures
-		c.HeartbeatsSent += p.Stats.HeartbeatsSent
-		c.FalseSuspicions += p.Stats.FalseSuspicions
-		c.AbortsPropagated += p.Stats.AbortsPropagated
-		c.PMIRetries += p.Stats.PMIRetries
-		c.PMITimeouts += p.Stats.PMITimeouts
-		c.FallbackExchanges += p.Stats.FallbackExchanges
-		c.CorruptFrames += p.Stats.CorruptFrames
-		c.CreditStalls += p.Stats.CreditStalls
-		c.RNRNaks += p.Stats.RNRNaks
-		c.AllocFailures += p.Stats.AllocFailures
-		c.BounceFallbacks += p.Stats.BounceFallbacks
-		c.AdmissionRejects += p.Stats.AdmissionRejects
-		c.RCCorruptFrames += p.Stats.RCCorruptFrames
-		c.TornWrites += p.Stats.TornWrites
-		c.DupOpsSuppressed += p.Stats.DupOpsSuppressed
-		c.IntegrityRetransmits += p.Stats.IntegrityRetransmits
-		c.PathMigrations += p.Stats.PathMigrations
-		c.RailFailovers += p.Stats.RailFailovers
-		c.PartitionSuspensions += p.Stats.PartitionSuspensions
-		c.PartitionHeals += p.Stats.PartitionHeals
-	}
-	return c
-}
-
 // applyPEFaults installs the kill/wedge schedules into the fault injector,
 // creating one if the config has none.
 func applyPEFaults(cfg *Config) {

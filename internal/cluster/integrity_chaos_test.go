@@ -106,7 +106,7 @@ func TestIntegrityChaosSoak(t *testing.T) {
 	if c.DupOpsSuppressed == 0 {
 		t.Errorf("no duplicate ops suppressed despite lost ACKs and replays: %+v", c)
 	}
-	if firstRes.TotalEvictions() == 0 {
+	if firstRes.Counters().Evictions == 0 {
 		t.Errorf("no evictions under live-RC cap %d; churn leg idle", churnLiveRC)
 	}
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"strings"
 
-	"goshmem/internal/gasnet"
 	"goshmem/internal/obs"
 )
 
@@ -27,101 +26,20 @@ func isConnLifecycle(e obs.Event) bool {
 	return false
 }
 
-// mirrorCounters publishes the per-PE conduit counters and the per-HCA verbs
-// counters into the plane's metric registry after the run. Mirroring once at
-// the end keeps the hot path free of double accounting: the layers keep
-// their existing cheap struct counters, and the registry is the generic
-// aggregated view the CLI reports from.
+// mirrorCounters publishes the job-wide conduit counters and the per-HCA
+// verbs counters into the plane's metric registry after the run, under the
+// names their fields declare. Mirroring once at the end keeps the hot path
+// free of double accounting: the layers keep their cheap struct counters,
+// and the registry is the generic aggregated view the CLI reports from.
 func mirrorCounters(plane *obs.Plane, res *Result) {
 	if plane == nil || !plane.Config().Metrics {
 		return
 	}
-	var t gasnet.Stats
-	for _, p := range res.PEs {
-		s := p.Stats
-		t.QPsCreated += s.QPsCreated
-		t.RCQPsCreated += s.RCQPsCreated
-		t.ConnsEstablished += s.ConnsEstablished
-		t.Retransmits += s.Retransmits
-		t.AMsSent += s.AMsSent
-		t.PutsIssued += s.PutsIssued
-		t.GetsIssued += s.GetsIssued
-		t.AtomicsIssued += s.AtomicsIssued
-		t.BytesPut += s.BytesPut
-		t.BytesGot += s.BytesGot
-		t.LinkFaults += s.LinkFaults
-		t.Reconnects += s.Reconnects
-		t.Evictions += s.Evictions
-		t.PEFailures += s.PEFailures
-		t.HeartbeatsSent += s.HeartbeatsSent
-		t.FalseSuspicions += s.FalseSuspicions
-		t.AbortsPropagated += s.AbortsPropagated
-		t.PMIRetries += s.PMIRetries
-		t.PMITimeouts += s.PMITimeouts
-		t.FallbackExchanges += s.FallbackExchanges
-		t.CorruptFrames += s.CorruptFrames
-		t.CreditStalls += s.CreditStalls
-		t.RNRNaks += s.RNRNaks
-		t.AllocFailures += s.AllocFailures
-		t.BounceFallbacks += s.BounceFallbacks
-		t.AdmissionRejects += s.AdmissionRejects
-		t.RCCorruptFrames += s.RCCorruptFrames
-		t.TornWrites += s.TornWrites
-		t.DupOpsSuppressed += s.DupOpsSuppressed
-		t.IntegrityRetransmits += s.IntegrityRetransmits
-		t.PathMigrations += s.PathMigrations
-		t.RailFailovers += s.RailFailovers
-		t.PartitionSuspensions += s.PartitionSuspensions
-		t.PartitionHeals += s.PartitionHeals
-	}
 	reg := plane.Registry()
-	reg.Counter("gasnet.qps_created").Add(int64(t.QPsCreated))
-	reg.Counter("gasnet.rc_qps_created").Add(int64(t.RCQPsCreated))
-	reg.Counter("gasnet.conns_established").Add(int64(t.ConnsEstablished))
-	reg.Counter("gasnet.retransmits").Add(int64(t.Retransmits))
-	reg.Counter("gasnet.ams_sent").Add(t.AMsSent)
-	reg.Counter("gasnet.puts_issued").Add(t.PutsIssued)
-	reg.Counter("gasnet.gets_issued").Add(t.GetsIssued)
-	reg.Counter("gasnet.atomics_issued").Add(t.AtomicsIssued)
-	reg.Counter("gasnet.bytes_put").Add(t.BytesPut)
-	reg.Counter("gasnet.bytes_got").Add(t.BytesGot)
-	reg.Counter("gasnet.link_faults").Add(int64(t.LinkFaults))
-	reg.Counter("gasnet.reconnects").Add(int64(t.Reconnects))
-	reg.Counter("gasnet.evictions").Add(int64(t.Evictions))
-	reg.Counter("gasnet.pe_failures").Add(int64(t.PEFailures))
-	reg.Counter("gasnet.heartbeats_sent").Add(int64(t.HeartbeatsSent))
-	reg.Counter("gasnet.false_suspicions").Add(int64(t.FalseSuspicions))
-	reg.Counter("gasnet.aborts_propagated").Add(int64(t.AbortsPropagated))
-	reg.Counter("pmi.retries").Add(int64(t.PMIRetries))
-	reg.Counter("pmi.timeouts").Add(int64(t.PMITimeouts))
-	reg.Counter("gasnet.fallback_exchanges").Add(int64(t.FallbackExchanges))
-	reg.Counter("gasnet.corrupt_frames").Add(int64(t.CorruptFrames))
-	reg.Counter("gasnet.credit_stalls").Add(int64(t.CreditStalls))
-	reg.Counter("gasnet.rnr_naks").Add(int64(t.RNRNaks))
-	reg.Counter("gasnet.alloc_failures").Add(int64(t.AllocFailures))
-	reg.Counter("gasnet.bounce_fallbacks").Add(int64(t.BounceFallbacks))
-	reg.Counter("gasnet.admission_rejects").Add(int64(t.AdmissionRejects))
-	reg.Counter("gasnet.rc_corrupt_frames").Add(int64(t.RCCorruptFrames))
-	reg.Counter("gasnet.torn_writes").Add(int64(t.TornWrites))
-	reg.Counter("gasnet.dup_ops_suppressed").Add(int64(t.DupOpsSuppressed))
-	reg.Counter("gasnet.integrity_retransmits").Add(int64(t.IntegrityRetransmits))
-	reg.Counter("gasnet.path_migrations").Add(int64(t.PathMigrations))
-	reg.Counter("gasnet.rail_failovers").Add(int64(t.RailFailovers))
-	reg.Counter("gasnet.partition_suspensions").Add(int64(t.PartitionSuspensions))
-	reg.Counter("gasnet.partition_heals").Add(int64(t.PartitionHeals))
-	for _, h := range res.HCA {
-		reg.Counter("ib.qps_created_ud").Add(h.QPsCreatedUD)
-		reg.Counter("ib.qps_created_rc").Add(h.QPsCreatedRC)
-		reg.Counter("ib.rc_established").Add(h.RCEstablished)
-		reg.Counter("ib.live_rc").Add(h.LiveRC)
-		reg.Counter("ib.msgs_delivered").Add(h.MsgsDelivered)
-		reg.Counter("ib.bytes_delivered").Add(h.BytesDelivered)
-		reg.Counter("ib.cache_misses").Add(h.CacheMisses)
-		reg.Counter("ib.mrs_registered").Add(h.MRsRegistered)
-		reg.Counter("ib.bytes_pinned").Add(h.BytesPinned)
-		reg.Counter("ib.alloc_failures").Add(h.AllocFailures)
-		reg.Counter("ib.rnr_naks").Add(h.RNRNaks)
-		reg.Counter("ib.bounced_mrs").Add(h.BouncedMRs)
+	publish := func(def obs.CounterDef, v int64) { reg.Counter(def.Name).Add(v) }
+	obs.EachCounter(res.Counters(), publish)
+	for i := range res.HCA {
+		obs.EachCounter(&res.HCA[i], publish)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestResourceChurnSoak(t *testing.T) {
 		t.Errorf("bounce fallbacks = %d, want exactly one per node (%d): %+v",
 			c.BounceFallbacks, churnNP/churnPPN, c)
 	}
-	if firstRes.TotalEvictions() == 0 {
+	if firstRes.Counters().Evictions == 0 {
 		t.Errorf("no evictions under live-RC cap %d", churnLiveRC)
 	}
 

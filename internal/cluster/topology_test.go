@@ -186,7 +186,7 @@ func TestFlowChurnDataPlaneStable(t *testing.T) {
 	uncapped, _ := run(0)
 	capped, tl := run(8)
 
-	if capped.TotalEvictions() == 0 {
+	if capped.Counters().Evictions == 0 {
 		t.Fatal("no evictions under the QP cap; the churn leg tested nothing")
 	}
 	want := dataOnly(uncapped.FlowMatrix())
@@ -287,7 +287,7 @@ func TestFlowMatrixDataPlaneStableUnderChaos(t *testing.T) {
 		t.Errorf("degree distributions diverged: clean %+v faulty %+v %+v",
 			ct.Degree, f1.Degree, f2.Degree)
 	}
-	if faulty1.TotalLinkFaults() == 0 && faulty1.TotalRetransmits() == 0 {
+	if faulty1.Counters().LinkFaults == 0 && faulty1.Counters().Retransmits == 0 {
 		t.Error("chaos leg injected nothing; the comparison tested nothing")
 	}
 }

@@ -161,14 +161,14 @@ func TestChaosSoak(t *testing.T) {
 				continue
 			}
 			pi.C.connMu.Lock()
-			ci := pi.C.peekConn(j)
+			ci := pi.C.conns.get(j)
 			var qi *ib.QP
 			if ci != nil && ci.state == connReady {
 				qi = ci.qp
 			}
 			pi.C.connMu.Unlock()
 			pj.C.connMu.Lock()
-			cj := pj.C.peekConn(i)
+			cj := pj.C.conns.get(i)
 			var qj *ib.QP
 			if cj != nil && cj.state == connReady {
 				qj = cj.qp

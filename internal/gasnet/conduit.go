@@ -78,16 +78,12 @@ type Config struct {
 	// NodeBarrier synchronizes the PEs of one node (shared-memory barrier).
 	NodeBarrier *vclock.VBarrier
 
-	// OnEvent, if set, receives connection-lifecycle trace events
-	// (initiate, req-recv, req-held, ready-client, ready-server, collision,
-	// retransmit) with the virtual time they occurred at. Must be cheap and
-	// non-blocking; invoked from both the application and manager threads.
-	OnEvent func(kind string, peer int, vt int64)
-
 	// Obs is this PE's observability recorder (nil/obs.Nop disables all
-	// recording at near-zero cost). Connection-lifecycle events mirror into
-	// it alongside OnEvent, and the conduit records connect-latency,
-	// first-op-penalty and heartbeat-RTT histograms when metrics are on.
+	// recording at near-zero cost). Connection-lifecycle events (initiate,
+	// req-recv, req-held, ready-client, ready-server, collision, retransmit,
+	// ...) land in its event ring stamped with the virtual time they occurred
+	// at, and the conduit records connect-latency, first-op-penalty and
+	// heartbeat-RTT histograms when metrics are on.
 	Obs *obs.PE
 
 	// ConnectPayload, if set, supplies the opaque payload appended to
@@ -120,59 +116,62 @@ type Config struct {
 }
 
 // Stats counts the per-PE resource usage and traffic that feed the paper's
-// Table I and Figure 9.
+// Table I and Figure 9. A tagged field is the one declaration of an exported
+// counter (tags: obs.CounterDef): the job-wide sum, the registry mirror,
+// oshrun's resilience table — whose row order is the declaration order here —
+// and the TELEMETRY.md catalogue are all derived from it, so a new counter is
+// one tagged field plus its increment.
 type Stats struct {
-	QPsCreated       int   // all queue pairs this PE created (UD + RC, incl. discarded)
-	RCQPsCreated     int   // reliable endpoints created
-	ConnsEstablished int   // connections that reached the ready state
-	Retransmits      int   // UD handshake retransmissions
-	AMsSent          int64 // active messages sent
-	PutsIssued       int64
-	GetsIssued       int64
-	AtomicsIssued    int64
-	BytesPut         int64
-	BytesGot         int64
-	PeersContacted   int // distinct peers this PE sent anything to
+	QPsCreated       int   `ctr:"gasnet.qps_created" faultfree:"nonzero" help:"queue pairs this PE created (UD + RC, including discarded)"`
+	RCQPsCreated     int   `ctr:"gasnet.rc_qps_created" faultfree:"nonzero" help:"reliable (RC) endpoints this PE created (the paper's Fig. 9 metric)"`
+	ConnsEstablished int   `ctr:"gasnet.conns_established" faultfree:"nonzero" help:"connections that reached the ready state"`
+	AMsSent          int64 `ctr:"gasnet.ams_sent" faultfree:"nonzero" help:"active messages sent"`
+	PutsIssued       int64 `ctr:"gasnet.puts_issued" faultfree:"nonzero" help:"one-sided puts issued"`
+	GetsIssued       int64 `ctr:"gasnet.gets_issued" faultfree:"nonzero" help:"one-sided gets issued"`
+	AtomicsIssued    int64 `ctr:"gasnet.atomics_issued" faultfree:"nonzero" help:"one-sided atomics issued"`
+	BytesPut         int64 `ctr:"gasnet.bytes_put" faultfree:"nonzero" help:"one-sided put payload bytes"`
+	BytesGot         int64 `ctr:"gasnet.bytes_got" faultfree:"nonzero" help:"one-sided get payload bytes"`
+	PeersContacted   int   // distinct peers this PE sent anything to (a set size: not summable, so not a counter)
 
-	// Resilience counters (connection-lifecycle fault recovery).
-	LinkFaults int // broken RC connections this PE detected and tore down
-	Reconnects int // connections re-established after a fault or eviction
-	Evictions  int // idle connections evicted to honor the live-QP cap
+	// Connection-lifecycle recovery interleaved with PE-failure detection:
+	// the resilience table prints two rows abreast, link-level recovery on
+	// the left and the failure plane on the right.
+	LinkFaults       int `ctr:"gasnet.link_faults" label:"link faults" table:"resilience" help:"broken RC connections this PE detected and tore down"`
+	PEFailures       int `ctr:"gasnet.pe_failures" label:"pe failures" table:"resilience" help:"peers this PE's detector confirmed dead (crash or wedge)"`
+	Reconnects       int `ctr:"gasnet.reconnects" label:"reconnects" table:"resilience" help:"connections re-established after a fault or eviction"`
+	HeartbeatsSent   int `ctr:"gasnet.heartbeats_sent" label:"heartbeats sent" table:"resilience" help:"explicit failure-detector heartbeat probes sent"`
+	Evictions        int `ctr:"gasnet.evictions" label:"evictions" table:"resilience" help:"idle connections LRU-evicted under the live-QP cap (-qp-cap) or adapter budget pressure"`
+	FalseSuspicions  int `ctr:"gasnet.false_suspicions" label:"false suspicions" table:"resilience" help:"suspicions cleared by a late sign of life"`
+	Retransmits      int `ctr:"gasnet.retransmits" label:"retransmits" table:"resilience" help:"UD handshake control-frame retransmissions"`
+	AbortsPropagated int `ctr:"gasnet.aborts_propagated" label:"aborts propagated" table:"resilience" help:"abort notices this PE sent to its peers"`
 
-	// Failure-plane counters (PE-failure detection and job abort).
-	PEFailures       int // peers this PE's detector confirmed dead
-	HeartbeatsSent   int // explicit heartbeat probes sent
-	FalseSuspicions  int // suspicions cleared by a late sign of life
-	AbortsPropagated int // abort notices this PE broadcast to peers
+	// Control plane (PMI resilience and checksummed UD frames).
+	PMIRetries        int `ctr:"pmi.retries" label:"pmi retries" table:"resilience" help:"PMI ops retried after a transient fault"`
+	PMITimeouts       int `ctr:"pmi.timeouts" label:"pmi timeouts" table:"resilience" help:"PMI ops that failed permanently (retry budget exhausted)"`
+	FallbackExchanges int `ctr:"gasnet.fallback_exchanges" label:"fallback exchanges" table:"resilience" help:"Iallgather endpoint exchanges this PE degraded to Put-Fence-Get"`
+	CorruptFrames     int `ctr:"gasnet.corrupt_frames" label:"corrupt frames" table:"resilience" help:"UD control frames discarded by the CRC32 check"`
 
-	// Control-plane counters (PMI resilience and checksummed UD frames).
-	PMIRetries        int // PMI ops retried after a transient fault
-	PMITimeouts       int // PMI ops that failed permanently (budget exhausted)
-	FallbackExchanges int // Iallgather exchanges degraded to Put-Fence-Get
-	CorruptFrames     int // UD control frames discarded by checksum
+	// Resource pressure (finite adapter budgets, backpressure and
+	// degradation ladders).
+	CreditStalls     int `ctr:"gasnet.credit_stalls" label:"credit stalls" table:"resilience" help:"sends that blocked on a zero receive-credit window"`
+	RNRNaks          int `ctr:"gasnet.rnr_naks" label:"rnr naks" table:"resilience" help:"sends NAKed receiver-not-ready and retried"`
+	AllocFailures    int `ctr:"gasnet.alloc_failures" label:"alloc failures" table:"resilience" help:"QP/MR allocations refused (budget or injected)"`
+	BounceFallbacks  int `ctr:"gasnet.bounce_fallbacks" label:"bounce fallbacks" table:"resilience" help:"heap registrations degraded to bounce-buffering after an MR refusal"`
+	AdmissionRejects int `ctr:"gasnet.admission_rejects" label:"admission rejects" table:"resilience" help:"connection REQs this PE rejected at its QP cap"`
 
-	// Resource-pressure counters (finite adapter budgets, backpressure and
-	// degradation ladders). All zero on an unbudgeted fault-free run.
-	CreditStalls     int // sends that blocked on a zero receive-credit window
-	RNRNaks          int // sends NAKed receiver-not-ready and retried
-	AllocFailures    int // QP/MR allocations refused (budget or injected)
-	BounceFallbacks  int // heap registrations degraded to bounce-buffering
-	AdmissionRejects int // connection REQs this PE rejected at its QP cap
+	// Data-plane integrity (session.go): RC payload faults detected and the
+	// exactly-once recovery machinery that absorbed them.
+	RCCorruptFrames      int `ctr:"gasnet.rc_corrupt_frames" label:"rc corrupt frames" table:"resilience" help:"RC payloads damaged in flight and caught by the integrity trailer / link CRC"`
+	TornWrites           int `ctr:"gasnet.torn_writes" label:"torn writes" table:"resilience" help:"multi-packet RDMA writes torn mid-transfer by a link fault"`
+	DupOpsSuppressed     int `ctr:"gasnet.dup_ops_suppressed" label:"dup ops suppressed" table:"resilience" help:"duplicate framed ops suppressed by the dedup ledger"`
+	IntegrityRetransmits int `ctr:"gasnet.integrity_retransmits" label:"integrity retransmits" table:"resilience" help:"framed sends replayed after NAK, RTO or reconnect"`
 
-	// Data-plane integrity counters (session.go/integrity.go): RC payload
-	// faults detected and the exactly-once recovery machinery that absorbed
-	// them. All zero on a fault-free run.
-	RCCorruptFrames      int // RC payloads damaged in flight (trailer/link CRC)
-	TornWrites           int // RDMA writes torn mid-transfer by a link fault
-	DupOpsSuppressed     int // duplicate framed ops suppressed by the dedup ledger
-	IntegrityRetransmits int // framed sends replayed after NAK, RTO or reconnect
-
-	// Multi-rail fault-plane counters (rail failures, path migration and
-	// network-partition tolerance). All zero on a single-rail fault-free run.
-	PathMigrations       int // RC QPs migrated to their alternate path (IB APM), no teardown
-	RailFailovers        int // connections re-established on another rail after APM was impossible
-	PartitionSuspensions int // peers suspended as partitioned instead of confirmed dead
-	PartitionHeals       int // suspended peers recovered after their partition healed
+	// Multi-rail fault plane (rail failures, path migration and
+	// network-partition tolerance).
+	PathMigrations       int `ctr:"gasnet.path_migrations" label:"path migrations" table:"resilience" help:"RC QPs migrated to their alternate path (IB APM), no teardown"`
+	RailFailovers        int `ctr:"gasnet.rail_failovers" label:"rail failovers" table:"resilience" help:"connections re-established on another rail after APM was impossible"`
+	PartitionSuspensions int `ctr:"gasnet.partition_suspensions" label:"partition suspends" table:"resilience" help:"peers suspended as partitioned instead of confirmed dead"`
+	PartitionHeals       int `ctr:"gasnet.partition_heals" label:"partition heals" table:"resilience" help:"suspended peers recovered after their partition healed"`
 
 	// Flows is this PE's row of the communication matrix: per-peer op and
 	// byte counts split by kind (put/get/atomic/am/coll/barrier/ctrl),
@@ -259,8 +258,7 @@ type Conduit struct {
 
 	connMu      sync.Mutex
 	connCond    *sync.Cond
-	connSlice   []*conn // static mode: dense table
-	connMap     map[int]*conn
+	conns       connTable
 	nReady      int
 	lastReadyVT int64  // max virtual time any connection became ready
 	useSeq      uint64 // LRU counter for eviction (guarded by connMu)
@@ -371,11 +369,7 @@ func New(cfg Config) *Conduit {
 	c.led = c.obs.Ledger()
 	c.connCond = sync.NewCond(&c.connMu)
 	c.outCond = sync.NewCond(&c.outMu)
-	if cfg.Mode == Static {
-		c.connSlice = make([]*conn, cfg.NProcs)
-	} else {
-		c.connMap = make(map[int]*conn)
-	}
+	c.conns = newConnTable(cfg.Mode, cfg.NProcs)
 	udQP, err := cfg.HCA.TryCreateQP(ib.UD, c.clk, nil, c.cq)
 	if err != nil {
 		// No control endpoint means no handshakes, no heartbeats, no in-band
@@ -962,12 +956,9 @@ func (c *Conduit) PeerSet() map[int]struct{} {
 	return out
 }
 
-// event emits a trace event if tracing is enabled: to the legacy OnEvent
-// callback and to the observability plane's event ring.
+// event records a connection-lifecycle or failure-plane trace event in the
+// observability plane's event ring (a no-op when events are off).
 func (c *Conduit) event(kind string, peer int, vt int64) {
-	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(kind, peer, vt)
-	}
 	c.obs.Emit(vt, obs.LayerGasnet, kind, peer, 0)
 }
 
@@ -1052,23 +1043,11 @@ func (c *Conduit) Close() {
 // hasPendingLocked reports whether any connection is still being
 // established or has queued traffic. Caller holds connMu.
 func (c *Conduit) hasPendingLocked() bool {
-	busy := func(cn *conn) bool {
-		return cn != nil && (cn.state == connConnecting || cn.state == connAccepted || len(cn.pending) > 0)
-	}
-	if c.connSlice != nil {
-		for _, cn := range c.connSlice {
-			if busy(cn) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, cn := range c.connMap {
-		if busy(cn) {
-			return true
-		}
-	}
-	return false
+	busy := false
+	c.conns.each(func(_ int, cn *conn) {
+		busy = busy || cn.state == connConnecting || cn.state == connAccepted || len(cn.pending) > 0
+	})
+	return busy
 }
 
 // progress is the conduit's receive/progress loop: it dispatches UD control

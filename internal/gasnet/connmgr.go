@@ -183,22 +183,13 @@ func (c *Conduit) pickRailsLocked(dst uint16, vt int64) (pri, alt int) {
 	fi := fab.Faults()
 	src := c.cfg.HCA.LID()
 	load := make([]int, rails)
-	count := func(cn *conn) {
-		if cn != nil && cn.qp != nil {
+	c.conns.each(func(_ int, cn *conn) {
+		if cn.qp != nil {
 			if r := cn.qp.Rail(); r >= 0 && r < rails {
 				load[r]++
 			}
 		}
-	}
-	if c.connSlice != nil {
-		for _, cn := range c.connSlice {
-			count(cn)
-		}
-	} else {
-		for _, cn := range c.connMap {
-			count(cn)
-		}
-	}
+	})
 	pri, alt = -1, -1
 	for r := 0; r < rails; r++ {
 		if fi != nil && !fi.RailLive(src, dst, r, vt) {
@@ -260,7 +251,7 @@ func (c *Conduit) tryMigrateLocked(cn *conn, peer int) bool {
 func (c *Conduit) tryMigrate(peer int, epoch uint64) bool {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	if cn == nil || cn.epoch != epoch || cn.state != connReady {
 		// Someone else already recovered or tore the slot down; let the
 		// caller's retry loop observe the new state.
@@ -278,7 +269,7 @@ func (c *Conduit) tryMigrate(peer int, epoch uint64) bool {
 // replay over the replacement connection.
 func (c *Conduit) railFailover(peer int, epoch uint64) {
 	c.connMu.Lock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	if cn == nil || cn.epoch != epoch || cn.state != connReady {
 		c.connMu.Unlock()
 		return
@@ -293,38 +284,11 @@ func (c *Conduit) railFailover(peer int, epoch uint64) {
 	c.led.Act("net", -1, c.mgrClk.Now(), "rail-failover")
 }
 
-// connFor returns (creating if necessary) the connection slot for peer.
-// Caller holds connMu.
-func (c *Conduit) connFor(peer int) *conn {
-	if c.connSlice != nil {
-		cn := c.connSlice[peer]
-		if cn == nil {
-			cn = &conn{}
-			c.connSlice[peer] = cn
-		}
-		return cn
-	}
-	cn := c.connMap[peer]
-	if cn == nil {
-		cn = &conn{}
-		c.connMap[peer] = cn
-	}
-	return cn
-}
-
-// peekConn returns the slot without creating it. Caller holds connMu.
-func (c *Conduit) peekConn(peer int) *conn {
-	if c.connSlice != nil {
-		return c.connSlice[peer]
-	}
-	return c.connMap[peer]
-}
-
 // Connected reports whether a ready connection to peer exists.
 func (c *Conduit) Connected(peer int) bool {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	return cn != nil && cn.state == connReady
 }
 
@@ -364,7 +328,7 @@ func (c *Conduit) teardownLocked(cn *conn) {
 // the teardown.
 func (c *Conduit) noteLinkFault(peer int, epoch uint64) bool {
 	c.connMu.Lock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	if cn == nil || cn.epoch != epoch || cn.state != connReady {
 		c.connMu.Unlock()
 		return false
@@ -460,7 +424,7 @@ func (c *Conduit) pickVictimLocked(excludePeer int) (*conn, int) {
 	var victim, dirty *conn
 	vpeer, dpeer := -1, -1
 	consider := func(peer int, cn *conn) {
-		if cn == nil || cn.state != connReady || len(cn.pending) > 0 {
+		if cn.state != connReady || len(cn.pending) > 0 {
 			return
 		}
 		if peer == excludePeer || peer == c.cfg.Rank {
@@ -483,15 +447,7 @@ func (c *Conduit) pickVictimLocked(excludePeer int) (*conn, int) {
 			victim, vpeer = cn, peer
 		}
 	}
-	if c.connSlice != nil {
-		for peer, cn := range c.connSlice {
-			consider(peer, cn)
-		}
-	} else {
-		for peer, cn := range c.connMap {
-			consider(peer, cn)
-		}
-	}
+	c.conns.each(consider)
 	if victim == nil {
 		return dirty, dpeer
 	}
@@ -639,7 +595,7 @@ func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) error {
 			c.connMu.Unlock()
 			return ErrPeerDead
 		}
-		cn := c.connFor(peer)
+		cn := c.conns.getOrCreate(peer)
 		switch cn.state {
 		case connReady:
 			qp := cn.qp
@@ -723,7 +679,7 @@ func (c *Conduit) EnsureConnected(peer int) error {
 			c.connMu.Unlock()
 			return ErrPeerDead
 		}
-		cn := c.connFor(peer)
+		cn := c.conns.getOrCreate(peer)
 		switch cn.state {
 		case connReady:
 			ready := cn.readyVT
@@ -822,7 +778,7 @@ func (c *Conduit) initiate(peer int) error {
 		c.connMu.Unlock()
 		return ErrPeerDead
 	}
-	cn := c.connFor(peer)
+	cn := c.conns.getOrCreate(peer)
 	if cn.state != connNone {
 		c.connMu.Unlock()
 		return nil
@@ -1076,7 +1032,7 @@ func (c *Conduit) handleReq(m connMsg, at int64, svc *vclock.Clock) {
 		c.connMu.Unlock()
 	}
 	c.connMu.Lock()
-	cn := c.connFor(peer)
+	cn := c.conns.getOrCreate(peer)
 	if !c.remoteQPAlive(m.RC) {
 		c.connMu.Unlock()
 		c.event("conn-stale-req", peer, svc.Now())
@@ -1212,7 +1168,7 @@ func (c *Conduit) handleRep(m connMsg, svc *vclock.Clock) {
 		return
 	}
 	c.connMu.Lock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	if cn == nil {
 		c.connMu.Unlock()
 		return
@@ -1348,7 +1304,7 @@ func (c *Conduit) handleRTU(m connMsg, svc *vclock.Clock) {
 		return
 	}
 	c.connMu.Lock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	if cn == nil || cn.state != connAccepted || m.Seq != cn.seq {
 		c.connMu.Unlock()
 		return
@@ -1394,7 +1350,7 @@ func (c *Conduit) handleRej(m connMsg, svc *vclock.Clock) {
 	}
 	fatal := len(m.Payload) > 0 && m.Payload[0] != 0
 	c.connMu.Lock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	if cn == nil || cn.state != connConnecting || m.Seq != cn.seq {
 		c.connMu.Unlock()
 		return // rejection of an attempt we have since abandoned or completed
@@ -1542,9 +1498,6 @@ func (c *Conduit) retransScan() {
 	c.timerOn = false
 	now := timeNow()
 	scan := func(peer int, cn *conn) {
-		if cn == nil {
-			return
-		}
 		if c.lossy && len(cn.unacked) > 0 {
 			switch {
 			case cn.state == connReady && now.Sub(cn.lastData) >= c.rtoFor(cn.dataAttempt):
@@ -1659,15 +1612,7 @@ func (c *Conduit) retransScan() {
 			SrcRank: int32(c.cfg.Rank), Seq: cn.seq, RC: cn.qp.Addr(),
 			UD: c.udQP.Addr(), Payload: c.connPayloadLocked(peer)}, at})
 	}
-	if c.connSlice != nil {
-		for peer, cn := range c.connSlice {
-			scan(peer, cn)
-		}
-	} else {
-		for peer, cn := range c.connMap {
-			scan(peer, cn)
-		}
-	}
+	c.conns.each(scan)
 	if c.hasPendingLocked() || c.hasUnackedLocked() {
 		c.armTimerLocked()
 	}

@@ -243,25 +243,13 @@ func (c *Conduit) enterKilled(now int64) {
 	}
 	c.event("pe-fail", c.cfg.Rank, now)
 	c.connMu.Lock()
-	drop := func(peer int, cn *conn) {
-		if cn == nil {
-			return
-		}
+	c.conns.each(func(_ int, cn *conn) {
 		if cn.state != connNone {
 			c.teardownLocked(cn)
 		}
 		cn.pending = nil
 		c.dropUnackedLocked(cn, now)
-	}
-	if c.connSlice != nil {
-		for peer, cn := range c.connSlice {
-			drop(peer, cn)
-		}
-	} else {
-		for peer, cn := range c.connMap {
-			drop(peer, cn)
-		}
-	}
+	})
 	c.connMu.Unlock()
 	c.udQP.Destroy()
 	c.raiseLocal(&CrashError{Rank: c.cfg.Rank, VT: now})
@@ -711,7 +699,7 @@ func (c *Conduit) markDead(peer int) bool {
 	}
 	c.deadPeers[peer] = true
 	var dropped []pendingWR
-	if cn := c.peekConn(peer); cn != nil {
+	if cn := c.conns.get(peer); cn != nil {
 		dropped = cn.pending
 		cn.pending = nil
 		if cn.state != connNone {
@@ -884,10 +872,7 @@ func (c *Conduit) HealthSnapshot() HealthSnapshot {
 	s.Killed = c.selfState.Load() == selfKilled
 	s.Wedged = c.selfState.Load() == selfWedged
 	c.connMu.Lock()
-	walk := func(cn *conn) {
-		if cn == nil {
-			return
-		}
+	c.conns.each(func(_ int, cn *conn) {
 		switch cn.state {
 		case connReady:
 			s.Ready++
@@ -897,16 +882,7 @@ func (c *Conduit) HealthSnapshot() HealthSnapshot {
 			s.Accepted++
 		}
 		s.PendingWRs += len(cn.pending)
-	}
-	if c.connSlice != nil {
-		for _, cn := range c.connSlice {
-			walk(cn)
-		}
-	} else {
-		for _, cn := range c.connMap {
-			walk(cn)
-		}
-	}
+	})
 	s.HeldReqs = len(c.heldReqs)
 	s.LastReadyVT = c.lastReadyVT
 	for peer := range c.deadPeers {

@@ -32,15 +32,9 @@ func TestKillPEConfirmedAndAborted(t *testing.T) {
 	fi := ib.NewFaultInjector(7)
 	fi.KillPE(victim, killVT)
 
-	var evMu sync.Mutex
-	events := make(map[string]int)
 	pes, run := startJob(t, jobOpts{
 		n: n, ppn: 2, mode: OnDemand, faults: fi, retrans: fastRetrans, heartbeat: fastHB,
-		onEvent: func(rank int, kind string, peer int, vt int64) {
-			evMu.Lock()
-			events[kind]++
-			evMu.Unlock()
-		},
+		trace: true,
 	})
 
 	// Pre-fault traffic: everyone talks to everyone, so every survivor's
@@ -125,13 +119,15 @@ func TestKillPEConfirmedAndAborted(t *testing.T) {
 	if aborts == 0 {
 		t.Error("no abort datagrams propagated")
 	}
-	evMu.Lock()
+	events := make(map[string]int)
+	for _, e := range pes[0].plane.Events() {
+		events[e.Kind]++
+	}
 	for _, kind := range []string{"pe-fail", "suspect", "confirm-dead", "abort"} {
 		if events[kind] == 0 {
 			t.Errorf("trace lacks %q events: %v", kind, events)
 		}
 	}
-	evMu.Unlock()
 }
 
 // TestWedgePEStillAcksUntilAborted injects a wedge: the victim's software

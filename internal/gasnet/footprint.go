@@ -34,9 +34,8 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 	c.connMu.Lock()
 	// The connection table itself: a dense pointer slice in static mode, a
 	// map in on-demand mode — the allocation asymmetry under study.
-	misc.Bytes += int64(len(c.connSlice)) * int64(unsafe.Sizeof((*conn)(nil)))
-	misc.Bytes += int64(len(c.connMap)) * (int64(unsafe.Sizeof((*conn)(nil))) + mapEntryOverhead)
-	forEachConn(c, func(cn *conn) {
+	misc.Bytes += c.conns.footprintBytes()
+	c.conns.each(func(_ int, cn *conn) {
 		conns.Objects++
 		conns.Bytes += connSize + int64(len(cn.pending))*pendSize
 		for _, tx := range cn.unacked {
@@ -90,21 +89,6 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 		{Subsystem: "gasnet", Category: "retained-frames", Bytes: retained.Bytes, Objects: retained.Objects},
 		{Subsystem: "gasnet", Category: "credit-state", Bytes: credits.Bytes, Objects: credits.Objects},
 		{Subsystem: "gasnet", Category: "conduit", Bytes: misc.Bytes, Objects: misc.Objects},
-	}
-}
-
-// forEachConn visits every connection slot currently allocated. Caller holds
-// connMu.
-func forEachConn(c *Conduit, f func(*conn)) {
-	for _, cn := range c.connSlice {
-		if cn != nil {
-			f(cn)
-		}
-	}
-	for _, cn := range c.connMap {
-		if cn != nil {
-			f(cn)
-		}
 	}
 }
 

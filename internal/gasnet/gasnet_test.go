@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"goshmem/internal/ib"
+	"goshmem/internal/obs"
 	"goshmem/internal/pmi"
 	"goshmem/internal/vclock"
 )
@@ -16,6 +17,10 @@ type pe struct {
 	C   *Conduit
 	Clk *vclock.Clock
 	HCA *ib.HCA
+
+	// plane is the job's observability plane (shared by every pe) when
+	// jobOpts.trace is set, else nil.
+	plane *obs.Plane
 
 	mu       sync.Mutex
 	payloads map[int][]byte // peer -> payload received
@@ -35,10 +40,10 @@ type jobOpts struct {
 	retrans     RetransConfig   // retransmission timing override
 	heartbeat   HeartbeatConfig // failure-detector timing override
 
-	// onEvent, when set, receives every connection-lifecycle trace event
-	// from every PE (rank is the observing PE). Used by fault-plane tests
-	// to assert on and debug handshake recovery schedules.
-	onEvent func(rank int, kind string, peer int, vt int64)
+	// trace records every PE's events in an unbounded obs ring; fault-plane
+	// tests read the connection-lifecycle trace back with pe.plane.Events()
+	// (merged across PEs, virtual-time order) to assert on recovery schedules.
+	trace bool
 }
 
 // startJob builds a fabric, a PMI server and n conduits, exchanges endpoints
@@ -68,9 +73,13 @@ func startJob(t *testing.T, o jobOpts) ([]*pe, func(body func(p *pe))) {
 		}
 		bars[i] = vclock.NewVBarrier(ppnHere)
 	}
+	var plane *obs.Plane
+	if o.trace {
+		plane = obs.NewPlane(o.n, obs.Config{Events: true, RingCap: -1})
+	}
 	pes := make([]*pe, o.n)
 	for r := 0; r < o.n; r++ {
-		p := &pe{Clk: vclock.NewClock(0), payloads: make(map[int][]byte), payCount: make(map[int]int)}
+		p := &pe{Clk: vclock.NewClock(0), plane: plane, payloads: make(map[int][]byte), payCount: make(map[int]int)}
 		p.HCA = hcas[r/o.ppn]
 		cfg := Config{
 			Rank: r, NProcs: o.n, Node: r / o.ppn, PPN: o.ppn,
@@ -80,11 +89,7 @@ func startJob(t *testing.T, o jobOpts) ([]*pe, func(body func(p *pe))) {
 			MaxLiveRC:   o.maxLiveRC,
 			Retrans:     o.retrans,
 			Heartbeat:   o.heartbeat,
-		}
-		if o.onEvent != nil {
-			rank := r
-			ev := o.onEvent
-			cfg.OnEvent = func(kind string, peer int, vt int64) { ev(rank, kind, peer, vt) }
+			Obs:         plane.PE(r),
 		}
 		if o.payloads {
 			rank := r
@@ -572,12 +577,23 @@ func TestWireEncoding(t *testing.T) {
 		t.Fatalf("AM roundtrip: %v %v %v %v %v", h, src, args, pay, err)
 	}
 
-	d := ib.Dest{LID: 300, QPN: 123456}
-	got2, err := decodeDest(encodeDest(d))
-	if err != nil || got2 != d {
-		t.Fatalf("dest roundtrip: %v %v", got2, err)
+}
+
+// TestDecodeDestStrict: the endpoint string is read back from the PMI store,
+// so the decoder must accept exactly what encodeDest writes and nothing else
+// — no trailing bytes, no empty half, no sign, no value that would wrap when
+// narrowed to the LID's 16 or the QPN's 32 bits.
+func TestDecodeDestStrict(t *testing.T) {
+	for _, d := range []ib.Dest{{}, {LID: 300, QPN: 123456}, {LID: 65535, QPN: 4294967295}} {
+		got, err := decodeDest(encodeDest(d))
+		if err != nil || got != d {
+			t.Errorf("roundtrip of %v: got %v, err %v", d, got, err)
+		}
 	}
-	if _, err := decodeDest("garbage"); err == nil {
-		t.Fatal("bad dest should fail")
+	for _, s := range []string{"", "garbage", "1", "1:", ":2", "1:2junk", "1:2:3", " 1:2",
+		"70000:1", "-1:2", "1:-2", "+1:2", "1:4294967296"} {
+		if d, err := decodeDest(s); err == nil {
+			t.Errorf("decodeDest(%q) = %v, want an error", s, d)
+		}
 	}
 }

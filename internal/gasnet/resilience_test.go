@@ -17,16 +17,7 @@ func TestLinkFlapReconnectDeliversExactlyOnce(t *testing.T) {
 	fi := ib.NewFaultInjector(9)
 	fi.FlapProb = 1.0
 	fi.MaxFlaps = 1
-	var evMu sync.Mutex
-	var kinds []string
-	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true, retrans: fastRetrans,
-		onEvent: func(rank int, kind string, peer int, vt int64) {
-			if rank == 0 && peer == 1 {
-				evMu.Lock()
-				kinds = append(kinds, kind)
-				evMu.Unlock()
-			}
-		}})
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true, retrans: fastRetrans, trace: true})
 	var mu sync.Mutex
 	recv := 0
 	pes[1].C.RegisterHandler(5, func(src int, a [4]uint64, p []byte, at int64) {
@@ -65,7 +56,12 @@ func TestLinkFlapReconnectDeliversExactlyOnce(t *testing.T) {
 	pes[0].mu.Unlock()
 	// The lifecycle trace must show the fault being detected and a later
 	// re-established connection, in that order.
-	evMu.Lock()
+	var kinds []string
+	for _, e := range pes[0].plane.Events() {
+		if e.Rank == 0 && e.Peer == 1 {
+			kinds = append(kinds, e.Kind)
+		}
+	}
 	fault, readyAfter := -1, -1
 	for i, k := range kinds {
 		if k == "conn-link-fault" && fault < 0 {
@@ -75,7 +71,6 @@ func TestLinkFlapReconnectDeliversExactlyOnce(t *testing.T) {
 			readyAfter = i
 		}
 	}
-	evMu.Unlock()
 	if fault < 0 || readyAfter < 0 {
 		t.Fatalf("trace lacks fault->reconnect sequence: %v", kinds)
 	}

@@ -85,16 +85,9 @@ func TestPendingFlushAbsorbsRNRNaks(t *testing.T) {
 func TestAdmissionRejectThenRetryAdmits(t *testing.T) {
 	fi := ib.NewFaultInjector(1)
 	fi.FailQPAllocOn(2) // each adapter: alloc #1 is the UD endpoint, #2 the first RC attempt
-	var evMu sync.Mutex
-	events := make(map[string]int) // "<rank>/<kind>" -> count
 	pes, _ := startJob(t, jobOpts{n: 2, ppn: 1, mode: OnDemand, faults: fi,
 		payloads: true, retrans: fastRetrans,
-		limits: ib.Limits{MaxQPs: 64},
-		onEvent: func(rank int, kind string, peer int, vt int64) {
-			evMu.Lock()
-			events[string(rune('0'+rank))+"/"+kind]++
-			evMu.Unlock()
-		}})
+		limits: ib.Limits{MaxQPs: 64}, trace: true})
 	got := make(chan struct{}, 1)
 	pes[1].C.RegisterHandler(3, func(src int, a [4]uint64, p []byte, at int64) {
 		got <- struct{}{}
@@ -118,8 +111,10 @@ func TestAdmissionRejectThenRetryAdmits(t *testing.T) {
 		}
 		p.mu.Unlock()
 	}
-	evMu.Lock()
-	defer evMu.Unlock()
+	events := make(map[string]int) // "<rank>/<kind>" -> count
+	for _, e := range pes[0].plane.Events() {
+		events[string(rune('0'+e.Rank))+"/"+e.Kind]++
+	}
 	if events["1/conn-admission-rej"] == 0 {
 		t.Fatalf("server trace lacks conn-admission-rej: %v", events)
 	}
@@ -251,17 +246,8 @@ func TestEvictionSparesAcceptedConn(t *testing.T) {
 		}
 		return ib.VerdictDeliver
 	}
-	var evMu sync.Mutex
-	evictedAccepted := 0
 	pes, _ := startJob(t, jobOpts{n: 3, ppn: 3, mode: OnDemand, faults: fi,
-		payloads: true, retrans: fastRetrans, maxLiveRC: 4,
-		onEvent: func(rank int, kind string, peer int, vt int64) {
-			if rank == 2 && peer == 0 && kind == "conn-evict" {
-				evMu.Lock()
-				evictedAccepted++
-				evMu.Unlock()
-			}
-		}})
+		payloads: true, retrans: fastRetrans, maxLiveRC: 4, trace: true})
 	var mu sync.Mutex
 	got := make(map[[2]int]int)
 	for _, p := range pes {
@@ -300,11 +286,11 @@ func TestEvictionSparesAcceptedConn(t *testing.T) {
 	// RTU and the parked handshake completes.
 	holdRTU.Store(false)
 	waitUntil(t, func() bool { return pes[2].C.Connected(0) })
-	evMu.Lock()
-	if evictedAccepted != 0 {
-		t.Fatalf("accepted connection evicted %d times under cap pressure", evictedAccepted)
+	for _, e := range pes[0].plane.Events() {
+		if e.Rank == 2 && e.Peer == 0 && e.Kind == "conn-evict" {
+			t.Fatalf("accepted connection evicted under cap pressure (vt %d)", e.VT)
+		}
 	}
-	evMu.Unlock()
 	for _, pair := range [][2]int{{0, 2}, {2, 0}} {
 		p := pes[pair[0]]
 		p.mu.Lock()

@@ -194,20 +194,9 @@ func (c *Conduit) hasUnackedLocked() bool {
 	if !c.lossy {
 		return false
 	}
-	if c.connSlice != nil {
-		for _, cn := range c.connSlice {
-			if cn != nil && len(cn.unacked) > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for _, cn := range c.connMap {
-		if cn != nil && len(cn.unacked) > 0 {
-			return true
-		}
-	}
-	return false
+	unacked := false
+	c.conns.each(func(_ int, cn *conn) { unacked = unacked || len(cn.unacked) > 0 })
+	return unacked
 }
 
 // sessionAccept verifies and dedups one framed RC payload on the receive
@@ -221,7 +210,7 @@ func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
 		c.connMu.Unlock()
 		return nil, false
 	}
-	cn := c.connFor(peer)
+	cn := c.conns.getOrCreate(peer)
 	inner, seq, _, ok := splitRCTrailer(comp.Data)
 	var (
 		accept bool
@@ -292,7 +281,7 @@ func (c *Conduit) handleDataProbe(peer int, svc *vclock.Clock) {
 	}
 	var rx uint64
 	c.connMu.Lock()
-	if cn := c.peekConn(peer); cn != nil {
+	if cn := c.conns.get(peer); cn != nil {
 		rx = cn.rxMax
 	}
 	c.connMu.Unlock()
@@ -317,7 +306,7 @@ func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.
 	}
 	reinit := false
 	c.connMu.Lock()
-	cn := c.peekConn(peer)
+	cn := c.conns.get(peer)
 	if cn == nil {
 		c.connMu.Unlock()
 		return
@@ -367,7 +356,7 @@ func (c *Conduit) connPayloadLocked(peer int) []byte {
 		return user
 	}
 	var rx uint64
-	if cn := c.peekConn(peer); cn != nil {
+	if cn := c.conns.get(peer); cn != nil {
 		rx = cn.rxMax
 	}
 	out := make([]byte, 8+len(user))

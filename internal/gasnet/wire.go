@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"goshmem/internal/ib"
 )
@@ -158,13 +160,25 @@ func decodeAbortPayload(b []byte) (code int, reason string) {
 	return int(binary.LittleEndian.Uint32(b)), string(b[4:])
 }
 
-// Endpoint string form used in the PMI key-value store.
+// Endpoint string form used in the PMI key-value store: "<lid>:<qpn>".
 func encodeDest(d ib.Dest) string { return fmt.Sprintf("%d:%d", d.LID, d.QPN) }
 
+// decodeDest parses exactly what encodeDest produces. The string comes out of
+// the PMI store, i.e. from outside this process, so anything else — trailing
+// bytes, a missing half, a sign, a value past the field's width — is an
+// error rather than a silently wrapped or truncated endpoint.
 func decodeDest(s string) (ib.Dest, error) {
-	var lid, qpn uint32
-	if _, err := fmt.Sscanf(s, "%d:%d", &lid, &qpn); err != nil {
-		return ib.Dest{}, fmt.Errorf("gasnet: bad endpoint %q: %v", s, err)
+	lidStr, qpnStr, ok := strings.Cut(s, ":")
+	if !ok {
+		return ib.Dest{}, fmt.Errorf("gasnet: bad endpoint %q: want <lid>:<qpn>", s)
 	}
-	return ib.Dest{LID: uint16(lid), QPN: qpn}, nil
+	lid, err := strconv.ParseUint(lidStr, 10, 16)
+	if err != nil {
+		return ib.Dest{}, fmt.Errorf("gasnet: bad endpoint %q: lid: %w", s, err)
+	}
+	qpn, err := strconv.ParseUint(qpnStr, 10, 32)
+	if err != nil {
+		return ib.Dest{}, fmt.Errorf("gasnet: bad endpoint %q: qpn: %w", s, err)
+	}
+	return ib.Dest{LID: uint16(lid), QPN: uint32(qpn)}, nil
 }

@@ -49,21 +49,23 @@ type HCA struct {
 	stats HCAStats
 }
 
-// HCAStats counts resource usage and traffic through one adapter.
+// HCAStats counts resource usage and traffic through one adapter. Tagged
+// fields are exported counters, declared here and nowhere else (see
+// obs.CounterDef for the tags).
 type HCAStats struct {
-	QPsCreatedUD   int64
-	QPsCreatedRC   int64
-	QPsDestroyed   int64 // monotone; allocation ladders key retries to it
-	RCEstablished  int64 // RC QPs that reached RTS
-	LiveRC         int64 // RC QPs currently in RTS
-	MsgsDelivered  int64
-	BytesDelivered int64
-	CacheMisses    int64
-	MRsRegistered  int64
-	BytesPinned    int64
-	AllocFailures  int64 // QP/MR allocations refused (budget or injected)
-	RNRNaks        int64 // sends NAKed by a full receive queue
-	BouncedMRs     int64 // regions degraded to bounce-buffering
+	QPsCreatedUD   int64 `ctr:"ib.qps_created_ud" faultfree:"nonzero" help:"UD queue pairs created on the adapter"`
+	QPsCreatedRC   int64 `ctr:"ib.qps_created_rc" faultfree:"nonzero" help:"RC queue pairs created on the adapter"`
+	QPsDestroyed   int64 // monotone; allocation ladders key retries to it (internal: not exported)
+	RCEstablished  int64 `ctr:"ib.rc_established" faultfree:"nonzero" help:"RC queue pairs that reached RTS"`
+	LiveRC         int64 `ctr:"ib.live_rc" faultfree:"nonzero" help:"RC queue pairs still in RTS at job end"`
+	MsgsDelivered  int64 `ctr:"ib.msgs_delivered" faultfree:"nonzero" help:"messages the fabric delivered to the adapter"`
+	BytesDelivered int64 `ctr:"ib.bytes_delivered" faultfree:"nonzero" help:"payload bytes the fabric delivered to the adapter"`
+	CacheMisses    int64 `ctr:"ib.cache_misses" help:"endpoint-cache misses (more live RC QPs than the HCA caches: static-mode pressure)"`
+	MRsRegistered  int64 `ctr:"ib.mrs_registered" faultfree:"nonzero" help:"memory regions registered"`
+	BytesPinned    int64 `ctr:"ib.bytes_pinned" faultfree:"nonzero" help:"registered-memory bytes pinned at job end"`
+	AllocFailures  int64 `ctr:"ib.alloc_failures" help:"QP/MR allocations refused (budget or injected)"`
+	RNRNaks        int64 `ctr:"ib.rnr_naks" help:"sends NAKed by a full receive queue"`
+	BouncedMRs     int64 `ctr:"ib.bounced_mrs" help:"regions degraded to bounce-buffering"`
 }
 
 // LID returns the adapter's local identifier on the fabric.

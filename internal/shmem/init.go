@@ -23,10 +23,6 @@ type Env struct {
 	Clock       *vclock.Clock
 	NodeBarrier *vclock.VBarrier
 
-	// OnConnEvent, if set, receives the conduit's connection-lifecycle
-	// trace events (see gasnet.Config.OnEvent).
-	OnConnEvent func(kind string, peer int, vt int64)
-
 	// Obs is the PE's observability recorder (nil: disabled). The runtime
 	// threads it through the PMI client, the conduit and the verbs layer so
 	// every layer's events land in the same per-PE stream.
@@ -94,7 +90,6 @@ func Attach(env Env, opts Options) *Ctx {
 		HCA: env.HCA, PMI: env.PMI, Clock: env.Clock,
 		Mode: opts.Mode, BlockingPMI: opts.BlockingPMI,
 		NodeBarrier: env.NodeBarrier,
-		OnEvent:     env.OnConnEvent,
 		Obs:         env.Obs,
 		MaxLiveRC:   opts.MaxLiveRC,
 		Retrans:     opts.Retrans,
