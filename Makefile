@@ -11,7 +11,7 @@ GO ?= go
 # CHAOS_SEED=<seed> make soak (failures print the seed to replay).
 CHAOS_SEED ?= 1786034998553156286
 
-.PHONY: all tier1 tier2 build test vet race soak smoke incident-smoke rail-smoke footprint-smoke bench-smoke trace-demo bench clean
+.PHONY: all tier1 tier2 build test vet race soak smoke incident-smoke rail-smoke footprint-smoke bench-smoke fuzz-smoke loc trace-demo bench clean
 
 all: tier1
 
@@ -95,6 +95,25 @@ footprint-smoke:
 # wall time; asserts no timing.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Mutate from the checked-in seed corpus of every wire-decoder fuzz target for
+# ten seconds each (go test accepts one -fuzz target per run). The seeds alone
+# already run as unit tests under `make test`; this is the nightly search for
+# new crashers, which land under internal/gasnet/testdata/fuzz when found.
+FUZZ_TARGETS = FuzzDecodeConnMsg FuzzDecodeAM FuzzSplitRCTrailer FuzzDecodeSeqPayload FuzzDecodeAbortPayload FuzzDecodeDest
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime=10s ./internal/gasnet || exit 1; \
+	done
+
+# Comment- and blank-free non-test Go lines per package: the size number a
+# simplification PR reports before and after.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg d; do \
+		n=$$(cat /dev/null $$(ls $$d/*.go | grep -v _test.go) | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
+		printf '%6d  %s\n' $$n $$pkg; \
+	done
 
 # Write an 8-PE sample Perfetto trace (open trace-demo.json at
 # https://ui.perfetto.dev) plus the text report with phase breakdown,

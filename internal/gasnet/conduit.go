@@ -179,57 +179,33 @@ type Stats struct {
 	Flows []obs.FlowEdge
 }
 
-type connState uint8
-
-const (
-	connNone       connState = iota
-	connConnecting           // client: REQ sent, waiting for REP
-	connAccepted             // server: REP sent, waiting for RTU
-	connReady
-)
-
 type pendingWR struct {
 	wr  ib.SendWR
 	enq int64 // virtual enqueue time
 }
 
 type conn struct {
-	state   connState
+	slot // handshake state: changed only by driveLocked, through step (fsm.go)
+
 	qp      *ib.QP
 	loopbk  *ib.QP // second endpoint of a self-connection
 	peerUD  ib.Dest
-	seq     uint32
-	seqHi   uint32 // highest attempt ever used on this slot (never reused)
-	attempt int
 	firstTx int64     // virtual time of first REQ/REP transmission
 	lastTx  time.Time // real time of last transmission (retransmit backoff)
 	pending []pendingWR
 	readyVT int64
-	gotPay  bool // upper-layer payload already consumed
 
-	epoch     uint64 // teardown generation, so racing fault reports are applied once
-	everReady bool   // has reached ready at least once (re-ready counts as a reconnect)
-	lastUse   uint64 // LRU stamp for idle-connection eviction
+	epoch   uint64 // teardown generation, so racing fault reports are applied once
+	lastUse uint64 // LRU stamp for idle-connection eviction
 
 	// creditRel is the sender-side receive-credit window against this peer:
 	// the virtual times at which in-flight messages release their receive
 	// slot at the target (mirror of the target QP's rqRel). Only maintained
 	// when Limits.RQDepth is set. Sorted: RC sends on one conn are monotone.
 	creditRel []int64
-	// rejCount counts admission REJs this client has absorbed for the slot
-	// across its lifetime (survives teardown/reuse); a runaway REJ loop is
-	// converted to a resource-exhaustion abort rather than spinning forever.
-	rejCount int
-	// rejWait marks a connecting client whose queue pair was released after
-	// an admission REJ (IB CM semantics: a rejected request frees resources
-	// on both sides — holding the QP through backoff would pin the very
-	// budget the server is waiting to see freed, deadlocking two mutually
-	// rejecting adapters). The retransmission timer re-allocates an endpoint
-	// and re-sends the REQ under a fresh attempt number.
-	rejWait bool
 
 	// Data-plane session state (session.go; maintained only on lossy
-	// fabrics). Deliberately NOT reset by teardownLocked: sequences, retained
+	// fabrics). Deliberately NOT reset by a teardown: sequences, retained
 	// frames and the dedup ledger span connection incarnations — that
 	// continuity is the whole point.
 	txSeq    uint64       // last transfer sequence framed to this peer
@@ -469,7 +445,7 @@ func (c *Conduit) SetReady() {
 		svc := vclock.NewClock(readyVT)
 		svc.AdvanceTo(h.at)
 		svc.Advance(c.model.ConnReqProcess)
-		c.handleReq(h.m, h.at, svc)
+		c.handleLeg(evReq, h.m, h.at, svc)
 		c.mgrClk.AdvanceTo(svc.Now())
 	}
 }

@@ -58,19 +58,9 @@ const (
 	defaultRetransBaseRTO  = 25 * time.Millisecond
 	defaultRetransMaxShift = 6
 
-	// defaultProbeBackoffShift caps the exponential backoff of background
-	// probes — heartbeat confirmation probes (failure.go) and the RTO-driven
-	// window probes behind a dirty eviction — so both recovery clocks share
-	// one knob (RetransConfig.ProbeBackoffShift).
+	// defaultProbeBackoffShift caps the exponential backoff of the failure
+	// detector's confirmation probes (failure.go).
 	defaultProbeBackoffShift = 4
-
-	// recycleAttempts is the last-resort convergence bound: a handshake
-	// still not complete after this many retransmissions is torn down and,
-	// if traffic is queued behind it, restarted with a fresh attempt number.
-	// A fresh attempt supersedes any stale state the peer may hold, so this
-	// guarantees eventual convergence even for fault interleavings the
-	// message-level guards do not recognize.
-	recycleAttempts = 25
 
 	// rnrBackoffMaxShift caps the exponential virtual-time backoff applied
 	// to receiver-not-ready retries and zero-credit stalls (delay =
@@ -82,33 +72,18 @@ const (
 	// ExitResourceExhausted. Each retry re-runs idle eviction, so the bound
 	// is hit only when the cap stays consumed by unevictable connections.
 	qpAllocRetries = 256
-
-	// maxAdmissionRejects bounds how many admission rejections one
-	// connection slot absorbs across its lifetime before the client
-	// concludes the server will never admit it and aborts. Rejections are
-	// normally resolved long before this by the server's idle-LRU eviction.
-	maxAdmissionRejects = 100
 )
 
 // RetransConfig tunes the connection manager's real-time retransmission
 // machinery. Interval is the scan period, BaseRTO the first per-connection
 // timeout, and MaxShift caps the exponential backoff (RTO = BaseRTO <<
 // min(attempt, MaxShift)). Zero fields take the defaults, so the zero value
-// keeps the historical 10ms/25ms/6 behaviour. Slow -race CI runs raise the
-// timeouts; fault-injection soaks lower them to compress recovery time.
+// keeps the historical 10ms/25ms/6 behaviour. No program sets these;
+// fault-injection tests lower them to compress recovery time.
 type RetransConfig struct {
 	Interval time.Duration
 	BaseRTO  time.Duration
 	MaxShift int
-
-	// ProbeBackoffShift caps the exponential backoff of the background
-	// probes layered on the RTO machinery: the failure detector's
-	// confirmation/patience probes and the data-plane window probes that
-	// follow a dirty eviction. One knob, because the two are the same
-	// full-RTO patience applied to different planes — a chaos harness that
-	// compresses recovery time must compress both together or the slower one
-	// dominates the measured MTTR. Default 4.
-	ProbeBackoffShift int
 }
 
 // withDefaults fills zero fields with the default timing.
@@ -122,9 +97,6 @@ func (rc RetransConfig) withDefaults() RetransConfig {
 	if rc.MaxShift <= 0 {
 		rc.MaxShift = defaultRetransMaxShift
 	}
-	if rc.ProbeBackoffShift <= 0 {
-		rc.ProbeBackoffShift = defaultProbeBackoffShift
-	}
 	return rc
 }
 
@@ -136,25 +108,10 @@ func (c *Conduit) rtoFor(attempt int) time.Duration {
 	return c.retrans.BaseRTO << attempt
 }
 
-// fullRTO is the fully backed-off retransmission timeout — the shared
-// patience unit for every "wait one more full cycle" decision: the Close
-// drain, the dirty-eviction replay deferral, and (through ProbeBackoffShift)
-// the failure detector's probe cadence.
+// fullRTO is the fully backed-off retransmission timeout — the patience
+// unit of the Close drain's "wait one more full cycle" decision.
 func (c *Conduit) fullRTO() time.Duration {
 	return c.rtoFor(c.retrans.MaxShift)
-}
-
-// deferDirtyReplayLocked postpones a just-evicted connection's replay
-// reconnect by a full RTO: the victim still retains unacknowledged frames, and
-// letting its replay fire immediately would reclaim the queue-pair slot the
-// eviction just freed. Shared by cap-driven and pressure-relief eviction.
-// Caller holds connMu.
-func (c *Conduit) deferDirtyReplayLocked(victim *conn) {
-	if len(victim.unacked) == 0 {
-		return
-	}
-	victim.lastData = timeNow()
-	victim.dataAttempt++
 }
 
 // isLinkFault reports whether a post failed because the RC connection died
@@ -246,44 +203,6 @@ func (c *Conduit) tryMigrateLocked(cn *conn, peer int) bool {
 	return true
 }
 
-// tryMigrate is tryMigrateLocked for callers that dropped connMu: it
-// revalidates the slot (same generation, still ready) before migrating.
-func (c *Conduit) tryMigrate(peer int, epoch uint64) bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	cn := c.conns.get(peer)
-	if cn == nil || cn.epoch != epoch || cn.state != connReady {
-		// Someone else already recovered or tore the slot down; let the
-		// caller's retry loop observe the new state.
-		return true
-	}
-	return c.tryMigrateLocked(cn, peer)
-}
-
-// railFailover is the second rung of the path-error ladder: APM was
-// impossible (no live alternate loaded), so tear the connection down and
-// re-run the handshake — initiate's rail selection lands it on a live rail
-// when one exists, and when none does the handshake datagrams blackhole until
-// the partition heals, which is exactly the suspension the failure detector
-// supervises. The session layer's retained frames survive the teardown and
-// replay over the replacement connection.
-func (c *Conduit) railFailover(peer int, epoch uint64) {
-	c.connMu.Lock()
-	cn := c.conns.get(peer)
-	if cn == nil || cn.epoch != epoch || cn.state != connReady {
-		c.connMu.Unlock()
-		return
-	}
-	c.teardownLocked(cn)
-	c.connMu.Unlock()
-	c.statMu.Lock()
-	c.stats.RailFailovers++
-	c.statMu.Unlock()
-	c.event("rail-failover", peer, c.mgrClk.Now())
-	c.led.Detect("net", -1, c.mgrClk.Now(), "path-error")
-	c.led.Act("net", -1, c.mgrClk.Now(), "rail-failover")
-}
-
 // Connected reports whether a ready connection to peer exists.
 func (c *Conduit) Connected(peer int) bool {
 	c.connMu.Lock()
@@ -299,70 +218,31 @@ func (c *Conduit) NumConnected() int {
 	return c.nReady
 }
 
-// teardownLocked destroys a connection's queue pairs and resets the slot to
-// connNone so a later use re-runs the handshake. Queued traffic and the
-// payload-consumed flag survive: pending sends flush over the replacement
-// connection exactly once, and the upper layer's segment info is never
-// re-consumed. Caller holds connMu and emits the trace event/stat itself.
-func (c *Conduit) teardownLocked(cn *conn) {
-	if cn.qp != nil {
-		cn.qp.Destroy()
-		cn.qp = nil
+// remoteQP looks up the queue pair behind an advertised endpoint in the
+// simulated fabric (nil once destroyed) — the simulator's stand-in for the
+// zero-byte liveness probe a real conduit would post, or for what its CM
+// learns from address resolution and the first retransmission timeout.
+func (c *Conduit) remoteQP(d ib.Dest) *ib.QP {
+	if h := c.cfg.HCA.Fabric().HCA(d.LID); h != nil {
+		return h.QP(d.QPN)
 	}
-	if cn.loopbk != nil {
-		cn.loopbk.Destroy()
-		cn.loopbk = nil
-	}
-	if cn.state == connReady {
-		c.nReady--
-	}
-	cn.state = connNone
-	cn.epoch++
-	cn.creditRel = nil // the replacement connection starts with a full window
-	cn.rejWait = false
-}
-
-// noteLinkFault tears down the connection to peer if it is still the same
-// generation the caller observed failing; concurrent posters race to report
-// the same dead QP and only the first wins. Returns true if this call did
-// the teardown.
-func (c *Conduit) noteLinkFault(peer int, epoch uint64) bool {
-	c.connMu.Lock()
-	cn := c.conns.get(peer)
-	if cn == nil || cn.epoch != epoch || cn.state != connReady {
-		c.connMu.Unlock()
-		return false
-	}
-	c.teardownLocked(cn)
-	c.connMu.Unlock()
-	c.statMu.Lock()
-	c.stats.LinkFaults++
-	c.statMu.Unlock()
-	c.event("conn-link-fault", peer, c.clk.Now())
-	return true
+	return nil
 }
 
 // connHealthyLocked reports whether both halves of a ready connection are
 // still alive: our QP is RTS and the remote QP it is bound to still exists
-// and is usable. This is the simulator's stand-in for the zero-byte liveness
-// probe a real conduit would post; it lets the server distinguish a genuine
-// reconnect request (the client always destroys its old QP first) from a
-// delayed duplicate of an abandoned attempt. Caller holds connMu.
+// and is usable. It lets the server distinguish a genuine reconnect request
+// (the client always destroys its old QP first) from a delayed duplicate of
+// an abandoned attempt. Caller holds connMu.
 func (c *Conduit) connHealthyLocked(cn *conn) bool {
 	if cn.qp == nil || cn.qp.State() != ib.StateRTS {
 		return false
 	}
-	r := cn.qp.Remote()
-	rh := c.cfg.HCA.Fabric().HCA(r.LID)
-	if rh == nil {
-		return false
+	if rq := c.remoteQP(cn.qp.Remote()); rq != nil {
+		st := rq.State()
+		return st == ib.StateRTR || st == ib.StateRTS
 	}
-	rq := rh.QP(r.QPN)
-	if rq == nil {
-		return false
-	}
-	st := rq.State()
-	return st == ib.StateRTR || st == ib.StateRTS
+	return false
 }
 
 // remoteQPAlive reports whether the queue pair a handshake message advertises
@@ -370,15 +250,51 @@ func (c *Conduit) connHealthyLocked(cn *conn) bool {
 // destroying its QP (collision loss, teardown), so a request advertising a
 // dead endpoint is a delayed duplicate of an abandoned attempt: binding to it
 // could never complete the handshake, and accepting it over connNone would
-// wedge this side in accepted forever. Real conduits learn the same thing
-// from the CM's address resolution or the first retransmission timeout.
+// wedge this side in accepted forever.
 func (c *Conduit) remoteQPAlive(d ib.Dest) bool {
-	h := c.cfg.HCA.Fabric().HCA(d.LID)
-	if h == nil {
-		return false
-	}
-	q := h.QP(d.QPN) // nil once destroyed
+	q := c.remoteQP(d)
 	return q != nil && q.State() != ib.StateError
+}
+
+// linkFault reports a post that failed underneath the ready connection it
+// was issued on (epoch is the teardown generation the poster observed) and
+// leaves the slot recovering: migrated in place when only the primary path
+// died and the alternate is live, otherwise torn down for the caller's retry
+// loop to re-handshake.
+func (c *Conduit) linkFault(peer int, epoch uint64, err error) {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	cn := c.conns.get(peer)
+	if errors.Is(err, ib.ErrPathDown) && cn.epoch == epoch && cn.state == connReady &&
+		c.tryMigrateLocked(cn, peer) {
+		return
+	}
+	c.linkFaultLocked(cn, peer, epoch, err, false, c.clk)
+}
+
+// linkFaultLocked is the one epilogue for a failed post: classify the damage
+// (a torn or corrupted payload already landed at the target and is counted
+// here, whoever reports it), then — unless another reporter already
+// recovered this generation — tear the connection down. requeue says the
+// reporter leaves work queued behind the slot instead of retrying itself, so
+// the slot must restart its own handshake. Every path dark (ib.ErrPathDown,
+// no alternate to migrate to) is the rail-failover rung: the replacement
+// handshake's rail selection lands on a live rail when one exists, and
+// blackholes until the partition heals when none does. Caller holds connMu.
+func (c *Conduit) linkFaultLocked(cn *conn, peer int, epoch uint64, err error, requeue bool, clk *vclock.Clock) {
+	c.noteDataFault(err)
+	if cn.epoch != epoch {
+		return
+	}
+	pathDown := errors.Is(err, ib.ErrPathDown)
+	if pathDown {
+		clk = c.mgrClk
+	}
+	c.driveLocked(cn, peer, event{kind: evLinkFault, pathDown: pathDown, hasQueued: requeue}, &driveIn{clk: clk})
+	if pathDown && cn.epoch != epoch {
+		c.led.Detect("net", -1, clk.Now(), "path-error")
+		c.led.Act("net", -1, clk.Now(), "rail-failover")
+	}
 }
 
 // maybeEvictLocked enforces the per-HCA live-QP cap before a new RC
@@ -399,17 +315,21 @@ func (c *Conduit) maybeEvictLocked(excludePeer int, vt int64) {
 		if victim == nil {
 			return
 		}
-		c.teardownLocked(victim)
-		// A last-resort victim still retaining unacknowledged frames: its
-		// replay reconnect starts a full RTO out so the slot we just freed
-		// is not immediately reclaimed by the victim itself.
-		c.deferDirtyReplayLocked(victim)
-		c.statMu.Lock()
-		c.stats.Evictions++
-		c.statMu.Unlock()
-		c.event("conn-evict", peer, vt)
-		c.led.Act("alloc", obs.InstJob, vt, "conn-evict")
+		c.evictLocked(victim, peer, vt, "conn-evict")
 	}
+}
+
+// evictLocked tears an eviction victim down. A last-resort victim still
+// retaining unacknowledged frames has its replay reconnect postponed by a
+// full RTO, so the queue-pair slot the eviction just freed is not
+// immediately reclaimed by the victim itself. Caller holds connMu.
+func (c *Conduit) evictLocked(victim *conn, peer int, vt int64, what string) {
+	c.driveLocked(victim, peer, event{kind: evEvict}, &driveIn{clk: vclock.NewClock(vt)})
+	if len(victim.unacked) > 0 {
+		victim.lastData = timeNow()
+		victim.dataAttempt++
+	}
+	c.led.Act("alloc", obs.InstJob, vt, what)
 }
 
 // pickVictimLocked returns the least-recently-used evictable connection:
@@ -464,19 +384,12 @@ func (c *Conduit) reliefEvict(vt int64) bool {
 		return false
 	}
 	c.connMu.Lock()
+	defer c.connMu.Unlock()
 	victim, peer := c.pickVictimLocked(-1)
 	if victim == nil {
-		c.connMu.Unlock()
 		return false
 	}
-	c.teardownLocked(victim)
-	c.deferDirtyReplayLocked(victim)
-	c.connMu.Unlock()
-	c.statMu.Lock()
-	c.stats.Evictions++
-	c.statMu.Unlock()
-	c.event("conn-evict", peer, vt)
-	c.led.Act("alloc", obs.InstJob, vt, "relief-evict")
+	c.evictLocked(victim, peer, vt, "relief-evict")
 	return true
 }
 
@@ -486,21 +399,6 @@ func (c *Conduit) payload() []byte {
 		return nil
 	}
 	return c.cfg.ConnectPayload()
-}
-
-// consumePayloadLocked hands the peer's piggybacked payload to the upper
-// layer exactly once. Called with connMu held, before the connection becomes
-// visible as ready, so a PE that observes the connection always observes the
-// segment info too. OnConnectPayload must therefore not call back into the
-// conduit.
-func (c *Conduit) consumePayloadLocked(cn *conn, peer int, payload []byte, at int64) {
-	if cn.gotPay {
-		return
-	}
-	cn.gotPay = true
-	if c.cfg.OnConnectPayload != nil && payload != nil {
-		c.cfg.OnConnectPayload(peer, payload, at)
-	}
 }
 
 // creditGateLocked blocks — in virtual time — until the sender-side
@@ -582,9 +480,11 @@ func (c *Conduit) postRNR(qp *ib.QP, wr ib.SendWR) error {
 // fabric fails the operation before any byte moves; a torn or corrupted RDMA
 // payload (ib.ErrTornWrite, ib.ErrRCCorrupt) lands damage first — the clean
 // replay overwrites it before the operation ever completes, so Quiet never
-// observes the damage. Two-sided sends on a lossy fabric additionally go
-// through the framed session path (session.go) for end-to-end integrity and
-// exactly-once delivery.
+// observes the damage. A path error runs the ladder instead: migrate to the
+// alternate rail in place (APM), else reconnect on another rail, else the
+// reconnect blackholes and the pair suspends. Two-sided sends on a lossy
+// fabric additionally go through the framed session path (session.go) for
+// end-to-end integrity and exactly-once delivery.
 func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) error {
 	if peer < 0 || peer >= c.cfg.NProcs {
 		return fmt.Errorf("gasnet: peer %d out of range [0,%d)", peer, c.cfg.NProcs)
@@ -607,46 +507,25 @@ func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) error {
 					c.creditGateLocked(cn, depth, len(wr.Data))
 				}
 			}
+			var err error
 			if c.lossy && wr.Op == ib.OpSend {
 				// Framed session path: sequence, trailer and retention happen
 				// under connMu so wire order equals sequence order. wr.Data is
-				// never mutated (the framing reallocates), so the outer wr can
-				// be re-queued untouched if the link fails.
-				err := c.postFramedLocked(cn, wr, c.clk)
+				// never mutated (the framing reallocates) and a failed frame
+				// rolls its sequence back, so the outer wr re-runs untouched.
+				err = c.postFramedLocked(cn, wr, c.clk)
 				c.connMu.Unlock()
-				if err != nil && errors.Is(err, ib.ErrPathDown) {
-					// Path-error ladder: migrate to the alternate rail in
-					// place (APM), else reconnect on another rail, else the
-					// reconnect blackholes and the pair suspends; then re-run
-					// this post (the failed frame rolled its sequence back).
-					if !c.tryMigrate(peer, epoch) {
-						c.railFailover(peer, epoch)
-					}
-					continue
-				}
-				if err == nil || !isLinkFault(err) {
-					return err
-				}
-				c.noteDataFault(err)
-				c.noteLinkFault(peer, epoch)
-				continue
+			} else {
+				c.connMu.Unlock()
+				wr.Clk = c.clk
+				err = c.postRNR(qp, wr)
 			}
-			c.connMu.Unlock()
-			wr.Clk = c.clk
-			err := c.postRNR(qp, wr)
-			if err != nil && errors.Is(err, ib.ErrPathDown) {
-				if !c.tryMigrate(peer, epoch) {
-					c.railFailover(peer, epoch)
-				}
-				continue
-			}
-			if err == nil || !isLinkFault(err) {
+			if err == nil || !(isLinkFault(err) || errors.Is(err, ib.ErrPathDown)) {
 				return err
 			}
-			c.noteDataFault(err)
-			c.noteLinkFault(peer, epoch)
-			// Loop: the slot is connNone now (or another poster already
-			// restarted the handshake); re-queue this request behind it.
+			c.linkFault(peer, epoch, err)
+			// Loop: the slot migrated, or is connNone now (or another poster
+			// already restarted the handshake); re-run this request.
 		case connConnecting, connAccepted:
 			if clonePending && wr.Data != nil {
 				wr.Data = append([]byte(nil), wr.Data...)
@@ -722,14 +601,10 @@ func (c *Conduit) allocRCQPLocked(peer int, clk *vclock.Clock) (*ib.QP, error) {
 	stalled := 0
 	lastDestroyed := c.cfg.HCA.Stats().QPsDestroyed
 	for {
-		c.maybeEvictLocked(peer, clk.Now())
-		qp, err := c.cfg.HCA.TryCreateQP(ib.RC, clk, c.cq, c.cq)
+		qp, err := c.tryAllocLocked(peer, clk)
 		if err == nil {
 			return qp, nil
 		}
-		c.statMu.Lock()
-		c.stats.AllocFailures++
-		c.statMu.Unlock()
 		if d := c.cfg.HCA.Stats().QPsDestroyed; d != lastDestroyed {
 			lastDestroyed = d
 			stalled = 0
@@ -768,11 +643,18 @@ func (c *Conduit) allocRCQPLocked(peer int, clk *vclock.Clock) (*ib.QP, error) {
 	}
 }
 
-// initiate starts the client side of the two-phase handshake (paper Fig. 4):
-// resolve the peer's UD endpoint (completing the non-blocking PMI exchange
-// if needed), create an RC QP, move it to INIT, and send a ConnReq carrying
-// our RC endpoint and the upper layer's payload.
+// initiate starts the client side of the handshake (paper Fig. 4). It owns
+// the two steps that genuinely block — resolving the peer's UD endpoint
+// (completing the non-blocking PMI exchange if needed) and the sleeping
+// allocation ladder — and reports each outcome to the transition table as an
+// event; an incoming REQ from the same peer may meanwhile win the collision
+// and turn this slot into the server side, in which case the table discards
+// the client attempt. A connection to this PE itself (OpenSHMEM allows
+// communication with one's own rank; the fully connected baseline counts it
+// too) skips the lookup and allocates both loopback endpoints.
 func (c *Conduit) initiate(peer int) error {
+	self := peer == c.cfg.Rank
+	in := driveIn{clk: c.clk}
 	c.connMu.Lock()
 	if c.deadPeers[peer] {
 		c.connMu.Unlock()
@@ -783,143 +665,34 @@ func (c *Conduit) initiate(peer int) error {
 		c.connMu.Unlock()
 		return nil
 	}
-	if peer == c.cfg.Rank {
-		return c.connectSelfLocked(cn) // unlocks
-	}
-	cn.state = connConnecting
-	// Attempt numbers are never reused, even across abandoned attempts
-	// (collision losses, adopted lower-seq accepts): a delayed duplicate of
-	// an old REQ must always compare below any live attempt.
-	if cn.seqHi > cn.seq {
-		cn.seq = cn.seqHi
-	}
-	cn.seq++
-	cn.seqHi = cn.seq
-	seq := cn.seq
-	c.connMu.Unlock()
-
-	// The out-of-band lookup can block (PMIX_Wait / PMI Get); do it without
-	// the lock. An incoming ConnReq from the same peer may meanwhile turn
-	// this slot into the server side (collision: the lower rank's request
-	// wins); in that case we abandon the client attempt.
-	ud, err := c.resolveUD(peer)
-
-	c.connMu.Lock()
-	if cn.state != connConnecting || cn.seq != seq {
+	c.driveLocked(cn, peer, event{kind: evWant}, &in)
+	ev := event{kind: evQPAllocated, after: evWant, seq: cn.seq}
+	var err error
+	if !self {
 		c.connMu.Unlock()
-		return nil
+		in.ud, err = c.resolveUD(peer)
+		c.connMu.Lock()
+		if cn.state != connConnecting || cn.seq != ev.seq {
+			c.connMu.Unlock()
+			return nil // superseded while resolving
+		}
+	}
+	// The ladder drops and retakes connMu; the table re-validates the slot.
+	if err == nil {
+		in.qp, err = c.allocRCQPLocked(peer, c.clk)
+	}
+	if err == nil && self {
+		in.loop, err = c.allocRCQPLocked(peer, c.clk)
 	}
 	if err != nil {
-		cn.state = connNone
-		c.connMu.Unlock()
-		return err
+		ev.kind = evQPRefused
 	}
-	qp, aerr := c.allocRCQPLocked(peer, c.clk)
-	if aerr != nil {
-		if cn.state == connConnecting && cn.seq == seq {
-			cn.state = connNone
-		}
-		c.connMu.Unlock()
-		return aerr
-	}
-	if cn.state != connConnecting || cn.seq != seq {
-		// The slot changed while the allocation ladder had the lock dropped
-		// (collision: the peer's request won); release the unneeded QP.
-		qp.Destroy()
-		c.connMu.Unlock()
-		return nil
-	}
-	qp.SetObs(c.obs)
-	c.obs.Emit(c.clk.Now(), obs.LayerIB, "qp-create-rc", peer, 0)
-	c.countQP(ib.RC)
-	qp.SetPath(c.pickRailsLocked(ud.LID, c.clk.Now()))
-	if e := qp.ToInit(); e != nil {
-		c.connMu.Unlock()
-		return e
-	}
-	cn.qp = qp
-	c.mapQPLocked(qp, peer)
-	cn.peerUD = ud
-	cn.firstTx = c.clk.Now()
-	cn.lastTx = timeNow()
-	cn.attempt = 0
-	req := connMsg{Kind: msgConnReq, SrcRank: int32(c.cfg.Rank), Seq: seq,
-		RC: qp.Addr(), UD: c.udQP.Addr(), Payload: c.connPayloadLocked(peer)}
-	c.armTimerLocked()
+	c.driveLocked(cn, peer, ev, &in)
 	c.connMu.Unlock()
-	c.event("conn-initiate", peer, c.clk.Now())
-	return c.sendControl(peer, ud, req, c.clk)
-}
-
-// connectSelfLocked builds the loopback connection to this PE itself
-// (OpenSHMEM semantics allow communication with one's own rank; the fully
-// connected baseline counts it too). Called with connMu held; unlocks.
-func (c *Conduit) connectSelfLocked(cn *conn) error {
-	// Hold the slot across the allocation ladder's lock drops; concurrent
-	// posts to self queue behind it and are flushed below.
-	cn.state = connConnecting
-	a, aerr := c.allocRCQPLocked(c.cfg.Rank, c.clk)
-	if aerr != nil {
-		cn.state = connNone
-		c.connMu.Unlock()
-		return aerr
+	if serr := c.finish(&in); err == nil {
+		err = serr
 	}
-	b, berr := c.allocRCQPLocked(c.cfg.Rank, c.clk)
-	if berr != nil {
-		a.Destroy()
-		cn.state = connNone
-		c.connMu.Unlock()
-		return berr
-	}
-	a.SetObs(c.obs)
-	b.SetObs(c.obs)
-	c.obs.Emit(c.clk.Now(), obs.LayerIB, "qp-create-rc", c.cfg.Rank, 0)
-	c.obs.Emit(c.clk.Now(), obs.LayerIB, "qp-create-rc", c.cfg.Rank, 0)
-	c.countQP(ib.RC)
-	c.countQP(ib.RC)
-	for _, s := range []struct {
-		q *ib.QP
-		r ib.Dest
-	}{{a, b.Addr()}, {b, a.Addr()}} {
-		if err := s.q.ToInit(); err != nil {
-			c.connMu.Unlock()
-			return err
-		}
-		if err := s.q.ToRTR(s.r); err != nil {
-			c.connMu.Unlock()
-			return err
-		}
-		if err := s.q.ToRTS(); err != nil {
-			c.connMu.Unlock()
-			return err
-		}
-	}
-	cn.qp = a
-	cn.loopbk = b
-	c.mapQPLocked(a, c.cfg.Rank)
-	c.mapQPLocked(b, c.cfg.Rank)
-	cn.readyVT = c.clk.Now()
-	c.consumePayloadLocked(cn, c.cfg.Rank, c.payload(), cn.readyVT)
-	cn.state = connReady
-	c.nReady++
-	recon := cn.everReady
-	cn.everReady = true
-	if cn.readyVT > c.lastReadyVT {
-		c.lastReadyVT = cn.readyVT
-	}
-	// Posts to self that arrived while the allocation ladder had the lock
-	// dropped queued behind the slot; deliver them now.
-	c.flushLocked(cn, c.cfg.Rank)
-	c.connMu.Unlock()
-	c.statMu.Lock()
-	c.stats.ConnsEstablished++
-	if recon {
-		c.stats.Reconnects++
-		c.led.Act("rc", c.cfg.Rank, c.clk.Now(), "reconnect")
-	}
-	c.statMu.Unlock()
-	c.connCond.Broadcast()
-	return nil
+	return err
 }
 
 // sendControl transmits a handshake datagram over the UD endpoint. peer is
@@ -961,6 +734,10 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		}
 		return
 	}
+	peer := int(m.SrcRank)
+	if peer < 0 || peer >= c.cfg.NProcs {
+		return // no such rank: nothing below may index by it
+	}
 	if c.arrivalFate(comp.VTime) != selfAlive {
 		// A killed or wedged PE's software handles nothing — except the abort
 		// datagram, which models the launcher's out-of-band kill and is what
@@ -970,411 +747,403 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		}
 		return
 	}
-	c.noteAlive(int(m.SrcRank))
+	c.noteAlive(peer)
 	if c.obs.EventsEnabled() {
-		c.obs.Emit(comp.VTime, obs.LayerGasnet, "ud-recv", int(m.SrcRank), int64(len(comp.Data)),
+		c.obs.Emit(comp.VTime, obs.LayerGasnet, "ud-recv", peer, int64(len(comp.Data)),
 			obs.Attr{Key: "msg", Val: msgName(m.Kind)})
 	}
 	svc := vclock.NewClock(comp.VTime)
 	svc.Advance(c.model.ConnReqProcess)
 	switch m.Kind {
 	case msgConnReq:
-		c.handleReq(m, comp.VTime, svc)
+		c.handleLeg(evReq, m, comp.VTime, svc)
 	case msgConnRep:
-		c.handleRep(m, svc)
+		c.handleLeg(evRep, m, comp.VTime, svc)
 	case msgConnRTU:
-		c.handleRTU(m, svc)
+		c.handleLeg(evRTU, m, comp.VTime, svc)
 	case msgConnRej:
-		c.handleRej(m, svc)
+		c.handleLeg(evRej, m, comp.VTime, svc)
 	case msgDataAck:
-		c.handleDataAck(int(m.SrcRank), m.Payload, false, svc)
+		c.handleDataAck(peer, m.Payload, false, svc)
 	case msgDataNak:
-		c.handleDataAck(int(m.SrcRank), m.Payload, true, svc)
+		c.handleDataAck(peer, m.Payload, true, svc)
 	case msgDataProbe:
-		c.handleDataProbe(int(m.SrcRank), svc)
+		c.handleDataProbe(peer, svc)
 	case msgHeartbeat:
 		// Echo a liveness ack to the prober, on the manager thread.
-		c.sendControl(int(m.SrcRank), m.UD, connMsg{Kind: msgHeartbeatAck, SrcRank: int32(c.cfg.Rank),
+		c.sendControl(peer, m.UD, connMsg{Kind: msgHeartbeatAck, SrcRank: int32(c.cfg.Rank),
 			Seq: m.Seq, UD: c.udQP.Addr()}, svc)
 	case msgHeartbeatAck:
 		// The noteAlive above is the entire effect; also close the RTT
 		// histogram sample opened by the probe.
-		c.noteHeartbeatAck(int(m.SrcRank), comp.VTime)
+		c.noteHeartbeatAck(peer, comp.VTime)
 	case msgAbort:
 		c.handleAbortMsg(m)
 	}
 	c.mgrClk.AdvanceTo(svc.Now())
 }
 
-// handleReq is the server side: create an RC endpoint, bind it to the
-// client's, consume the piggybacked payload and reply with our endpoint and
-// payload. at is the request's virtual arrival time. Duplicates are
-// answered idempotently; requests arriving before this PE is ready
-// (segments unregistered) are held and replayed at SetReady, which also
-// decides whether to emit the "conn-req-held" trace event. at is the
-// request's virtual arrival time; svc is the per-message service clock
-// (already charged with the processing cost) on which all server-side work
-// for this request is timed.
-func (c *Conduit) handleReq(m connMsg, at int64, svc *vclock.Clock) {
-	peer := int(m.SrcRank)
-	if peer < 0 || peer >= c.cfg.NProcs || peer == c.cfg.Rank {
-		return
-	}
-	if !c.ready.Load() {
-		// Hold the request until this PE has registered its segments
-		// (paper section IV-E). The payload slice is already private.
-		c.connMu.Lock()
-		if !c.ready.Load() {
-			c.heldReqs = append(c.heldReqs, heldReq{m: m, at: at})
-			c.connMu.Unlock()
-			return
-		}
-		c.connMu.Unlock()
-	}
-	c.connMu.Lock()
-	cn := c.conns.getOrCreate(peer)
-	if !c.remoteQPAlive(m.RC) {
-		c.connMu.Unlock()
-		c.event("conn-stale-req", peer, svc.Now())
-		return
-	}
-	switch cn.state {
-	case connReady, connAccepted:
-		if m.Seq <= cn.seq {
-			// Duplicate request: resend the reply with the existing endpoint.
-			// (If we are already fully connected the client must have
-			// processed the original reply to send RTU, but a stale duplicate
-			// is still answered; the client ignores replies when ready.)
-			rep := connMsg{Kind: msgConnRep, SrcRank: int32(c.cfg.Rank), Seq: cn.seq,
-				RC: cn.qp.Addr(), UD: c.udQP.Addr(), Payload: c.connPayloadLocked(peer)}
-			ud := cn.peerUD
-			c.connMu.Unlock()
-			c.sendControl(peer, ud, rep, svc)
-			return
-		}
-		// Higher sequence than anything we served: normally the peer tore
-		// the old connection down (link fault on its side, or it evicted us)
-		// and is re-running the handshake. But a delayed duplicate of a REQ
-		// the peer has since abandoned (collision loss under reordering)
-		// looks identical — and honoring it would kill a healthy connection
-		// and bind to a destroyed endpoint. A genuine reconnect always
-		// destroys the client's old QP before the new REQ is sent, so if
-		// both halves of the current connection are still alive the REQ is
-		// stale: ignore it (it is never retransmitted).
-		if cn.state == connReady && c.connHealthyLocked(cn) {
-			c.connMu.Unlock()
-			c.event("conn-stale-req", peer, svc.Now())
-			return
-		}
-		c.teardownLocked(cn)
-		c.event("conn-reconnect-req", peer, svc.Now())
-	case connConnecting:
-		if c.cfg.Rank < peer {
-			// Collision, and we are the winner: ignore the peer's request;
-			// the peer will abandon its attempt and serve ours.
-			c.connMu.Unlock()
-			return
-		}
-		// Collision, and we are the loser: abandon the client attempt (the
-		// half-open QP is discarded; queued sends stay and flush over the
-		// winning connection).
-		c.event("conn-collision-lost", peer, svc.Now())
-		if cn.qp != nil {
-			cn.qp.Destroy()
-			cn.qp = nil
-		}
-	case connNone:
-		if m.Seq <= cn.seq {
-			// Duplicate of an attempt this slot already served and has since
-			// torn down (eviction): the client is not waiting on this
-			// handshake — accepting would bind a second server QP to a
-			// connection the client believes is complete. A genuine new
-			// attempt always carries a higher number.
-			c.connMu.Unlock()
-			c.event("conn-stale-req", peer, svc.Now())
-			return
-		}
-	}
+// driveIn is what an event's source hands the driver besides the event: the
+// things actions operate on but decisions never look at.
+type driveIn struct {
+	clk      *vclock.Clock // service clock: timestamps, QP transitions, replies
+	m        connMsg       // the wire message being served (Kind 0: none)
+	at       int64         // its virtual arrival time (kept with a held REQ)
+	ud       ib.Dest       // client attempt: the peer's resolved UD endpoint
+	qp, loop *ib.QP        // evQPAllocated: the endpoint(s) in hand
+	payload  []byte        // the peer's upper-layer payload, set by the bind
 
-	c.maybeEvictLocked(peer, svc.Now())
-	qp, qerr := c.cfg.HCA.TryCreateQP(ib.RC, svc, c.cq, c.cq)
-	if qerr != nil {
-		// Admission control: the adapter is at its queue-pair cap and idle
-		// eviction freed nothing. Reject the request; the client retries
-		// after backoff (retry-after semantics that compose with eviction —
-		// each retry lands after more connections have gone idle), or aborts
-		// when we can prove no future attempt can ever be admitted.
-		fatal := c.cfg.HCA.QPImpossible()
-		c.statMu.Lock()
-		c.stats.AllocFailures++
-		c.stats.AdmissionRejects++
-		c.statMu.Unlock()
-		// The collision-loser branch above may have left the slot
-		// connConnecting with no QP; normalize it so a later local post
-		// restarts cleanly instead of queueing forever, and restart the
-		// handshake ourselves when traffic is already queued behind it.
-		if cn.state == connConnecting && cn.qp == nil {
-			cn.state = connNone
-		}
-		pend := cn.state == connNone && len(cn.pending) > 0
-		flag := byte(0)
-		if fatal {
-			flag = 1
-		}
-		rej := connMsg{Kind: msgConnRej, SrcRank: int32(c.cfg.Rank), Seq: m.Seq,
-			UD: c.udQP.Addr(), Payload: []byte{flag}}
-		c.connMu.Unlock()
-		c.event("conn-admission-rej", peer, svc.Now())
-		c.sendControl(peer, m.UD, rej, svc)
-		if pend {
-			go c.initiate(peer)
-		}
-		return
-	}
-	qp.SetObs(c.obs)
-	c.obs.Emit(svc.Now(), obs.LayerIB, "qp-create-rc", peer, 0)
-	c.countQP(ib.RC)
-	qp.SetPath(c.pickRailsLocked(m.RC.LID, svc.Now()))
-	if qp.ToInit() != nil || qp.ToRTR(m.RC) != nil || qp.ToRTS() != nil {
-		c.connMu.Unlock()
-		return
-	}
-	cn.qp = qp
-	c.mapQPLocked(qp, peer)
-	cn.peerUD = m.UD
-	cn.seq = m.Seq
-	if m.Seq > cn.seqHi {
-		cn.seqHi = m.Seq
-	}
-	cn.firstTx = svc.Now()
-	cn.lastTx = timeNow()
-	cn.attempt = 0
-	c.consumePayloadLocked(cn, peer, c.stripSessionPayloadLocked(cn, m.Payload, svc.Now()), svc.Now())
-	cn.state = connAccepted
-	rep := connMsg{Kind: msgConnRep, SrcRank: int32(c.cfg.Rank), Seq: m.Seq,
-		RC: qp.Addr(), UD: c.udQP.Addr(), Payload: c.connPayloadLocked(peer)}
-	c.armTimerLocked()
-	c.connMu.Unlock()
-	c.event("conn-req-served", peer, svc.Now())
-	c.sendControl(peer, m.UD, rep, svc)
+	// What the transitions leave for finish, once connMu is released.
+	first deferred   // work for finish, in order: most events leave at most one
+	more  []deferred // ... and only the scan leaves many, so only it allocates
+	nout  int
+	wake  bool // a slot became ready or was torn down: wake connCond's waiters
 }
 
-// handleRep is the client side completing the handshake: move our QP to
-// RTR/RTS against the server's endpoint, consume the server's payload, flush
-// queued traffic and confirm with RTU.
-func (c *Conduit) handleRep(m connMsg, svc *vclock.Clock) {
-	peer := int(m.SrcRank)
-	if peer < 0 || peer >= c.cfg.NProcs {
-		return
+// later queues d for finish.
+func (in *driveIn) later(d deferred) {
+	if in.nout++; in.nout == 1 {
+		in.first = d
+	} else {
+		in.more = append(in.more, d)
 	}
+}
+
+// deferred is what a transition leaves to do once connMu is released: a
+// control datagram to send, or (ae set) the job abort to raise.
+type deferred struct {
+	peer int
+	ud   ib.Dest
+	m    connMsg
+	clk  *vclock.Clock
+	ae   *AbortError
+}
+
+// handleLeg serves one received handshake leg — REQ (the server side of
+// Fig. 4), REP (the client completing), RTU (the server completing) or REJ
+// (admission control) — by feeding it to its sender's slot: lock once, step,
+// apply, unlock once, then send whatever the transition produced. svc is the
+// per-message service clock, already charged with the processing cost, on
+// which all work for the message is timed; at is the message's virtual
+// arrival time, kept with a REQ that is held for SetReady to replay. Only a
+// REQ may create the slot; a reply to nothing is dropped.
+func (c *Conduit) handleLeg(kind evKind, m connMsg, at int64, svc *vclock.Clock) {
+	peer := int(m.SrcRank)
+	ev := event{kind: kind, seq: m.Seq, rc: m.RC}
+	ev.fatal = kind == evRej && len(m.Payload) > 0 && m.Payload[0] != 0
+	in := driveIn{clk: svc, m: m, at: at}
 	c.connMu.Lock()
 	cn := c.conns.get(peer)
-	if cn == nil {
-		c.connMu.Unlock()
-		return
+	if cn == nil && kind == evReq {
+		cn = c.conns.getOrCreate(peer)
 	}
-	switch cn.state {
-	case connReady:
-		if m.Seq == cn.seq {
-			if cn.qp != nil && m.RC == cn.qp.Remote() {
-				// Duplicate reply (our RTU was lost): re-acknowledge.
-				rtu := connMsg{Kind: msgConnRTU, SrcRank: int32(c.cfg.Rank), Seq: m.Seq,
-					UD: c.udQP.Addr()}
-				ud := cn.peerUD
-				c.connMu.Unlock()
-				c.sendControl(peer, ud, rtu, svc)
+	if cn != nil {
+		c.driveLocked(cn, peer, ev, &in)
+	}
+	c.connMu.Unlock()
+	c.finish(&in)
+}
+
+// finish does, with connMu released, what the transitions driven through in
+// left behind: wake the waiters, then send (or abort) in order. It returns
+// the first send error.
+func (c *Conduit) finish(in *driveIn) (err error) {
+	if in.wake {
+		c.connCond.Broadcast()
+	}
+	for i := 0; i < in.nout; i++ {
+		d := &in.first
+		if i > 0 {
+			d = &in.more[i-1]
+		}
+		if d.ae != nil {
+			c.Abort(d.ae)
+		} else if e := c.sendControl(d.peer, d.ud, d.m, d.clk); err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// factsLocked fills in what step may ask about the world. Caller holds connMu.
+func (c *Conduit) factsLocked(cn *conn, peer int, ev *event) {
+	ev.self = peer == c.cfg.Rank
+	ev.weAreLowerRank = c.cfg.Rank < peer
+	ev.hasQueued = ev.hasQueued || len(cn.pending) > 0
+	ev.hasRetained = len(cn.unacked) > 0
+	switch ev.kind {
+	case evReq:
+		ev.peReady = c.ready.Load()
+		ev.remoteQPAlive = c.remoteQPAlive(ev.rc)
+		ev.connHealthy = cn.state == connReady && c.connHealthyLocked(cn)
+	case evTimeout:
+		ev.remoteQPAlive = cn.state != connAccepted || c.remoteQPAlive(cn.qp.Remote())
+	}
+}
+
+// driveLocked is the one place handshake state changes: it steps cn's slot
+// on ev and applies the resulting actions in order, leaving the sends (and an
+// abort) in in for finish, after the caller unlocks. Caller holds connMu.
+func (c *Conduit) driveLocked(cn *conn, peer int, ev event, in *driveIn) {
+event: // a row that ends in actAllocQP is answered by a second event
+	for {
+		c.factsLocked(cn, peer, &ev)
+		old := cn.slot
+		var as actions
+		cn.slot, as = step(old, ev)
+		for sh := 56; sh >= 0; sh -= 8 {
+			a := action(as >> sh)
+			var err error
+			switch a {
+			case actSendReq, actSendRep, actSendRTU, actSendRej:
+				c.legLocked(cn, peer, a, ev, in, in.clk)
+			case actResend:
+				c.resendLegLocked(cn, peer, in)
+			case actAllocQP:
+				ev = event{kind: evQPAllocated, after: ev.kind, seq: ev.seq, rc: ev.rc}
+				if in.qp, err = c.tryAllocLocked(peer, in.clk); err != nil {
+					ev.kind, ev.fatal = evQPRefused, c.cfg.HCA.QPImpossible()
+				}
+				continue event
+			case actAdoptQP:
+				err = c.adoptQPLocked(cn, peer, ev, in)
+			case actBindQP:
+				err = c.bindQPLocked(cn, ev, in)
+			case actConsume:
+				if c.cfg.OnConnectPayload != nil && in.payload != nil {
+					// Under connMu, before the slot is visible as ready: observing
+					// the connection implies the segment info (no calling back in).
+					c.cfg.OnConnectPayload(peer, in.payload, in.clk.Now())
+				}
+			case actReady:
+				c.readyLocked(cn, peer, ev.kind, old.everReady, in.clk.Now())
+				in.wake = true
+			case actFlush:
+				if !c.flushLocked(cn, peer) {
+					return // the flush hit a link fault and already re-drove the slot
+				}
+			case actHold:
+				c.heldReqs = append(c.heldReqs, heldReq{m: in.m, at: in.at})
+			case actTeardown:
+				cn.releaseQPs()
+				if old.state == connReady {
+					c.nReady--
+				}
+				cn.epoch++
+				cn.creditRel = nil // the replacement connection starts with a full window
+				in.wake = true
+			case actReinitiate:
+				go c.initiate(peer)
+			case actArmTimer:
+				if cn.attempt == 0 {
+					cn.firstTx = in.clk.Now()
+				}
+				cn.lastTx = timeNow()
+				c.armTimerLocked()
+			case actAbort:
+				in.later(deferred{ae: c.rejectedAbort(peer, cn.rejCount, ev.fatal)})
+			default:
+				if a >= actCount {
+					c.statMu.Lock()
+					*counters[a-actCount](&c.stats)++
+					c.statMu.Unlock()
+				} else if a >= actEmit {
+					c.event(emitKinds[a-actEmit], peer, in.clk.Now())
+				}
+			}
+			if err != nil {
+				// A queue-pair transition refused (it cannot, short of a bug in
+				// the table): abandon the row and leave the slot restartable.
+				cn.releaseQPs()
+				cn.slot = cn.slot.torn()
 				return
 			}
-			// Same attempt number but a different server endpoint: the
-			// server tore our connection down (eviction) and re-accepted on
-			// a fresh QP, so the half we hold is dead. Fall through to the
-			// divergence recovery below.
 		}
-		if m.Seq < cn.seq {
-			c.connMu.Unlock()
-			return // reply for an attempt we have since superseded
-		}
-		// The server replied for an attempt newer than our established
-		// connection: it accepted a stale REQ of ours while our half looked
-		// fine. The two sides have diverged — our connection is dead on the
-		// server. Tear down and re-run the handshake so both sides converge
-		// on a single connection; queued traffic survives the teardown.
-		c.teardownLocked(cn)
-		c.connMu.Unlock()
+		break
+	}
+	destroyQPs(in.qp, in.loop) // allocated for a row that no longer wants them
+	in.qp, in.loop = nil, nil
+}
+
+// rejectedAbort is the job abort a client raises when admission control will
+// never let it in.
+func (c *Conduit) rejectedAbort(peer, rejects int, fatal bool) *AbortError {
+	return &AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitResourceExhausted,
+		Reason: fmt.Sprintf("rank %d: connection to peer %d rejected %d times (fatal=%v): peer's queue-pair budget exhausted",
+			c.cfg.Rank, peer, rejects, fatal)}
+}
+
+// tryAllocLocked makes room under the live-QP cap and asks the adapter for
+// an RC queue pair, without blocking. Caller holds connMu.
+func (c *Conduit) tryAllocLocked(peer int, clk *vclock.Clock) (*ib.QP, error) {
+	c.maybeEvictLocked(peer, clk.Now())
+	qp, err := c.cfg.HCA.TryCreateQP(ib.RC, clk, c.cq, c.cq)
+	if err != nil {
 		c.statMu.Lock()
-		c.stats.LinkFaults++
+		c.stats.AllocFailures++
 		c.statMu.Unlock()
-		c.event("conn-stale-rep", peer, svc.Now())
-		go c.initiate(peer)
-		return
-	case connConnecting:
-		if m.Seq < cn.seq || cn.qp == nil {
-			c.connMu.Unlock()
-			return // stale attempt or reply raced our setup
+	}
+	return qp, err
+}
+
+// releaseQPs destroys the slot's queue pairs, if any.
+func (cn *conn) releaseQPs() {
+	destroyQPs(cn.qp, cn.loopbk)
+	cn.qp, cn.loopbk = nil, nil
+}
+
+func destroyQPs(qps ...*ib.QP) {
+	for _, qp := range qps {
+		if qp != nil {
+			qp.Destroy()
 		}
-		// m.Seq == cn.seq is the normal case. m.Seq > cn.seq means the
-		// server served a newer attempt than the one we are waiting on
-		// (possible only through stale duplicates); its endpoint in the
-		// reply is live either way, so adopt the server's number and bind —
-		// any dead half on the server side recovers through the fault path.
-		cn.seq = m.Seq
-		if m.Seq > cn.seqHi {
-			cn.seqHi = m.Seq
-		}
-		cn.qp.SetClock(svc) // paper Fig. 4: the manager thread drives RTR/RTS
-		if cn.qp.ToRTR(m.RC) != nil || cn.qp.ToRTS() != nil {
-			c.connMu.Unlock()
-			return
-		}
-		cn.peerUD = m.UD
-		cn.readyVT = svc.Now()
-		c.consumePayloadLocked(cn, peer, c.stripSessionPayloadLocked(cn, m.Payload, cn.readyVT), cn.readyVT)
-		cn.state = connReady
-		c.nReady++
-		recon := cn.everReady
-		cn.everReady = true
-		if cn.readyVT > c.lastReadyVT {
-			c.lastReadyVT = cn.readyVT
-		}
-		// Client-perceived connect latency: first REQ transmission to ready.
-		c.hConnect.Record(cn.readyVT - cn.firstTx)
-		c.obs.Span(cn.firstTx, cn.readyVT, obs.LayerGasnet, "connect", peer, 0)
-		flushed := c.flushLocked(cn, peer)
-		rtu := connMsg{Kind: msgConnRTU, SrcRank: int32(c.cfg.Rank), Seq: m.Seq,
-			UD: c.udQP.Addr()}
-		ud := cn.peerUD
-		c.connMu.Unlock()
-		c.statMu.Lock()
-		c.stats.ConnsEstablished++
-		if recon {
-			c.stats.Reconnects++
-			c.led.Act("rc", c.cfg.Rank, svc.Now(), "reconnect")
-		}
-		c.statMu.Unlock()
-		c.event("conn-ready-client", peer, svc.Now())
-		if flushed {
-			// Only acknowledge a connection that survived its flush; a flush
-			// that hit a link fault already tore it down for re-handshaking.
-			c.sendControl(peer, ud, rtu, svc)
-		}
-		c.connCond.Broadcast()
-		return
-	case connAccepted:
-		if m.Seq < cn.seq {
-			c.connMu.Unlock()
-			return // stale reply from an attempt both sides have moved past
-		}
-		// Mutual-server deadlock: we are serving one of the peer's abandoned
-		// attempts while the peer is serving one of ours — both halves are
-		// bound to destroyed client QPs, both retransmit REPs, and neither
-		// ever sees an RTU. Restart as a client with a fresh attempt number;
-		// the peer's accept (or the collision rule, if it restarts too) takes
-		// it from there. Queued traffic survives the teardown.
-		c.teardownLocked(cn)
-		c.connMu.Unlock()
-		c.event("conn-mutual-accept", peer, svc.Now())
-		go c.initiate(peer)
-		return
-	case connNone:
-		if m.Seq < cn.seqHi {
-			c.connMu.Unlock()
-			return // long-delayed reply from an attempt we tore down; ignore
-		}
-		// The server is answering our latest attempt, but we no longer have
-		// one: we went ready, our RTU was lost, and the connection was then
-		// torn down locally (eviction) before the server's retransmitted
-		// reply arrived. The server sits in accepted — possibly with queued
-		// traffic — retransmitting a reply nobody is waiting for, bound to a
-		// QP we destroyed. Re-run the handshake: our higher-numbered request
-		// supersedes the wedged accept and flushes its queue.
-		c.connMu.Unlock()
-		c.event("conn-rescue-accept", peer, svc.Now())
-		go c.initiate(peer)
-		return
-	default:
-		c.connMu.Unlock()
 	}
 }
 
-// handleRTU completes the server side: the client is ready-to-send, so the
-// connection becomes usable and queued traffic flushes.
-func (c *Conduit) handleRTU(m connMsg, svc *vclock.Clock) {
-	peer := int(m.SrcRank)
-	if peer < 0 || peer >= c.cfg.NProcs {
-		return
+// legLocked queues the handshake datagram of a send action, departing on clk
+// for the peer's UD endpoint — a REJ for the rejected REQ's own return
+// address, since the slot may never have bound to that client. Caller holds
+// connMu.
+func (c *Conduit) legLocked(cn *conn, peer int, op action, ev event, in *driveIn, clk *vclock.Clock) {
+	d := deferred{peer: peer, ud: cn.peerUD, clk: clk,
+		m: connMsg{Kind: msgConnRTU, SrcRank: int32(c.cfg.Rank), Seq: cn.seq, UD: c.udQP.Addr()}}
+	switch op {
+	case actSendReq, actSendRep:
+		d.m.Kind = msgConnReq
+		if op == actSendRep {
+			d.m.Kind = msgConnRep
+		}
+		d.m.RC, d.m.Payload = cn.qp.Addr(), c.connPayloadLocked(peer)
+	case actSendRej:
+		d.ud = in.m.UD
+		d.m.Kind, d.m.Seq, d.m.Payload = msgConnRej, ev.seq, []byte{0}
+		if ev.fatal {
+			d.m.Payload[0] = 1
+		}
 	}
-	c.connMu.Lock()
-	cn := c.conns.get(peer)
-	if cn == nil || cn.state != connAccepted || m.Seq != cn.seq {
-		c.connMu.Unlock()
-		return
+	in.later(d)
+}
+
+// resendLegLocked retransmits the slot's current leg — REQ while connecting,
+// REP while accepted. The resend is charged at a virtual time derived from
+// the leg's first transmission and the attempt count alone, so it does not
+// depend on when the wall-clock scan fired. It must also never lag the
+// manager clock: a handshake that began just inside a partition window would
+// otherwise replay its REQ at in-window virtual times forever — blackholed
+// every attempt — while the detector (whose probes ride the manager clock)
+// has already warped past the heal and sees the peer as healthy. Caller holds
+// connMu.
+func (c *Conduit) resendLegLocked(cn *conn, peer int, in *driveIn) {
+	cn.lastTx = timeNow()
+	at := cn.firstTx + int64(cn.attempt)*c.model.ConnRetransmitTimeout
+	if mnow := c.mgrClk.Now(); mnow > at {
+		at = mnow
 	}
-	cn.state = connReady
-	cn.readyVT = svc.Now()
+	c.mgrClk.AdvanceTo(at)
+	op := actSendReq
+	if cn.state == connAccepted {
+		op = actSendRep
+	}
+	c.statMu.Lock()
+	c.stats.Retransmits++
+	c.statMu.Unlock()
+	c.event("conn-retransmit", peer, at)
+	c.led.Act("ud", c.cfg.Rank, at, "retransmit")
+	c.legLocked(cn, peer, op, event{}, in, vclock.NewClock(at))
+}
+
+// adoptQPLocked installs the queue pair(s) in hand as the slot's endpoint —
+// the one place an RC QP is dressed for use: observability, the creation
+// event and count, rail selection (the loopback pair never leaves the
+// adapter), the session layer's QPN map, INIT. Caller holds connMu.
+func (c *Conduit) adoptQPLocked(cn *conn, peer int, ev event, in *driveIn) error {
+	dst := cn.peerUD.LID // re-arm: the endpoint the original attempt resolved
+	switch ev.after {
+	case evReq:
+		dst = ev.rc.LID
+	case evWant:
+		cn.peerUD, dst = in.ud, in.ud.LID
+	}
+	for _, qp := range [2]*ib.QP{in.qp, in.loop} {
+		if qp == nil {
+			continue
+		}
+		qp.SetObs(c.obs)
+		c.obs.Emit(in.clk.Now(), obs.LayerIB, "qp-create-rc", peer, 0)
+		c.countQP(ib.RC)
+		if in.loop == nil {
+			qp.SetPath(c.pickRailsLocked(dst, in.clk.Now()))
+		}
+		c.mapQPLocked(qp, peer)
+	}
+	cn.qp, cn.loopbk = in.qp, in.loop
+	in.qp, in.loop = nil, nil
+	if cn.loopbk != nil {
+		return nil // bindQPLocked brings each loopback end up in turn
+	}
+	return cn.qp.ToInit()
+}
+
+// bindQPLocked connects the slot's endpoint to the peer's: RTR/RTS on the
+// service clock (paper Fig. 4: the manager thread drives them), the peer's UD
+// address for replies, and the upper layer's share of the piggybacked payload
+// (the session prefix, if any, re-seeds the retransmission point). The
+// loopback pair binds to itself. Caller holds connMu.
+func (c *Conduit) bindQPLocked(cn *conn, ev event, in *driveIn) error {
+	if cn.loopbk != nil {
+		in.payload = c.payload()
+		for _, e := range [2][2]*ib.QP{{cn.qp, cn.loopbk}, {cn.loopbk, cn.qp}} {
+			if err := e[0].ToInit(); err != nil {
+				return err
+			}
+			if err := e[0].ToRTR(e[1].Addr()); err != nil {
+				return err
+			}
+			if err := e[0].ToRTS(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cn.qp.SetClock(in.clk)
+	if err := cn.qp.ToRTR(ev.rc); err != nil {
+		return err
+	}
+	if err := cn.qp.ToRTS(); err != nil {
+		return err
+	}
+	cn.peerUD = in.m.UD
+	in.payload = c.stripSessionPayloadLocked(cn, in.m.Payload, in.clk.Now())
+	return nil
+}
+
+// readyLocked is the one "connection became ready" epilogue. The queued
+// traffic is flushed by the action that follows. Caller holds connMu.
+func (c *Conduit) readyLocked(cn *conn, peer int, by evKind, recon bool, vt int64) {
+	cn.readyVT = vt
 	c.nReady++
-	recon := cn.everReady
-	cn.everReady = true
-	if cn.readyVT > c.lastReadyVT {
-		c.lastReadyVT = cn.readyVT
+	if vt > c.lastReadyVT {
+		c.lastReadyVT = vt
 	}
-	c.obs.Span(cn.firstTx, cn.readyVT, obs.LayerGasnet, "connect-accept", peer, 0)
-	c.flushLocked(cn, peer)
-	c.connMu.Unlock()
+	switch by {
+	case evRep:
+		// Client-perceived connect latency: first REQ transmission to ready.
+		c.hConnect.Record(vt - cn.firstTx)
+		c.obs.Span(cn.firstTx, vt, obs.LayerGasnet, "connect", peer, 0)
+		c.event("conn-ready-client", peer, vt)
+	case evRTU:
+		c.obs.Span(cn.firstTx, vt, obs.LayerGasnet, "connect-accept", peer, 0)
+		c.event("conn-ready-server", peer, vt)
+	}
 	c.statMu.Lock()
 	c.stats.ConnsEstablished++
 	if recon {
 		c.stats.Reconnects++
-		c.led.Act("rc", c.cfg.Rank, svc.Now(), "reconnect")
 	}
 	c.statMu.Unlock()
-	c.event("conn-ready-server", peer, svc.Now())
-	c.connCond.Broadcast()
-}
-
-// handleRej is the client side of admission control: the server refused our
-// connection request at its queue-pair cap. A fatal rejection — the server
-// proved no future attempt can ever be admitted — aborts the job with
-// ExitResourceExhausted, as does a slot that keeps being rejected past
-// maxAdmissionRejects. Otherwise the attempt stays in connConnecting with
-// its backoff advanced and — crucially — its queue pair RELEASED (rejWait),
-// and the retransmission timer re-allocates an endpoint and re-sends the REQ
-// later: retry-after semantics, each retry landing after more of the
-// server's connections have had a chance to go idle and be evicted. The
-// release mirrors IB CM REJ semantics and breaks the mutual-pinning
-// livelock where two saturated adapters each hold a rejected half-open QP
-// the other needs freed before it can ever admit.
-func (c *Conduit) handleRej(m connMsg, svc *vclock.Clock) {
-	peer := int(m.SrcRank)
-	if peer < 0 || peer >= c.cfg.NProcs {
-		return
+	if recon {
+		c.led.Act("rc", c.cfg.Rank, vt, "reconnect")
 	}
-	fatal := len(m.Payload) > 0 && m.Payload[0] != 0
-	c.connMu.Lock()
-	cn := c.conns.get(peer)
-	if cn == nil || cn.state != connConnecting || m.Seq != cn.seq {
-		c.connMu.Unlock()
-		return // rejection of an attempt we have since abandoned or completed
-	}
-	cn.rejCount++
-	if fatal || cn.rejCount > maxAdmissionRejects {
-		ae := &AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitResourceExhausted,
-			Reason: fmt.Sprintf("rank %d: connection to peer %d rejected %d times (fatal=%v): peer's queue-pair budget exhausted",
-				c.cfg.Rank, peer, cn.rejCount, fatal)}
-		c.connMu.Unlock()
-		c.event("conn-rej-fatal", peer, svc.Now())
-		c.Abort(ae)
-		return
-	}
-	cn.attempt++
-	cn.lastTx = timeNow()
-	if cn.qp != nil {
-		cn.qp.Destroy()
-		cn.qp = nil
-	}
-	cn.rejWait = true
-	c.armTimerLocked()
-	c.connMu.Unlock()
-	c.event("conn-rejected", peer, svc.Now())
 }
 
 // flushLocked posts the traffic queued behind the handshake, in order. Each
@@ -1425,34 +1194,16 @@ func (c *Conduit) flushLocked(cn *conn, peer int) bool {
 			// back, so the number is safe to reuse).
 			err = post()
 		}
-		if err != nil {
-			pathDown := errors.Is(err, ib.ErrPathDown)
-			if !isLinkFault(err) && !pathDown {
-				// Non-recoverable local fault (e.g. MTU): drop the request as
-				// a direct post would, keep flushing the rest.
-				continue
-			}
-			// The queue pair (or its last live path) failed underneath us;
-			// keep the remainder queued behind a replacement connection.
-			cn.pending = cn.pending[i:]
-			c.teardownLocked(cn)
-			c.statMu.Lock()
-			if pathDown {
-				c.stats.RailFailovers++
-			} else {
-				c.stats.LinkFaults++
-			}
-			c.statMu.Unlock()
-			if pathDown {
-				c.event("rail-failover", peer, c.mgrClk.Now())
-				c.led.Detect("net", -1, c.mgrClk.Now(), "path-error")
-				c.led.Act("net", -1, c.mgrClk.Now(), "rail-failover")
-			} else {
-				c.event("conn-link-fault", peer, c.mgrClk.Now())
-			}
-			go c.initiate(peer)
-			return false
+		if err == nil || !(isLinkFault(err) || errors.Is(err, ib.ErrPathDown)) {
+			// Posted — or a non-recoverable local fault (e.g. MTU): drop the
+			// request as a direct post would, keep flushing the rest.
+			continue
 		}
+		// The queue pair (or its last live path) failed underneath us; keep
+		// the remainder queued behind a replacement connection.
+		cn.pending = cn.pending[i:]
+		c.linkFaultLocked(cn, peer, cn.epoch, err, true, c.mgrClk)
+		return false
 	}
 	cn.pending = nil
 	return true
@@ -1472,171 +1223,68 @@ func (c *Conduit) armTimerLocked() {
 	c.timer = time.AfterFunc(c.retrans.Interval, c.retransScan)
 }
 
-// retransScan resends REQ (client, awaiting REP) and REP (server, awaiting
-// RTU) for connections still in flight. Each retransmission charges the
-// virtual retransmission timeout so fault-injected runs remain causally
-// plausible.
+// retransScan is the retransmission timer: every slot gets a timeout event
+// (the table resends the REQ or REP of a handshake still in flight, re-arms
+// a rejected one, or recycles one that cannot complete), after the data
+// plane's own RTO check.
 func (c *Conduit) retransScan() {
 	if c.closed.Load() {
 		return
 	}
-	type tx struct {
-		peer int
-		ud   ib.Dest
-		m    connMsg
-		at   int64 // virtual retransmission time (deterministic per attempt)
-	}
-	type windowProbe struct {
-		peer  int
-		txSeq uint64
-	}
-	var resend []tx
-	var reinit []int
-	var probes []windowProbe
-	recycled := false
+	var probes [][2]uint64 // {peer, txSeq}
+	in := driveIn{clk: c.mgrClk}
 	c.connMu.Lock()
 	c.timerOn = false
 	now := timeNow()
-	scan := func(peer int, cn *conn) {
-		if c.lossy && len(cn.unacked) > 0 {
-			switch {
-			case cn.state == connReady && now.Sub(cn.lastData) >= c.rtoFor(cn.dataAttempt):
-				// RTO: no cumulative ACK progress since the last framed post.
-				// Either the frames or their acknowledgements were lost on the
-				// UD side; replay — the ledger absorbs any duplicates.
-				cn.lastData = now
-				cn.dataAttempt++
-				c.resendUnackedLocked(cn, peer, vclock.NewClock(c.mgrClk.Now()))
-			case cn.state == connNone && len(cn.pending) == 0 &&
-				now.Sub(cn.lastData) >= c.rtoFor(cn.dataAttempt):
-				// A torn-down connection retaining frames with nothing queued
-				// to trigger a reconnect. Left alone, the retained window (and
-				// any Quiet on it) would hang forever — but a post that
-				// succeeded was delivered (an errored post rolls its sequence
-				// back), so in the common case only the acknowledgement was
-				// the casualty and the frames need trimming, not resending.
-				// Probe the peer's cumulative sequence over UD: no queue-pair
-				// budget is consumed, and under eviction churn the probes
-				// cannot stampede the peer's admission control the way
-				// replay reconnects did. Only if the reply leaves frames
-				// retained — data genuinely missing — does handleDataAck
-				// restart the handshake. Throttled by the RTO backoff.
-				cn.lastData = now
-				cn.dataAttempt++
-				probes = append(probes, windowProbe{peer, cn.txSeq})
-			}
+	c.conns.each(func(peer int, cn *conn) {
+		if c.dataTimeoutLocked(cn, peer, now) {
+			probes = append(probes, [2]uint64{uint64(peer), cn.txSeq})
 		}
-		if cn.state != connConnecting && cn.state != connAccepted {
-			return
-		}
-		if cn.state == connConnecting && cn.qp == nil && !cn.rejWait {
-			return // still resolving the UD endpoint
-		}
-		deadAccept := cn.state == connAccepted && cn.qp != nil && !c.remoteQPAlive(cn.qp.Remote())
-		if deadAccept || cn.attempt >= recycleAttempts {
-			// Recycle a handshake that can no longer (dead client endpoint:
-			// the client abandoned the attempt, no RTU can ever arrive) or
-			// evidently will not (attempt bound exceeded) complete. The slot
-			// is torn down; with queued traffic we become the client of a
-			// fresh attempt, without it the slot goes idle until someone
-			// needs it. This is the convergence backstop for fault
-			// interleavings the message-level guards don't cover.
-			c.teardownLocked(cn)
-			recycled = true
-			if len(cn.pending) > 0 || len(cn.unacked) > 0 {
-				reinit = append(reinit, peer)
-			}
-			c.event("conn-recycle", peer, c.mgrClk.Now())
-			return
-		}
-		if now.Sub(cn.lastTx) < c.rtoFor(cn.attempt) {
-			return // not yet stale; avoid duplicate floods during bulk setup
-		}
-		if cn.qp == nil {
-			// Re-arm a rejected attempt (rejWait): the endpoint was released
-			// while backing off; allocate a fresh one non-blockingly — if the
-			// budget is still full, charge the failure and let the next scan
-			// (or the recycle bound, whose re-initiate runs the full fatal
-			// ladder) try again.
-			c.maybeEvictLocked(peer, c.mgrClk.Now())
-			qp, err := c.cfg.HCA.TryCreateQP(ib.RC, c.mgrClk, c.cq, c.cq)
-			if err != nil {
-				c.statMu.Lock()
-				c.stats.AllocFailures++
-				c.statMu.Unlock()
-				cn.attempt++
-				cn.lastTx = now
-				return
-			}
-			qp.SetObs(c.obs)
-			c.obs.Emit(c.mgrClk.Now(), obs.LayerIB, "qp-create-rc", peer, 0)
-			c.countQP(ib.RC)
-			qp.SetPath(c.pickRailsLocked(cn.peerUD.LID, c.mgrClk.Now()))
-			if e := qp.ToInit(); e != nil {
-				qp.Destroy()
-				return
-			}
-			// The re-sent REQ advertises a new queue pair, so it must carry a
-			// fresh attempt number: a server that admitted the old number's
-			// endpoint would otherwise bind to the QP we just destroyed.
-			if cn.seqHi > cn.seq {
-				cn.seq = cn.seqHi
-			}
-			cn.seq++
-			cn.seqHi = cn.seq
-			cn.qp = qp
-			c.mapQPLocked(qp, peer)
-			cn.rejWait = false
-			c.event("conn-rearm", peer, c.mgrClk.Now())
-		}
-		cn.attempt++
-		cn.lastTx = now
-		// Each retransmission is charged at a virtual time derived from the
-		// attempt's first transmission and the attempt count alone, so the
-		// resend timestamps do not depend on when the wall-clock scan fired.
-		// It must also never lag the manager clock: a handshake that began
-		// just inside a partition window would otherwise replay its REQ at
-		// in-window virtual times forever — blackholed every attempt — while
-		// the detector (whose probes ride the manager clock) has already
-		// warped past the heal and sees the peer as healthy.
-		at := cn.firstTx + int64(cn.attempt)*c.model.ConnRetransmitTimeout
-		if mnow := c.mgrClk.Now(); mnow > at {
-			at = mnow
-		}
-		c.mgrClk.AdvanceTo(at)
-		kind := msgConnReq
-		if cn.state == connAccepted {
-			kind = msgConnRep
-		}
-		resend = append(resend, tx{peer, cn.peerUD, connMsg{Kind: kind,
-			SrcRank: int32(c.cfg.Rank), Seq: cn.seq, RC: cn.qp.Addr(),
-			UD: c.udQP.Addr(), Payload: c.connPayloadLocked(peer)}, at})
-	}
-	c.conns.each(scan)
+		ev := event{kind: evTimeout, rtoExpired: now.Sub(cn.lastTx) >= c.rtoFor(cn.attempt)}
+		c.driveLocked(cn, peer, ev, &in)
+	})
 	if c.hasPendingLocked() || c.hasUnackedLocked() {
 		c.armTimerLocked()
 	}
-	if recycled {
-		// A drain (Close) may be waiting for the recycled slots to settle.
-		c.connCond.Broadcast()
-	}
 	c.connMu.Unlock()
-	for _, peer := range reinit {
-		c.initiate(peer)
-	}
 	for _, p := range probes {
-		c.sendDataCtl(p.peer, msgDataProbe, p.txSeq, c.mgrClk.Now())
+		c.sendDataCtl(int(p[0]), msgDataProbe, p[1], c.mgrClk.Now())
 	}
-	if len(resend) > 0 {
-		c.statMu.Lock()
-		c.stats.Retransmits += len(resend)
-		c.statMu.Unlock()
+	c.finish(&in)
+}
+
+// dataTimeoutLocked is the session layer's share of the scan: when cn's
+// retained window has made no acknowledgement progress for its backed-off
+// RTO, replay it over a ready connection, or — reporting true — ask for a
+// window probe when the connection is gone and nothing is queued to bring it
+// back. Caller holds connMu.
+func (c *Conduit) dataTimeoutLocked(cn *conn, peer int, now time.Time) (probe bool) {
+	if !c.lossy || len(cn.unacked) == 0 || now.Sub(cn.lastData) < c.rtoFor(cn.dataAttempt) {
+		return false
 	}
-	for _, t := range resend {
-		c.event("conn-retransmit", t.peer, t.at)
-		c.led.Act("ud", c.cfg.Rank, t.at, "retransmit")
-		c.sendControl(t.peer, t.ud, t.m, vclock.NewClock(t.at))
+	switch {
+	case cn.state == connReady:
+		// Either the frames or their acknowledgements were lost on the UD
+		// side; replay — the ledger absorbs any duplicates.
+		cn.lastData = now
+		cn.dataAttempt++
+		c.resendUnackedLocked(cn, peer, vclock.NewClock(c.mgrClk.Now()))
+	case cn.state == connNone && len(cn.pending) == 0:
+		// A torn-down connection retaining frames with nothing queued to
+		// trigger a reconnect. Left alone, the retained window (and any Quiet
+		// on it) would hang forever — but a post that succeeded was delivered
+		// (an errored post rolls its sequence back), so in the common case
+		// only the acknowledgement was the casualty and the frames need
+		// trimming, not resending. Probe the peer's cumulative sequence over
+		// UD: no queue-pair budget is consumed, and under eviction churn the
+		// probes cannot stampede the peer's admission control the way replay
+		// reconnects did. Only if the reply leaves frames retained — data
+		// genuinely missing — does handleDataAck restart the handshake.
+		cn.lastData = now
+		cn.dataAttempt++
+		return true
 	}
+	return false
 }
 
 // ConnectAll eagerly establishes the fully connected process group: the

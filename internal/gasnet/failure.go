@@ -96,7 +96,7 @@ const (
 	defaultHBInterval     = 2 * time.Millisecond
 	defaultHBSuspectAfter = 3  // silent scan periods before suspicion
 	defaultHBConfirmAfter = 4  // unanswered backoff probes before confirm-dead
-	defaultHBPartition    = 16 // charged patience probes before a permanent partition aborts
+	defaultHBPartition    = 16 // charged patience probes before a permanent partition aborts; also the quiet-air reconfirmation rounds
 )
 
 // HeartbeatConfig tunes the UD-heartbeat failure detector. The detector is
@@ -125,14 +125,6 @@ type HeartbeatConfig struct {
 	// ConfirmAfter is the number of unanswered confirmation probes, with
 	// exponential backoff, before a suspect is confirmed dead (default 4).
 	ConfirmAfter int
-	// PartitionPatience bounds how long the detector waits on a peer that is
-	// provably partitioned (every rail between the pair severed) with no
-	// scheduled heal: after this many charged patience probes — each
-	// advancing virtual time by one detector period — the job aborts with
-	// ExitPartitioned instead of hanging into the watchdog (default 16). A
-	// partition with a known heal time is waited out regardless: suspension
-	// is bounded by the schedule itself.
-	PartitionPatience int
 }
 
 // withDefaults fills zero fields with the default timing.
@@ -145,9 +137,6 @@ func (hc HeartbeatConfig) withDefaults() HeartbeatConfig {
 	}
 	if hc.ConfirmAfter <= 0 {
 		hc.ConfirmAfter = defaultHBConfirmAfter
-	}
-	if hc.PartitionPatience <= 0 {
-		hc.PartitionPatience = defaultHBPartition
 	}
 	return hc
 }
@@ -176,7 +165,7 @@ type peerHealth struct {
 	// verdict clock passed the window): the silence accumulated while the
 	// fabric was dark proves nothing, and even afterwards a live peer can
 	// lag behind recovery replays, so the detector re-drains the
-	// confirmation budget PartitionPatience times in quiet air before it
+	// confirmation budget defaultHBPartition times in quiet air before it
 	// may declare the peer dead. An ack clears it via noteAlive.
 	reconfirmRounds int
 }
@@ -243,10 +232,8 @@ func (c *Conduit) enterKilled(now int64) {
 	}
 	c.event("pe-fail", c.cfg.Rank, now)
 	c.connMu.Lock()
-	c.conns.each(func(_ int, cn *conn) {
-		if cn.state != connNone {
-			c.teardownLocked(cn)
-		}
+	c.conns.each(func(peer int, cn *conn) {
+		c.driveLocked(cn, peer, event{kind: evPeerDead}, &driveIn{})
 		cn.pending = nil
 		c.dropUnackedLocked(cn, now)
 	})
@@ -469,8 +456,8 @@ func (c *Conduit) hbScan() {
 		// Suspect: confirmation probes with exponential backoff, so a merely
 		// slow or descheduled peer gets geometrically growing grace periods.
 		shift := h.probes
-		if shift > c.retrans.ProbeBackoffShift {
-			shift = c.retrans.ProbeBackoffShift
+		if shift > defaultProbeBackoffShift {
+			shift = defaultProbeBackoffShift
 		}
 		if now.Sub(h.lastProbe) < c.hb.Interval<<shift {
 			continue
@@ -519,7 +506,7 @@ func (c *Conduit) hbRearm() {
 // bounded by the schedule, and the first post-heal ack resumes normal
 // operation (and exactly-once delivery, via the session layer's retained
 // window) through noteAlive. A permanent severance aborts the job with the
-// distinct ExitPartitioned code once PartitionPatience charged probes — each
+// distinct ExitPartitioned code once defaultHBPartition charged probes — each
 // advancing virtual time one detector period — go unanswered.
 func (c *Conduit) partitionVerdict(peer int) {
 	fab := c.cfg.HCA.Fabric()
@@ -560,7 +547,7 @@ func (c *Conduit) partitionVerdict(peer int) {
 			c.hbMu.Unlock()
 			return
 		}
-		if netFaults && (h.reconfirmRounds < c.hb.PartitionPatience || fi.SeveranceActiveAt(now)) {
+		if netFaults && (h.reconfirmRounds < defaultHBPartition || fi.SeveranceActiveAt(now)) {
 			// The paths between us are clear, but the silence still proves
 			// nothing. Three reasons. (1) Every probe so far may have been
 			// swallowed by a severance window one of the pair's clocks was
@@ -572,7 +559,7 @@ func (c *Conduit) partitionVerdict(peer int) {
 			// deferred until the fabric is quiet. (3) Even after a heal, a
 			// live peer can lag for a while behind its own recovery replays.
 			// So: restart the confirmation budget and probe from the verdict
-			// clock, up to PartitionPatience quiet-air rounds. A live peer's
+			// clock, up to defaultHBPartition quiet-air rounds. A live peer's
 			// first ack ends the suspicion via noteAlive; a dead one stays
 			// silent until the rounds are spent and the verdict falls
 			// through to confirmDead. Termination stays bounded: the rounds
@@ -607,7 +594,7 @@ func (c *Conduit) partitionVerdict(peer int) {
 	h.reconfirmRounds = 0 // back inside a severance window; re-arm the grace
 	if heal < 0 {
 		h.patienceProbes++
-		exhausted = h.patienceProbes > c.hb.PartitionPatience
+		exhausted = h.patienceProbes > defaultHBPartition
 	} else {
 		h.patienceProbes = 0 // a scheduled heal re-opens unlimited patience
 	}
@@ -623,7 +610,7 @@ func (c *Conduit) partitionVerdict(peer int) {
 		c.event("partition-fatal", peer, c.mgrClk.Now())
 		c.raiseAbort(&AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitPartitioned,
 			Reason: fmt.Sprintf("rank %d partitioned from rank %d on every rail with no scheduled heal; gave up after %d patience probes",
-				c.cfg.Rank, peer, c.hb.PartitionPatience)}, true)
+				c.cfg.Rank, peer, defaultHBPartition)}, true)
 		return
 	}
 	// A suspension with a scheduled heal is waited out in virtual time: warp
@@ -702,9 +689,7 @@ func (c *Conduit) markDead(peer int) bool {
 	if cn := c.conns.get(peer); cn != nil {
 		dropped = cn.pending
 		cn.pending = nil
-		if cn.state != connNone {
-			c.teardownLocked(cn)
-		}
+		c.driveLocked(cn, peer, event{kind: evPeerDead}, &driveIn{})
 		// Frames retained for a dead peer will never be acknowledged; release
 		// them so Quiet does not wait on a ghost.
 		c.dropUnackedLocked(cn, c.mgrClk.Now())

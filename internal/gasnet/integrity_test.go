@@ -2,6 +2,7 @@ package gasnet
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -45,55 +46,64 @@ func TestRCTrailerCatchesBitFlips(t *testing.T) {
 // a put whose RDMA write is torn mid-transfer (a prefix lands, then the link
 // dies) must not let Quiet complete until the reconnect has replayed the full
 // payload over the torn prefix. After Quiet, the target holds the complete
-// put — never the tear.
+// put — never the tear. The tear is injected on both ways a put reaches the
+// wire: a direct post on a ready connection, and — the first put to every
+// peer in on-demand mode — the flush of a put queued behind its handshake.
+// Either way the conduit must count exactly the tear the injector made.
 func TestQuietBlocksOnTornWrite(t *testing.T) {
-	fi := ib.NewFaultInjector(31)
-	fi.TornWriteProb = 1.0
-	fi.MaxTornWrites = 1
-	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, retrans: fastRetrans})
-	heap := make([]byte, 4*ib.RCMTU)
-	mr := pes[1].HCA.RegisterMR(heap, pes[1].Clk)
-	var mu sync.Mutex
-	var writes []int // lengths, in arrival order
-	mr.SetOnWrite(func(off, n int, vtime int64) {
-		mu.Lock()
-		writes = append(writes, n)
-		mu.Unlock()
-	})
-	if err := pes[0].C.EnsureConnected(1); err != nil {
-		t.Fatal(err)
-	}
-	// Tears act at packet granularity, so the put must span several packets.
-	payload := bytes.Repeat([]byte{0xC3}, 3*ib.RCMTU)
-	if err := pes[0].C.Put(1, mr.Base()+64, mr.RKey(), payload); err != nil {
-		t.Fatal(err)
-	}
-	pes[0].C.Quiet()
+	for _, preconnect := range []bool{true, false} {
+		t.Run(fmt.Sprintf("preconnect=%v", preconnect), func(t *testing.T) {
+			fi := ib.NewFaultInjector(31)
+			fi.TornWriteProb = 1.0
+			fi.MaxTornWrites = 1
+			pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, retrans: fastRetrans})
+			heap := make([]byte, 4*ib.RCMTU)
+			mr := pes[1].HCA.RegisterMR(heap, pes[1].Clk)
+			var mu sync.Mutex
+			var writes []int // lengths, in arrival order
+			mr.SetOnWrite(func(off, n int, vtime int64) {
+				mu.Lock()
+				writes = append(writes, n)
+				mu.Unlock()
+			})
+			if preconnect {
+				if err := pes[0].C.EnsureConnected(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Tears act at packet granularity, so the put must span several packets.
+			payload := bytes.Repeat([]byte{0xC3}, 3*ib.RCMTU)
+			if err := pes[0].C.Put(1, mr.Base()+64, mr.RKey(), payload); err != nil {
+				t.Fatal(err)
+			}
+			pes[0].C.Quiet()
 
-	if !bytes.Equal(heap[64:64+len(payload)], payload) {
-		t.Fatal("torn prefix still visible after Quiet — replay did not overwrite it")
-	}
-	if fi.TornWrites() != 1 {
-		t.Fatalf("injected tears = %d, want 1", fi.TornWrites())
-	}
-	st := pes[0].C.Stats()
-	if st.TornWrites < 1 {
-		t.Fatalf("conduit TornWrites = %d, want >= 1", st.TornWrites)
-	}
-	if st.LinkFaults < 1 || st.Reconnects < 1 {
-		t.Fatalf("tear must drive a reconnect: faults=%d reconnects=%d", st.LinkFaults, st.Reconnects)
-	}
-	// The write log shows the tear (a strict prefix) before the clean replay.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(writes) < 2 {
-		t.Fatalf("write log = %v, want torn prefix then replay", writes)
-	}
-	if writes[0] <= 0 || writes[0] >= len(payload) || writes[0]%ib.RCMTU != 0 {
-		t.Fatalf("first landing = %d bytes, want a strict whole-packet prefix of %d", writes[0], len(payload))
-	}
-	if writes[len(writes)-1] != len(payload) {
-		t.Fatalf("final landing = %d bytes, want the full %d", writes[len(writes)-1], len(payload))
+			if !bytes.Equal(heap[64:64+len(payload)], payload) {
+				t.Fatal("torn prefix still visible after Quiet — replay did not overwrite it")
+			}
+			if fi.TornWrites() != 1 {
+				t.Fatalf("injected tears = %d, want 1", fi.TornWrites())
+			}
+			st := pes[0].C.Stats()
+			if st.TornWrites != 1 {
+				t.Fatalf("conduit TornWrites = %d, want 1 (the injected tear)", st.TornWrites)
+			}
+			if st.LinkFaults < 1 || st.Reconnects < 1 {
+				t.Fatalf("tear must drive a reconnect: faults=%d reconnects=%d", st.LinkFaults, st.Reconnects)
+			}
+			// The write log shows the tear (a strict prefix) before the clean replay.
+			mu.Lock()
+			defer mu.Unlock()
+			if len(writes) < 2 {
+				t.Fatalf("write log = %v, want torn prefix then replay", writes)
+			}
+			if writes[0] <= 0 || writes[0] >= len(payload) || writes[0]%ib.RCMTU != 0 {
+				t.Fatalf("first landing = %d bytes, want a strict whole-packet prefix of %d", writes[0], len(payload))
+			}
+			if writes[len(writes)-1] != len(payload) {
+				t.Fatalf("final landing = %d bytes, want the full %d", writes[len(writes)-1], len(payload))
+			}
+		})
 	}
 }
 

@@ -162,13 +162,7 @@ func (c *Conduit) resendUnackedLocked(cn *conn, peer int, clk *vclock.Clock) boo
 		}
 		if err != nil {
 			if isLinkFault(err) {
-				c.noteDataFault(err)
-				c.teardownLocked(cn)
-				c.statMu.Lock()
-				c.stats.LinkFaults++
-				c.statMu.Unlock()
-				c.event("conn-link-fault", peer, c.mgrClk.Now())
-				go c.initiate(peer)
+				c.linkFaultLocked(cn, peer, cn.epoch, err, true, c.mgrClk)
 				ok = false
 			}
 			// A path-down with no live alternate breaks the replay WITHOUT a
@@ -276,7 +270,7 @@ func (c *Conduit) sendDataCtl(peer int, kind uint8, seq uint64, vt int64) {
 // queue-pair budget on a reconnect. A peer we have no state for gets sequence
 // zero: we executed nothing, and the sender's replay reconnect takes over.
 func (c *Conduit) handleDataProbe(peer int, svc *vclock.Clock) {
-	if peer < 0 || peer >= c.cfg.NProcs || !c.lossy {
+	if !c.lossy {
 		return
 	}
 	var rx uint64
@@ -297,9 +291,6 @@ func (c *Conduit) handleDataProbe(peer int, svc *vclock.Clock) {
 // and bounded: probes fire on the sender's RTO backoff and each reply can
 // start at most one handshake.
 func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.Clock) {
-	if peer < 0 || peer >= c.cfg.NProcs {
-		return
-	}
 	seq, ok := decodeSeqPayload(payload)
 	if !ok {
 		return
