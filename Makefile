@@ -1,8 +1,9 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
-# (see ROADMAP.md): build, the full test suite, the full suite again under
-# the race detector, a fast data-plane-integrity smoke, and the benchmark
-# module's own vet + smoke test. Tier-2 adds vet and the fixed-seed chaos
-# soaks (connection lifecycle, PE failure, control plane, resource churn,
+# (see ROADMAP.md): build, the no-host-clock check on the engine, the full
+# test suite, the full suite again under the race detector, the determinism
+# contracts repeated across GOMAXPROCS, a fast data-plane-integrity smoke, and
+# the benchmark module's own vet + smoke test. Tier-2 adds vet and the
+# fixed-seed chaos soaks (connection lifecycle, PE failure, control plane, resource churn,
 # data-plane integrity, combined).
 
 GO ?= go
@@ -11,11 +12,11 @@ GO ?= go
 # CHAOS_SEED=<seed> make soak (failures print the seed to replay).
 CHAOS_SEED ?= 1786034998553156286
 
-.PHONY: all tier1 tier2 build test vet race soak smoke incident-smoke rail-smoke footprint-smoke bench-smoke fuzz-smoke loc trace-demo bench clean
+.PHONY: all tier1 tier2 build no-wallclock test vet race determinism soak smoke incident-smoke rail-smoke footprint-smoke bench-smoke fuzz-smoke loc trace-demo bench clean
 
 all: tier1
 
-tier1: build test race smoke incident-smoke rail-smoke footprint-smoke bench-smoke
+tier1: build no-wallclock test race determinism smoke incident-smoke rail-smoke footprint-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -28,11 +29,41 @@ tier2: tier1 vet soak
 vet:
 	$(GO) vet ./...
 
-# The whole tree, race-instrumented. Two cluster tests assert byte-identical
-# traces / exact exit-code classification and skip themselves under the
-# detector (see raceEnabled) — every code path still runs instrumented.
+# The protocol engine keeps no host clock: every timeout, back-off and
+# detector period is an event on the job's virtual-time queue
+# (internal/vclock.Sched), so no recovery outcome can depend on how fast the
+# host is. The wall clock belongs to the launcher (watchdog, Result.Wall, the
+# memstats sampler) and to obs (engine cost) only.
+ENGINE_PKGS = gasnet ib pmi shmem vclock
+
+no-wallclock:
+	@for p in $(ENGINE_PKGS); do \
+		for f in $$(ls internal/$$p/*.go | grep -v _test.go); do \
+			if grep -q '^[[:space:]]*"time"$$' $$f; then \
+				echo "no-wallclock: $$f imports \"time\""; bad=1; \
+			fi; \
+		done; \
+	done; test -z "$$bad"
+
+# The whole tree, race-instrumented; no test skips itself under the detector.
 race:
 	$(GO) test -race -count=1 ./...
+
+# Same seed, same run — on any number of processors, with or without the race
+# detector: the fault-free byte-identity contracts, the healing-partition
+# soak (nobody may be declared dead, digests equal the clean run's) and the
+# recovery-work counters, fifty times each on one processor, on the host's
+# own count and on eight, then once more race-instrumented (the two faulted
+# tests five times there: they run ten times slower under the detector).
+IDENTITY = TestTraceByteIdenticalAcrossRuns|TestFlowTelemetryByteIdentical|TestGaugeSeriesByteIdenticalFaultFree
+FAULTED = TestPartitionHealTransparent|TestRecoveryCountersIndependentOfGOMAXPROCS
+
+determinism:
+	GOMAXPROCS=1 $(GO) test -count=50 -run '$(IDENTITY)|$(FAULTED)' ./internal/cluster
+	$(GO) test -count=50 -run '$(IDENTITY)|$(FAULTED)' ./internal/cluster
+	GOMAXPROCS=8 $(GO) test -count=50 -run '$(IDENTITY)|$(FAULTED)' ./internal/cluster
+	$(GO) test -race -count=50 -run '$(IDENTITY)' ./internal/cluster
+	$(GO) test -race -count=5 -run '$(FAULTED)' ./internal/cluster
 
 soak:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -count=1 -run 'TestChaosSoak|TestChaosRun|TestChaosPEFailureSoak|TestChaosControlPlaneSoak|TestResourceChurnSoak|TestIntegrityChaosSoak|TestChaosCombinedSoak' ./internal/gasnet ./internal/cluster

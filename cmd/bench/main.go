@@ -57,17 +57,19 @@ type doc struct {
 
 	// Footprint is the engine scaling sweep: census-measured bytes-per-PE,
 	// goroutines-per-PE and startup time versus np in both connection
-	// modes — the trajectory ROADMAP item 1's refactor will be judged
-	// against. Warn-gated (not fail) by -check.
+	// modes. It only warns under -check: the bytes are the Go runtime's to
+	// decide, and static-mode startup at np >= 1024 charges the adapter's
+	// endpoint-cache penalty, which samples the live-QP count in host order
+	// and so moves in the seventh digit from run to run.
 	Footprint []bench.FootprintPoint `json:"footprint"`
 }
 
-// regressPct is the latency-regression gate -check enforces: any put/get or
-// credit-stall point more than this much slower than the baseline fails CI.
-// The footprint suite shares the threshold but only warns — the suite is
-// new, and memory noise across Go releases needs a trajectory before a hard
-// gate is honest.
-const regressPct = 10.0
+// Virtual-time numbers are the cost model's output: deterministic, so -check
+// demands them equal to the baseline's, bit for bit — a change is a declared
+// cost-model change, committed with a regenerated baseline, never noise.
+// warnPct is the threshold for the footprint sweep and the suite's wall time:
+// growth past it is called out but does not fail the run.
+const warnPct = 10.0
 
 // footprintSizes is the fixed np sweep of the footprint suite.
 var footprintSizes = []int{64, 256, 1024, 4096}
@@ -108,46 +110,38 @@ func pctDelta(old, cur float64) float64 {
 }
 
 // reportDeltas prints the per-suite comparison against the baseline and
-// reports whether any latency suite regressed past the gate. Startup deltas
-// are informational: the on-demand design exists to trade startup time, and
-// its numbers move deliberately; the latency suites are the guarded ones.
+// reports whether any virtual-time number differs from it.
 func reportDeltas(base, cur *doc, basePath string) bool {
 	fmt.Printf("\ndeltas vs %s (%s):\n", basePath, base.Date)
-	regressed := false
-	var failedSuites, warnedSuites []string
-	noted := func(list []string, s string) bool {
-		for _, x := range list {
+	var changedSuites, warnedSuites []string
+	note := func(list *[]string, s string) {
+		for _, x := range *list {
 			if x == s {
-				return true
+				return
 			}
 		}
-		return false
+		*list = append(*list, s)
 	}
-	row := func(suite, point, metric string, old, new float64, gated bool) {
-		d := pctDelta(old, new)
+	// row is the gate for a virtual number: any difference is a change.
+	row := func(suite, point, metric string, old, new float64) {
 		verdict := ""
-		if gated && d > regressPct {
-			verdict = "  REGRESSION"
-			regressed = true
-			if !noted(failedSuites, suite) {
-				failedSuites = append(failedSuites, suite)
-			}
+		if old != new {
+			verdict = "  CHANGED"
+			note(&changedSuites, suite)
 		}
-		fmt.Printf("  %-20s %-10s %-12s %14.1f -> %14.1f  %+7.1f%%%s\n",
-			suite, point, metric, old, new, d, verdict)
+		fmt.Printf("  %-20s %-16s %-14s %14.1f -> %14.1f  %+7.1f%%%s\n",
+			suite, point, metric, old, new, pctDelta(old, new), verdict)
 	}
-	// warnRow is the footprint suite's gate: past-threshold growth is called
-	// out loudly but does not fail the run (see regressPct doc).
+	// warnRow is for what the host or the Go runtime decides: past-threshold
+	// growth is called out loudly but does not fail the run.
 	warnRow := func(suite, point, metric string, old, new float64) {
 		d := pctDelta(old, new)
 		verdict := ""
-		if d > regressPct {
+		if d > warnPct {
 			verdict = "  WARN"
-			if !noted(warnedSuites, suite) {
-				warnedSuites = append(warnedSuites, suite)
-			}
+			note(&warnedSuites, suite)
 		}
-		fmt.Printf("  %-20s %-10s %-12s %14.1f -> %14.1f  %+7.1f%%%s\n",
+		fmt.Printf("  %-20s %-16s %-14s %14.1f -> %14.1f  %+7.1f%%%s\n",
 			suite, point, metric, old, new, d, verdict)
 	}
 
@@ -161,8 +155,10 @@ func reportDeltas(base, cur *doc, basePath string) bool {
 			continue
 		}
 		id := fmt.Sprintf("np=%d", p.N)
-		row("startup", id, "init_od_s", b.InitOnDemand, p.InitOnDemand, false)
-		row("startup", id, "hello_od_s", b.HelloOnDemand, p.HelloOnDemand, false)
+		row("startup", id, "init_static_s", b.InitStatic, p.InitStatic)
+		row("startup", id, "init_od_s", b.InitOnDemand, p.InitOnDemand)
+		row("startup", id, "hello_static_s", b.HelloStatic, p.HelloStatic)
+		row("startup", id, "hello_od_s", b.HelloOnDemand, p.HelloOnDemand)
 	}
 
 	latBySize := map[int]bench.LatencyPoint{}
@@ -175,10 +171,10 @@ func reportDeltas(base, cur *doc, basePath string) bool {
 			continue
 		}
 		id := fmt.Sprintf("size=%d", p.Size)
-		row("latency_put_get", id, "put_static", b.PutStatic, p.PutStatic, true)
-		row("latency_put_get", id, "put_od", b.PutOD, p.PutOD, true)
-		row("latency_put_get", id, "get_static", b.GetStatic, p.GetStatic, true)
-		row("latency_put_get", id, "get_od", b.GetOD, p.GetOD, true)
+		row("latency_put_get", id, "put_static", b.PutStatic, p.PutStatic)
+		row("latency_put_get", id, "put_od", b.PutOD, p.PutOD)
+		row("latency_put_get", id, "get_static", b.GetStatic, p.GetStatic)
+		row("latency_put_get", id, "get_od", b.GetOD, p.GetOD)
 	}
 
 	creditByDepth := map[int]bench.CreditPoint{}
@@ -191,7 +187,9 @@ func reportDeltas(base, cur *doc, basePath string) bool {
 			continue
 		}
 		id := fmt.Sprintf("depth=%d", p.RQDepth)
-		row("latency_credit_stall", id, "burst_put_ns", b.BurstPutNS, p.BurstPutNS, true)
+		row("latency_credit_stall", id, "burst_put_ns", b.BurstPutNS, p.BurstPutNS)
+		row("latency_credit_stall", id, "credit_stalls", float64(b.CreditStalls), float64(p.CreditStalls))
+		row("latency_credit_stall", id, "rnr_naks", float64(b.RNRNaks), float64(p.RNRNaks))
 	}
 
 	fpByKey := map[string]bench.FootprintPoint{}
@@ -208,19 +206,19 @@ func reportDeltas(base, cur *doc, basePath string) bool {
 		warnRow("footprint", id, "startup_s", b.StartupS, p.StartupS)
 	}
 
-	row("wall", "suite", "wall_ns", float64(base.WallNS), float64(cur.WallNS), false)
-	if len(failedSuites) > 0 {
-		fmt.Printf("  regressed suites: %v\n", failedSuites)
+	warnRow("wall", "suite", "wall_ns", float64(base.WallNS), float64(cur.WallNS))
+	if len(changedSuites) > 0 {
+		fmt.Printf("  suites with changed virtual numbers: %v\n", changedSuites)
 	}
 	if len(warnedSuites) > 0 {
-		fmt.Printf("  warned suites (>%.0f%%, not failing): %v\n", regressPct, warnedSuites)
+		fmt.Printf("  warned suites (>%.0f%%, not failing): %v\n", warnPct, warnedSuites)
 	}
-	return regressed
+	return len(changedSuites) > 0
 }
 
 func main() {
 	out := flag.String("o", "", "output file (default BENCH_<yyyy-mm-dd>.json)")
-	check := flag.Bool("check", false, "compare against the most recent committed BENCH_*.json and exit nonzero when a latency suite regresses more than 10% (footprint-suite growth warns only)")
+	check := flag.Bool("check", false, "compare against the most recent committed BENCH_*.json and exit nonzero when any virtual-time number differs from it (wall time and footprint bytes warn only)")
 	fpMaxNP := flag.Int("footprint-max-np", 4096, "cap the footprint sweep at this np (the full sweep's static np=4096 point builds ~8.4M connections; CI runners cap lower)")
 	fpCSV := flag.String("footprint-csv", "", "also write the footprint sweep as CSV to FILE (the nightly artifact)")
 	flag.Parse()
@@ -311,15 +309,15 @@ func main() {
 			// missing would mask every future regression. Exit 0 so a fresh
 			// checkout can still bootstrap its first baseline.
 			fmt.Fprintf(os.Stderr, "bench: WARNING: -check requested but no prior BENCH_*.json baseline exists; "+
-				"regression gate NOT applied (wrote %s as the new baseline)\n", path)
+				"equality gate NOT applied (wrote %s as the new baseline)\n", path)
 			return
 		}
 		fmt.Printf("no prior BENCH_*.json baseline found; skipping delta report\n")
 		return
 	}
-	regressed := reportDeltas(base, &d, basePath)
-	if regressed && *check {
-		fmt.Fprintf(os.Stderr, "bench: latency regression past %.0f%% vs %s\n", regressPct, basePath)
+	changed := reportDeltas(base, &d, basePath)
+	if changed && *check {
+		fmt.Fprintf(os.Stderr, "bench: virtual-time numbers differ from %s: a cost-model change must be declared and the baseline regenerated\n", basePath)
 		os.Exit(1)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"goshmem/internal/ib"
 	"goshmem/internal/obs"
 	"goshmem/internal/shmem"
+	"goshmem/internal/vclock"
 )
 
 // amSync is the AM id for sync barriers (above shmem's, mpi's and upc's).
@@ -47,7 +48,7 @@ type Image struct {
 	}
 
 	syncMu   sync.Mutex
-	syncCond *sync.Cond
+	syncCond *vclock.Cond
 	syncSeq  uint64
 	inbox    map[[2]uint64]struct{}
 }
@@ -66,7 +67,7 @@ func Attach(env shmem.Env, opts Options) *Image {
 		opts.HeapBytes = 1 << 20
 	}
 	im := &Image{rank: env.Rank, n: env.NProcs}
-	im.syncCond = sync.NewCond(&im.syncMu)
+	im.syncCond = vclock.NewCond(&im.syncMu, env.HCA.Fabric().Sched())
 	im.inbox = make(map[[2]uint64]struct{})
 	im.segs = make([]struct {
 		base uint64

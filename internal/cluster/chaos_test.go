@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"testing"
-	"time"
 
 	"goshmem/internal/apps/heat2d"
 	"goshmem/internal/gasnet"
@@ -22,12 +21,6 @@ func runHeat(t *testing.T, faults *ib.FaultInjector, maxLiveRC int) (heat2d.Resu
 		HeapSize:  1 << 20,
 		Faults:    faults,
 		MaxLiveRC: maxLiveRC,
-	}
-	if faults != nil {
-		// Compress recovery timeouts so the faulted run converges quickly.
-		cfg.Retrans = gasnet.RetransConfig{
-			Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-		}
 	}
 	res, err := Run(cfg, func(c *shmem.Ctx) {
 		r := heat2d.Run(c, heat2d.Params{NX: 32, NY: 8 * c.NPEs(), MaxIters: 20, CheckEvery: 5, Tol: 1e-6})

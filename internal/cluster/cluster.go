@@ -82,9 +82,6 @@ type Config struct {
 	// needing a budget tight enough to trip organically.
 	FailQPAllocs []int
 	FailMRAllocs []int
-	// Retrans overrides the conduit's real-time retransmission timing
-	// (zero fields keep defaults); fault soaks compress it.
-	Retrans gasnet.RetransConfig
 
 	// KillPEs and WedgePEs schedule PE-level faults: a killed PE crashes
 	// (fail-stop) at the given virtual time; a wedged PE stops making
@@ -107,8 +104,9 @@ type Config struct {
 	FailPorts  []PortFault
 	FailRails  []RailFault
 	Partitions []PartitionFault
-	// Heartbeat configures the conduit's UD failure detector (zero value:
-	// armed automatically only when PE faults are scheduled).
+	// Heartbeat forces the conduit's UD failure detector on or off (zero
+	// value: armed automatically only when PE or network faults are
+	// scheduled).
 	Heartbeat gasnet.HeartbeatConfig
 
 	// MemstatsEvery, when positive, samples the runtime (live heap bytes,
@@ -254,66 +252,111 @@ func (r *Result) Counters() gasnet.Stats {
 	return t
 }
 
-// RunEnvs launches a job but hands each PE its raw substrate environment
-// instead of an initialized OpenSHMEM context. Alternative PGAS clients of
-// the conduit (the mini-UPC layer, custom runtimes, tests) use it; the body
-// is responsible for its own attach/finalize.
-func RunEnvs(cfg Config, body func(env shmem.Env)) error {
+// substrate is what every job stands on: the fabric with one adapter and one
+// shared-memory barrier per node, the PMI server, and — on a fabric where
+// something can go missing — the timer queue they all share.
+type substrate struct {
+	model    *vclock.CostModel
+	fab      *ib.Fabric
+	srv      *pmi.Server
+	hcas     []*ib.HCA
+	bars     []*vclock.VBarrier
+	sched    *vclock.Sched
+	launchVT int64
+}
+
+// prepare validates the job's shape and folds its scheduled faults into the
+// injector (creating one if needed).
+func (cfg *Config) prepare() error {
 	if cfg.NP <= 0 {
 		return fmt.Errorf("cluster: NP must be positive, got %d", cfg.NP)
 	}
 	if cfg.PPN <= 0 {
 		cfg.PPN = 16
 	}
-	model := cfg.Model
-	if model == nil {
-		model = vclock.Default()
+	applyPEFaults(cfg)
+	applyAllocFaults(cfg)
+	applyRailFaults(cfg)
+	return nil
+}
+
+// newSubstrate builds the job's substrate from a prepared config. plane may
+// be nil. The blocking waits outside the conduit — PMI fences and exchanges,
+// the intra-node barriers — are made visible to the fabric's timer queue, with
+// which the launcher registers its PE goroutines: a timer fires only when
+// every one of them is parked.
+func newSubstrate(cfg *Config, plane *obs.Plane) *substrate {
+	s := &substrate{model: cfg.Model}
+	if s.model == nil {
+		s.model = vclock.Default()
 	}
-	applyRailFaults(&cfg)
-	fab := ib.NewFabric(model, cfg.Faults)
-	fab.SetRails(cfg.railCount())
-	srv := pmi.NewServer(cfg.NP, model)
-	srv.SetFaults(cfg.PMIFaults)
+	s.fab = ib.NewFabric(s.model, cfg.Faults)
+	s.fab.SetRails(cfg.railCount())
+	s.srv = pmi.NewServer(cfg.NP, s.model)
+	s.srv.SetFaults(cfg.PMIFaults)
 	nodes := (cfg.NP + cfg.PPN - 1) / cfg.PPN
-	hcas := make([]*ib.HCA, nodes)
-	bars := make([]*vclock.VBarrier, nodes)
+	s.hcas = make([]*ib.HCA, nodes)
+	s.bars = make([]*vclock.VBarrier, nodes)
 	limits := cfg.limits()
 	for i := 0; i < nodes; i++ {
-		hcas[i] = fab.AddHCA()
+		s.hcas[i] = s.fab.AddHCA()
+		// Attach the adapter's gauge/ledger hooks before arming budgets so
+		// the slab pre-registration is visible to the pinned-bytes gauge.
+		s.hcas[i].AttachObs(plane.Gauges(), plane.Ledger())
 		if limits != (ib.Limits{}) {
 			// Budgets are armed at setup time on a throwaway clock: the slab
 			// pre-registration is node bring-up, not any PE's critical path.
-			hcas[i].SetLimits(limits, vclock.NewClock(0))
+			s.hcas[i].SetLimits(limits, vclock.NewClock(0))
 		}
 		ppn := cfg.PPN
 		if i == nodes-1 {
 			ppn = cfg.NP - i*cfg.PPN
 		}
-		bars[i] = vclock.NewVBarrier(ppn)
+		s.bars[i] = vclock.NewVBarrier(ppn)
 	}
-	launchVT := int64(0)
+	s.sched = s.fab.Sched() // after SetLimits: a budget arms it too
+	s.srv.SetSched(s.sched)
+	for _, b := range s.bars {
+		b.SetSched(s.sched)
+	}
 	if !cfg.SkipLaunchCost {
-		launchVT = model.LaunchCost(cfg.NP, nodes)
+		s.launchVT = s.model.LaunchCost(cfg.NP, nodes)
 	}
+	for r := 0; r < cfg.NP; r++ {
+		s.sched.Enter() // every PE counts before the first one runs: it may block on one not yet started
+	}
+	return s
+}
+
+// RunEnvs launches a job but hands each PE its raw substrate environment
+// instead of an initialized OpenSHMEM context. Alternative PGAS clients of
+// the conduit (the mini-UPC layer, custom runtimes, tests) use it; the body
+// is responsible for its own attach/finalize.
+func RunEnvs(cfg Config, body func(env shmem.Env)) error {
+	if err := cfg.prepare(); err != nil {
+		return err
+	}
+	sub := newSubstrate(&cfg, nil)
 	var wg sync.WaitGroup
 	errs := make(chan error, cfg.NP)
 	for r := 0; r < cfg.NP; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer sub.sched.Exit()
 			defer func() {
 				if p := recover(); p != nil {
 					errs <- fmt.Errorf("cluster: PE %d panicked: %v\n%s", rank, p, debug.Stack())
 				}
 			}()
 			node := rank / cfg.PPN
-			clk := vclock.NewClock(launchVT)
-			pmiC := srv.Client(rank, clk)
+			clk := vclock.NewClock(sub.launchVT)
+			pmiC := sub.srv.Client(rank, clk)
 			pmiC.SetRetry(cfg.PMIRetry)
 			body(shmem.Env{
 				Rank: rank, NProcs: cfg.NP, Node: node, PPN: cfg.PPN,
-				HCA: hcas[node], PMI: pmiC, Clock: clk,
-				NodeBarrier: bars[node],
+				HCA: sub.hcas[node], PMI: pmiC, Clock: clk,
+				NodeBarrier: sub.bars[node],
 			})
 		}(r)
 	}
@@ -329,22 +372,12 @@ func RunEnvs(cfg Config, body func(env shmem.Env)) error {
 // Run launches the job and executes app on every PE concurrently. It
 // returns when every PE has finished and finalized.
 func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
-	if cfg.NP <= 0 {
-		return nil, fmt.Errorf("cluster: NP must be positive, got %d", cfg.NP)
-	}
-	if cfg.PPN <= 0 {
-		cfg.PPN = 16
+	if err := cfg.prepare(); err != nil {
+		return nil, err
 	}
 	if cfg.HeapSize <= 0 {
 		cfg.HeapSize = 256 << 10
 	}
-	model := cfg.Model
-	if model == nil {
-		model = vclock.Default()
-	}
-	applyPEFaults(&cfg)
-	applyAllocFaults(&cfg)
-	applyRailFaults(&cfg)
 
 	obsCfg := cfg.Obs
 	if cfg.Trace {
@@ -371,35 +404,8 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 	}
 	seedRailTelemetry(plane, &cfg)
 
-	fab := ib.NewFabric(model, cfg.Faults)
-	fab.SetRails(cfg.railCount())
-	srv := pmi.NewServer(cfg.NP, model)
-	srv.SetFaults(cfg.PMIFaults)
-	nodes := (cfg.NP + cfg.PPN - 1) / cfg.PPN
-	hcas := make([]*ib.HCA, nodes)
-	bars := make([]*vclock.VBarrier, nodes)
-	limits := cfg.limits()
-	for i := 0; i < nodes; i++ {
-		hcas[i] = fab.AddHCA()
-		// Attach the adapter's gauge/ledger hooks before arming budgets so
-		// the slab pre-registration is visible to the pinned-bytes gauge.
-		hcas[i].AttachObs(plane.Gauges(), plane.Ledger())
-		if limits != (ib.Limits{}) {
-			// Budgets are armed at setup time on a throwaway clock: the slab
-			// pre-registration is node bring-up, not any PE's critical path.
-			hcas[i].SetLimits(limits, vclock.NewClock(0))
-		}
-		ppn := cfg.PPN
-		if i == nodes-1 {
-			ppn = cfg.NP - i*cfg.PPN
-		}
-		bars[i] = vclock.NewVBarrier(ppn)
-	}
-
-	launchVT := int64(0)
-	if !cfg.SkipLaunchCost {
-		launchVT = model.LaunchCost(cfg.NP, nodes)
-	}
+	sub := newSubstrate(&cfg, plane)
+	model, fab, srv, hcas, bars, launchVT := sub.model, sub.fab, sub.srv, sub.hcas, sub.bars, sub.launchVT
 
 	res := &Result{Cfg: cfg, PEs: make([]PEResult, cfg.NP), Obs: plane}
 	clks := make([]*vclock.Clock, cfg.NP)
@@ -459,6 +465,7 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer sub.sched.Exit()
 			clk := clks[rank]
 			var ctx *shmem.Ctx
 			arrived := false
@@ -517,7 +524,6 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 				HeapSize: cfg.HeapSize, DeclaredHeapSize: cfg.DeclaredHeapSize,
 				GlobalInitBarriers: cfg.GlobalInitBarriers,
 				MaxLiveRC:          cfg.MaxLiveRC,
-				Retrans:            cfg.Retrans,
 				Heartbeat:          cfg.Heartbeat,
 			})
 			pe.Span(attachVT, clk.Now(), obs.LayerCluster, "init", -1, 0)

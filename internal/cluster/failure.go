@@ -190,7 +190,9 @@ func (w *watchdog) result() (fired bool, reason, dump string) {
 }
 
 func (w *watchdog) maxVT() int64 {
-	var m int64
+	// The timer queue's frontier counts: a job waiting out a silence spends
+	// its virtual time there while every PE clock stands still.
+	m := w.fab.Sched().Now()
 	for _, clk := range w.clks {
 		if t := clk.Now(); t > m {
 			m = t

@@ -63,12 +63,6 @@ func TestKillPETerminatesJobWithExitCodes(t *testing.T) {
 	cfg := Config{
 		NP: np, PPN: 4, Mode: gasnet.OnDemand, HeapSize: 1 << 20,
 		KillPEs: []PEFault{{Rank: victim, At: 1 * vclock.Second}},
-		Heartbeat: gasnet.HeartbeatConfig{
-			Interval: time.Millisecond, SuspectAfter: 2, ConfirmAfter: 2,
-		},
-		Retrans: gasnet.RetransConfig{
-			Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-		},
 	}
 	// 300 x 10ms virtual = 3s of virtual work; the victim crashes at 1s.
 	res := runBounded(t, cfg, computeBarrierLoop(300, 2.5e7))

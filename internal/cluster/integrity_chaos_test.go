@@ -45,11 +45,6 @@ func runIntegrity(t *testing.T, fi *ib.FaultInjector) ([churnNP]uint64, *Result)
 		StallTimeout: 30 * time.Second,
 		Faults:       fi,
 	}
-	if fi != nil {
-		cfg.Retrans = gasnet.RetransConfig{
-			Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-		}
-	}
 	res, err := Run(cfg, func(c *shmem.Ctx) {
 		digests[c.Me()] = traffic.Run(c, churnParams()).Digest
 	})
@@ -128,11 +123,6 @@ func TestIntegrityChaosSoak(t *testing.T) {
 // with launcher-style exit codes, where no surviving rank that completed
 // reports a wrong answer.
 func TestChaosCombinedSoak(t *testing.T) {
-	if raceEnabled {
-		// Same scheduling sensitivity as TestChaosControlPlaneSoak: the
-		// kill-vs-abort exit-code classification races under detector slowdown.
-		t.Skip("exit-code classification is scheduling-sensitive under the race detector")
-	}
 	seed := chaosSeed(t)
 	defer func() {
 		if t.Failed() {
@@ -164,17 +154,11 @@ func TestChaosCombinedSoak(t *testing.T) {
 			Faults:       integrityFI(seed),
 			Deadline:     60 * vclock.Second,
 			StallTimeout: 30 * time.Second,
-			Retrans: gasnet.RetransConfig{
-				Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-			},
 		}
 		if kill {
 			// Mid-app: launch costs ~120ms of virtual time and the clean app
 			// leg runs ~100ms beyond it, so 150ms lands inside the workload.
 			cfg.KillPEs = []PEFault{{Rank: 3, At: 150 * vclock.Millisecond}}
-			cfg.Heartbeat = gasnet.HeartbeatConfig{
-				Interval: time.Millisecond, SuspectAfter: 2, ConfirmAfter: 2,
-			}
 		}
 		res := runBounded(t, cfg, func(c *shmem.Ctx) {
 			digests[c.Me()] = traffic.Run(c, churnParams()).Digest

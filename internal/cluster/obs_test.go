@@ -37,39 +37,23 @@ func ringApp(iters, blockSize int) func(c *shmem.Ctx) {
 // with VT-only ordering, same-timestamp events from different PEs would
 // serialize in schedule-dependent order.
 func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
-	if raceEnabled {
-		// On-demand handshake collisions resolve by real-time REQ arrival
-		// order, so which connection events exist (abandoned initiates,
-		// crossed-REQ resolutions) depends on goroutine scheduling. Under
-		// production scheduling the ring app serializes them and traces are
-		// byte-identical; the race detector's slowdown perturbs arrival
-		// order enough to change event counts. Not a data race — the full
-		// suite runs race-instrumented and clean.
-		t.Skip("trace byte-identity is scheduling-sensitive under the race detector")
-	}
 	for _, mode := range []gasnet.Mode{gasnet.OnDemand, gasnet.Static} {
-		run := func() []TraceEvent {
-			// Odd np, as in TestFlowTelemetryByteIdentical: at even np the
-			// dissemination barrier's distance-np/2 round makes both sides of
-			// a pair demand the connection in the same round with no
-			// happens-before between them, so which side initiates (and thus
-			// which lifecycle events exist) is schedule-dependent. At odd np
-			// no barrier distance is self-inverse and every pair's second
-			// demand is causally ordered behind the first establishment.
-			res, err := Run(Config{
-				NP: 9, PPN: 3, Mode: mode, HeapSize: 1 << 16, Trace: true,
-			}, ringApp(3, 512))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Trace) == 0 {
-				t.Fatalf("%v: empty trace", mode)
-			}
-			return res.Trace
+		// Odd np, as in TestFlowTelemetryByteIdentical: at even np the
+		// dissemination barrier's distance-np/2 round makes both sides of
+		// a pair demand the connection in the same round with no
+		// happens-before between them, so which side initiates (and thus
+		// which lifecycle events exist) is schedule-dependent. At odd np
+		// no barrier distance is self-inverse and every pair's second
+		// demand is causally ordered behind the first establishment.
+		a, b := runTwice(t, Config{
+			NP: 9, PPN: 3, Mode: mode, HeapSize: 1 << 16, Trace: true,
+		}, ringApp(3, 512))
+		if len(a.Trace) == 0 {
+			t.Fatalf("%v: empty trace", mode)
 		}
-		a, b := run(), run()
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%v: traces differ across identical runs (len %d vs %d)", mode, len(a), len(b))
+		if !reflect.DeepEqual(a.Trace, b.Trace) {
+			t.Errorf("%v: traces differ across identical runs (len %d vs %d)\n%s",
+				mode, len(a.Trace), len(b.Trace), firstDivergence(a, b))
 		}
 	}
 }

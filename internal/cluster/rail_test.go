@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"goshmem/internal/apps/traffic"
 	"goshmem/internal/gasnet"
+	"goshmem/internal/ib"
 	"goshmem/internal/obs"
 	"goshmem/internal/shmem"
 	"goshmem/internal/vclock"
@@ -23,13 +26,7 @@ func railCfg() Config {
 		Rails:        2,
 		Deadline:     60 * vclock.Second,
 		StallTimeout: 30 * time.Second,
-		Retrans: gasnet.RetransConfig{
-			Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-		},
-		Heartbeat: gasnet.HeartbeatConfig{
-			Interval: time.Millisecond, SuspectAfter: 2, ConfirmAfter: 2,
-		},
-		Obs: obs.Config{Metrics: true, Gauges: true, Incidents: true},
+		Obs:          obs.Config{Metrics: true, Gauges: true, Incidents: true},
 	}
 }
 
@@ -232,5 +229,43 @@ func TestPermanentPartitionExitCode(t *testing.T) {
 	}
 	if c.PEFailures != 0 {
 		t.Errorf("permanent partition misdiagnosed as %d peer deaths", c.PEFailures)
+	}
+}
+
+// TestRecoveryCountersIndependentOfGOMAXPROCS: with every timeout and every
+// detector tick an event on the job's virtual-time queue, how often the job
+// retransmits and probes is a property of the fault schedule, not of the
+// host. A ring workload loses its first twelve datagrams (the injector's cap
+// makes that exact) and then rides out a healing partition; ten runs on one
+// processor and ten on eight must count the same recovery work and end at the
+// same virtual time.
+func TestRecoveryCountersIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	seen := map[string]int{}
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 10; i++ {
+			fi := ib.NewFaultInjector(7)
+			fi.DropProb, fi.MaxDrops = 1, 12
+			res := runBounded(t, Config{
+				NP: 9, PPN: 3, Mode: gasnet.OnDemand, HeapSize: 1 << 16, Rails: 2, Faults: fi,
+				Partitions: []PartitionFault{{
+					A: []int{0, 1, 2}, B: []int{3, 4, 5, 6, 7, 8},
+					At: 158 * vclock.Millisecond, Heal: 300 * vclock.Millisecond,
+				}},
+			}, ringApp(3, 512))
+			if res.Aborted {
+				t.Fatalf("GOMAXPROCS=%d run %d aborted: %s", procs, i, res.AbortReason)
+			}
+			c := res.Counters()
+			if c.Retransmits == 0 || c.HeartbeatsSent == 0 || c.PartitionHeals == 0 {
+				t.Fatalf("schedule exercised nothing: %+v", c)
+			}
+			seen[fmt.Sprintf("heartbeats=%d retransmits=%d integrity-retransmits=%d suspensions=%d heals=%d job-vt=%d",
+				c.HeartbeatsSent, c.Retransmits, c.IntegrityRetransmits, c.PartitionSuspensions, c.PartitionHeals, res.JobVT)]++
+		}
+	}
+	if len(seen) != 1 {
+		t.Errorf("recovery work depends on the host: %v", seen)
 	}
 }

@@ -70,11 +70,6 @@ func runChurn(t *testing.T, budgets, chaos bool, seed int64) ([churnNP]uint64, *
 		fi.MaxFlaps = 6
 		cfg.Faults = fi
 	}
-	if budgets || chaos {
-		cfg.Retrans = gasnet.RetransConfig{
-			Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-		}
-	}
 	res, err := Run(cfg, func(c *shmem.Ctx) {
 		r := traffic.Run(c, churnParams())
 		digests[c.Me()] = r.Digest

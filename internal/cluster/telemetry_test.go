@@ -20,25 +20,22 @@ import (
 // fold sorts by virtual time), and the incident ledger stays empty — zero
 // faults means zero incidents, reconciled trivially.
 func TestGaugeSeriesByteIdenticalFaultFree(t *testing.T) {
-	run := func() (*Result, []byte) {
-		res, err := Run(Config{
-			NP: 9, PPN: 3, Mode: gasnet.OnDemand, HeapSize: 1 << 16,
-			Obs: obs.Config{Gauges: true, Incidents: true},
-		}, ringApp(3, 512))
-		if err != nil {
-			t.Fatal(err)
-		}
+	csv := func(res *Result) []byte {
 		var buf bytes.Buffer
 		if err := obs.WriteGaugeCSV(&buf, res.Obs.Gauges().Series(obs.DefaultGaugeTick)); err != nil {
 			t.Fatal(err)
 		}
-		return res, buf.Bytes()
+		return buf.Bytes()
 	}
-	resA, csvA := run()
-	_, csvB := run()
+	// Events and flows ride along so that a failure can name its cause.
+	resA, resB := runTwice(t, Config{
+		NP: 9, PPN: 3, Mode: gasnet.OnDemand, HeapSize: 1 << 16,
+		Obs: obs.Config{Gauges: true, Incidents: true, Events: true, Flows: true},
+	}, ringApp(3, 512))
+	csvA, csvB := csv(resA), csv(resB)
 	if !bytes.Equal(csvA, csvB) {
-		t.Errorf("fault-free gauge series differ across identical runs (%d vs %d bytes)",
-			len(csvA), len(csvB))
+		t.Errorf("fault-free gauge series differ across identical runs (%d vs %d bytes)\n%s",
+			len(csvA), len(csvB), firstDivergence(resA, resB))
 	}
 	if len(csvA) <= len("gauge,inst,vt_ns,value\n") {
 		t.Error("gauge series is empty; the sampler recorded nothing")
@@ -102,10 +99,7 @@ func TestIncidentReconciliationChaosSoak(t *testing.T) {
 		Faults:       fi,
 		Deadline:     60 * vclock.Second,
 		StallTimeout: 30 * time.Second,
-		Retrans: gasnet.RetransConfig{
-			Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-		},
-		Obs: obs.Config{Metrics: true, Gauges: true, Incidents: true},
+		Obs:          obs.Config{Metrics: true, Gauges: true, Incidents: true},
 	}
 	res := runBounded(t, cfg, func(c *shmem.Ctx) {
 		digests[c.Me()] = traffic.Run(c, churnParams()).Digest
@@ -168,10 +162,7 @@ func TestIncidentReconciliationChaosSoak(t *testing.T) {
 func TestIncidentLedgerAbortedRun(t *testing.T) {
 	cfg := Config{
 		NP: 8, PPN: 4, Mode: gasnet.OnDemand, HeapSize: 1 << 16,
-		KillPEs: []PEFault{{Rank: 3, At: 150 * vclock.Millisecond}},
-		Heartbeat: gasnet.HeartbeatConfig{
-			Interval: time.Millisecond, SuspectAfter: 2, ConfirmAfter: 2,
-		},
+		KillPEs:      []PEFault{{Rank: 3, At: 150 * vclock.Millisecond}},
 		Deadline:     60 * vclock.Second,
 		StallTimeout: 30 * time.Second,
 		Obs:          obs.Config{Incidents: true},

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"goshmem/internal/gasnet"
 	"goshmem/internal/ib"
@@ -122,23 +121,24 @@ func fanApp(rounds, blockSize int) func(c *shmem.Ctx) {
 // np no barrier distance is self-inverse, so every pair's second demand is
 // causally ordered behind the first establishment.
 func TestFlowTelemetryByteIdentical(t *testing.T) {
-	run := func() (*Result, [][]obs.FlowEdge, *TopologyReport, string, string) {
-		res, err := Run(Config{
-			NP: 33, PPN: 1, Mode: gasnet.OnDemand, HeapSize: 1 << 16,
-			Obs: obs.Config{Events: true, Flows: true},
-		}, fanApp(2, 256))
-		if err != nil {
-			t.Fatal(err)
-		}
+	render := func(res *Result) ([][]obs.FlowEdge, *TopologyReport, string, string) {
 		var heat strings.Builder
 		obs.WriteHeatmap(&heat, res.Cfg.NP, res.FlowMatrix())
 		var tlText strings.Builder
 		obs.WriteTimelines(&tlText, obs.BuildConnTimelines(res.Obs.Events()))
-		return res, res.FlowMatrix(), BuildTopology(res), heat.String(), tlText.String()
+		return res.FlowMatrix(), BuildTopology(res), heat.String(), tlText.String()
 	}
-
-	_, matA, topA, heatA, tlA := run()
-	_, matB, topB, heatB, tlB := run()
+	resA, resB := runTwice(t, Config{
+		NP: 33, PPN: 1, Mode: gasnet.OnDemand, HeapSize: 1 << 16,
+		Obs: obs.Config{Events: true, Flows: true},
+	}, fanApp(2, 256))
+	matA, topA, heatA, tlA := render(resA)
+	matB, topB, heatB, tlB := render(resB)
+	defer func() {
+		if t.Failed() {
+			t.Log(firstDivergence(resA, resB))
+		}
+	}()
 
 	if !reflect.DeepEqual(matA, matB) {
 		t.Error("flow matrices differ across identical runs")
@@ -153,7 +153,7 @@ func TestFlowTelemetryByteIdentical(t *testing.T) {
 		t.Fatal("empty lifecycle timeline")
 	}
 	if tlA != tlB {
-		t.Errorf("lifecycle timelines differ across identical runs:\n--- A\n%s--- B\n%s", tlA, tlB)
+		t.Error("lifecycle timelines differ across identical runs")
 	}
 	// Every rank-0 client pair must show a completed handshake.
 	if !strings.Contains(tlA, "0->32 ") || !strings.Contains(tlA, "ready-client@") {
@@ -250,9 +250,6 @@ func TestFlowMatrixDataPlaneStableUnderChaos(t *testing.T) {
 		}
 		if faults != nil {
 			cfg.MaxLiveRC = 20
-			cfg.Retrans = gasnet.RetransConfig{
-				Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3,
-			}
 		}
 		res, err := Run(cfg, ringApp(5, 1024))
 		if err != nil {

@@ -66,7 +66,7 @@ func TestChaosSoak(t *testing.T) {
 	qpCap := 3 * n / 4 // below the full mesh each HCA would otherwise carry
 	pes, run := startJob(t, jobOpts{
 		n: n, ppn: ppn, mode: OnDemand, faults: fi, payloads: true,
-		maxLiveRC: qpCap, retrans: fastRetrans,
+		maxLiveRC: qpCap,
 	})
 
 	// Exactly-once ledger: every AM carries (src, per-destination sequence).
@@ -112,6 +112,7 @@ func TestChaosSoak(t *testing.T) {
 				t.Errorf("AM %d->%d: %v", src, dst, err)
 			}
 		}
+		p.C.drain() // block until every message is acknowledged: recovery runs while we wait
 	})
 
 	total := 0

@@ -24,16 +24,12 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"goshmem/internal/ib"
 	"goshmem/internal/obs"
 	"goshmem/internal/pmi"
 	"goshmem/internal/vclock"
 )
-
-// timeNow is a test seam for the retransmission backoff clock.
-var timeNow = time.Now
 
 // Mode selects the connection-management strategy.
 type Mode uint8
@@ -103,15 +99,10 @@ type Config struct {
 	// has no reconnect path, so it ignores the cap.
 	MaxLiveRC int
 
-	// Retrans overrides the real-time retransmission timing (zero fields
-	// keep the defaults). Slow CI runs and fault-injection harnesses tune
-	// it; fault-free runs never arm the timer at all.
-	Retrans RetransConfig
-
-	// Heartbeat tunes the UD-heartbeat failure detector (failure.go). The
-	// detector arms itself only when the fabric has PE-failure injections
-	// scheduled, or when Heartbeat.Enable is set; fault-free runs never
-	// probe and record zero detector activity.
+	// Heartbeat forces the UD-heartbeat failure detector (failure.go) on or
+	// off. Left zero, the detector arms itself only when the fabric has PE or
+	// network failures scheduled; fault-free runs never probe and record zero
+	// detector activity.
 	Heartbeat HeartbeatConfig
 }
 
@@ -190,10 +181,16 @@ type conn struct {
 	qp      *ib.QP
 	loopbk  *ib.QP // second endpoint of a self-connection
 	peerUD  ib.Dest
-	firstTx int64     // virtual time of first REQ/REP transmission
-	lastTx  time.Time // real time of last transmission (retransmit backoff)
+	firstTx int64 // virtual time of first REQ/REP transmission
+	lastTx  int64 // virtual time of the last one (retransmission baseline)
 	pending []pendingWR
 	readyVT int64
+	// sendVT is the connection's send-queue time: when it became ready, or
+	// the end of the last flush of queued work. A post whose own clock is
+	// still behind it departs from here, so nothing leaves on a connection
+	// before the connection exists, whichever goroutine got there first.
+	// Zero once the PE's clock has passed it.
+	sendVT int64
 
 	epoch   uint64 // teardown generation, so racing fault reports are applied once
 	lastUse uint64 // LRU stamp for idle-connection eviction
@@ -211,12 +208,14 @@ type conn struct {
 	txSeq    uint64       // last transfer sequence framed to this peer
 	unacked  []retainedTx // framed sends awaiting cumulative ACK, in seq order
 	rxMax    uint64       // highest in-order sequence executed from this peer
-	lastData time.Time    // real time of last framed post (RTO baseline)
-	// dataAttempt counts consecutive RTO-driven replays without cumulative
-	// ACK progress; the timeout backs off exponentially on it (rtoFor), so a
-	// peer that will never acknowledge (wedged software, live hardware) does
-	// not generate fabric traffic forever and defeat stall detection.
-	dataAttempt int
+	lastData int64        // virtual time of the last framed post (RTO baseline)
+
+	// quiet counts consecutive timeouts (handshake legs and data replays
+	// alike) since anything was last heard from the peer. Close stops waiting
+	// for a peer at closeQuiet, and at maxQuiet the timeouts themselves stop:
+	// a peer that never answers must not generate fabric traffic forever —
+	// only the failure detector (or the watchdog) can end that silence.
+	quiet int
 }
 
 // Conduit is one PE's endpoint on the fabric.
@@ -233,15 +232,19 @@ type Conduit struct {
 	deferredAM map[uint8][]deferredAM
 
 	connMu      sync.Mutex
-	connCond    *sync.Cond
+	connCond    *vclock.Cond
 	conns       connTable
 	nReady      int
 	lastReadyVT int64  // max virtual time any connection became ready
 	useSeq      uint64 // LRU counter for eviction (guarded by connMu)
 	heldReqs    []heldReq
-	timerOn     bool
-	timer       *time.Timer
-	retrans     RetransConfig // resolved retransmission timing
+
+	// The job's timer queue (nil on a lossless, unbudgeted fabric) and this
+	// PE's one retransmission timer on it, armed for the earliest deadline
+	// any slot has (guarded by connMu).
+	sched *vclock.Sched
+	rtx   *vclock.Timer
+	rtxAt int64
 
 	waiterMu    sync.Mutex
 	waiters     map[uint64]chan ib.Completion
@@ -249,7 +252,7 @@ type Conduit struct {
 	wrid        atomic.Uint64
 
 	outMu       sync.Mutex
-	outCond     *sync.Cond
+	outCond     *vclock.Cond
 	outstanding int
 	unackedWin  int // framed sends retained but not yet cumulatively ACKed
 	lastPutVT   int64
@@ -265,12 +268,13 @@ type Conduit struct {
 	// recovery goroutines and the heartbeat prober can all race into
 	// resolveUD, and the fallback path below runs a blocking Put-Fence that
 	// must execute exactly once.
-	udMu      sync.Mutex
-	udVals    []string
-	udOp      *pmi.AllgatherOp
-	udFromKVS bool
-	exchanged atomic.Bool
-	ready     atomic.Bool
+	udMu       sync.Mutex
+	udVals     []string
+	udOp       *pmi.AllgatherOp
+	udFromKVS  bool
+	udResolved atomic.Bool // udVals/udFromKVS are final: lookups need no lock
+	exchanged  atomic.Bool
+	ready      atomic.Bool
 
 	statMu sync.Mutex
 	stats  Stats
@@ -290,10 +294,10 @@ type Conduit struct {
 	led        *obs.Ledger // causal incident ledger (nil-safe)
 
 	// Failure detector and abort plane (failure.go).
-	hb        HeartbeatConfig // resolved heartbeat timing
 	hbArmed   bool
+	netFaulty bool // port/rail/partition faults are scheduled: consult the schedule
 	hbMu      sync.Mutex
-	hbTimer   *time.Timer
+	hbTimer   *vclock.Timer
 	health    map[int]*peerHealth // guarded by hbMu
 	deadPeers map[int]bool        // guarded by connMu
 	selfState atomic.Int32        // selfAlive/selfKilled/selfWedged
@@ -304,7 +308,6 @@ type Conduit struct {
 
 	closed    atomic.Bool
 	closeOnce sync.Once
-	closeCh   chan struct{}
 	wg        sync.WaitGroup
 }
 
@@ -322,10 +325,9 @@ func New(cfg Config) *Conduit {
 		cq:      ib.NewCQ(),
 		waiters: make(map[uint64]chan ib.Completion),
 		peers:   make(map[int]struct{}),
-		closeCh: make(chan struct{}),
-		retrans: cfg.Retrans.withDefaults(),
 		obs:     cfg.Obs,
 		lossy:   cfg.HCA.Fabric().Lossy(),
+		sched:   cfg.HCA.Fabric().Sched(),
 	}
 	if c.lossy {
 		c.qpPeer = make(map[uint32]int)
@@ -343,8 +345,8 @@ func New(cfg Config) *Conduit {
 	c.gCredits = c.obs.Gauge("gasnet.credits_in_flight")
 	c.gSuspect = c.obs.Gauge("gasnet.suspected_peers")
 	c.led = c.obs.Ledger()
-	c.connCond = sync.NewCond(&c.connMu)
-	c.outCond = sync.NewCond(&c.outMu)
+	c.connCond = vclock.NewCond(&c.connMu, c.sched)
+	c.outCond = vclock.NewCond(&c.outMu, c.sched)
 	c.conns = newConnTable(cfg.Mode, cfg.NProcs)
 	udQP, err := cfg.HCA.TryCreateQP(ib.UD, c.clk, nil, c.cq)
 	if err != nil {
@@ -393,6 +395,11 @@ func (c *Conduit) Mode() Mode { return c.cfg.Mode }
 
 // Clock returns the PE's virtual clock.
 func (c *Conduit) Clock() *vclock.Clock { return c.clk }
+
+// Sched returns the job's timer queue (nil on a lossless, unbudgeted fabric),
+// so layers built on the conduit can make their own blocking waits visible
+// to it (vclock.NewCond).
+func (c *Conduit) Sched() *vclock.Sched { return c.sched }
 
 // Obs returns the PE's observability recorder (obs.Nop when disabled), so
 // layers built on the conduit (mpi, shmem) share one recorder per PE.
@@ -473,6 +480,7 @@ func (c *Conduit) ExchangeEndpoints() error {
 			return c.pmiFail("blocking endpoint exchange (fence)", err)
 		}
 		c.udFromKVS = true
+		c.udResolved.Store(true)
 		c.setExchangePath("put-fence-get")
 	} else {
 		c.udOp = c.cfg.PMI.IAllgather(val)
@@ -511,36 +519,9 @@ func (c *Conduit) resolveUDOpt(peer int, fallback bool) (ib.Dest, error) {
 	if !c.exchanged.Load() {
 		return ib.Dest{}, fmt.Errorf("gasnet: endpoint exchange not started")
 	}
-	if fallback {
-		c.udMu.Lock()
-	} else if !c.udMu.TryLock() {
-		// A resolution (possibly the blocking fallback collective) is in
-		// flight on another goroutine — and a failed fallback aborts the job
-		// from *inside* the critical section, whose fan-out lands back here.
-		// Background callers skip rather than wait (or deadlock).
-		return ib.Dest{}, fmt.Errorf("gasnet: endpoint resolution in flight for rank %d", peer)
-	}
-	defer c.udMu.Unlock()
-	if !c.udFromKVS && c.udVals == nil {
-		vals, err := c.udOp.WaitErr(c.cfg.PMI)
-		switch {
-		case err == nil:
-			c.udVals = vals
-		case errors.Is(err, pmi.ErrAborted):
-			if aerr := c.Err(); aerr != nil {
-				return ib.Dest{}, aerr
-			}
-			return ib.Dest{}, fmt.Errorf("gasnet: endpoint exchange aborted")
-		case !fallback:
-			return ib.Dest{}, fmt.Errorf("gasnet: endpoint exchange lost: %w", err)
-		default:
-			// Graceful degradation: the non-blocking allgather is lost for
-			// every participant (the lost state is shared and sticky), so all
-			// PEs converge here and re-run the exchange as the blocking
-			// Put-Fence-Get sequence. Only a second permanent failure aborts.
-			if ferr := c.fallbackExchangeLocked(err); ferr != nil {
-				return ib.Dest{}, ferr
-			}
+	if !c.udResolved.Load() {
+		if err := c.completeExchange(peer, fallback); err != nil {
+			return ib.Dest{}, err
 		}
 	}
 	if c.udFromKVS {
@@ -556,6 +537,48 @@ func (c *Conduit) resolveUDOpt(peer int, fallback bool) (ib.Dest, error) {
 		return decodeDest(s)
 	}
 	return decodeDest(c.udVals[peer])
+}
+
+// completeExchange finishes the outstanding non-blocking endpoint exchange
+// (PMIX_Wait), degrading to the blocking ladder when it was lost and fallback
+// allows. Once it returns nil the endpoint table is final and lookups take no
+// lock — so a background caller (an acknowledgement, a probe) is never skipped
+// because somebody else happened to be looking a peer up at that moment.
+func (c *Conduit) completeExchange(peer int, fallback bool) error {
+	if fallback {
+		c.udMu.Lock()
+	} else if !c.udMu.TryLock() {
+		// A resolution (possibly the blocking fallback collective) is in
+		// flight on another goroutine — and a failed fallback aborts the job
+		// from *inside* the critical section, whose fan-out lands back here.
+		// Background callers skip rather than wait (or deadlock).
+		return fmt.Errorf("gasnet: endpoint resolution in flight for rank %d", peer)
+	}
+	defer c.udMu.Unlock()
+	if !c.udFromKVS && c.udVals == nil {
+		vals, err := c.udOp.WaitErr(c.cfg.PMI)
+		switch {
+		case err == nil:
+			c.udVals = vals
+		case errors.Is(err, pmi.ErrAborted):
+			if aerr := c.Err(); aerr != nil {
+				return aerr
+			}
+			return fmt.Errorf("gasnet: endpoint exchange aborted")
+		case !fallback:
+			return fmt.Errorf("gasnet: endpoint exchange lost: %w", err)
+		default:
+			// Graceful degradation: the non-blocking allgather is lost for
+			// every participant (the lost state is shared and sticky), so all
+			// PEs converge here and re-run the exchange as the blocking
+			// Put-Fence-Get sequence. Only a second permanent failure aborts.
+			if ferr := c.fallbackExchangeLocked(err); ferr != nil {
+				return ferr
+			}
+		}
+	}
+	c.udResolved.Store(true)
+	return nil
 }
 
 // fallbackExchangeLocked re-publishes this PE's UD endpoint through the
@@ -803,7 +826,7 @@ func (c *Conduit) atomicOp(peer int, wr ib.SendWR) (uint64, error) {
 }
 
 // postWait posts a work request and blocks for its completion, advancing the
-// PE clock to the completion's virtual time.
+// PE clock to the virtual time of the completion.
 func (c *Conduit) postWait(peer int, wr ib.SendWR) (ib.Completion, error) {
 	ch := make(chan ib.Completion, 1)
 	c.waiterMu.Lock()
@@ -816,14 +839,19 @@ func (c *Conduit) postWait(peer int, wr ib.SendWR) (ib.Completion, error) {
 		return ib.Completion{}, err
 	}
 	var comp ib.Completion
+	c.sched.Park() // whoever takes our entry out of c.waiters unparks us
 	select {
 	case comp = <-ch:
 	case <-c.abortCh:
 		// The job aborted while we were blocked; the completion may never
 		// arrive (the peer is dead or the fabric is being torn down).
 		c.waiterMu.Lock()
+		_, mine := c.waiters[wr.WRID]
 		delete(c.waiters, wr.WRID)
 		c.waiterMu.Unlock()
+		if mine {
+			c.sched.Unpark(1)
+		}
 		return ib.Completion{}, c.Err()
 	}
 	c.clk.AdvanceTo(comp.VTime)
@@ -966,62 +994,48 @@ func (c *Conduit) Close() {
 		// An aborted (or killed/wedged) PE skips the drain: its queued work
 		// was failed, not delivered, and waiting for a dead peer's handshake
 		// would hang teardown forever.
-		c.connMu.Lock()
-		for c.hasPendingLocked() && c.Err() == nil {
-			c.connCond.Wait()
-		}
-		c.connMu.Unlock()
+		//
 		// On a lossy fabric the retained session windows must drain too: a
 		// frame the peer NAKed (corrupt on delivery) has not executed, and
 		// the peer cannot finish its own final barrier without the replay —
-		// quitting now would take the RTO timer with us and strand it. The
-		// wait is progress-bounded rather than absolute: a peer that already
-		// executed everything (only the acknowledgements were lost) may have
-		// closed and gone deaf, so once the retained count stops moving for
-		// two maximum RTOs the leftover frames are presumed executed and
-		// teardown proceeds. With a live peer that still needs the data the
-		// count always moves: every RTO replays, the peer executes and acks.
-		if c.lossy {
-			patience := 2 * c.fullRTO()
-			if patience < 100*time.Millisecond {
-				patience = 100 * time.Millisecond
-			}
-			last, still := -1, time.Duration(0)
-			for c.Err() == nil {
-				c.outMu.Lock()
-				n := c.unackedWin
-				c.outMu.Unlock()
-				if n == 0 {
-					break
-				}
-				if n != last {
-					last, still = n, 0
-				} else if still >= patience {
-					break
-				}
-				time.Sleep(time.Millisecond)
-				still += time.Millisecond
-			}
-		}
+		// quitting now would take the retransmission timer with us and strand
+		// it. The wait is bounded by progress rather than time: a peer that
+		// already executed everything (only the acknowledgements were lost)
+		// may have closed and gone deaf, so once closeQuiet consecutive
+		// timeouts have drawn nothing from it, what is left for that peer is
+		// presumed executed and teardown proceeds. A live peer that still
+		// needs the data always answers: every timeout replays, the peer
+		// executes and acknowledges.
+		c.drain()
 		c.closed.Store(true)
-		close(c.closeCh)
 		c.hbStop()
 		c.connMu.Lock()
-		if c.timer != nil {
-			c.timer.Stop()
-		}
+		c.rtx.Stop()
 		c.connMu.Unlock()
 		c.cq.Close()
 		c.wg.Wait()
 	})
 }
 
-// hasPendingLocked reports whether any connection is still being
-// established or has queued traffic. Caller holds connMu.
-func (c *Conduit) hasPendingLocked() bool {
+// drain blocks until nothing this PE sent is still on its way: no handshake
+// in flight, nothing queued behind one, no framed send unacknowledged — or
+// the job aborted.
+func (c *Conduit) drain() {
+	c.connMu.Lock()
+	for c.drainingLocked() && c.Err() == nil {
+		c.connCond.Wait()
+	}
+	c.connMu.Unlock()
+}
+
+// drainingLocked reports whether Close still has something to wait for: a
+// connection being established, queued traffic, or retained frames, towards
+// a peer that has not gone quiet. Caller holds connMu.
+func (c *Conduit) drainingLocked() bool {
 	busy := false
 	c.conns.each(func(_ int, cn *conn) {
-		busy = busy || cn.state == connConnecting || cn.state == connAccepted || len(cn.pending) > 0
+		busy = busy || cn.quiet < closeQuiet && (cn.state == connConnecting ||
+			cn.state == connAccepted || len(cn.pending) > 0 || len(cn.unacked) > 0)
 	})
 	return busy
 }
@@ -1061,6 +1075,7 @@ func (c *Conduit) progress() {
 				// Puts with waiters are not used, but keep accounting exact.
 				c.putDone(comp)
 			}
+			c.sched.Unpark(1)
 			ch <- comp
 			continue
 		}
@@ -1108,7 +1123,7 @@ func (c *Conduit) handleAM(comp ib.Completion) {
 	if err != nil {
 		return
 	}
-	c.noteAlive(src)
+	c.noteAlive(src, comp.VTime)
 	at := comp.VTime + c.model.AMProcess
 	c.connMu.Lock()
 	h := c.handlers[handler]

@@ -165,3 +165,34 @@ func waitUntil(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached")
 }
+
+// TestPostNeverDepartsBeforeConnectionReady: the server side of a handshake
+// never blocks on it, so its application clock can be far behind the time its
+// connection became ready. A send posted then must still depart from the
+// connection's ready time — as it would have had it been queued behind the
+// handshake a moment earlier — and leave the application clock alone.
+func TestPostNeverDepartsBeforeConnectionReady(t *testing.T) {
+	pes, _ := startJob(t, jobOpts{n: 2, ppn: 1, mode: OnDemand})
+	dispatched := make(chan int64, 1)
+	pes[1].C.RegisterHandler(5, func(src int, a [4]uint64, p []byte, at int64) { dispatched <- at })
+	if err := pes[1].C.EnsureConnected(0); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return pes[0].C.Connected(1) }) // the RTU may still be in flight
+	pes[0].C.connMu.Lock()
+	ready := pes[0].C.conns.get(1).readyVT
+	pes[0].C.connMu.Unlock()
+	before := pes[0].Clk.Now()
+	if before >= ready {
+		t.Fatalf("premise: server app clock %d is not behind its connection's ready time %d", before, ready)
+	}
+	if err := pes[0].C.AMRequest(1, 5, [4]uint64{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if at := <-dispatched; at < ready {
+		t.Fatalf("message dispatched at VT %d over a connection that became ready at VT %d", at, ready)
+	}
+	if now := pes[0].Clk.Now(); now != before {
+		t.Fatalf("posting on a side clock moved the application clock: %d -> %d", before, now)
+	}
+}

@@ -3,7 +3,7 @@ package gasnet
 import (
 	"errors"
 	"fmt"
-	"time"
+	"sort"
 
 	"goshmem/internal/ib"
 	"goshmem/internal/obs"
@@ -46,25 +46,29 @@ func msgName(kind uint8) string {
 	return "unknown"
 }
 
-// Default real-time retransmission timing: the scan period and the initial
-// per-connection retransmission timeout with exponential backoff. Backoff
-// matters even without fault injection: a large static ConnectAll keeps
-// thousands of handshakes legitimately in flight for (real) seconds, and
-// resending all of them every scan would flood the completion queues.
-// Virtual-time charges for retransmissions use
-// CostModel.ConnRetransmitTimeout.
+// Retransmission runs on the job's timer queue (vclock.Sched), in virtual
+// time: a handshake leg or a retained data window times out one
+// CostModel.ConnRetransmitTimeout after it was last sent, and the timeout
+// fires only once the job is otherwise stuck — so it means the message is
+// lost, never that the host was slow, and needs no back-off (an admission
+// REJ is contention, not loss: dueLocked).
 const (
-	defaultRetransInterval = 10 * time.Millisecond
-	defaultRetransBaseRTO  = 25 * time.Millisecond
-	defaultRetransMaxShift = 6
+	// closeQuiet is how many consecutive timeouts may draw nothing from a
+	// peer before Close stops waiting for it; maxQuiet is where the timeouts
+	// themselves stop (see conn.quiet). closeQuiet timeouts must stay well
+	// inside the failure detector's confirmation time, or a PE draining
+	// towards a peer that has already closed would declare it dead.
+	closeQuiet = 8
+	maxQuiet   = 4 * recycleAttempts
 
-	// defaultProbeBackoffShift caps the exponential backoff of the failure
+	// probeBackoffShift caps the exponential backoff of the failure
 	// detector's confirmation probes (failure.go).
-	defaultProbeBackoffShift = 4
+	probeBackoffShift = 4
 
 	// rnrBackoffMaxShift caps the exponential virtual-time backoff applied
-	// to receiver-not-ready retries and zero-credit stalls (delay =
-	// RNRRetryDelay << min(attempt, rnrBackoffMaxShift)).
+	// to receiver-not-ready retries, zero-credit stalls and refused
+	// queue-pair allocations (delay = RNRRetryDelay << min(attempt,
+	// rnrBackoffMaxShift)).
 	rnrBackoffMaxShift = 6
 
 	// qpAllocRetries bounds the client-side evict-and-retry ladder for a
@@ -74,44 +78,13 @@ const (
 	qpAllocRetries = 256
 )
 
-// RetransConfig tunes the connection manager's real-time retransmission
-// machinery. Interval is the scan period, BaseRTO the first per-connection
-// timeout, and MaxShift caps the exponential backoff (RTO = BaseRTO <<
-// min(attempt, MaxShift)). Zero fields take the defaults, so the zero value
-// keeps the historical 10ms/25ms/6 behaviour. No program sets these;
-// fault-injection tests lower them to compress recovery time.
-type RetransConfig struct {
-	Interval time.Duration
-	BaseRTO  time.Duration
-	MaxShift int
-}
-
-// withDefaults fills zero fields with the default timing.
-func (rc RetransConfig) withDefaults() RetransConfig {
-	if rc.Interval <= 0 {
-		rc.Interval = defaultRetransInterval
+// backoff is the exponential back-off every retry loop here uses:
+// base << min(attempt, maxShift).
+func backoff(base int64, attempt, maxShift int) int64 {
+	if attempt > maxShift {
+		attempt = maxShift
 	}
-	if rc.BaseRTO <= 0 {
-		rc.BaseRTO = defaultRetransBaseRTO
-	}
-	if rc.MaxShift <= 0 {
-		rc.MaxShift = defaultRetransMaxShift
-	}
-	return rc
-}
-
-// rtoFor returns the real-time retransmission timeout for the given attempt.
-func (c *Conduit) rtoFor(attempt int) time.Duration {
-	if attempt > c.retrans.MaxShift {
-		attempt = c.retrans.MaxShift
-	}
-	return c.retrans.BaseRTO << attempt
-}
-
-// fullRTO is the fully backed-off retransmission timeout — the patience
-// unit of the Close drain's "wait one more full cycle" decision.
-func (c *Conduit) fullRTO() time.Duration {
-	return c.rtoFor(c.retrans.MaxShift)
+	return base << attempt
 }
 
 // isLinkFault reports whether a post failed because the RC connection died
@@ -178,8 +151,10 @@ func (c *Conduit) pickRailsLocked(dst uint16, vt int64) (pri, alt int) {
 // whose primary path failed: if the loaded alternate rail is live, the queue
 // pair swaps to it in place — no teardown, no handshake, and the session
 // layer's retained-frame window survives by construction because the QP never
-// leaves RTS. Caller holds connMu.
-func (c *Conduit) tryMigrateLocked(cn *conn, peer int) bool {
+// leaves RTS. vt is the virtual time of the post the path refused: the
+// alternate must be live then, or the retry would bounce straight back.
+// Caller holds connMu.
+func (c *Conduit) tryMigrateLocked(cn *conn, peer int, vt int64) bool {
 	qp := cn.qp
 	if qp == nil {
 		return false
@@ -187,6 +162,9 @@ func (c *Conduit) tryMigrateLocked(cn *conn, peer int) bool {
 	fab := c.cfg.HCA.Fabric()
 	fi := fab.Faults()
 	now := c.mgrClk.Now()
+	if vt > now {
+		now = vt
+	}
 	alt := qp.AltRail()
 	if alt == qp.Rail() || fi == nil || !fi.RailLive(c.cfg.HCA.LID(), qp.Remote().LID, alt, now) {
 		return false
@@ -261,15 +239,15 @@ func (c *Conduit) remoteQPAlive(d ib.Dest) bool {
 // leaves the slot recovering: migrated in place when only the primary path
 // died and the alternate is live, otherwise torn down for the caller's retry
 // loop to re-handshake.
-func (c *Conduit) linkFault(peer int, epoch uint64, err error) {
+func (c *Conduit) linkFault(peer int, epoch uint64, err error, clk *vclock.Clock) {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	cn := c.conns.get(peer)
 	if errors.Is(err, ib.ErrPathDown) && cn.epoch == epoch && cn.state == connReady &&
-		c.tryMigrateLocked(cn, peer) {
+		c.tryMigrateLocked(cn, peer, clk.Now()) {
 		return
 	}
-	c.linkFaultLocked(cn, peer, epoch, err, false, c.clk)
+	c.linkFaultLocked(cn, peer, epoch, err, false, clk)
 }
 
 // linkFaultLocked is the one epilogue for a failed post: classify the damage
@@ -320,14 +298,14 @@ func (c *Conduit) maybeEvictLocked(excludePeer int, vt int64) {
 }
 
 // evictLocked tears an eviction victim down. A last-resort victim still
-// retaining unacknowledged frames has its replay reconnect postponed by a
-// full RTO, so the queue-pair slot the eviction just freed is not
+// retaining unacknowledged frames has its window probe postponed by a full
+// RTO from now, so the queue-pair slot the eviction just freed is not
 // immediately reclaimed by the victim itself. Caller holds connMu.
 func (c *Conduit) evictLocked(victim *conn, peer int, vt int64, what string) {
 	c.driveLocked(victim, peer, event{kind: evEvict}, &driveIn{clk: vclock.NewClock(vt)})
 	if len(victim.unacked) > 0 {
-		victim.lastData = timeNow()
-		victim.dataAttempt++
+		victim.lastData = vt
+		c.armForLocked(victim)
 	}
 	c.led.Act("alloc", obs.InstJob, vt, what)
 }
@@ -408,9 +386,9 @@ func (c *Conduit) payload() []byte {
 // receive queue, so a well-behaved sender stalls locally instead of eating
 // NAK round trips; the receiver's RNR NAK (see postRNR) remains the ground
 // truth when the estimate runs early. Caller holds connMu.
-func (c *Conduit) creditGateLocked(cn *conn, depth, n int) {
+func (c *Conduit) creditGateLocked(cn *conn, depth, n int, clk *vclock.Clock) {
 	prune := func() {
-		now := c.clk.Now()
+		now := clk.Now()
 		i := 0
 		for i < len(cn.creditRel) && cn.creditRel[i] <= now {
 			// Each credit's release is stamped at its own estimated repost
@@ -427,12 +405,8 @@ func (c *Conduit) creditGateLocked(cn *conn, depth, n int) {
 	for len(cn.creditRel) >= depth {
 		// The oldest in-flight message frees its slot at creditRel[0]; sleep
 		// until then, backing off exponentially if the window stays shut.
-		shift := stalls
-		if shift > rnrBackoffMaxShift {
-			shift = rnrBackoffMaxShift
-		}
-		c.clk.AdvanceTo(cn.creditRel[0])
-		c.clk.Advance(c.model.RNRRetryDelay << shift)
+		clk.AdvanceTo(cn.creditRel[0])
+		clk.Advance(backoff(c.model.RNRRetryDelay, stalls, rnrBackoffMaxShift))
 		stalls++
 		prune()
 	}
@@ -442,17 +416,17 @@ func (c *Conduit) creditGateLocked(cn *conn, depth, n int) {
 		c.statMu.Unlock()
 	}
 	cn.creditRel = append(cn.creditRel,
-		c.clk.Now()+c.model.RCSendLatency+c.model.XferTime(n)+c.model.RQDrain)
-	c.gCredits.Add(c.clk.Now(), 1)
+		clk.Now()+c.model.RCSendLatency+c.model.XferTime(n)+c.model.RQDrain)
+	c.gCredits.Add(clk.Now(), 1)
 }
 
 // postRNR posts wr on qp, absorbing receiver-not-ready NAKs: each NAK backs
 // off exponentially on the work request's clock and retries, modeling the
 // HCA's RNR retry timer. The loop terminates because every retry departs
-// later, so its arrival eventually passes the receive queue's oldest
-// release time. Other errors — including link faults — return unchanged.
+// later, so its arrival eventually passes the oldest release time of the
+// receive queue. Other errors — including link faults — return unchanged.
 func (c *Conduit) postRNR(qp *ib.QP, wr ib.SendWR) error {
-	for shift := 0; ; shift++ {
+	for attempt := 0; ; attempt++ {
 		err := qp.PostSend(wr)
 		if !errors.Is(err, ib.ErrRNR) {
 			return err
@@ -460,11 +434,7 @@ func (c *Conduit) postRNR(qp *ib.QP, wr ib.SendWR) error {
 		c.statMu.Lock()
 		c.stats.RNRNaks++
 		c.statMu.Unlock()
-		s := shift
-		if s > rnrBackoffMaxShift {
-			s = rnrBackoffMaxShift
-		}
-		wr.Clk.Advance(c.model.RNRRetryDelay << s)
+		wr.Clk.Advance(backoff(c.model.RNRRetryDelay, attempt, rnrBackoffMaxShift))
 	}
 }
 
@@ -502,28 +472,52 @@ func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) error {
 			epoch := cn.epoch
 			c.useSeq++
 			cn.lastUse = c.useSeq
+			// The caller's clock may still be behind the connection (it kept
+			// running while the manager thread finished the handshake, or it
+			// is the server side and never waited at all). Such a post departs
+			// from the connection's send-queue time on a side clock, exactly
+			// as if it had been queued behind the handshake — which of the two
+			// it was is a race between goroutines and must not show.
+			clk, early := c.clk, false
+			if cn.sendVT != 0 {
+				if early = clk.Now() < cn.sendVT; early {
+					clk = vclock.NewClock(cn.sendVT)
+				} else {
+					cn.sendVT = 0 // the caller has caught up for good: clocks are monotone
+				}
+			}
 			if wr.Op == ib.OpSend {
 				if depth := c.cfg.HCA.Limits().RQDepth; depth > 0 {
-					c.creditGateLocked(cn, depth, len(wr.Data))
+					c.creditGateLocked(cn, depth, len(wr.Data), clk)
 				}
 			}
 			var err error
-			if c.lossy && wr.Op == ib.OpSend {
-				// Framed session path: sequence, trailer and retention happen
-				// under connMu so wire order equals sequence order. wr.Data is
-				// never mutated (the framing reallocates) and a failed frame
-				// rolls its sequence back, so the outer wr re-runs untouched.
-				err = c.postFramedLocked(cn, wr, c.clk)
+			framed := c.lossy && wr.Op == ib.OpSend
+			if !framed && !early {
 				c.connMu.Unlock()
-			} else {
-				c.connMu.Unlock()
-				wr.Clk = c.clk
+				wr.Clk = clk
 				err = c.postRNR(qp, wr)
+			} else {
+				if framed {
+					// Framed session path: sequence, trailer and retention
+					// happen under connMu so wire order equals sequence order.
+					// wr.Data is never mutated (the framing reallocates) and a
+					// failed frame rolls its sequence back, so the outer wr
+					// re-runs untouched.
+					err = c.postFramedLocked(cn, wr, clk)
+				} else {
+					wr.Clk = clk
+					err = c.postRNR(qp, wr)
+				}
+				if early {
+					cn.sendVT = clk.Now()
+				}
+				c.connMu.Unlock()
 			}
 			if err == nil || !(isLinkFault(err) || errors.Is(err, ib.ErrPathDown)) {
 				return err
 			}
-			c.linkFault(peer, epoch, err)
+			c.linkFault(peer, epoch, err, clk)
 			// Loop: the slot migrated, or is connNone now (or another poster
 			// already restarted the handshake); re-run this request.
 		case connConnecting, connAccepted:
@@ -584,76 +578,102 @@ func (c *Conduit) EnsureConnected(peer int) error {
 	}
 }
 
-// allocRCQPLocked obtains an RC queue pair under the adapter's budget for a
-// handshake with peer, running the client-side degradation ladder: evict an
-// idle connection and retry — with exponential virtual-time backoff — while
-// the budget could still free up, and abort the job with
-// ExitResourceExhausted once forward progress is provably impossible: the
-// adapter reports allocation can never succeed, or qpAllocRetries consecutive
-// retries pass without a single queue pair being destroyed anywhere on the
-// adapter (no other conduit is releasing endpoints either, so waiting longer
-// cannot help). A busy adapter where other tenants churn endpoints resets the
-// stall count — losing allocation races is contention, not exhaustion.
-// Called with connMu held; the lock is dropped and reacquired around each
-// backoff and around the abort, so on return the caller must re-validate the
-// slot's state before using the queue pair.
-func (c *Conduit) allocRCQPLocked(peer int, clk *vclock.Clock) (*ib.QP, error) {
-	stalled := 0
-	lastDestroyed := c.cfg.HCA.Stats().QPsDestroyed
-	for {
-		qp, err := c.tryAllocLocked(peer, clk)
-		if err == nil {
-			return qp, nil
+// allocLadder is one client attempt and the state of its degradation ladder
+// for a budget-refused queue pair: evict an idle connection and retry — after
+// an exponential virtual-time back-off on the job's timer queue — while the
+// budget could still free up, and abort the job with ExitResourceExhausted
+// once forward progress is provably impossible: the adapter reports allocation
+// can never succeed, or qpAllocRetries consecutive retries pass without a
+// single queue pair being destroyed anywhere on the adapter (no other conduit
+// is releasing endpoints either, so waiting longer cannot help). A busy
+// adapter where other tenants churn endpoints resets the stall count — losing
+// allocation races is contention, not exhaustion.
+type allocLadder struct {
+	peer      int
+	seq       uint32  // the attempt being served; a superseded one ends the ladder
+	ud        ib.Dest // the peer's resolved UD endpoint
+	stalled   int
+	destroyed int64 // the adapter's destroy count at the last refusal
+}
+
+// allocLocked carries client attempt l from "peer resolved" (or not: err) to
+// its next event: with the endpoint(s) in hand — one queue pair, or both
+// loopback ends for a connection to this PE itself — evQPAllocated; on a
+// failed lookup or an exhausted ladder evQPRefused, the abort left in in for
+// finish. A refusal that may yet clear arms the back-off timer instead and
+// reports wait: the timer (allocRetry) drives the slot, so nobody blocks on
+// the ladder — callers see a handshake in flight, exactly as while a REQ is
+// out — and the caller, once it has released connMu, asks the adapter's other
+// tenants for relief. Without that cross-process half of eviction, a PE whose
+// node-local siblings pin the whole budget — but, being idle, never allocate
+// and so never evict — reads the motionless destroy counter as exhaustion and
+// aborts a perfectly recoverable job. Caller holds connMu.
+func (c *Conduit) allocLocked(cn *conn, l *allocLadder, in *driveIn, err error) (wait bool, _ error) {
+	ev := event{kind: evQPAllocated, after: evWant, seq: l.seq}
+	if err == nil {
+		if in.qp, err = c.tryAllocLocked(l.peer, in.clk); err == nil && l.peer == c.cfg.Rank {
+			if in.loop, err = c.tryAllocLocked(l.peer, in.clk); err != nil {
+				in.qp.Destroy()
+				in.qp = nil
+			}
 		}
-		if d := c.cfg.HCA.Stats().QPsDestroyed; d != lastDestroyed {
-			lastDestroyed = d
-			stalled = 0
-		} else {
-			stalled++
-		}
-		if c.cfg.HCA.QPImpossible() || stalled >= qpAllocRetries {
+		if err != nil {
+			if d := c.cfg.HCA.Stats().QPsDestroyed; d != l.destroyed {
+				l.destroyed, l.stalled = d, 0
+			} else {
+				l.stalled++
+			}
+			if c.sched != nil && !c.cfg.HCA.QPImpossible() && l.stalled < qpAllocRetries {
+				c.event("qp-alloc-retry", l.peer, in.clk.Now())
+				next := *l
+				c.sched.After(in.clk.Now()+backoff(c.model.RNRRetryDelay, l.stalled, rnrBackoffMaxShift),
+					c.cfg.Rank, func(vt int64) { c.allocRetry(&next, vt) })
+				return true, nil
+			}
 			ae := &AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitResourceExhausted,
 				Reason: fmt.Sprintf("rank %d: RC endpoint for peer %d unobtainable after eviction and retry: %v",
-					c.cfg.Rank, peer, err)}
-			c.connMu.Unlock()
-			c.event("qp-alloc-fatal", peer, clk.Now())
-			c.Abort(ae)
-			c.connMu.Lock()
-			return nil, ae
+					c.cfg.Rank, l.peer, err)}
+			c.event("qp-alloc-fatal", l.peer, in.clk.Now())
+			in.later(deferred{ae: ae})
+			err = ae
 		}
-		shift := stalled
-		if shift > rnrBackoffMaxShift {
-			shift = rnrBackoffMaxShift
-		}
-		c.connMu.Unlock()
-		c.event("qp-alloc-retry", peer, clk.Now())
-		// Our own idle connections are gone (maybeEvictLocked found no more
-		// victims); ask the adapter's other tenants to release one before
-		// backing off. Without this cross-process half of eviction, a PE
-		// whose node-local siblings pin the whole budget — but, being idle,
-		// never allocate and so never evict — reads the motionless destroy
-		// counter as exhaustion and aborts a perfectly recoverable job.
-		c.cfg.HCA.RequestRelief(clk.Now())
-		clk.Advance(c.model.RNRRetryDelay << shift)
-		// Give the manager thread real time to finish the in-flight
-		// handshakes that are pinning the budget; virtual time alone cannot
-		// release them.
-		time.Sleep(time.Millisecond)
-		c.connMu.Lock()
 	}
+	if err != nil {
+		ev.kind = evQPRefused
+	}
+	c.driveLocked(cn, l.peer, ev, in)
+	return false, err
+}
+
+// allocRetry is the ladder's back-off timer: try again at vt, unless the
+// attempt was superseded meanwhile (we lost a collision and serve the peer's).
+func (c *Conduit) allocRetry(l *allocLadder, vt int64) {
+	if c.closed.Load() {
+		return
+	}
+	in := driveIn{clk: vclock.NewClock(vt), ud: l.ud}
+	wait := false
+	c.connMu.Lock()
+	if cn := c.conns.get(l.peer); cn != nil && cn.state == connConnecting && cn.seq == l.seq && !cn.hasQP {
+		wait, _ = c.allocLocked(cn, l, &in, nil)
+	}
+	c.connMu.Unlock()
+	if wait {
+		c.cfg.HCA.RequestRelief(vt)
+	}
+	c.finish(&in)
 }
 
 // initiate starts the client side of the handshake (paper Fig. 4). It owns
-// the two steps that genuinely block — resolving the peer's UD endpoint
-// (completing the non-blocking PMI exchange if needed) and the sleeping
-// allocation ladder — and reports each outcome to the transition table as an
-// event; an incoming REQ from the same peer may meanwhile win the collision
-// and turn this slot into the server side, in which case the table discards
-// the client attempt. A connection to this PE itself (OpenSHMEM allows
-// communication with one's own rank; the fully connected baseline counts it
-// too) skips the lookup and allocates both loopback endpoints.
+// the one step that genuinely blocks — resolving the peer's UD endpoint
+// (completing the non-blocking PMI exchange if needed) — and reports each
+// outcome to the transition table as an event; an incoming REQ from the same
+// peer may meanwhile win the collision and turn this slot into the server
+// side, in which case the table discards the client attempt. A connection to
+// this PE itself (OpenSHMEM allows communication with one's own rank; the
+// fully connected baseline counts it too) skips the lookup and allocates both
+// loopback endpoints.
 func (c *Conduit) initiate(peer int) error {
-	self := peer == c.cfg.Rank
 	in := driveIn{clk: c.clk}
 	c.connMu.Lock()
 	if c.deadPeers[peer] {
@@ -666,31 +686,34 @@ func (c *Conduit) initiate(peer int) error {
 		return nil
 	}
 	c.driveLocked(cn, peer, event{kind: evWant}, &in)
-	ev := event{kind: evQPAllocated, after: evWant, seq: cn.seq}
+	l := allocLadder{peer: peer, seq: cn.seq, destroyed: -1}
 	var err error
-	if !self {
+	if peer != c.cfg.Rank {
 		c.connMu.Unlock()
 		in.ud, err = c.resolveUD(peer)
 		c.connMu.Lock()
-		if cn.state != connConnecting || cn.seq != ev.seq {
+		if cn.state != connConnecting || cn.seq != l.seq {
 			c.connMu.Unlock()
 			return nil // superseded while resolving
 		}
+		l.ud = in.ud
 	}
-	// The ladder drops and retakes connMu; the table re-validates the slot.
-	if err == nil {
-		in.qp, err = c.allocRCQPLocked(peer, c.clk)
-	}
-	if err == nil && self {
-		in.loop, err = c.allocRCQPLocked(peer, c.clk)
-	}
-	if err != nil {
-		ev.kind = evQPRefused
-	}
-	c.driveLocked(cn, peer, ev, &in)
+	wait, err := c.allocLocked(cn, &l, &in, err)
 	c.connMu.Unlock()
+	if wait {
+		c.cfg.HCA.RequestRelief(c.clk.Now())
+		return nil
+	}
 	if serr := c.finish(&in); err == nil {
 		err = serr
+	}
+	if err != nil {
+		// This PE may have been killed (or the job aborted) while we were
+		// blocked above: the endpoints are gone and the sends fail, but what
+		// the caller needs to hear is why.
+		if lerr := c.LivenessErr(); lerr != nil {
+			err = lerr
+		}
 	}
 	return err
 }
@@ -747,7 +770,7 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		}
 		return
 	}
-	c.noteAlive(peer)
+	c.noteAlive(peer, comp.VTime)
 	if c.obs.EventsEnabled() {
 		c.obs.Emit(comp.VTime, obs.LayerGasnet, "ud-recv", peer, int64(len(comp.Data)),
 			obs.Attr{Key: "msg", Val: msgName(m.Kind)})
@@ -788,7 +811,7 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 type driveIn struct {
 	clk      *vclock.Clock // service clock: timestamps, QP transitions, replies
 	m        connMsg       // the wire message being served (Kind 0: none)
-	at       int64         // its virtual arrival time (kept with a held REQ)
+	at       int64         // its virtual arrival time (kept with a held REQ); a timeout's deadline
 	ud       ib.Dest       // client attempt: the peer's resolved UD endpoint
 	qp, loop *ib.QP        // evQPAllocated: the endpoint(s) in hand
 	payload  []byte        // the peer's upper-layer payload, set by the bind
@@ -798,6 +821,13 @@ type driveIn struct {
 	more  []deferred // ... and only the scan leaves many, so only it allocates
 	nout  int
 	wake  bool // a slot became ready or was torn down: wake connCond's waiters
+	// relief: the adapter refused a queue pair to a row that wanted one (an
+	// admission REJ, a re-arm). The refused side will be back after its
+	// back-off, and time passes only while the job is stuck — so unless an
+	// idle endpoint is released now, possibly by a sibling sharing the
+	// adapter, it will be refused again, and again, until the REJ bound aborts
+	// a perfectly recoverable job.
+	relief bool
 }
 
 // later queues d for finish.
@@ -838,6 +868,7 @@ func (c *Conduit) handleLeg(kind evKind, m connMsg, at int64, svc *vclock.Clock)
 		cn = c.conns.getOrCreate(peer)
 	}
 	if cn != nil {
+		cn.quiet = 0
 		c.driveLocked(cn, peer, ev, &in)
 	}
 	c.connMu.Unlock()
@@ -850,6 +881,9 @@ func (c *Conduit) handleLeg(kind evKind, m connMsg, at int64, svc *vclock.Clock)
 func (c *Conduit) finish(in *driveIn) (err error) {
 	if in.wake {
 		c.connCond.Broadcast()
+	}
+	if in.relief {
+		c.cfg.HCA.RequestRelief(in.clk.Now())
 	}
 	for i := 0; i < in.nout; i++ {
 		d := &in.first
@@ -903,6 +937,7 @@ event: // a row that ends in actAllocQP is answered by a second event
 				ev = event{kind: evQPAllocated, after: ev.kind, seq: ev.seq, rc: ev.rc}
 				if in.qp, err = c.tryAllocLocked(peer, in.clk); err != nil {
 					ev.kind, ev.fatal = evQPRefused, c.cfg.HCA.QPImpossible()
+					in.relief = true
 				}
 				continue event
 			case actAdoptQP:
@@ -933,13 +968,13 @@ event: // a row that ends in actAllocQP is answered by a second event
 				cn.creditRel = nil // the replacement connection starts with a full window
 				in.wake = true
 			case actReinitiate:
-				go c.initiate(peer)
+				c.sched.Go(func() { c.initiate(peer) })
 			case actArmTimer:
+				cn.lastTx = in.clk.Now()
 				if cn.attempt == 0 {
-					cn.firstTx = in.clk.Now()
+					cn.firstTx = cn.lastTx
 				}
-				cn.lastTx = timeNow()
-				c.armTimerLocked()
+				c.armForLocked(cn)
 			case actAbort:
 				in.later(deferred{ae: c.rejectedAbort(peer, cn.rejCount, ev.fatal)})
 			default:
@@ -1025,21 +1060,13 @@ func (c *Conduit) legLocked(cn *conn, peer int, op action, ev event, in *driveIn
 }
 
 // resendLegLocked retransmits the slot's current leg — REQ while connecting,
-// REP while accepted. The resend is charged at a virtual time derived from
-// the leg's first transmission and the attempt count alone, so it does not
-// depend on when the wall-clock scan fired. It must also never lag the
-// manager clock: a handshake that began just inside a partition window would
-// otherwise replay its REQ at in-window virtual times forever — blackholed
-// every attempt — while the detector (whose probes ride the manager clock)
-// has already warped past the heal and sees the peer as healthy. Caller holds
-// connMu.
+// REP while accepted — at the virtual time its timeout fell (in.at), so the
+// resend's timestamps are a function of the leg's own transmission history
+// and never of when the host got round to it. Caller holds connMu.
 func (c *Conduit) resendLegLocked(cn *conn, peer int, in *driveIn) {
-	cn.lastTx = timeNow()
-	at := cn.firstTx + int64(cn.attempt)*c.model.ConnRetransmitTimeout
-	if mnow := c.mgrClk.Now(); mnow > at {
-		at = mnow
-	}
-	c.mgrClk.AdvanceTo(at)
+	at := in.at
+	cn.lastTx = at
+	c.armForLocked(cn)
 	op := actSendReq
 	if cn.state == connAccepted {
 		op = actSendRep
@@ -1120,7 +1147,7 @@ func (c *Conduit) bindQPLocked(cn *conn, ev event, in *driveIn) error {
 // readyLocked is the one "connection became ready" epilogue. The queued
 // traffic is flushed by the action that follows. Caller holds connMu.
 func (c *Conduit) readyLocked(cn *conn, peer int, by evKind, recon bool, vt int64) {
-	cn.readyVT = vt
+	cn.readyVT, cn.sendVT = vt, vt
 	c.nReady++
 	if vt > c.lastReadyVT {
 		c.lastReadyVT = vt
@@ -1168,6 +1195,7 @@ func (c *Conduit) flushLocked(cn *conn, peer int) bool {
 		return true
 	}
 	fc := vclock.NewClock(cn.readyVT)
+	depth := c.cfg.HCA.Limits().RQDepth
 	for i, p := range cn.pending {
 		// First-op penalty: how long the queued request waited on the
 		// handshake (zero when the request was enqueued after ready).
@@ -1179,6 +1207,11 @@ func (c *Conduit) flushLocked(cn *conn, peer int) bool {
 		fc.AdvanceTo(p.enq)
 		wr := p.wr
 		wr.Clk = fc
+		if wr.Op == ib.OpSend && depth > 0 {
+			// A queued send takes its receive credit like a direct one, or the
+			// next direct send would not know the slot is gone.
+			c.creditGateLocked(cn, depth, len(wr.Data), fc)
+		}
 		post := func() error {
 			if c.lossy && wr.Op == ib.OpSend {
 				// Queued sends were never framed (p.wr keeps the caller's
@@ -1188,7 +1221,7 @@ func (c *Conduit) flushLocked(cn *conn, peer int) bool {
 			return c.postRNR(cn.qp, wr)
 		}
 		err := post()
-		if err != nil && errors.Is(err, ib.ErrPathDown) && c.tryMigrateLocked(cn, peer) {
+		if err != nil && errors.Is(err, ib.ErrPathDown) && c.tryMigrateLocked(cn, peer, fc.Now()) {
 			// The primary rail died mid-flush but APM found a live alternate:
 			// one in-place retry (a failed framed post rolled its sequence
 			// back, so the number is safe to reuse).
@@ -1206,85 +1239,130 @@ func (c *Conduit) flushLocked(cn *conn, peer int) bool {
 		return false
 	}
 	cn.pending = nil
+	cn.sendVT = fc.Now()
 	return true
 }
 
-// armTimerLocked schedules a retransmission scan if one is not pending.
-// Retransmission exists for lossy fabrics (see ib.Fabric.Lossy) and for
-// budgeted adapters (see ib.HCA.Limited), where an admission-rejected
-// request must be re-sent after backoff; an unbudgeted lossless run never
-// arms the timer, keeping its trace byte-identical to the historical one.
-func (c *Conduit) armTimerLocked() {
-	if c.timerOn || c.closed.Load() ||
-		!(c.cfg.HCA.Fabric().Lossy() || c.cfg.HCA.Limited()) {
-		return
+// severed reports whether every rail to the adapter at lid is dark at virtual
+// time vt — the pair is partitioned: datagrams blackhole, no reconnect can
+// succeed — and, if so, when the schedule says it heals (-1: never).
+func (c *Conduit) severed(lid uint16, vt int64) (dark bool, heal int64) {
+	fab := c.cfg.HCA.Fabric()
+	src := c.cfg.HCA.LID()
+	if !c.netFaulty || lid == 0 || !fab.PathsSevered(src, lid, vt) {
+		return false, 0
 	}
-	c.timerOn = true
-	c.timer = time.AfterFunc(c.retrans.Interval, c.retransScan)
+	if windowed, heal := fab.Faults().PartitionInfo(src, lid, vt); windowed {
+		return true, heal
+	}
+	return true, -1 // failed ports or rails: no heal is ever coming
 }
 
-// retransScan is the retransmission timer: every slot gets a timeout event
-// (the table resends the REQ or REP of a handshake still in flight, re-arms
-// a rejected one, or recycles one that cannot complete), after the data
-// plane's own RTO check.
-func (c *Conduit) retransScan() {
+// dueLocked returns the virtual time of cn's next timeout, if it has one: one
+// ConnRetransmitTimeout after the handshake leg in flight was last sent, or
+// after the last framed post when frames are retained and nothing else is on
+// its way to move them; a rejected client waits longer with every REJ. A timeout that
+// would fall while the pair is partitioned is put off to the scheduled heal —
+// resending into a blackhole proves nothing — and one behind a severance that
+// never heals, or towards a peer quiet for maxQuiet timeouts, is not armed at
+// all: that silence is the failure detector's to end. Caller holds connMu.
+func (c *Conduit) dueLocked(cn *conn) (due int64, ok bool) {
+	wait := c.model.ConnRetransmitTimeout
+	switch {
+	case cn.quiet >= maxQuiet:
+		return 0, false
+	case cn.state == connConnecting && cn.rejWait:
+		// Admission back-off is contention, not loss: it grows with every
+		// rejection, or budget-starved ranks retrying in lockstep would keep
+		// rejecting each other until the REJ bound aborts the job.
+		due, wait = cn.lastTx, backoff(wait, cn.attempt, rnrBackoffMaxShift)
+	case cn.state == connAccepted, cn.state == connConnecting && cn.hasQP:
+		due = cn.lastTx
+	case len(cn.unacked) > 0 && (cn.state == connReady || cn.state == connNone && len(cn.pending) == 0):
+		due = cn.lastData
+	default:
+		return 0, false
+	}
+	due += wait
+	if dark, heal := c.severed(cn.peerUD.LID, due); dark {
+		if heal < 0 {
+			return 0, false
+		}
+		due = heal
+	}
+	return due, true
+}
+
+// armForLocked makes sure the retransmission timer fires no later than cn's
+// next timeout. Only a fabric that can lose a message or refuse an endpoint
+// has a timer queue; a lossless, unbudgeted run arms nothing. Caller holds
+// connMu.
+func (c *Conduit) armForLocked(cn *conn) {
+	if c.sched == nil || c.closed.Load() {
+		return
+	}
+	if due, ok := c.dueLocked(cn); ok && (c.rtx == nil || due < c.rtxAt) {
+		c.rtx.Stop()
+		c.rtx, c.rtxAt = c.sched.After(due, c.cfg.Rank, c.retransScan), due
+	}
+}
+
+// retransScan is the retransmission timer: every slot whose timeout has
+// fallen by now gets it — the table resends the REQ or REP of a handshake
+// still in flight, re-arms a rejected one, or recycles one that cannot
+// complete; the session layer replays or probes for a retained window — at
+// the virtual time it fell, and the timer is re-armed for the earliest
+// timeout left.
+func (c *Conduit) retransScan(now int64) {
 	if c.closed.Load() {
 		return
 	}
-	var probes [][2]uint64 // {peer, txSeq}
+	c.mgrClk.AdvanceTo(now)
+	var fallen []int
 	in := driveIn{clk: c.mgrClk}
 	c.connMu.Lock()
-	c.timerOn = false
-	now := timeNow()
+	c.rtx = nil
 	c.conns.each(func(peer int, cn *conn) {
-		if c.dataTimeoutLocked(cn, peer, now) {
-			probes = append(probes, [2]uint64{uint64(peer), cn.txSeq})
+		if due, ok := c.dueLocked(cn); ok && due <= now {
+			fallen = append(fallen, peer)
 		}
-		ev := event{kind: evTimeout, rtoExpired: now.Sub(cn.lastTx) >= c.rtoFor(cn.attempt)}
-		c.driveLocked(cn, peer, ev, &in)
 	})
-	if c.hasPendingLocked() || c.hasUnackedLocked() {
-		c.armTimerLocked()
+	sort.Ints(fallen) // what is sent in which order must not depend on map iteration
+	for _, peer := range fallen {
+		cn := c.conns.get(peer)
+		due, _ := c.dueLocked(cn)
+		if cn.quiet++; cn.quiet == closeQuiet {
+			in.wake = true // Close may be waiting for exactly this
+		}
+		switch cn.state {
+		case connConnecting, connAccepted:
+			in.at = due
+			c.driveLocked(cn, peer, event{kind: evTimeout, rtoExpired: true}, &in)
+		case connReady:
+			// Either the frames or their acknowledgements were lost on the UD
+			// side; replay — the ledger absorbs any duplicates.
+			cn.lastData = due
+			c.resendUnackedLocked(cn, peer, vclock.NewClock(due))
+		default:
+			// A torn-down connection retaining frames with nothing queued to
+			// trigger a reconnect. Left alone, the retained window (and any
+			// Quiet on it) would hang forever — but a post that succeeded was
+			// delivered (an errored post rolls its sequence back), so in the
+			// common case only the acknowledgement was the casualty and the
+			// frames need trimming, not resending. Probe the peer's cumulative
+			// sequence over UD: no queue-pair budget is consumed, and under
+			// eviction churn the probes cannot stampede the peer's admission
+			// control the way replay reconnects did. Only if the reply leaves
+			// frames retained — data genuinely missing — does handleDataAck
+			// restart the handshake.
+			cn.lastData = due
+			in.later(deferred{peer: peer, ud: cn.peerUD, clk: vclock.NewClock(due), m: connMsg{Kind: msgDataProbe,
+				SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr(), Payload: encodeSeqPayload(cn.txSeq)}})
+		}
 	}
+	c.conns.each(func(_ int, cn *conn) { c.armForLocked(cn) })
 	c.connMu.Unlock()
-	for _, p := range probes {
-		c.sendDataCtl(int(p[0]), msgDataProbe, p[1], c.mgrClk.Now())
-	}
 	c.finish(&in)
-}
-
-// dataTimeoutLocked is the session layer's share of the scan: when cn's
-// retained window has made no acknowledgement progress for its backed-off
-// RTO, replay it over a ready connection, or — reporting true — ask for a
-// window probe when the connection is gone and nothing is queued to bring it
-// back. Caller holds connMu.
-func (c *Conduit) dataTimeoutLocked(cn *conn, peer int, now time.Time) (probe bool) {
-	if !c.lossy || len(cn.unacked) == 0 || now.Sub(cn.lastData) < c.rtoFor(cn.dataAttempt) {
-		return false
-	}
-	switch {
-	case cn.state == connReady:
-		// Either the frames or their acknowledgements were lost on the UD
-		// side; replay — the ledger absorbs any duplicates.
-		cn.lastData = now
-		cn.dataAttempt++
-		c.resendUnackedLocked(cn, peer, vclock.NewClock(c.mgrClk.Now()))
-	case cn.state == connNone && len(cn.pending) == 0:
-		// A torn-down connection retaining frames with nothing queued to
-		// trigger a reconnect. Left alone, the retained window (and any Quiet
-		// on it) would hang forever — but a post that succeeded was delivered
-		// (an errored post rolls its sequence back), so in the common case
-		// only the acknowledgement was the casualty and the frames need
-		// trimming, not resending. Probe the peer's cumulative sequence over
-		// UD: no queue-pair budget is consumed, and under eviction churn the
-		// probes cannot stampede the peer's admission control the way replay
-		// reconnects did. Only if the reply leaves frames retained — data
-		// genuinely missing — does handleDataAck restart the handshake.
-		cn.lastData = now
-		cn.dataAttempt++
-		return true
-	}
-	return false
 }
 
 // ConnectAll eagerly establishes the fully connected process group: the

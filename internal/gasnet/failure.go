@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"goshmem/internal/ib"
 	"goshmem/internal/obs"
@@ -88,86 +87,58 @@ func (e *WedgeError) Error() string {
 	return fmt.Sprintf("gasnet: rank %d wedged (injected) at vt %d, released by job abort", e.Rank, e.VT)
 }
 
-// Default heartbeat timing. The scan period is real time (like the
-// retransmission scan: the simulator's only actual clock); each probe charges
-// CostModel.HeartbeatPeriod of virtual time, so confirmation completes within
-// a bounded number of virtual detector periods.
+// Detector thresholds. The detector ticks on the job's timer queue once per
+// CostModel.HeartbeatPeriod of virtual time — that is, only while the job is
+// otherwise stuck — so a death is confirmed within a bounded number of virtual
+// detector periods, and a peer that is merely slow on the host is never
+// suspected at all.
 const (
-	defaultHBInterval     = 2 * time.Millisecond
-	defaultHBSuspectAfter = 3  // silent scan periods before suspicion
-	defaultHBConfirmAfter = 4  // unanswered backoff probes before confirm-dead
-	defaultHBPartition    = 16 // charged patience probes before a permanent partition aborts; also the quiet-air reconfirmation rounds
+	hbSuspectAfter = 3  // silent periods before suspicion
+	hbConfirmAfter = 4  // unanswered backoff probes before the verdict
+	hbPartition    = 16 // verdicts a permanent partition survives before the job aborts
 )
 
-// HeartbeatConfig tunes the UD-heartbeat failure detector. The detector is
-// armed only when the fabric has PE-failure injections scheduled or Enable is
-// set — a fault-free run never probes, suspects, or pays anything for it.
+// HeartbeatConfig forces the UD-heartbeat failure detector on or off. Left
+// zero, it is armed only when the fabric has PE or network failures scheduled
+// — a fault-free run never probes, suspects, or pays anything for it.
 //
 // Liveness is piggybacked on existing traffic: every software-level message
 // from a peer (handshake legs, active messages, heartbeat acks) refreshes it.
 // Explicit probes go only to monitored peers that have been silent for a full
-// scan period. A peer that stays silent for SuspectAfter consecutive scans
-// becomes suspect; it is then probed with exponential backoff and confirmed
-// dead only after ConfirmAfter further unanswered probes. A PE slowed by the
-// SlowPE injector is only charged virtual time — its real-time replies still
-// arrive within a scan period — so slowness alone never confirms.
+// period. A peer silent for hbSuspectAfter consecutive ticks becomes suspect;
+// it is then probed with exponential backoff and its fate decided (dead, or
+// partitioned: partitionVerdict) after hbConfirmAfter further unanswered
+// probes. A live peer's manager thread answers every probe that reaches it
+// before the next tick can fire, however slow the host, so only a probe the
+// fabric lost can go unanswered.
 type HeartbeatConfig struct {
-	// Enable arms the detector even without scheduled PE failures.
+	// Enable arms the detector even without scheduled failures.
 	Enable bool
 	// Disable forces the detector off (watchdog tests use it to make an
 	// injected failure genuinely hang the job).
 	Disable bool
-	// Interval is the real-time scan period (default 2ms).
-	Interval time.Duration
-	// SuspectAfter is the number of silent scan periods before suspicion
-	// (default 3).
-	SuspectAfter int
-	// ConfirmAfter is the number of unanswered confirmation probes, with
-	// exponential backoff, before a suspect is confirmed dead (default 4).
-	ConfirmAfter int
 }
 
-// withDefaults fills zero fields with the default timing.
-func (hc HeartbeatConfig) withDefaults() HeartbeatConfig {
-	if hc.Interval <= 0 {
-		hc.Interval = defaultHBInterval
-	}
-	if hc.SuspectAfter <= 0 {
-		hc.SuspectAfter = defaultHBSuspectAfter
-	}
-	if hc.ConfirmAfter <= 0 {
-		hc.ConfirmAfter = defaultHBConfirmAfter
-	}
-	return hc
-}
-
-// peerHealth is the detector's view of one monitored peer.
+// peerHealth is the detector's view of one monitored peer. Times are virtual.
 type peerHealth struct {
-	lastHeard time.Time
-	missed    int // consecutive silent scan periods
+	lastHeard int64
+	missed    int // consecutive silent ticks
 	suspect   bool
-	probes    int // confirmation probes sent since suspicion
-	lastProbe time.Time
-	probeVT   int64 // virtual send time of the last explicit probe (RTT hist)
+	since     int64 // when the current suspicion (or its last restart) began
+	probes    int   // confirmation probes sent since then
+	lastProbe int64
+	probeVT   int64 // send time of the last explicit probe (RTT hist)
 	dead      bool
 
 	// suspended marks a peer the detector would have confirmed dead but for
 	// the fabric's verdict that the pair is partitioned (every rail severed
 	// while both sides are alive): the peer is held in suspend-and-retry
-	// instead of aborting the job, with patience probes advancing virtual
-	// time. suspendVT is the virtual time suspension began; patienceProbes
-	// counts the charged probes spent waiting on a permanent partition.
-	suspended      bool
-	suspendVT      int64
-	patienceProbes int
-	// reconfirmRounds counts the clear-air reconfirmation rounds spent on
-	// this peer after a severance ended (the partition healed, or the
-	// verdict clock passed the window): the silence accumulated while the
-	// fabric was dark proves nothing, and even afterwards a live peer can
-	// lag behind recovery replays, so the detector re-drains the
-	// confirmation budget defaultHBPartition times in quiet air before it
-	// may declare the peer dead. An ack clears it via noteAlive.
-	reconfirmRounds int
+	// instead of aborting the job. healVT is when the schedule says the
+	// severance ends (-1: never); patience counts the verdicts spent waiting
+	// on a permanent one.
+	suspended bool
+	healVT    int64
+	patience  int
 }
 
 // Self-fate states cached in Conduit.selfState.
@@ -177,28 +148,34 @@ const (
 	selfWedged
 )
 
-// hbInit resolves the heartbeat configuration and arms the scan timer when
-// the failure plane is in play. Called from New.
+// hbInit arms the detector's tick when the failure plane is in play. Called
+// from New.
 func (c *Conduit) hbInit() {
-	c.hb = c.cfg.Heartbeat.withDefaults()
 	c.abortCh = make(chan struct{})
 	c.deadPeers = make(map[int]bool)
 	c.health = make(map[int]*peerHealth)
 	fab := c.cfg.HCA.Fabric()
-	c.hbArmed = !c.hb.Disable && (c.hb.Enable || fab.PEFaulty() || fab.NetFaulty())
+	c.netFaulty = fab.NetFaulty()
+	hb := c.cfg.Heartbeat
+	c.hbArmed = !hb.Disable && c.sched != nil && (hb.Enable || fab.PEFaulty() || c.netFaulty)
 	if c.hbArmed {
-		c.hbMu.Lock()
-		c.hbTimer = time.AfterFunc(c.hb.Interval, c.hbScan)
-		c.hbMu.Unlock()
+		c.hbRearm(c.clk.Now())
 	}
 }
 
-// hbStop cancels the scan timer at Close.
+// hbRearm schedules the next tick one period after now.
+func (c *Conduit) hbRearm(now int64) {
+	c.hbMu.Lock()
+	if !c.closed.Load() {
+		c.hbTimer = c.sched.After(now+c.model.HeartbeatPeriod, c.cfg.Rank, c.hbTick)
+	}
+	c.hbMu.Unlock()
+}
+
+// hbStop cancels the tick at Close.
 func (c *Conduit) hbStop() {
 	c.hbMu.Lock()
-	if c.hbTimer != nil {
-		c.hbTimer.Stop()
-	}
+	c.hbTimer.Stop()
 	c.hbMu.Unlock()
 }
 
@@ -239,7 +216,7 @@ func (c *Conduit) enterKilled(now int64) {
 	})
 	c.connMu.Unlock()
 	c.udQP.Destroy()
-	c.raiseLocal(&CrashError{Rank: c.cfg.Rank, VT: now})
+	c.raiseLocal(&CrashError{Rank: c.cfg.Rank, VT: now}, nil)
 }
 
 // enterWedged marks the scheduled wedge: the software stops — no handler
@@ -274,7 +251,9 @@ func (c *Conduit) checkAlive() error {
 	case selfKilled:
 		return &CrashError{Rank: c.cfg.Rank, VT: c.clk.Now()}
 	case selfWedged:
+		c.sched.Park()
 		<-c.abortCh
+		c.sched.Unpark(1)
 		return &WedgeError{Rank: c.cfg.Rank, VT: c.clk.Now()}
 	}
 	if err := c.Err(); err != nil {
@@ -343,15 +322,15 @@ func (c *Conduit) MonitorPeer(peer int) {
 	}
 	c.hbMu.Lock()
 	if c.health[peer] == nil {
-		c.health[peer] = &peerHealth{lastHeard: timeNow()}
+		c.health[peer] = &peerHealth{lastHeard: c.clk.Now()}
 	}
 	c.hbMu.Unlock()
 }
 
 // noteAlive refreshes the detector's liveness for peer — the piggyback path:
-// any software-level message from the peer proves it alive, so explicit
-// probes are needed only when a link is idle.
-func (c *Conduit) noteAlive(peer int) {
+// any software-level message from the peer (vt is its arrival) proves it
+// alive, so explicit probes are needed only when a link is idle.
+func (c *Conduit) noteAlive(peer int, vt int64) {
 	if !c.hbArmed || peer == c.cfg.Rank || peer < 0 || peer >= c.cfg.NProcs {
 		return
 	}
@@ -361,7 +340,9 @@ func (c *Conduit) noteAlive(peer int) {
 		h = &peerHealth{}
 		c.health[peer] = h
 	}
-	h.lastHeard = timeNow()
+	if vt > h.lastHeard {
+		h.lastHeard = vt
+	}
 	h.missed = 0
 	cleared := h.suspect && !h.dead
 	healed := h.suspended && !h.dead
@@ -369,8 +350,7 @@ func (c *Conduit) noteAlive(peer int) {
 		h.suspect = false
 		h.probes = 0
 		h.suspended = false
-		h.patienceProbes = 0
-		h.reconfirmRounds = 0
+		h.patience = 0
 	}
 	c.hbMu.Unlock()
 	if healed {
@@ -394,11 +374,14 @@ func (c *Conduit) noteAlive(peer int) {
 	}
 }
 
-// hbScan is the detector's periodic pass: check the out-of-band abort flag,
-// then walk the monitored peers — advance silence counters, raise suspicions,
-// send backoff probes, and confirm deaths. Probes go only to peers that have
-// been silent for at least one full scan period.
-func (c *Conduit) hbScan() {
+// hbTick is the detector's pass, one period of virtual time after the last:
+// check the out-of-band abort flag, then walk the monitored peers — advance
+// silence counters, raise suspicions, send backoff probes, and hand spent
+// confirmation budgets to the verdict. Probes go only to peers silent for at
+// least one full period. It runs on the timer queue, so the job was stuck when
+// it fired: virtual time really has passed for every PE, and the manager clock
+// follows it.
+func (c *Conduit) hbTick(vt int64) {
 	if c.closed.Load() {
 		return
 	}
@@ -413,248 +396,163 @@ func (c *Conduit) hbScan() {
 		if n.Dead >= 0 && n.Dead < c.cfg.NProcs && n.Dead != c.cfg.Rank {
 			c.markDead(n.Dead)
 		}
-		c.raiseLocal(&AbortError{Origin: n.Origin, Dead: n.Dead, Code: n.Code, Reason: n.Reason})
+		c.raiseLocal(&AbortError{Origin: n.Origin, Dead: n.Dead, Code: n.Code, Reason: n.Reason}, nil)
 	}
 	if c.Err() != nil {
-		return // job is dead; no further scans
+		return // job is dead; no further ticks
 	}
-	if c.selfFate(c.mgrClk.Now()) != selfAlive {
+	// The job's time, not just the detector's: the app thread may have run
+	// into a fault window the manager clock has not reached (its send is what
+	// went silent), and it is parked now, so its clock is a fact.
+	now := c.mgrClk.AdvanceTo(vt)
+	if app := c.clk.Now(); app > now {
+		now = c.mgrClk.AdvanceTo(app)
+	}
+	if c.selfFate(now) != selfAlive {
 		// A killed or wedged PE's software no longer probes; keep polling only
 		// the out-of-band abort flag above so the launcher's kill can land.
-		c.hbRearm()
+		c.hbRearm(now)
 		return
 	}
-	now := timeNow()
-	type ping struct {
-		peer   int
-		charge bool // confirmation probe: charge virtual detector period
-	}
-	var probes []ping
-	var verdicts []int
+	period := c.model.HeartbeatPeriod
+	var probes, verdicts []int
 	c.hbMu.Lock()
-	for peer, h := range c.health {
-		if h.dead {
-			continue
-		}
-		if now.Sub(h.lastHeard) < c.hb.Interval {
-			continue // piggybacked traffic is fresh; nothing to do
-		}
-		if !h.suspect {
+	peers := make([]int, 0, len(c.health))
+	for peer := range c.health {
+		peers = append(peers, peer)
+	}
+	sort.Ints(peers) // probe order must not depend on map iteration
+	for _, peer := range peers {
+		h := c.health[peer]
+		switch {
+		case h.dead, now-h.lastHeard < period: // gone, or piggybacked traffic is fresh
+		case h.suspended && h.healVT > now: // waiting out a scheduled partition
+		case !h.suspect:
 			h.missed++
-			if h.missed >= c.hb.SuspectAfter {
-				h.suspect = true
-				h.probes = 0
+			if h.missed >= hbSuspectAfter {
+				h.suspect, h.probes, h.since = true, 0, now
+				c.event("suspect", peer, now)
+				c.gSuspect.Add(now, 1)
+				c.led.Detect("pe", peer, now, "suspect")
 			}
-			probes = append(probes, ping{peer, h.suspect})
-			if h.suspect {
-				c.event("suspect", peer, c.mgrClk.Now())
-				c.gSuspect.Add(c.mgrClk.Now(), 1)
-				c.led.Detect("pe", peer, c.mgrClk.Now(), "suspect")
+			probes = append(probes, peer)
+		default:
+			// Suspect: confirmation probes with exponential backoff.
+			if now-h.lastProbe < backoff(period, h.probes, probeBackoffShift) {
+				continue
 			}
-			continue
+			h.probes++
+			h.lastProbe = now
+			if h.probes > hbConfirmAfter {
+				// The confirmation budget is spent. Hold the probe count at
+				// the threshold so the verdict re-runs every capped backoff
+				// period for as long as a suspension lasts.
+				h.probes = hbConfirmAfter
+				verdicts = append(verdicts, peer)
+				continue
+			}
+			probes = append(probes, peer)
 		}
-		// Suspect: confirmation probes with exponential backoff, so a merely
-		// slow or descheduled peer gets geometrically growing grace periods.
-		shift := h.probes
-		if shift > defaultProbeBackoffShift {
-			shift = defaultProbeBackoffShift
-		}
-		if now.Sub(h.lastProbe) < c.hb.Interval<<shift {
-			continue
-		}
-		h.probes++
-		h.lastProbe = now
-		if h.probes > c.hb.ConfirmAfter {
-			// The confirmation budget is spent. Before declaring the peer
-			// dead, consult the fabric: a peer silenced by a partition (every
-			// rail between the pair severed, both sides alive) must be
-			// suspended and retried, not aborted. Hold the probe count at the
-			// threshold so the verdict re-runs every capped backoff period
-			// for as long as the suspension lasts.
-			h.probes = c.hb.ConfirmAfter
-			verdicts = append(verdicts, peer)
-			continue
-		}
-		probes = append(probes, ping{peer, true})
 	}
 	c.hbMu.Unlock()
-	for _, p := range probes {
-		c.sendPing(p.peer, p.charge)
+	for _, peer := range probes {
+		c.sendPing(peer, now)
 	}
 	for _, peer := range verdicts {
-		c.partitionVerdict(peer)
+		c.partitionVerdict(peer, now)
 	}
 	if c.Err() == nil {
-		c.hbRearm()
+		c.hbRearm(now)
 	}
 }
 
-func (c *Conduit) hbRearm() {
-	c.hbMu.Lock()
-	if !c.closed.Load() {
-		c.hbTimer = time.AfterFunc(c.hb.Interval, c.hbScan)
-	}
-	c.hbMu.Unlock()
-}
-
-// partitionVerdict decides the fate of a suspect whose confirmation budget is
-// spent: dead peer or partitioned peer. A peer that stayed silent while a
-// live path to it existed is dead — abort, the PR 2 path. A peer severed on
-// every rail is *partitioned*: both sides are alive but cannot talk, so the
-// detector suspends it and retries, with bounded virtual-time patience. A
-// partition with a scheduled heal is simply waited out — the suspension is
-// bounded by the schedule, and the first post-heal ack resumes normal
-// operation (and exactly-once delivery, via the session layer's retained
-// window) through noteAlive. A permanent severance aborts the job with the
-// distinct ExitPartitioned code once defaultHBPartition charged probes — each
-// advancing virtual time one detector period — go unanswered.
-func (c *Conduit) partitionVerdict(peer int) {
-	fab := c.cfg.HCA.Fabric()
-	fi := fab.Faults()
-	netFaults := fi.NetFaultsScheduled()
-	blocked := false
-	heal := int64(0)
-	// The verdict is judged at the job's current virtual time, not the
-	// detector's: the manager clock only advances on served messages and
-	// charged probes, so it can still sit before a fault window the app
-	// thread has already run into (its send is what went silent). Take the
-	// later of the two clocks.
-	now := c.mgrClk.Now()
-	if app := c.clk.Now(); app > now {
-		now = app
-	}
-	if netFaults {
+// partitionVerdict decides, at virtual time now, the fate of a suspect whose
+// confirmation budget is spent: dead peer or partitioned peer. The fabric's
+// schedule is the whole of the evidence. A peer severed from us on every rail
+// right now is *partitioned*: both sides are alive but cannot talk, so the
+// detector suspends it — until the scheduled heal, whose first answered probe
+// resumes normal operation (and exactly-once delivery, via the session
+// layer's retained window) through noteAlive; or, when no heal is scheduled,
+// for hbPartition more verdicts, after which the job aborts with the distinct
+// ExitPartitioned code. A peer whose paths are clear now but were severed at
+// some point since the suspicion began has proven nothing by its silence —
+// any of those probes may have been blackholed — so the confirmation starts
+// over from now. Only a peer that stayed silent across a span in which a
+// live path to it existed throughout is dead.
+func (c *Conduit) partitionVerdict(peer int, now int64) {
+	dark, heal, dimmed := false, int64(0), false
+	if c.netFaulty {
 		ud, err := c.resolveUDOpt(peer, false)
 		if err != nil {
 			return // resolution in flight; re-evaluate at the next backoff period
 		}
-		src, dst := c.cfg.HCA.LID(), ud.LID
-		blocked = fab.PathsSevered(src, dst, now)
-		if blocked {
-			var windowed bool
-			windowed, heal = fi.PartitionInfo(src, dst, now)
-			if !windowed {
-				// Severed by permanent port/rail failures rather than a
-				// partition window: no heal is ever coming.
-				heal = -1
-			}
-		}
-	}
-	if !blocked {
 		c.hbMu.Lock()
-		h := c.health[peer]
-		if h == nil || h.dead {
-			c.hbMu.Unlock()
-			return
-		}
-		if netFaults && (h.reconfirmRounds < defaultHBPartition || fi.SeveranceActiveAt(now)) {
-			// The paths between us are clear, but the silence still proves
-			// nothing. Three reasons. (1) Every probe so far may have been
-			// swallowed by a severance window one of the pair's clocks was
-			// inside (this peer need not be marked suspended: another peer's
-			// suspension can warp the verdict clock past a window this one
-			// silently sat out). (2) While ANY severance is in effect, a
-			// live peer — even one on our own node — can be transitively
-			// stalled behind a dark path to a third rank; death verdicts are
-			// deferred until the fabric is quiet. (3) Even after a heal, a
-			// live peer can lag for a while behind its own recovery replays.
-			// So: restart the confirmation budget and probe from the verdict
-			// clock, up to defaultHBPartition quiet-air rounds. A live peer's
-			// first ack ends the suspicion via noteAlive; a dead one stays
-			// silent until the rounds are spent and the verdict falls
-			// through to confirmDead. Termination stays bounded: the rounds
-			// are finite once the fabric is quiet, and a permanently severed
-			// pair aborts with ExitPartitioned through the patience path
-			// below.
-			h.reconfirmRounds++
-			h.probes = 0
-			c.hbMu.Unlock()
-			c.mgrClk.AdvanceTo(now)
-			c.sendPing(peer, true)
-			return
-		}
+		since := c.health[peer].since
+		c.hbMu.Unlock()
+		dark, heal = c.severed(ud.LID, now)
+		dimmed = !dark && c.cfg.HCA.Fabric().Faults().PartitionedDuring(c.cfg.HCA.LID(), ud.LID, since, now)
+	}
+	first, exhausted := false, false
+	c.hbMu.Lock()
+	h := c.health[peer]
+	switch {
+	case h == nil || h.dead:
+		c.hbMu.Unlock()
+		return
+	case dimmed:
+		h.probes, h.since = 0, now
+		c.hbMu.Unlock()
+		c.sendPing(peer, now)
+		return
+	case !dark:
 		h.dead = true
 		c.hbMu.Unlock()
 		c.confirmDead(peer)
 		return
 	}
-	first, exhausted := false, false
-	c.hbMu.Lock()
-	h := c.health[peer]
-	if h == nil || h.dead {
-		c.hbMu.Unlock()
-		return
-	}
 	if !h.suspended {
-		h.suspended = true
-		h.suspendVT = c.mgrClk.Now()
-		h.patienceProbes = 0
+		h.suspended, h.patience = true, 0
 		first = true
 	}
-	h.reconfirmRounds = 0 // back inside a severance window; re-arm the grace
+	h.healVT, h.since = heal, now
 	if heal < 0 {
-		h.patienceProbes++
-		exhausted = h.patienceProbes > defaultHBPartition
-	} else {
-		h.patienceProbes = 0 // a scheduled heal re-opens unlimited patience
+		h.patience++
+		exhausted = h.patience > hbPartition
 	}
 	c.hbMu.Unlock()
 	if first {
 		c.statMu.Lock()
 		c.stats.PartitionSuspensions++
 		c.statMu.Unlock()
-		c.event("partition-suspend", peer, c.mgrClk.Now())
-		c.led.Detect("net", -1, c.mgrClk.Now(), "partition-suspend")
+		c.event("partition-suspend", peer, now)
+		c.led.Detect("net", -1, now, "partition-suspend")
 	}
 	if exhausted {
-		c.event("partition-fatal", peer, c.mgrClk.Now())
+		c.event("partition-fatal", peer, now)
 		c.raiseAbort(&AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitPartitioned,
-			Reason: fmt.Sprintf("rank %d partitioned from rank %d on every rail with no scheduled heal; gave up after %d patience probes",
-				c.cfg.Rank, peer, defaultHBPartition)}, true)
-		return
+			Reason: fmt.Sprintf("rank %d partitioned from rank %d on every rail with no scheduled heal; gave up after %d verdicts",
+				c.cfg.Rank, peer, hbPartition)}, true)
 	}
-	// A suspension with a scheduled heal is waited out in virtual time: warp
-	// the detector clock to the heal boundary — nothing else can advance VT
-	// while every path is dark, exactly like a discrete-event simulator
-	// jumping to its next scheduled event — so the charged probe below
-	// departs after the heal and draws the ack that ends the suspension.
-	if heal >= 0 {
-		c.mgrClk.AdvanceTo(heal)
-	}
-	// Charged patience probe: advances virtual time, keeping the suspension
-	// bounded in VT, and — once the partition heals — draws the ack whose
-	// arrival ends the suspension.
-	c.sendPing(peer, true)
 }
 
-// sendPing sends one explicit heartbeat probe. Confirmation probes (charge)
-// advance the manager clock by the virtual detector period, so a death is
-// confirmed within a bounded number of virtual-time periods; routine
-// keepalive probes ride a detached clock — background monitoring must never
-// advance the PE's virtual time (or it would trip VT-scheduled faults and
-// skew fault-free runs on its own).
-func (c *Conduit) sendPing(peer int, charge bool) {
+// sendPing sends one explicit heartbeat probe at virtual time now, on a clock
+// of its own.
+func (c *Conduit) sendPing(peer int, now int64) {
 	// No fallback: a background probe must never block in the Put-Fence
 	// collective or advance the app clock. An unresolved peer is skipped.
 	ud, err := c.resolveUDOpt(peer, false)
 	if err != nil {
 		return
 	}
-	clk := c.mgrClk
-	if charge {
-		clk.Advance(c.model.HeartbeatPeriod)
-	} else {
-		clk = vclock.NewClock(c.mgrClk.Now())
-	}
 	c.hbMu.Lock()
 	if h := c.health[peer]; h != nil {
-		h.probeVT = clk.Now()
+		h.probeVT = now
 	}
 	c.hbMu.Unlock()
 	c.statMu.Lock()
 	c.stats.HeartbeatsSent++
 	c.statMu.Unlock()
-	c.sendControl(peer, ud, connMsg{Kind: msgHeartbeat, SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr()}, clk)
+	c.sendControl(peer, ud, connMsg{Kind: msgHeartbeat, SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr()}, vclock.NewClock(now))
 }
 
 // noteHeartbeatAck closes the RTT sample opened by the last explicit probe
@@ -751,8 +649,11 @@ func (c *Conduit) Abort(ae *AbortError) { c.raiseAbort(ae, true) }
 func (c *Conduit) AbortLocal(ae *AbortError) { c.raiseAbort(ae, false) }
 
 // raiseLocal records err as this PE's terminal state and releases every
-// blocked operation. First error wins.
-func (c *Conduit) raiseLocal(err error) bool {
+// blocked operation. First error wins; the winner runs announce (may be nil)
+// before anything blocked here is released, so by the time the application
+// thread unwinds, the abort it unwinds with has been told to the job and
+// counted.
+func (c *Conduit) raiseLocal(err error, announce func()) bool {
 	c.abortMu.Lock()
 	if c.abortErr != nil {
 		c.abortMu.Unlock()
@@ -761,8 +662,11 @@ func (c *Conduit) raiseLocal(err error) bool {
 	c.abortErr = err
 	cbs := c.onAbort
 	c.onAbort = nil
-	close(c.abortCh)
 	c.abortMu.Unlock()
+	if announce != nil {
+		announce()
+	}
+	close(c.abortCh)
 	c.connCond.Broadcast()
 	c.outCond.Broadcast()
 	if c.cfg.NodeBarrier != nil {
@@ -784,16 +688,20 @@ func (c *Conduit) raiseAbort(ae *AbortError, propagate bool) {
 	if ae.Code == 0 {
 		ae.Code = 1
 	}
-	if !c.raiseLocal(ae) {
-		return
-	}
-	c.event("abort", ae.Dead, c.mgrClk.Now())
-	if ae.Dead >= 0 {
-		c.led.Act("pe", ae.Dead, c.mgrClk.Now(), "abort")
-	}
-	if !propagate {
-		return
-	}
+	c.raiseLocal(ae, func() {
+		c.event("abort", ae.Dead, c.mgrClk.Now())
+		if ae.Dead >= 0 {
+			c.led.Act("pe", ae.Dead, c.mgrClk.Now(), "abort")
+		}
+		if propagate {
+			c.announceAbort(ae)
+		}
+	})
+}
+
+// announceAbort tells the job: PMI (out-of-band), then a UD datagram to every
+// peer.
+func (c *Conduit) announceAbort(ae *AbortError) {
 	c.cfg.PMI.RaiseAbort(pmi.AbortNotice{Origin: ae.Origin, Dead: ae.Dead, Code: ae.Code, Reason: ae.Reason})
 	payload := encodeAbortPayload(ae.Code, ae.Reason)
 	sent := 0
@@ -827,7 +735,7 @@ func (c *Conduit) handleAbortMsg(m connMsg) {
 	if dead >= 0 && dead < c.cfg.NProcs && dead != c.cfg.Rank {
 		c.markDead(dead)
 	}
-	c.raiseLocal(&AbortError{Origin: int(m.SrcRank), Dead: dead, Code: code, Reason: reason})
+	c.raiseLocal(&AbortError{Origin: int(m.SrcRank), Dead: dead, Code: code, Reason: reason}, nil)
 }
 
 // HealthSnapshot is a point-in-time diagnostic view of one conduit, the raw

@@ -13,16 +13,11 @@ import (
 	"goshmem/internal/vclock"
 )
 
-// fastHB compresses the failure detector's real-time scan so tests confirm
-// deaths in a few milliseconds.
-var fastHB = HeartbeatConfig{Interval: time.Millisecond, SuspectAfter: 2, ConfirmAfter: 2}
-
 // TestKillPEConfirmedAndAborted injects a crash: the victim's operations fail
 // with CrashError the moment its clock passes the schedule, the survivors'
 // UD-heartbeat detector walks suspicion -> confirmation within bounded
 // detector periods, every subsequent operation against the dead rank fails
-// fast with ErrPeerDead, and the job abort reaches every survivor. The
-// waitUntil bounds make the test fail (not hang) if any of that stalls.
+// fast with ErrPeerDead, and the job abort reaches every survivor.
 func TestKillPEConfirmedAndAborted(t *testing.T) {
 	const n = 4
 	const victim = 3
@@ -33,7 +28,7 @@ func TestKillPEConfirmedAndAborted(t *testing.T) {
 	fi.KillPE(victim, killVT)
 
 	pes, run := startJob(t, jobOpts{
-		n: n, ppn: 2, mode: OnDemand, faults: fi, retrans: fastRetrans, heartbeat: fastHB,
+		n: n, ppn: 2, mode: OnDemand, faults: fi,
 		trace: true,
 	})
 
@@ -77,12 +72,25 @@ func TestKillPEConfirmedAndAborted(t *testing.T) {
 		t.Fatalf("PEKills = %d, want 1", fi.PEKills())
 	}
 
-	// Survivors must confirm the death and abort within the detector bound.
+	// Survivors block on the victim — a get that can only be queued behind a
+	// handshake the dead PE will never answer — until the detector confirms
+	// the death and the abort releases them.
+	run(func(p *pe) {
+		if p.C.Rank() == victim {
+			return
+		}
+		var b [8]byte
+		if err := p.C.Get(victim, 0, 0, b[:]); !errors.Is(err, ErrPeerDead) {
+			t.Errorf("rank %d get from the dead rank = %v, want ErrPeerDead", p.C.Rank(), err)
+		}
+	})
 	for r := 0; r < n; r++ {
 		if r == victim {
 			continue
 		}
 		p := pes[r]
+		// The get may have been failed by the dead-rank marking an instant
+		// before the abort it arrived with is recorded.
 		waitUntil(t, func() bool { return p.C.Err() != nil })
 		var ae *AbortError
 		if err := p.C.Err(); !errors.As(err, &ae) || ae.Dead != victim {
@@ -144,7 +152,7 @@ func TestWedgePEStillAcksUntilAborted(t *testing.T) {
 	fi := ib.NewFaultInjector(11)
 	fi.WedgePE(victim, wedgeVT)
 	pes, _ := startJob(t, jobOpts{
-		n: n, ppn: 2, mode: OnDemand, faults: fi, retrans: fastRetrans, heartbeat: fastHB,
+		n: n, ppn: 2, mode: OnDemand, faults: fi,
 	})
 
 	heap := make([]byte, 256)
@@ -159,10 +167,10 @@ func TestWedgePEStillAcksUntilAborted(t *testing.T) {
 	// The victim hits its schedule; its next operation blocks until the job
 	// aborts around it.
 	victimDone := make(chan error, 1)
-	go func() {
+	pes[0].C.sched.Go(func() {
 		pes[victim].Clk.AdvanceTo(wedgeVT)
 		victimDone <- pes[victim].C.AMRequest(0, 9, [4]uint64{}, nil)
-	}()
+	})
 	waitUntil(t, func() bool { return pes[victim].C.selfState.Load() == selfWedged })
 	if fi.PEWedges() != 1 {
 		t.Fatalf("PEWedges = %d, want 1", fi.PEWedges())
@@ -179,8 +187,12 @@ func TestWedgePEStillAcksUntilAborted(t *testing.T) {
 		t.Fatal("put into wedged peer's memory did not land")
 	}
 
-	// The software-level detector confirms the wedged peer dead and aborts.
-	waitUntil(t, func() bool { return pes[0].C.Err() != nil })
+	// An operation that needs the peer's software — a framed atomic — blocks
+	// until the software-level detector confirms the wedged peer dead and the
+	// abort releases it.
+	if _, err := pes[0].C.FetchAdd(victim, mr.Base(), mr.RKey(), 1); !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("atomic on the wedged peer = %v, want ErrPeerDead", err)
+	}
 	var ae *AbortError
 	if err := pes[0].C.Err(); !errors.As(err, &ae) || ae.Dead != victim {
 		t.Fatalf("survivor abort = %v, want AbortError{Dead: %d}", pes[0].C.Err(), victim)
@@ -202,8 +214,8 @@ func TestWedgePEStillAcksUntilAborted(t *testing.T) {
 }
 
 // TestSlowPENeverConfirmedDead is the false-positive regression test: the
-// SlowPE injector charges victims virtual time only, so their real-time
-// heartbeat replies still arrive within a scan period. The detector — armed
+// SlowPE injector charges victims virtual time only, and their manager threads
+// still answer every probe before the next tick can fire. The detector — armed
 // explicitly, probing through an idle phase — must never confirm anyone dead,
 // and suspicion (if any arises) must clear as false.
 func TestSlowPENeverConfirmedDead(t *testing.T) {
@@ -212,8 +224,8 @@ func TestSlowPENeverConfirmedDead(t *testing.T) {
 	fi.SlowProb = 1.0
 	fi.SlowTime = 5 * vclock.Millisecond // heavy virtual jitter on every op
 	pes, run := startJob(t, jobOpts{
-		n: n, ppn: 2, mode: OnDemand, faults: fi, retrans: fastRetrans,
-		heartbeat: HeartbeatConfig{Enable: true, Interval: time.Millisecond, SuspectAfter: 2, ConfirmAfter: 2},
+		n: n, ppn: 2, mode: OnDemand, faults: fi,
+		heartbeat: HeartbeatConfig{Enable: true},
 	})
 	var mu sync.Mutex
 	recv := 0
@@ -240,10 +252,10 @@ func TestSlowPENeverConfirmedDead(t *testing.T) {
 		return recv == n*(n-1)
 	})
 
-	// Idle phase: many scan periods pass with no application traffic, so the
-	// detector must rely on explicit probes — which the slowed PEs still
-	// answer in real time.
-	time.Sleep(50 * time.Millisecond)
+	// Idle phase: fifty detector periods pass with no application traffic, so
+	// the detector must rely on explicit probes — which the slowed PEs still
+	// answer.
+	run(func(p *pe) { p.vsleep(50 * vclock.Millisecond) })
 
 	if fi.Slowdowns() == 0 {
 		t.Fatal("no slowdowns injected; the schedule tests nothing")
@@ -304,7 +316,7 @@ func TestChaosPEFailureSoak(t *testing.T) {
 	victims := map[int]bool{killVictim: true, wedgeVictim: true}
 
 	pes, run := startJob(t, jobOpts{
-		n: n, ppn: ppn, mode: OnDemand, faults: fi, retrans: fastRetrans, heartbeat: fastHB,
+		n: n, ppn: ppn, mode: OnDemand, faults: fi,
 	})
 	for _, p := range pes {
 		p.C.RegisterHandler(9, func(src int, a [4]uint64, pay []byte, at int64) {})
@@ -332,6 +344,9 @@ func TestChaosPEFailureSoak(t *testing.T) {
 				}
 			}
 		}
+		// Wait for what was sent to be acknowledged — or, as it must once the
+		// faults trip, for the job abort.
+		p.C.drain()
 	})
 
 	// Termination: every PE ends in a terminal state — aborted, crashed, or

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"goshmem/internal/ib"
@@ -37,13 +38,34 @@ type jobOpts struct {
 	model       *vclock.CostModel
 	maxLiveRC   int             // per-HCA live RC cap (0 = unbounded)
 	limits      ib.Limits       // per-HCA resource budgets (zero = unbudgeted)
-	retrans     RetransConfig   // retransmission timing override
-	heartbeat   HeartbeatConfig // failure-detector timing override
+	heartbeat   HeartbeatConfig // failure-detector override
 
 	// trace records every PE's events in an unbounded obs ring; fault-plane
 	// tests read the connection-lifecycle trace back with pe.plane.Events()
 	// (merged across PEs, virtual-time order) to assert on recovery schedules.
 	trace bool
+}
+
+// vsleep parks the caller for d of virtual time on the job's timer queue: the
+// idle phase of a test, during which the queue fires whatever else is due.
+func (p *pe) vsleep(d int64) {
+	s := p.C.sched
+	woken := make(chan struct{})
+	s.After(p.Clk.Now()+d, p.C.Rank(), func(int64) {
+		s.Unpark(1)
+		close(woken)
+	})
+	s.Park()
+	<-woken
+}
+
+// drainAll blocks until every PE's sends have been delivered and acknowledged
+// and every handshake has completed on both sides. It is how a test waits for
+// recovery: the job's timers fire only while somebody is blocked.
+func drainAll(pes []*pe) {
+	for _, p := range pes {
+		p.C.drain()
+	}
 }
 
 // startJob builds a fabric, a PMI server and n conduits, exchanges endpoints
@@ -73,6 +95,18 @@ func startJob(t *testing.T, o jobOpts) ([]*pe, func(body func(p *pe))) {
 		}
 		bars[i] = vclock.NewVBarrier(ppnHere)
 	}
+	// On an armed fabric the test is wired like a cluster job: PMI and the
+	// node barriers are visible to the timer queue, and the test goroutine
+	// itself (here) and every body goroutine (run, spawn) are registered
+	// actors — so a timer fires only when the test and every PE are parked in
+	// a blocking call, never while the test is still setting something up.
+	sched := fab.Sched()
+	srv.SetSched(sched)
+	for _, b := range bars {
+		b.SetSched(sched)
+	}
+	sched.Enter()
+	t.Cleanup(sched.Exit)
 	var plane *obs.Plane
 	if o.trace {
 		plane = obs.NewPlane(o.n, obs.Config{Events: true, RingCap: -1})
@@ -87,7 +121,6 @@ func startJob(t *testing.T, o jobOpts) ([]*pe, func(body func(p *pe))) {
 			Mode: o.mode, BlockingPMI: o.blockingPMI,
 			NodeBarrier: bars[r/o.ppn],
 			MaxLiveRC:   o.maxLiveRC,
-			Retrans:     o.retrans,
 			Heartbeat:   o.heartbeat,
 			Obs:         plane.PE(r),
 		}
@@ -105,15 +138,22 @@ func startJob(t *testing.T, o jobOpts) ([]*pe, func(body func(p *pe))) {
 		pes[r].C = New(cfg)
 	}
 	run := func(body func(p *pe)) {
-		var wg sync.WaitGroup
+		done := make(chan struct{})
+		left := int32(len(pes))
 		for _, p := range pes {
-			wg.Add(1)
-			go func(p *pe) {
-				defer wg.Done()
+			p := p
+			sched.Go(func() {
+				defer func() {
+					if atomic.AddInt32(&left, -1) == 0 {
+						sched.Unpark(1) // the test goroutine, parked below
+						close(done)
+					}
+				}()
 				body(p)
-			}(p)
+			})
 		}
-		wg.Wait()
+		sched.Park()
+		<-done
 	}
 	// Bootstrap: exchange endpoints and mark ready, concurrently (the fence
 	// in blocking mode synchronizes all PEs).
@@ -365,6 +405,7 @@ func TestHandshakeSurvivesUDDrops(t *testing.T) {
 	if err := pes[0].C.AMRequest(1, 5, [4]uint64{}, nil); err != nil {
 		t.Fatal(err)
 	}
+	drainAll(pes)
 	<-done
 	if pes[0].C.Stats().Retransmits == 0 {
 		t.Fatal("expected retransmissions after forced drops")
@@ -400,6 +441,7 @@ func TestHandshakeSurvivesRandomDropsAndDups(t *testing.T) {
 				t.Errorf("AM: %v", err)
 			}
 		}
+		p.C.drain()
 	})
 	mu.Lock()
 	for recv < n*n {

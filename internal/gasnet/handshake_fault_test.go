@@ -3,14 +3,9 @@ package gasnet
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"goshmem/internal/ib"
 )
-
-// fastRetrans compresses the real-time retransmission timing so fault tests
-// recover in milliseconds instead of the production defaults.
-var fastRetrans = RetransConfig{Interval: time.Millisecond, BaseRTO: 2 * time.Millisecond, MaxShift: 3}
 
 // dropFirstKind returns a UDFilter that drops the first n control datagrams
 // of the given kind and delivers everything else untouched.
@@ -62,16 +57,21 @@ func TestRepLostServerRetransmits(t *testing.T) {
 		}
 		return ib.VerdictDeliver
 	}
-	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true, retrans: fastRetrans})
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true})
 	done := make(chan struct{})
 	pes[1].C.RegisterHandler(5, func(src int, a [4]uint64, p []byte, at int64) { close(done) })
 	if err := pes[0].C.AMRequest(1, 5, [4]uint64{}, nil); err != nil {
 		t.Fatal(err)
 	}
+	drainAll(pes)
 	<-done
 	// The retransmission came from the server side (rank 1, in connAccepted).
-	waitUntil(t, func() bool { return pes[1].C.Stats().Retransmits > 0 })
-	waitUntil(t, func() bool { return pes[1].C.Connected(0) })
+	if pes[1].C.Stats().Retransmits == 0 {
+		t.Fatal("server never retransmitted the lost REP")
+	}
+	if !pes[1].C.Connected(0) {
+		t.Fatal("server side of the handshake never completed")
+	}
 	for _, p := range pes {
 		peer := 1 - p.C.Rank()
 		p.mu.Lock()
@@ -90,7 +90,7 @@ func TestRepLostServerRetransmits(t *testing.T) {
 func TestRTULostWhileTrafficFlows(t *testing.T) {
 	fi := ib.NewFaultInjector(2)
 	fi.UDFilter = dropFirstKind(msgConnRTU, 1)
-	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true, retrans: fastRetrans})
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true})
 	const msgs = 16
 	var mu sync.Mutex
 	got := make(map[uint64]int)
@@ -104,14 +104,17 @@ func TestRTULostWhileTrafficFlows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The server's REP retransmission path, answered by the client's
+	// duplicate-reply re-ack, must complete the server side too.
+	drainAll(pes)
+	if !pes[1].C.Connected(0) {
+		t.Fatal("server side of the handshake never completed")
+	}
 	waitUntil(t, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) == msgs
 	})
-	// The server's REP retransmission path, answered by the client's
-	// duplicate-reply re-ack, must eventually complete the server side too.
-	waitUntil(t, func() bool { return pes[1].C.Connected(0) })
 	mu.Lock()
 	for i := uint64(0); i < msgs; i++ {
 		if got[i] != 1 {
@@ -134,7 +137,7 @@ func TestCollisionUnderDrops(t *testing.T) {
 		fi.DropProb = 0.3
 		fi.DupProb = 0.2
 		fi.MaxDrops = 20
-		pes, run := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true, retrans: fastRetrans})
+		pes, run := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true})
 		var mu sync.Mutex
 		recv := make(map[int]int)
 		for _, p := range pes {
@@ -150,6 +153,7 @@ func TestCollisionUnderDrops(t *testing.T) {
 			if err := p.C.AMRequest(peer, 4, [4]uint64{}, nil); err != nil {
 				t.Errorf("AM: %v", err)
 			}
+			p.C.drain()
 		})
 		waitUntil(t, func() bool {
 			mu.Lock()
@@ -175,5 +179,39 @@ func TestCollisionUnderDrops(t *testing.T) {
 		for _, p := range pes {
 			p.C.Close()
 		}
+	}
+}
+
+// TestDroppedReqRetransmittedOneTimeoutLater pins the retransmission clock to
+// the fabric: the first REQ is lost, the client blocks in EnsureConnected, and
+// the one retransmission departs exactly one ConnRetransmitTimeout of virtual
+// time after the first transmission — however long the host took to notice.
+func TestDroppedReqRetransmittedOneTimeoutLater(t *testing.T) {
+	fi := ib.NewFaultInjector(1)
+	fi.UDFilter = dropFirstKind(msgConnReq, 1)
+	pes, _ := startJob(t, jobOpts{n: 2, ppn: 1, mode: OnDemand, faults: fi, trace: true})
+	if err := pes[0].C.EnsureConnected(1); err != nil {
+		t.Fatal(err)
+	}
+	var first, again []int64
+	for _, e := range pes[0].plane.Events() {
+		if e.Rank != 0 || e.Peer != 1 {
+			continue
+		}
+		switch e.Kind {
+		case "conn-initiate":
+			first = append(first, e.VT)
+		case "conn-retransmit":
+			again = append(again, e.VT)
+		}
+	}
+	if len(first) != 1 || len(again) != 1 {
+		t.Fatalf("want one initiate and one retransmission, got initiates %v retransmissions %v", first, again)
+	}
+	if want := first[0] + pes[0].C.model.ConnRetransmitTimeout; again[0] != want {
+		t.Fatalf("REQ first sent at VT %d was retransmitted at VT %d, want %d", first[0], again[0], want)
+	}
+	if n := pes[0].C.Stats().Retransmits; n != 1 {
+		t.Fatalf("Retransmits = %d, want exactly 1", n)
 	}
 }

@@ -56,7 +56,7 @@ func TestQuietBlocksOnTornWrite(t *testing.T) {
 			fi := ib.NewFaultInjector(31)
 			fi.TornWriteProb = 1.0
 			fi.MaxTornWrites = 1
-			pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, retrans: fastRetrans})
+			pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi})
 			heap := make([]byte, 4*ib.RCMTU)
 			mr := pes[1].HCA.RegisterMR(heap, pes[1].Clk)
 			var mu sync.Mutex
@@ -124,7 +124,7 @@ func TestAtomicExactlyOnceAcrossReconnect(t *testing.T) {
 	// one; dropping a long run forces the RTO to resend applied-but-unacked
 	// requests, which the receiver must dedup.
 	fi.UDFilter = dropFirstKind(msgDataAck, 100)
-	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, retrans: fastRetrans})
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi})
 	heap := make([]byte, 64)
 	mr := pes[1].HCA.RegisterMR(heap, pes[1].Clk)
 
@@ -146,9 +146,10 @@ func TestAtomicExactlyOnceAcrossReconnect(t *testing.T) {
 	if st := pes[0].C.Stats(); st.LinkFaults < 1 || st.Reconnects < 1 {
 		t.Fatalf("flap must drive a reconnect: faults=%d reconnects=%d", st.LinkFaults, st.Reconnects)
 	}
-	// Wait for the RTO to fire on the un-ACKed tail and for a duplicate to be
-	// suppressed (either direction: requests at the server, replies at the
-	// client — whichever ACKs were the casualty).
+	// Block on the un-ACKed tail: the timeout fires, the tail is replayed and a
+	// duplicate suppressed (either direction: requests at the server, replies
+	// at the client — whichever ACKs were the casualty).
+	drainAll(pes)
 	waitUntil(t, func() bool {
 		c, s := pes[0].C.Stats(), pes[1].C.Stats()
 		return c.IntegrityRetransmits+s.IntegrityRetransmits >= 1 &&
@@ -169,7 +170,7 @@ func TestRCFrameCorruptionRecovered(t *testing.T) {
 	fi := ib.NewFaultInjector(41)
 	fi.RCCorruptProb = 0.3
 	fi.MaxRCCorrupts = 12
-	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, retrans: fastRetrans})
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi})
 	var mu sync.Mutex
 	var got []uint64
 	pes[1].C.RegisterHandler(5, func(src int, a [4]uint64, p []byte, at int64) {
@@ -207,4 +208,31 @@ func TestRCFrameCorruptionRecovered(t *testing.T) {
 	if pes[0].C.Stats().IntegrityRetransmits < 1 {
 		t.Fatalf("sender IntegrityRetransmits = %d, want >= 1", pes[0].C.Stats().IntegrityRetransmits)
 	}
+}
+
+// TestCloseGivesUpOnADeafPeerAfterBoundedReplays: every acknowledgement from
+// the peer is lost, so the sender's one retained frame can never be trimmed.
+// Close must not wait on time: it replays the frame on each timeout, and after
+// closeQuiet timeouts that drew nothing from the peer it presumes the frame
+// executed (it did — the peer suppressed every replay as a duplicate) and
+// tears down.
+func TestCloseGivesUpOnADeafPeerAfterBoundedReplays(t *testing.T) {
+	fi := ib.NewFaultInjector(5)
+	fi.UDFilter = dropFirstKind(msgDataAck, 1<<30)
+	pes, _ := startJob(t, jobOpts{n: 2, ppn: 1, mode: OnDemand, faults: fi})
+	got := make(chan struct{}, 1)
+	pes[1].C.RegisterHandler(5, func(src int, a [4]uint64, p []byte, at int64) { got <- struct{}{} })
+	if err := pes[0].C.EnsureConnected(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := pes[0].C.AMRequest(1, 5, [4]uint64{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-got
+	pes[0].C.Close()
+	if n := pes[0].C.Stats().IntegrityRetransmits; n != closeQuiet {
+		t.Fatalf("Close replayed the retained frame %d times, want exactly %d", n, closeQuiet)
+	}
+	// The last replay may still be on its way to the peer.
+	waitUntil(t, func() bool { return pes[1].C.Stats().DupOpsSuppressed == closeQuiet })
 }

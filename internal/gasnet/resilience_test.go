@@ -17,7 +17,7 @@ func TestLinkFlapReconnectDeliversExactlyOnce(t *testing.T) {
 	fi := ib.NewFaultInjector(9)
 	fi.FlapProb = 1.0
 	fi.MaxFlaps = 1
-	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true, retrans: fastRetrans, trace: true})
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi, payloads: true, trace: true})
 	var mu sync.Mutex
 	recv := 0
 	pes[1].C.RegisterHandler(5, func(src int, a [4]uint64, p []byte, at int64) {
@@ -83,7 +83,7 @@ func TestLinkFlapReconnectDeliversExactlyOnce(t *testing.T) {
 func TestEvictionUnderLiveQPCap(t *testing.T) {
 	const n = 6
 	const cap = 8 // full mesh would need n*(n-1) = 30 live RC QPs on the HCA
-	pes, run := startJob(t, jobOpts{n: n, ppn: n, mode: OnDemand, payloads: true, maxLiveRC: cap})
+	pes, _ := startJob(t, jobOpts{n: n, ppn: n, mode: OnDemand, payloads: true, maxLiveRC: cap})
 	var mu sync.Mutex
 	got := make(map[[2]int]int) // {dst, src} -> deliveries
 	for _, p := range pes {
@@ -94,21 +94,27 @@ func TestEvictionUnderLiveQPCap(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	run(func(p *pe) {
+	// One message at a time, each delivered before the next is sent, so every
+	// connection is idle — evictable — by the time the next one needs a queue
+	// pair: the pressure is certain, not a matter of scheduling. (Eviction is
+	// best-effort by design: a conduit whose connections are all busy simply
+	// exceeds the cap.)
+	for _, p := range pes {
 		for peer := 0; peer < n; peer++ {
 			if peer == p.C.Rank() {
 				continue
 			}
 			if err := p.C.AMRequest(peer, 6, [4]uint64{}, nil); err != nil {
-				t.Errorf("AM: %v", err)
+				t.Fatalf("AM: %v", err)
 			}
+			key := [2]int{peer, p.C.Rank()}
+			waitUntil(t, func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return got[key] > 0
+			})
 		}
-	})
-	waitUntil(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == n*(n-1)
-	})
+	}
 	mu.Lock()
 	for k, c := range got {
 		if c != 1 {
@@ -120,13 +126,7 @@ func TestEvictionUnderLiveQPCap(t *testing.T) {
 	for _, p := range pes {
 		evictions += p.C.Stats().Evictions
 	}
-	// Eviction is best-effort by design: a conduit whose connections are all
-	// busy at check time simply exceeds the cap (see maybeEvictLocked). Under
-	// the race detector's scheduling perturbation a run can legitimately
-	// thread that needle and finish with zero evictions, so the pressure
-	// assertion holds only under production scheduling; the exactly-once
-	// checks below run in both builds.
-	if evictions == 0 && !raceEnabled {
+	if evictions == 0 {
 		t.Fatalf("no evictions despite cap %d < %d required live QPs", cap, n*(n-1))
 	}
 	// Exactly-once payload consumption survives eviction/reconnect cycles.
@@ -166,7 +166,8 @@ func TestStaticModeIgnoresQPCap(t *testing.T) {
 // TestFaultFreeRunsPayNoResilienceCost is the happy-path guard: with no
 // injector and no cap, none of the resilience machinery may trigger — no
 // faults detected, no reconnects, no evictions, no retransmissions, and the
-// retransmission timer is never armed (the fabric is not lossy).
+// job has no timer queue at all (the fabric is lossless and unbudgeted), so
+// no timer can ever be armed.
 func TestFaultFreeRunsPayNoResilienceCost(t *testing.T) {
 	const n = 4
 	pes, run := startJob(t, jobOpts{n: n, ppn: 2, mode: OnDemand, payloads: true})
@@ -199,8 +200,11 @@ func TestFaultFreeRunsPayNoResilienceCost(t *testing.T) {
 		if st.PEFailures != 0 || st.HeartbeatsSent != 0 || st.FalseSuspicions != 0 || st.AbortsPropagated != 0 {
 			t.Fatalf("rank %d: failure-detector activity on a fault-free run: %+v", p.C.Rank(), st)
 		}
+		if p.C.sched != nil {
+			t.Fatalf("rank %d: a lossless, unbudgeted fabric constructed a timer queue", p.C.Rank())
+		}
 		p.C.connMu.Lock()
-		armed := p.C.timerOn
+		armed := p.C.rtx != nil
 		p.C.connMu.Unlock()
 		if armed {
 			t.Fatalf("rank %d: retransmission timer armed on a lossless fabric", p.C.Rank())

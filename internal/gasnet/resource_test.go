@@ -86,8 +86,8 @@ func TestAdmissionRejectThenRetryAdmits(t *testing.T) {
 	fi := ib.NewFaultInjector(1)
 	fi.FailQPAllocOn(2) // each adapter: alloc #1 is the UD endpoint, #2 the first RC attempt
 	pes, _ := startJob(t, jobOpts{n: 2, ppn: 1, mode: OnDemand, faults: fi,
-		payloads: true, retrans: fastRetrans,
-		limits: ib.Limits{MaxQPs: 64}, trace: true})
+		payloads: true,
+		limits:   ib.Limits{MaxQPs: 64}, trace: true})
 	got := make(chan struct{}, 1)
 	pes[1].C.RegisterHandler(3, func(src int, a [4]uint64, p []byte, at int64) {
 		got <- struct{}{}
@@ -95,8 +95,11 @@ func TestAdmissionRejectThenRetryAdmits(t *testing.T) {
 	if err := pes[0].C.AMRequest(1, 3, [4]uint64{}, nil); err != nil {
 		t.Fatal(err)
 	}
+	drainAll(pes)
 	<-got
-	waitUntil(t, func() bool { return pes[0].C.Connected(1) && pes[1].C.Connected(0) })
+	if !pes[0].C.Connected(1) || !pes[1].C.Connected(0) {
+		t.Fatal("handshake did not complete after the rejection")
+	}
 	if st := pes[1].C.Stats(); st.AdmissionRejects < 1 {
 		t.Fatalf("server admitted without rejecting first: %+v", st)
 	}
@@ -247,7 +250,7 @@ func TestEvictionSparesAcceptedConn(t *testing.T) {
 		return ib.VerdictDeliver
 	}
 	pes, _ := startJob(t, jobOpts{n: 3, ppn: 3, mode: OnDemand, faults: fi,
-		payloads: true, retrans: fastRetrans, maxLiveRC: 4, trace: true})
+		payloads: true, maxLiveRC: 4, trace: true})
 	var mu sync.Mutex
 	got := make(map[[2]int]int)
 	for _, p := range pes {
@@ -285,7 +288,10 @@ func TestEvictionSparesAcceptedConn(t *testing.T) {
 	// Release the held RTUs: the server's REP retransmission elicits a fresh
 	// RTU and the parked handshake completes.
 	holdRTU.Store(false)
-	waitUntil(t, func() bool { return pes[2].C.Connected(0) })
+	pes[2].C.drain()
+	if !pes[2].C.Connected(0) {
+		t.Fatal("parked handshake did not complete once the RTU got through")
+	}
 	for _, e := range pes[0].plane.Events() {
 		if e.Rank == 2 && e.Peer == 0 && e.Kind == "conn-evict" {
 			t.Fatalf("accepted connection evicted under cap pressure (vt %d)", e.VT)

@@ -10,14 +10,14 @@ import (
 )
 
 // Data-plane session layer: end-to-end integrity and exactly-once effects for
-// RC payloads. Armed only on lossy fabrics (Fabric.Lossy), exactly like the
-// retransmission timer — a fault-free run never frames, retains, ACKs or
-// dedups anything, so its traffic and traces stay byte-identical.
+// RC payloads. Armed only on lossy fabrics (Fabric.Lossy) — a fault-free run
+// never frames, retains, ACKs or dedups anything, so its traffic and traces
+// stay byte-identical.
 //
 // Sender side: every two-sided RC send is framed with the integrity trailer
 // (integrity.go) under a per-pair monotone sequence and retained until the
 // receiver's cumulative ACK covers it. Retained frames are replayed — original
-// bytes, original sequence numbers — on NAK, on RTO expiry, and first thing
+// bytes, original sequence numbers — on NAK, on timeout, and first thing
 // after every reconnect, so a transfer the old connection damaged or tore is
 // always overwritten by a clean copy. Quiet blocks until the retained window
 // is empty, which is what turns "replayed eventually" into the OpenSHMEM
@@ -86,13 +86,13 @@ func (c *Conduit) postFramedLocked(cn *conn, wr ib.SendWR, clk *vclock.Clock) er
 		return err
 	}
 	cn.unacked = append(cn.unacked, retainedTx{seq: cn.txSeq, data: framed})
-	cn.lastData = timeNow()
+	cn.lastData = clk.Now()
 	c.gRetFrames.Add(clk.Now(), 1)
 	c.gRetBytes.Add(clk.Now(), int64(len(framed)))
 	c.outMu.Lock()
 	c.unackedWin++
 	c.outMu.Unlock()
-	c.armTimerLocked()
+	c.armForLocked(cn)
 	return nil
 }
 
@@ -114,11 +114,13 @@ func (c *Conduit) trimAckedLocked(cn *conn, seq uint64, vt int64) {
 	c.gRetFrames.Add(vt, int64(-i))
 	c.gRetBytes.Add(vt, -bytes)
 	cn.unacked = append(cn.unacked[:0], cn.unacked[i:]...)
-	cn.dataAttempt = 0 // ACK progress resets the RTO backoff
 	c.outMu.Lock()
 	c.unackedWin -= i
 	c.outMu.Unlock()
 	c.outCond.Broadcast()
+	if len(cn.unacked) == 0 {
+		c.connCond.Broadcast() // Close drains on this
+	}
 }
 
 // dropUnackedLocked discards a dead peer's retained frames so Quiet cannot
@@ -139,6 +141,7 @@ func (c *Conduit) dropUnackedLocked(cn *conn, vt int64) {
 	c.unackedWin -= n
 	c.outMu.Unlock()
 	c.outCond.Broadcast()
+	c.connCond.Broadcast()
 }
 
 // resendUnackedLocked re-posts every retained frame, in sequence order, on
@@ -154,7 +157,7 @@ func (c *Conduit) resendUnackedLocked(cn *conn, peer int, clk *vclock.Clock) boo
 	for i := 0; i < len(cn.unacked); i++ {
 		wr := ib.SendWR{Op: ib.OpSend, Data: cn.unacked[i].data, Clk: clk, NoSendCompletion: true}
 		err := c.postRNR(cn.qp, wr)
-		if err != nil && errors.Is(err, ib.ErrPathDown) && c.tryMigrateLocked(cn, peer) {
+		if err != nil && errors.Is(err, ib.ErrPathDown) && c.tryMigrateLocked(cn, peer, clk.Now()) {
 			// Primary rail died mid-replay; APM swapped to the live alternate
 			// without leaving RTS, so replay the same frame there.
 			i--
@@ -167,8 +170,8 @@ func (c *Conduit) resendUnackedLocked(cn *conn, peer int, clk *vclock.Clock) boo
 			}
 			// A path-down with no live alternate breaks the replay WITHOUT a
 			// teardown: both queue pairs are healthy, the frames stay
-			// retained, and the RTO rescan replays them after a failover or
-			// the partition's heal.
+			// retained, and the next timeout — put off to the partition's
+			// scheduled heal — replays them.
 			break
 		}
 		sent++
@@ -180,17 +183,6 @@ func (c *Conduit) resendUnackedLocked(cn *conn, peer int, clk *vclock.Clock) boo
 		c.led.Act("rc", c.cfg.Rank, clk.Now(), "integrity-retransmit")
 	}
 	return ok
-}
-
-// hasUnackedLocked reports whether any connection retains unacknowledged
-// framed sends (the RTO scan re-arms on it). Caller holds connMu.
-func (c *Conduit) hasUnackedLocked() bool {
-	if !c.lossy {
-		return false
-	}
-	unacked := false
-	c.conns.each(func(_ int, cn *conn) { unacked = unacked || len(cn.unacked) > 0 })
-	return unacked
 }
 
 // sessionAccept verifies and dedups one framed RC payload on the receive
@@ -205,6 +197,7 @@ func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
 		return nil, false
 	}
 	cn := c.conns.getOrCreate(peer)
+	cn.quiet = 0
 	inner, seq, _, ok := splitRCTrailer(comp.Data)
 	var (
 		accept bool
@@ -252,8 +245,8 @@ func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
 
 // sendDataCtl sends a data-plane ACK/NAK on a detached clock — session
 // acknowledgements are background control traffic and must not advance the
-// receiver's virtual time. An unresolved peer is skipped (TryLock semantics,
-// like the heartbeat prober); the sender's RTO replay recovers.
+// receiver's virtual clock. An unresolved peer is skipped (TryLock semantics,
+// like the heartbeat prober); the sender's timeout replay recovers.
 func (c *Conduit) sendDataCtl(peer int, kind uint8, seq uint64, vt int64) {
 	ud, err := c.resolveUDOpt(peer, false)
 	if err != nil {
@@ -288,8 +281,8 @@ func (c *Conduit) handleDataProbe(peer int, svc *vclock.Clock) {
 // leaves frames retained on a torn-down connection proves the peer never
 // executed them — the data itself was the casualty, not the ACK — so this is
 // the one place a reconnect is started purely for replay. It is demand-driven
-// and bounded: probes fire on the sender's RTO backoff and each reply can
-// start at most one handshake.
+// and bounded: probes fire on the sender's timeout and each reply can start at
+// most one handshake.
 func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.Clock) {
 	seq, ok := decodeSeqPayload(payload)
 	if !ok {
@@ -302,6 +295,7 @@ func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.
 		c.connMu.Unlock()
 		return
 	}
+	cn.quiet = 0
 	c.trimAckedLocked(cn, seq, svc.Now())
 	switch {
 	case nak && cn.state == connReady && len(cn.unacked) > 0:
@@ -309,9 +303,10 @@ func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.
 	case cn.state == connNone && len(cn.unacked) > 0 && len(cn.pending) == 0:
 		reinit = true
 	}
+	c.armForLocked(cn)
 	c.connMu.Unlock()
 	if reinit {
-		go c.initiate(peer)
+		c.sched.Go(func() { c.initiate(peer) })
 	}
 }
 
@@ -398,6 +393,7 @@ func (c *Conduit) atomicOverAM(peer int, wr ib.SendWR) (uint64, error) {
 		c.atomicMu.Unlock()
 		return 0, err
 	}
+	c.sched.Park() // whoever takes our entry out of c.atomicWait unparks us
 	select {
 	case r := <-ch:
 		c.clk.AdvanceTo(r.at)
@@ -407,8 +403,12 @@ func (c *Conduit) atomicOverAM(peer int, wr ib.SendWR) (uint64, error) {
 		return r.old, nil
 	case <-c.abortCh:
 		c.atomicMu.Lock()
+		_, mine := c.atomicWait[tok]
 		delete(c.atomicWait, tok)
 		c.atomicMu.Unlock()
+		if mine {
+			c.sched.Unpark(1)
+		}
 		return 0, c.Err()
 	}
 }
@@ -448,6 +448,7 @@ func (c *Conduit) handleAtomicRep(src int, args [4]uint64, payload []byte, at in
 	delete(c.atomicWait, args[0])
 	c.atomicMu.Unlock()
 	if ch != nil {
+		c.sched.Unpark(1)
 		ch <- atomicResult{old: args[1], ok: args[2] != 0, at: at}
 	}
 }

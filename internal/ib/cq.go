@@ -1,6 +1,10 @@
 package ib
 
-import "sync"
+import (
+	"sync"
+
+	"goshmem/internal/vclock"
+)
 
 // Completion is a completion-queue entry. For receive-side completions
 // (Recv == true) it carries the delivered payload and the source address;
@@ -42,6 +46,13 @@ type CQ struct {
 	buf    []Completion
 	head   int
 	closed bool
+
+	// On a fabric with a timer queue every completion counts as work in
+	// flight from Push until its consumer comes back for the next one, so no
+	// timer fires while a message is still queued or being served. The queue
+	// is bound when the first queue pair is created on it (single consumer).
+	sched   *vclock.Sched
+	serving bool
 }
 
 // NewCQ creates an empty completion queue.
@@ -57,6 +68,9 @@ func (q *CQ) Push(c Completion) {
 	if q.closed {
 		q.mu.Unlock()
 		return
+	}
+	if q.sched != nil {
+		q.sched.Add(1)
 	}
 	q.buf = append(q.buf, c)
 	q.mu.Unlock()
@@ -87,6 +101,16 @@ func (q *CQ) Wait() (c Completion, ok bool) {
 	}
 }
 
+// bind attaches the queue to the fabric's timer queue (nil: none).
+func (q *CQ) bind(s *vclock.Sched) {
+	if q == nil || s == nil {
+		return
+	}
+	q.mu.Lock()
+	q.sched = s
+	q.mu.Unlock()
+}
+
 // Close wakes all waiters; pending completions can still be drained.
 func (q *CQ) Close() {
 	q.mu.Lock()
@@ -103,9 +127,14 @@ func (q *CQ) Len() int {
 }
 
 func (q *CQ) takeLocked() (Completion, bool) {
+	if q.serving {
+		q.serving = false
+		q.sched.Done()
+	}
 	if q.head >= len(q.buf) {
 		return Completion{}, false
 	}
+	q.serving = q.sched != nil
 	c := q.buf[q.head]
 	q.buf[q.head] = Completion{} // allow payload GC
 	q.head++

@@ -12,6 +12,12 @@ import (
 type Fabric struct {
 	model  *vclock.CostModel
 	faults *FaultInjector
+	// sched is the job's virtual-time timer queue: present exactly where
+	// something can go missing and have to be waited out — a fault injector
+	// (datagram loss, link flaps, PE and rail schedules) or a finite adapter
+	// budget (HCA.SetLimits) — and nil on a lossless, unbudgeted fabric, whose
+	// upper layers then arm no timer and count no waiter.
+	sched *vclock.Sched
 
 	// rails is the number of independent physical rails (switch planes) the
 	// fabric provides; every HCA exposes one port per rail. Each rail is its
@@ -29,8 +35,16 @@ func NewFabric(model *vclock.CostModel, faults *FaultInjector) *Fabric {
 	if model == nil {
 		model = vclock.Default()
 	}
-	return &Fabric{model: model, faults: faults, rails: 1}
+	f := &Fabric{model: model, faults: faults, rails: 1}
+	if faults != nil {
+		f.sched = vclock.NewSched()
+	}
+	return f
 }
+
+// Sched returns the job's timer queue, nil on a lossless, unbudgeted fabric.
+// Every layer reaches it through the fabric the job already shares.
+func (f *Fabric) Sched() *vclock.Sched { return f.sched }
 
 // SetRails sets the number of independent rails (ports per HCA). Call it at
 // setup, before traffic flows; values below 1 are clamped to 1.
@@ -54,9 +68,8 @@ func (f *Fabric) Rails() int {
 func (f *Fabric) Model() *vclock.CostModel { return f.model }
 
 // Lossy reports whether a fault injector can drop datagrams on this fabric.
-// Upper layers arm their retransmission machinery only on lossy fabrics: in
-// a fault-free simulation nothing is ever lost, and real-time retransmit
-// timers would misread simulation slowness as message loss.
+// Upper layers frame, retain and acknowledge only on lossy fabrics: in a
+// fault-free simulation nothing is ever lost.
 func (f *Fabric) Lossy() bool { return f.faults != nil }
 
 // Faults returns the fabric's fault injector, nil on a fault-free fabric.

@@ -167,7 +167,7 @@ type FaultInjector struct {
 	peWedges int
 
 	// Rail-scoped fault schedules (see rail.go): port failures, whole-rail
-	// failures and partition windows, all tripping on virtual time. The
+	// failures and partition windows, all tripping on the virtual clock. The
 	// *Injected counters advance at scheduling time — a scheduled network
 	// fault IS the injection.
 	portFaults         []portFault

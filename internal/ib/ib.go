@@ -15,7 +15,7 @@
 // Data movement is real: RDMA writes copy bytes into the target's registered
 // buffer and atomics execute atomically against it. Timing is virtual: every
 // operation charges the caller's vclock.Clock using the fabric's CostModel
-// and every delivered completion carries its virtual arrival time.
+// and every delivered completion carries the virtual time of its arrival.
 package ib
 
 import (

@@ -40,6 +40,11 @@ func (h *HCA) SetLimits(l Limits, clk *vclock.Clock) {
 	h.limits = l
 	haveSlab := h.slab != nil
 	h.mu.Unlock()
+	if l != (Limits{}) && h.f.sched == nil {
+		// Finite budgets mean refusals, and refusals are retried after a
+		// back-off: the fabric needs its timer queue.
+		h.f.sched = vclock.NewSched()
+	}
 	if l.MaxMRBytes <= 0 || haveSlab {
 		return
 	}
@@ -127,6 +132,8 @@ func (h *HCA) TryCreateQP(typ QPType, clk *vclock.Clock, sendCQ, recvCQ *CQ) (*Q
 	case RC:
 		clk.Advance(h.f.model.RCQPCreate)
 	}
+	sendCQ.bind(h.f.sched)
+	recvCQ.bind(h.f.sched)
 	q := &QP{hca: h, typ: typ, clk: clk, sendCQ: sendCQ, recvCQ: recvCQ, state: StateReset}
 	if typ == RC {
 		q.rqDepth = h.limits.RQDepth

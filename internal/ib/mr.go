@@ -12,7 +12,7 @@ type MR struct {
 	rkey uint32
 	// onWrite, when non-nil, is invoked after a remote RDMA write or atomic
 	// lands in the region, with the offset/length written and the virtual
-	// arrival time. Upper layers use it to implement shmem_wait. It is
+	// time of arrival. Upper layers use it to implement shmem_wait. It is
 	// called without the HCA memory lock held and must not block.
 	onWrite func(off, n int, vtime int64)
 	dead    bool

@@ -187,31 +187,21 @@ func (fi *FaultInjector) allPathsBlocked(src, dst uint16, rails int, now int64) 
 	return true
 }
 
-// SeveranceActiveAt reports whether any scheduled network fault is in effect
-// at virtual time now: a tripped port or rail failure (permanent from its
-// schedule time), or an active partition window. While this holds, silence
-// between ANY pair — even one whose own paths are clear — is inconclusive
-// evidence of death: a live peer's progress engine can be transitively
-// stalled behind a severed path to a third party, so the failure detector
-// keeps reprobing instead of confirming deaths.
-func (fi *FaultInjector) SeveranceActiveAt(now int64) bool {
+// PartitionedDuring reports whether a partition window severed src from dst
+// at any instant of the virtual-time span [from, to]. The failure detector
+// asks it of a silence: probes sent while the pair was partitioned were
+// blackholed, so going unanswered proves nothing about the peer. Port and rail
+// failures need no such question — they never heal, so a pair they sever at
+// any time is still severed at `to`.
+func (fi *FaultInjector) PartitionedDuring(src, dst uint16, from, to int64) bool {
 	if fi == nil {
 		return false
 	}
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	for i := range fi.portFaults {
-		if now >= fi.portFaults[i].at {
-			return true
-		}
-	}
-	for i := range fi.railFaults {
-		if now >= fi.railFaults[i].at {
-			return true
-		}
-	}
 	for i := range fi.partitions {
-		if fi.partitions[i].active(now) {
+		w := &fi.partitions[i]
+		if w.severs(src, dst) && w.at <= to && (w.heal < 0 || w.heal > from) {
 			return true
 		}
 	}

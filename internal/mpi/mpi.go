@@ -62,7 +62,7 @@ type Comm struct {
 	hColl *obs.Hist
 
 	mu         sync.Mutex
-	cond       *sync.Cond
+	cond       *vclock.Cond
 	unexpected []*message
 
 	collSeq int64
@@ -75,7 +75,7 @@ func New(c *gasnet.Conduit) *Comm {
 	m.hSend = m.obs.Hist("mpi.send_ns")
 	m.hRecv = m.obs.Hist("mpi.recv_ns")
 	m.hColl = m.obs.Hist("mpi.collective_ns")
-	m.cond = sync.NewCond(&m.mu)
+	m.cond = vclock.NewCond(&m.mu, c.Sched())
 	c.RegisterHandler(amSend, func(src int, args [4]uint64, payload []byte, at int64) {
 		msg := &message{src: src, tag: int(int64(args[0])), data: payload, at: at}
 		m.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"goshmem/internal/obs"
+	"goshmem/internal/vclock"
 )
 
 // AllgatherOp is an outstanding PMIX_Iallgather. The initiating call returns
@@ -15,7 +16,7 @@ import (
 // paper exploits in section IV-D.
 type AllgatherOp struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *vclock.Cond
 	n       int
 	vals    []string
 	got     int
@@ -66,7 +67,7 @@ func (c *Client) IAllgather(value string) *AllgatherOp {
 	op := c.s.ag[seq]
 	if op == nil {
 		op = &AllgatherOp{n: c.s.n, vals: make([]string, c.s.n)}
-		op.cond = sync.NewCond(&op.mu)
+		op.cond = vclock.NewCond(&op.mu, c.s.sched)
 		if c.s.abort != nil {
 			op.aborted = true
 		}
@@ -155,7 +156,7 @@ func (op *AllgatherOp) Done() bool {
 // ringOp collects the n ring contributions.
 type ringOp struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *vclock.Cond
 	n       int
 	vals    []string
 	got     int
@@ -184,7 +185,7 @@ func (c *Client) Ring(value string) (left, right string) {
 	op := c.s.ring[seq]
 	if op == nil {
 		op = &ringOp{n: c.s.n, vals: make([]string, c.s.n)}
-		op.cond = sync.NewCond(&op.mu)
+		op.cond = vclock.NewCond(&op.mu, c.s.sched)
 		c.s.ring[seq] = op
 	}
 	c.s.mu.Unlock()

@@ -50,6 +50,7 @@ type Server struct {
 	closed bool
 
 	faults *FaultInjector
+	sched  *vclock.Sched // the job's timer queue (nil: none); sees who is blocked here
 
 	abort *AbortNotice
 }
@@ -58,9 +59,9 @@ type Server struct {
 // the out-of-band path a launcher uses to tear down a job whose in-band
 // fabric can no longer be trusted (a peer died, a watchdog fired).
 type AbortNotice struct {
-	Origin int    // rank that raised the abort (-1: the launcher/watchdog)
-	Dead   int    // rank confirmed dead, -1 when the abort is not a PE failure
-	Code   int    // suggested exit code for surviving PEs
+	Origin int // rank that raised the abort (-1: the launcher/watchdog)
+	Dead   int // rank confirmed dead, -1 when the abort is not a PE failure
+	Code   int // suggested exit code for surviving PEs
 	Reason string
 }
 
@@ -90,6 +91,14 @@ func (s *Server) NProcs() int { return s.n }
 // the launcher's kill path is assumed reliable even when its KVS service
 // degrades, which keeps abort semantics simple and bounded.
 func (s *Server) SetFaults(fi *FaultInjector) { s.faults = fi }
+
+// SetSched makes PEs blocked in a fence, allgather or ring visible to the
+// job's timer queue. Call before the job starts; nil (the default) is the
+// fault-free configuration.
+func (s *Server) SetSched(q *vclock.Sched) {
+	s.sched = q
+	s.fence.SetSched(q)
+}
 
 // Faults returns the installed control-plane fault injector (nil if none).
 func (s *Server) Faults() *FaultInjector { return s.faults }

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"goshmem/internal/obs"
+	"goshmem/internal/vclock"
 )
 
 // collSpan closes a collective's observability span and feeds the collective
@@ -30,7 +31,7 @@ func (c *Ctx) collSpan(kind string, start int64, h *obs.Hist) {
 // identifies one fragment.
 type collState struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  *vclock.Cond
 	seqs  map[uint64]uint64
 	inbox map[collKey]collMsg
 
@@ -80,9 +81,9 @@ func (s *collState) memSize() int64 {
 	return b
 }
 
-func newCollState() *collState {
+func newCollState(sched *vclock.Sched) *collState {
 	s := &collState{inbox: make(map[collKey]collMsg), seqs: make(map[uint64]uint64)}
-	s.cond = sync.NewCond(&s.mu)
+	s.cond = vclock.NewCond(&s.mu, sched)
 	return s
 }
 

@@ -2,7 +2,6 @@ package shmem
 
 import (
 	"fmt"
-	"sync"
 
 	"goshmem/internal/gasnet"
 	"goshmem/internal/ib"
@@ -63,9 +62,10 @@ func Attach(env Env, opts Options) *Ctx {
 		model: env.HCA.Fabric().Model(),
 		segs:  make([]segInfo, env.NProcs),
 	}
-	c.segCond = sync.NewCond(&c.segMu)
-	c.watchCond = sync.NewCond(&c.watchMu)
-	c.coll = newCollState()
+	sched := env.HCA.Fabric().Sched()
+	c.segCond = vclock.NewCond(&c.segMu, sched)
+	c.watchCond = vclock.NewCond(&c.watchMu, sched)
+	c.coll = newCollState(sched)
 	c.obs = env.Obs
 	c.hPut = c.obs.Hist("shmem.put_ns")
 	c.hGet = c.obs.Hist("shmem.get_ns")
@@ -92,7 +92,6 @@ func Attach(env Env, opts Options) *Ctx {
 		NodeBarrier: env.NodeBarrier,
 		Obs:         env.Obs,
 		MaxLiveRC:   opts.MaxLiveRC,
-		Retrans:     opts.Retrans,
 		Heartbeat:   opts.Heartbeat,
 	}
 	if opts.SegEx == SegPiggyback {

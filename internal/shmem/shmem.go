@@ -73,11 +73,8 @@ type Options struct {
 	// idle connection (the evicted peer reconnects on demand). Zero means
 	// unbounded; on-demand mode only. See gasnet.Config.MaxLiveRC.
 	MaxLiveRC int
-	// Retrans overrides the conduit's real-time retransmission timing
-	// (zero fields keep the defaults).
-	Retrans gasnet.RetransConfig
-	// Heartbeat configures the conduit's UD failure detector (zero value:
-	// armed automatically only when the fabric schedules PE faults).
+	// Heartbeat forces the conduit's UD failure detector on or off (zero
+	// value: armed automatically only when the fabric schedules faults).
 	Heartbeat gasnet.HeartbeatConfig
 }
 
@@ -132,13 +129,13 @@ type Ctx struct {
 	mr      *ib.MR
 
 	segMu   sync.Mutex
-	segCond *sync.Cond
+	segCond *vclock.Cond
 	segs    []segInfo
 
 	coll *collState
 
 	watchMu   sync.Mutex
-	watchCond *sync.Cond
+	watchCond *vclock.Cond
 	lastWrite int64
 
 	breakdown InitBreakdown

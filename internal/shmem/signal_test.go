@@ -64,8 +64,7 @@ func TestPutSignalQuietFence(t *testing.T) {
 // govern; the stream must stay lossless and in order under that pressure.
 func TestPutSignalBackpressured(t *testing.T) {
 	const n, k = 2, 40
-	cfg := cluster.Config{NP: n, PPN: 1, Mode: gasnet.OnDemand, RQDepth: 2,
-		Retrans: gasnet.RetransConfig{}}
+	cfg := cluster.Config{NP: n, PPN: 1, Mode: gasnet.OnDemand, RQDepth: 2}
 	res := run(t, cfg, func(c *shmem.Ctx) {
 		data := c.Malloc(8)
 		sig := c.Malloc(8)

@@ -20,6 +20,7 @@ import (
 	"goshmem/internal/ib"
 	"goshmem/internal/obs"
 	"goshmem/internal/shmem"
+	"goshmem/internal/vclock"
 )
 
 // amBarrier is the AM handler id for the upc_barrier (the conduit id space
@@ -41,7 +42,7 @@ type Thread struct {
 	alloc   uint64 // bump allocator over the shared segment
 
 	segMu   sync.Mutex
-	segCond *sync.Cond
+	segCond *vclock.Cond
 	segs    []struct {
 		base uint64
 		rkey uint32
@@ -49,7 +50,7 @@ type Thread struct {
 	}
 
 	barMu   sync.Mutex
-	barCond *sync.Cond
+	barCond *vclock.Cond
 	barSeq  uint64
 	inbox   map[[2]uint64]int64 // (seq, src) -> arrival vtime
 }
@@ -70,8 +71,9 @@ func Attach(env shmem.Env, opts Options) *Thread {
 		opts.SharedBytes = 1 << 20
 	}
 	t := &Thread{rank: env.Rank, n: env.NProcs}
-	t.segCond = sync.NewCond(&t.segMu)
-	t.barCond = sync.NewCond(&t.barMu)
+	sched := env.HCA.Fabric().Sched()
+	t.segCond = vclock.NewCond(&t.segMu, sched)
+	t.barCond = vclock.NewCond(&t.barMu, sched)
 	t.inbox = make(map[[2]uint64]int64)
 	t.segs = make([]struct {
 		base uint64

@@ -13,7 +13,7 @@ import "sync"
 // Fence and for the conduit's intra-node barrier.
 type VBarrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *Cond
 	n       int
 	count   int
 	gen     int
@@ -25,9 +25,13 @@ type VBarrier struct {
 // NewVBarrier returns a barrier for n participants.
 func NewVBarrier(n int) *VBarrier {
 	b := &VBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
+	b.cond = NewCond(&b.mu, nil)
 	return b
 }
+
+// SetSched makes the barrier's waiters visible to the job's timer queue.
+// Call it at setup, before any participant arrives.
+func (b *VBarrier) SetSched(s *Sched) { b.cond.s = s }
 
 // N returns the number of participants.
 func (b *VBarrier) N() int { return b.n }
