@@ -15,10 +15,8 @@ import (
 )
 
 // railCfg is the common scaffold for the multi-rail soaks: the churn traffic
-// dimensions on a two-rail fabric, compressed real-time retransmission and
-// heartbeat timing (fault soaks must not wait out production timeouts), the
-// watchdog as a bounded-termination backstop, and the incident ledger armed
-// so every run can be reconciled.
+// dimensions on a two-rail fabric, the watchdog as a bounded-termination
+// backstop, and the incident ledger armed so every run can be reconciled.
 func railCfg() Config {
 	return Config{
 		NP: churnNP, PPN: churnPPN, Mode: gasnet.OnDemand,
@@ -35,9 +33,10 @@ func railCfg() Config {
 func runRail(t *testing.T, cfg Config) ([churnNP]uint64, *Result) {
 	t.Helper()
 	var digests [churnNP]uint64
-	// A partitioned run rides many real-time retransmission and probe
-	// backoffs; under the race detector one run can take tens of seconds, so
-	// the bound is generous — it guards against hanging, not against slow.
+	// A partitioned run rides many retransmission and probe timeouts, each a
+	// quiescence of the whole job; under the race detector one run can take
+	// tens of seconds, so the bound is generous — it guards against hanging,
+	// not against slow.
 	res := runBoundedFor(t, cfg, 120*time.Second, func(c *shmem.Ctx) {
 		digests[c.Me()] = traffic.Run(c, churnParams()).Digest
 	})

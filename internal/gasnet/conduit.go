@@ -195,20 +195,12 @@ type conn struct {
 	epoch   uint64 // teardown generation, so racing fault reports are applied once
 	lastUse uint64 // LRU stamp for idle-connection eviction
 
-	// creditRel is the sender-side receive-credit window against this peer:
-	// the virtual times at which in-flight messages release their receive
-	// slot at the target (mirror of the target QP's rqRel). Only maintained
-	// when Limits.RQDepth is set. Sorted: RC sends on one conn are monotone.
-	creditRel []int64
-
-	// Data-plane session state (session.go; maintained only on lossy
-	// fabrics). Deliberately NOT reset by a teardown: sequences, retained
-	// frames and the dedup ledger span connection incarnations — that
-	// continuity is the whole point.
-	txSeq    uint64       // last transfer sequence framed to this peer
-	unacked  []retainedTx // framed sends awaiting cumulative ACK, in seq order
-	rxMax    uint64       // highest in-order sequence executed from this peer
-	lastData int64        // virtual time of the last framed post (RTO baseline)
+	// The data-plane session and the receive-credit window (session.go) are
+	// values of their own, present only where they can matter: on a lossy
+	// fabric, respectively against finite receive queues. A fault-free,
+	// unbudgeted run allocates neither.
+	sess   *session
+	credit *creditWindow
 
 	// quiet counts consecutive timeouts (handshake legs and data replays
 	// alike) since anything was last heard from the peer. Close stops waiting
@@ -247,7 +239,7 @@ type Conduit struct {
 	rtxAt int64
 
 	waiterMu    sync.Mutex
-	waiters     map[uint64]chan ib.Completion
+	waiters     map[uint64]chan waited
 	pendingGets map[uint64][]byte // non-blocking-implicit gets by WRID
 	wrid        atomic.Uint64
 
@@ -257,12 +249,12 @@ type Conduit struct {
 	unackedWin  int // framed sends retained but not yet cumulatively ACKed
 	lastPutVT   int64
 
-	// Data-plane session layer (session.go): armed only on lossy fabrics.
-	lossy      bool
-	qpPeer     map[uint32]int // local RC QPN -> peer rank (guarded by connMu)
-	atomicMu   sync.Mutex
-	atomicWait map[uint64]chan atomicResult
-	atomicTok  uint64
+	// Data-plane session layer (session.go): armed only on lossy fabrics;
+	// rqDepth is the adapters' receive-queue depth (0: unbounded, no credit
+	// windows).
+	lossy   bool
+	rqDepth int
+	qpPeer  map[uint32]int // local RC QPN -> peer rank (guarded by connMu)
 
 	// udMu single-flights endpoint resolution: the app thread, handshake
 	// recovery goroutines and the heartbeat prober can all race into
@@ -323,15 +315,15 @@ func New(cfg Config) *Conduit {
 		clk:     cfg.Clock,
 		mgrClk:  vclock.NewClock(cfg.Clock.Now()),
 		cq:      ib.NewCQ(),
-		waiters: make(map[uint64]chan ib.Completion),
+		waiters: make(map[uint64]chan waited),
 		peers:   make(map[int]struct{}),
 		obs:     cfg.Obs,
 		lossy:   cfg.HCA.Fabric().Lossy(),
+		rqDepth: cfg.HCA.Limits().RQDepth,
 		sched:   cfg.HCA.Fabric().Sched(),
 	}
 	if c.lossy {
 		c.qpPeer = make(map[uint32]int)
-		c.atomicWait = make(map[uint64]chan atomicResult)
 		// The session layer's own active messages (framed atomics) use the
 		// reserved handler ids; installed before the progress goroutine runs.
 		c.handlers[amAtomicReq] = c.handleAtomicReq
@@ -347,7 +339,7 @@ func New(cfg Config) *Conduit {
 	c.led = c.obs.Ledger()
 	c.connCond = vclock.NewCond(&c.connMu, c.sched)
 	c.outCond = vclock.NewCond(&c.outMu, c.sched)
-	c.conns = newConnTable(cfg.Mode, cfg.NProcs)
+	c.conns = newConnTable(cfg.Mode, cfg.NProcs, c.lossy, c.rqDepth > 0)
 	udQP, err := cfg.HCA.TryCreateQP(ib.UD, c.clk, nil, c.cq)
 	if err != nil {
 		// No control endpoint means no handshakes, no heartbeats, no in-band
@@ -660,18 +652,58 @@ func (c *Conduit) AMRequest(peer int, handler uint8, args [4]uint64, payload []b
 	return c.AMRequestKind(peer, handler, args, payload, obs.FlowAM)
 }
 
-// AMRequestKind is AMRequest with an explicit flow-matrix classification
-// for the message (obs.FlowAM, obs.FlowColl, obs.FlowBarrier).
-func (c *Conduit) AMRequestKind(peer int, handler uint8, args [4]uint64, payload []byte, kind obs.FlowKind) error {
+// begin is the one prologue of every operation towards peer: this PE is
+// alive (and the job not aborted), the peer is noted and monitored, the
+// operation — n bytes of kind — is counted and lands in the flow row, and with
+// hold it joins the outstanding-operation window Quiet waits on, until its
+// completion (or held, when it never gets that far) releases it.
+func (c *Conduit) begin(peer int, kind obs.FlowKind, n int, hold bool) error {
 	if err := c.checkAlive(); err != nil {
 		return err
 	}
-	c.notePeer(peer)
 	c.statMu.Lock()
-	c.stats.AMsSent++
+	c.peers[peer] = struct{}{}
+	switch kind {
+	case obs.FlowPut:
+		c.stats.PutsIssued++
+		c.stats.BytesPut += int64(n)
+	case obs.FlowGet:
+		c.stats.GetsIssued++
+		c.stats.BytesGot += int64(n)
+	case obs.FlowAtomic:
+		c.stats.AtomicsIssued++
+	default:
+		c.stats.AMsSent++
+	}
 	c.statMu.Unlock()
+	c.MonitorPeer(peer) // every peer we talk to is a peer whose death would strand us
+	c.obs.Flow(peer, kind, int64(n))
+	if hold {
+		c.outMu.Lock()
+		c.outstanding++
+		c.outMu.Unlock()
+	}
+	return nil
+}
+
+// held passes on the outcome of posting an operation begun with hold: one
+// that failed to post will never complete, so its hold is dropped here.
+func (c *Conduit) held(err error) error {
+	if err != nil {
+		c.outMu.Lock()
+		c.outstanding--
+		c.outMu.Unlock()
+	}
+	return err
+}
+
+// AMRequestKind is AMRequest with an explicit flow-matrix classification
+// for the message (obs.FlowAM, obs.FlowColl, obs.FlowBarrier).
+func (c *Conduit) AMRequestKind(peer int, handler uint8, args [4]uint64, payload []byte, kind obs.FlowKind) error {
+	if err := c.begin(peer, kind, amHdrLen+len(payload), false); err != nil {
+		return err
+	}
 	data := encodeAM(handler, c.cfg.Rank, args, payload)
-	c.obs.Flow(peer, kind, int64(len(data)))
 	return c.post(peer, ib.SendWR{Op: ib.OpSend, Data: data, NoSendCompletion: true}, false)
 }
 
@@ -681,67 +713,31 @@ func (c *Conduit) AMRequestKind(peer int, handler uint8, args [4]uint64, payload
 // still queued behind an in-flight handshake. Put-with-signal uses it for
 // the signal message, whose delivery OpenSHMEM requires Quiet to fence.
 func (c *Conduit) AMRequestFenced(peer int, handler uint8, args [4]uint64, payload []byte) error {
-	if err := c.checkAlive(); err != nil {
+	if err := c.begin(peer, obs.FlowAM, amHdrLen+len(payload), true); err != nil {
 		return err
 	}
-	c.notePeer(peer)
-	c.statMu.Lock()
-	c.stats.AMsSent++
-	c.statMu.Unlock()
 	data := encodeAM(handler, c.cfg.Rank, args, payload)
-	c.obs.Flow(peer, obs.FlowAM, int64(len(data)))
-	c.outMu.Lock()
-	c.outstanding++
-	c.outMu.Unlock()
-	wr := ib.SendWR{Op: ib.OpSend, WRID: c.wrid.Add(1), Data: data}
-	if err := c.post(peer, wr, false); err != nil {
-		c.outMu.Lock()
-		c.outstanding--
-		c.outMu.Unlock()
-		return err
-	}
-	return nil
+	return c.held(c.post(peer, ib.SendWR{Op: ib.OpSend, WRID: c.wrid.Add(1), Data: data}, false))
 }
 
 // Put issues a one-sided RDMA write of data into (raddr, rkey) at peer. It
 // returns once the source buffer is reusable; remote completion is deferred
 // to Quiet.
 func (c *Conduit) Put(peer int, raddr uint64, rkey uint32, data []byte) error {
-	if err := c.checkAlive(); err != nil {
+	if err := c.begin(peer, obs.FlowPut, len(data), true); err != nil {
 		return err
 	}
-	c.notePeer(peer)
-	c.statMu.Lock()
-	c.stats.PutsIssued++
-	c.stats.BytesPut += int64(len(data))
-	c.statMu.Unlock()
-	c.obs.Flow(peer, obs.FlowPut, int64(len(data)))
-	c.outMu.Lock()
-	c.outstanding++
-	c.outMu.Unlock()
 	wr := ib.SendWR{Op: ib.OpRDMAWrite, WRID: c.wrid.Add(1), RemoteAddr: raddr, RKey: rkey, Data: data}
-	if err := c.post(peer, wr, true); err != nil {
-		c.outMu.Lock()
-		c.outstanding--
-		c.outMu.Unlock()
-		return err
-	}
-	return nil
+	return c.held(c.post(peer, wr, true))
 }
 
 // GetNBI issues a non-blocking-implicit RDMA read: it returns immediately
 // and buf is guaranteed filled once Quiet returns (shmem_getmem_nbi
 // semantics).
 func (c *Conduit) GetNBI(peer int, raddr uint64, rkey uint32, buf []byte) error {
-	if err := c.checkAlive(); err != nil {
+	if err := c.begin(peer, obs.FlowGet, len(buf), true); err != nil {
 		return err
 	}
-	c.notePeer(peer)
-	c.statMu.Lock()
-	c.stats.GetsIssued++
-	c.stats.BytesGot += int64(len(buf))
-	c.statMu.Unlock()
-	c.obs.Flow(peer, obs.FlowGet, int64(len(buf)))
 	wr := ib.SendWR{Op: ib.OpRDMARead, WRID: c.wrid.Add(1), RemoteAddr: raddr, RKey: rkey, Len: len(buf)}
 	c.waiterMu.Lock()
 	if c.pendingGets == nil {
@@ -749,33 +745,21 @@ func (c *Conduit) GetNBI(peer int, raddr uint64, rkey uint32, buf []byte) error 
 	}
 	c.pendingGets[wr.WRID] = buf
 	c.waiterMu.Unlock()
-	c.outMu.Lock()
-	c.outstanding++
-	c.outMu.Unlock()
-	if err := c.post(peer, wr, true); err != nil {
+	err := c.held(c.post(peer, wr, true))
+	if err != nil {
 		c.waiterMu.Lock()
 		delete(c.pendingGets, wr.WRID)
 		c.waiterMu.Unlock()
-		c.outMu.Lock()
-		c.outstanding--
-		c.outMu.Unlock()
-		return err
 	}
-	return nil
+	return err
 }
 
 // Get issues a blocking RDMA read of len(buf) bytes from (raddr, rkey) at
 // peer into buf.
 func (c *Conduit) Get(peer int, raddr uint64, rkey uint32, buf []byte) error {
-	if err := c.checkAlive(); err != nil {
+	if err := c.begin(peer, obs.FlowGet, len(buf), false); err != nil {
 		return err
 	}
-	c.notePeer(peer)
-	c.statMu.Lock()
-	c.stats.GetsIssued++
-	c.stats.BytesGot += int64(len(buf))
-	c.statMu.Unlock()
-	c.obs.Flow(peer, obs.FlowGet, int64(len(buf)))
 	wr := ib.SendWR{Op: ib.OpRDMARead, WRID: c.wrid.Add(1), RemoteAddr: raddr, RKey: rkey, Len: len(buf)}
 	comp, err := c.postWait(peer, wr)
 	if err != nil {
@@ -803,14 +787,9 @@ func (c *Conduit) Swap(peer int, raddr uint64, rkey uint32, swap uint64) (uint64
 }
 
 func (c *Conduit) atomicOp(peer int, wr ib.SendWR) (uint64, error) {
-	if err := c.checkAlive(); err != nil {
+	if err := c.begin(peer, obs.FlowAtomic, 8, false); err != nil { // atomics operate on one uint64
 		return 0, err
 	}
-	c.notePeer(peer)
-	c.statMu.Lock()
-	c.stats.AtomicsIssued++
-	c.statMu.Unlock()
-	c.obs.Flow(peer, obs.FlowAtomic, 8) // atomics operate on one uint64
 	if c.lossy {
 		// On a lossy fabric atomics ride framed active messages so the dedup
 		// ledger guards them: a fabric-level atomic whose ACK is lost would be
@@ -819,16 +798,34 @@ func (c *Conduit) atomicOp(peer int, wr ib.SendWR) (uint64, error) {
 	}
 	wr.WRID = c.wrid.Add(1)
 	comp, err := c.postWait(peer, wr)
-	if err != nil {
-		return 0, err
+	return comp.Old, err
+}
+
+// waited is what a blocked issuer is woken with: its work request's
+// completion, or the error the request failed with on its way to the wire.
+type waited struct {
+	comp ib.Completion
+	err  error
+}
+
+// wake hands w to the issuer blocked in postWait on work request wrid, and
+// reports whether there was one.
+func (c *Conduit) wake(wrid uint64, w waited) bool {
+	c.waiterMu.Lock()
+	ch := c.waiters[wrid]
+	delete(c.waiters, wrid)
+	c.waiterMu.Unlock()
+	if ch != nil {
+		c.sched.Unpark(1)
+		ch <- w
 	}
-	return comp.Old, nil
+	return ch != nil
 }
 
 // postWait posts a work request and blocks for its completion, advancing the
 // PE clock to the virtual time of the completion.
 func (c *Conduit) postWait(peer int, wr ib.SendWR) (ib.Completion, error) {
-	ch := make(chan ib.Completion, 1)
+	ch := make(chan waited, 1)
 	c.waiterMu.Lock()
 	c.waiters[wr.WRID] = ch
 	c.waiterMu.Unlock()
@@ -838,10 +835,10 @@ func (c *Conduit) postWait(peer int, wr ib.SendWR) (ib.Completion, error) {
 		c.waiterMu.Unlock()
 		return ib.Completion{}, err
 	}
-	var comp ib.Completion
+	var w waited
 	c.sched.Park() // whoever takes our entry out of c.waiters unparks us
 	select {
-	case comp = <-ch:
+	case w = <-ch:
 	case <-c.abortCh:
 		// The job aborted while we were blocked; the completion may never
 		// arrive (the peer is dead or the fabric is being torn down).
@@ -854,14 +851,11 @@ func (c *Conduit) postWait(peer int, wr ib.SendWR) (ib.Completion, error) {
 		}
 		return ib.Completion{}, c.Err()
 	}
-	c.clk.AdvanceTo(comp.VTime)
-	if comp.Status != ib.StatusOK {
-		if comp.Status == ib.StatusFlushed && c.PeerDead(peer) {
-			return comp, ErrPeerDead
-		}
-		return comp, fmt.Errorf("gasnet: remote operation failed: %v", comp.Status)
+	c.clk.AdvanceTo(w.comp.VTime)
+	if w.err == nil && w.comp.Status != ib.StatusOK {
+		w.err = fmt.Errorf("gasnet: remote operation failed: %v", w.comp.Status)
 	}
-	return comp, nil
+	return w.comp, w.err
 }
 
 // Quiet blocks until all outstanding Puts have completed remotely
@@ -906,7 +900,6 @@ func log2ceil(n int) int {
 	return k
 }
 
-// Stats returns a snapshot of the PE's resource and traffic counters.
 // RegisterHeap registers the PE's symmetric-heap backing with the adapter,
 // running the pinned-memory degradation ladder: a refused registration
 // (budget exceeded or injected allocation fault) falls back to a
@@ -935,6 +928,7 @@ func (c *Conduit) RegisterHeap(buf []byte) *ib.MR {
 	panic(fmt.Errorf("gasnet: heap registration: %w", ae))
 }
 
+// Stats returns a snapshot of the PE's resource and traffic counters.
 func (c *Conduit) Stats() Stats {
 	c.statMu.Lock()
 	s := c.stats
@@ -964,14 +958,6 @@ func (c *Conduit) PeerSet() map[int]struct{} {
 // observability plane's event ring (a no-op when events are off).
 func (c *Conduit) event(kind string, peer int, vt int64) {
 	c.obs.Emit(vt, obs.LayerGasnet, kind, peer, 0)
-}
-
-func (c *Conduit) notePeer(peer int) {
-	c.statMu.Lock()
-	c.peers[peer] = struct{}{}
-	c.statMu.Unlock()
-	// Every peer we talk to is a peer whose death would strand us.
-	c.MonitorPeer(peer)
 }
 
 func (c *Conduit) countQP(t ib.QPType) {
@@ -1035,7 +1021,7 @@ func (c *Conduit) drainingLocked() bool {
 	busy := false
 	c.conns.each(func(_ int, cn *conn) {
 		busy = busy || cn.quiet < closeQuiet && (cn.state == connConnecting ||
-			cn.state == connAccepted || len(cn.pending) > 0 || len(cn.unacked) > 0)
+			cn.state == connAccepted || len(cn.pending) > 0 || cn.sess.retained() > 0)
 	})
 	return busy
 }
@@ -1076,7 +1062,7 @@ func (c *Conduit) progress() {
 				c.putDone(comp)
 			}
 			c.sched.Unpark(1)
-			ch <- comp
+			ch <- waited{comp: comp}
 			continue
 		}
 		if nbiBuf != nil {

@@ -40,8 +40,6 @@ func msgName(kind uint8) string {
 		return "data-ack"
 	case msgDataNak:
 		return "data-nak"
-	case msgDataProbe:
-		return "data-probe"
 	}
 	return "unknown"
 }
@@ -59,15 +57,15 @@ const (
 	// inside the failure detector's confirmation time, or a PE draining
 	// towards a peer that has already closed would declare it dead.
 	closeQuiet = 8
-	maxQuiet   = 4 * recycleAttempts
+	maxQuiet   = 100
 
 	// probeBackoffShift caps the exponential backoff of the failure
 	// detector's confirmation probes (failure.go).
 	probeBackoffShift = 4
 
 	// rnrBackoffMaxShift caps the exponential virtual-time backoff applied
-	// to receiver-not-ready retries, zero-credit stalls and refused
-	// queue-pair allocations (delay = RNRRetryDelay << min(attempt,
+	// to receiver-not-ready retries, admission back-offs and refused
+	// queue-pair allocations (delay = base << min(attempt,
 	// rnrBackoffMaxShift)).
 	rnrBackoffMaxShift = 6
 
@@ -85,16 +83,6 @@ func backoff(base int64, attempt, maxShift int) int64 {
 		attempt = maxShift
 	}
 	return base << attempt
-}
-
-// isLinkFault reports whether a post failed because the RC connection died
-// underneath it (link flap, peer teardown, or local eviction) — the errors
-// the connection manager recovers from by re-running the handshake.
-// ib.ErrPathDown is deliberately NOT a link fault: both queue pairs are
-// healthy and the recovery ladder (Automatic Path Migration, then a
-// reconnect on another rail) must run before anything is torn down.
-func isLinkFault(err error) bool {
-	return errors.Is(err, ib.ErrLinkDown) || errors.Is(err, ib.ErrBadState)
 }
 
 // pickRailsLocked selects the primary and alternate rails for a new RC
@@ -234,22 +222,6 @@ func (c *Conduit) remoteQPAlive(d ib.Dest) bool {
 	return q != nil && q.State() != ib.StateError
 }
 
-// linkFault reports a post that failed underneath the ready connection it
-// was issued on (epoch is the teardown generation the poster observed) and
-// leaves the slot recovering: migrated in place when only the primary path
-// died and the alternate is live, otherwise torn down for the caller's retry
-// loop to re-handshake.
-func (c *Conduit) linkFault(peer int, epoch uint64, err error, clk *vclock.Clock) {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	cn := c.conns.get(peer)
-	if errors.Is(err, ib.ErrPathDown) && cn.epoch == epoch && cn.state == connReady &&
-		c.tryMigrateLocked(cn, peer, clk.Now()) {
-		return
-	}
-	c.linkFaultLocked(cn, peer, epoch, err, false, clk)
-}
-
 // linkFaultLocked is the one epilogue for a failed post: classify the damage
 // (a torn or corrupted payload already landed at the target and is counted
 // here, whoever reports it), then — unless another reporter already
@@ -298,13 +270,14 @@ func (c *Conduit) maybeEvictLocked(excludePeer int, vt int64) {
 }
 
 // evictLocked tears an eviction victim down. A last-resort victim still
-// retaining unacknowledged frames has its window probe postponed by a full
-// RTO from now, so the queue-pair slot the eviction just freed is not
-// immediately reclaimed by the victim itself. Caller holds connMu.
+// retaining unacknowledged frames has its timeout — which reconnects for the
+// replay — postponed by a full period from now, so the queue-pair slot the
+// eviction just freed is not immediately reclaimed by the victim itself.
+// Caller holds connMu.
 func (c *Conduit) evictLocked(victim *conn, peer int, vt int64, what string) {
 	c.driveLocked(victim, peer, event{kind: evEvict}, &driveIn{clk: vclock.NewClock(vt)})
-	if len(victim.unacked) > 0 {
-		victim.lastData = vt
+	if victim.sess.retained() > 0 {
+		victim.sess.lastData = vt
 		c.armForLocked(victim)
 	}
 	c.led.Act("alloc", obs.InstJob, vt, what)
@@ -333,7 +306,7 @@ func (c *Conduit) pickVictimLocked(excludePeer int) (*conn, int) {
 		// without the tie-break the map iteration order would pick the victim —
 		// making eviction (and everything downstream: reconnects, the flow
 		// matrix's ctrl column, lifecycle timelines) schedule-dependent.
-		if len(cn.unacked) > 0 {
+		if cn.sess.retained() > 0 {
 			if dirty == nil || cn.lastUse < dirty.lastUse ||
 				(cn.lastUse == dirty.lastUse && peer < dpeer) {
 				dirty, dpeer = cn, peer
@@ -377,163 +350,6 @@ func (c *Conduit) payload() []byte {
 		return nil
 	}
 	return c.cfg.ConnectPayload()
-}
-
-// creditGateLocked blocks — in virtual time — until the sender-side
-// receive-credit window against cn's peer has a free slot, then consumes one
-// with a conservative estimate of when the receiver reposts it (arrival plus
-// the receive-queue drain time). The window mirrors the target QP's finite
-// receive queue, so a well-behaved sender stalls locally instead of eating
-// NAK round trips; the receiver's RNR NAK (see postRNR) remains the ground
-// truth when the estimate runs early. Caller holds connMu.
-func (c *Conduit) creditGateLocked(cn *conn, depth, n int, clk *vclock.Clock) {
-	prune := func() {
-		now := clk.Now()
-		i := 0
-		for i < len(cn.creditRel) && cn.creditRel[i] <= now {
-			// Each credit's release is stamped at its own estimated repost
-			// time; the gauge fold sorts by VT, so late observation is exact.
-			c.gCredits.Add(cn.creditRel[i], -1)
-			i++
-		}
-		if i > 0 {
-			cn.creditRel = append(cn.creditRel[:0], cn.creditRel[i:]...)
-		}
-	}
-	prune()
-	stalls := 0
-	for len(cn.creditRel) >= depth {
-		// The oldest in-flight message frees its slot at creditRel[0]; sleep
-		// until then, backing off exponentially if the window stays shut.
-		clk.AdvanceTo(cn.creditRel[0])
-		clk.Advance(backoff(c.model.RNRRetryDelay, stalls, rnrBackoffMaxShift))
-		stalls++
-		prune()
-	}
-	if stalls > 0 {
-		c.statMu.Lock()
-		c.stats.CreditStalls++
-		c.statMu.Unlock()
-	}
-	cn.creditRel = append(cn.creditRel,
-		clk.Now()+c.model.RCSendLatency+c.model.XferTime(n)+c.model.RQDrain)
-	c.gCredits.Add(clk.Now(), 1)
-}
-
-// postRNR posts wr on qp, absorbing receiver-not-ready NAKs: each NAK backs
-// off exponentially on the work request's clock and retries, modeling the
-// HCA's RNR retry timer. The loop terminates because every retry departs
-// later, so its arrival eventually passes the oldest release time of the
-// receive queue. Other errors — including link faults — return unchanged.
-func (c *Conduit) postRNR(qp *ib.QP, wr ib.SendWR) error {
-	for attempt := 0; ; attempt++ {
-		err := qp.PostSend(wr)
-		if !errors.Is(err, ib.ErrRNR) {
-			return err
-		}
-		c.statMu.Lock()
-		c.stats.RNRNaks++
-		c.statMu.Unlock()
-		wr.Clk.Advance(backoff(c.model.RNRRetryDelay, attempt, rnrBackoffMaxShift))
-	}
-}
-
-// post sends a work request to peer, establishing the connection on demand.
-// If the connection is still being established the request is queued and
-// flushed, in order, the moment the connection is ready. clonePending makes
-// a private copy of wr.Data when queueing (callers that hand over ownership
-// of the buffer, such as AMRequest, pass false).
-//
-// A post that fails because the connection died underneath it (link flap,
-// peer eviction) tears the connection down and loops: the work request is
-// queued behind a fresh handshake and re-executed there. For most faults the
-// fabric fails the operation before any byte moves; a torn or corrupted RDMA
-// payload (ib.ErrTornWrite, ib.ErrRCCorrupt) lands damage first — the clean
-// replay overwrites it before the operation ever completes, so Quiet never
-// observes the damage. A path error runs the ladder instead: migrate to the
-// alternate rail in place (APM), else reconnect on another rail, else the
-// reconnect blackholes and the pair suspends. Two-sided sends on a lossy
-// fabric additionally go through the framed session path (session.go) for
-// end-to-end integrity and exactly-once delivery.
-func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) error {
-	if peer < 0 || peer >= c.cfg.NProcs {
-		return fmt.Errorf("gasnet: peer %d out of range [0,%d)", peer, c.cfg.NProcs)
-	}
-	for {
-		c.connMu.Lock()
-		if c.deadPeers[peer] {
-			c.connMu.Unlock()
-			return ErrPeerDead
-		}
-		cn := c.conns.getOrCreate(peer)
-		switch cn.state {
-		case connReady:
-			qp := cn.qp
-			epoch := cn.epoch
-			c.useSeq++
-			cn.lastUse = c.useSeq
-			// The caller's clock may still be behind the connection (it kept
-			// running while the manager thread finished the handshake, or it
-			// is the server side and never waited at all). Such a post departs
-			// from the connection's send-queue time on a side clock, exactly
-			// as if it had been queued behind the handshake — which of the two
-			// it was is a race between goroutines and must not show.
-			clk, early := c.clk, false
-			if cn.sendVT != 0 {
-				if early = clk.Now() < cn.sendVT; early {
-					clk = vclock.NewClock(cn.sendVT)
-				} else {
-					cn.sendVT = 0 // the caller has caught up for good: clocks are monotone
-				}
-			}
-			if wr.Op == ib.OpSend {
-				if depth := c.cfg.HCA.Limits().RQDepth; depth > 0 {
-					c.creditGateLocked(cn, depth, len(wr.Data), clk)
-				}
-			}
-			var err error
-			framed := c.lossy && wr.Op == ib.OpSend
-			if !framed && !early {
-				c.connMu.Unlock()
-				wr.Clk = clk
-				err = c.postRNR(qp, wr)
-			} else {
-				if framed {
-					// Framed session path: sequence, trailer and retention
-					// happen under connMu so wire order equals sequence order.
-					// wr.Data is never mutated (the framing reallocates) and a
-					// failed frame rolls its sequence back, so the outer wr
-					// re-runs untouched.
-					err = c.postFramedLocked(cn, wr, clk)
-				} else {
-					wr.Clk = clk
-					err = c.postRNR(qp, wr)
-				}
-				if early {
-					cn.sendVT = clk.Now()
-				}
-				c.connMu.Unlock()
-			}
-			if err == nil || !(isLinkFault(err) || errors.Is(err, ib.ErrPathDown)) {
-				return err
-			}
-			c.linkFault(peer, epoch, err, clk)
-			// Loop: the slot migrated, or is connNone now (or another poster
-			// already restarted the handshake); re-run this request.
-		case connConnecting, connAccepted:
-			if clonePending && wr.Data != nil {
-				wr.Data = append([]byte(nil), wr.Data...)
-			}
-			cn.pending = append(cn.pending, pendingWR{wr: wr, enq: c.clk.Now()})
-			c.connMu.Unlock()
-			return nil
-		default: // connNone
-			c.connMu.Unlock()
-			if err := c.initiate(peer); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // EnsureConnected blocks until a ready connection to peer exists,
@@ -790,8 +606,6 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		c.handleDataAck(peer, m.Payload, false, svc)
 	case msgDataNak:
 		c.handleDataAck(peer, m.Payload, true, svc)
-	case msgDataProbe:
-		c.handleDataProbe(peer, svc)
 	case msgHeartbeat:
 		// Echo a liveness ack to the prober, on the manager thread.
 		c.sendControl(peer, m.UD, connMsg{Kind: msgHeartbeatAck, SrcRank: int32(c.cfg.Rank),
@@ -904,7 +718,7 @@ func (c *Conduit) factsLocked(cn *conn, peer int, ev *event) {
 	ev.self = peer == c.cfg.Rank
 	ev.weAreLowerRank = c.cfg.Rank < peer
 	ev.hasQueued = ev.hasQueued || len(cn.pending) > 0
-	ev.hasRetained = len(cn.unacked) > 0
+	ev.hasRetained = cn.sess.retained() > 0
 	switch ev.kind {
 	case evReq:
 		ev.peReady = c.ready.Load()
@@ -965,7 +779,7 @@ event: // a row that ends in actAllocQP is answered by a second event
 					c.nReady--
 				}
 				cn.epoch++
-				cn.creditRel = nil // the replacement connection starts with a full window
+				cn.credit.reset() // the replacement connection starts with a full window
 				in.wake = true
 			case actReinitiate:
 				c.sched.Go(func() { c.initiate(peer) })
@@ -1048,7 +862,7 @@ func (c *Conduit) legLocked(cn *conn, peer int, op action, ev event, in *driveIn
 		if op == actSendRep {
 			d.m.Kind = msgConnRep
 		}
-		d.m.RC, d.m.Payload = cn.qp.Addr(), c.connPayloadLocked(peer)
+		d.m.RC, d.m.Payload = cn.qp.Addr(), c.connPayloadLocked(cn)
 	case actSendRej:
 		d.ud = in.m.UD
 		d.m.Kind, d.m.Seq, d.m.Payload = msgConnRej, ev.seq, []byte{0}
@@ -1173,76 +987,6 @@ func (c *Conduit) readyLocked(cn *conn, peer int, by evKind, recon bool, vt int6
 	}
 }
 
-// flushLocked posts the traffic queued behind the handshake, in order. Each
-// queued request departs at max(its enqueue time, the connection-ready
-// time), accumulating post overheads on a dedicated flush clock.
-//
-// If the connection dies mid-flush (a link flap can hit the very first
-// post), the unflushed remainder is kept queued, the connection is torn down
-// and a fresh client handshake is kicked off, so every queued request is
-// still delivered exactly once. Returns false in that case.
-func (c *Conduit) flushLocked(cn *conn, peer int) bool {
-	if c.lossy && len(cn.unacked) > 0 {
-		// Replay the retained frames first, before anything newly queued: the
-		// receiver's dedup ledger suppresses what it already executed, and a
-		// delivery the old connection corrupted or tore is overwritten by this
-		// clean replay before any Quiet can complete.
-		if !c.resendUnackedLocked(cn, peer, vclock.NewClock(cn.readyVT)) {
-			return false
-		}
-	}
-	if len(cn.pending) == 0 {
-		return true
-	}
-	fc := vclock.NewClock(cn.readyVT)
-	depth := c.cfg.HCA.Limits().RQDepth
-	for i, p := range cn.pending {
-		// First-op penalty: how long the queued request waited on the
-		// handshake (zero when the request was enqueued after ready).
-		if pen := cn.readyVT - p.enq; pen > 0 {
-			c.hFirstOp.Record(pen)
-		} else {
-			c.hFirstOp.Record(0)
-		}
-		fc.AdvanceTo(p.enq)
-		wr := p.wr
-		wr.Clk = fc
-		if wr.Op == ib.OpSend && depth > 0 {
-			// A queued send takes its receive credit like a direct one, or the
-			// next direct send would not know the slot is gone.
-			c.creditGateLocked(cn, depth, len(wr.Data), fc)
-		}
-		post := func() error {
-			if c.lossy && wr.Op == ib.OpSend {
-				// Queued sends were never framed (p.wr keeps the caller's
-				// bytes); they take a fresh sequence now, on the flush clock.
-				return c.postFramedLocked(cn, wr, fc)
-			}
-			return c.postRNR(cn.qp, wr)
-		}
-		err := post()
-		if err != nil && errors.Is(err, ib.ErrPathDown) && c.tryMigrateLocked(cn, peer, fc.Now()) {
-			// The primary rail died mid-flush but APM found a live alternate:
-			// one in-place retry (a failed framed post rolled its sequence
-			// back, so the number is safe to reuse).
-			err = post()
-		}
-		if err == nil || !(isLinkFault(err) || errors.Is(err, ib.ErrPathDown)) {
-			// Posted — or a non-recoverable local fault (e.g. MTU): drop the
-			// request as a direct post would, keep flushing the rest.
-			continue
-		}
-		// The queue pair (or its last live path) failed underneath us; keep
-		// the remainder queued behind a replacement connection.
-		cn.pending = cn.pending[i:]
-		c.linkFaultLocked(cn, peer, cn.epoch, err, true, c.mgrClk)
-		return false
-	}
-	cn.pending = nil
-	cn.sendVT = fc.Now()
-	return true
-}
-
 // severed reports whether every rail to the adapter at lid is dark at virtual
 // time vt — the pair is partitioned: datagrams blackhole, no reconnect can
 // succeed — and, if so, when the schedule says it heals (-1: never).
@@ -1278,8 +1022,8 @@ func (c *Conduit) dueLocked(cn *conn) (due int64, ok bool) {
 		due, wait = cn.lastTx, backoff(wait, cn.attempt, rnrBackoffMaxShift)
 	case cn.state == connAccepted, cn.state == connConnecting && cn.hasQP:
 		due = cn.lastTx
-	case len(cn.unacked) > 0 && (cn.state == connReady || cn.state == connNone && len(cn.pending) == 0):
-		due = cn.lastData
+	case cn.sess.retained() > 0 && (cn.state == connReady || cn.state == connNone && len(cn.pending) == 0):
+		due = cn.sess.lastData
 	default:
 		return 0, false
 	}
@@ -1309,10 +1053,10 @@ func (c *Conduit) armForLocked(cn *conn) {
 
 // retransScan is the retransmission timer: every slot whose timeout has
 // fallen by now gets it — the table resends the REQ or REP of a handshake
-// still in flight, re-arms a rejected one, or recycles one that cannot
-// complete; the session layer replays or probes for a retained window — at
-// the virtual time it fell, and the timer is re-armed for the earliest
-// timeout left.
+// still in flight, re-arms a rejected one, recycles one that cannot complete
+// or reconnects a torn-down one that still retains frames; a ready connection
+// replays its retained window — at the virtual time it fell, and the timer is
+// re-armed for the earliest timeout left.
 func (c *Conduit) retransScan(now int64) {
 	if c.closed.Load() {
 		return
@@ -1334,31 +1078,21 @@ func (c *Conduit) retransScan(now int64) {
 		if cn.quiet++; cn.quiet == closeQuiet {
 			in.wake = true // Close may be waiting for exactly this
 		}
-		switch cn.state {
-		case connConnecting, connAccepted:
-			in.at = due
-			c.driveLocked(cn, peer, event{kind: evTimeout, rtoExpired: true}, &in)
-		case connReady:
+		if cn.state == connReady || cn.state == connNone {
+			cn.sess.lastData = due // a retained window's timeout: it starts over
+		}
+		if cn.state == connReady {
 			// Either the frames or their acknowledgements were lost on the UD
 			// side; replay — the ledger absorbs any duplicates.
-			cn.lastData = due
-			c.resendUnackedLocked(cn, peer, vclock.NewClock(due))
-		default:
-			// A torn-down connection retaining frames with nothing queued to
-			// trigger a reconnect. Left alone, the retained window (and any
-			// Quiet on it) would hang forever — but a post that succeeded was
-			// delivered (an errored post rolls its sequence back), so in the
-			// common case only the acknowledgement was the casualty and the
-			// frames need trimming, not resending. Probe the peer's cumulative
-			// sequence over UD: no queue-pair budget is consumed, and under
-			// eviction churn the probes cannot stampede the peer's admission
-			// control the way replay reconnects did. Only if the reply leaves
-			// frames retained — data genuinely missing — does handleDataAck
-			// restart the handshake.
-			cn.lastData = due
-			in.later(deferred{peer: peer, ud: cn.peerUD, clk: vclock.NewClock(due), m: connMsg{Kind: msgDataProbe,
-				SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr(), Payload: encodeSeqPayload(cn.txSeq)}})
+			c.replayLocked(cn, peer, vclock.NewClock(due))
+			continue
 		}
+		// A handshake leg — or a torn-down connection retaining frames with
+		// nothing queued to trigger a reconnect, which now gets one: the
+		// handshake's rxMax prefix trims what only lost its acknowledgement,
+		// the flush replays the rest.
+		in.at = due
+		c.driveLocked(cn, peer, event{kind: evTimeout}, &in)
 	}
 	c.conns.each(func(_ int, cn *conn) { c.armForLocked(cn) })
 	c.connMu.Unlock()

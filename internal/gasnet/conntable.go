@@ -13,13 +13,20 @@ import "unsafe"
 type connTable struct {
 	dense  []*conn       // static mode: indexed by peer, nil until first use
 	sparse map[int]*conn // on-demand mode
+
+	// What a new slot carries beside its handshake state (session.go): a
+	// session on a lossy fabric, a credit window against finite receive queues.
+	lossy, credited bool
 }
 
-func newConnTable(mode Mode, nprocs int) connTable {
+func newConnTable(mode Mode, nprocs int, lossy, credited bool) connTable {
+	t := connTable{lossy: lossy, credited: credited}
 	if mode == Static {
-		return connTable{dense: make([]*conn, nprocs)}
+		t.dense = make([]*conn, nprocs)
+	} else {
+		t.sparse = make(map[int]*conn)
 	}
-	return connTable{sparse: make(map[int]*conn)}
+	return t
 }
 
 // get returns peer's slot, or nil when none has been created.
@@ -35,6 +42,12 @@ func (t *connTable) getOrCreate(peer int) *conn {
 	cn := t.get(peer)
 	if cn == nil {
 		cn = &conn{}
+		if t.lossy {
+			cn.sess = new(session)
+		}
+		if t.credited {
+			cn.credit = new(creditWindow)
+		}
 		if t.dense != nil {
 			t.dense[peer] = cn
 		} else {

@@ -3,6 +3,7 @@ package gasnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"goshmem/internal/ib"
@@ -212,7 +213,7 @@ func (c *Conduit) enterKilled(now int64) {
 	c.conns.each(func(peer int, cn *conn) {
 		c.driveLocked(cn, peer, event{kind: evPeerDead}, &driveIn{})
 		cn.pending = nil
-		c.dropUnackedLocked(cn, now)
+		c.trimAckedLocked(cn, math.MaxUint64, now)
 	})
 	c.connMu.Unlock()
 	c.udQP.Destroy()
@@ -590,37 +591,31 @@ func (c *Conduit) markDead(peer int) bool {
 		c.driveLocked(cn, peer, event{kind: evPeerDead}, &driveIn{})
 		// Frames retained for a dead peer will never be acknowledged; release
 		// them so Quiet does not wait on a ghost.
-		c.dropUnackedLocked(cn, c.mgrClk.Now())
+		c.trimAckedLocked(cn, math.MaxUint64, c.mgrClk.Now())
 	}
 	c.connMu.Unlock()
 	c.connCond.Broadcast()
-	c.failPending(dropped)
+	for _, p := range dropped {
+		c.failWR(p.wr, ErrPeerDead, c.mgrClk.Now())
+	}
 	return true
 }
 
-// failPending completes dropped queued work requests as flushed, so blocked
-// issuers (Get, atomics) fail fast and the Quiet accounting stays exact.
-func (c *Conduit) failPending(pending []pendingWR) {
-	for _, p := range pending {
-		wrid := p.wr.WRID
-		c.waiterMu.Lock()
-		ch := c.waiters[wrid]
-		delete(c.waiters, wrid)
-		nbi := false
-		if ch == nil && p.wr.Op == ib.OpRDMARead {
-			if _, ok := c.pendingGets[wrid]; ok {
-				delete(c.pendingGets, wrid)
-				nbi = true
-			}
-		}
-		c.waiterMu.Unlock()
-		if ch != nil {
-			ch <- ib.Completion{WRID: wrid, Op: p.wr.Op, Status: ib.StatusFlushed, VTime: c.mgrClk.Now()}
-			continue
-		}
-		if p.wr.Op == ib.OpRDMAWrite || nbi || (p.wr.Op == ib.OpSend && wrid != 0) {
-			c.putDone(ib.Completion{VTime: c.mgrClk.Now()})
-		}
+// failWR completes, at virtual time vt, a queued work request that will never
+// reach the wire — its peer died, or the post failed for good when its turn
+// came — to its issuer, as a direct post's error return would have: a blocked
+// issuer (Get, atomics) is woken with err, and a Quiet hold (Put, GetNBI,
+// fenced AM) is dropped so the accounting stays exact.
+func (c *Conduit) failWR(wr ib.SendWR, err error, vt int64) {
+	if c.wake(wr.WRID, waited{comp: ib.Completion{WRID: wr.WRID, Op: wr.Op, VTime: vt}, err: err}) {
+		return
+	}
+	c.waiterMu.Lock()
+	_, nbi := c.pendingGets[wr.WRID]
+	delete(c.pendingGets, wr.WRID)
+	c.waiterMu.Unlock()
+	if wr.Op == ib.OpRDMAWrite || nbi || wr.Op == ib.OpSend && !wr.NoSendCompletion { // a fenced AM asks for its completion
+		c.putDone(ib.Completion{VTime: vt})
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 func (c *Conduit) Footprint() []obs.FootprintItem {
 	connSize := int64(unsafe.Sizeof(conn{}))
 	pendSize := int64(unsafe.Sizeof(pendingWR{}))
-	retSize := int64(unsafe.Sizeof(retainedTx{}))
+	retSize := int64(unsafe.Sizeof([]byte(nil)))
 	heldSize := int64(unsafe.Sizeof(heldReq{}))
 	defAMSize := int64(unsafe.Sizeof(deferredAM{}))
 	complSize := int64(unsafe.Sizeof(ib.Completion{}))
@@ -38,12 +38,17 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 	c.conns.each(func(_ int, cn *conn) {
 		conns.Objects++
 		conns.Bytes += connSize + int64(len(cn.pending))*pendSize
-		for _, tx := range cn.unacked {
-			retained.Objects++
-			retained.Bytes += retSize + int64(len(tx.data))
+		if cn.sess != nil {
+			conns.Bytes += int64(unsafe.Sizeof(session{}))
+			for _, framed := range cn.sess.unacked {
+				retained.Objects++
+				retained.Bytes += retSize + int64(len(framed))
+			}
 		}
-		credits.Objects += int64(len(cn.creditRel))
-		credits.Bytes += int64(len(cn.creditRel)) * 8
+		if cn.credit != nil {
+			credits.Objects += int64(len(cn.credit.rel))
+			credits.Bytes += int64(unsafe.Sizeof(creditWindow{})) + int64(len(cn.credit.rel))*8
+		}
 	})
 	misc.Bytes += int64(len(c.heldReqs)) * heldSize
 	misc.Bytes += int64(len(c.qpPeer)) * (12 + mapEntryOverhead)

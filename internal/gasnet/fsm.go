@@ -20,17 +20,9 @@ const (
 	connReady
 )
 
-const (
-	// recycleAttempts is the last-resort convergence bound: a handshake
-	// still incomplete after this many retransmissions is torn down and, if
-	// traffic is queued behind it, restarted under a fresh attempt number,
-	// which supersedes whatever stale state the peer holds.
-	recycleAttempts = 25
-
-	// maxAdmissionRejects bounds the admission REJs one slot absorbs across
-	// its lifetime before the client concludes it will never be admitted.
-	maxAdmissionRejects = 100
-)
+// maxAdmissionRejects bounds the admission REJs one slot absorbs across its
+// lifetime before the client concludes it will never be admitted.
+const maxAdmissionRejects = 100
 
 // slot is the handshake state of one peer's connection slot.
 type slot struct {
@@ -76,7 +68,6 @@ type event struct {
 	connHealthy    bool // both halves of the ready connection are alive
 	hasQueued      bool // work is queued behind the slot that only a new handshake delivers
 	hasRetained    bool // unacknowledged session frames are retained for the peer
-	rtoExpired     bool // evTimeout: the current leg's backed-off RTO has run out
 	fatal          bool // evRej / refused REQ: the server can never admit the client
 	pathDown       bool // evLinkFault: every loaded path failed, the QPs are healthy
 }
@@ -128,8 +119,7 @@ func (r actions) when(cond bool, a action) actions {
 var emitKinds = [...]string{
 	"conn-initiate", "conn-req-served", "conn-rearm", "conn-admission-rej",
 	"conn-stale-req", "conn-reconnect-req", "conn-collision-lost",
-	"conn-stale-rep", "conn-mutual-accept", "conn-rescue-accept",
-	"conn-rej-fatal", "conn-rejected", "conn-recycle",
+	"conn-stale-rep", "conn-rej-fatal", "conn-rejected", "conn-recycle",
 	"conn-link-fault", "rail-failover", "conn-evict",
 }
 
@@ -280,10 +270,6 @@ func step(s slot, ev event) (slot, actions) {
 			s = s.bound(connReady, ev.seq, ev.rc)
 			s.everReady = true
 			return s, a.then(actReady).then(actFlush).then(actSendRTU)
-		case s.state == connAccepted && ev.seq >= s.seq: // mutual-accept: both serve abandoned attempts
-			return s.torn(), do(actTeardown).then(emit("conn-mutual-accept")).then(actReinitiate)
-		case s.state == connNone && ev.seq >= s.seqHi: // rescue-accept: the server waits on a QP we destroyed
-			return s, do(emit("conn-rescue-accept")).then(actReinitiate)
 		}
 		return s, none
 
@@ -310,14 +296,12 @@ func step(s slot, ev event) (slot, actions) {
 
 	case evTimeout:
 		switch {
+		case s.state == connNone && ev.hasRetained: // nothing queued to carry the retained frames: reconnect for the replay
+			return s, do(actReinitiate)
 		case !inFlight, s.state == connConnecting && !s.hasQP && !s.rejWait: // idle, or still resolving
 			return s, none
-		case s.state == connAccepted && !ev.remoteQPAlive, s.attempt >= recycleAttempts:
-			// recycle: the client abandoned the attempt (no RTU can come), or
-			// the bound says this one will not converge.
+		case s.state == connAccepted && !ev.remoteQPAlive: // recycle: the client abandoned the attempt, no RTU can come
 			return s.torn(), do(actTeardown).then(emit("conn-recycle")).when(ev.hasQueued || ev.hasRetained, actReinitiate)
-		case !ev.rtoExpired:
-			return s, none
 		case !s.hasQP: // REJ back-off over
 			return s, do(actAllocQP)
 		}

@@ -130,10 +130,7 @@ func TestHandshakeStep(t *testing.T) {
 			mod(ready, func(s *slot) { s.state, s.hasQP = connNone, false }), "teardown +LinkFaults conn-stale-rep reinit"},
 		{"rep: newer than ready diverged too", ready, rep(5, qpB),
 			mod(ready, func(s *slot) { s.state, s.hasQP = connNone, false }), "teardown +LinkFaults conn-stale-rep reinit"},
-		{"rep: mutual-accept guard", accepted, rep(4, qpA),
-			mod(accepted, func(s *slot) { s.state, s.hasQP = connNone, false }), "teardown conn-mutual-accept reinit"},
 		{"rep: stale while accepted", accepted, rep(3, qpA), accepted, ""},
-		{"rep: rescue-accept guard", torn, rep(5, qpB), torn, "conn-rescue-accept reinit"},
 		{"rep: long-delayed reply to a torn attempt", torn, rep(4, qpB), torn, ""},
 
 		// RTU.
@@ -153,21 +150,18 @@ func TestHandshakeStep(t *testing.T) {
 		{"rej: not connecting", ready, event{kind: evRej, seq: 4}, ready, ""},
 
 		// Timeout.
-		{"timeout: idle", ready, event{kind: evTimeout, rtoExpired: true}, ready, ""},
-		{"timeout: still resolving", resolving, event{kind: evTimeout, rtoExpired: true}, resolving, ""},
-		{"timeout: not yet stale", connecting, event{kind: evTimeout, remoteQPAlive: true}, connecting, ""},
-		{"timeout: resend REQ", connecting, event{kind: evTimeout, rtoExpired: true, remoteQPAlive: true},
+		{"timeout: idle", ready, event{kind: evTimeout}, ready, ""},
+		{"timeout: still resolving", resolving, event{kind: evTimeout}, resolving, ""},
+		{"timeout: torn-down slot retaining frames reconnects for the replay", torn, event{kind: evTimeout, hasRetained: true}, torn, "reinit"},
+		{"timeout: resend REQ", connecting, event{kind: evTimeout, remoteQPAlive: true},
 			mod(connecting, func(s *slot) { s.attempt = 1 }), "resend"},
-		{"timeout: resend REP", accepted, event{kind: evTimeout, rtoExpired: true, remoteQPAlive: true},
+		{"timeout: resend REP", accepted, event{kind: evTimeout, remoteQPAlive: true},
 			mod(accepted, func(s *slot) { s.attempt = 1 }), "resend"},
 		{"timeout: recycle an accept whose client is gone", accepted, event{kind: evTimeout},
 			mod(accepted, func(s *slot) { s.state, s.hasQP = connNone, false }), "teardown conn-recycle"},
-		{"timeout: recycle at the attempt bound, restart for queued work",
-			mod(connecting, func(s *slot) { s.attempt = recycleAttempts }), event{kind: evTimeout, remoteQPAlive: true, hasQueued: true},
-			mod(connecting, func(s *slot) { s.state, s.hasQP, s.attempt = connNone, false, recycleAttempts }), "teardown conn-recycle reinit"},
 		{"timeout: recycle restarts for retained frames", accepted, event{kind: evTimeout, hasRetained: true},
 			mod(accepted, func(s *slot) { s.state, s.hasQP = connNone, false }), "teardown conn-recycle reinit"},
-		{"timeout: REJ back-off over", backoff, event{kind: evTimeout, rtoExpired: true, remoteQPAlive: true}, backoff, "alloc"},
+		{"timeout: REJ back-off over", backoff, event{kind: evTimeout, remoteQPAlive: true}, backoff, "alloc"},
 
 		// Faults and eviction.
 		{"link-fault: tear down, caller retries", ready, event{kind: evLinkFault},
@@ -229,6 +223,7 @@ type mframe struct {
 type mpe struct {
 	s        slot
 	qp       uint32 // our endpoint for the connection (0: none)
+	ladder   uint32 // client attempt whose refused allocation waits on the ladder's back-off (0: none)
 	queued   bool   // traffic waits behind the slot
 	consumed uint8
 }
@@ -297,7 +292,6 @@ func (w *world) drive(t *testing.T, me int, ev event, inHand uint32) bool {
 		ev.remoteQPAlive = w.alive(ev.rc.QPN)
 		ev.connHealthy = p.s.state == connReady && w.alive(p.qp) && w.alive(p.s.remote.QPN)
 	case evTimeout:
-		ev.rtoExpired = true
 		ev.remoteQPAlive = p.s.state != connAccepted || w.alive(p.s.remote.QPN)
 	}
 	old := p.s
@@ -364,16 +358,36 @@ func (w *world) alloc() (uint32, bool) {
 	return uint32(w.nextQP), true
 }
 
-// want is Conduit.initiate with a lookup and a ladder that never fail.
+// want is Conduit.initiate with a lookup that never fails and a ladder that
+// never gives up: a refused allocation leaves the attempt waiting on the
+// ladder's back-off timer (retry).
 func (w *world) want(t *testing.T, me int) bool {
-	if w.pe[me].s.state != connNone {
+	p := &w.pe[me]
+	if p.s.state != connNone {
 		return true
 	}
 	if !w.drive(t, me, event{kind: evWant}, 0) {
 		return false
 	}
+	if w.refuse {
+		w.refuse, p.ladder = false, p.s.seq
+		return true
+	}
 	qp, ok := w.alloc()
-	return ok && w.drive(t, me, event{kind: evQPAllocated, after: evWant, seq: w.pe[me].s.seq}, qp)
+	return ok && w.drive(t, me, event{kind: evQPAllocated, after: evWant, seq: p.s.seq}, qp)
+}
+
+// retry is Conduit.allocRetry, the ladder's timer: allocate now, unless the
+// attempt was superseded meanwhile.
+func (w *world) retry(t *testing.T, me int) bool {
+	p := &w.pe[me]
+	seq := p.ladder
+	p.ladder = 0
+	if p.s.state != connConnecting || p.s.seq != seq || p.s.hasQP {
+		return true
+	}
+	qp, ok := w.alloc()
+	return ok && w.drive(t, me, event{kind: evQPAllocated, after: evWant, seq: seq}, qp)
 }
 
 // post is fresh traffic at a PE: queue behind the slot, connect on demand; a
@@ -459,6 +473,9 @@ func (w world) converge(t *testing.T, from world) {
 			return
 		}
 		for me := range w.pe {
+			if w.pe[me].ladder != 0 && !w.retry(t, me) {
+				return
+			}
 			if !w.drive(t, me, event{kind: evTimeout}, 0) {
 				return
 			}
@@ -468,14 +485,15 @@ func (w world) converge(t *testing.T, from world) {
 }
 
 // TestHandshakeModelExhaustive explores the model under two budget sets — the
-// fault mix at its widest without admission control, and admission refusals
-// (REJ, back-off, re-arm) under a lighter mix — and checks in every reachable
+// fault mix at its widest without refusals, and refused allocations (the
+// server's REJ, back-off and re-arm; the client's ladder) under a lighter mix —
+// and checks in every reachable
 // state that two ready slots agree, that neither side consumed the peer's
 // payload twice, that attempt numbers only grow (in drive), and that a
 // fault-free suffix settles the pair within a fixed bound.
 func TestHandshakeModelExhaustive(t *testing.T) {
 	for _, budgets := range []world{
-		{drops: 2, dups: 2, evicts: 1, traffic: 1, timeouts: 2},
+		{drops: 2, dups: 2, evicts: 1, traffic: 1, timeouts: 3},
 		{drops: 1, dups: 1, refusals: 1, traffic: 1, timeouts: 2},
 	} {
 		seen := map[world]bool{}
@@ -487,13 +505,19 @@ func TestHandshakeModelExhaustive(t *testing.T) {
 			}
 		}
 		for _, who := range [][]int{{0}, {1}, {0, 1}} {
-			w := budgets
-			for _, me := range who {
-				if !w.post(t, me) {
-					t.Fatal("start state out of bounds")
+			for _, refuse := range []bool{false, budgets.refusals > 0} { // ... the very first allocation too
+				w := budgets
+				if refuse {
+					w.refusals--
+					w.refuse = true
 				}
+				for _, me := range who {
+					if !w.post(t, me) {
+						t.Fatal("start state out of bounds")
+					}
+				}
+				push(w, true)
 			}
-			push(w, true)
 		}
 		for len(queue) > 0 {
 			w := queue[0]
@@ -530,6 +554,10 @@ func TestHandshakeModelExhaustive(t *testing.T) {
 					n := w
 					n.traffic--
 					push(n, n.post(t, me))
+				}
+				if p.ladder != 0 {
+					n := w
+					push(n, n.retry(t, me))
 				}
 			}
 			if w.refusals > 0 && !w.refuse {

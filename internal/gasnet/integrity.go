@@ -18,7 +18,7 @@ import (
 //
 // The sequence number is a per-pair monotone transfer counter (starting at
 // 1); the epoch is the connection attempt it was first posted under. The
-// receiver's dedup ledger (conn.rxMax) admits exactly the next sequence,
+// receiver's dedup ledger (session.rxMax) admits exactly the next sequence,
 // re-acknowledges duplicates without re-executing them, and NAKs gaps and
 // corrupt frames — that ledger, carried across reconnects in the handshake
 // payload, is what makes non-idempotent operations apply exactly once.

@@ -205,6 +205,12 @@ func TestFaultFreeRunsPayNoResilienceCost(t *testing.T) {
 		}
 		p.C.connMu.Lock()
 		armed := p.C.rtx != nil
+		p.C.conns.each(func(peer int, cn *conn) {
+			if cn.sess != nil || cn.credit != nil {
+				t.Errorf("rank %d: slot %d carries a session (%v) or a credit window (%v) on a lossless, unbudgeted fabric",
+					p.C.Rank(), peer, cn.sess != nil, cn.credit != nil)
+			}
+		})
 		p.C.connMu.Unlock()
 		if armed {
 			t.Fatalf("rank %d: retransmission timer armed on a lossless fabric", p.C.Rank())

@@ -3,7 +3,6 @@ package gasnet
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"goshmem/internal/ib"
 	"goshmem/internal/vclock"
@@ -12,7 +11,10 @@ import (
 // Data-plane session layer: end-to-end integrity and exactly-once effects for
 // RC payloads. Armed only on lossy fabrics (Fabric.Lossy) — a fault-free run
 // never frames, retains, ACKs or dedups anything, so its traffic and traces
-// stay byte-identical.
+// stay byte-identical. The rules are the session value below, and beside it
+// the receive-credit window of the resource plane (finite receive queues
+// only); the Conduit methods after them are lock-holding shells that apply a
+// value's answer: gauges, counters, the incident ledger, Quiet's window count.
 //
 // Sender side: every two-sided RC send is framed with the integrity trailer
 // (integrity.go) under a per-pair monotone sequence and retained until the
@@ -23,7 +25,7 @@ import (
 // is empty, which is what turns "replayed eventually" into the OpenSHMEM
 // ordering guarantee.
 //
-// Receiver side: conn.rxMax is the dedup ledger — the highest in-order
+// Receiver side: session.rxMax is the dedup ledger — the highest in-order
 // sequence executed from the peer. Exactly the next sequence is admitted;
 // duplicates (a replay whose original did land, because only the ACK was the
 // casualty) are re-acknowledged without re-execution; corrupt frames and gaps
@@ -45,18 +47,122 @@ const (
 	amAtomicRep uint8 = 255
 )
 
-// retainedTx is one framed send awaiting cumulative acknowledgement. data is
-// the framed bytes exactly as posted and is treated as immutable.
-type retainedTx struct {
-	seq  uint64
-	data []byte
+// session is the data-plane session with one peer, as a value: it owns no
+// lock, clock, queue pair or conduit, so its rules can be explored
+// exhaustively (session_test.go) the way fsm_test.go explores the
+// handshake's. A conn has one only on a lossy fabric. It is deliberately not
+// reset by a teardown: sequences, retained frames and the dedup ledger span
+// connection incarnations — that continuity is the whole point.
+type session struct {
+	txSeq    uint64 // last transfer sequence framed to the peer
+	rxMax    uint64 // the dedup ledger: highest in-order sequence executed from the peer
+	lastData int64  // virtual time of the last framed post or replay (the timeout's baseline)
+	// unacked are the framed sends awaiting cumulative ACK, oldest first,
+	// exactly as posted (immutable): sequences txSeq-len+1 .. txSeq.
+	unacked [][]byte
 }
 
-// atomicResult is the reply to a framed atomic (atomicOverAM).
-type atomicResult struct {
-	old uint64
-	ok  bool
-	at  int64
+// retained is the number of frames awaiting acknowledgement (nil-safe: a
+// lossless connection retains nothing).
+func (s *session) retained() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.unacked)
+}
+
+// frame returns payload framed with the integrity trailer under the next
+// transfer sequence. Nothing is committed until sent: an errored RC send
+// delivers nothing, so a failed post simply leaves the number for the retry.
+func (s *session) frame(payload []byte, epoch uint32) []byte {
+	return appendRCTrailer(payload, s.txSeq+1, epoch)
+}
+
+// sent commits the frame the last frame call built, posted at now: it is
+// retained until the peer's cumulative acknowledgement covers it.
+func (s *session) sent(framed []byte, now int64) {
+	s.txSeq++
+	s.unacked = append(s.unacked, framed)
+	s.lastData = now
+}
+
+// verdict is what the receive side makes of one frame.
+type verdict uint8
+
+const (
+	inOrder   verdict = iota // exactly the next sequence: execute it
+	duplicate                // already executed (its ACK was the casualty, or a replay raced it): never again
+	gap                      // an earlier frame died with its connection: the sender must replay from ack
+	corrupt                  // the trailer check failed: nothing in the frame is trustworthy, not even its sequence
+)
+
+// accept verifies and dedups one received frame. Every verdict is answered
+// with ack, our cumulative position — an ACK for in-order and duplicate
+// frames, a NAK for gaps and corruption — so the sender's window drains.
+func (s *session) accept(framed []byte) (inner []byte, v verdict, ack uint64) {
+	inner, seq, _, ok := splitRCTrailer(framed)
+	switch {
+	case !ok:
+		v = corrupt
+	case seq == s.rxMax+1:
+		s.rxMax = seq
+	case seq <= s.rxMax:
+		v = duplicate
+	default:
+		v = gap
+	}
+	return inner, v, s.rxMax
+}
+
+// acked releases the retained frames up to and including the peer's
+// cumulative sequence, reporting how many frames and bytes went. Cumulative
+// ACKs are monotone, so a stale (duplicated or reordered) one releases
+// nothing.
+func (s *session) acked(seq uint64) (frames int, bytes int64) {
+	first := s.txSeq - uint64(len(s.unacked)) + 1 // the sequence unacked[0] carries
+	for frames < len(s.unacked) && first+uint64(frames) <= seq {
+		bytes += int64(len(s.unacked[frames]))
+		frames++
+	}
+	rest := copy(s.unacked, s.unacked[frames:])
+	clear(s.unacked[rest:]) // the released frames are garbage now, not slack
+	s.unacked = s.unacked[:rest]
+	return frames, bytes
+}
+
+// creditWindow is the sender's mirror of the peer's finite receive queue, as
+// a value: the virtual times at which the messages in flight give their
+// receive slots back (arrival plus the receive-queue drain time — a
+// conservative estimate; the receiver's RNR NAK remains the ground truth when
+// it runs early). Sorted: RC sends on one connection depart in order. A conn
+// has one only when the adapter's receive queues are finite (Limits.RQDepth).
+type creditWindow struct {
+	rel []int64
+}
+
+// take admits one message to a window of depth slots: it departs at now, or —
+// the window shut — one retry delay after the oldest message in flight gives
+// its slot back, and holds its own slot for cost after that. A well-behaved
+// sender so stalls locally instead of eating NAK round trips.
+func (w *creditWindow) take(now int64, depth int, cost, retry int64) (depart int64, stalled bool) {
+	depart = now
+	if len(w.rel) >= depth && w.rel[0] > now {
+		depart, stalled = w.rel[0]+retry, true
+	}
+	free := 0
+	for free < len(w.rel) && w.rel[free] <= depart {
+		free++
+	}
+	rest := copy(w.rel, w.rel[free:])
+	w.rel = append(w.rel[:rest], depart+cost)
+	return depart, stalled
+}
+
+// reset empties the window (nil-safe: unbounded receive queues have none).
+func (w *creditWindow) reset() {
+	if w != nil {
+		w.rel = w.rel[:0]
+	}
 }
 
 // mapQPLocked records the local RC queue pair serving peer, so an inbound
@@ -70,125 +176,32 @@ func (c *Conduit) mapQPLocked(qp *ib.QP, peer int) {
 	}
 }
 
-// postFramedLocked frames wr's payload with the integrity trailer under the
-// next transfer sequence and posts it on clk, retaining the framed bytes
-// until the peer's cumulative ACK covers them. Posting under connMu keeps
-// wire order equal to sequence order (flushLocked posts under connMu for the
-// same reason). A failed post rolls the sequence back — an errored RC send
-// delivers nothing, so the number is safe to reuse on the retry.
-func (c *Conduit) postFramedLocked(cn *conn, wr ib.SendWR, clk *vclock.Clock) error {
-	cn.txSeq++
-	framed := appendRCTrailer(wr.Data, cn.txSeq, uint32(cn.seq))
-	wr.Data = framed
-	wr.Clk = clk
-	if err := c.postRNR(cn.qp, wr); err != nil {
-		cn.txSeq--
-		return err
-	}
-	cn.unacked = append(cn.unacked, retainedTx{seq: cn.txSeq, data: framed})
-	cn.lastData = clk.Now()
-	c.gRetFrames.Add(clk.Now(), 1)
-	c.gRetBytes.Add(clk.Now(), int64(len(framed)))
-	c.outMu.Lock()
-	c.unackedWin++
-	c.outMu.Unlock()
-	c.armForLocked(cn)
-	return nil
-}
-
-// trimAckedLocked releases retained frames up to and including the peer's
-// cumulative sequence and wakes Quiet waiters. Cumulative ACKs are monotone,
-// so a stale (duplicated or reordered) acknowledgement trims nothing. vt is
-// the acknowledgement's virtual arrival time, stamping the retained-window
-// gauge release. Caller holds connMu.
+// trimAckedLocked applies a cumulative acknowledgement that arrived at vt —
+// or, with seq at its maximum, gives up on a dead peer's window so Quiet does
+// not wait on a ghost — and wakes whoever waits on the window: Quiet, and
+// Close once it is empty. Caller holds connMu.
 func (c *Conduit) trimAckedLocked(cn *conn, seq uint64, vt int64) {
-	i := 0
-	var bytes int64
-	for i < len(cn.unacked) && cn.unacked[i].seq <= seq {
-		bytes += int64(len(cn.unacked[i].data))
-		i++
-	}
-	if i == 0 {
+	if cn.sess.retained() == 0 {
 		return
 	}
-	c.gRetFrames.Add(vt, int64(-i))
-	c.gRetBytes.Add(vt, -bytes)
-	cn.unacked = append(cn.unacked[:0], cn.unacked[i:]...)
-	c.outMu.Lock()
-	c.unackedWin -= i
-	c.outMu.Unlock()
-	c.outCond.Broadcast()
-	if len(cn.unacked) == 0 {
-		c.connCond.Broadcast() // Close drains on this
-	}
-}
-
-// dropUnackedLocked discards a dead peer's retained frames so Quiet cannot
-// wait forever on acknowledgements that will never come. Caller holds connMu.
-func (c *Conduit) dropUnackedLocked(cn *conn, vt int64) {
-	n := len(cn.unacked)
-	if n == 0 {
+	frames, bytes := cn.sess.acked(seq)
+	if frames == 0 {
 		return
 	}
-	var bytes int64
-	for _, tx := range cn.unacked {
-		bytes += int64(len(tx.data))
-	}
-	c.gRetFrames.Add(vt, int64(-n))
+	c.gRetFrames.Add(vt, int64(-frames))
 	c.gRetBytes.Add(vt, -bytes)
-	cn.unacked = nil
 	c.outMu.Lock()
-	c.unackedWin -= n
+	c.unackedWin -= frames
 	c.outMu.Unlock()
 	c.outCond.Broadcast()
-	c.connCond.Broadcast()
+	if cn.sess.retained() == 0 {
+		c.connCond.Broadcast()
+	}
 }
 
-// resendUnackedLocked re-posts every retained frame, in sequence order, on
-// the given clock: original bytes, original numbers, no send completion (the
-// original post already carries any Quiet hold). The receiver's ledger
-// suppresses whatever it already executed. A link fault mid-replay tears the
-// connection down and restarts the handshake — the frames stay retained for
-// the post-reconnect flush; they are released only by acknowledgement.
-// Returns false on a teardown. Caller holds connMu.
-func (c *Conduit) resendUnackedLocked(cn *conn, peer int, clk *vclock.Clock) bool {
-	sent := 0
-	ok := true
-	for i := 0; i < len(cn.unacked); i++ {
-		wr := ib.SendWR{Op: ib.OpSend, Data: cn.unacked[i].data, Clk: clk, NoSendCompletion: true}
-		err := c.postRNR(cn.qp, wr)
-		if err != nil && errors.Is(err, ib.ErrPathDown) && c.tryMigrateLocked(cn, peer, clk.Now()) {
-			// Primary rail died mid-replay; APM swapped to the live alternate
-			// without leaving RTS, so replay the same frame there.
-			i--
-			continue
-		}
-		if err != nil {
-			if isLinkFault(err) {
-				c.linkFaultLocked(cn, peer, cn.epoch, err, true, c.mgrClk)
-				ok = false
-			}
-			// A path-down with no live alternate breaks the replay WITHOUT a
-			// teardown: both queue pairs are healthy, the frames stay
-			// retained, and the next timeout — put off to the partition's
-			// scheduled heal — replays them.
-			break
-		}
-		sent++
-	}
-	if sent > 0 {
-		c.statMu.Lock()
-		c.stats.IntegrityRetransmits += sent
-		c.statMu.Unlock()
-		c.led.Act("rc", c.cfg.Rank, clk.Now(), "integrity-retransmit")
-	}
-	return ok
-}
-
-// sessionAccept verifies and dedups one framed RC payload on the receive
-// path. It returns the inner frame and whether it should be dispatched; every
-// outcome is acknowledged (ACK for in-order and duplicate frames, NAK for
-// corruption and gaps) so the sender's retained window drains.
+// sessionAccept runs one framed RC payload through its sender's session on
+// the receive path and answers it. It returns the inner frame and whether to
+// dispatch it.
 func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
 	c.connMu.Lock()
 	peer, known := c.qpPeer[comp.QPN]
@@ -198,55 +211,37 @@ func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
 	}
 	cn := c.conns.getOrCreate(peer)
 	cn.quiet = 0
-	inner, seq, _, ok := splitRCTrailer(comp.Data)
-	var (
-		accept bool
-		kind   uint8
-		ackSeq uint64
-		evt    string
-	)
-	switch {
-	case !ok:
-		// Trailer checksum failed: nothing in the frame is trustworthy, not
-		// even its sequence. Count it and NAK our cumulative position.
-		kind, ackSeq, evt = msgDataNak, cn.rxMax, "rc-corrupt"
+	inner, v, ack := cn.sess.accept(comp.Data)
+	c.connMu.Unlock()
+	kind := msgDataAck
+	switch v {
+	case corrupt:
+		kind = msgDataNak
 		c.statMu.Lock()
 		c.stats.RCCorruptFrames++
 		c.statMu.Unlock()
-	case seq == cn.rxMax+1:
-		cn.rxMax = seq
-		kind, ackSeq, accept = msgDataAck, seq, true
-	case seq <= cn.rxMax:
-		// Duplicate: the original executed but its ACK was the casualty (or
-		// the replay raced the ACK). Re-acknowledge without re-executing —
-		// this is the exactly-once guarantee for non-idempotent payloads.
-		kind, ackSeq, evt = msgDataAck, cn.rxMax, "dup-suppressed"
-		c.statMu.Lock()
-		c.stats.DupOpsSuppressed++
-		c.statMu.Unlock()
-	default:
-		// Sequence gap: an earlier frame died with its connection. NAK so the
-		// sender replays from our position; this frame is dropped and will be
-		// re-delivered in order.
-		kind, ackSeq = msgDataNak, cn.rxMax
-	}
-	c.connMu.Unlock()
-	if evt != "" {
-		c.event(evt, peer, comp.VTime)
-	}
-	if evt == "rc-corrupt" {
+		c.event("rc-corrupt", peer, comp.VTime)
 		// Detection moment for the sender's rc-corrupt incident: our trailer
 		// check caught the damage and the NAK below starts the replay.
 		c.led.Detect("rc", peer, comp.VTime, "nak-sent")
+	case duplicate:
+		// Re-acknowledged, never re-executed: the exactly-once guarantee for
+		// non-idempotent payloads.
+		c.statMu.Lock()
+		c.stats.DupOpsSuppressed++
+		c.statMu.Unlock()
+		c.event("dup-suppressed", peer, comp.VTime)
+	case gap:
+		kind = msgDataNak
 	}
-	c.sendDataCtl(peer, kind, ackSeq, comp.VTime)
-	return inner, accept
+	c.sendDataCtl(peer, kind, ack, comp.VTime)
+	return inner, v == inOrder
 }
 
 // sendDataCtl sends a data-plane ACK/NAK on a detached clock — session
 // acknowledgements are background control traffic and must not advance the
-// receiver's virtual clock. An unresolved peer is skipped (TryLock semantics,
-// like the heartbeat prober); the sender's timeout replay recovers.
+// receiver's virtual clock. A peer whose endpoint is still unresolved is
+// skipped, like the heartbeat prober's; the sender's timeout replay recovers.
 func (c *Conduit) sendDataCtl(peer int, kind uint8, seq uint64, vt int64) {
 	ud, err := c.resolveUDOpt(peer, false)
 	if err != nil {
@@ -257,57 +252,27 @@ func (c *Conduit) sendDataCtl(peer int, kind uint8, seq uint64, vt int64) {
 	c.sendControl(peer, ud, m, vclock.NewClock(vt))
 }
 
-// handleDataProbe answers a sender's window probe (retransScan): re-advertise
-// our cumulative data sequence so a sender whose connection was torn down can
-// trim frames whose acknowledgements were lost — without either side spending
-// queue-pair budget on a reconnect. A peer we have no state for gets sequence
-// zero: we executed nothing, and the sender's replay reconnect takes over.
-func (c *Conduit) handleDataProbe(peer int, svc *vclock.Clock) {
-	if !c.lossy {
-		return
-	}
-	var rx uint64
-	c.connMu.Lock()
-	if cn := c.conns.get(peer); cn != nil {
-		rx = cn.rxMax
-	}
-	c.connMu.Unlock()
-	c.sendDataCtl(peer, msgDataAck, rx, svc.Now())
-}
-
 // handleDataAck processes a data-plane ACK or NAK from peer: release every
 // retained frame the cumulative sequence covers and, on a NAK against a live
-// connection, replay the remainder immediately. An acknowledgement that
-// leaves frames retained on a torn-down connection proves the peer never
-// executed them — the data itself was the casualty, not the ACK — so this is
-// the one place a reconnect is started purely for replay. It is demand-driven
-// and bounded: probes fire on the sender's timeout and each reply can start at
-// most one handshake.
+// connection, replay the remainder immediately. Frames still retained on a
+// torn-down connection wait for the timeout, which reconnects for the replay.
 func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.Clock) {
 	seq, ok := decodeSeqPayload(payload)
 	if !ok {
 		return
 	}
-	reinit := false
 	c.connMu.Lock()
+	defer c.connMu.Unlock()
 	cn := c.conns.get(peer)
 	if cn == nil {
-		c.connMu.Unlock()
 		return
 	}
 	cn.quiet = 0
 	c.trimAckedLocked(cn, seq, svc.Now())
-	switch {
-	case nak && cn.state == connReady && len(cn.unacked) > 0:
-		c.resendUnackedLocked(cn, peer, svc)
-	case cn.state == connNone && len(cn.unacked) > 0 && len(cn.pending) == 0:
-		reinit = true
+	if nak && cn.state == connReady {
+		c.replayLocked(cn, peer, svc)
 	}
 	c.armForLocked(cn)
-	c.connMu.Unlock()
-	if reinit {
-		c.sched.Go(func() { c.initiate(peer) })
-	}
 }
 
 // noteDataFault classifies a link-fault error from a data-plane post: torn
@@ -331,22 +296,17 @@ func (c *Conduit) noteDataFault(err error) {
 	}
 }
 
-// connPayloadLocked builds the handshake payload for peer: on a lossy fabric
-// the receiver's cumulative data sequence is prefixed ([rxMax u64]) ahead of
-// the upper layer's payload, so a reconnect re-seeds the sender's
-// retransmission point and the dedup ledger survives the new connection.
-// Caller holds connMu.
-func (c *Conduit) connPayloadLocked(peer int) []byte {
+// connPayloadLocked builds the handshake payload for cn's peer: on a lossy
+// fabric our cumulative data sequence is prefixed ([rxMax u64]) ahead of the
+// upper layer's payload, so a reconnect re-seeds the sender's retransmission
+// point and the dedup ledger survives the new connection. Caller holds connMu.
+func (c *Conduit) connPayloadLocked(cn *conn) []byte {
 	user := c.payload()
-	if !c.lossy {
+	if cn.sess == nil {
 		return user
 	}
-	var rx uint64
-	if cn := c.conns.get(peer); cn != nil {
-		rx = cn.rxMax
-	}
 	out := make([]byte, 8+len(user))
-	binary.LittleEndian.PutUint64(out, rx)
+	binary.LittleEndian.PutUint64(out, cn.sess.rxMax)
 	copy(out[8:], user)
 	return out
 }
@@ -357,7 +317,7 @@ func (c *Conduit) connPayloadLocked(peer int) []byte {
 // the first), since cumulative sequences make stale prefixes harmless. Caller
 // holds connMu.
 func (c *Conduit) stripSessionPayloadLocked(cn *conn, payload []byte, vt int64) []byte {
-	if !c.lossy {
+	if cn.sess == nil {
 		return payload
 	}
 	if len(payload) < 8 {
@@ -371,14 +331,10 @@ func (c *Conduit) stripSessionPayloadLocked(cn *conn, payload []byte, vt int64) 
 // trip so the receiver's dedup ledger guards it: if the request is replayed
 // after a reconnect, the duplicate is suppressed and the read-modify-write
 // applies exactly once. Lossy fabrics only — the fault-free path keeps the
-// one-round-trip fabric-level atomic.
+// one-round-trip fabric-level atomic. The issuer waits as it would for a
+// fabric-level completion (postWait), which handleAtomicRep stands in for.
 func (c *Conduit) atomicOverAM(peer int, wr ib.SendWR) (uint64, error) {
-	ch := make(chan atomicResult, 1)
-	c.atomicMu.Lock()
-	c.atomicTok++
-	tok := c.atomicTok
-	c.atomicWait[tok] = ch
-	c.atomicMu.Unlock()
+	tok := c.wrid.Add(1)
 	a1 := wr.Add
 	if wr.Op == ib.OpCmpSwap {
 		a1 = wr.Compare
@@ -387,30 +343,8 @@ func (c *Conduit) atomicOverAM(peer int, wr ib.SendWR) (uint64, error) {
 	binary.LittleEndian.PutUint32(payload, wr.RKey)
 	binary.LittleEndian.PutUint64(payload[4:], tok)
 	data := encodeAM(amAtomicReq, c.cfg.Rank, [4]uint64{wr.RemoteAddr, a1, wr.Swap, uint64(wr.Op)}, payload)
-	if err := c.post(peer, ib.SendWR{Op: ib.OpSend, Data: data, NoSendCompletion: true}, false); err != nil {
-		c.atomicMu.Lock()
-		delete(c.atomicWait, tok)
-		c.atomicMu.Unlock()
-		return 0, err
-	}
-	c.sched.Park() // whoever takes our entry out of c.atomicWait unparks us
-	select {
-	case r := <-ch:
-		c.clk.AdvanceTo(r.at)
-		if !r.ok {
-			return 0, fmt.Errorf("gasnet: remote operation failed: %v", ib.StatusRemoteAccessErr)
-		}
-		return r.old, nil
-	case <-c.abortCh:
-		c.atomicMu.Lock()
-		_, mine := c.atomicWait[tok]
-		delete(c.atomicWait, tok)
-		c.atomicMu.Unlock()
-		if mine {
-			c.sched.Unpark(1)
-		}
-		return 0, c.Err()
-	}
+	comp, err := c.postWait(peer, ib.SendWR{Op: ib.OpSend, WRID: tok, Data: data, NoSendCompletion: true})
+	return comp.Old, err
 }
 
 // handleAtomicReq executes a framed atomic against this PE's registered
@@ -432,23 +366,16 @@ func (c *Conduit) handleAtomicReq(src int, args [4]uint64, payload []byte, at in
 		compare = args[1]
 	}
 	old, ok := c.cfg.HCA.AtomicRMW(op, args[0], rkey, add, compare, args[2], at)
-	okU := uint64(0)
-	if ok {
-		okU = 1
+	status := ib.StatusOK
+	if !ok {
+		status = ib.StatusRemoteAccessErr
 	}
-	rep := encodeAM(amAtomicRep, c.cfg.Rank, [4]uint64{tok, old, okU, 0}, nil)
+	rep := encodeAM(amAtomicRep, c.cfg.Rank, [4]uint64{tok, old, uint64(status), 0}, nil)
 	c.post(src, ib.SendWR{Op: ib.OpSend, Data: rep, NoSendCompletion: true}, false)
 }
 
 // handleAtomicRep completes a framed atomic: wake the issuer blocked in
-// atomicOverAM. A reply whose waiter is gone (the issuer aborted) is dropped.
+// postWait. A reply whose waiter is gone (the issuer aborted) is dropped.
 func (c *Conduit) handleAtomicRep(src int, args [4]uint64, payload []byte, at int64) {
-	c.atomicMu.Lock()
-	ch := c.atomicWait[args[0]]
-	delete(c.atomicWait, args[0])
-	c.atomicMu.Unlock()
-	if ch != nil {
-		c.sched.Unpark(1)
-		ch <- atomicResult{old: args[1], ok: args[2] != 0, at: at}
-	}
+	c.wake(args[0], waited{comp: ib.Completion{Old: args[1], Status: ib.Status(args[2]), VTime: at}})
 }

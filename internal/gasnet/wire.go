@@ -43,15 +43,6 @@ const (
 	// past seq (a corrupt frame or a sequence gap was observed).
 	msgDataAck uint8 = 8
 	msgDataNak uint8 = 9
-
-	// msgDataProbe solicits a fresh cumulative ACK for the pair (payload is
-	// the prober's highest posted sequence, for the trace). A sender whose
-	// connection was torn down while frames were still retained probes over
-	// UD instead of reconnecting: posts that succeeded were delivered, so the
-	// usual case is that only the acknowledgement was lost and the reply
-	// trims the window without consuming any queue-pair budget. A reconnect
-	// happens only if the reply proves data is genuinely missing.
-	msgDataProbe uint8 = 10
 )
 
 // connMsg is the UD control datagram for connection establishment.

@@ -1,13 +1,16 @@
 package shmem_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
+	"goshmem/internal/ib"
 	"goshmem/internal/shmem"
 )
 
@@ -135,6 +138,43 @@ func TestAtomicsSumExactly(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMisalignedAtomicSameInBothModes: a fetch-add on a misaligned symmetric
+// address, issued as each PE's very first operation to a peer no barrier has
+// connected it to, must fail the same way — same error, on every PE, and
+// never a hang — whether the connection was there all along (static) or is
+// being established underneath the operation (on-demand).
+func TestMisalignedAtomicSameInBothModes(t *testing.T) {
+	const n = 8
+	outcome := map[gasnet.Mode][]string{}
+	for _, mode := range []gasnet.Mode{gasnet.Static, gasnet.OnDemand} {
+		got := make([]string, n)
+		run(t, cluster.Config{NP: n, Mode: mode, StallTimeout: 10 * time.Second}, func(c *shmem.Ctx) {
+			word := c.Malloc(16)
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if !errors.Is(err, ib.ErrUnaligned) {
+						t.Errorf("%v, pe %d: misaligned fetch-add: %v, want %v", mode, c.Me(), err, ib.ErrUnaligned)
+					}
+					got[c.Me()] = fmt.Sprint(err)
+				}()
+				// Dissemination barriers reach me±1, ±2, ±4: me+3 is a stranger.
+				c.FetchAddInt64(word+4, 1, (c.Me()+3)%n)
+			}()
+			c.BarrierAll()
+			if v := c.LoadInt64(word, c.Me()) | c.LoadInt64(word+8, c.Me()); v != 0 {
+				t.Errorf("%v, pe %d: a refused atomic touched the target: %#x", mode, c.Me(), v)
+			}
+		})
+		outcome[mode] = got
+	}
+	for pe := range outcome[gasnet.Static] {
+		if st, od := outcome[gasnet.Static][pe], outcome[gasnet.OnDemand][pe]; st != od {
+			t.Errorf("pe %d: static fails with %q, on-demand with %q", pe, st, od)
+		}
+	}
 }
 
 func TestAtomicSwapAndCswap(t *testing.T) {
