@@ -52,12 +52,14 @@ race:
 
 # Same seed, same run — on any number of processors, with or without the race
 # detector: the fault-free byte-identity contracts, the healing-partition
-# soak (nobody may be declared dead, digests equal the clean run's) and the
-# recovery-work counters, fifty times each on one processor, on the host's
-# own count and on eight, then once more race-instrumented (the two faulted
-# tests five times there: they run ten times slower under the detector).
+# soak (nobody may be declared dead, digests equal the clean run's), the
+# recovery-work counters and the two outcomes the failure detector alone
+# decides (a permanent partition exits 126, an idle job with a dead rail does
+# not abort), fifty times each on one processor, on the host's own count and on
+# eight, then once more race-instrumented (the faulted tests five times there:
+# they run ten times slower under the detector).
 IDENTITY = TestTraceByteIdenticalAcrossRuns|TestFlowTelemetryByteIdentical|TestGaugeSeriesByteIdenticalFaultFree
-FAULTED = TestPartitionHealTransparent|TestRecoveryCountersIndependentOfGOMAXPROCS
+FAULTED = TestPartitionHealTransparent|TestRecoveryCountersIndependentOfGOMAXPROCS|TestPermanentPartitionExitCode|TestIncidentStragglerSweep
 
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=50 -run '$(IDENTITY)|$(FAULTED)' ./internal/cluster

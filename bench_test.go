@@ -7,15 +7,9 @@ package main
 import (
 	"testing"
 
-	"goshmem/internal/apps/graph500"
-	"goshmem/internal/apps/heat2d"
 	"goshmem/internal/apps/nas"
 	"goshmem/internal/bench"
-	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
-	"goshmem/internal/mpi"
-	"goshmem/internal/shmem"
-	"goshmem/internal/vclock"
 )
 
 // BenchmarkFig1InitBreakdownStatic regenerates Figure 1: the static design's
@@ -228,99 +222,4 @@ func metricName(s string) string {
 		}
 	}
 	return string(out)
-}
-
-// BenchmarkBarrierAllMicro is a plain hot-loop microbenchmark of the
-// runtime's dissemination barrier at 32 PEs (real + virtual time).
-func BenchmarkBarrierAllMicro(b *testing.B) {
-	var virt float64
-	_, err := cluster.Run(cluster.Config{NP: 32, PPN: 8, Mode: gasnet.OnDemand, SkipLaunchCost: true},
-		func(c *shmem.Ctx) {
-			c.BarrierAll()
-			t0 := c.Clock().Now()
-			for i := 0; i < b.N; i++ {
-				c.BarrierAll()
-			}
-			if c.Me() == 0 {
-				virt = float64(c.Clock().Now()-t0) / float64(b.N)
-			}
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(virt/1000, "virtual-us/op")
-}
-
-// BenchmarkPutQuietMicro is a plain hot-loop microbenchmark of an 8-byte
-// put+quiet between two PEs.
-func BenchmarkPutQuietMicro(b *testing.B) {
-	var virt float64
-	_, err := cluster.Run(cluster.Config{NP: 2, PPN: 1, Mode: gasnet.OnDemand, SkipLaunchCost: true},
-		func(c *shmem.Ctx) {
-			a := c.Malloc(8)
-			buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-			if c.Me() == 0 {
-				t0 := c.Clock().Now()
-				for i := 0; i < b.N; i++ {
-					c.PutMem(a, buf, 1)
-					c.Quiet()
-				}
-				virt = float64(c.Clock().Now()-t0) / float64(b.N)
-			}
-			c.BarrierAll()
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(virt/1000, "virtual-us/op")
-}
-
-// BenchmarkHybridBFSMicro runs one small hybrid BFS per iteration.
-func BenchmarkHybridBFSMicro(b *testing.B) {
-	p := graph500.Params{Scale: 6, EdgeFactor: 8, Roots: 1, Seed: 5}
-	for i := 0; i < b.N; i++ {
-		_, err := cluster.Run(cluster.Config{NP: 4, PPN: 4, Mode: gasnet.OnDemand, SkipLaunchCost: true},
-			func(c *shmem.Ctx) {
-				m := mpi.New(c.Conduit())
-				if r := graph500.Run(c, m, p); !r.ValidationOK {
-					b.Error("validation failed")
-				}
-			})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHeat2DMicro runs one small heat solve per iteration and reports
-// the virtual job time.
-func BenchmarkHeat2DMicro(b *testing.B) {
-	var jobVT int64
-	for i := 0; i < b.N; i++ {
-		res, err := cluster.Run(cluster.Config{NP: 8, PPN: 4, Mode: gasnet.OnDemand},
-			func(c *shmem.Ctx) {
-				heat2d.Run(c, heat2d.Params{NX: 32, NY: 64, MaxIters: 20})
-			})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobVT = res.JobVT
-	}
-	b.ReportMetric(vclock.Seconds(jobVT), "job-virtual-s")
-}
-
-// BenchmarkPutBandwidth measures windowed put bandwidth (OSU osu_oshm_put_bw
-// analogue) and reports MiB/s at 4 KiB and 64 KiB.
-func BenchmarkPutBandwidth(b *testing.B) {
-	var pts []bench.BWPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = bench.PutBandwidth([]int{4096, 65536}, 16, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(pts[0].OnDemandMBps, "bw4k-MiBps")
-	b.ReportMetric(pts[1].OnDemandMBps, "bw64k-MiBps")
-	b.ReportMetric(pts[0].MsgRateOnDemandK, "rate4k-kmsgs")
 }

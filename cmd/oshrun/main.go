@@ -243,7 +243,7 @@ func parseRailFaults(s string, rails int) ([]cluster.RailFault, error) {
 // parsePartitions parses a semicolon-separated list of partition windows,
 // each "ranks:ranks@start[-heal]" with comma-separated rank lists and times
 // in virtual seconds. An omitted heal means the partition never heals (the
-// job exits with the partition code once the detector's patience runs out).
+// job exits with the partition code at the detector's first verdict on it).
 func parsePartitions(s string, np int) ([]cluster.PartitionFault, error) {
 	if s == "" {
 		return nil, nil

@@ -51,11 +51,9 @@ type Config struct {
 
 	// PMIFaults injects control-plane faults into the PMI server (slow
 	// launcher, dropped/duplicated ops, unavailability windows, a crash
-	// that loses un-fenced KVS entries). PMIRetry tunes the client-side
-	// retry/timeout/backoff loop that recovers from them (zero fields keep
-	// defaults); fault soaks compress it.
+	// that loses un-fenced KVS entries); the client's retry/timeout/backoff
+	// loop recovers from them.
 	PMIFaults *pmi.FaultInjector
-	PMIRetry  pmi.RetryConfig
 
 	// MaxLiveRC caps the live RC queue pairs per HCA: each PE evicts its
 	// least-recently-used idle connection before exceeding the cap, and the
@@ -352,7 +350,6 @@ func RunEnvs(cfg Config, body func(env shmem.Env)) error {
 			node := rank / cfg.PPN
 			clk := vclock.NewClock(sub.launchVT)
 			pmiC := sub.srv.Client(rank, clk)
-			pmiC.SetRetry(cfg.PMIRetry)
 			body(shmem.Env{
 				Rank: rank, NProcs: cfg.NP, Node: node, PPN: cfg.PPN,
 				HCA: sub.hcas[node], PMI: pmiC, Clock: clk,
@@ -461,113 +458,115 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make(chan error, cfg.NP)
+	runPE := func(rank int) {
+		defer sub.sched.Exit()
+		clk := clks[rank]
+		var ctx *shmem.Ctx
+		arrived := false
+		arrive := func() {
+			if censusReady != nil && !arrived {
+				arrived = true
+				initWG.Done()
+			}
+		}
+		defer func() {
+			if p := recover(); p != nil {
+				if code, ok := exitCodeForPanic(p); ok {
+					// Controlled job abort: record the PE's exit status
+					// instead of treating it as a launcher bug.
+					pr := PEResult{Rank: rank, ExitCode: code, FinalVT: clk.Now()}
+					if ctx != nil {
+						pr.Breakdown = ctx.Breakdown()
+						pr.InitVT = ctx.InitTime()
+						pr.Stats = ctx.Stats()
+					}
+					res.PEs[rank] = pr
+				} else {
+					errs <- fmt.Errorf("cluster: PE %d panicked: %v\n%s", rank, p, debug.Stack())
+				}
+				if ctx != nil {
+					// Best-effort finalize so surviving PEs are not
+					// stranded in the teardown barrier. A panic inside a
+					// collective can still leave peers blocked; the
+					// launcher only guarantees recovery for application
+					// level panics between collectives.
+					func() {
+						defer func() { _ = recover() }()
+						ctx.Finalize()
+					}()
+				}
+			}
+		}()
+		// Registered after the recover handler so it runs first on a
+		// panic unwind (LIFO): the init barrier is released before the
+		// handler's best-effort Finalize can block on peers that are
+		// themselves parked on the census gate.
+		defer arrive()
+		node := rank / cfg.PPN
+		pe := plane.PE(rank)
+		pe.Span(0, launchVT, obs.LayerCluster, "launch", -1, 0)
+		attachVT := clk.Now()
+		pmiC := srv.Client(rank, clk)
+		ctx = shmem.Attach(shmem.Env{
+			Rank: rank, NProcs: cfg.NP, Node: node, PPN: cfg.PPN,
+			HCA: hcas[node], PMI: pmiC, Clock: clk,
+			NodeBarrier: bars[node],
+			Obs:         pe,
+		}, shmem.Options{
+			Mode: cfg.Mode, BlockingPMI: cfg.BlockingPMI, SegEx: cfg.SegEx,
+			HeapSize: cfg.HeapSize, DeclaredHeapSize: cfg.DeclaredHeapSize,
+			GlobalInitBarriers: cfg.GlobalInitBarriers,
+			MaxLiveRC:          cfg.MaxLiveRC,
+			Heartbeat:          cfg.Heartbeat,
+		})
+		pe.Span(attachVT, clk.Now(), obs.LayerCluster, "init", -1, 0)
+		wd.register(rank, ctx.Conduit())
+		census.Register(ctx.Conduit())
+		census.Register(ctx)
+		arrive()
+		if censusReady != nil {
+			// Hold every PE at the init boundary until the census has
+			// read post-attach state. Pure real-time synchronization: no
+			// clock advances, so virtual-time results are unchanged.
+			<-censusReady
+		}
+		appVT := clk.Now()
+		app(ctx)
+		pe.Span(appVT, clk.Now(), obs.LayerCluster, "app", -1, 0)
+		// Snapshot resource counters before finalize so Table I / Fig. 9
+		// metrics reflect the application, not the teardown barrier.
+		stats := ctx.Stats()
+		peers := ctx.CommunicatingPeers()
+		finVT := clk.Now()
+		ctx.Finalize()
+		pe.Span(finVT, clk.Now(), obs.LayerCluster, "finalize", -1, 0)
+		exit := 0
+		if err := ctx.Err(); err != nil {
+			// The job aborted but this PE was never blocked on the dead
+			// peer; it still exits nonzero, like a process killed by the
+			// launcher during teardown.
+			if code, ok := exitCodeForErr(err); ok {
+				exit = code
+			} else {
+				exit = 1
+			}
+		}
+		res.PEs[rank] = PEResult{
+			Rank:      rank,
+			Breakdown: ctx.Breakdown(),
+			InitVT:    ctx.InitTime(),
+			FinalVT:   clk.Now(),
+			Stats:     stats,
+			Peers:     peers,
+			ExitCode:  exit,
+		}
+	}
 	for r := 0; r < cfg.NP; r++ {
 		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer sub.sched.Exit()
-			clk := clks[rank]
-			var ctx *shmem.Ctx
-			arrived := false
-			arrive := func() {
-				if censusReady != nil && !arrived {
-					arrived = true
-					initWG.Done()
-				}
-			}
-			defer func() {
-				if p := recover(); p != nil {
-					if code, ok := exitCodeForPanic(p); ok {
-						// Controlled job abort: record the PE's exit status
-						// instead of treating it as a launcher bug.
-						pr := PEResult{Rank: rank, ExitCode: code, FinalVT: clk.Now()}
-						if ctx != nil {
-							pr.Breakdown = ctx.Breakdown()
-							pr.InitVT = ctx.InitTime()
-							pr.Stats = ctx.Stats()
-						}
-						res.PEs[rank] = pr
-					} else {
-						errs <- fmt.Errorf("cluster: PE %d panicked: %v\n%s", rank, p, debug.Stack())
-					}
-					if ctx != nil {
-						// Best-effort finalize so surviving PEs are not
-						// stranded in the teardown barrier. A panic inside a
-						// collective can still leave peers blocked; the
-						// launcher only guarantees recovery for application
-						// level panics between collectives.
-						func() {
-							defer func() { _ = recover() }()
-							ctx.Finalize()
-						}()
-					}
-				}
-			}()
-			// Registered after the recover handler so it runs first on a
-			// panic unwind (LIFO): the init barrier is released before the
-			// handler's best-effort Finalize can block on peers that are
-			// themselves parked on the census gate.
-			defer arrive()
-			node := rank / cfg.PPN
-			pe := plane.PE(rank)
-			pe.Span(0, launchVT, obs.LayerCluster, "launch", -1, 0)
-			attachVT := clk.Now()
-			pmiC := srv.Client(rank, clk)
-			pmiC.SetRetry(cfg.PMIRetry)
-			ctx = shmem.Attach(shmem.Env{
-				Rank: rank, NProcs: cfg.NP, Node: node, PPN: cfg.PPN,
-				HCA: hcas[node], PMI: pmiC, Clock: clk,
-				NodeBarrier: bars[node],
-				Obs:         pe,
-			}, shmem.Options{
-				Mode: cfg.Mode, BlockingPMI: cfg.BlockingPMI, SegEx: cfg.SegEx,
-				HeapSize: cfg.HeapSize, DeclaredHeapSize: cfg.DeclaredHeapSize,
-				GlobalInitBarriers: cfg.GlobalInitBarriers,
-				MaxLiveRC:          cfg.MaxLiveRC,
-				Heartbeat:          cfg.Heartbeat,
-			})
-			pe.Span(attachVT, clk.Now(), obs.LayerCluster, "init", -1, 0)
-			wd.register(rank, ctx.Conduit())
-			census.Register(ctx.Conduit())
-			census.Register(ctx)
-			arrive()
-			if censusReady != nil {
-				// Hold every PE at the init boundary until the census has
-				// read post-attach state. Pure real-time synchronization: no
-				// clock advances, so virtual-time results are unchanged.
-				<-censusReady
-			}
-			appVT := clk.Now()
-			app(ctx)
-			pe.Span(appVT, clk.Now(), obs.LayerCluster, "app", -1, 0)
-			// Snapshot resource counters before finalize so Table I / Fig. 9
-			// metrics reflect the application, not the teardown barrier.
-			stats := ctx.Stats()
-			peers := ctx.CommunicatingPeers()
-			finVT := clk.Now()
-			ctx.Finalize()
-			pe.Span(finVT, clk.Now(), obs.LayerCluster, "finalize", -1, 0)
-			exit := 0
-			if err := ctx.Err(); err != nil {
-				// The job aborted but this PE was never blocked on the dead
-				// peer; it still exits nonzero, like a process killed by the
-				// launcher during teardown.
-				if code, ok := exitCodeForErr(err); ok {
-					exit = code
-				} else {
-					exit = 1
-				}
-			}
-			res.PEs[rank] = PEResult{
-				Rank:      rank,
-				Breakdown: ctx.Breakdown(),
-				InitVT:    ctx.InitTime(),
-				FinalVT:   clk.Now(),
-				Stats:     stats,
-				Peers:     peers,
-				ExitCode:  exit,
-			}
-		}(r)
+		// The PE runs a frame below the goroutine's own, so that a goroutine
+		// the host descheduled between Done and its exit holds no reference
+		// to the job: Run's caller may measure the heap the moment it returns.
+		go func(rank int) { defer wg.Done(); runPE(rank) }(r)
 	}
 	wg.Wait()
 	wd.stop()

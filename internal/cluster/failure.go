@@ -37,7 +37,7 @@ const (
 	// no path to forward progress after every degradation rung was tried.
 	ExitResourceExhausted = gasnet.ExitResourceExhausted
 	// ExitPartitioned: a peer was unreachable on every rail with no scheduled
-	// heal, and the failure detector's bounded patience ran out. Distinct from
+	// heal, so the failure detector's verdict was final. Distinct from
 	// 1 (peer confirmed dead) and 124 (watchdog): the peer was alive but
 	// unreachable, and the job chose to exit rather than wait forever.
 	ExitPartitioned = gasnet.ExitPartitioned
@@ -136,7 +136,8 @@ type watchdog struct {
 	reason   string
 	dump     string
 
-	done chan struct{}
+	done    chan struct{}
+	stopped chan struct{} // closed when run has returned
 }
 
 func newWatchdog(cfg Config, clks []*vclock.Clock, fab *ib.Fabric, srv *pmi.Server, bars []*vclock.VBarrier) *watchdog {
@@ -152,6 +153,7 @@ func newWatchdog(cfg Config, clks []*vclock.Clock, fab *ib.Fabric, srv *pmi.Serv
 		clks: clks, fab: fab, srv: srv, bars: bars,
 		conduits: make(map[int]*gasnet.Conduit),
 		done:     make(chan struct{}),
+		stopped:  make(chan struct{}),
 	}
 	go w.run()
 	return w
@@ -177,6 +179,7 @@ func (w *watchdog) stop() {
 		return
 	}
 	close(w.done)
+	<-w.stopped // run's stack references the whole job: it must not outlive Run
 }
 
 // Fired reports whether the watchdog terminated the job, and why.
@@ -215,6 +218,7 @@ func (w *watchdog) progress() int64 {
 }
 
 func (w *watchdog) run() {
+	defer close(w.stopped)
 	ticker := time.NewTicker(w.poll)
 	defer ticker.Stop()
 	lastSig := w.progress()

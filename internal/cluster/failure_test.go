@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"goshmem/internal/gasnet"
+	"goshmem/internal/ib"
 	"goshmem/internal/shmem"
 	"goshmem/internal/vclock"
 )
@@ -183,4 +184,23 @@ func TestFaultFreeJobHasZeroFailureCounters(t *testing.T) {
 			t.Errorf("pe %d exit code = %d on a clean run", p.Rank, p.ExitCode)
 		}
 	}
+}
+
+// TestWatchdogStopJoins: stop returns only after the watchdog's goroutine has,
+// because that goroutine's stack references the whole job and a caller may
+// measure the heap the moment Run returns (benchmark/ does, as the next job's
+// baseline: with a watchdog merely told to stop, one baseline in five still
+// contained the finished job).
+func TestWatchdogStopJoins(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		fab := ib.NewFabric(vclock.Default(), nil)
+		w := newWatchdog(Config{StallTimeout: time.Hour, WatchdogPoll: time.Microsecond}, nil, fab, nil, nil)
+		w.stop()
+		select {
+		case <-w.stopped:
+		default:
+			t.Fatalf("iteration %d: stop returned while the watchdog goroutine was still running", i)
+		}
+	}
+	(*watchdog)(nil).stop()
 }

@@ -25,7 +25,7 @@ type RailFault struct {
 // PartitionFault schedules a network partition window: connectivity between
 // rank sets A and B is severed on every rail during [At, Heal). Both sides
 // stay alive but cannot talk; Heal < 0 means the partition never heals and
-// the job exits with ExitPartitioned once the detector's patience runs out.
+// the job exits with ExitPartitioned at the detector's first verdict on it.
 type PartitionFault struct {
 	A, B []int // PE ranks (mapped to their nodes' adapters)
 	At   int64 // virtual time (ns)

@@ -191,7 +191,7 @@ func TestIncidentStragglerSweep(t *testing.T) {
 
 // TestPermanentPartitionExitCode severs the fabric permanently. The job must
 // neither hang into the watchdog (124) nor misreport a peer death (exit 1):
-// the detector's bounded patience runs out and the job exits with the
+// the detector's first verdict on the severed pair exits the job with the
 // partition code, in virtual time well under the watchdog deadline.
 func TestPermanentPartitionExitCode(t *testing.T) {
 	cfg := railCfg()

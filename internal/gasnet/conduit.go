@@ -195,19 +195,26 @@ type conn struct {
 	epoch   uint64 // teardown generation, so racing fault reports are applied once
 	lastUse uint64 // LRU stamp for idle-connection eviction
 
-	// The data-plane session and the receive-credit window (session.go) are
-	// values of their own, present only where they can matter: on a lossy
-	// fabric, respectively against finite receive queues. A fault-free,
-	// unbudgeted run allocates neither.
+	// The data-plane session, the receive-credit window (session.go) and the
+	// failure detector's view of the peer (detector.go) are values of their
+	// own, present only where they can matter: on a lossy fabric, against finite
+	// receive queues, with the detector armed. A fault-free, unbudgeted run
+	// allocates none of them.
 	sess   *session
 	credit *creditWindow
+	health *health
 
 	// quiet counts consecutive timeouts (handshake legs and data replays
 	// alike) since anything was last heard from the peer. Close stops waiting
 	// for a peer at closeQuiet, and at maxQuiet the timeouts themselves stop:
 	// a peer that never answers must not generate fabric traffic forever —
 	// only the failure detector (or the watchdog) can end that silence.
-	quiet int
+	quiet uint8
+
+	contacted bool // this PE sent the peer something (Stats.PeersContacted)
+	// dead: the peer was confirmed dead, by our detector or by the abort that
+	// told us. Every operation against it fails fast with ErrPeerDead.
+	dead bool
 }
 
 // Conduit is one PE's endpoint on the fabric.
@@ -270,7 +277,6 @@ type Conduit struct {
 
 	statMu sync.Mutex
 	stats  Stats
-	peers  map[int]struct{}
 	xpath  string // endpoint-exchange path actually taken (guarded by statMu)
 
 	// Observability (nil-safe: a disabled plane leaves all of these nil).
@@ -285,14 +291,13 @@ type Conduit struct {
 	gSuspect   *obs.Gauge  // peers currently under suspicion
 	led        *obs.Ledger // causal incident ledger (nil-safe)
 
-	// Failure detector and abort plane (failure.go).
+	// Failure detector and abort plane (failure.go). What the detector knows
+	// about a peer lives in the peer's connection slot (conn.health, conn.dead).
 	hbArmed   bool
-	netFaulty bool // port/rail/partition faults are scheduled: consult the schedule
-	hbMu      sync.Mutex
-	hbTimer   *vclock.Timer
-	health    map[int]*peerHealth // guarded by hbMu
-	deadPeers map[int]bool        // guarded by connMu
-	selfState atomic.Int32        // selfAlive/selfKilled/selfWedged
+	netFaulty bool          // port/rail/partition faults are scheduled: consult the schedule
+	hbTimer   *vclock.Timer // the detector's tick (guarded by connMu)
+	hbOff     bool          // Close stopped the detector: no further ticks (guarded by connMu)
+	selfState atomic.Int32  // selfAlive/selfKilled/selfWedged
 	abortMu   sync.Mutex
 	abortErr  error
 	abortCh   chan struct{}
@@ -316,11 +321,11 @@ func New(cfg Config) *Conduit {
 		mgrClk:  vclock.NewClock(cfg.Clock.Now()),
 		cq:      ib.NewCQ(),
 		waiters: make(map[uint64]chan waited),
-		peers:   make(map[int]struct{}),
 		obs:     cfg.Obs,
 		lossy:   cfg.HCA.Fabric().Lossy(),
 		rqDepth: cfg.HCA.Limits().RQDepth,
 		sched:   cfg.HCA.Fabric().Sched(),
+		abortCh: make(chan struct{}),
 	}
 	if c.lossy {
 		c.qpPeer = make(map[uint32]int)
@@ -339,7 +344,12 @@ func New(cfg Config) *Conduit {
 	c.led = c.obs.Ledger()
 	c.connCond = vclock.NewCond(&c.connMu, c.sched)
 	c.outCond = vclock.NewCond(&c.outMu, c.sched)
-	c.conns = newConnTable(cfg.Mode, cfg.NProcs, c.lossy, c.rqDepth > 0)
+	// The failure plane is in play — the detector armed, per-peer detector
+	// state allocated — only when a PE or network failure is scheduled.
+	c.netFaulty = cfg.HCA.Fabric().NetFaulty()
+	c.hbArmed = !cfg.Heartbeat.Disable && c.sched != nil &&
+		(cfg.Heartbeat.Enable || cfg.HCA.Fabric().PEFaulty() || c.netFaulty)
+	c.conns = newConnTable(cfg.Mode, cfg.NProcs, c.lossy, c.rqDepth > 0, c.hbArmed)
 	udQP, err := cfg.HCA.TryCreateQP(ib.UD, c.clk, nil, c.cq)
 	if err != nil {
 		// No control endpoint means no handshakes, no heartbeats, no in-band
@@ -358,7 +368,9 @@ func New(cfg Config) *Conduit {
 	mustQP(c.udQP.ToInit())
 	mustQP(c.udQP.ToRTR(ib.Dest{}))
 	mustQP(c.udQP.ToRTS())
-	c.hbInit()
+	if c.hbArmed {
+		c.hbRearm(c.clk.Now())
+	}
 	if cfg.Mode != Static {
 		// Cooperative adapter-wide eviction: siblings sharing this HCA may
 		// ask us to release an idle RC endpoint when their allocations stall.
@@ -653,7 +665,7 @@ func (c *Conduit) AMRequest(peer int, handler uint8, args [4]uint64, payload []b
 }
 
 // begin is the one prologue of every operation towards peer: this PE is
-// alive (and the job not aborted), the peer is noted and monitored, the
+// alive (and the job not aborted), the peer is monitored, the
 // operation — n bytes of kind — is counted and lands in the flow row, and with
 // hold it joins the outstanding-operation window Quiet waits on, until its
 // completion (or held, when it never gets that far) releases it.
@@ -662,7 +674,6 @@ func (c *Conduit) begin(peer int, kind obs.FlowKind, n int, hold bool) error {
 		return err
 	}
 	c.statMu.Lock()
-	c.peers[peer] = struct{}{}
 	switch kind {
 	case obs.FlowPut:
 		c.stats.PutsIssued++
@@ -932,8 +943,8 @@ func (c *Conduit) RegisterHeap(buf []byte) *ib.MR {
 func (c *Conduit) Stats() Stats {
 	c.statMu.Lock()
 	s := c.stats
-	s.PeersContacted = len(c.peers)
 	c.statMu.Unlock()
+	s.PeersContacted = len(c.PeerSet())
 	// The PMI client keeps its own retry/timeout tally; fold it in so the
 	// launcher sees one per-PE resilience table.
 	if c.cfg.PMI != nil {
@@ -945,12 +956,14 @@ func (c *Conduit) Stats() Stats {
 
 // PeerSet returns the set of peers this PE has sent traffic to.
 func (c *Conduit) PeerSet() map[int]struct{} {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	out := make(map[int]struct{}, len(c.peers))
-	for p := range c.peers {
-		out[p] = struct{}{}
-	}
+	out := make(map[int]struct{})
+	c.connMu.Lock()
+	c.conns.each(func(peer int, cn *conn) {
+		if cn.contacted {
+			out[peer] = struct{}{}
+		}
+	})
+	c.connMu.Unlock()
 	return out
 }
 
@@ -992,9 +1005,16 @@ func (c *Conduit) Close() {
 		// presumed executed and teardown proceeds. A live peer that still
 		// needs the data always answers: every timeout replays, the peer
 		// executes and acknowledges.
+		//
+		// The failure detector stops where Close begins: past the finalize
+		// barrier a peer's silence is expected — it may simply have finished
+		// and closed — and closeQuiet alone bounds the drain.
+		c.connMu.Lock()
+		c.hbOff = true
+		c.hbTimer.Stop()
+		c.connMu.Unlock()
 		c.drain()
 		c.closed.Store(true)
-		c.hbStop()
 		c.connMu.Lock()
 		c.rtx.Stop()
 		c.connMu.Unlock()
@@ -1109,7 +1129,7 @@ func (c *Conduit) handleAM(comp ib.Completion) {
 	if err != nil {
 		return
 	}
-	c.noteAlive(src, comp.VTime)
+	c.noteAlive(src, comp.VTime, false)
 	at := comp.VTime + c.model.AMProcess
 	c.connMu.Lock()
 	h := c.handlers[handler]

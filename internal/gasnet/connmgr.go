@@ -53,15 +53,9 @@ func msgName(kind uint8) string {
 const (
 	// closeQuiet is how many consecutive timeouts may draw nothing from a
 	// peer before Close stops waiting for it; maxQuiet is where the timeouts
-	// themselves stop (see conn.quiet). closeQuiet timeouts must stay well
-	// inside the failure detector's confirmation time, or a PE draining
-	// towards a peer that has already closed would declare it dead.
+	// themselves stop (see conn.quiet).
 	closeQuiet = 8
 	maxQuiet   = 100
-
-	// probeBackoffShift caps the exponential backoff of the failure
-	// detector's confirmation probes (failure.go).
-	probeBackoffShift = 4
 
 	// rnrBackoffMaxShift caps the exponential virtual-time backoff applied
 	// to receiver-not-ready retries, admission back-offs and refused
@@ -364,11 +358,11 @@ func (c *Conduit) EnsureConnected(peer int) error {
 	}
 	for {
 		c.connMu.Lock()
-		if c.deadPeers[peer] {
+		cn := c.conns.getOrCreate(peer)
+		if cn.dead {
 			c.connMu.Unlock()
 			return ErrPeerDead
 		}
-		cn := c.conns.getOrCreate(peer)
 		switch cn.state {
 		case connReady:
 			ready := cn.readyVT
@@ -492,11 +486,11 @@ func (c *Conduit) allocRetry(l *allocLadder, vt int64) {
 func (c *Conduit) initiate(peer int) error {
 	in := driveIn{clk: c.clk}
 	c.connMu.Lock()
-	if c.deadPeers[peer] {
+	cn := c.conns.getOrCreate(peer)
+	if cn.dead {
 		c.connMu.Unlock()
 		return ErrPeerDead
 	}
-	cn := c.conns.getOrCreate(peer)
 	if cn.state != connNone {
 		c.connMu.Unlock()
 		return nil
@@ -586,7 +580,7 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		}
 		return
 	}
-	c.noteAlive(peer, comp.VTime)
+	c.noteAlive(peer, comp.VTime, m.Kind == msgHeartbeatAck)
 	if c.obs.EventsEnabled() {
 		c.obs.Emit(comp.VTime, obs.LayerGasnet, "ud-recv", peer, int64(len(comp.Data)),
 			obs.Attr{Key: "msg", Val: msgName(m.Kind)})
@@ -611,9 +605,7 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		c.sendControl(peer, m.UD, connMsg{Kind: msgHeartbeatAck, SrcRank: int32(c.cfg.Rank),
 			Seq: m.Seq, UD: c.udQP.Addr()}, svc)
 	case msgHeartbeatAck:
-		// The noteAlive above is the entire effect; also close the RTT
-		// histogram sample opened by the probe.
-		c.noteHeartbeatAck(peer, comp.VTime)
+		// The noteAlive above is the entire effect.
 	case msgAbort:
 		c.handleAbortMsg(m)
 	}
@@ -790,7 +782,7 @@ event: // a row that ends in actAllocQP is answered by a second event
 				}
 				c.armForLocked(cn)
 			case actAbort:
-				in.later(deferred{ae: c.rejectedAbort(peer, cn.rejCount, ev.fatal)})
+				in.later(deferred{ae: c.rejectedAbort(peer, int(cn.rejCount), ev.fatal)})
 			default:
 				if a >= actCount {
 					c.statMu.Lock()
@@ -1019,7 +1011,7 @@ func (c *Conduit) dueLocked(cn *conn) (due int64, ok bool) {
 		// Admission back-off is contention, not loss: it grows with every
 		// rejection, or budget-starved ranks retrying in lockstep would keep
 		// rejecting each other until the REJ bound aborts the job.
-		due, wait = cn.lastTx, backoff(wait, cn.attempt, rnrBackoffMaxShift)
+		due, wait = cn.lastTx, backoff(wait, int(cn.attempt), rnrBackoffMaxShift)
 	case cn.state == connAccepted, cn.state == connConnecting && cn.hasQP:
 		due = cn.lastTx
 	case cn.sess.retained() > 0 && (cn.state == connReady || cn.state == connNone && len(cn.pending) == 0):

@@ -14,13 +14,14 @@ type connTable struct {
 	dense  []*conn       // static mode: indexed by peer, nil until first use
 	sparse map[int]*conn // on-demand mode
 
-	// What a new slot carries beside its handshake state (session.go): a
-	// session on a lossy fabric, a credit window against finite receive queues.
-	lossy, credited bool
+	// What a new slot carries beside its handshake state: a session on a lossy
+	// fabric, a credit window against finite receive queues (session.go), the
+	// failure detector's view of the peer when it is armed (detector.go).
+	lossy, credited, watched bool
 }
 
-func newConnTable(mode Mode, nprocs int, lossy, credited bool) connTable {
-	t := connTable{lossy: lossy, credited: credited}
+func newConnTable(mode Mode, nprocs int, lossy, credited, watched bool) connTable {
+	t := connTable{lossy: lossy, credited: credited, watched: watched}
 	if mode == Static {
 		t.dense = make([]*conn, nprocs)
 	} else {
@@ -47,6 +48,9 @@ func (t *connTable) getOrCreate(peer int) *conn {
 		}
 		if t.credited {
 			cn.credit = new(creditWindow)
+		}
+		if t.watched {
+			cn.health = new(health)
 		}
 		if t.dense != nil {
 			t.dense[peer] = cn

@@ -33,10 +33,10 @@ const ExitResourceExhausted = 125
 
 // ExitPartitioned is the distinct launcher exit code for a job aborted
 // because a network partition severing a needed pair of PEs will provably
-// never heal: every rail between the pair is dark, no scheduled heal exists,
-// and the detector's bounded virtual-time patience ran out. Deliberately
-// distinct from both 1 (peer confirmed dead — here both sides are alive) and
-// 124 (watchdog — the partition is detected and reported, not a hang).
+// never heal: every rail between the pair is dark and no heal is scheduled.
+// Deliberately distinct from both 1 (peer confirmed dead — here both sides are
+// alive) and 124 (watchdog — the partition is detected and reported, not a
+// hang).
 const ExitPartitioned = 126
 
 // AbortError is the terminal job-abort error. It is raised by the PE that
@@ -88,17 +88,6 @@ func (e *WedgeError) Error() string {
 	return fmt.Sprintf("gasnet: rank %d wedged (injected) at vt %d, released by job abort", e.Rank, e.VT)
 }
 
-// Detector thresholds. The detector ticks on the job's timer queue once per
-// CostModel.HeartbeatPeriod of virtual time — that is, only while the job is
-// otherwise stuck — so a death is confirmed within a bounded number of virtual
-// detector periods, and a peer that is merely slow on the host is never
-// suspected at all.
-const (
-	hbSuspectAfter = 3  // silent periods before suspicion
-	hbConfirmAfter = 4  // unanswered backoff probes before the verdict
-	hbPartition    = 16 // verdicts a permanent partition survives before the job aborts
-)
-
 // HeartbeatConfig forces the UD-heartbeat failure detector on or off. Left
 // zero, it is armed only when the fabric has PE or network failures scheduled
 // — a fault-free run never probes, suspects, or pays anything for it.
@@ -106,40 +95,17 @@ const (
 // Liveness is piggybacked on existing traffic: every software-level message
 // from a peer (handshake legs, active messages, heartbeat acks) refreshes it.
 // Explicit probes go only to monitored peers that have been silent for a full
-// period. A peer silent for hbSuspectAfter consecutive ticks becomes suspect;
-// it is then probed with exponential backoff and its fate decided (dead, or
-// partitioned: partitionVerdict) after hbConfirmAfter further unanswered
-// probes. A live peer's manager thread answers every probe that reaches it
-// before the next tick can fire, however slow the host, so only a probe the
-// fabric lost can go unanswered.
+// period; the rules are the health value in detector.go. The detector ticks on
+// the job's timer queue once per CostModel.HeartbeatPeriod of virtual time —
+// that is, only while the job is otherwise stuck — so a death is confirmed
+// within a bounded number of virtual detector periods, and a peer that is
+// merely slow on the host is never suspected at all.
 type HeartbeatConfig struct {
 	// Enable arms the detector even without scheduled failures.
 	Enable bool
 	// Disable forces the detector off (watchdog tests use it to make an
 	// injected failure genuinely hang the job).
 	Disable bool
-}
-
-// peerHealth is the detector's view of one monitored peer. Times are virtual.
-type peerHealth struct {
-	lastHeard int64
-	missed    int // consecutive silent ticks
-	suspect   bool
-	since     int64 // when the current suspicion (or its last restart) began
-	probes    int   // confirmation probes sent since then
-	lastProbe int64
-	probeVT   int64 // send time of the last explicit probe (RTT hist)
-	dead      bool
-
-	// suspended marks a peer the detector would have confirmed dead but for
-	// the fabric's verdict that the pair is partitioned (every rail severed
-	// while both sides are alive): the peer is held in suspend-and-retry
-	// instead of aborting the job. healVT is when the schedule says the
-	// severance ends (-1: never); patience counts the verdicts spent waiting
-	// on a permanent one.
-	suspended bool
-	healVT    int64
-	patience  int
 }
 
 // Self-fate states cached in Conduit.selfState.
@@ -149,35 +115,14 @@ const (
 	selfWedged
 )
 
-// hbInit arms the detector's tick when the failure plane is in play. Called
-// from New.
-func (c *Conduit) hbInit() {
-	c.abortCh = make(chan struct{})
-	c.deadPeers = make(map[int]bool)
-	c.health = make(map[int]*peerHealth)
-	fab := c.cfg.HCA.Fabric()
-	c.netFaulty = fab.NetFaulty()
-	hb := c.cfg.Heartbeat
-	c.hbArmed = !hb.Disable && c.sched != nil && (hb.Enable || fab.PEFaulty() || c.netFaulty)
-	if c.hbArmed {
-		c.hbRearm(c.clk.Now())
-	}
-}
-
-// hbRearm schedules the next tick one period after now.
+// hbRearm schedules the next tick one period after now, unless Close has
+// stopped the detector.
 func (c *Conduit) hbRearm(now int64) {
-	c.hbMu.Lock()
-	if !c.closed.Load() {
+	c.connMu.Lock()
+	if !c.hbOff {
 		c.hbTimer = c.sched.After(now+c.model.HeartbeatPeriod, c.cfg.Rank, c.hbTick)
 	}
-	c.hbMu.Unlock()
-}
-
-// hbStop cancels the tick at Close.
-func (c *Conduit) hbStop() {
-	c.hbMu.Lock()
-	c.hbTimer.Stop()
-	c.hbMu.Unlock()
+	c.connMu.Unlock()
 }
 
 // selfFate consults the fault plane for this PE's own scheduled crash/wedge
@@ -311,49 +256,51 @@ func (c *Conduit) OnAbort(f func(error)) {
 func (c *Conduit) PeerDead(peer int) bool {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	return c.deadPeers[peer]
+	cn := c.conns.get(peer)
+	return cn != nil && cn.dead
+}
+
+// watched reports whether the detector covers peer at all: it is armed, and
+// peer is another rank of this job.
+func (c *Conduit) watched(peer int) bool {
+	return c.hbArmed && peer != c.cfg.Rank && peer >= 0 && peer < c.cfg.NProcs
 }
 
 // MonitorPeer registers peer with the failure detector, so a blocking
 // receive from it is covered even before any traffic has flowed. No-op when
 // the detector is not armed.
 func (c *Conduit) MonitorPeer(peer int) {
-	if !c.hbArmed || peer == c.cfg.Rank || peer < 0 || peer >= c.cfg.NProcs {
+	if !c.watched(peer) {
 		return
 	}
-	c.hbMu.Lock()
-	if c.health[peer] == nil {
-		c.health[peer] = &peerHealth{lastHeard: c.clk.Now()}
-	}
-	c.hbMu.Unlock()
+	c.connMu.Lock()
+	c.conns.getOrCreate(peer).health.watch(c.clk.Now())
+	c.connMu.Unlock()
 }
 
 // noteAlive refreshes the detector's liveness for peer — the piggyback path:
 // any software-level message from the peer (vt is its arrival) proves it
-// alive, so explicit probes are needed only when a link is idle.
-func (c *Conduit) noteAlive(peer int, vt int64) {
-	if !c.hbArmed || peer == c.cfg.Rank || peer < 0 || peer >= c.cfg.NProcs {
+// alive, so explicit probes are needed only when a link is idle. A heartbeat
+// ack also closes the RTT sample its probe opened.
+func (c *Conduit) noteAlive(peer int, vt int64, ack bool) {
+	if !c.watched(peer) {
 		return
 	}
-	c.hbMu.Lock()
-	h := c.health[peer]
-	if h == nil {
-		h = &peerHealth{}
-		c.health[peer] = h
+	c.connMu.Lock()
+	cn := c.conns.getOrCreate(peer)
+	if ack {
+		if rtt := cn.health.ackRTT(vt); rtt > 0 {
+			c.hHBRTT.Record(rtt)
+		}
 	}
-	if vt > h.lastHeard {
-		h.lastHeard = vt
+	cleared, healed := cn.health.heard(vt)
+	dead := cn.dead
+	c.connMu.Unlock()
+	if !cleared || dead {
+		return
 	}
-	h.missed = 0
-	cleared := h.suspect && !h.dead
-	healed := h.suspended && !h.dead
-	if cleared {
-		h.suspect = false
-		h.probes = 0
-		h.suspended = false
-		h.patience = 0
-	}
-	c.hbMu.Unlock()
+	now := c.mgrClk.Now()
+	c.gSuspect.Add(now, -1)
 	if healed {
 		// A suspended peer answered: the partition healed and the pair is
 		// reconnected. This is recovery, not a false alarm — the detector's
@@ -361,31 +308,22 @@ func (c *Conduit) noteAlive(peer int, vt int64) {
 		c.statMu.Lock()
 		c.stats.PartitionHeals++
 		c.statMu.Unlock()
-		c.event("partition-heal", peer, c.mgrClk.Now())
-		c.gSuspect.Add(c.mgrClk.Now(), -1)
-		c.led.CloseAll("net", []string{"partition"}, -1, obs.InstJob, c.mgrClk.Now(), "heal-observed")
+		c.event("partition-heal", peer, now)
+		c.led.CloseAll("net", []string{"partition"}, -1, obs.InstJob, now, "heal-observed")
 		return
 	}
-	if cleared {
-		c.statMu.Lock()
-		c.stats.FalseSuspicions++
-		c.statMu.Unlock()
-		c.event("suspect-clear", peer, c.mgrClk.Now())
-		c.gSuspect.Add(c.mgrClk.Now(), -1)
-	}
+	c.statMu.Lock()
+	c.stats.FalseSuspicions++
+	c.statMu.Unlock()
+	c.event("suspect-clear", peer, now)
 }
 
 // hbTick is the detector's pass, one period of virtual time after the last:
-// check the out-of-band abort flag, then walk the monitored peers — advance
-// silence counters, raise suspicions, send backoff probes, and hand spent
-// confirmation budgets to the verdict. Probes go only to peers silent for at
-// least one full period. It runs on the timer queue, so the job was stuck when
-// it fired: virtual time really has passed for every PE, and the manager clock
-// follows it.
+// check the out-of-band abort flag, then give every slot's health its tick and
+// do what it asks — raise the suspicion, send the probe, fetch the verdict. It
+// runs on the timer queue, so the job was stuck when it fired: virtual time
+// really has passed for every PE, and the manager clock follows it.
 func (c *Conduit) hbTick(vt int64) {
-	if c.closed.Load() {
-		return
-	}
 	// Out-of-band backstop: the PMI abort flag is how the launcher's kill
 	// reaches a PE whose in-band abort datagram was lost — or that is wedged
 	// and no longer processes software messages.
@@ -415,47 +353,32 @@ func (c *Conduit) hbTick(vt int64) {
 		c.hbRearm(now)
 		return
 	}
-	period := c.model.HeartbeatPeriod
-	var probes, verdicts []int
-	c.hbMu.Lock()
-	peers := make([]int, 0, len(c.health))
-	for peer := range c.health {
-		peers = append(peers, peer)
+	var peers, probes, verdicts []int
+	c.connMu.Lock()
+	if c.hbOff {
+		c.connMu.Unlock()
+		return
 	}
+	c.conns.each(func(peer int, cn *conn) {
+		if !cn.dead {
+			peers = append(peers, peer)
+		}
+	})
 	sort.Ints(peers) // probe order must not depend on map iteration
 	for _, peer := range peers {
-		h := c.health[peer]
-		switch {
-		case h.dead, now-h.lastHeard < period: // gone, or piggybacked traffic is fresh
-		case h.suspended && h.healVT > now: // waiting out a scheduled partition
-		case !h.suspect:
-			h.missed++
-			if h.missed >= hbSuspectAfter {
-				h.suspect, h.probes, h.since = true, 0, now
-				c.event("suspect", peer, now)
-				c.gSuspect.Add(now, 1)
-				c.led.Detect("pe", peer, now, "suspect")
-			}
+		switch c.conns.get(peer).health.tick(now, c.model.HeartbeatPeriod) {
+		case tickSuspect:
+			c.event("suspect", peer, now)
+			c.gSuspect.Add(now, 1)
+			c.led.Detect("pe", peer, now, "suspect")
+			fallthrough
+		case tickProbe:
 			probes = append(probes, peer)
-		default:
-			// Suspect: confirmation probes with exponential backoff.
-			if now-h.lastProbe < backoff(period, h.probes, probeBackoffShift) {
-				continue
-			}
-			h.probes++
-			h.lastProbe = now
-			if h.probes > hbConfirmAfter {
-				// The confirmation budget is spent. Hold the probe count at
-				// the threshold so the verdict re-runs every capped backoff
-				// period for as long as a suspension lasts.
-				h.probes = hbConfirmAfter
-				verdicts = append(verdicts, peer)
-				continue
-			}
-			probes = append(probes, peer)
+		case tickJudge:
+			verdicts = append(verdicts, peer)
 		}
 	}
-	c.hbMu.Unlock()
+	c.connMu.Unlock()
 	for _, peer := range probes {
 		c.sendPing(peer, now)
 	}
@@ -467,60 +390,30 @@ func (c *Conduit) hbTick(vt int64) {
 	}
 }
 
-// partitionVerdict decides, at virtual time now, the fate of a suspect whose
-// confirmation budget is spent: dead peer or partitioned peer. The fabric's
-// schedule is the whole of the evidence. A peer severed from us on every rail
-// right now is *partitioned*: both sides are alive but cannot talk, so the
-// detector suspends it — until the scheduled heal, whose first answered probe
-// resumes normal operation (and exactly-once delivery, via the session
-// layer's retained window) through noteAlive; or, when no heal is scheduled,
-// for hbPartition more verdicts, after which the job aborts with the distinct
-// ExitPartitioned code. A peer whose paths are clear now but were severed at
-// some point since the suspicion began has proven nothing by its silence —
-// any of those probes may have been blackholed — so the confirmation starts
-// over from now. Only a peer that stayed silent across a span in which a
-// live path to it existed throughout is dead.
+// partitionVerdict fetches, at virtual time now, the verdict on a suspect
+// whose confirmation budget is spent — dead peer or partitioned peer
+// (health.judge) — and carries it out. The fabric's schedule is the whole of
+// the evidence; gathering it is all this shell adds.
 func (c *Conduit) partitionVerdict(peer int, now int64) {
-	dark, heal, dimmed := false, int64(0), false
+	var lid uint16
 	if c.netFaulty {
 		ud, err := c.resolveUDOpt(peer, false)
 		if err != nil {
-			return // resolution in flight; re-evaluate at the next backoff period
+			return // resolution in flight; re-evaluate at the next tick
 		}
-		c.hbMu.Lock()
-		since := c.health[peer].since
-		c.hbMu.Unlock()
-		dark, heal = c.severed(ud.LID, now)
-		dimmed = !dark && c.cfg.HCA.Fabric().Faults().PartitionedDuring(c.cfg.HCA.LID(), ud.LID, since, now)
+		lid = ud.LID
 	}
-	first, exhausted := false, false
-	c.hbMu.Lock()
-	h := c.health[peer]
-	switch {
-	case h == nil || h.dead:
-		c.hbMu.Unlock()
-		return
-	case dimmed:
-		h.probes, h.since = 0, now
-		c.hbMu.Unlock()
-		c.sendPing(peer, now)
-		return
-	case !dark:
-		h.dead = true
-		c.hbMu.Unlock()
-		c.confirmDead(peer)
+	c.connMu.Lock()
+	cn := c.conns.get(peer)
+	if cn.dead {
+		c.connMu.Unlock()
 		return
 	}
-	if !h.suspended {
-		h.suspended, h.patience = true, 0
-		first = true
-	}
-	h.healVT, h.since = heal, now
-	if heal < 0 {
-		h.patience++
-		exhausted = h.patience > hbPartition
-	}
-	c.hbMu.Unlock()
+	var p path
+	p.dark, p.heal = c.severed(lid, now)
+	p.dimmed = !p.dark && c.cfg.HCA.Fabric().Faults().PartitionedDuring(c.cfg.HCA.LID(), lid, cn.health.since, now)
+	f, first := cn.health.judge(now, p)
+	c.connMu.Unlock()
 	if first {
 		c.statMu.Lock()
 		c.stats.PartitionSuspensions++
@@ -528,11 +421,16 @@ func (c *Conduit) partitionVerdict(peer int, now int64) {
 		c.event("partition-suspend", peer, now)
 		c.led.Detect("net", -1, now, "partition-suspend")
 	}
-	if exhausted {
+	switch f {
+	case fateRestart:
+		c.sendPing(peer, now)
+	case fateDead:
+		c.confirmDead(peer)
+	case fateFatal:
 		c.event("partition-fatal", peer, now)
 		c.raiseAbort(&AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitPartitioned,
-			Reason: fmt.Sprintf("rank %d partitioned from rank %d on every rail with no scheduled heal; gave up after %d verdicts",
-				c.cfg.Rank, peer, hbPartition)}, true)
+			Reason: fmt.Sprintf("rank %d partitioned from rank %d on every rail with no scheduled heal",
+				c.cfg.Rank, peer)}, true)
 	}
 }
 
@@ -545,33 +443,10 @@ func (c *Conduit) sendPing(peer int, now int64) {
 	if err != nil {
 		return
 	}
-	c.hbMu.Lock()
-	if h := c.health[peer]; h != nil {
-		h.probeVT = now
-	}
-	c.hbMu.Unlock()
 	c.statMu.Lock()
 	c.stats.HeartbeatsSent++
 	c.statMu.Unlock()
 	c.sendControl(peer, ud, connMsg{Kind: msgHeartbeat, SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr()}, vclock.NewClock(now))
-}
-
-// noteHeartbeatAck closes the RTT sample opened by the last explicit probe
-// to peer: the virtual round trip from probe transmission to ack arrival.
-func (c *Conduit) noteHeartbeatAck(peer int, ackVT int64) {
-	if c.hHBRTT == nil {
-		return
-	}
-	c.hbMu.Lock()
-	var probeVT int64
-	if h := c.health[peer]; h != nil && h.probeVT > 0 {
-		probeVT = h.probeVT
-		h.probeVT = 0
-	}
-	c.hbMu.Unlock()
-	if probeVT > 0 && ackVT > probeVT {
-		c.hHBRTT.Record(ackVT - probeVT)
-	}
 }
 
 // markDead flags peer as dead and strips its connection slot: the handshake
@@ -579,20 +454,18 @@ func (c *Conduit) noteHeartbeatAck(peer int, ackVT int64) {
 // issuer. Returns whether this call did the marking.
 func (c *Conduit) markDead(peer int) bool {
 	c.connMu.Lock()
-	if c.deadPeers[peer] {
+	cn := c.conns.getOrCreate(peer)
+	if cn.dead {
 		c.connMu.Unlock()
 		return false
 	}
-	c.deadPeers[peer] = true
-	var dropped []pendingWR
-	if cn := c.conns.get(peer); cn != nil {
-		dropped = cn.pending
-		cn.pending = nil
-		c.driveLocked(cn, peer, event{kind: evPeerDead}, &driveIn{})
-		// Frames retained for a dead peer will never be acknowledged; release
-		// them so Quiet does not wait on a ghost.
-		c.trimAckedLocked(cn, math.MaxUint64, c.mgrClk.Now())
-	}
+	cn.dead = true
+	dropped := cn.pending
+	cn.pending = nil
+	c.driveLocked(cn, peer, event{kind: evPeerDead}, &driveIn{})
+	// Frames retained for a dead peer will never be acknowledged; release
+	// them so Quiet does not wait on a ghost.
+	c.trimAckedLocked(cn, math.MaxUint64, c.mgrClk.Now())
 	c.connMu.Unlock()
 	c.connCond.Broadcast()
 	for _, p := range dropped {
@@ -760,7 +633,7 @@ func (c *Conduit) HealthSnapshot() HealthSnapshot {
 	s.Killed = c.selfState.Load() == selfKilled
 	s.Wedged = c.selfState.Load() == selfWedged
 	c.connMu.Lock()
-	c.conns.each(func(_ int, cn *conn) {
+	c.conns.each(func(peer int, cn *conn) {
 		switch cn.state {
 		case connReady:
 			s.Ready++
@@ -770,23 +643,19 @@ func (c *Conduit) HealthSnapshot() HealthSnapshot {
 			s.Accepted++
 		}
 		s.PendingWRs += len(cn.pending)
+		switch {
+		case cn.dead:
+			s.Dead = append(s.Dead, peer)
+		case cn.health.suspect():
+			s.Suspects = append(s.Suspects, peer)
+			if cn.health.suspended {
+				s.Suspended = append(s.Suspended, peer)
+			}
+		}
 	})
 	s.HeldReqs = len(c.heldReqs)
 	s.LastReadyVT = c.lastReadyVT
-	for peer := range c.deadPeers {
-		s.Dead = append(s.Dead, peer)
-	}
 	c.connMu.Unlock()
-	c.hbMu.Lock()
-	for peer, h := range c.health {
-		if h.suspect && !h.dead {
-			s.Suspects = append(s.Suspects, peer)
-		}
-		if h.suspended && !h.dead {
-			s.Suspended = append(s.Suspended, peer)
-		}
-	}
-	c.hbMu.Unlock()
 	c.outMu.Lock()
 	s.Outstanding = c.outstanding
 	c.outMu.Unlock()

@@ -45,6 +45,9 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 				retained.Bytes += retSize + int64(len(framed))
 			}
 		}
+		if cn.health != nil {
+			conns.Bytes += int64(unsafe.Sizeof(health{}))
+		}
 		if cn.credit != nil {
 			credits.Objects += int64(len(cn.credit.rel))
 			credits.Bytes += int64(unsafe.Sizeof(creditWindow{})) + int64(len(cn.credit.rel))*8
@@ -52,7 +55,6 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 	})
 	misc.Bytes += int64(len(c.heldReqs)) * heldSize
 	misc.Bytes += int64(len(c.qpPeer)) * (12 + mapEntryOverhead)
-	misc.Bytes += int64(len(c.deadPeers)) * (9 + mapEntryOverhead)
 	for _, ams := range c.deferredAM {
 		for _, am := range ams {
 			misc.Bytes += defAMSize + int64(len(am.payload))
@@ -70,14 +72,6 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 		misc.Bytes += int64(len(buf)) + mapEntryOverhead
 	}
 	c.waiterMu.Unlock()
-
-	c.hbMu.Lock()
-	misc.Bytes += int64(len(c.health)) * (int64(unsafe.Sizeof(peerHealth{})) + mapEntryOverhead)
-	c.hbMu.Unlock()
-
-	c.statMu.Lock()
-	misc.Bytes += int64(len(c.peers)) * (8 + mapEntryOverhead)
-	c.statMu.Unlock()
 
 	// The endpoint directory (udVals) is deliberately NOT charged here: it is
 	// a reference to the single job-wide slice the PMI server's AllgatherOp

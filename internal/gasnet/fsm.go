@@ -31,10 +31,10 @@ type slot struct {
 	everReady bool // reached ready at least once (a later ready is a reconnect)
 	gotPay    bool // the peer's piggybacked payload was handed to the upper layer
 	hasQP     bool
+	rejCount  uint8  // admission REJs absorbed (at most maxAdmissionRejects+1); survives teardown
+	attempt   uint16 // retransmissions of the current leg
 	seq       uint32 // attempt number of the current (or last) handshake
 	seqHi     uint32 // highest attempt number ever used on this slot; never reused
-	attempt   int    // retransmissions of the current leg
-	rejCount  int    // admission REJs absorbed; survives teardown
 	remote    ib.Dest
 }
 

@@ -204,11 +204,11 @@ func TestFaultFreeRunsPayNoResilienceCost(t *testing.T) {
 			t.Fatalf("rank %d: a lossless, unbudgeted fabric constructed a timer queue", p.C.Rank())
 		}
 		p.C.connMu.Lock()
-		armed := p.C.rtx != nil
+		armed, timer := p.C.rtx != nil, p.C.hbTimer
 		p.C.conns.each(func(peer int, cn *conn) {
-			if cn.sess != nil || cn.credit != nil {
-				t.Errorf("rank %d: slot %d carries a session (%v) or a credit window (%v) on a lossless, unbudgeted fabric",
-					p.C.Rank(), peer, cn.sess != nil, cn.credit != nil)
+			if cn.sess != nil || cn.credit != nil || cn.health != nil {
+				t.Errorf("rank %d: slot %d carries a session (%v), a credit window (%v) or detector state (%v) on a lossless, unbudgeted, fault-free fabric",
+					p.C.Rank(), peer, cn.sess != nil, cn.credit != nil, cn.health != nil)
 			}
 		})
 		p.C.connMu.Unlock()
@@ -220,9 +220,6 @@ func TestFaultFreeRunsPayNoResilienceCost(t *testing.T) {
 		if p.C.hbArmed {
 			t.Fatalf("rank %d: failure detector armed on a fault-free run", p.C.Rank())
 		}
-		p.C.hbMu.Lock()
-		timer := p.C.hbTimer
-		p.C.hbMu.Unlock()
 		if timer != nil {
 			t.Fatalf("rank %d: heartbeat timer armed on a fault-free run", p.C.Rank())
 		}

@@ -150,11 +150,12 @@ func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) error {
 	}
 	for {
 		c.connMu.Lock()
-		if c.deadPeers[peer] {
+		cn := c.conns.getOrCreate(peer)
+		if cn.dead {
 			c.connMu.Unlock()
 			return ErrPeerDead
 		}
-		cn := c.conns.getOrCreate(peer)
+		cn.contacted = true
 		switch cn.state {
 		case connReady:
 			// The caller's clock may still be behind the connection (it kept

@@ -439,8 +439,9 @@ func TestSessionValuesDoNotAllocate(t *testing.T) {
 }
 
 // TestConnSlotSize: a static job holds np² connection slots, so the slot's
-// size class is a startup_static heap_live_mb term. Session and credit state
-// hang off it by pointer precisely so that a fault-free slot stays at 160 B.
+// size class is a startup_static heap_live_mb term. Session, credit and
+// detector state hang off it by pointer precisely so that a fault-free slot
+// stays in the 160 B class.
 func TestConnSlotSize(t *testing.T) {
 	if n := unsafe.Sizeof(conn{}); n > 160 {
 		t.Errorf("conn is %d bytes, want <= 160 (the next allocator size class is 176)", n)

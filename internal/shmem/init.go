@@ -42,6 +42,7 @@ func Attach(env Env, opts Options) *Ctx {
 	if opts.HeapSize <= 0 {
 		opts.HeapSize = 1 << 20
 	}
+	opts.HeapSize = (opts.HeapSize + heapAlign - 1) &^ (heapAlign - 1) // the allocator hands out whole units
 	if opts.DeclaredHeapSize < opts.HeapSize {
 		opts.DeclaredHeapSize = opts.HeapSize
 	}

@@ -46,6 +46,15 @@ func TestHelloWorldBothModes(t *testing.T) {
 	})
 }
 
+// A heap smaller than the allocator's alignment unit is rounded up to one:
+// osu's -max 4 asks for a 4-byte heap and used to die in its first Malloc.
+func TestTinyHeapServesMalloc(t *testing.T) {
+	run(t, cluster.Config{NP: 2, HeapSize: 1}, func(c *shmem.Ctx) {
+		c.PutMem(c.Malloc(1), []byte{7}, 1-c.Me())
+		c.BarrierAll()
+	})
+}
+
 func TestPutGetRoundtrip(t *testing.T) {
 	const n = 6
 	bothModes(t, "putget", cluster.Config{NP: n}, func(c *shmem.Ctx) {

@@ -6,18 +6,20 @@ import "sync"
 // participants. Each participant arrives with its own clock; when the last
 // one arrives, everyone is released at
 //
-//	max(arrival virtual times) + extra
+//	max(arrival virtual times) + max(extras)
 //
-// where extra is the modeled cost of the synchronization itself (the last
-// arriver's extra value is used). VBarrier is the building block for PMI
-// Fence and for the conduit's intra-node barrier.
+// where extra is the modeled cost of the synchronization itself, as each
+// participant saw it: both maxima are commutative, so the release time does
+// not depend on the order the host ran the arrivals in. VBarrier is the
+// building block for PMI Fence and for the conduit's intra-node barrier.
 type VBarrier struct {
 	mu      sync.Mutex
 	cond    *Cond
 	n       int
 	count   int
 	gen     int
-	maxT    int64
+	maxT    int64 // latest arrival and largest extra of the generation in progress
+	maxX    int64
 	release [2]int64 // indexed by generation parity
 	aborted bool
 }
@@ -37,7 +39,7 @@ func (b *VBarrier) SetSched(s *Sched) { b.cond.s = s }
 func (b *VBarrier) N() int { return b.n }
 
 // Wait blocks until all n participants have arrived, then advances clk to the
-// common release time max(arrivals)+extra and returns that time.
+// common release time max(arrivals)+max(extras) and returns that time.
 //
 // A participant of generation g cannot re-enter generation g+2 before every
 // waiter of generation g has returned (it is itself one of the n), so the
@@ -49,14 +51,12 @@ func (b *VBarrier) Wait(clk *Clock, extra int64) int64 {
 		return clk.Now()
 	}
 	gen := b.gen
-	if b.count == 0 || clk.Now() > b.maxT {
-		b.maxT = clk.Now()
-	}
+	b.maxT, b.maxX = max(b.maxT, clk.Now()), max(b.maxX, extra)
 	b.count++
 	if b.count == b.n {
-		r := b.maxT + extra
+		r := b.maxT + b.maxX
 		b.release[gen&1] = r
-		b.count = 0
+		b.count, b.maxT, b.maxX = 0, 0, 0 // the next generation's maxima start over
 		b.gen++
 		b.cond.Broadcast()
 		b.mu.Unlock()

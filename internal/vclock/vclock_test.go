@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,25 @@ func TestVBarrierReleasesAtMaxPlusExtra(t *testing.T) {
 	for i, c := range clks {
 		if c.Now() != want {
 			t.Errorf("clock %d after barrier = %d, want %d", i, c.Now(), want)
+		}
+	}
+}
+
+// The synchronization's cost is the largest any participant saw, whichever
+// of them the host happened to run last.
+func TestVBarrierExtraIndependentOfArrivalOrder(t *testing.T) {
+	for _, extras := range [][2]int64{{5, 9}, {9, 5}} {
+		b := NewVBarrier(2)
+		first := make(chan int64)
+		go func() { first <- b.Wait(NewClock(100), extras[0]) }()
+		for arrived := false; !arrived; runtime.Gosched() {
+			b.mu.Lock()
+			arrived = b.count == 1
+			b.mu.Unlock()
+		}
+		last := b.Wait(NewClock(100), extras[1])
+		if r := <-first; r != 109 || last != 109 {
+			t.Errorf("extras %v in arrival order: released at %d and %d, want 109", extras, r, last)
 		}
 	}
 }
