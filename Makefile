@@ -1,8 +1,9 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
 # (see ROADMAP.md): build, the no-host-clock check on the engine, the size
-# ceiling on the conduit, the full test suite, the full suite again under the
-# race detector, the determinism contracts repeated across GOMAXPROCS, a fast
-# data-plane-integrity smoke, and the benchmark module's own vet + smoke test.
+# ceilings on the conduit and on all packages, the full test suite, the full
+# suite again under the race detector, the determinism contracts repeated
+# across GOMAXPROCS, a fast data-plane-integrity smoke, and the benchmark
+# module's own vet + smoke test.
 # Tier-2 adds vet, the fixed-seed chaos soaks (connection lifecycle, PE
 # failure, control plane, resource churn, data-plane integrity, combined) and
 # the same soaks swept over 32 more seeds.
@@ -163,16 +164,19 @@ loc:
 		printf '%6d  %s\n' $$n $$pkg; \
 	done
 
-# The conduit's size is a ceiling, not a re-anchor finding: where the last
-# simplification landed, rounded up to the next fifty. A change that needs
-# more room says so by raising the number, in the open.
-GASNET_LOC_MAX = 3100
+# The conduit's size, and the size of all packages together, are ceilings, not
+# re-anchor findings: where the last simplification landed, rounded up to the
+# next fifty. A change that needs more room says so by raising the number, in
+# the open.
+GASNET_LOC_MAX = 3000
+TOTAL_LOC_MAX = 15300
 
 loc-check:
-	@n=$$($(MAKE) -s loc | awk '$$2 == "goshmem/internal/gasnet" {print $$1}'); \
-	test "$$n" -le $(GASNET_LOC_MAX) || \
-		{ echo "loc-check: internal/gasnet is $$n lines, over its ceiling of $(GASNET_LOC_MAX)"; exit 1; }; \
-	echo "loc-check: internal/gasnet $$n <= $(GASNET_LOC_MAX)"
+	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \
+		'{ total += $$1 } $$2 == "goshmem/internal/gasnet" { gasnet = $$1 } \
+		END { over = gasnet > gmax || total > tmax; \
+			printf "loc-check: internal/gasnet %d (ceiling %d), all packages %d (ceiling %d)%s\n", \
+				gasnet, gmax, total, tmax, over ? ": OVER" : ""; exit over }'
 
 # Write an 8-PE sample Perfetto trace (open trace-demo.json at
 # https://ui.perfetto.dev) plus the text report with phase breakdown,

@@ -536,7 +536,6 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 		// Snapshot resource counters before finalize so Table I / Fig. 9
 		// metrics reflect the application, not the teardown barrier.
 		stats := ctx.Stats()
-		peers := ctx.CommunicatingPeers()
 		finVT := clk.Now()
 		ctx.Finalize()
 		pe.Span(finVT, clk.Now(), obs.LayerCluster, "finalize", -1, 0)
@@ -557,7 +556,7 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 			InitVT:    ctx.InitTime(),
 			FinalVT:   clk.Now(),
 			Stats:     stats,
-			Peers:     peers,
+			Peers:     stats.PeersContacted,
 			ExitCode:  exit,
 		}
 	}

@@ -21,6 +21,7 @@ package gasnet
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -111,7 +112,9 @@ type Config struct {
 // counter (tags: obs.CounterDef): the job-wide sum, the registry mirror,
 // oshrun's resilience table — whose row order is the declaration order here —
 // and the TELEMETRY.md catalogue are all derived from it, so a new counter is
-// one tagged field plus its increment.
+// one tagged field plus its increment. The int64 fields are the per-operation
+// traffic counters, bumped atomically by begin; an int field changes only
+// under connMu.
 type Stats struct {
 	QPsCreated       int   `ctr:"gasnet.qps_created" faultfree:"nonzero" help:"queue pairs this PE created (UD + RC, including discarded)"`
 	RCQPsCreated     int   `ctr:"gasnet.rc_qps_created" faultfree:"nonzero" help:"reliable (RC) endpoints this PE created (the paper's Fig. 9 metric)"`
@@ -122,7 +125,7 @@ type Stats struct {
 	AtomicsIssued    int64 `ctr:"gasnet.atomics_issued" faultfree:"nonzero" help:"one-sided atomics issued"`
 	BytesPut         int64 `ctr:"gasnet.bytes_put" faultfree:"nonzero" help:"one-sided put payload bytes"`
 	BytesGot         int64 `ctr:"gasnet.bytes_got" faultfree:"nonzero" help:"one-sided get payload bytes"`
-	PeersContacted   int   // distinct peers this PE sent anything to (a set size: not summable, so not a counter)
+	PeersContacted   int   // distinct peers other than itself this PE sent anything to: the paper's Table I metric (a set size: not summable, so not a counter)
 
 	// Connection-lifecycle recovery interleaved with PE-failure detection:
 	// the resilience table prints two rows abreast, link-level recovery on
@@ -211,7 +214,7 @@ type conn struct {
 	// only the failure detector (or the watchdog) can end that silence.
 	quiet uint8
 
-	contacted bool // this PE sent the peer something (Stats.PeersContacted)
+	contacted bool // this PE sent the peer something (Stats.PeersContacted counts the others)
 	// dead: the peer was confirmed dead, by our detector or by the abort that
 	// told us. Every operation against it fails fast with ErrPeerDead.
 	dead bool
@@ -227,8 +230,8 @@ type Conduit struct {
 	udQP *ib.QP
 	cq   *ib.CQ
 
-	handlers   [256]Handler // guarded by connMu
-	deferredAM map[uint8][]deferredAM
+	handlers   [256]atomic.Pointer[Handler] // written under connMu, read by the receive path without it
+	deferredAM map[uint8][]deferredAM       // guarded by connMu
 
 	connMu      sync.Mutex
 	connCond    *vclock.Cond
@@ -245,16 +248,7 @@ type Conduit struct {
 	rtx   *vclock.Timer
 	rtxAt int64
 
-	waiterMu    sync.Mutex
-	waiters     map[uint64]chan waited
-	pendingGets map[uint64][]byte // non-blocking-implicit gets by WRID
-	wrid        atomic.Uint64
-
-	outMu       sync.Mutex
-	outCond     *vclock.Cond
-	outstanding int
-	unackedWin  int // framed sends retained but not yet cumulatively ACKed
-	lastPutVT   int64
+	done completions // what is in flight and who waits for it (completion.go)
 
 	// Data-plane session layer (session.go): armed only on lossy fabrics;
 	// rqDepth is the adapters' receive-queue depth (0: unbounded, no credit
@@ -275,9 +269,8 @@ type Conduit struct {
 	exchanged  atomic.Bool
 	ready      atomic.Bool
 
-	statMu sync.Mutex
-	stats  Stats
-	xpath  string // endpoint-exchange path actually taken (guarded by statMu)
+	stats Stats  // see Stats for who may touch which field
+	xpath string // endpoint-exchange path actually taken (guarded by connMu)
 
 	// Observability (nil-safe: a disabled plane leaves all of these nil).
 	obs      *obs.PE
@@ -294,14 +287,12 @@ type Conduit struct {
 	// Failure detector and abort plane (failure.go). What the detector knows
 	// about a peer lives in the peer's connection slot (conn.health, conn.dead).
 	hbArmed   bool
-	netFaulty bool          // port/rail/partition faults are scheduled: consult the schedule
-	hbTimer   *vclock.Timer // the detector's tick (guarded by connMu)
-	hbOff     bool          // Close stopped the detector: no further ticks (guarded by connMu)
-	selfState atomic.Int32  // selfAlive/selfKilled/selfWedged
-	abortMu   sync.Mutex
-	abortErr  error
+	netFaulty bool                  // port/rail/partition faults are scheduled: consult the schedule
+	hbTimer   *vclock.Timer         // the detector's tick (guarded by connMu)
+	hbOff     bool                  // Close stopped the detector: no further ticks (guarded by connMu)
+	selfState atomic.Int32          // selfAlive/selfKilled/selfWedged
+	abortErr  atomic.Pointer[error] // published once, by raiseLocal
 	abortCh   chan struct{}
-	onAbort   []func(error)
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -320,7 +311,6 @@ func New(cfg Config) *Conduit {
 		clk:     cfg.Clock,
 		mgrClk:  vclock.NewClock(cfg.Clock.Now()),
 		cq:      ib.NewCQ(),
-		waiters: make(map[uint64]chan waited),
 		obs:     cfg.Obs,
 		lossy:   cfg.HCA.Fabric().Lossy(),
 		rqDepth: cfg.HCA.Limits().RQDepth,
@@ -331,8 +321,9 @@ func New(cfg Config) *Conduit {
 		c.qpPeer = make(map[uint32]int)
 		// The session layer's own active messages (framed atomics) use the
 		// reserved handler ids; installed before the progress goroutine runs.
-		c.handlers[amAtomicReq] = c.handleAtomicReq
-		c.handlers[amAtomicRep] = c.handleAtomicRep
+		req, rep := Handler(c.handleAtomicReq), Handler(c.handleAtomicRep)
+		c.handlers[amAtomicReq].Store(&req)
+		c.handlers[amAtomicRep].Store(&rep)
 	}
 	c.hConnect = c.obs.Hist("gasnet.connect_ns")
 	c.hFirstOp = c.obs.Hist("gasnet.first_op_penalty_ns")
@@ -343,7 +334,7 @@ func New(cfg Config) *Conduit {
 	c.gSuspect = c.obs.Gauge("gasnet.suspected_peers")
 	c.led = c.obs.Ledger()
 	c.connCond = vclock.NewCond(&c.connMu, c.sched)
-	c.outCond = vclock.NewCond(&c.outMu, c.sched)
+	c.done.cond = vclock.NewCond(&c.done.mu, c.sched)
 	// The failure plane is in play — the detector armed, per-peer detector
 	// state allocated — only when a PE or network failure is scheduled.
 	c.netFaulty = cfg.HCA.Fabric().NetFaulty()
@@ -355,7 +346,6 @@ func New(cfg Config) *Conduit {
 		// No control endpoint means no handshakes, no heartbeats, no in-band
 		// abort: the PE can never make progress. Report out-of-band (the only
 		// channel that exists yet) and die with the exhaustion code.
-		c.stats.AllocFailures++
 		ae := &AbortError{Origin: cfg.Rank, Dead: -1, Code: ExitResourceExhausted,
 			Reason: fmt.Sprintf("rank %d: UD control endpoint allocation failed: %v", cfg.Rank, err)}
 		cfg.PMI.RaiseAbort(pmi.AbortNotice{Origin: ae.Origin, Dead: ae.Dead, Code: ae.Code, Reason: ae.Reason})
@@ -364,7 +354,7 @@ func New(cfg Config) *Conduit {
 	c.udQP = udQP
 	c.udQP.SetObs(c.obs)
 	c.obs.Emit(c.clk.Now(), obs.LayerIB, "qp-create-ud", -1, 0)
-	c.countQP(ib.UD)
+	c.stats.QPsCreated++
 	mustQP(c.udQP.ToInit())
 	mustQP(c.udQP.ToRTR(ib.Dest{}))
 	mustQP(c.udQP.ToRTS())
@@ -472,25 +462,34 @@ func (c *Conduit) SetReady() {
 // fails here — a lost exchange surfaces at resolveUD, where the fallback
 // ladder runs.
 func (c *Conduit) ExchangeEndpoints() error {
-	val := encodeDest(c.udQP.Addr())
 	if c.cfg.Mode == Static || c.cfg.BlockingPMI {
-		if err := c.cfg.PMI.Put(pmi.KeyFor("ud", c.cfg.Rank), val); err != nil {
-			return c.pmiFail("blocking endpoint exchange (put)", err)
+		if err := c.putFence("blocking endpoint exchange"); err != nil {
+			return err
 		}
-		if err := c.cfg.PMI.Fence(); err != nil {
-			if aerr := c.Err(); aerr != nil {
-				return aerr // the fence was released by someone else's abort
-			}
-			return c.pmiFail("blocking endpoint exchange (fence)", err)
-		}
-		c.udFromKVS = true
 		c.udResolved.Store(true)
 		c.setExchangePath("put-fence-get")
 	} else {
-		c.udOp = c.cfg.PMI.IAllgather(val)
+		c.udOp = c.cfg.PMI.IAllgather(encodeDest(c.udQP.Addr()))
 		c.setExchangePath("iallgather")
 	}
 	c.exchanged.Store(true)
+	return nil
+}
+
+// putFence publishes this PE's UD endpoint through the blocking Put-Fence
+// sequence, after which lookups read the KVS directly (udFromKVS). what names
+// the exchange in the abort a permanent failure raises (ExitPMIFailure).
+func (c *Conduit) putFence(what string) error {
+	if err := c.cfg.PMI.Put(pmi.KeyFor("ud", c.cfg.Rank), encodeDest(c.udQP.Addr())); err != nil {
+		return c.pmiFail(what+" (put)", err)
+	}
+	if err := c.cfg.PMI.Fence(); err != nil {
+		if aerr := c.Err(); aerr != nil {
+			return aerr // the fence was released by someone else's abort
+		}
+		return c.pmiFail(what+" (fence)", err)
+	}
+	c.udFromKVS = true
 	return nil
 }
 
@@ -587,45 +586,34 @@ func (c *Conduit) completeExchange(peer int, fallback bool) error {
 
 // fallbackExchangeLocked re-publishes this PE's UD endpoint through the
 // blocking Put-Fence path after the Iallgather was lost. Caller holds udMu.
-// On success later lookups read the KVS directly (udFromKVS). A permanent
-// failure of the fallback itself aborts the job (ExitPMIFailure).
+// A permanent failure of the fallback itself aborts the job.
 func (c *Conduit) fallbackExchangeLocked(cause error) error {
 	now := c.clk.Now()
 	c.event("pmi-fallback", -1, now)
 	c.obs.Emit(now, obs.LayerPMI, "pmi-fallback", -1, 0,
 		obs.Attr{Key: "cause", Val: cause.Error()})
 	c.led.Act("pmi", c.cfg.Rank, now, "fallback-exchange")
-	val := encodeDest(c.udQP.Addr())
-	if err := c.cfg.PMI.Put(pmi.KeyFor("ud", c.cfg.Rank), val); err != nil {
-		return c.pmiFail("fallback endpoint exchange (put)", err)
+	if err := c.putFence("fallback endpoint exchange"); err != nil {
+		return err
 	}
-	if err := c.cfg.PMI.Fence(); err != nil {
-		if aerr := c.Err(); aerr != nil {
-			return aerr
-		}
-		return c.pmiFail("fallback endpoint exchange (fence)", err)
-	}
-	c.udFromKVS = true
-	c.statMu.Lock()
-	c.stats.FallbackExchanges++
-	c.statMu.Unlock()
+	c.bump(&c.stats.FallbackExchanges, 1)
 	c.setExchangePath("put-fence-get (fallback)")
 	return nil
 }
 
 // setExchangePath records which endpoint-exchange path actually ran.
 func (c *Conduit) setExchangePath(p string) {
-	c.statMu.Lock()
+	c.connMu.Lock()
 	c.xpath = p
-	c.statMu.Unlock()
+	c.connMu.Unlock()
 }
 
 // ExchangePath reports which endpoint-exchange path this PE ended up on:
 // "iallgather", "put-fence-get", or "put-fence-get (fallback)" when the
 // non-blocking exchange was lost and the conduit degraded gracefully.
 func (c *Conduit) ExchangePath() string {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
 	return c.xpath
 }
 
@@ -646,7 +634,7 @@ func (c *Conduit) RegisterHandler(id uint8, h Handler) {
 		panic(fmt.Sprintf("gasnet: handler id %d is reserved for the conduit", id))
 	}
 	c.connMu.Lock()
-	c.handlers[id] = h
+	c.handlers[id].Store(&h)
 	queued := c.deferredAM[id]
 	delete(c.deferredAM, id)
 	c.connMu.Unlock()
@@ -665,53 +653,38 @@ func (c *Conduit) AMRequest(peer int, handler uint8, args [4]uint64, payload []b
 }
 
 // begin is the one prologue of every operation towards peer: this PE is
-// alive (and the job not aborted), the peer is monitored, the
-// operation — n bytes of kind — is counted and lands in the flow row, and with
-// hold it joins the outstanding-operation window Quiet waits on, until its
-// completion (or held, when it never gets that far) releases it.
-func (c *Conduit) begin(peer int, kind obs.FlowKind, n int, hold bool) error {
+// alive (and the job not aborted), the peer is monitored, the operation — n
+// bytes of kind — is counted and lands in the flow row, and what its
+// completion will release (op; nothing for an unsignaled send) enters the
+// completion table. It returns the WRID the work request must carry.
+func (c *Conduit) begin(peer int, kind obs.FlowKind, n int, op pendingOp) (uint64, error) {
 	if err := c.checkAlive(); err != nil {
-		return err
+		return 0, err
 	}
-	c.statMu.Lock()
 	switch kind {
 	case obs.FlowPut:
-		c.stats.PutsIssued++
-		c.stats.BytesPut += int64(n)
+		atomic.AddInt64(&c.stats.PutsIssued, 1)
+		atomic.AddInt64(&c.stats.BytesPut, int64(n))
 	case obs.FlowGet:
-		c.stats.GetsIssued++
-		c.stats.BytesGot += int64(n)
+		atomic.AddInt64(&c.stats.GetsIssued, 1)
+		atomic.AddInt64(&c.stats.BytesGot, int64(n))
 	case obs.FlowAtomic:
-		c.stats.AtomicsIssued++
+		atomic.AddInt64(&c.stats.AtomicsIssued, 1)
 	default:
-		c.stats.AMsSent++
+		atomic.AddInt64(&c.stats.AMsSent, 1)
 	}
-	c.statMu.Unlock()
 	c.MonitorPeer(peer) // every peer we talk to is a peer whose death would strand us
 	c.obs.Flow(peer, kind, int64(n))
-	if hold {
-		c.outMu.Lock()
-		c.outstanding++
-		c.outMu.Unlock()
+	if op.hold || op.blocked {
+		return c.done.add(op), nil
 	}
-	return nil
-}
-
-// held passes on the outcome of posting an operation begun with hold: one
-// that failed to post will never complete, so its hold is dropped here.
-func (c *Conduit) held(err error) error {
-	if err != nil {
-		c.outMu.Lock()
-		c.outstanding--
-		c.outMu.Unlock()
-	}
-	return err
+	return 0, nil
 }
 
 // AMRequestKind is AMRequest with an explicit flow-matrix classification
 // for the message (obs.FlowAM, obs.FlowColl, obs.FlowBarrier).
 func (c *Conduit) AMRequestKind(peer int, handler uint8, args [4]uint64, payload []byte, kind obs.FlowKind) error {
-	if err := c.begin(peer, kind, amHdrLen+len(payload), false); err != nil {
+	if _, err := c.begin(peer, kind, amHdrLen+len(payload), pendingOp{}); err != nil {
 		return err
 	}
 	data := encodeAM(handler, c.cfg.Rank, args, payload)
@@ -724,60 +697,46 @@ func (c *Conduit) AMRequestKind(peer int, handler uint8, args [4]uint64, payload
 // still queued behind an in-flight handshake. Put-with-signal uses it for
 // the signal message, whose delivery OpenSHMEM requires Quiet to fence.
 func (c *Conduit) AMRequestFenced(peer int, handler uint8, args [4]uint64, payload []byte) error {
-	if err := c.begin(peer, obs.FlowAM, amHdrLen+len(payload), true); err != nil {
+	wrid, err := c.begin(peer, obs.FlowAM, amHdrLen+len(payload), pendingOp{hold: true})
+	if err != nil {
 		return err
 	}
 	data := encodeAM(handler, c.cfg.Rank, args, payload)
-	return c.held(c.post(peer, ib.SendWR{Op: ib.OpSend, WRID: c.wrid.Add(1), Data: data}, false))
+	return c.post(peer, ib.SendWR{Op: ib.OpSend, WRID: wrid, Data: data}, false)
 }
 
 // Put issues a one-sided RDMA write of data into (raddr, rkey) at peer. It
 // returns once the source buffer is reusable; remote completion is deferred
 // to Quiet.
 func (c *Conduit) Put(peer int, raddr uint64, rkey uint32, data []byte) error {
-	if err := c.begin(peer, obs.FlowPut, len(data), true); err != nil {
+	wrid, err := c.begin(peer, obs.FlowPut, len(data), pendingOp{hold: true})
+	if err != nil {
 		return err
 	}
-	wr := ib.SendWR{Op: ib.OpRDMAWrite, WRID: c.wrid.Add(1), RemoteAddr: raddr, RKey: rkey, Data: data}
-	return c.held(c.post(peer, wr, true))
+	return c.post(peer, ib.SendWR{Op: ib.OpRDMAWrite, WRID: wrid, RemoteAddr: raddr, RKey: rkey, Data: data}, true)
 }
 
 // GetNBI issues a non-blocking-implicit RDMA read: it returns immediately
 // and buf is guaranteed filled once Quiet returns (shmem_getmem_nbi
 // semantics).
 func (c *Conduit) GetNBI(peer int, raddr uint64, rkey uint32, buf []byte) error {
-	if err := c.begin(peer, obs.FlowGet, len(buf), true); err != nil {
+	wrid, err := c.begin(peer, obs.FlowGet, len(buf), pendingOp{hold: true, buf: buf})
+	if err != nil {
 		return err
 	}
-	wr := ib.SendWR{Op: ib.OpRDMARead, WRID: c.wrid.Add(1), RemoteAddr: raddr, RKey: rkey, Len: len(buf)}
-	c.waiterMu.Lock()
-	if c.pendingGets == nil {
-		c.pendingGets = make(map[uint64][]byte)
-	}
-	c.pendingGets[wr.WRID] = buf
-	c.waiterMu.Unlock()
-	err := c.held(c.post(peer, wr, true))
-	if err != nil {
-		c.waiterMu.Lock()
-		delete(c.pendingGets, wr.WRID)
-		c.waiterMu.Unlock()
-	}
-	return err
+	return c.post(peer, ib.SendWR{Op: ib.OpRDMARead, WRID: wrid, RemoteAddr: raddr, RKey: rkey, Len: len(buf)}, true)
 }
 
 // Get issues a blocking RDMA read of len(buf) bytes from (raddr, rkey) at
 // peer into buf.
 func (c *Conduit) Get(peer int, raddr uint64, rkey uint32, buf []byte) error {
-	if err := c.begin(peer, obs.FlowGet, len(buf), false); err != nil {
-		return err
-	}
-	wr := ib.SendWR{Op: ib.OpRDMARead, WRID: c.wrid.Add(1), RemoteAddr: raddr, RKey: rkey, Len: len(buf)}
-	comp, err := c.postWait(peer, wr)
+	wrid, err := c.begin(peer, obs.FlowGet, len(buf), pendingOp{blocked: true, buf: buf})
 	if err != nil {
 		return err
 	}
-	copy(buf, comp.Data)
-	return nil
+	c.post(peer, ib.SendWR{Op: ib.OpRDMARead, WRID: wrid, RemoteAddr: raddr, RKey: rkey, Len: len(buf)}, true)
+	_, err = c.await(wrid) // which reports a refused post, too
+	return err
 }
 
 // FetchAdd atomically adds delta to the remote little-endian uint64 at
@@ -797,76 +756,19 @@ func (c *Conduit) Swap(peer int, raddr uint64, rkey uint32, swap uint64) (uint64
 	return c.atomicOp(peer, ib.SendWR{Op: ib.OpSwap, RemoteAddr: raddr, RKey: rkey, Swap: swap})
 }
 
-func (c *Conduit) atomicOp(peer int, wr ib.SendWR) (uint64, error) {
-	if err := c.begin(peer, obs.FlowAtomic, 8, false); err != nil { // atomics operate on one uint64
+func (c *Conduit) atomicOp(peer int, wr ib.SendWR) (old uint64, err error) {
+	// Atomics operate on one uint64.
+	if wr.WRID, err = c.begin(peer, obs.FlowAtomic, 8, pendingOp{blocked: true}); err != nil {
 		return 0, err
 	}
 	if c.lossy {
 		// On a lossy fabric atomics ride framed active messages so the dedup
 		// ledger guards them: a fabric-level atomic whose ACK is lost would be
 		// re-executed by a replay, double-applying the side effect.
-		return c.atomicOverAM(peer, wr)
+		wr = c.atomicOverAM(wr)
 	}
-	wr.WRID = c.wrid.Add(1)
-	comp, err := c.postWait(peer, wr)
-	return comp.Old, err
-}
-
-// waited is what a blocked issuer is woken with: its work request's
-// completion, or the error the request failed with on its way to the wire.
-type waited struct {
-	comp ib.Completion
-	err  error
-}
-
-// wake hands w to the issuer blocked in postWait on work request wrid, and
-// reports whether there was one.
-func (c *Conduit) wake(wrid uint64, w waited) bool {
-	c.waiterMu.Lock()
-	ch := c.waiters[wrid]
-	delete(c.waiters, wrid)
-	c.waiterMu.Unlock()
-	if ch != nil {
-		c.sched.Unpark(1)
-		ch <- w
-	}
-	return ch != nil
-}
-
-// postWait posts a work request and blocks for its completion, advancing the
-// PE clock to the virtual time of the completion.
-func (c *Conduit) postWait(peer int, wr ib.SendWR) (ib.Completion, error) {
-	ch := make(chan waited, 1)
-	c.waiterMu.Lock()
-	c.waiters[wr.WRID] = ch
-	c.waiterMu.Unlock()
-	if err := c.post(peer, wr, true); err != nil {
-		c.waiterMu.Lock()
-		delete(c.waiters, wr.WRID)
-		c.waiterMu.Unlock()
-		return ib.Completion{}, err
-	}
-	var w waited
-	c.sched.Park() // whoever takes our entry out of c.waiters unparks us
-	select {
-	case w = <-ch:
-	case <-c.abortCh:
-		// The job aborted while we were blocked; the completion may never
-		// arrive (the peer is dead or the fabric is being torn down).
-		c.waiterMu.Lock()
-		_, mine := c.waiters[wr.WRID]
-		delete(c.waiters, wr.WRID)
-		c.waiterMu.Unlock()
-		if mine {
-			c.sched.Unpark(1)
-		}
-		return ib.Completion{}, c.Err()
-	}
-	c.clk.AdvanceTo(w.comp.VTime)
-	if w.err == nil && w.comp.Status != ib.StatusOK {
-		w.err = fmt.Errorf("gasnet: remote operation failed: %v", w.comp.Status)
-	}
-	return w.comp, w.err
+	c.post(peer, wr, true)
+	return c.await(wr.WRID)
 }
 
 // Quiet blocks until all outstanding Puts have completed remotely
@@ -877,16 +779,17 @@ func (c *Conduit) Quiet() {
 	if err := c.checkAlive(); err != nil {
 		panic(err)
 	}
-	c.outMu.Lock()
-	for c.outstanding > 0 || c.unackedWin > 0 {
+	t := &c.done
+	t.mu.Lock()
+	for t.holds > 0 || t.unacked > 0 {
 		if err := c.LivenessErr(); err != nil {
-			c.outMu.Unlock()
+			t.mu.Unlock()
 			panic(err)
 		}
-		c.outCond.Wait()
+		t.cond.Wait()
 	}
-	v := c.lastPutVT
-	c.outMu.Unlock()
+	v := t.lastVT
+	t.mu.Unlock()
 	c.clk.AdvanceTo(v)
 }
 
@@ -922,14 +825,10 @@ func (c *Conduit) RegisterHeap(buf []byte) *ib.MR {
 	if err == nil {
 		return mr
 	}
-	c.statMu.Lock()
-	c.stats.AllocFailures++
-	c.statMu.Unlock()
+	c.bump(&c.stats.AllocFailures, 1)
 	mr, berr := c.cfg.HCA.RegisterBounced(buf, c.clk)
 	if berr == nil {
-		c.statMu.Lock()
-		c.stats.BounceFallbacks++
-		c.statMu.Unlock()
+		c.bump(&c.stats.BounceFallbacks, 1)
 		c.event("mr-bounce", -1, c.clk.Now())
 		return mr
 	}
@@ -939,12 +838,25 @@ func (c *Conduit) RegisterHeap(buf []byte) *ib.MR {
 	panic(fmt.Errorf("gasnet: heap registration: %w", ae))
 }
 
-// Stats returns a snapshot of the PE's resource and traffic counters.
+// Stats returns a snapshot of the PE's resource and traffic counters: an
+// atomic load of each int64 field (see Stats), the rest under connMu.
 func (c *Conduit) Stats() Stats {
-	c.statMu.Lock()
-	s := c.stats
-	c.statMu.Unlock()
-	s.PeersContacted = len(c.PeerSet())
+	var s Stats
+	src, dst := reflect.ValueOf(&c.stats).Elem(), reflect.ValueOf(&s).Elem()
+	c.connMu.Lock()
+	for i := 0; i < src.NumField(); i++ {
+		if p, ok := src.Field(i).Addr().Interface().(*int64); ok {
+			dst.Field(i).SetInt(atomic.LoadInt64(p))
+		} else {
+			dst.Field(i).Set(src.Field(i))
+		}
+	}
+	c.conns.each(func(peer int, cn *conn) {
+		if cn.contacted && peer != c.cfg.Rank {
+			s.PeersContacted++
+		}
+	})
+	c.connMu.Unlock()
 	// The PMI client keeps its own retry/timeout tally; fold it in so the
 	// launcher sees one per-PE resilience table.
 	if c.cfg.PMI != nil {
@@ -954,32 +866,17 @@ func (c *Conduit) Stats() Stats {
 	return s
 }
 
-// PeerSet returns the set of peers this PE has sent traffic to.
-func (c *Conduit) PeerSet() map[int]struct{} {
-	out := make(map[int]struct{})
+// bump adds n to a counter of c.stats from code that does not hold connMu.
+func (c *Conduit) bump(ctr *int, n int) {
 	c.connMu.Lock()
-	c.conns.each(func(peer int, cn *conn) {
-		if cn.contacted {
-			out[peer] = struct{}{}
-		}
-	})
+	*ctr += n
 	c.connMu.Unlock()
-	return out
 }
 
 // event records a connection-lifecycle or failure-plane trace event in the
 // observability plane's event ring (a no-op when events are off).
 func (c *Conduit) event(kind string, peer int, vt int64) {
 	c.obs.Emit(vt, obs.LayerGasnet, kind, peer, 0)
-}
-
-func (c *Conduit) countQP(t ib.QPType) {
-	c.statMu.Lock()
-	c.stats.QPsCreated++
-	if t == ib.RC {
-		c.stats.RCQPsCreated++
-	}
-	c.statMu.Unlock()
 }
 
 // Close drains outstanding traffic and shuts down the progress goroutine.
@@ -1056,59 +953,15 @@ func (c *Conduit) progress() {
 		if !ok {
 			return
 		}
-		if comp.Recv {
-			if comp.QPN == c.udQP.QPN() {
-				c.handleControl(comp)
-			} else {
-				c.handleAM(comp)
-			}
-			continue
-		}
-		// Send-side completion.
-		c.waiterMu.Lock()
-		ch := c.waiters[comp.WRID]
-		if ch != nil {
-			delete(c.waiters, comp.WRID)
-		}
-		var nbiBuf []byte
-		if ch == nil && comp.Op == ib.OpRDMARead {
-			nbiBuf = c.pendingGets[comp.WRID]
-			delete(c.pendingGets, comp.WRID)
-		}
-		c.waiterMu.Unlock()
-		if ch != nil {
-			if comp.Op == ib.OpRDMAWrite {
-				// Puts with waiters are not used, but keep accounting exact.
-				c.putDone(comp)
-			}
-			c.sched.Unpark(1)
-			ch <- waited{comp: comp}
-			continue
-		}
-		if nbiBuf != nil {
-			if comp.Status == ib.StatusOK {
-				copy(nbiBuf, comp.Data)
-			}
-			c.putDone(comp) // counts toward Quiet like an implicit op
-			continue
-		}
-		if comp.Op == ib.OpRDMAWrite {
-			c.putDone(comp)
-		}
-		if comp.Op == ib.OpSend && comp.WRID != 0 {
-			c.putDone(comp) // fenced AM: release its Quiet hold
+		switch {
+		case !comp.Recv:
+			c.complete(comp.WRID, comp, nil)
+		case comp.QPN == c.udQP.QPN():
+			c.handleControl(comp)
+		default:
+			c.handleAM(comp)
 		}
 	}
-}
-
-func (c *Conduit) putDone(comp ib.Completion) {
-	c.outMu.Lock()
-	c.outstanding--
-	if comp.VTime > c.lastPutVT {
-		c.lastPutVT = comp.VTime
-	}
-	c.outMu.Unlock()
-	c.outCond.Broadcast()
 }
 
 func (c *Conduit) handleAM(comp ib.Completion) {
@@ -1131,17 +984,20 @@ func (c *Conduit) handleAM(comp ib.Completion) {
 	}
 	c.noteAlive(src, comp.VTime, false)
 	at := comp.VTime + c.model.AMProcess
-	c.connMu.Lock()
-	h := c.handlers[handler]
+	h := c.handlers[handler].Load()
 	if h == nil {
-		if c.deferredAM == nil {
-			c.deferredAM = make(map[uint8][]deferredAM)
+		c.connMu.Lock()
+		if h = c.handlers[handler].Load(); h == nil { // still: registration holds connMu
+			if c.deferredAM == nil {
+				c.deferredAM = make(map[uint8][]deferredAM)
+			}
+			c.deferredAM[handler] = append(c.deferredAM[handler],
+				deferredAM{src: src, args: args, payload: payload, at: at})
 		}
-		c.deferredAM[handler] = append(c.deferredAM[handler],
-			deferredAM{src: src, args: args, payload: payload, at: at})
 		c.connMu.Unlock()
-		return
+		if h == nil {
+			return
+		}
 	}
-	c.connMu.Unlock()
-	h(src, args, payload, at)
+	(*h)(src, args, payload, at)
 }

@@ -154,9 +154,7 @@ func (c *Conduit) tryMigrateLocked(cn *conn, peer int, vt int64) bool {
 	if qp.Migrate() != nil {
 		return false
 	}
-	c.statMu.Lock()
 	c.stats.PathMigrations++
-	c.statMu.Unlock()
 	c.event("path-migrate", peer, c.mgrClk.Now())
 	c.led.Detect("net", -1, c.mgrClk.Now(), "path-error")
 	c.led.Act("net", -1, c.mgrClk.Now(), "path-migrate")
@@ -560,9 +558,7 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		// any field could poison the connection or rkey tables; the sender's
 		// retransmission timer re-delivers the content.
 		if errors.Is(err, errCorruptFrame) {
-			c.statMu.Lock()
-			c.stats.CorruptFrames++
-			c.statMu.Unlock()
+			c.bump(&c.stats.CorruptFrames, 1)
 			c.event("ud-corrupt", -1, comp.VTime)
 		}
 		return
@@ -785,9 +781,7 @@ event: // a row that ends in actAllocQP is answered by a second event
 				in.later(deferred{ae: c.rejectedAbort(peer, int(cn.rejCount), ev.fatal)})
 			default:
 				if a >= actCount {
-					c.statMu.Lock()
 					*counters[a-actCount](&c.stats)++
-					c.statMu.Unlock()
 				} else if a >= actEmit {
 					c.event(emitKinds[a-actEmit], peer, in.clk.Now())
 				}
@@ -820,9 +814,7 @@ func (c *Conduit) tryAllocLocked(peer int, clk *vclock.Clock) (*ib.QP, error) {
 	c.maybeEvictLocked(peer, clk.Now())
 	qp, err := c.cfg.HCA.TryCreateQP(ib.RC, clk, c.cq, c.cq)
 	if err != nil {
-		c.statMu.Lock()
 		c.stats.AllocFailures++
-		c.statMu.Unlock()
 	}
 	return qp, err
 }
@@ -877,9 +869,7 @@ func (c *Conduit) resendLegLocked(cn *conn, peer int, in *driveIn) {
 	if cn.state == connAccepted {
 		op = actSendRep
 	}
-	c.statMu.Lock()
 	c.stats.Retransmits++
-	c.statMu.Unlock()
 	c.event("conn-retransmit", peer, at)
 	c.led.Act("ud", c.cfg.Rank, at, "retransmit")
 	c.legLocked(cn, peer, op, event{}, in, vclock.NewClock(at))
@@ -903,7 +893,8 @@ func (c *Conduit) adoptQPLocked(cn *conn, peer int, ev event, in *driveIn) error
 		}
 		qp.SetObs(c.obs)
 		c.obs.Emit(in.clk.Now(), obs.LayerIB, "qp-create-rc", peer, 0)
-		c.countQP(ib.RC)
+		c.stats.QPsCreated++
+		c.stats.RCQPsCreated++
 		if in.loop == nil {
 			qp.SetPath(c.pickRailsLocked(dst, in.clk.Now()))
 		}
@@ -968,13 +959,9 @@ func (c *Conduit) readyLocked(cn *conn, peer int, by evKind, recon bool, vt int6
 		c.obs.Span(cn.firstTx, vt, obs.LayerGasnet, "connect-accept", peer, 0)
 		c.event("conn-ready-server", peer, vt)
 	}
-	c.statMu.Lock()
 	c.stats.ConnsEstablished++
 	if recon {
 		c.stats.Reconnects++
-	}
-	c.statMu.Unlock()
-	if recon {
 		c.led.Act("rc", c.cfg.Rank, vt, "reconnect")
 	}
 }

@@ -202,18 +202,16 @@ func (c *Conduit) checkAlive() error {
 		c.sched.Unpark(1)
 		return &WedgeError{Rank: c.cfg.Rank, VT: c.clk.Now()}
 	}
-	if err := c.Err(); err != nil {
-		return err
-	}
-	return nil
+	return c.Err()
 }
 
 // Err returns the job-abort (or own-crash) error once this PE has aborted,
 // else nil.
 func (c *Conduit) Err() error {
-	c.abortMu.Lock()
-	defer c.abortMu.Unlock()
-	return c.abortErr
+	if p := c.abortErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // LivenessErr is the non-blocking form upper layers poll from their blocking
@@ -241,15 +239,15 @@ func (c *Conduit) AbortCh() <-chan struct{} { return c.abortCh }
 // already has). Upper layers use it to wake their own condition variables so
 // blocked receives can observe LivenessErr.
 func (c *Conduit) OnAbort(f func(error)) {
-	c.abortMu.Lock()
-	if c.abortErr != nil {
-		err := c.abortErr
-		c.abortMu.Unlock()
-		f(err)
-		return
+	c.done.mu.Lock()
+	err := c.Err()
+	if err == nil {
+		c.done.onAbort = append(c.done.onAbort, f) // raiseLocal takes the list after publishing
 	}
-	c.onAbort = append(c.onAbort, f)
-	c.abortMu.Unlock()
+	c.done.mu.Unlock()
+	if err != nil {
+		f(err)
+	}
 }
 
 // PeerDead reports whether peer has been confirmed dead.
@@ -287,6 +285,7 @@ func (c *Conduit) noteAlive(peer int, vt int64, ack bool) {
 		return
 	}
 	c.connMu.Lock()
+	defer c.connMu.Unlock()
 	cn := c.conns.getOrCreate(peer)
 	if ack {
 		if rtt := cn.health.ackRTT(vt); rtt > 0 {
@@ -294,9 +293,7 @@ func (c *Conduit) noteAlive(peer int, vt int64, ack bool) {
 		}
 	}
 	cleared, healed := cn.health.heard(vt)
-	dead := cn.dead
-	c.connMu.Unlock()
-	if !cleared || dead {
+	if !cleared || cn.dead {
 		return
 	}
 	now := c.mgrClk.Now()
@@ -305,16 +302,12 @@ func (c *Conduit) noteAlive(peer int, vt int64, ack bool) {
 		// A suspended peer answered: the partition healed and the pair is
 		// reconnected. This is recovery, not a false alarm — the detector's
 		// suspicion was correct while the windows were active.
-		c.statMu.Lock()
 		c.stats.PartitionHeals++
-		c.statMu.Unlock()
 		c.event("partition-heal", peer, now)
 		c.led.CloseAll("net", []string{"partition"}, -1, obs.InstJob, now, "heal-observed")
 		return
 	}
-	c.statMu.Lock()
 	c.stats.FalseSuspicions++
-	c.statMu.Unlock()
 	c.event("suspect-clear", peer, now)
 }
 
@@ -413,14 +406,12 @@ func (c *Conduit) partitionVerdict(peer int, now int64) {
 	p.dark, p.heal = c.severed(lid, now)
 	p.dimmed = !p.dark && c.cfg.HCA.Fabric().Faults().PartitionedDuring(c.cfg.HCA.LID(), lid, cn.health.since, now)
 	f, first := cn.health.judge(now, p)
-	c.connMu.Unlock()
 	if first {
-		c.statMu.Lock()
 		c.stats.PartitionSuspensions++
-		c.statMu.Unlock()
 		c.event("partition-suspend", peer, now)
 		c.led.Detect("net", -1, now, "partition-suspend")
 	}
+	c.connMu.Unlock()
 	switch f {
 	case fateRestart:
 		c.sendPing(peer, now)
@@ -443,9 +434,7 @@ func (c *Conduit) sendPing(peer int, now int64) {
 	if err != nil {
 		return
 	}
-	c.statMu.Lock()
-	c.stats.HeartbeatsSent++
-	c.statMu.Unlock()
+	c.bump(&c.stats.HeartbeatsSent, 1)
 	c.sendControl(peer, ud, connMsg{Kind: msgHeartbeat, SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr()}, vclock.NewClock(now))
 }
 
@@ -469,27 +458,9 @@ func (c *Conduit) markDead(peer int) bool {
 	c.connMu.Unlock()
 	c.connCond.Broadcast()
 	for _, p := range dropped {
-		c.failWR(p.wr, ErrPeerDead, c.mgrClk.Now())
+		c.complete(p.wr.WRID, ib.Completion{VTime: c.mgrClk.Now()}, ErrPeerDead)
 	}
 	return true
-}
-
-// failWR completes, at virtual time vt, a queued work request that will never
-// reach the wire — its peer died, or the post failed for good when its turn
-// came — to its issuer, as a direct post's error return would have: a blocked
-// issuer (Get, atomics) is woken with err, and a Quiet hold (Put, GetNBI,
-// fenced AM) is dropped so the accounting stays exact.
-func (c *Conduit) failWR(wr ib.SendWR, err error, vt int64) {
-	if c.wake(wr.WRID, waited{comp: ib.Completion{WRID: wr.WRID, Op: wr.Op, VTime: vt}, err: err}) {
-		return
-	}
-	c.waiterMu.Lock()
-	_, nbi := c.pendingGets[wr.WRID]
-	delete(c.pendingGets, wr.WRID)
-	c.waiterMu.Unlock()
-	if wr.Op == ib.OpRDMAWrite || nbi || wr.Op == ib.OpSend && !wr.NoSendCompletion { // a fenced AM asks for its completion
-		c.putDone(ib.Completion{VTime: vt})
-	}
 }
 
 // confirmDead finalizes a suspect: mark the peer dead, fail everything queued
@@ -498,9 +469,7 @@ func (c *Conduit) confirmDead(peer int) {
 	if !c.markDead(peer) {
 		return
 	}
-	c.statMu.Lock()
-	c.stats.PEFailures++
-	c.statMu.Unlock()
+	c.bump(&c.stats.PEFailures, 1)
 	c.event("confirm-dead", peer, c.mgrClk.Now())
 	c.gSuspect.Add(c.mgrClk.Now(), -1)
 	c.led.Act("pe", peer, c.mgrClk.Now(), "confirm-dead")
@@ -522,21 +491,21 @@ func (c *Conduit) AbortLocal(ae *AbortError) { c.raiseAbort(ae, false) }
 // thread unwinds, the abort it unwinds with has been told to the job and
 // counted.
 func (c *Conduit) raiseLocal(err error, announce func()) bool {
-	c.abortMu.Lock()
-	if c.abortErr != nil {
-		c.abortMu.Unlock()
+	if !c.abortErr.CompareAndSwap(nil, &err) {
 		return false
 	}
-	c.abortErr = err
-	cbs := c.onAbort
-	c.onAbort = nil
-	c.abortMu.Unlock()
+	// Whoever checked for an abort under the table's lock before err was
+	// published is waiting on its condition by the time we get the lock.
+	c.done.mu.Lock()
+	cbs := c.done.onAbort
+	c.done.onAbort = nil
+	c.done.mu.Unlock()
 	if announce != nil {
 		announce()
 	}
 	close(c.abortCh)
 	c.connCond.Broadcast()
-	c.outCond.Broadcast()
+	c.done.cond.Broadcast()
 	if c.cfg.NodeBarrier != nil {
 		// Release node-mates blocked in the intra-node barrier; the job is
 		// over and they must observe the abort rather than wait forever.
@@ -589,9 +558,7 @@ func (c *Conduit) announceAbort(ae *AbortError) {
 			sent++
 		}
 	}
-	c.statMu.Lock()
-	c.stats.AbortsPropagated += sent
-	c.statMu.Unlock()
+	c.bump(&c.stats.AbortsPropagated, sent)
 }
 
 // handleAbortMsg processes an in-band abort datagram: mark the dead rank (if
@@ -656,9 +623,9 @@ func (c *Conduit) HealthSnapshot() HealthSnapshot {
 	s.HeldReqs = len(c.heldReqs)
 	s.LastReadyVT = c.lastReadyVT
 	c.connMu.Unlock()
-	c.outMu.Lock()
-	s.Outstanding = c.outstanding
-	c.outMu.Unlock()
+	c.done.mu.Lock()
+	s.Outstanding = c.done.holds
+	c.done.mu.Unlock()
 	sort.Ints(s.Suspects)
 	sort.Ints(s.Suspended)
 	sort.Ints(s.Dead)

@@ -107,17 +107,22 @@ func TestKillPEConfirmedAndAborted(t *testing.T) {
 	}
 
 	// Counter flow: at least one survivor confirmed the death, probes were
-	// sent, and the abort fanned out.
+	// sent, and the abort fanned out (Err is visible from the moment the abort
+	// is raised; its fan-out is counted when it is done).
 	var failures, probes, aborts int
-	for r := 0; r < n; r++ {
-		if r == victim {
-			continue
+	waitUntil(t, func() bool {
+		failures, probes, aborts = 0, 0, 0
+		for r := 0; r < n; r++ {
+			if r == victim {
+				continue
+			}
+			st := pes[r].C.Stats()
+			failures += st.PEFailures
+			probes += st.HeartbeatsSent
+			aborts += st.AbortsPropagated
 		}
-		st := pes[r].C.Stats()
-		failures += st.PEFailures
-		probes += st.HeartbeatsSent
-		aborts += st.AbortsPropagated
-	}
+		return aborts > 0
+	})
 	if failures < 1 {
 		t.Errorf("PEFailures = %d, want >= 1", failures)
 	}

@@ -17,8 +17,9 @@ import (
 // (len, never cap), so fixed-seed modeled numbers are byte-stable; capacity
 // slack from append growth is covered by the census drift tolerance.
 //
-// Locks are taken one at a time (never nested), so the census boundary can
-// never deadlock against the progress goroutine.
+// The conduit's lock order is connMu, then the completion table's; here each
+// is taken alone, so the census boundary can never deadlock against the
+// progress goroutine.
 func (c *Conduit) Footprint() []obs.FootprintItem {
 	connSize := int64(unsafe.Sizeof(conn{}))
 	pendSize := int64(unsafe.Sizeof(pendingWR{}))
@@ -66,12 +67,9 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 		misc.Bytes += int64(c.cq.Len()) * complSize
 	}
 
-	c.waiterMu.Lock()
-	misc.Bytes += int64(len(c.waiters)) * (16 + mapEntryOverhead)
-	for _, buf := range c.pendingGets {
-		misc.Bytes += int64(len(buf)) + mapEntryOverhead
-	}
-	c.waiterMu.Unlock()
+	c.done.mu.Lock()
+	misc.Bytes += int64(len(c.done.ops))*int64(unsafe.Sizeof(pendingOp{})) + int64(len(c.done.free))*4
+	c.done.mu.Unlock()
 
 	// The endpoint directory (udVals) is deliberately NOT charged here: it is
 	// a reference to the single job-wide slice the PMI server's AllgatherOp

@@ -48,15 +48,17 @@ func connDied(err error) bool {
 //
 // Caller holds connMu. A direct transmit (fromIssuer) returns with it
 // released — before the post when nothing in it needs the lock's ordering:
-// framing keeps wire order equal to sequence order, and a post on a side
-// clock (post: sendVT) moves the connection's send-queue time.
+// framing keeps wire order equal to sequence order, a send against a finite
+// receive queue may be NAKed (postRNR counts under the lock), and a post on a
+// side clock (post: sendVT) moves the connection's send-queue time.
 func (c *Conduit) transmit(cn *conn, peer int, wr ib.SendWR, clk *vclock.Clock, src wrSource) error {
 	qp, epoch := cn.qp, cn.epoch
 	c.useSeq++
 	cn.lastUse = c.useSeq
 	wr.Clk = clk
 	send := wr.Op == ib.OpSend
-	if send && cn.credit != nil {
+	gated := send && cn.credit != nil
+	if gated {
 		c.creditGateLocked(cn, len(wr.Data), clk)
 	}
 	framed := send && cn.sess != nil
@@ -67,7 +69,7 @@ func (c *Conduit) transmit(cn *conn, peer int, wr ib.SendWR, clk *vclock.Clock, 
 		wr.Data = cn.sess.frame(wr.Data, uint32(cn.seq))
 	}
 	locked := true
-	if src == fromIssuer && !framed && clk == c.clk {
+	if src == fromIssuer && !framed && !gated && clk == c.clk {
 		c.connMu.Unlock()
 		locked = false
 	}
@@ -89,9 +91,9 @@ func (c *Conduit) transmit(cn *conn, peer int, wr ib.SendWR, clk *vclock.Clock, 
 		cn.sess.sent(wr.Data, clk.Now())
 		c.gRetFrames.Add(clk.Now(), 1)
 		c.gRetBytes.Add(clk.Now(), int64(len(wr.Data)))
-		c.outMu.Lock()
-		c.unackedWin++
-		c.outMu.Unlock()
+		c.done.mu.Lock()
+		c.done.unacked++
+		c.done.mu.Unlock()
 		c.armForLocked(cn)
 	}
 	if src == fromIssuer && locked {
@@ -107,16 +109,15 @@ func (c *Conduit) transmit(cn *conn, peer int, wr ib.SendWR, clk *vclock.Clock, 
 // off exponentially on the work request's clock and retries, modeling the
 // HCA's RNR retry timer. The loop terminates because every retry departs
 // later, so its arrival eventually passes the oldest release time of the
-// receive queue. Other errors return unchanged.
+// receive queue. Other errors return unchanged. Caller holds connMu whenever a
+// NAK is possible (transmit).
 func (c *Conduit) postRNR(qp *ib.QP, wr ib.SendWR) error {
 	for attempt := 0; ; attempt++ {
 		err := qp.PostSend(wr)
 		if !errors.Is(err, ib.ErrRNR) {
 			return err
 		}
-		c.statMu.Lock()
 		c.stats.RNRNaks++
-		c.statMu.Unlock()
 		wr.Clk.Advance(backoff(c.model.RNRRetryDelay, attempt, rnrBackoffMaxShift))
 	}
 }
@@ -128,9 +129,7 @@ func (c *Conduit) creditGateLocked(cn *conn, n int, clk *vclock.Clock) {
 	depart, stalled := cn.credit.take(clk.Now(), c.rqDepth, cost, c.model.RNRRetryDelay)
 	clk.AdvanceTo(depart)
 	if stalled {
-		c.statMu.Lock()
 		c.stats.CreditStalls++
-		c.statMu.Unlock()
 	}
 	// The gauge fold sorts by virtual time, so the release is recorded now,
 	// at the time it is estimated for.
@@ -143,8 +142,15 @@ func (c *Conduit) creditGateLocked(cn *conn, n int, clk *vclock.Clock) {
 // flushed, in order, the moment the connection is ready. clonePending makes
 // a private copy of wr.Data when queueing (callers that hand over ownership
 // of the buffer, such as AMRequest, pass false). A request whose connection
-// dies underneath it is re-run behind the replacement handshake.
-func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) error {
+// dies underneath it is re-run behind the replacement handshake; one that is
+// refused for good will never complete, so its entry in the completion table
+// (if it has one) is completed here, with the error its issuer gets.
+func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) (err error) {
+	defer func() {
+		if err != nil {
+			c.complete(wr.WRID, ib.Completion{}, err)
+		}
+	}()
 	if peer < 0 || peer >= c.cfg.NProcs {
 		return fmt.Errorf("gasnet: peer %d out of range [0,%d)", peer, c.cfg.NProcs)
 	}
@@ -221,7 +227,7 @@ func (c *Conduit) flushLocked(cn *conn, peer int) bool {
 			cn.pending = cn.pending[i:]
 			return false
 		} else if err != nil {
-			c.failWR(p.wr, err, fc.Now())
+			c.complete(p.wr.WRID, ib.Completion{VTime: fc.Now()}, err)
 		}
 	}
 	cn.pending = nil
@@ -246,9 +252,7 @@ func (c *Conduit) replayLocked(cn *conn, peer int, clk *vclock.Clock) bool {
 		}
 	}
 	if sent > 0 {
-		c.statMu.Lock()
 		c.stats.IntegrityRetransmits += sent
-		c.statMu.Unlock()
 		c.led.Act("rc", c.cfg.Rank, clk.Now(), "integrity-retransmit")
 	}
 	return !connDied(err)

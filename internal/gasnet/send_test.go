@@ -52,6 +52,53 @@ func TestQueuedOpFailsTheWayADirectOneDoes(t *testing.T) {
 			})
 		}
 	}
+	// The other way a request never reaches the wire is its peer dying, and it
+	// ends every kind of entry in the completion table — a blocked issuer, a
+	// non-blocking get's buffer and hold, a bare hold — the way the refusal
+	// above ends an atomic: directly, the call returns ErrPeerDead; queued
+	// behind a handshake (held at a peer that is not ready yet), the request is
+	// completed with it when the peer is marked dead. Either way nothing is
+	// left for Quiet to wait on.
+	var buf [8]byte
+	kinds := map[string]func(c *Conduit, mr *ib.MR) error{
+		"get":       func(c *Conduit, mr *ib.MR) error { return c.Get(1, mr.Base(), mr.RKey(), buf[:]) },
+		"get-nbi":   func(c *Conduit, mr *ib.MR) error { return c.GetNBI(1, mr.Base(), mr.RKey(), buf[:]) },
+		"fenced-am": func(c *Conduit, mr *ib.MR) error { return c.AMRequestFenced(1, 5, [4]uint64{}, nil) },
+	}
+	for name, op := range kinds {
+		for _, preconnect := range []bool{true, false} {
+			t.Run(fmt.Sprintf("peer-dead/%s/preconnect=%v", name, preconnect), func(t *testing.T) {
+				pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand})
+				c := pes[0].C
+				mr := pes[1].HCA.RegisterMR(make([]byte, 64), pes[1].Clk)
+				done := make(chan error, 1)
+				if preconnect {
+					if err := c.EnsureConnected(1); err != nil {
+						t.Fatal(err)
+					}
+					c.markDead(1)
+					done <- op(c, mr)
+				} else {
+					pes[1].C.ready.Store(false) // the REQ is held: the request stays queued
+					go func() { done <- op(c, mr) }()
+					waitUntil(t, func() bool { return c.HealthSnapshot().PendingWRs == 1 })
+					c.markDead(1)
+				}
+				select {
+				case err := <-done:
+					if queuedNB := !preconnect && name != "get"; queuedNB && err != nil || !queuedNB && !errors.Is(err, ErrPeerDead) {
+						t.Fatalf("%s to a dead peer: %v", name, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("the request to a dead peer never returned")
+				}
+				if left := c.HealthSnapshot().Outstanding; left != 0 {
+					t.Fatalf("%d Quiet holds left behind the failure", left)
+				}
+				c.Quiet()
+			})
+		}
+	}
 }
 
 // TestFailedQueuedOpReleasesItsQuietHold: a queued put, non-blocking get or
@@ -63,29 +110,17 @@ func TestFailedQueuedOpReleasesItsQuietHold(t *testing.T) {
 	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand})
 	c := pes[0].C
 	boom := errors.New("refused by the adapter")
-	for _, wr := range []ib.SendWR{
-		{Op: ib.OpRDMAWrite, WRID: c.wrid.Add(1)},
-		{Op: ib.OpSend, WRID: c.wrid.Add(1)},
-	} {
-		if err := c.begin(1, 0, 8, true); err != nil {
+	buf := []byte("untouched")
+	for _, op := range []pendingOp{{hold: true}, {hold: true, buf: buf}} {
+		wrid, err := c.begin(1, 0, 8, op)
+		if err != nil {
 			t.Fatal(err)
 		}
-		c.failWR(wr, boom, c.clk.Now())
+		c.complete(wrid, ib.Completion{VTime: c.clk.Now(), Data: []byte("garbage")}, boom)
+		c.complete(wrid, ib.Completion{}, nil) // a finished request's WRID names nothing
 	}
-	buf := make([]byte, 8)
-	wr := ib.SendWR{Op: ib.OpRDMARead, WRID: c.wrid.Add(1), Len: len(buf)}
-	c.waiterMu.Lock()
-	c.pendingGets = map[uint64][]byte{wr.WRID: buf}
-	c.waiterMu.Unlock()
-	if err := c.begin(1, 0, 8, true); err != nil {
-		t.Fatal(err)
-	}
-	c.failWR(wr, boom, c.clk.Now())
-	c.outMu.Lock()
-	left := c.outstanding
-	c.outMu.Unlock()
-	if left != 0 || len(c.pendingGets) != 0 {
-		t.Fatalf("%d Quiet holds and %d pending gets left behind three failed requests", left, len(c.pendingGets))
+	if left := c.HealthSnapshot().Outstanding; left != 0 || string(buf) != "untouched" {
+		t.Fatalf("%d Quiet holds left behind two failed requests, get buffer %q", left, buf)
 	}
 	c.Quiet()
 }

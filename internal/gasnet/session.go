@@ -190,10 +190,10 @@ func (c *Conduit) trimAckedLocked(cn *conn, seq uint64, vt int64) {
 	}
 	c.gRetFrames.Add(vt, int64(-frames))
 	c.gRetBytes.Add(vt, -bytes)
-	c.outMu.Lock()
-	c.unackedWin -= frames
-	c.outMu.Unlock()
-	c.outCond.Broadcast()
+	c.done.mu.Lock()
+	c.done.unacked -= frames
+	c.done.mu.Unlock()
+	c.done.cond.Broadcast()
 	if cn.sess.retained() == 0 {
 		c.connCond.Broadcast()
 	}
@@ -212,14 +212,11 @@ func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
 	cn := c.conns.getOrCreate(peer)
 	cn.quiet = 0
 	inner, v, ack := cn.sess.accept(comp.Data)
-	c.connMu.Unlock()
 	kind := msgDataAck
 	switch v {
 	case corrupt:
 		kind = msgDataNak
-		c.statMu.Lock()
 		c.stats.RCCorruptFrames++
-		c.statMu.Unlock()
 		c.event("rc-corrupt", peer, comp.VTime)
 		// Detection moment for the sender's rc-corrupt incident: our trailer
 		// check caught the damage and the NAK below starts the replay.
@@ -227,13 +224,12 @@ func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
 	case duplicate:
 		// Re-acknowledged, never re-executed: the exactly-once guarantee for
 		// non-idempotent payloads.
-		c.statMu.Lock()
 		c.stats.DupOpsSuppressed++
-		c.statMu.Unlock()
 		c.event("dup-suppressed", peer, comp.VTime)
 	case gap:
 		kind = msgDataNak
 	}
+	c.connMu.Unlock()
 	c.sendDataCtl(peer, kind, ack, comp.VTime)
 	return inner, v == inOrder
 }
@@ -278,19 +274,15 @@ func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.
 // noteDataFault classifies a link-fault error from a data-plane post: torn
 // writes and corrupted payloads are link faults whose damage already landed
 // at the target, counted so chaos runs can prove the overwrite-on-replay
-// recovery actually fired.
+// recovery actually fired. Caller holds connMu.
 func (c *Conduit) noteDataFault(err error) {
 	switch {
 	case errors.Is(err, ib.ErrTornWrite):
-		c.statMu.Lock()
 		c.stats.TornWrites++
-		c.statMu.Unlock()
 		c.event("torn-write", -1, c.clk.Now())
 		c.led.Detect("rc", c.cfg.Rank, c.clk.Now(), "torn-write-detected")
 	case errors.Is(err, ib.ErrRCCorrupt):
-		c.statMu.Lock()
 		c.stats.RCCorruptFrames++
-		c.statMu.Unlock()
 		c.event("rc-corrupt", -1, c.clk.Now())
 		c.led.Detect("rc", c.cfg.Rank, c.clk.Now(), "icrc-drop")
 	}
@@ -327,24 +319,23 @@ func (c *Conduit) stripSessionPayloadLocked(cn *conn, payload []byte, vt int64) 
 	return payload[8:]
 }
 
-// atomicOverAM executes a fetching atomic as a framed active-message round
+// atomicOverAM turns a fetching atomic into a framed active-message round
 // trip so the receiver's dedup ledger guards it: if the request is replayed
 // after a reconnect, the duplicate is suppressed and the read-modify-write
 // applies exactly once. Lossy fabrics only — the fault-free path keeps the
-// one-round-trip fabric-level atomic. The issuer waits as it would for a
-// fabric-level completion (postWait), which handleAtomicRep stands in for.
-func (c *Conduit) atomicOverAM(peer int, wr ib.SendWR) (uint64, error) {
-	tok := c.wrid.Add(1)
+// one-round-trip fabric-level atomic. The request carries the atomic's WRID as
+// its token, and the reply (handleAtomicRep) completes it where a fabric-level
+// completion would have.
+func (c *Conduit) atomicOverAM(wr ib.SendWR) ib.SendWR {
 	a1 := wr.Add
 	if wr.Op == ib.OpCmpSwap {
 		a1 = wr.Compare
 	}
 	payload := make([]byte, 12)
 	binary.LittleEndian.PutUint32(payload, wr.RKey)
-	binary.LittleEndian.PutUint64(payload[4:], tok)
+	binary.LittleEndian.PutUint64(payload[4:], wr.WRID)
 	data := encodeAM(amAtomicReq, c.cfg.Rank, [4]uint64{wr.RemoteAddr, a1, wr.Swap, uint64(wr.Op)}, payload)
-	comp, err := c.postWait(peer, ib.SendWR{Op: ib.OpSend, WRID: tok, Data: data, NoSendCompletion: true})
-	return comp.Old, err
+	return ib.SendWR{Op: ib.OpSend, WRID: wr.WRID, Data: data, NoSendCompletion: true}
 }
 
 // handleAtomicReq executes a framed atomic against this PE's registered
@@ -374,8 +365,8 @@ func (c *Conduit) handleAtomicReq(src int, args [4]uint64, payload []byte, at in
 	c.post(src, ib.SendWR{Op: ib.OpSend, Data: rep, NoSendCompletion: true}, false)
 }
 
-// handleAtomicRep completes a framed atomic: wake the issuer blocked in
-// postWait. A reply whose waiter is gone (the issuer aborted) is dropped.
+// handleAtomicRep completes a framed atomic, as its fabric-level completion
+// would have.
 func (c *Conduit) handleAtomicRep(src int, args [4]uint64, payload []byte, at int64) {
-	c.wake(args[0], waited{comp: ib.Completion{Old: args[1], Status: ib.Status(args[2]), VTime: at}})
+	c.complete(args[0], ib.Completion{Old: args[1], Status: ib.Status(args[2]), VTime: at}, nil)
 }

@@ -1,7 +1,9 @@
 package gasnet
 
 import (
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -445,5 +447,34 @@ func TestSessionValuesDoNotAllocate(t *testing.T) {
 func TestConnSlotSize(t *testing.T) {
 	if n := unsafe.Sizeof(conn{}); n > 160 {
 		t.Errorf("conn is %d bytes, want <= 160 (the next allocator size class is 176)", n)
+	}
+}
+
+// TestConduitLockBudget: locks follow ownership — connMu (slots, handshake,
+// timers, counters), the completion table's, and udMu's single flight — and a
+// fourth mutex, or a map beside qpPeer and deferredAM, means some state has
+// lost its owner. A structural pin, like the slot size; the walk descends into
+// the package's own struct-valued fields (the completion table), and leaves
+// the connection table, whose sparse map is the paper's point, out.
+func TestConduitLockBudget(t *testing.T) {
+	var mutexes, maps []string
+	var walk func(st reflect.Type, path string)
+	walk = func(st reflect.Type, path string) {
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			switch {
+			case f.Type == reflect.TypeOf(sync.Mutex{}):
+				mutexes = append(mutexes, path+f.Name)
+			case f.Type.Kind() == reflect.Map:
+				maps = append(maps, path+f.Name)
+			case f.Type.Kind() == reflect.Struct && f.Type.PkgPath() == st.PkgPath() && f.Type != reflect.TypeOf(connTable{}):
+				walk(f.Type, path+f.Name+".")
+			}
+		}
+	}
+	walk(reflect.TypeOf(Conduit{}), "")
+	t.Logf("mutexes %v, maps %v", mutexes, maps)
+	if len(mutexes) > 3 || len(maps) > 2 {
+		t.Errorf("Conduit has mutexes %v and maps %v, want at most 3 and 2", mutexes, maps)
 	}
 }

@@ -31,9 +31,10 @@ type Server struct {
 	n     int
 	model *vclock.CostModel
 
-	mu    sync.Mutex
-	kvs   map[string]string
-	bytes int // total bytes Put since the last fence epoch; sizes fence cost
+	mu     sync.Mutex
+	kvs    map[string]string
+	bytes  int // total bytes Put since the last fence epoch; sizes fence cost
+	fenced int // clients inside Fence this epoch; the n-th closes it
 
 	// unfenced tracks keys published since the last completed Fence — the
 	// epoch an injected server crash discards. lost remembers keys that were
@@ -198,25 +199,19 @@ func (c *Client) Fence() error {
 		return err
 	}
 	c.s.mu.Lock()
-	perProc := 0
-	if c.s.n > 0 {
-		perProc = c.s.bytes / c.s.n
+	perProc := c.s.bytes / c.s.n
+	if c.s.fenced++; c.s.fenced == c.s.n {
+		// The last to arrive sees the whole epoch — its cost is the one the
+		// barrier releases on — and closes it here, before the barrier can
+		// release anybody: a Put for the next epoch is never wiped by a slower
+		// client's reset. Everything published this epoch is now durable: an
+		// injected server crash can no longer discard it.
+		c.s.fenced, c.s.bytes = 0, 0
+		clear(c.s.unfenced)
 	}
 	c.s.mu.Unlock()
-	cost := c.s.model.FenceCost(c.s.n, perProc)
-	c.s.fence.Wait(c.clk, cost)
-	c.s.mu.Lock()
-	aborted := c.s.abort != nil
-	if !aborted {
-		c.s.bytes = 0
-		// Everything published this epoch is now durable: an injected
-		// server crash can no longer discard it.
-		for k := range c.s.unfenced {
-			delete(c.s.unfenced, k)
-		}
-	}
-	c.s.mu.Unlock()
-	if aborted {
+	c.s.fence.Wait(c.clk, c.s.model.FenceCost(c.s.n, perProc))
+	if _, aborted := c.s.Aborted(); aborted {
 		return fmt.Errorf("%w: fence released by abort", ErrAborted)
 	}
 	end := c.clk.Now()

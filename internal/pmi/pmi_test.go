@@ -2,6 +2,7 @@ package pmi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -193,4 +194,52 @@ func TestGetMissing(t *testing.T) {
 	if _, ok := c.Get("nope"); ok {
 		t.Fatal("Get of missing key returned ok")
 	}
+}
+
+// TestFenceEpochClosedOncePerFence: a fence's modeled cost grows with what was
+// published in its epoch, so the epoch's byte count has to be closed exactly
+// once, before the barrier releases anybody. It used to be zeroed by every
+// client on its way out, so a Put a fast client issued for the next epoch was
+// wiped when a slower client got round to leaving, and the next fence's cost
+// depended on host order. Here rank `fast` is the last into the first fence —
+// it never blocks, and publishes for the second epoch at once — and whichever
+// rank that is, the second fence costs what the model says for both Puts.
+func TestFenceEpochClosedOncePerFence(t *testing.T) {
+	const at = 1 << 40 // both clocks enter the second fence here: release - at is its cost
+	big, small := string(make([]byte, 1<<16)), "x"
+	m := vclock.Default()
+	want := m.FenceCost(2, (len("k-0")+len(big)+len("k-1")+len(small))/2)
+	for fast := 0; fast < 2; fast++ {
+		s := NewServer(2, m)
+		clks := [2]*vclock.Clock{vclock.NewClock(0), vclock.NewClock(0)}
+		cl := [2]*Client{s.Client(0, clks[0]), s.Client(1, clks[1])}
+		slow := 1 - fast
+		inFence, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			close(inFence)
+			cl[slow].Fence()
+			cl[slow].Put(KeyFor("k", 1), small)
+			clks[slow].AdvanceTo(at)
+			cl[slow].Fence()
+		}()
+		<-inFence
+		for s.fencedNow() == 0 { // until the slow client is inside the first fence
+			runtime.Gosched()
+		}
+		cl[fast].Fence()
+		cl[fast].Put(KeyFor("k", 0), big)
+		clks[fast].AdvanceTo(at)
+		cl[fast].Fence()
+		<-done
+		if got := clks[fast].Now() - at; got != want {
+			t.Fatalf("rank %d last into the first fence: the second costs %d, want %d", fast, got, want)
+		}
+	}
+}
+
+func (s *Server) fencedNow() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fenced
 }

@@ -236,11 +236,3 @@ func (c *Ctx) GlobalExit(code int) {
 
 // Stats returns the conduit's resource/traffic counters for this PE.
 func (c *Ctx) Stats() gasnet.Stats { return c.conduit.Stats() }
-
-// CommunicatingPeers returns how many distinct peers (excluding self) this
-// PE has sent traffic to — the paper's Table I metric.
-func (c *Ctx) CommunicatingPeers() int {
-	set := c.conduit.PeerSet()
-	delete(set, c.rank)
-	return len(set)
-}

@@ -26,13 +26,8 @@ func (c *Ctx) storeSeg(peer int, b []byte, at int64) {
 		return
 	}
 	c.segMu.Lock()
-	if !c.segs[peer].have {
-		c.segs[peer] = segInfo{
-			base: binary.LittleEndian.Uint64(b[0:]),
-			size: binary.LittleEndian.Uint64(b[8:]),
-			rkey: binary.LittleEndian.Uint32(b[16:]),
-			have: true,
-		}
+	if s := &c.segs[peer]; !s.have.Load() {
+		s.set(binary.LittleEndian.Uint64(b[0:]), binary.LittleEndian.Uint64(b[8:]), binary.LittleEndian.Uint32(b[16:]))
 	}
 	c.segMu.Unlock()
 	c.segCond.Broadcast()
@@ -41,7 +36,7 @@ func (c *Ctx) storeSeg(peer int, b []byte, at int64) {
 // setOwnSeg installs this PE's own triplet (self put/get are legal).
 func (c *Ctx) setOwnSeg() {
 	c.segMu.Lock()
-	c.segs[c.rank] = segInfo{base: c.mr.Base(), size: uint64(c.mr.Size()), rkey: c.mr.RKey(), have: true}
+	c.segs[c.rank].set(c.mr.Base(), uint64(c.mr.Size()), c.mr.RKey())
 	c.segMu.Unlock()
 }
 
@@ -72,7 +67,7 @@ func (c *Ctx) broadcastSegs() {
 
 func (c *Ctx) allSegsLocked() bool {
 	for i := range c.segs {
-		if !c.segs[i].have {
+		if !c.segs[i].have.Load() {
 			return false
 		}
 	}
@@ -91,14 +86,14 @@ func (c *Ctx) fetchSeg(pe int) error {
 		}
 		c.segMu.Lock()
 		defer c.segMu.Unlock()
-		if !c.segs[pe].have {
+		if !c.segs[pe].have.Load() {
 			return fmt.Errorf("shmem: piggybacked segment info for pe %d missing after connect", pe)
 		}
 		return nil
 	case SegBroadcast:
 		c.segMu.Lock()
 		defer c.segMu.Unlock()
-		if !c.segs[pe].have {
+		if !c.segs[pe].have.Load() {
 			return fmt.Errorf("shmem: segment info for pe %d missing after init broadcast", pe)
 		}
 		return nil
@@ -108,17 +103,14 @@ func (c *Ctx) fetchSeg(pe int) error {
 		if err := c.conduit.EnsureConnected(pe); err != nil {
 			return err
 		}
-		c.segMu.Lock()
-		if c.segs[pe].have {
-			c.segMu.Unlock()
+		if c.segs[pe].have.Load() {
 			return nil
 		}
-		c.segMu.Unlock()
 		if err := c.conduit.AMRequest(pe, amSegReq, [4]uint64{}, nil); err != nil {
 			return err
 		}
 		c.segMu.Lock()
-		for !c.segs[pe].have {
+		for !c.segs[pe].have.Load() {
 			if err := c.conduit.LivenessErr(); err != nil {
 				c.segMu.Unlock()
 				return fmt.Errorf("shmem: segment fetch from pe %d: %w", pe, err)

@@ -22,6 +22,7 @@ package shmem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"goshmem/internal/gasnet"
 	"goshmem/internal/ib"
@@ -90,11 +91,19 @@ type InitBreakdown struct {
 }
 
 // segInfo is the <address, size, rkey> triplet for one peer's symmetric heap.
+// It is written at most once, under segMu, and have is written last: whoever
+// sees have set may read the triplet without the lock.
 type segInfo struct {
 	base uint64
 	size uint64
 	rkey uint32
-	have bool
+	have atomic.Bool
+}
+
+// set installs the triplet. Caller holds segMu.
+func (s *segInfo) set(base, size uint64, rkey uint32) {
+	s.base, s.size, s.rkey = base, size, rkey
+	s.have.Store(true)
 }
 
 // AM handler identifiers used by the runtime (the mini-MPI built on the same
@@ -189,16 +198,11 @@ func (c *Ctx) remoteAddr(pe int, addr SymAddr, n int) (uint64, uint32, error) {
 	if pe < 0 || pe >= c.n {
 		return 0, 0, fmt.Errorf("shmem: pe %d out of range [0,%d)", pe, c.n)
 	}
-	c.segMu.Lock()
-	s := c.segs[pe]
-	c.segMu.Unlock()
-	if !s.have {
-		if err := c.fetchSeg(pe); err != nil {
+	s := &c.segs[pe]
+	if !s.have.Load() {
+		if err := c.fetchSeg(pe); err != nil { // nil: seen installed, under segMu
 			return 0, 0, err
 		}
-		c.segMu.Lock()
-		s = c.segs[pe]
-		c.segMu.Unlock()
 	}
 	if uint64(addr)+uint64(n) > s.size {
 		return 0, 0, fmt.Errorf("shmem: symmetric address %#x+%d outside pe %d's segment of %d bytes",
