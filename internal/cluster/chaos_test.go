@@ -60,7 +60,7 @@ func TestChaosRunByteIdenticalResults(t *testing.T) {
 		t.Errorf("iteration count diverged under faults: clean %d faulty %d", clean.Iters, faulty.Iters)
 	}
 
-	if fi.Flaps() == 0 {
+	if fi.Injected().Flaps == 0 {
 		t.Error("no link flaps injected; the faulted leg tested nothing")
 	}
 	if faultyRes.Counters().LinkFaults == 0 {

@@ -134,15 +134,15 @@ func TestCorruptFramesByteIdentical(t *testing.T) {
 	if faultyRes.Aborted {
 		t.Fatalf("corruption run aborted: %s", faultyRes.AbortReason)
 	}
-	if fi.Corrupts() == 0 {
+	if fi.Injected().Corrupts == 0 {
 		t.Fatal("no frames corrupted; the run tested nothing")
 	}
 	c := faultyRes.Counters()
 	if c.CorruptFrames == 0 {
 		t.Error("injected corruption was never detected by the checksum")
 	}
-	if c.CorruptFrames > fi.Corrupts() {
-		t.Errorf("detected %d corrupt frames but only %d were injected", c.CorruptFrames, fi.Corrupts())
+	if c.CorruptFrames > fi.Injected().Corrupts {
+		t.Errorf("detected %d corrupt frames but only %d were injected", c.CorruptFrames, fi.Injected().Corrupts)
 	}
 	if faultyRes.Counters().Retransmits == 0 {
 		t.Error("no retransmissions recovered the discarded frames")

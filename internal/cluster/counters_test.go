@@ -16,7 +16,7 @@ var updateDocs = flag.Bool("update", false, "rewrite the generated Counters sect
 
 const (
 	telemetryDoc  = "../../TELEMETRY.md"
-	countersBegin = "<!-- counters:begin (generated from the struct tags of gasnet.Stats and ib.HCAStats; regenerate with `go test ./internal/cluster -run TestTelemetryCountersDoc -update`) -->\n"
+	countersBegin = "<!-- counters:begin (generated from the struct tags of gasnet.Stats, ib.HCAStats and ib.Injected; regenerate with `go test ./internal/cluster -run TestTelemetryCountersDoc -update`) -->\n"
 	countersEnd   = "<!-- counters:end -->\n"
 )
 
@@ -34,6 +34,7 @@ func renderCounterRows() string {
 	}
 	obs.EachCounter(gasnet.Stats{}, row)
 	obs.EachCounter(ib.HCAStats{}, row)
+	obs.EachCounter(ib.Injected{}, row)
 	return b.String()
 }
 
@@ -94,8 +95,8 @@ func lineDiff(got, want string) string {
 // metrics-enabled run registers exactly these counters (the list is the
 // -metrics-all table as it stood before the names moved into struct tags), so
 // a tag typo shows up as a named missing/extra row, not as a silent rename.
-// The ib.fault.* counters are counted by the injector itself and only exist
-// on faulted runs.
+// The ib.fault.* counters (ib.Injected) are published only when the fabric
+// has an injector.
 func TestExportedCounterNamesPinned(t *testing.T) {
 	want := []string{
 		"gasnet.aborts_propagated", "gasnet.admission_rejects", "gasnet.alloc_failures",

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"goshmem/internal/obs"
 )
@@ -58,37 +59,42 @@ func BuildIncidentReport(res *Result) *IncidentReport {
 		return
 	}
 
-	fi := res.Cfg.Faults
+	type spec struct {
+		class, kind string
+		injected    int
+		lanes       [][2]string
+	}
+	// The fabric injector's rows are its own declaration (ib.Injected: one
+	// tagged field per kind, count and lanes together). A kind that feeds
+	// several lanes (one slowdown tally for ud/slow and rc/slow) is one row
+	// named after all of them: "ud+rc" "slow", "alloc" "qp+mr".
+	var specs []spec
+	obs.EachCounter(res.Cfg.Faults.Injected(), func(def obs.CounterDef, v int64) {
+		if def.Lanes == "" {
+			return
+		}
+		sp := spec{injected: int(v)}
+		for _, lane := range strings.Split(def.Lanes, ",") {
+			class, kind, _ := strings.Cut(lane, "/")
+			sp.lanes = append(sp.lanes, [2]string{class, kind})
+			sp.class, sp.kind = joinNew(sp.class, class), joinNew(sp.kind, kind)
+		}
+		specs = append(specs, sp)
+	})
 	pf := res.Cfg.PMIFaults
 	crash := 0
 	if pf.CrashTripped() {
 		crash = 1
 	}
-	specs := []struct {
-		class, kind string
-		injected    int
-		lanes       [][2]string
-	}{
-		{"ud", "drop", fi.Drops(), [][2]string{{"ud", "drop"}}},
-		{"ud", "dup", fi.Dups(), [][2]string{{"ud", "dup"}}},
-		{"ud", "reorder", fi.Reorders(), [][2]string{{"ud", "reorder"}}},
-		{"ud", "corrupt", fi.Corrupts(), [][2]string{{"ud", "corrupt"}}},
-		{"rc", "flap", fi.Flaps(), [][2]string{{"rc", "flap"}}},
-		{"rc", "rc-corrupt", fi.RCCorrupts(), [][2]string{{"rc", "rc-corrupt"}}},
-		{"rc", "torn-write", fi.TornWrites(), [][2]string{{"rc", "torn-write"}}},
-		{"ud+rc", "slow", fi.Slowdowns(), [][2]string{{"ud", "slow"}, {"rc", "slow"}}},
-		{"alloc", "qp+mr", fi.AllocFailsInjected(), [][2]string{{"alloc", "qp"}, {"alloc", "mr"}}},
-		{"pe", "kill", len(res.Cfg.KillPEs), [][2]string{{"pe", "kill"}}},
-		{"pe", "wedge", len(res.Cfg.WedgePEs), [][2]string{{"pe", "wedge"}}},
-		{"net", "port-down", fi.PortFaultsInjected(), [][2]string{{"net", "port-down"}}},
-		{"net", "rail-down", fi.RailFaultsInjected(), [][2]string{{"net", "rail-down"}}},
-		{"net", "partition", fi.PartitionsInjected(), [][2]string{{"net", "partition"}}},
-		{"pmi", "drop", pf.Drops(), [][2]string{{"pmi", "drop"}}},
-		{"pmi", "dup", pf.Dups(), [][2]string{{"pmi", "dup"}}},
-		{"pmi", "slow", pf.Slowdowns(), [][2]string{{"pmi", "slow"}}},
-		{"pmi", "unavail", pf.UnavailHits(), [][2]string{{"pmi", "unavail"}}},
-		{"pmi", "crash", crash, [][2]string{{"pmi", "crash"}}},
-	}
+	specs = append(specs,
+		spec{"pe", "kill", len(res.Cfg.KillPEs), [][2]string{{"pe", "kill"}}},
+		spec{"pe", "wedge", len(res.Cfg.WedgePEs), [][2]string{{"pe", "wedge"}}},
+		spec{"pmi", "drop", pf.Drops(), [][2]string{{"pmi", "drop"}}},
+		spec{"pmi", "dup", pf.Dups(), [][2]string{{"pmi", "dup"}}},
+		spec{"pmi", "slow", pf.Slowdowns(), [][2]string{{"pmi", "slow"}}},
+		spec{"pmi", "unavail", pf.UnavailHits(), [][2]string{{"pmi", "unavail"}}},
+		spec{"pmi", "crash", crash, [][2]string{{"pmi", "crash"}}},
+	)
 
 	rep := &IncidentReport{Kinds: kinds, Reconciled: true}
 	for _, sp := range specs {
@@ -119,6 +125,17 @@ func BuildIncidentReport(res *Result) *IncidentReport {
 		rep.Reconciled = false
 	}
 	return rep
+}
+
+// joinNew appends part to a "+"-joined list unless it is the list's last part.
+func joinNew(list, part string) string {
+	switch {
+	case list == "":
+		return part
+	case list == part || strings.HasSuffix(list, "+"+part):
+		return list
+	}
+	return list + "+" + part
 }
 
 // WriteText renders the incident report as the two aligned tables

@@ -80,9 +80,9 @@ func TestIntegrityChaosSoak(t *testing.T) {
 	}
 
 	// Every injected fault class must have actually fired...
-	if fi1.RCCorrupts() == 0 || fi1.TornWrites() == 0 || fi1.Flaps() == 0 {
+	if fi1.Injected().RCCorrupts == 0 || fi1.Injected().TornWrites == 0 || fi1.Injected().Flaps == 0 {
 		t.Fatalf("fault schedule idle: corrupts=%d tears=%d flaps=%d",
-			fi1.RCCorrupts(), fi1.TornWrites(), fi1.Flaps())
+			fi1.Injected().RCCorrupts, fi1.Injected().TornWrites, fi1.Injected().Flaps)
 	}
 	// ...and every recovery path must have answered: corrupt frames caught by
 	// the trailer, torn writes detected and replayed, retransmissions of
@@ -92,11 +92,11 @@ func TestIntegrityChaosSoak(t *testing.T) {
 		t.Errorf("no data-plane faults observed by the conduit: %+v", c)
 	}
 	if c.TornWrites == 0 {
-		t.Errorf("injected %d tears but the conduit recorded none", fi1.TornWrites())
+		t.Errorf("injected %d tears but the conduit recorded none", fi1.Injected().TornWrites)
 	}
 	if c.IntegrityRetransmits == 0 {
 		t.Errorf("no integrity retransmissions despite %d injected data faults",
-			fi1.RCCorrupts()+fi1.TornWrites())
+			fi1.Injected().RCCorrupts+fi1.Injected().TornWrites)
 	}
 	if c.DupOpsSuppressed == 0 {
 		t.Errorf("no duplicate ops suppressed despite lost ACKs and replays: %+v", c)

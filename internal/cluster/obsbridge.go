@@ -26,9 +26,9 @@ func isConnLifecycle(e obs.Event) bool {
 	return false
 }
 
-// mirrorCounters publishes the job-wide conduit counters and the per-HCA
-// verbs counters into the plane's metric registry after the run, under the
-// names their fields declare. Mirroring once at the end keeps the hot path
+// mirrorCounters publishes the job-wide conduit counters, the per-HCA verbs
+// counters and — on a faulted fabric — the injector's tally into the plane's
+// metric registry after the run, under the names their fields declare. Mirroring once at the end keeps the hot path
 // free of double accounting: the layers keep their cheap struct counters,
 // and the registry is the generic aggregated view the CLI reports from.
 func mirrorCounters(plane *obs.Plane, res *Result) {
@@ -40,6 +40,9 @@ func mirrorCounters(plane *obs.Plane, res *Result) {
 	obs.EachCounter(res.Counters(), publish)
 	for i := range res.HCA {
 		obs.EachCounter(&res.HCA[i], publish)
+	}
+	if fi := res.Cfg.Faults; fi != nil {
+		obs.EachCounter(fi.Injected(), publish)
 	}
 }
 

@@ -107,9 +107,9 @@ func TestIncidentReconciliationChaosSoak(t *testing.T) {
 	if res.Aborted {
 		t.Fatalf("recoverable chaos soak aborted: %s", res.AbortReason)
 	}
-	if fi.Drops() == 0 || fi.Flaps() == 0 || fi.RCCorrupts() == 0 || fi.TornWrites() == 0 {
+	if fi.Injected().Drops == 0 || fi.Injected().Flaps == 0 || fi.Injected().RCCorrupts == 0 || fi.Injected().TornWrites == 0 {
 		t.Fatalf("fault schedule idle: drops=%d flaps=%d corrupts=%d tears=%d",
-			fi.Drops(), fi.Flaps(), fi.RCCorrupts(), fi.TornWrites())
+			fi.Injected().Drops, fi.Injected().Flaps, fi.Injected().RCCorrupts, fi.Injected().TornWrites)
 	}
 	if pfi.Drops() == 0 {
 		t.Fatal("control-plane fault schedule idle: no PMI drops")

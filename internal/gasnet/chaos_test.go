@@ -193,8 +193,8 @@ func TestChaosSoak(t *testing.T) {
 		reconnects += st.Reconnects
 		evictions += st.Evictions
 	}
-	if fi.Flaps() < 5 {
-		t.Errorf("flaps injected = %d, want >= 5 (schedule too tame)", fi.Flaps())
+	if fi.Injected().Flaps < 5 {
+		t.Errorf("flaps injected = %d, want >= 5 (schedule too tame)", fi.Injected().Flaps)
 	}
 	if faults == 0 {
 		t.Error("no link faults detected despite injected flaps")
@@ -206,5 +206,5 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("no evictions despite cap %d below the %d-PE mesh", qpCap, n)
 	}
 	t.Logf("seed=%d total=%d drops=%d dups/reorders=%d flaps=%d slowdowns=%d faults=%d reconnects=%d evictions=%d",
-		seed, total, fi.Drops(), fi.Reorders(), fi.Flaps(), fi.Slowdowns(), faults, reconnects, evictions)
+		seed, total, fi.Injected().Drops, fi.Injected().Reorders, fi.Injected().Flaps, fi.Injected().Slowdowns, faults, reconnects, evictions)
 }

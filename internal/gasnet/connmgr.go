@@ -92,7 +92,6 @@ func (c *Conduit) pickRailsLocked(dst uint16, vt int64) (pri, alt int) {
 	if rails <= 1 {
 		return 0, 0
 	}
-	fi := fab.Faults()
 	src := c.cfg.HCA.LID()
 	load := make([]int, rails)
 	c.conns.each(func(_ int, cn *conn) {
@@ -104,7 +103,7 @@ func (c *Conduit) pickRailsLocked(dst uint16, vt int64) (pri, alt int) {
 	})
 	pri, alt = -1, -1
 	for r := 0; r < rails; r++ {
-		if fi != nil && !fi.RailLive(src, dst, r, vt) {
+		if !fab.RailLive(src, dst, r, vt) {
 			continue
 		}
 		switch {
@@ -141,14 +140,12 @@ func (c *Conduit) tryMigrateLocked(cn *conn, peer int, vt int64) bool {
 	if qp == nil {
 		return false
 	}
-	fab := c.cfg.HCA.Fabric()
-	fi := fab.Faults()
 	now := c.mgrClk.Now()
 	if vt > now {
 		now = vt
 	}
 	alt := qp.AltRail()
-	if alt == qp.Rail() || fi == nil || !fi.RailLive(c.cfg.HCA.LID(), qp.Remote().LID, alt, now) {
+	if alt == qp.Rail() || !c.cfg.HCA.Fabric().RailLive(c.cfg.HCA.LID(), qp.Remote().LID, alt, now) {
 		return false
 	}
 	if qp.Migrate() != nil {
@@ -970,15 +967,10 @@ func (c *Conduit) readyLocked(cn *conn, peer int, by evKind, recon bool, vt int6
 // time vt — the pair is partitioned: datagrams blackhole, no reconnect can
 // succeed — and, if so, when the schedule says it heals (-1: never).
 func (c *Conduit) severed(lid uint16, vt int64) (dark bool, heal int64) {
-	fab := c.cfg.HCA.Fabric()
-	src := c.cfg.HCA.LID()
-	if !c.netFaulty || lid == 0 || !fab.PathsSevered(src, lid, vt) {
+	if !c.netFaulty || lid == 0 {
 		return false, 0
 	}
-	if windowed, heal := fab.Faults().PartitionInfo(src, lid, vt); windowed {
-		return true, heal
-	}
-	return true, -1 // failed ports or rails: no heal is ever coming
+	return c.cfg.HCA.Fabric().Severed(c.cfg.HCA.LID(), lid, vt)
 }
 
 // dueLocked returns the virtual time of cn's next timeout, if it has one: one

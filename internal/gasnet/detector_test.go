@@ -130,8 +130,8 @@ const (
 func (w dworld) severedAt(k int) bool { return w.cut > 0 && k >= w.cut && (w.heal < 0 || k < w.heal) }
 
 // pathAt is what the conduit's shell would read off the fabric's schedule at
-// tick k for a suspicion that began at virtual time since (ib.PathsSevered,
-// PartitionInfo, PartitionedDuring).
+// tick k for a suspicion that began at virtual time since (Fabric.Severed and
+// Fabric.SeveredDuring).
 func (w dworld) pathAt(k int, since int64) path {
 	if w.severedAt(k) {
 		if w.heal < 0 {

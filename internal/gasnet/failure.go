@@ -133,7 +133,7 @@ func (c *Conduit) selfFate(now int64) int32 {
 	if s := c.selfState.Load(); s != selfAlive {
 		return s
 	}
-	switch c.cfg.HCA.Fabric().Faults().PEFate(c.cfg.Rank, now) {
+	switch c.cfg.HCA.Fabric().PEFate(c.cfg.Rank, now) {
 	case ib.PEKilled:
 		c.enterKilled(now)
 		return selfKilled
@@ -404,7 +404,7 @@ func (c *Conduit) partitionVerdict(peer int, now int64) {
 	}
 	var p path
 	p.dark, p.heal = c.severed(lid, now)
-	p.dimmed = !p.dark && c.cfg.HCA.Fabric().Faults().PartitionedDuring(c.cfg.HCA.LID(), lid, cn.health.since, now)
+	p.dimmed = !p.dark && c.cfg.HCA.Fabric().SeveredDuring(c.cfg.HCA.LID(), lid, cn.health.since, now)
 	f, first := cn.health.judge(now, p)
 	if first {
 		c.stats.PartitionSuspensions++

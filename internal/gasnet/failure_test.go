@@ -68,8 +68,8 @@ func TestKillPEConfirmedAndAborted(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("victim op after kill = %v, want CrashError", err)
 	}
-	if fi.PEKills() != 1 {
-		t.Fatalf("PEKills = %d, want 1", fi.PEKills())
+	if fi.Injected().PEKills != 1 {
+		t.Fatalf("PEKills = %d, want 1", fi.Injected().PEKills)
 	}
 
 	// Survivors block on the victim — a get that can only be queued behind a
@@ -177,8 +177,8 @@ func TestWedgePEStillAcksUntilAborted(t *testing.T) {
 		victimDone <- pes[victim].C.AMRequest(0, 9, [4]uint64{}, nil)
 	})
 	waitUntil(t, func() bool { return pes[victim].C.selfState.Load() == selfWedged })
-	if fi.PEWedges() != 1 {
-		t.Fatalf("PEWedges = %d, want 1", fi.PEWedges())
+	if fi.Injected().PEWedges != 1 {
+		t.Fatalf("PEWedges = %d, want 1", fi.Injected().PEWedges)
 	}
 
 	// Fabric-level liveness: RDMA against the wedged PE's memory still
@@ -262,7 +262,7 @@ func TestSlowPENeverConfirmedDead(t *testing.T) {
 	// answer.
 	run(func(p *pe) { p.vsleep(50 * vclock.Millisecond) })
 
-	if fi.Slowdowns() == 0 {
+	if fi.Injected().Slowdowns == 0 {
 		t.Fatal("no slowdowns injected; the schedule tests nothing")
 	}
 	probes := 0
@@ -373,7 +373,7 @@ func TestChaosPEFailureSoak(t *testing.T) {
 	}
 
 	// The fault actually tripped, and at least one survivor confirmed it.
-	if fi.PEKills()+fi.PEWedges() == 0 {
+	if fi.Injected().PEKills+fi.Injected().PEWedges == 0 {
 		t.Fatal("no PE fault tripped; schedule too late for the traffic window")
 	}
 	failures := 0
@@ -384,5 +384,5 @@ func TestChaosPEFailureSoak(t *testing.T) {
 		t.Fatal("no PE failure confirmed by any detector")
 	}
 	t.Logf("seed=%d kill=%d@%d wedge=%d@%d confirmed=%d drops=%d slowdowns=%d",
-		seed, killVictim, killAt, wedgeVictim, wedgeAt, failures, fi.Drops(), fi.Slowdowns())
+		seed, killVictim, killAt, wedgeVictim, wedgeAt, failures, fi.Injected().Drops, fi.Injected().Slowdowns)
 }

@@ -81,8 +81,8 @@ func TestQuietBlocksOnTornWrite(t *testing.T) {
 			if !bytes.Equal(heap[64:64+len(payload)], payload) {
 				t.Fatal("torn prefix still visible after Quiet — replay did not overwrite it")
 			}
-			if fi.TornWrites() != 1 {
-				t.Fatalf("injected tears = %d, want 1", fi.TornWrites())
+			if fi.Injected().TornWrites != 1 {
+				t.Fatalf("injected tears = %d, want 1", fi.Injected().TornWrites)
 			}
 			st := pes[0].C.Stats()
 			if st.TornWrites != 1 {
@@ -140,8 +140,8 @@ func TestAtomicExactlyOnceAcrossReconnect(t *testing.T) {
 	if got := mr.LoadUint64(0); got != ops {
 		t.Fatalf("final value = %d, want exactly %d", got, ops)
 	}
-	if fi.Flaps() != 1 {
-		t.Fatalf("injected flaps = %d, want 1", fi.Flaps())
+	if fi.Injected().Flaps != 1 {
+		t.Fatalf("injected flaps = %d, want 1", fi.Injected().Flaps)
 	}
 	if st := pes[0].C.Stats(); st.LinkFaults < 1 || st.Reconnects < 1 {
 		t.Fatalf("flap must drive a reconnect: faults=%d reconnects=%d", st.LinkFaults, st.Reconnects)
@@ -198,7 +198,7 @@ func TestRCFrameCorruptionRecovered(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if fi.RCCorrupts() == 0 {
+	if fi.Injected().RCCorrupts == 0 {
 		t.Fatal("injector never corrupted a frame; test exercised nothing")
 	}
 	server := pes[1].C.Stats()

@@ -1,6 +1,10 @@
 package gasnet
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,8 +43,8 @@ func TestLinkFlapReconnectDeliversExactlyOnce(t *testing.T) {
 		t.Fatalf("message delivered %d times across the flap, want 1", recv)
 	}
 	mu.Unlock()
-	if fi.Flaps() != 1 {
-		t.Fatalf("injected flaps = %d, want 1", fi.Flaps())
+	if fi.Injected().Flaps != 1 {
+		t.Fatalf("injected flaps = %d, want 1", fi.Injected().Flaps)
 	}
 	st := pes[0].C.Stats()
 	if st.LinkFaults < 1 {
@@ -225,6 +229,26 @@ func TestFaultFreeRunsPayNoResilienceCost(t *testing.T) {
 		}
 		if err := p.C.Err(); err != nil {
 			t.Fatalf("rank %d: abort error on a fault-free run: %v", p.C.Rank(), err)
+		}
+	}
+	// The fault plane's whole surface towards the conduit is four questions of
+	// the fabric, and with no injector each has its healthy answer.
+	fab, far := pes[0].C.cfg.HCA.Fabric(), int64(1)<<40
+	if dark, _ := fab.Severed(1, 2, far); dark || !fab.RailLive(1, 2, 0, far) || fab.SeveredDuring(1, 2, 0, far) || fab.PEFate(0, far) != ib.PEAlive {
+		t.Fatal("a fault-free fabric answered a path or PE question with a fault")
+	}
+	// ...and only ib and the launcher ever name the injector: the layers above
+	// cannot reach around those four questions.
+	for _, dir := range []string{".", "../shmem"} {
+		files, _ := filepath.Glob(dir + "/*.go")
+		for _, name := range files {
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasSuffix(name, "_test.go") && (bytes.Contains(src, []byte("FaultInjector")) || bytes.Contains(src, []byte(".Faults()"))) {
+				t.Errorf("%s reaches for the fault injector; ask the fabric (RailLive, Severed, SeveredDuring, PEFate)", name)
+			}
 		}
 	}
 }

@@ -72,29 +72,54 @@ func (f *Fabric) Model() *vclock.CostModel { return f.model }
 // fault-free simulation nothing is ever lost.
 func (f *Fabric) Lossy() bool { return f.faults != nil }
 
-// Faults returns the fabric's fault injector, nil on a fault-free fabric.
-func (f *Fabric) Faults() *FaultInjector { return f.faults }
-
 // PEFaulty reports whether PE crash/wedge injections are scheduled on this
 // fabric. Upper layers arm their failure detector only then, so fault-free
 // runs record zero heartbeat activity.
-func (f *Fabric) PEFaulty() bool { return f.faults.PEFaultsScheduled() }
+func (f *Fabric) PEFaulty() bool { return f.faults != nil && len(f.faults.peSched) > 0 }
 
 // NetFaulty reports whether any port/rail/partition injections are scheduled.
 // The failure detector also arms on it, so a partitioned-but-alive peer can
 // be told apart from a dead one (and a permanent partition can abort with its
 // own exit code instead of wedging into the watchdog).
-func (f *Fabric) NetFaulty() bool { return f.faults.NetFaultsScheduled() }
+func (f *Fabric) NetFaulty() bool { return f.faults != nil && f.faults.netFaulty() }
 
-// PathsSevered reports whether EVERY rail between the two adapters is blocked
-// at virtual time now — the true-partition condition: UD datagrams blackhole,
-// no reconnect on any rail can succeed, and the failure detector must suspend
-// rather than confirm-dead. Always false on a fault-free fabric.
-func (f *Fabric) PathsSevered(src, dst uint16, now int64) bool {
+// The path and PE questions upper layers ask of the fault schedule. All are
+// answered from the immutable schedule without a lock, and all answer
+// "healthy" on a fault-free fabric.
+
+// RailLive reports whether the src->dst path over one rail is up at virtual
+// time now. The connection manager uses it for least-loaded-live-rail path
+// selection and for deciding whether APM (vs reconnect, vs suspension) can
+// recover a path error.
+func (f *Fabric) RailLive(src, dst uint16, rail int, now int64) bool {
+	return f.faults == nil || !f.faults.pathBlocked(src, dst, rail, now)
+}
+
+// Severed reports whether EVERY rail between the two adapters is dark at
+// virtual time now — the true-partition condition: UD datagrams blackhole, no
+// reconnect on any rail can succeed, and the failure detector must suspend
+// rather than confirm-dead — and, if so, when the schedule heals it (-1:
+// never).
+func (f *Fabric) Severed(src, dst uint16, now int64) (dark bool, heal int64) {
 	if f.faults == nil {
-		return false
+		return false, 0
 	}
-	return f.faults.allPathsBlocked(src, dst, f.Rails(), now)
+	return f.faults.severed(src, dst, f.Rails(), now)
+}
+
+// SeveredDuring reports whether a partition window severed the two adapters
+// at any instant of the virtual-time span [from, to].
+func (f *Fabric) SeveredDuring(src, dst uint16, from, to int64) bool {
+	return f.faults != nil && f.faults.partitionedDuring(src, dst, from, to)
+}
+
+// PEFate returns rank's scheduled failure state at virtual time now; the first
+// answer other than PEAlive trips the injection.
+func (f *Fabric) PEFate(rank int, now int64) PEFate {
+	if f.faults == nil {
+		return PEAlive
+	}
+	return f.faults.peFate(rank, now)
 }
 
 // AddHCA attaches a new adapter and assigns it the next LID (LIDs start at 1,
@@ -154,421 +179,420 @@ func (f *Fabric) occupancy(src, dst *HCA, n int) int64 {
 	return f.model.XferTime(n)
 }
 
-// sendUD delivers an unreliable datagram. Unknown targets and datagrams that
-// the fault injector drops vanish silently, exactly like UD. Datagrams the
-// injector holds for reordering are delivered once enough later traffic has
-// overtaken them; each send also flushes any held datagram whose bounded
-// reorder window has expired.
-func (f *Fabric) sendUD(q *QP, wr SendWR) error {
-	clk := q.clk
+// clock is the clock a work request charges: its own override, else the
+// queue pair owner's.
+func (q *QP) clock(wr *SendWR) *vclock.Clock {
 	if wr.Clk != nil {
-		clk = wr.Clk
+		return wr.Clk
 	}
-	// Incident lane for this datagram: (sender rank, packed dest address).
-	// Every injected UD fault opens (or instantly absorbs) an incident on the
-	// lane; the next clean delivery on the same lane closes whatever is open.
-	led := q.hca.ledger
-	rank := q.obs.Rank()
-	destKey := int(wr.Dest.LID)<<20 | int(wr.Dest.QPN)
-	if extra := f.faults.slowdown(); extra > 0 {
-		clk.Advance(extra)
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-slow", -1, int64(len(wr.Data)))
-		q.obs.Count("ib.fault.slowdown", 1)
-		led.OpenAbsorbed("ud", "slow", rank, destKey, clk.Now(), "latency-absorbed")
+	return q.clk
+}
+
+// liveLocked reports whether q exists as a typ queue pair that can receive.
+// Caller holds the adapter lock.
+func (q *QP) liveLocked(typ QPType) bool {
+	return q != nil && q.typ == typ && (q.state == StateRTR || q.state == StateRTS)
+}
+
+// injected reports one injected fault of kind k on q's traffic: the trace
+// event (n is its size argument) and, for the kinds that are injections in
+// their own right, an incident on the lane (sender rank, lane) — absorbed on
+// the spot or left open for the recovery that repairs the lane to close. The
+// tally is the injector's own (Injected), taken when the verdict was drawn.
+func injected(q *QP, clk *vclock.Clock, k faultKind, lane, n int) {
+	d, now := &faultKinds[k], clk.Now()
+	q.obs.Emit(now, obs.LayerIB, d.event, -1, int64(n))
+	class := "ud"
+	if q.typ == RC {
+		class = "rc"
+	}
+	switch {
+	case d.kind == "":
+	case d.absorbed != "":
+		q.hca.ledger.OpenAbsorbed(class, d.kind, q.obs.Rank(), lane, now, d.absorbed)
+	default:
+		q.hca.ledger.Open(class, d.kind, q.obs.Rank(), lane, now)
+	}
+}
+
+// sendUD delivers an unreliable datagram. Unknown targets and datagrams the
+// admission verdict loses vanish silently, exactly like UD. The incident lane
+// is (sender rank, packed destination address): every injected fault opens
+// (or instantly absorbs) an incident on it and the next clean delivery on the
+// same lane closes whatever is open.
+func (f *Fabric) sendUD(q *QP, wr SendWR) error {
+	clk := q.clock(&wr)
+	lane := int(wr.Dest.LID)<<20 | int(wr.Dest.QPN)
+	var fate udFate
+	if f.faults != nil {
+		fate = f.faults.admitUD(q.hca.lid, wr.Dest.LID, f.Rails(), clk.Now()+f.model.SendPostOverhead, wr.Data)
+	}
+	if fate.slow > 0 {
+		clk.Advance(fate.slow)
+		injected(q, clk, kindSlow, lane, len(wr.Data))
 	}
 	depart := clk.Advance(f.model.SendPostOverhead)
 	if q.sendCQ != nil && !wr.NoSendCompletion {
 		q.sendCQ.Push(Completion{WRID: wr.WRID, QPN: q.qpn, Op: OpSend, Status: StatusOK, VTime: depart})
 	}
-	// A datagram whose source and destination are severed on every rail
-	// (failed ports/rails, or an active partition window) vanishes in the
-	// switch fabric, exactly like UD. It is deliberately NOT counted as an
-	// injected drop: the blackhole is the port/rail/partition fault's own
-	// effect, and its incident is opened by the schedule, not per datagram.
-	if f.faults != nil && f.faults.allPathsBlocked(q.hca.lid, wr.Dest.LID, f.Rails(), clk.Now()) {
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-blackhole", -1, int64(len(wr.Data)))
-		q.obs.Count("ib.fault.blackhole", 1)
+	if fate.kind != kindNone {
+		injected(q, clk, fate.kind, lane, len(wr.Data))
+	}
+	if fate.kind == kindBlackhole {
+		return nil // the blackhole is outside the fabric's bookkeeping: no aging
+	}
+	d := udDelivery{led: q.hca.ledger, rank: q.obs.Rank(), lane: lane, clean: true}
+	if fate.kind != kindDrop {
+		d.dh, d.cq = f.udTarget(wr.Dest)
+	}
+	if d.cq == nil {
+		landAll(f.settleUD(q, clk, nil, false))
 		return nil
 	}
-	// Age the reorder window before deciding this datagram's fate so held
-	// datagrams flush even on a stream of drops.
-	defer func() {
-		for _, deliver := range f.faults.dueDeliveries() {
-			deliver()
-		}
-	}()
-	drop, dup, hold := f.faults.udFate(wr.Data)
-	if drop {
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-drop", -1, int64(len(wr.Data)))
-		q.obs.Count("ib.fault.drop", 1)
-		// Open until the conduit's retransmission lands a clean datagram on
-		// this lane (or, for fire-and-forget traffic, the end-of-job sweep).
-		led.Open("ud", "drop", rank, destKey, clk.Now())
-		return nil
+	depart = clk.Advance(f.occupancy(q.hca, d.dh, len(wr.Data)))
+	d.c = Completion{QPN: wr.Dest.QPN, Src: q.Addr(), Op: OpSend, Recv: true, Imm: wr.Imm, Status: StatusOK,
+		Data:  append([]byte(nil), wr.Data...),
+		VTime: depart + f.latencyOnly(q.hca, d.dh, f.model.UDSendLatency)}
+	due := f.settleUD(q, clk, &d, fate.kind == kindReorder)
+	if fate.kind == kindDup { // an independent flight of the pristine payload; it vouches for nothing
+		d.c.Data, d.clean = append([]byte(nil), wr.Data...), false
+		d.c.VTime += f.model.UDSendLatency
+		d.land()
 	}
-	dh := f.HCA(wr.Dest.LID)
-	if dh == nil {
-		return nil
-	}
-	dh.mu.Lock()
-	dq := dh.qpLocked(wr.Dest.QPN)
-	if dq == nil || dq.typ != UD || (dq.state != StateRTR && dq.state != StateRTS) || dq.recvCQ == nil {
-		dh.mu.Unlock()
-		return nil
-	}
-	recvCQ := dq.recvCQ
-	dh.mu.Unlock()
-
-	depart = clk.Advance(f.occupancy(q.hca, dh, len(wr.Data)))
-	arrival := depart + f.latencyOnly(q.hca, dh, f.model.UDSendLatency)
-	data := append([]byte(nil), wr.Data...)
-	// Bit-flip corruption hits only the primary delivered copy: a duplicate
-	// below re-copies the pristine wr.Data, modeling an independent flight.
-	corrupted := f.faults.corruptData(data)
-	if corrupted {
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-corrupt", -1, int64(len(data)))
-		q.obs.Count("ib.fault.corrupt", 1)
-		// Open until the receiver's checksum rejects this copy and the
-		// sender's retransmission lands a clean one.
-		led.Open("ud", "corrupt", rank, destKey, clk.Now())
-	}
-	src := q.Addr()
-	deliver := func() {
-		dh.countDelivery(len(data))
-		recvCQ.Push(Completion{QPN: wr.Dest.QPN, Src: src, Op: OpSend, Recv: true,
-			Data: data, Imm: wr.Imm, Status: StatusOK, VTime: arrival})
-		// A clean delivery repairs the lane; the delivery that carries an
-		// injected corruption must not close its own incident.
-		if !corrupted {
-			led.CloseAll("ud", nil, rank, destKey, arrival, "delivered")
-		}
-	}
-	if hold {
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-reorder", -1, int64(len(data)))
-		q.obs.Count("ib.fault.reorder", 1)
-		led.OpenAbsorbed("ud", "reorder", rank, destKey, clk.Now(), "late-delivery")
-		f.faults.holdDelivery(deliver)
-		return nil
-	}
-	deliver()
-	if dup {
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-dup", -1, int64(len(wr.Data)))
-		q.obs.Count("ib.fault.dup", 1)
-		led.OpenAbsorbed("ud", "dup", rank, destKey, clk.Now(), "dedup-absorbed")
-		dupData := append([]byte(nil), wr.Data...)
-		dh.countDelivery(len(dupData))
-		recvCQ.Push(Completion{QPN: wr.Dest.QPN, Src: src, Op: OpSend, Recv: true,
-			Data: dupData, Imm: wr.Imm, Status: StatusOK, VTime: arrival + f.model.UDSendLatency})
-	}
+	landAll(due)
 	return nil
 }
 
-// sendRC executes a reliable-connected operation against the connected peer.
-// A dead remote queue pair — destroyed, evicted or flapped into the Error
-// state — fails the operation synchronously with ErrLinkDown before any data
-// moves, transitioning the local QP to Error too (real RC reports retry
-// exhaustion the same way: both halves of the connection die). The sender's
-// connection manager recovers by tearing down and re-running the handshake.
-func (f *Fabric) sendRC(q *QP, wr SendWR) error {
-	clk := q.clk
-	if wr.Clk != nil {
-		clk = wr.Clk
+// udTarget returns the adapter and receive queue a datagram to dest lands in,
+// or nils when no live UD queue pair is there to take it.
+func (f *Fabric) udTarget(dest Dest) (*HCA, *CQ) {
+	dh := f.HCA(dest.LID)
+	if dh == nil {
+		return nil, nil
 	}
-	// Incident lane for this connection: (sender rank, destination LID). The
-	// lane survives QP teardown, so the reconnect's first clean completion
+	dh.mu.Lock()
+	defer dh.mu.Unlock()
+	if dq := dh.qpLocked(dest.QPN); dq.liveLocked(UD) && dq.recvCQ != nil {
+		return dh, dq.recvCQ
+	}
+	return nil, nil
+}
+
+// settleUD asks the second question of a datagram's send (see landUD): d,
+// nil when the datagram was lost, is landed or — if the admission verdict held
+// it — parked, and the held datagrams whose reorder window this send closed
+// are returned for the caller to land behind it. On a fault-free fabric that
+// is just d.land().
+func (f *Fabric) settleUD(q *QP, clk *vclock.Clock, d *udDelivery, hold bool) (due []udDelivery) {
+	if f.faults != nil {
+		due = f.faults.landUD(d, hold)
+	}
+	if d != nil && !d.clean {
+		injected(q, clk, kindCorrupt, d.lane, len(d.c.Data))
+	}
+	if d != nil && !hold {
+		d.land()
+	}
+	return due
+}
+
+func landAll(due []udDelivery) {
+	for i := range due {
+		due[i].land()
+	}
+}
+
+// rcOp is one admitted RC work request on its way to the peer: what sendRC's
+// prologue established and every operation needs.
+type rcOp struct {
+	f      *Fabric
+	q      *QP
+	dh     *HCA // the peer's adapter
+	clk    *vclock.Clock
+	depart int64
+	// lane is the connection's incident lane, (sender rank, destination LID).
+	// It survives QP teardown, so the reconnect's first clean completion
 	// closes the flap/corruption incident that killed the old queue pair.
-	led := q.hca.ledger
-	rank := q.obs.Rank()
-	destLID := int(q.remote.LID)
-	if extra := f.faults.slowdown(); extra > 0 {
-		clk.Advance(extra)
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-slow", -1, int64(len(wr.Data)))
-		q.obs.Count("ib.fault.slowdown", 1)
-		led.OpenAbsorbed("rc", "slow", rank, destLID, clk.Now(), "latency-absorbed")
-	}
-	depart := clk.Advance(f.model.SendPostOverhead)
+	lane int
+}
+
+// sendRC executes a reliable-connected operation against the connected peer:
+// a prologue every opcode shares — the admission verdict, then the peer's
+// liveness — and one small operation per opcode. A dead remote queue pair —
+// destroyed, evicted or flapped into the Error state — fails the operation
+// synchronously with ErrLinkDown before any data moves, transitioning the
+// local QP to Error too (real RC reports retry exhaustion the same way: both
+// halves of the connection die). The sender's connection manager recovers by
+// tearing down and re-running the handshake.
+func (f *Fabric) sendRC(q *QP, wr SendWR) error {
 	dh := f.HCA(q.remote.LID)
 	if dh == nil {
 		return ErrBadLID
 	}
-	// Path error: the QP's primary rail is severed between the endpoints
-	// (port/rail failure or partition window). The operation is refused
-	// before any byte moves and before any teardown — both queue pairs stay
-	// healthy, so the connection manager can migrate to the loaded alternate
-	// path (APM) and simply re-post. Only when every rail is dead does the
-	// caller escalate to the reconnect/suspension machinery.
-	if f.faults != nil && f.faults.pathBlocked(q.hca.lid, q.remote.LID, q.Rail(), clk.Now()) {
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-path-down", -1, int64(q.Rail()))
-		q.obs.Count("ib.fault.path_down", 1)
-		return ErrPathDown
+	x := rcOp{f: f, q: q, dh: dh, clk: q.clock(&wr), lane: int(q.remote.LID)}
+	var fate rcFate
+	if f.faults != nil {
+		fate = f.faults.admitRC(q.hca.lid, q.remote.LID, q.Rail(), x.clk.Now()+f.model.SendPostOverhead)
 	}
-	if f.faults.rcFlap() {
-		// Injected link fault: both queue pairs error out mid-stream, before
-		// this operation's payload moves, so no byte is delivered twice.
-		q.obs.Emit(clk.Now(), obs.LayerIB, "fault-flap", -1, 0)
-		q.obs.Count("ib.fault.flap", 1)
-		led.Open("rc", "flap", rank, destLID, clk.Now())
-		dh.mu.Lock()
-		dq := dh.qpLocked(q.remote.QPN)
-		dh.mu.Unlock()
-		q.ToError()
-		if dq != nil && dq.typ == RC {
-			dq.ToError()
-		}
+	if fate.slow > 0 {
+		x.clk.Advance(fate.slow)
+		injected(q, x.clk, kindSlow, x.lane, len(wr.Data))
+	}
+	x.depart = x.clk.Advance(f.model.SendPostOverhead)
+	switch fate.refused {
+	case kindPathDown:
+		// Refused before any byte moves and before any teardown: only when
+		// every rail is dead does the caller escalate from migration (APM) to
+		// the reconnect/suspension machinery.
+		injected(q, x.clk, kindPathDown, x.lane, q.Rail())
+		return ErrPathDown
+	case kindFlap:
+		// Both queue pairs error out mid-stream, before this operation's
+		// payload moves, so no byte is delivered twice.
+		injected(q, x.clk, kindFlap, x.lane, 0)
+		x.errorBoth()
 		return ErrLinkDown
 	}
 	dh.mu.Lock()
-	rdq := dh.qpLocked(q.remote.QPN)
-	remoteLive := rdq != nil && rdq.typ == RC && (rdq.state == StateRTR || rdq.state == StateRTS)
+	live := dh.qpLocked(q.remote.QPN).liveLocked(RC)
 	dh.mu.Unlock()
-	if !remoteLive {
+	if !live {
 		q.ToError()
 		return ErrLinkDown
 	}
-
-	completeSend := func(c Completion) {
-		if q.sendCQ != nil && !wr.NoSendCompletion {
-			c.WRID = wr.WRID
-			c.QPN = q.qpn
-			c.Op = wr.Op
-			q.sendCQ.Push(c)
-		}
-	}
-
 	switch wr.Op {
 	case OpSend:
-		// The sender pays the wire occupancy (LogGP gap); the receiver sees
-		// the last byte one latency later. Compute the latency before taking
-		// the target HCA lock: the cache-penalty accounting locks both
-		// adapters itself.
-		depart = clk.Advance(f.occupancy(q.hca, dh, len(wr.Data)))
-		lat := f.latencyOnly(q.hca, dh, f.model.RCSendLatency)
-		dh.mu.Lock()
-		dq := dh.qpLocked(q.remote.QPN)
-		if dq == nil || dq.typ != RC || (dq.state != StateRTR && dq.state != StateRTS) || dq.recvCQ == nil {
-			// The remote died between the liveness check and delivery.
-			dh.mu.Unlock()
-			q.ToError()
-			return ErrLinkDown
-		}
-		arrival := depart + lat
-		// RC delivery is in-order: clamp arrival monotone per target QP.
-		if arrival <= dq.lastArr {
-			arrival = dq.lastArr + 1
-		}
-		if dq.rqDepth > 0 {
-			// Finite receive queue: each delivered message holds a slot until
-			// the receiver's software reposts it at arrival+RQDrain. Release
-			// what has drained by this arrival; if the queue is still full,
-			// NAK the send before any byte moves and without consuming the
-			// arrival slot — the clamp is untouched, so the retry (at a later
-			// virtual time, after the sender's backoff) preserves ordering.
-			i := 0
-			for i < len(dq.rqRel) && dq.rqRel[i] <= arrival {
-				// Each slot's release is recorded at its own drain time; the
-				// gauge fold sorts by VT, so observing it late is harmless.
-				dh.gRQOcc.Add(dq.rqRel[i], -1)
-				i++
-			}
-			if i > 0 {
-				dq.rqRel = append(dq.rqRel[:0], dq.rqRel[i:]...)
-			}
-			if len(dq.rqRel) >= dq.rqDepth {
-				dh.stats.RNRNaks++
-				dh.mu.Unlock()
-				return ErrRNR
-			}
-			dq.rqRel = append(dq.rqRel, arrival+f.model.RQDrain)
-			dh.gRQOcc.Add(arrival, 1)
-		}
-		dq.lastArr = arrival
-		recvCQ := dq.recvCQ
-		dh.mu.Unlock()
-
-		data := append([]byte(nil), wr.Data...)
-		// Injected RC payload corruption: the delivered copy is damaged while
-		// wr.Data stays pristine for any software retransmission. Two-sided
-		// sends carry a software integrity trailer in this runtime, so the
-		// flip is delivered silently and detection is the receiver's job.
-		corrupted := f.faults.rcCorruptData(data)
-		if corrupted {
-			q.obs.Emit(clk.Now(), obs.LayerIB, "fault-rc-corrupt", -1, int64(len(data)))
-			q.obs.Count("ib.fault.rc_corrupt", 1)
-			// Open until the receiver's integrity trailer rejects the copy
-			// and a clean (software-retransmitted) send completes.
-			led.Open("rc", "rc-corrupt", rank, destLID, clk.Now())
-		}
-		dh.countDelivery(len(data))
-		recvCQ.Push(Completion{QPN: q.remote.QPN, Src: q.Addr(), Op: OpSend, Recv: true,
-			Data: data, Imm: wr.Imm, Status: StatusOK, VTime: arrival})
-		completeSend(Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency})
-		// The completion that carried an injected corruption cannot vouch for
-		// the lane; only a clean completion closes open incidents on it.
-		if !corrupted {
-			led.CloseAll("rc", nil, rank, destLID, arrival+f.model.RCAckLatency, "completed")
-		}
-		return nil
-
+		return x.rcSend(&wr)
 	case OpRDMAWrite:
-		mr, off, ok := f.resolve(dh, wr.RemoteAddr, wr.RKey, len(wr.Data))
-		if !ok {
-			completeSend(Completion{Status: StatusRemoteAccessErr, VTime: depart + f.model.RCSendLatency})
-			return nil
-		}
-		// A bounced (unpinned) target region stages the payload through the
-		// adapter's bounce slab: one extra copy at intra-node bandwidth.
-		if mr.bounced {
-			clk.Advance(f.model.IntraXferTime(len(wr.Data)))
-		}
-		depart = clk.Advance(f.occupancy(q.hca, dh, len(wr.Data)))
-		arrival := depart + f.latencyOnly(q.hca, dh, f.model.RCSendLatency)
-		errorBoth := func() {
-			dh.mu.Lock()
-			dq := dh.qpLocked(q.remote.QPN)
-			dh.mu.Unlock()
-			q.ToError()
-			if dq != nil && dq.typ == RC {
-				dq.ToError()
-			}
-		}
-		// Injected one-sided data-plane faults, at the link's packet
-		// granularity: the wire carries the message as ceil(n/RCMTU) packets,
-		// each protected by an invariant CRC the receiving adapter verifies
-		// before DMA, so what lands at the target is always a clean
-		// whole-packet prefix — never damaged bytes. A concurrent polling
-		// reader (flag waits, signal spins) can therefore observe stale or
-		// partially-updated memory, but never garbage.
-		pkts := (len(wr.Data) + RCMTU - 1) / RCMTU
-		// Torn write: a link fault between packets. The packets already
-		// delivered stay visible until the sender's reconnect replays the
-		// write; the rest never arrive.
-		if n := f.faults.tornWrite(pkts); n > 0 {
-			landed := n * RCMTU
-			q.obs.Emit(clk.Now(), obs.LayerIB, "fault-torn-write", -1, int64(landed))
-			q.obs.Count("ib.fault.torn_write", 1)
-			led.Open("rc", "torn-write", rank, destLID, clk.Now())
-			dh.memMu.Lock()
-			copy(mr.buf[off:off+landed], wr.Data[:landed])
-			dh.memMu.Unlock()
-			dh.countDelivery(landed)
-			if mr.onWrite != nil {
-				mr.onWrite(off, landed, arrival)
-			}
-			errorBoth()
-			return ErrTornWrite
-		}
-		// Payload corruption: the damaged packet fails the ICRC check and is
-		// dropped before DMA; the clean packets ahead of it (possibly none)
-		// have landed, then the link dies. wr.Data is never touched — the
-		// sender retains the pristine payload for replay.
-		if prefix, hit := f.faults.rcCorruptWrite(pkts); hit {
-			landed := prefix * RCMTU
-			q.obs.Emit(clk.Now(), obs.LayerIB, "fault-rc-corrupt", -1, int64(landed))
-			q.obs.Count("ib.fault.rc_corrupt", 1)
-			led.Open("rc", "rc-corrupt", rank, destLID, clk.Now())
-			if landed > 0 {
-				dh.memMu.Lock()
-				copy(mr.buf[off:off+landed], wr.Data[:landed])
-				dh.memMu.Unlock()
-				dh.countDelivery(landed)
-				if mr.onWrite != nil {
-					mr.onWrite(off, landed, arrival)
-				}
-			}
-			errorBoth()
-			return ErrRCCorrupt
-		}
-		dh.memMu.Lock()
-		copy(mr.buf[off:], wr.Data)
-		dh.memMu.Unlock()
-		dh.countDelivery(len(wr.Data))
-		if mr.onWrite != nil {
-			mr.onWrite(off, len(wr.Data), arrival)
-		}
-		completeSend(Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency})
-		led.CloseAll("rc", nil, rank, destLID, arrival+f.model.RCAckLatency, "completed")
-		return nil
-
+		return x.rcWrite(&wr)
 	case OpRDMARead:
-		mr, off, ok := f.resolve(dh, wr.RemoteAddr, wr.RKey, wr.Len)
-		if !ok {
-			completeSend(Completion{Status: StatusRemoteAccessErr, VTime: depart + f.model.RCSendLatency})
-			return nil
-		}
-		// Injected corruption of the read response: no usable data reaches
-		// the requester; the link-CRC failure kills the connection and the
-		// requester re-issues the read after reconnect. Target memory is
-		// untouched — reads have no remote side effect to tear.
-		if f.faults.rcCorruptHit() {
-			q.obs.Emit(clk.Now(), obs.LayerIB, "fault-rc-corrupt", -1, int64(wr.Len))
-			q.obs.Count("ib.fault.rc_corrupt", 1)
-			led.Open("rc", "rc-corrupt", rank, destLID, clk.Now())
-			dh.mu.Lock()
-			dq := dh.qpLocked(q.remote.QPN)
-			dh.mu.Unlock()
-			q.ToError()
-			if dq != nil && dq.typ == RC {
-				dq.ToError()
-			}
-			return ErrRCCorrupt
-		}
-		if mr.bounced {
-			clk.Advance(f.model.IntraXferTime(wr.Len)) // stage through the slab
-		}
-		req := f.oneWay(q.hca, dh, f.model.RCSendLatency, 0)
-		data := make([]byte, wr.Len)
-		dh.memMu.Lock()
-		copy(data, mr.buf[off:off+wr.Len])
-		dh.memMu.Unlock()
-		resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, wr.Len)
-		dh.countDelivery(wr.Len)
-		completeSend(Completion{Status: StatusOK, Data: data, VTime: depart + req + resp})
-		led.CloseAll("rc", nil, rank, destLID, depart+req+resp, "completed")
-		return nil
-
+		return x.rcRead(&wr)
 	case OpFetchAdd, OpCmpSwap, OpSwap:
-		mr, off, ok := f.resolve(dh, wr.RemoteAddr, wr.RKey, 8)
-		if !ok {
-			completeSend(Completion{Status: StatusRemoteAccessErr, VTime: depart + f.model.RCSendLatency})
-			return nil
-		}
-		if wr.RemoteAddr%8 != 0 {
-			return ErrUnaligned
-		}
-		if mr.bounced {
-			clk.Advance(f.model.IntraXferTime(8)) // stage through the slab
-		}
-		req := f.oneWay(q.hca, dh, f.model.RCSendLatency, 8)
-		dh.memMu.Lock()
-		old := leU64(mr.buf[off : off+8])
-		switch wr.Op {
-		case OpFetchAdd:
-			putLeU64(mr.buf[off:off+8], old+wr.Add)
-		case OpCmpSwap:
-			if old == wr.Compare {
-				putLeU64(mr.buf[off:off+8], wr.Swap)
-			}
-		case OpSwap:
-			putLeU64(mr.buf[off:off+8], wr.Swap)
-		}
-		dh.memMu.Unlock()
-		arrival := depart + req + f.model.AtomicLatency
-		dh.countDelivery(8)
-		if mr.onWrite != nil {
-			mr.onWrite(off, 8, arrival)
-		}
-		resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, 8)
-		completeSend(Completion{Status: StatusOK, Old: old, VTime: arrival + resp})
-		led.CloseAll("rc", nil, rank, destLID, arrival+resp, "completed")
-		return nil
+		return x.rcAtomic(&wr)
 	}
 	return ErrOpUnsupported
 }
 
-// resolve validates an (rkey, addr, len) triple against the target adapter's
+// complete pushes the operation's send completion, unless it is unsignaled,
+// and — when the completion can vouch for the lane (clean) — closes the
+// incidents open on it.
+func (x *rcOp) complete(wr *SendWR, c Completion, clean bool) {
+	if x.q.sendCQ != nil && !wr.NoSendCompletion {
+		c.WRID, c.QPN, c.Op = wr.WRID, x.q.qpn, wr.Op
+		x.q.sendCQ.Push(c)
+	}
+	if clean {
+		x.q.hca.ledger.CloseAll("rc", nil, x.q.obs.Rank(), x.lane, c.VTime, "completed")
+	}
+}
+
+// accessErr completes the operation with a remote access error: the (rkey,
+// addr, len) triple did not resolve at the target.
+func (x *rcOp) accessErr(wr *SendWR) error {
+	x.complete(wr, Completion{Status: StatusRemoteAccessErr, VTime: x.depart + x.f.model.RCSendLatency}, false)
+	return nil
+}
+
+// damage asks the injector for the operation's payload verdict; nothing on a
+// fault-free fabric.
+func (x *rcOp) damage(op Opcode, data []byte, pkts int) rcDamage {
+	if x.f.faults == nil {
+		return rcDamage{}
+	}
+	return x.f.faults.damageRC(op, data, pkts)
+}
+
+// errorBoth kills the connection, as a link fault does on real RC: both queue
+// pairs go to Error.
+func (x *rcOp) errorBoth() {
+	x.dh.mu.Lock()
+	dq := x.dh.qpLocked(x.q.remote.QPN)
+	x.dh.mu.Unlock()
+	x.q.ToError()
+	if dq != nil && dq.typ == RC {
+		dq.ToError()
+	}
+}
+
+// rcSend delivers a two-sided message. The sender pays the wire occupancy
+// (LogGP gap); the receiver sees the last byte one latency later.
+func (x *rcOp) rcSend(wr *SendWR) error {
+	f, q, dh := x.f, x.q, x.dh
+	depart := x.clk.Advance(f.occupancy(q.hca, dh, len(wr.Data)))
+	// Compute the latency before taking the target HCA lock: the
+	// cache-penalty accounting locks both adapters itself.
+	arrival := depart + f.latencyOnly(q.hca, dh, f.model.RCSendLatency)
+	dh.mu.Lock()
+	dq := dh.qpLocked(q.remote.QPN)
+	if !dq.liveLocked(RC) || dq.recvCQ == nil {
+		// The remote died between the liveness check and delivery.
+		dh.mu.Unlock()
+		q.ToError()
+		return ErrLinkDown
+	}
+	// RC delivery is in-order: clamp arrival monotone per target QP.
+	if arrival <= dq.lastArr {
+		arrival = dq.lastArr + 1
+	}
+	if dq.rqDepth > 0 && !dh.takeRQSlotLocked(dq, arrival) {
+		dh.mu.Unlock()
+		return ErrRNR
+	}
+	dq.lastArr = arrival
+	recvCQ := dq.recvCQ
+	dh.mu.Unlock()
+
+	// The delivered copy may be damaged while wr.Data stays pristine for any
+	// software retransmission. Two-sided sends carry a software integrity
+	// trailer in this runtime, so a flip is delivered silently and detection
+	// is the receiver's job: the incident stays open until the trailer rejects
+	// the copy and a clean (software-retransmitted) send completes.
+	data := append([]byte(nil), wr.Data...)
+	dmg := x.damage(wr.Op, data, 0)
+	if dmg.kind != kindNone {
+		injected(q, x.clk, dmg.kind, x.lane, len(data))
+	}
+	dh.countDelivery(len(data))
+	recvCQ.Push(Completion{QPN: q.remote.QPN, Src: q.Addr(), Op: OpSend, Recv: true,
+		Data: data, Imm: wr.Imm, Status: StatusOK, VTime: arrival})
+	x.complete(wr, Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency}, dmg.kind == kindNone)
+	return nil
+}
+
+// takeRQSlotLocked claims a slot of dq's finite receive queue for a message
+// arriving at arrival: each delivered message holds one until the receiver's
+// software reposts it at arrival+RQDrain. What has drained by now is released
+// first; if the queue is still full the send is NAKed (false) before any byte
+// moves and without consuming the arrival slot — the in-order clamp is
+// untouched, so the retry (at a later virtual time, after the sender's
+// backoff) preserves ordering. Caller holds h.mu.
+func (h *HCA) takeRQSlotLocked(dq *QP, arrival int64) bool {
+	i := 0
+	for i < len(dq.rqRel) && dq.rqRel[i] <= arrival {
+		// Each slot's release is recorded at its own drain time; the
+		// gauge fold sorts by VT, so observing it late is harmless.
+		h.gRQOcc.Add(dq.rqRel[i], -1)
+		i++
+	}
+	if i > 0 {
+		dq.rqRel = append(dq.rqRel[:0], dq.rqRel[i:]...)
+	}
+	if len(dq.rqRel) >= dq.rqDepth {
+		h.stats.RNRNaks++
+		return false
+	}
+	dq.rqRel = append(dq.rqRel, arrival+h.f.model.RQDrain)
+	h.gRQOcc.Add(arrival, 1)
+	return true
+}
+
+// land copies data, a write's payload or a prefix of it, into target memory
+// at off and notifies the region's watcher.
+func (x *rcOp) land(mr *MR, off int, data []byte, arrival int64) {
+	n := len(data)
+	x.dh.memMu.Lock()
+	copy(mr.buf[off:off+n], data)
+	x.dh.memMu.Unlock()
+	x.dh.countDelivery(n)
+	if mr.onWrite != nil {
+		mr.onWrite(off, n, arrival)
+	}
+}
+
+// rcWrite executes an RDMA write. Injected one-sided data-plane faults act at
+// the link's packet granularity: the wire carries the message as
+// ceil(n/RCMTU) packets, each protected by an invariant CRC the receiving
+// adapter verifies before DMA, so what lands at the target is always a clean
+// whole-packet prefix — never damaged bytes. A concurrent polling reader (flag
+// waits, signal spins) can therefore observe stale or partially-updated
+// memory, but never garbage. A torn write is a link fault between packets; a
+// corrupted packet fails the ICRC check and is dropped before DMA with the
+// clean packets ahead of it (possibly none) already landed. Either way the
+// link then dies, the prefix stays visible until the sender's reconnect
+// replays the write, and wr.Data is never touched.
+func (x *rcOp) rcWrite(wr *SendWR) error {
+	f := x.f
+	mr, off, ok := x.dh.resolve(wr.RemoteAddr, wr.RKey, len(wr.Data))
+	if !ok {
+		return x.accessErr(wr)
+	}
+	// A bounced (unpinned) target region stages the payload through the
+	// adapter's bounce slab: one extra copy at intra-node bandwidth.
+	if mr.bounced {
+		x.clk.Advance(f.model.IntraXferTime(len(wr.Data)))
+	}
+	depart := x.clk.Advance(f.occupancy(x.q.hca, x.dh, len(wr.Data)))
+	arrival := depart + f.latencyOnly(x.q.hca, x.dh, f.model.RCSendLatency)
+	if dmg := x.damage(wr.Op, nil, (len(wr.Data)+RCMTU-1)/RCMTU); dmg.kind != kindNone {
+		landed := dmg.pkts * RCMTU
+		injected(x.q, x.clk, dmg.kind, x.lane, landed)
+		if landed > 0 {
+			x.land(mr, off, wr.Data[:landed], arrival)
+		}
+		x.errorBoth()
+		if dmg.kind == kindTornWrite {
+			return ErrTornWrite
+		}
+		return ErrRCCorrupt
+	}
+	x.land(mr, off, wr.Data, arrival)
+	x.complete(wr, Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency}, true)
+	return nil
+}
+
+// rcRead executes an RDMA read. A corrupted response reaches the requester as
+// nothing: the link-CRC failure kills the connection and the requester
+// re-issues the read after reconnect. Target memory is untouched — reads have
+// no remote side effect to tear.
+func (x *rcOp) rcRead(wr *SendWR) error {
+	f, q, dh := x.f, x.q, x.dh
+	mr, off, ok := dh.resolve(wr.RemoteAddr, wr.RKey, wr.Len)
+	if !ok {
+		return x.accessErr(wr)
+	}
+	if dmg := x.damage(wr.Op, nil, 0); dmg.kind != kindNone {
+		injected(q, x.clk, dmg.kind, x.lane, wr.Len)
+		x.errorBoth()
+		return ErrRCCorrupt
+	}
+	if mr.bounced {
+		x.clk.Advance(f.model.IntraXferTime(wr.Len)) // stage through the slab
+	}
+	req := f.oneWay(q.hca, dh, f.model.RCSendLatency, 0)
+	data := make([]byte, wr.Len)
+	dh.memMu.Lock()
+	copy(data, mr.buf[off:off+wr.Len])
+	dh.memMu.Unlock()
+	resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, wr.Len)
+	dh.countDelivery(wr.Len)
+	x.complete(wr, Completion{Status: StatusOK, Data: data, VTime: x.depart + req + resp}, true)
+	return nil
+}
+
+// rcAtomic executes a fetching atomic on an aligned remote word.
+func (x *rcOp) rcAtomic(wr *SendWR) error {
+	f, q, dh := x.f, x.q, x.dh
+	mr, off, ok := dh.resolve(wr.RemoteAddr, wr.RKey, 8)
+	if !ok {
+		return x.accessErr(wr)
+	}
+	if wr.RemoteAddr%8 != 0 {
+		return ErrUnaligned
+	}
+	if mr.bounced {
+		x.clk.Advance(f.model.IntraXferTime(8)) // stage through the slab
+	}
+	arrival := x.depart + f.oneWay(q.hca, dh, f.model.RCSendLatency, 8) + f.model.AtomicLatency
+	old, _ := dh.rmw(mr, off, wr.Op, wr.Add, wr.Compare, wr.Swap, arrival)
+	resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, 8)
+	x.complete(wr, Completion{Status: StatusOK, Old: old, VTime: arrival + resp}, true)
+	return nil
+}
+
+// resolve validates an (rkey, addr, len) triple against the adapter's
 // memory-region table and returns the region and byte offset.
-func (f *Fabric) resolve(dh *HCA, addr uint64, rkey uint32, n int) (*MR, int, bool) {
-	mr := dh.lookupMR(rkey)
+func (h *HCA) resolve(addr uint64, rkey uint32, n int) (*MR, int, bool) {
+	mr := h.lookupMR(rkey)
 	if mr == nil || mr.dead || n < 0 {
 		return nil, 0, false
 	}

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"goshmem/internal/obs"
 )
 
 // ParseAllocFaults parses an allocation-failure specification: a
@@ -51,19 +53,20 @@ const (
 	VerdictDeliver
 )
 
-// FaultInjector is the fabric's fault plane. It perturbs the
-// unreliable-datagram transport — drops, duplicates and bounded reordering —
-// and, separately, injects the reliable-transport faults a real fabric
-// suffers: RC link faults (a queue pair transitions to the Error state
-// mid-stream, so in-flight work fails back to the sender) and PE slowdowns
-// (extra virtual time charged to the caller, modeling OS jitter or a
-// descheduled process). UD loss/duplication is what the UD hardware permits;
-// RC link faults model cable pulls, retry exhaustion and endpoint-cache
-// evictions that upper layers must recover from. A nil *FaultInjector
-// injects nothing and is the default.
+// FaultInjector is the fabric's fault plane: what a real fabric can do to
+// traffic, drawn from one seeded generator. It is asked, never woven in — a
+// send asks for an admission verdict before the operation can be refused or
+// vanish (admitUD, admitRC) and for a payload verdict once delivery is certain
+// (landUD, damageRC), each a plain value whose zero means "clean"; the fabric
+// then does verbs. Injected lists every kind. A nil *FaultInjector injects
+// nothing and is the default.
 //
-// The injector is deterministic for a given seed and call sequence, which
-// keeps connection-manager fault tests reproducible.
+// The injector is deterministic for a given seed and call sequence
+// (TestInjectionScriptGolden). It has two halves with two owners. The
+// schedule — PE kills and wedges, Nth-allocation failures, and the port, rail
+// and partition faults of rail.go — is written by the launcher before traffic
+// flows and never again, so it is read without a lock. The dice — generator,
+// tallies, the reorder window — belong to mu.
 type FaultInjector struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -143,39 +146,305 @@ type FaultInjector struct {
 	// specific protocol leg (e.g. exactly the first ConnRep).
 	UDFilter func(payload []byte) UDVerdict
 
-	drops      int
-	dups       int
-	seen       int
-	reorders   int
-	flaps      int
-	slowdowns  int
-	corrupts   int
-	rcCorrupts int
-	tornWrites int
-	held       []heldDelivery
+	n    Injected
+	seen int // datagrams admitted, for DropFirstN
+	held []udDelivery
 
 	// failQP and failMR schedule specific allocation attempts (1-based,
 	// counted per adapter) to fail with the matching exhaustion error, so
 	// tests can fail "the Nth registration" deterministically regardless of
 	// how big the budgets are. See FailQPAllocOn / FailMRAllocOn.
-	failQP     map[int]bool
-	failMR     map[int]bool
-	allocFails int
+	failQP, failMR map[int]bool
+	peSched        map[int]*peFault
 
-	peSched  map[int]*peFault
-	peKills  int
-	peWedges int
-
-	// Rail-scoped fault schedules (see rail.go): port failures, whole-rail
-	// failures and partition windows, all tripping on the virtual clock. The
-	// *Injected counters advance at scheduling time — a scheduled network
+	// Rail-scoped fault schedules (see rail.go), all tripping on the virtual
+	// clock. Their tallies advance at scheduling time — a scheduled network
 	// fault IS the injection.
-	portFaults         []portFault
-	railFaults         []railFault
-	partitions         []partitionWindow
-	portFaultsInjected int
-	railFaultsInjected int
-	partitionsInjected int
+	portFaults []portFault
+	railFaults []railFault
+	partitions []partitionWindow
+}
+
+// Injected is the injector's tally and the single declaration of each fault
+// kind: the field counts it, `ctr` names it in the metric registry (published
+// once after the run, like HCAStats) and `lanes` lists the incident-ledger
+// (class/kind) lanes its incidents are recorded under, which is what the
+// incident report reconciles the count against. A kind without lanes is a
+// consequence rather than an injection: PE fates trip from the launcher's
+// schedule, and a blackholed datagram or a refused post is the effect of a
+// port, rail or partition fault that has its own incident.
+type Injected struct {
+	Drops      int `ctr:"ib.fault.drop" lanes:"ud/drop" help:"UD datagrams the injector dropped"`
+	Dups       int `ctr:"ib.fault.dup" lanes:"ud/dup" help:"UD datagrams the injector delivered twice"`
+	Reorders   int `ctr:"ib.fault.reorder" lanes:"ud/reorder" help:"UD datagrams held back and delivered late"`
+	Corrupts   int `ctr:"ib.fault.corrupt" lanes:"ud/corrupt" help:"UD datagrams with one bit flipped in flight"`
+	Flaps      int `ctr:"ib.fault.flap" lanes:"rc/flap" help:"injected RC link faults (both queue pairs to Error before any byte moves)"`
+	RCCorrupts int `ctr:"ib.fault.rc_corrupt" lanes:"rc/rc-corrupt" help:"RC payloads corrupted in flight (silent on a send, ICRC-dropped on a write or read)"`
+	TornWrites int `ctr:"ib.fault.torn_write" lanes:"rc/torn-write" help:"multi-packet RDMA writes torn between packets"`
+	Slowdowns  int `ctr:"ib.fault.slowdown" lanes:"ud/slow,rc/slow" help:"PE slowdowns charged to a sender's clock"`
+	AllocFails int `ctr:"ib.fault.alloc_fail" lanes:"alloc/qp,alloc/mr" help:"scheduled Nth QP/MR allocations refused"`
+	PortFaults int `ctr:"ib.fault.port_down" lanes:"net/port-down" help:"port failures scheduled"`
+	RailFaults int `ctr:"ib.fault.rail_down" lanes:"net/rail-down" help:"whole-rail failures scheduled"`
+	Partitions int `ctr:"ib.fault.partition" lanes:"net/partition" help:"partition windows scheduled"`
+	PEKills    int `ctr:"ib.fault.pe_kill" help:"scheduled PE crashes that tripped"`
+	PEWedges   int `ctr:"ib.fault.pe_wedge" help:"scheduled PE wedges that tripped"`
+	Blackholes int `ctr:"ib.fault.blackhole" help:"UD datagrams lost to a pair severed on every rail"`
+	PathDowns  int `ctr:"ib.fault.path_down" help:"RC posts refused because the primary rail was dark"`
+}
+
+// Injected returns the tally so far; all zero on a nil injector.
+func (fi *FaultInjector) Injected() Injected {
+	if fi == nil {
+		return Injected{}
+	}
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	return fi.n
+}
+
+// NewFaultInjector returns a deterministic injector.
+func NewFaultInjector(seed int64) *FaultInjector {
+	return &FaultInjector{rng: rand.New(rand.NewSource(seed))}
+}
+
+// faultKind names what a verdict found; the zero value is "nothing".
+type faultKind uint8
+
+const (
+	kindNone faultKind = iota
+	kindSlow
+	kindBlackhole
+	kindDrop
+	kindReorder
+	kindDup
+	kindCorrupt
+	kindPathDown
+	kindFlap
+	kindRCCorrupt
+	kindTornWrite
+)
+
+// faultKinds is how each kind is reported (see injected): the trace event,
+// the ledger kind — empty for the path effects, whose incident the schedule
+// opened — and the note of a fault absorbed where it is injected.
+var faultKinds = [...]struct{ event, kind, absorbed string }{
+	kindSlow:      {event: "fault-slow", kind: "slow", absorbed: "latency-absorbed"},
+	kindBlackhole: {event: "fault-blackhole"},
+	kindDrop:      {event: "fault-drop", kind: "drop"},
+	kindReorder:   {event: "fault-reorder", kind: "reorder", absorbed: "late-delivery"},
+	kindDup:       {event: "fault-dup", kind: "dup", absorbed: "dedup-absorbed"},
+	kindCorrupt:   {event: "fault-corrupt", kind: "corrupt"},
+	kindPathDown:  {event: "fault-path-down"},
+	kindFlap:      {event: "fault-flap", kind: "flap"},
+	kindRCCorrupt: {event: "fault-rc-corrupt", kind: "rc-corrupt"},
+	kindTornWrite: {event: "fault-torn-write", kind: "torn-write"},
+}
+
+// hit rolls one capped probabilistic injection and tallies it in *n. A zero
+// probability or a spent cap (max > 0) consumes no random number. Caller
+// holds fi.mu.
+func (fi *FaultInjector) hit(prob float64, max int, n *int) bool {
+	if prob <= 0 || (max > 0 && *n >= max) || fi.rng.Float64() >= prob {
+		return false
+	}
+	*n++
+	return true
+}
+
+// slowLocked is the first draw of either admission verdict: the extra virtual
+// time to charge the sender (PE slowdown), usually 0.
+func (fi *FaultInjector) slowLocked() int64 {
+	if fi.SlowTime > 0 && fi.hit(fi.SlowProb, 0, &fi.n.Slowdowns) {
+		return fi.SlowTime
+	}
+	return 0
+}
+
+// flipBit damages one random bit of data in place. The length never changes,
+// so detection must come from content verification, not framing.
+func (fi *FaultInjector) flipBit(data []byte) {
+	bit := fi.rng.Intn(len(data) * 8)
+	data[bit/8] ^= 1 << (bit % 8)
+}
+
+// udFate is the admission verdict on one datagram: the slowdown charged to
+// its sender and what becomes of it — lost (kindBlackhole, kindDrop), held
+// back for reordering (kindReorder) or delivered twice (kindDup).
+type udFate struct {
+	slow int64
+	kind faultKind
+}
+
+// admitUD draws the admission verdict for a datagram from src to dst that
+// would enter the fabric at virtual time now were it not slowed. A pair
+// severed on every rail (failed ports or rails, an active partition window)
+// blackholes it before the probabilistic fate is drawn, and deliberately not
+// as an injected drop: the blackhole is the schedule's effect.
+func (fi *FaultInjector) admitUD(src, dst uint16, rails int, now int64, payload []byte) (v udFate) {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	v.slow = fi.slowLocked()
+	if dark, _ := fi.severed(src, dst, rails, now+v.slow); dark {
+		fi.n.Blackholes++
+		v.kind = kindBlackhole
+		return v
+	}
+	fi.seen++
+	forced := VerdictDefault
+	if fi.UDFilter != nil {
+		forced = fi.UDFilter(payload)
+	}
+	switch {
+	case forced == VerdictDeliver:
+	case forced == VerdictDrop, fi.seen <= fi.DropFirstN:
+		fi.n.Drops++
+		v.kind = kindDrop
+	case fi.hit(fi.DropProb, fi.MaxDrops, &fi.n.Drops):
+		v.kind = kindDrop
+	case fi.hit(fi.ReorderProb, fi.MaxReorders, &fi.n.Reorders):
+		v.kind = kindReorder
+	case fi.hit(fi.DupProb, 0, &fi.n.Dups):
+		v.kind = kindDup
+	}
+	return v
+}
+
+// udDelivery is one datagram on its way into a receive queue, as a value: the
+// completion with its arrival stamped, where it lands, and the incident lane
+// a clean copy repairs. Delivered at once it never leaves the stack; held for
+// reordering it waits in the injector with ttl, the number of later datagrams
+// that may still overtake it.
+type udDelivery struct {
+	c          Completion
+	cq         *CQ
+	dh         *HCA
+	led        *obs.Ledger
+	rank, lane int
+	clean      bool
+	ttl        int
+}
+
+// land pushes the datagram. The copy that carries an injected corruption must
+// not close its own incident; any other delivery repairs the lane.
+func (d *udDelivery) land() {
+	d.dh.countDelivery(len(d.c.Data))
+	d.cq.Push(d.c)
+	if d.clean {
+		d.led.CloseAll("ud", nil, d.rank, d.lane, d.c.VTime, "delivered")
+	}
+}
+
+// landUD is the second and last question a datagram asks, once nothing can
+// stop it being delivered (d non-nil) or once it is lost (d nil): it may flip
+// one bit of the delivered copy — only the primary one; a duplicate re-copies
+// the pristine payload, an independent flight — parks d when the admission
+// verdict held it, for 1..ReorderWindow later sends (default 4), and ages the
+// reorder window by this send, returning the held datagrams now due. Lost
+// datagrams age it too, so the window drains even on a stream of drops. The
+// caller lands them outside the lock.
+func (fi *FaultInjector) landUD(d *udDelivery, hold bool) (due []udDelivery) {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	if d != nil && len(d.c.Data) > 0 && fi.hit(fi.CorruptProb, fi.MaxCorrupts, &fi.n.Corrupts) {
+		fi.flipBit(d.c.Data)
+		d.clean = false
+	}
+	if hold {
+		w := fi.ReorderWindow
+		if w <= 0 {
+			w = 4
+		}
+		// +1 for the aging pass just below, which this same send performs.
+		d.ttl = 2 + fi.rng.Intn(w)
+		fi.held = append(fi.held, *d)
+	}
+	kept := fi.held[:0]
+	for _, h := range fi.held {
+		if h.ttl--; h.ttl <= 0 {
+			due = append(due, h)
+		} else {
+			kept = append(kept, h)
+		}
+	}
+	fi.held = kept
+	return due
+}
+
+// ReleaseHeld immediately delivers every datagram still parked for
+// reordering. Tests and teardown paths use it to flush the window.
+func (fi *FaultInjector) ReleaseHeld() {
+	if fi == nil {
+		return
+	}
+	fi.mu.Lock()
+	held := fi.held
+	fi.held = nil
+	fi.mu.Unlock()
+	landAll(held)
+}
+
+// rcFate is the admission verdict on an RC post: the slowdown charged to its
+// sender and what refuses it before any byte moves — kindPathDown when the
+// queue pair's primary rail is dark between the adapters (both queue pairs
+// stay healthy, so the connection manager can migrate and re-post), else
+// possibly an injected kindFlap.
+type rcFate struct {
+	slow    int64
+	refused faultKind
+}
+
+// admitRC draws the admission verdict for a post from src to dst over rail
+// that would enter the fabric at virtual time now were it not slowed.
+func (fi *FaultInjector) admitRC(src, dst uint16, rail int, now int64) (v rcFate) {
+	if fi.SlowProb <= 0 && fi.FlapProb <= 0 && !fi.netFaulty() {
+		return v // armed for something else: no dice to roll, no lock to take
+	}
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	v.slow = fi.slowLocked()
+	switch {
+	case fi.pathBlocked(src, dst, rail, now+v.slow):
+		fi.n.PathDowns++
+		v.refused = kindPathDown
+	case fi.hit(fi.FlapProb, fi.MaxFlaps, &fi.n.Flaps):
+		v.refused = kindFlap
+	}
+	return v
+}
+
+// rcDamage is the payload verdict on an RC operation that passed every check
+// and will otherwise be delivered. On a send kindRCCorrupt is silent: a bit of
+// data is flipped and the copy delivered. On a write or read the link's
+// per-packet CRC catches the damage and the connection dies; of a write, pkts
+// whole clean packets reach target memory first — at least one and never all
+// when torn (kindTornWrite), possibly none when a packet was corrupted.
+type rcDamage struct {
+	kind faultKind
+	pkts int
+}
+
+// damageRC draws the payload verdict for op: data is the delivered copy of a
+// send, pkts the link packets a write spans. A single packet cannot tear — it
+// is the link's all-or-nothing unit — and atomics are never asked.
+func (fi *FaultInjector) damageRC(op Opcode, data []byte, pkts int) rcDamage {
+	if fi.RCCorruptProb <= 0 && fi.TornWriteProb <= 0 {
+		return rcDamage{}
+	}
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	corrupt := func() bool { return fi.hit(fi.RCCorruptProb, fi.MaxRCCorrupts, &fi.n.RCCorrupts) }
+	switch {
+	case op == OpSend && len(data) > 0 && corrupt():
+		fi.flipBit(data)
+		return rcDamage{kind: kindRCCorrupt}
+	case op == OpRDMAWrite && pkts >= 2 && fi.hit(fi.TornWriteProb, fi.MaxTornWrites, &fi.n.TornWrites):
+		return rcDamage{kindTornWrite, 1 + fi.rng.Intn(pkts-1)}
+	case op == OpRDMAWrite && pkts >= 1 && corrupt():
+		return rcDamage{kindRCCorrupt, fi.rng.Intn(pkts)}
+	case op == OpRDMARead && corrupt():
+		return rcDamage{kind: kindRCCorrupt}
+	}
+	return rcDamage{}
 }
 
 // PEFate is a PE's failure state under the injected kill/wedge schedule.
@@ -197,201 +466,7 @@ const (
 type peFault struct {
 	fate  PEFate
 	at    int64 // virtual trigger time
-	fired bool
-}
-
-// heldDelivery is a datagram delivery deferred for reordering. ttl is the
-// number of subsequent datagrams that may still overtake it.
-type heldDelivery struct {
-	deliver func()
-	ttl     int
-}
-
-// NewFaultInjector returns a deterministic injector.
-func NewFaultInjector(seed int64) *FaultInjector {
-	return &FaultInjector{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Drops reports how many datagrams have been dropped so far.
-func (fi *FaultInjector) Drops() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.drops
-}
-
-// Dups reports how many datagrams have been delivered twice.
-func (fi *FaultInjector) Dups() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.dups
-}
-
-// Reorders reports how many datagrams have been held for late delivery.
-func (fi *FaultInjector) Reorders() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.reorders
-}
-
-// Flaps reports how many RC link faults have been injected.
-func (fi *FaultInjector) Flaps() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.flaps
-}
-
-// Slowdowns reports how many PE slowdowns have been injected.
-func (fi *FaultInjector) Slowdowns() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.slowdowns
-}
-
-// Corrupts reports how many datagrams have had a bit flipped in flight.
-func (fi *FaultInjector) Corrupts() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.corrupts
-}
-
-// corruptData decides whether to corrupt one in-flight datagram and, when it
-// does, flips a single random bit of data in place. The flip never changes
-// the buffer length, so detection must come from content verification (the
-// control-frame checksum), not framing.
-func (fi *FaultInjector) corruptData(data []byte) bool {
-	if fi == nil || len(data) == 0 {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.CorruptProb <= 0 || (fi.MaxCorrupts > 0 && fi.corrupts >= fi.MaxCorrupts) {
-		return false
-	}
-	if fi.rng.Float64() >= fi.CorruptProb {
-		return false
-	}
-	bit := fi.rng.Intn(len(data) * 8)
-	data[bit/8] ^= 1 << (bit % 8)
-	fi.corrupts++
-	return true
-}
-
-// RCCorrupts reports how many RC payloads have been corrupted in flight.
-func (fi *FaultInjector) RCCorrupts() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.rcCorrupts
-}
-
-// TornWrites reports how many RDMA writes have been torn mid-transfer.
-func (fi *FaultInjector) TornWrites() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.tornWrites
-}
-
-// rcCorruptLocked is the shared RC-corruption decision: probability and cap
-// check plus the counter bump. Callers hold fi.mu.
-func (fi *FaultInjector) rcCorruptLocked() bool {
-	if fi.RCCorruptProb <= 0 || (fi.MaxRCCorrupts > 0 && fi.rcCorrupts >= fi.MaxRCCorrupts) {
-		return false
-	}
-	if fi.rng.Float64() >= fi.RCCorruptProb {
-		return false
-	}
-	fi.rcCorrupts++
-	return true
-}
-
-// rcCorruptData decides whether to corrupt one two-sided RC payload and, when
-// it does, flips a single random bit of data in place — the silent,
-// delivered-past-the-link-CRC flavor of corruption.
-func (fi *FaultInjector) rcCorruptData(data []byte) bool {
-	if fi == nil || len(data) == 0 {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if !fi.rcCorruptLocked() {
-		return false
-	}
-	bit := fi.rng.Intn(len(data) * 8)
-	data[bit/8] ^= 1 << (bit % 8)
-	return true
-}
-
-// rcCorruptHit is the decision-only form for operations with no sender-side
-// buffer to damage (RDMA reads: the corrupt response packet is dropped by
-// the requester's ICRC check, so the requester simply gets nothing back).
-func (fi *FaultInjector) rcCorruptHit() bool {
-	if fi == nil {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.rcCorruptLocked()
-}
-
-// rcCorruptWrite decides whether one packet of an RDMA write spanning pkts
-// link packets is corrupted in flight. The receiving adapter's ICRC check
-// drops the damaged packet before DMA, so the injection reports how many
-// clean packets preceded it — possibly 0 — and that prefix is all that lands
-// before the link dies.
-func (fi *FaultInjector) rcCorruptWrite(pkts int) (prefix int, hit bool) {
-	if fi == nil || pkts < 1 {
-		return 0, false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if !fi.rcCorruptLocked() {
-		return 0, false
-	}
-	return fi.rng.Intn(pkts), true
-}
-
-// tornWrite decides whether an RDMA write spanning pkts link packets is torn
-// mid-transfer. It returns the number of whole packets that land at the
-// target — at least 1, strictly fewer than pkts — or 0 when no tear is
-// injected. Single-packet writes cannot tear: a packet is the link's
-// all-or-nothing delivery unit.
-func (fi *FaultInjector) tornWrite(pkts int) int {
-	if fi == nil || fi.TornWriteProb <= 0 || pkts < 2 {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.MaxTornWrites > 0 && fi.tornWrites >= fi.MaxTornWrites {
-		return 0
-	}
-	if fi.rng.Float64() >= fi.TornWriteProb {
-		return 0
-	}
-	fi.tornWrites++
-	return 1 + fi.rng.Intn(pkts-1)
+	fired bool  // tallied; guarded by fi.mu
 }
 
 // KillPE schedules rank to crash at virtual time at. The injection trips the
@@ -404,258 +479,57 @@ func (fi *FaultInjector) KillPE(rank int, at int64) { fi.schedulePE(rank, PEKill
 func (fi *FaultInjector) WedgePE(rank int, at int64) { fi.schedulePE(rank, PEWedged, at) }
 
 func (fi *FaultInjector) schedulePE(rank int, fate PEFate, at int64) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	if fi.peSched == nil {
 		fi.peSched = make(map[int]*peFault)
 	}
 	fi.peSched[rank] = &peFault{fate: fate, at: at}
 }
 
-// PEFaultsScheduled reports whether any kill/wedge injections exist. Upper
-// layers arm their failure detector only when this is true (the analogue of
-// Fabric.Lossy gating the retransmission timer), so fault-free runs pay
-// nothing for the failure plane.
-func (fi *FaultInjector) PEFaultsScheduled() bool {
-	if fi == nil {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return len(fi.peSched) > 0
-}
-
-// PEFate returns rank's failure state at virtual time now. The first call at
-// or past the scheduled trigger time trips the injection and counts it.
-func (fi *FaultInjector) PEFate(rank int, now int64) PEFate {
-	if fi == nil {
-		return PEAlive
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
+// peFate returns rank's failure state at virtual time now. The first call at
+// or past the scheduled trigger time trips the injection and tallies it.
+func (fi *FaultInjector) peFate(rank int, now int64) PEFate {
 	f := fi.peSched[rank]
 	if f == nil || now < f.at {
 		return PEAlive
 	}
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
 	if !f.fired {
 		f.fired = true
 		if f.fate == PEKilled {
-			fi.peKills++
+			fi.n.PEKills++
 		} else {
-			fi.peWedges++
+			fi.n.PEWedges++
 		}
 	}
 	return f.fate
 }
 
-// PEKills reports how many scheduled crashes have tripped.
-func (fi *FaultInjector) PEKills() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.peKills
-}
-
-// PEWedges reports how many scheduled wedges have tripped.
-func (fi *FaultInjector) PEWedges() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.peWedges
-}
-
 // FailQPAllocOn schedules the given queue-pair allocation attempts (1-based,
 // counted per adapter across all its PEs) to fail with ErrQPExhausted.
-func (fi *FaultInjector) FailQPAllocOn(ns ...int) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.failQP == nil {
-		fi.failQP = make(map[int]bool)
-	}
-	for _, n := range ns {
-		fi.failQP[n] = true
-	}
-}
+func (fi *FaultInjector) FailQPAllocOn(ns ...int) { scheduleAllocs(&fi.failQP, ns) }
 
 // FailMRAllocOn schedules the given memory-registration attempts (1-based,
 // counted per adapter) to fail with ErrMRExhausted.
-func (fi *FaultInjector) FailMRAllocOn(ns ...int) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.failMR == nil {
-		fi.failMR = make(map[int]bool)
+func (fi *FaultInjector) FailMRAllocOn(ns ...int) { scheduleAllocs(&fi.failMR, ns) }
+
+func scheduleAllocs(sched *map[int]bool, ns []int) {
+	if *sched == nil {
+		*sched = make(map[int]bool)
 	}
 	for _, n := range ns {
-		fi.failMR[n] = true
+		(*sched)[n] = true
 	}
 }
 
-// AllocFailsInjected reports how many scheduled allocation failures tripped.
-func (fi *FaultInjector) AllocFailsInjected() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.allocFails
-}
-
-// failQPAlloc reports whether the adapter's n-th QP allocation is scheduled
-// to fail.
-func (fi *FaultInjector) failQPAlloc(n int) bool {
-	if fi == nil {
+// refusesAlloc reports whether an adapter's n-th allocation (of a memory
+// region if mr, else of a queue pair) is scheduled to fail, and tallies it.
+func (fi *FaultInjector) refusesAlloc(mr bool, n int) bool {
+	if fi == nil || (mr && !fi.failMR[n]) || (!mr && !fi.failQP[n]) {
 		return false
 	}
 	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.failQP[n] {
-		fi.allocFails++
-		return true
-	}
-	return false
-}
-
-// failMRAlloc reports whether the adapter's n-th MR registration is scheduled
-// to fail.
-func (fi *FaultInjector) failMRAlloc(n int) bool {
-	if fi == nil {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.failMR[n] {
-		fi.allocFails++
-		return true
-	}
-	return false
-}
-
-// udFate decides the fate of one UD datagram. hold means the delivery must
-// be deferred via holdDelivery so later datagrams overtake it.
-func (fi *FaultInjector) udFate(payload []byte) (drop, dup, hold bool) {
-	if fi == nil {
-		return false, false, false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	fi.seen++
-	if fi.UDFilter != nil {
-		switch fi.UDFilter(payload) {
-		case VerdictDrop:
-			fi.drops++
-			return true, false, false
-		case VerdictDeliver:
-			return false, false, false
-		}
-	}
-	if fi.seen <= fi.DropFirstN {
-		fi.drops++
-		return true, false, false
-	}
-	if fi.DropProb > 0 && (fi.MaxDrops == 0 || fi.drops < fi.MaxDrops) &&
-		fi.rng.Float64() < fi.DropProb {
-		fi.drops++
-		return true, false, false
-	}
-	if fi.ReorderProb > 0 && (fi.MaxReorders == 0 || fi.reorders < fi.MaxReorders) &&
-		fi.rng.Float64() < fi.ReorderProb {
-		fi.reorders++
-		return false, false, true
-	}
-	if fi.DupProb > 0 && fi.rng.Float64() < fi.DupProb {
-		fi.dups++
-		return false, true, false
-	}
-	return false, false, false
-}
-
-// holdDelivery parks a datagram delivery chosen for reordering. It is
-// released after a bounded number of subsequent datagrams (drawn from
-// [1, ReorderWindow]) have been sent, or by ReleaseHeld.
-func (fi *FaultInjector) holdDelivery(deliver func()) {
-	fi.mu.Lock()
-	w := fi.ReorderWindow
-	if w <= 0 {
-		w = 4
-	}
-	// +1 compensates for the aging pass the holding send itself performs on
-	// return, so the effective delay is 1..ReorderWindow subsequent sends.
-	fi.held = append(fi.held, heldDelivery{deliver: deliver, ttl: 2 + fi.rng.Intn(w)})
+	fi.n.AllocFails++
 	fi.mu.Unlock()
-}
-
-// dueDeliveries ages every held datagram by one send and returns the
-// deliveries whose reorder window expired. The caller invokes them outside
-// the injector lock.
-func (fi *FaultInjector) dueDeliveries() []func() {
-	if fi == nil {
-		return nil
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if len(fi.held) == 0 {
-		return nil
-	}
-	var due []func()
-	kept := fi.held[:0]
-	for _, h := range fi.held {
-		h.ttl--
-		if h.ttl <= 0 {
-			due = append(due, h.deliver)
-		} else {
-			kept = append(kept, h)
-		}
-	}
-	fi.held = kept
-	return due
-}
-
-// ReleaseHeld immediately delivers every datagram still parked for
-// reordering. Tests and teardown paths use it to flush the window.
-func (fi *FaultInjector) ReleaseHeld() {
-	if fi == nil {
-		return
-	}
-	fi.mu.Lock()
-	held := fi.held
-	fi.held = nil
-	fi.mu.Unlock()
-	for _, h := range held {
-		h.deliver()
-	}
-}
-
-// rcFlap reports whether this RC operation suffers an injected link fault.
-func (fi *FaultInjector) rcFlap() bool {
-	if fi == nil || fi.FlapProb <= 0 {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.MaxFlaps > 0 && fi.flaps >= fi.MaxFlaps {
-		return false
-	}
-	if fi.rng.Float64() < fi.FlapProb {
-		fi.flaps++
-		return true
-	}
-	return false
-}
-
-// slowdown returns the extra virtual time to charge the caller, usually 0.
-func (fi *FaultInjector) slowdown() int64 {
-	if fi == nil || fi.SlowProb <= 0 || fi.SlowTime <= 0 {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if fi.rng.Float64() < fi.SlowProb {
-		fi.slowdowns++
-		return fi.SlowTime
-	}
-	return 0
+	return true
 }

@@ -26,8 +26,8 @@ func TestReorderBoundedWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fi.Reorders() != 1 {
-		t.Fatalf("reorders = %d, want 1", fi.Reorders())
+	if fi.Injected().Reorders != 1 {
+		t.Fatalf("reorders = %d, want 1", fi.Injected().Reorders)
 	}
 	var order []byte
 	for i := 0; i <= window; i++ {
@@ -97,8 +97,8 @@ func TestRCFlapErrorsBothEndpoints(t *testing.T) {
 	if got := r.h1.LiveRC() + r.h2.LiveRC(); got != 0 {
 		t.Fatalf("live RC after flap = %d, want 0", got)
 	}
-	if fi.Flaps() != 1 {
-		t.Fatalf("flaps = %d, want 1", fi.Flaps())
+	if fi.Injected().Flaps != 1 {
+		t.Fatalf("flaps = %d, want 1", fi.Injected().Flaps)
 	}
 
 	// MaxFlaps exhausted: the next post fails on the dead QP, not a new flap.
@@ -146,8 +146,8 @@ func TestSlowdownInjectionChargesClock(t *testing.T) {
 	if slowed != base+slow {
 		t.Fatalf("slowdown charge = %d, want %d (+%d over %d)", slowed, base+slow, slow, base)
 	}
-	if fi.Slowdowns() != 1 {
-		t.Fatalf("slowdowns = %d, want 1", fi.Slowdowns())
+	if fi.Injected().Slowdowns != 1 {
+		t.Fatalf("slowdowns = %d, want 1", fi.Injected().Slowdowns)
 	}
 }
 
@@ -179,8 +179,8 @@ func TestUDFilterOverridesProbabilisticFate(t *testing.T) {
 	if n := r.cq2.Len(); n != 0 {
 		t.Fatalf("unexpected extra deliveries: %d", n)
 	}
-	if fi.Drops() != 2 {
-		t.Fatalf("drops = %d, want 2", fi.Drops())
+	if fi.Injected().Drops != 2 {
+		t.Fatalf("drops = %d, want 2", fi.Injected().Drops)
 	}
 }
 
@@ -196,8 +196,8 @@ func TestInjectorDeterministicForSeed(t *testing.T) {
 		fi.FlapProb = 0.25
 		var out []bool
 		for i := 0; i < 200; i++ {
-			drop, dup, hold := fi.udFate([]byte{byte(i)})
-			out = append(out, drop, dup, hold, fi.rcFlap())
+			v := fi.admitUD(1, 2, 1, 0, []byte{byte(i)})
+			out = append(out, v.kind == kindDrop, v.kind == kindDup, v.kind == kindReorder, fi.admitRC(1, 2, 0, 0).refused == kindFlap)
 		}
 		fi.ReleaseHeld()
 		return out

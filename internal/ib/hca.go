@@ -238,35 +238,42 @@ func (h *HCA) cachePenalty() int64 {
 // conduit's active-message atomic path uses it when atomics ride framed sends
 // instead of fabric-level atomic work requests, so the exactly-once dedup
 // ledger can guard them. The memory effect and the onWrite notification are
-// identical to the fabric's atomic path; ok is false when the (rkey, addr)
+// the fabric's atomic path's own (rmw); ok is false when the (rkey, addr)
 // pair does not resolve to an aligned uint64 inside a live region.
 func (h *HCA) AtomicRMW(op Opcode, addr uint64, rkey uint32, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
-	mr := h.lookupMR(rkey)
-	if mr == nil || mr.dead || addr%8 != 0 ||
-		addr < mr.base || addr+8 > mr.base+uint64(len(mr.buf)) {
+	mr, off, ok := h.resolve(addr, rkey, 8)
+	if !ok || addr%8 != 0 {
 		return 0, false
 	}
-	off := int(addr - mr.base)
+	return h.rmw(mr, off, op, add, compare, swap, vt)
+}
+
+// rmw executes one fetching atomic on the word at off of mr under the
+// adapter's memory lock, then counts the delivery and notifies the region's
+// watcher with the arrival time vt. ok is false, and nothing happens, for an
+// opcode that is not an atomic.
+func (h *HCA) rmw(mr *MR, off int, op Opcode, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
+	word := mr.buf[off : off+8]
 	h.memMu.Lock()
-	old = leU64(mr.buf[off : off+8])
+	old = leU64(word)
 	switch op {
 	case OpFetchAdd:
-		putLeU64(mr.buf[off:off+8], old+add)
+		putLeU64(word, old+add)
 	case OpCmpSwap:
 		if old == compare {
-			putLeU64(mr.buf[off:off+8], swap)
+			putLeU64(word, swap)
 		}
 	case OpSwap:
-		putLeU64(mr.buf[off:off+8], swap)
+		putLeU64(word, swap)
 	default:
 		h.memMu.Unlock()
 		return 0, false
 	}
 	h.memMu.Unlock()
+	h.countDelivery(8)
 	if mr.onWrite != nil {
 		mr.onWrite(off, 8, vt)
 	}
-	h.countDelivery(8)
 	return old, true
 }
 

@@ -186,8 +186,8 @@ func TestUDDropAndDuplicate(t *testing.T) {
 	if !ok || c.Data[0] != 2 {
 		t.Fatalf("expected only third datagram, got %v", c)
 	}
-	if fi.Drops() != 2 {
-		t.Fatalf("drops = %d", fi.Drops())
+	if fi.Injected().Drops != 2 {
+		t.Fatalf("drops = %d", fi.Injected().Drops)
 	}
 
 	fi2 := NewFaultInjector(2)

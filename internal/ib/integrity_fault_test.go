@@ -36,8 +36,8 @@ func TestTornWriteLeavesDeterministicPrefix(t *testing.T) {
 		if n := r.cq1.Len(); n != 0 {
 			t.Fatalf("completions after synchronous tear = %d, want 0", n)
 		}
-		if fi.TornWrites() != 1 {
-			t.Fatalf("torn writes = %d, want 1", fi.TornWrites())
+		if fi.Injected().TornWrites != 1 {
+			t.Fatalf("torn writes = %d, want 1", fi.Injected().TornWrites)
 		}
 		// A strict non-empty whole-packet prefix landed clean; everything
 		// past it is untouched.
@@ -78,8 +78,8 @@ func TestTornWriteLeavesDeterministicPrefix(t *testing.T) {
 	if !bytes.Equal(heap[:8], flag) {
 		t.Fatalf("single-packet write landed %v, want %v", heap[:8], flag)
 	}
-	if fi.TornWrites() != 0 {
-		t.Fatalf("single-packet write counted a tear: %d", fi.TornWrites())
+	if fi.Injected().TornWrites != 0 {
+		t.Fatalf("single-packet write counted a tear: %d", fi.Injected().TornWrites)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestRCSendCorruptionIsSilentSingleBitFlip(t *testing.T) {
 	if flipped != 1 {
 		t.Fatalf("delivered copy differs in %d bits, want exactly 1", flipped)
 	}
-	if fi.RCCorrupts() != 1 {
-		t.Fatalf("rc corrupts = %d, want 1", fi.RCCorrupts())
+	if fi.Injected().RCCorrupts != 1 {
+		t.Fatalf("rc corrupts = %d, want 1", fi.Injected().RCCorrupts)
 	}
 
 	// Budget exhausted: the next send is clean.

@@ -117,7 +117,7 @@ func (h *HCA) TryCreateQP(typ QPType, clk *vclock.Clock, sendCQ, recvCQ *CQ) (*Q
 	// Injected failures open a detected "alloc" incident (they are budgeted
 	// faults the ledger must reconcile); ordinary budget refusals are the
 	// resource plane working as designed and stay off the ledger.
-	if h.f.faults.failQPAlloc(h.qpAllocs) {
+	if h.f.faults.refusesAlloc(false, h.qpAllocs) {
 		h.stats.AllocFailures++
 		h.ledger.OpenDetected("alloc", "qp", obs.InstJob, obs.InstHCA(h.lid), clk.Now(), "alloc-refused")
 		return nil, ErrQPExhausted
@@ -158,7 +158,7 @@ func (h *HCA) TryCreateQP(typ QPType, clk *vclock.Clock, sendCQ, recvCQ *CQ) (*Q
 func (h *HCA) TryRegisterMR(buf []byte, clk *vclock.Clock) (*MR, error) {
 	h.mu.Lock()
 	h.mrAllocs++
-	if h.f.faults.failMRAlloc(h.mrAllocs) {
+	if h.f.faults.refusesAlloc(true, h.mrAllocs) {
 		h.stats.AllocFailures++
 		h.mu.Unlock()
 		h.ledger.OpenDetected("alloc", "mr", obs.InstJob, obs.InstHCA(h.lid), clk.Now(), "alloc-refused")

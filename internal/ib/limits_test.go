@@ -282,7 +282,7 @@ func TestInjectedAllocFaults(t *testing.T) {
 	if _, err := r.h2.TryCreateQP(RC, r.c2, r.cq2, r.cq2); !errors.Is(err, ErrQPExhausted) {
 		t.Fatalf("h2 alloc 2 = %v, want injected ErrQPExhausted", err)
 	}
-	if got := fi.AllocFailsInjected(); got != 3 {
+	if got := fi.Injected().AllocFails; got != 3 {
 		t.Fatalf("AllocFailsInjected = %d, want 3", got)
 	}
 	// Injected failures are transient, never "impossible": the upper layer

@@ -18,10 +18,12 @@ package ib
 //     partition, where both sides stay alive but cannot talk. heal < 0 means
 //     the partition never heals.
 //
-// Unlike the probabilistic knobs, injection counters here advance at
-// scheduling time: a scheduled network fault IS the injection (the cluster
-// layer opens its incident from the same schedule), whether or not any
-// datagram happens to cross the severed path.
+// Unlike the probabilistic knobs, the tallies here advance at scheduling
+// time: a scheduled network fault IS the injection (the cluster layer opens
+// its incident from the same schedule), whether or not any datagram happens
+// to cross the severed path. Like the rest of the schedule (see
+// FaultInjector) all of it is written before traffic flows and read without
+// a lock after.
 
 // portFault is one scheduled port failure (permanent from `at`).
 type portFault struct {
@@ -64,77 +66,51 @@ func lidIn(set []uint16, lid uint16) bool {
 // FailPort schedules the port of the given LID on the given rail to fail at
 // virtual time at (permanently).
 func (fi *FaultInjector) FailPort(lid uint16, rail int, at int64) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	fi.portFaults = append(fi.portFaults, portFault{lid: lid, rail: rail, at: at})
-	fi.portFaultsInjected++
+	fi.n.PortFaults++
 }
 
 // FailRail schedules the whole rail to fail at virtual time at (permanently).
 func (fi *FaultInjector) FailRail(rail int, at int64) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	fi.railFaults = append(fi.railFaults, railFault{rail: rail, at: at})
-	fi.railFaultsInjected++
+	fi.n.RailFaults++
 }
 
 // Partition schedules a partition window severing LID sets a and b on every
 // rail during [at, heal); heal < 0 means the partition never heals.
 func (fi *FaultInjector) Partition(a, b []uint16, at, heal int64) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	fi.partitions = append(fi.partitions, partitionWindow{
 		a: append([]uint16(nil), a...), b: append([]uint16(nil), b...),
 		at: at, heal: heal})
-	fi.partitionsInjected++
+	fi.n.Partitions++
 }
 
-// NetFaultsScheduled reports whether any port/rail/partition injections
-// exist. The failure detector arms on it (like PEFaultsScheduled), so
-// fault-free runs pay nothing for partition awareness.
-func (fi *FaultInjector) NetFaultsScheduled() bool {
-	if fi == nil {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
+// netFaulty reports whether any port, rail or partition fault is scheduled.
+func (fi *FaultInjector) netFaulty() bool {
 	return len(fi.portFaults)+len(fi.railFaults)+len(fi.partitions) > 0
 }
 
-// PortFaultsInjected reports how many port failures have been scheduled.
-func (fi *FaultInjector) PortFaultsInjected() int {
-	if fi == nil {
-		return 0
+// partitioned reports whether a partition window severs src from dst at
+// virtual time now (on every rail — partitions cut all of them) and, if so,
+// the latest heal time among the active windows; -1 when one never heals.
+func (fi *FaultInjector) partitioned(src, dst uint16, now int64) (cut bool, heal int64) {
+	for i := range fi.partitions {
+		w := &fi.partitions[i]
+		if !w.active(now) || !w.severs(src, dst) {
+			continue
+		}
+		if w.heal < 0 {
+			return true, -1
+		}
+		cut, heal = true, max(heal, w.heal)
 	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.portFaultsInjected
+	return cut, heal
 }
 
-// RailFaultsInjected reports how many whole-rail failures have been scheduled.
-func (fi *FaultInjector) RailFaultsInjected() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.railFaultsInjected
-}
-
-// PartitionsInjected reports how many partition windows have been scheduled.
-func (fi *FaultInjector) PartitionsInjected() int {
-	if fi == nil {
-		return 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.partitionsInjected
-}
-
-// pathBlockedLocked reports whether the src->dst path over one rail is
-// severed at virtual time now. Intra-node traffic never leaves the adapter,
-// so it is never blocked. Caller holds fi.mu.
-func (fi *FaultInjector) pathBlockedLocked(src, dst uint16, rail int, now int64) bool {
+// pathBlocked reports whether the src->dst path over one rail is severed at
+// virtual time now. Intra-node traffic never leaves the adapter, so it is
+// never blocked.
+func (fi *FaultInjector) pathBlocked(src, dst uint16, rail int, now int64) bool {
 	if src == dst {
 		return false
 	}
@@ -148,57 +124,37 @@ func (fi *FaultInjector) pathBlockedLocked(src, dst uint16, rail int, now int64)
 			return true
 		}
 	}
-	for i := range fi.partitions {
-		if w := &fi.partitions[i]; w.active(now) && w.severs(src, dst) {
-			return true
-		}
-	}
-	return false
+	cut, _ := fi.partitioned(src, dst, now)
+	return cut
 }
 
-// pathBlocked reports whether the src->dst path over one rail is severed at
-// virtual time now (Fabric.sendRC consults it for the QP's primary path).
-func (fi *FaultInjector) pathBlocked(src, dst uint16, rail int, now int64) bool {
-	if fi == nil {
-		return false
+// severed reports whether EVERY rail between src and dst is dark at virtual
+// time now — the condition under which UD datagrams (handshakes, heartbeats,
+// ACKs) blackhole and the pair is truly partitioned — and, if so, when the
+// schedule says it heals: a partition window's end, or -1 for a window that
+// never closes and for failed ports and rails, which never heal.
+func (fi *FaultInjector) severed(src, dst uint16, rails int, now int64) (dark bool, heal int64) {
+	if src == dst || !fi.netFaulty() {
+		return false, 0
 	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.pathBlockedLocked(src, dst, rail, now)
-}
-
-// allPathsBlocked reports whether EVERY rail between src and dst is severed
-// at virtual time now — the condition under which UD datagrams (handshakes,
-// heartbeats, ACKs) blackhole and the pair is truly partitioned.
-func (fi *FaultInjector) allPathsBlocked(src, dst uint16, rails int, now int64) bool {
-	if fi == nil || src == dst {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	if len(fi.portFaults)+len(fi.railFaults)+len(fi.partitions) == 0 {
-		return false
+	if cut, heal := fi.partitioned(src, dst, now); cut {
+		return true, heal
 	}
 	for r := 0; r < rails; r++ {
-		if !fi.pathBlockedLocked(src, dst, r, now) {
-			return false
+		if !fi.pathBlocked(src, dst, r, now) {
+			return false, 0
 		}
 	}
-	return true
+	return true, -1
 }
 
-// PartitionedDuring reports whether a partition window severed src from dst
+// partitionedDuring reports whether a partition window severed src from dst
 // at any instant of the virtual-time span [from, to]. The failure detector
 // asks it of a silence: probes sent while the pair was partitioned were
 // blackholed, so going unanswered proves nothing about the peer. Port and rail
 // failures need no such question — they never heal, so a pair they sever at
 // any time is still severed at `to`.
-func (fi *FaultInjector) PartitionedDuring(src, dst uint16, from, to int64) bool {
-	if fi == nil {
-		return false
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
+func (fi *FaultInjector) partitionedDuring(src, dst uint16, from, to int64) bool {
 	for i := range fi.partitions {
 		w := &fi.partitions[i]
 		if w.severs(src, dst) && w.at <= to && (w.heal < 0 || w.heal > from) {
@@ -206,40 +162,4 @@ func (fi *FaultInjector) PartitionedDuring(src, dst uint16, from, to int64) bool
 		}
 	}
 	return false
-}
-
-// RailLive reports whether the src->dst path over one rail is up at virtual
-// time now. The connection manager uses it for least-loaded-live-rail path
-// selection and for deciding whether APM (vs reconnect, vs suspension) can
-// recover a path error.
-func (fi *FaultInjector) RailLive(src, dst uint16, rail int, now int64) bool {
-	return !fi.pathBlocked(src, dst, rail, now)
-}
-
-// PartitionInfo reports whether src and dst are currently severed by a
-// partition window (any rail — partitions cut all of them) and, when they
-// are, the latest heal time among the active windows; heal < 0 means at
-// least one active window never heals. The failure detector uses it to tell
-// a partitioned peer (suspend, wait for heal) from a dead one (abort), and
-// to bound its patience for permanent partitions.
-func (fi *FaultInjector) PartitionInfo(src, dst uint16, now int64) (blocked bool, heal int64) {
-	if fi == nil {
-		return false, 0
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	for i := range fi.partitions {
-		w := &fi.partitions[i]
-		if !w.active(now) || !w.severs(src, dst) {
-			continue
-		}
-		blocked = true
-		if w.heal < 0 {
-			return true, -1
-		}
-		if w.heal > heal {
-			heal = w.heal
-		}
-	}
-	return blocked, heal
 }

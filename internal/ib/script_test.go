@@ -1,0 +1,271 @@
+package ib
+
+import (
+	"errors"
+	"hash/fnv"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"goshmem/internal/obs"
+	"goshmem/internal/vclock"
+)
+
+// scriptOutcome is everything the injection script lets an observer see
+// without asking the injector: what each post returned, and a digest over
+// every completion (payload bytes and virtual times included), the target
+// region and the sender's final clock.
+type scriptOutcome struct {
+	fi     *FaultInjector
+	errs   map[string]int
+	digest uint64
+}
+
+// scriptPartition is the one partition window of the script, in the sender's
+// virtual time: long enough that a few hundred operations fall inside it.
+const scriptPartitionAt, scriptPartitionHeal = 6_000_000, 6_400_000
+
+// runInjectionScript drives ops single-threaded operations — UD sends, RC
+// send / write / read / atomic, some multi-packet, some empty, some against a
+// full receive queue, a bad rkey or a missing datagram target — over a
+// two-adapter fabric whose injector has every probability set and several
+// caps low enough to bite. The workload's own choices come from a second
+// generator, so the injector's stream is consumed by the fabric alone.
+func runInjectionScript(t testing.TB, seed int64, ops int, plane *obs.Plane) scriptOutcome {
+	t.Helper()
+	fi := NewFaultInjector(seed)
+	fi.DropProb, fi.MaxDrops, fi.DropFirstN = 0.05, 250, 3
+	fi.DupProb = 0.05
+	fi.ReorderProb, fi.ReorderWindow, fi.MaxReorders = 0.05, 3, 150
+	fi.FlapProb, fi.MaxFlaps = 0.01, 100
+	fi.SlowProb, fi.SlowTime = 0.03, 5000
+	fi.CorruptProb = 0.04
+	fi.RCCorruptProb, fi.MaxRCCorrupts = 0.03, 200
+	fi.TornWriteProb = 0.2
+	fi.FailQPAllocOn(40, 41)
+	fi.FailMRAllocOn(2)
+	fi.Partition([]uint16{1}, []uint16{2}, scriptPartitionAt, scriptPartitionHeal)
+
+	f := NewFabric(vclock.Default(), fi)
+	h1, h2 := f.AddHCA(), f.AddHCA()
+	c1, c2 := vclock.NewClock(0), vclock.NewClock(0)
+	cq1, cq2 := NewCQ(), NewCQ()
+	h1.AttachObs(plane.Gauges(), plane.Ledger())
+	h2.AttachObs(plane.Gauges(), plane.Ledger())
+	// The schedule's own incident is opened by whoever installs the schedule
+	// (cluster/rail.go in a job); the script stands in for it.
+	plane.Ledger().Open("net", "partition", -1, obs.InstJob, scriptPartitionAt)
+	h2.SetLimits(Limits{RQDepth: 4}, c2)
+
+	out := scriptOutcome{fi: fi, errs: map[string]int{}}
+	note := func(err error) {
+		switch {
+		case err == nil:
+			out.errs["ok"]++
+		case errors.Is(err, ErrTornWrite):
+			out.errs["torn"]++
+		case errors.Is(err, ErrRCCorrupt):
+			out.errs["rc-corrupt"]++
+		case errors.Is(err, ErrLinkDown):
+			out.errs["link-down"]++
+		default:
+			out.errs[err.Error()]++
+		}
+	}
+	mkQP := func(h *HCA, typ QPType, clk *vclock.Clock, cq *CQ, rank int) *QP {
+		for {
+			q, err := h.TryCreateQP(typ, clk, cq, cq)
+			if err != nil {
+				note(err)
+				continue
+			}
+			q.SetObs(plane.PE(rank))
+			return q
+		}
+	}
+	up := func(q *QP, remote Dest) {
+		if q.ToInit() != nil || q.ToRTR(remote) != nil || q.ToRTS() != nil {
+			t.Fatal("queue pair would not come up")
+		}
+	}
+	u1, u2 := mkQP(h1, UD, c1, cq1, 0), mkQP(h2, UD, c2, cq2, 1)
+	up(u1, Dest{})
+	up(u2, Dest{})
+	var q1, q2 *QP
+	connect := func() {
+		if q1 != nil {
+			q1.Destroy()
+			q2.Destroy()
+		}
+		q1, q2 = mkQP(h1, RC, c1, cq1, 0), mkQP(h2, RC, c2, cq2, 1)
+		up(q1, q2.Addr())
+		up(q2, q1.Addr())
+	}
+	connect()
+	mem := make([]byte, 64<<10)
+	if _, err := h2.TryRegisterMR(make([]byte, 64), c2); err != nil {
+		t.Fatal(err)
+	}
+	var mr *MR
+	for mr == nil { // the injector refuses the adapter's second registration
+		m, err := h2.TryRegisterMR(mem, c2)
+		note(err)
+		mr = m
+	}
+
+	hash := fnv.New64a()
+	var word [8]byte
+	mix := func(v uint64) {
+		putLeU64(word[:], v)
+		hash.Write(word[:])
+	}
+	drain := func(cq *CQ) {
+		for {
+			c, ok := cq.Poll()
+			if !ok {
+				return
+			}
+			mix(uint64(c.Op)<<16 | uint64(c.Status)<<8)
+			mix(uint64(c.VTime))
+			mix(c.Old)
+			mix(uint64(len(c.Data)))
+			hash.Write(c.Data)
+		}
+	}
+	rc := func(wr SendWR) {
+		err := q1.PostSend(wr)
+		note(err)
+		if errors.Is(err, ErrLinkDown) {
+			connect()
+		}
+	}
+	r := rand.New(rand.NewSource(seed ^ 0x5eed))
+	payload := make([]byte, 5*RCMTU)
+	for i := range payload {
+		payload[i] = byte(r.Intn(256))
+	}
+	for i := 0; i < ops; i++ {
+		c1.Advance(r.Int63n(1500))
+		size := func(max int) int {
+			if r.Intn(40) == 0 {
+				return 0
+			}
+			return 1 + r.Intn(max)
+		}
+		switch k := r.Intn(10); k {
+		case 0, 1, 2:
+			dst := u2.Addr()
+			if r.Intn(50) == 0 {
+				dst.QPN = 9999
+			}
+			note(u1.PostSend(SendWR{Op: OpSend, Dest: dst, Data: payload[:size(256)], Imm: uint32(i)}))
+		case 3, 4:
+			rc(SendWR{Op: OpSend, WRID: uint64(i), Data: payload[:size(64)], Imm: uint32(i)})
+		case 5:
+			n := size(512)
+			rc(SendWR{Op: OpRDMAWrite, WRID: uint64(i), Data: payload[:n], RemoteAddr: mr.Base() + uint64(r.Intn(1024)), RKey: mr.RKey()})
+		case 6:
+			n := 2*RCMTU + r.Intn(3*RCMTU)
+			rc(SendWR{Op: OpRDMAWrite, WRID: uint64(i), Data: payload[:n], RemoteAddr: mr.Base() + uint64(r.Intn(1024)), RKey: mr.RKey()})
+		case 7:
+			rc(SendWR{Op: OpRDMARead, WRID: uint64(i), Len: size(2 * RCMTU), RemoteAddr: mr.Base() + uint64(r.Intn(1024)), RKey: mr.RKey()})
+		case 8:
+			op := []Opcode{OpFetchAdd, OpCmpSwap, OpSwap}[i%3]
+			rc(SendWR{Op: op, WRID: uint64(i), RemoteAddr: mr.Base() + 8*uint64(r.Intn(64)), RKey: mr.RKey(),
+				Add: uint64(i), Compare: uint64(r.Intn(4)), Swap: uint64(i)})
+		case 9:
+			op := []Opcode{OpRDMAWrite, OpRDMARead, OpFetchAdd}[i%3]
+			rc(SendWR{Op: op, WRID: uint64(i), Data: payload[:8], Len: 8, RemoteAddr: mr.Base(), RKey: 0xdead})
+		}
+		drain(cq1)
+		drain(cq2)
+	}
+	fi.ReleaseHeld()
+	drain(cq1)
+	drain(cq2)
+	hash.Write(mem)
+	mix(uint64(c1.Now()))
+	out.digest = hash.Sum64()
+	return out
+}
+
+// TestInjectionScriptGolden is the injector's "deterministic for a given seed
+// and call sequence" promise, and the proof that a refactor of the fault plane
+// did not move a draw: the numbers below were recorded at the commit before
+// the verdicts existed (sendUD/sendRC consulting eight draw functions), from
+// its fourteen getters, its ad-hoc ib.fault.blackhole / path_down counters and
+// this same script. A change that moves them is a declared change of every
+// seeded schedule in the repo: re-record on purpose, never to make it pass.
+func TestInjectionScriptGolden(t *testing.T) {
+	golden := []struct {
+		inj       Injected
+		ok, rnr   int
+		corrupted int // posts failed ErrRCCorrupt: the write and read share of RCCorrupts
+		digest    uint64
+	}{
+		{Injected{Drops: 250, Dups: 252, Reorders: 150, Corrupts: 221, Flaps: 100, RCCorrupts: 200, TornWrites: 378,
+			Slowdowns: 608, AllocFails: 5, Partitions: 1, Blackholes: 82, PathDowns: 245}, 19145, 9, 124, 0xcc0bb3704d00fca5},
+		{Injected{Drops: 250, Dups: 289, Reorders: 150, Corrupts: 217, Flaps: 100, RCCorrupts: 200, TornWrites: 418,
+			Slowdowns: 595, AllocFails: 5, Partitions: 1, Blackholes: 68, PathDowns: 162}, 19199, 8, 114, 0x6f2f989372f012cd},
+		{Injected{Drops: 250, Dups: 280, Reorders: 150, Corrupts: 215, Flaps: 100, RCCorrupts: 200, TornWrites: 411,
+			Slowdowns: 603, AllocFails: 5, Partitions: 1, Blackholes: 80, PathDowns: 234}, 19127, 11, 118, 0x78752f46954c635e},
+	}
+	for i, want := range golden {
+		seed := int64(i + 1)
+		o := runInjectionScript(t, seed, 20000, nil)
+		if got := o.fi.Injected(); got != want.inj {
+			t.Errorf("seed %d: injected\n got %+v\nwant %+v", seed, got, want.inj)
+		}
+		if ok, rnr, cor := o.errs["ok"], o.errs[ErrRNR.Error()], o.errs["rc-corrupt"]; ok != want.ok || rnr != want.rnr || cor != want.corrupted {
+			t.Errorf("seed %d: ok/rnr/rc-corrupt posts = %d/%d/%d, want %d/%d/%d", seed, ok, rnr, cor, want.ok, want.rnr, want.corrupted)
+		}
+		if o.errs["link-down"] != want.inj.Flaps || o.errs["torn"] != want.inj.TornWrites || o.errs[ErrPathDown.Error()] != want.inj.PathDowns {
+			t.Errorf("seed %d: posts failed %v, injected %+v", seed, o.errs, want.inj)
+		}
+		if o.digest != want.digest {
+			t.Errorf("seed %d: completion/memory/clock digest %#x, want %#x", seed, o.digest, want.digest)
+		}
+	}
+}
+
+// TestInjectedEqualsLedgerEqualsRegistry is the reconciliation invariant at
+// its source, kind by kind off the tags: after the script every kind that
+// declares lanes has injector tally = incidents recorded on those lanes =
+// the value published under its registry name.
+func TestInjectedEqualsLedgerEqualsRegistry(t *testing.T) {
+	plane := obs.NewPlane(2, obs.Config{Metrics: true, Incidents: true})
+	inj := runInjectionScript(t, 1, 20000, plane).fi.Injected()
+	recorded := map[string]int{}
+	for _, k := range obs.SummarizeIncidents(plane.Ledger().Snapshot()) {
+		recorded[k.Class+"/"+k.Kind] = k.Total
+	}
+	reg := plane.Registry()
+	obs.EachCounter(inj, func(def obs.CounterDef, v int64) { reg.Counter(def.Name).Add(v) }) // cluster.mirrorCounters
+	kinds := 0
+	obs.EachCounter(inj, func(def obs.CounterDef, v int64) {
+		if !strings.HasPrefix(def.Name, "ib.fault.") || def.Help == "" {
+			t.Errorf("%+v: every kind is published as ib.fault.* and documented", def)
+		}
+		if got := reg.Counter(def.Name).Value(); got != v {
+			t.Errorf("%s: registry has %d, injector %d", def.Name, got, v)
+		}
+		if def.Lanes == "" {
+			return
+		}
+		kinds++
+		led := 0
+		for _, lane := range strings.Split(def.Lanes, ",") {
+			led += recorded[lane]
+			delete(recorded, lane)
+		}
+		if int64(led) != v {
+			t.Errorf("%s: injector %d, ledger %d on lanes %s", def.Name, v, led, def.Lanes)
+		}
+		if v == 0 && !strings.HasPrefix(def.Lanes, "net/") {
+			t.Errorf("%s: the script never injected it", def.Name)
+		}
+	})
+	if kinds != 12 || len(recorded) != 0 {
+		t.Errorf("%d laned kinds (want 12); ledger lanes no kind declares: %v", kinds, recorded)
+	}
+}

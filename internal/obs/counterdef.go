@@ -26,6 +26,9 @@ type CounterDef struct {
 	// run. Every other counter stays zero unless a fault, budget or cap is in
 	// play.
 	FaultFreeNonzero bool
+	// Lanes is `lanes`: the comma-separated class/kind incident-ledger lanes
+	// an injected-fault counter is reconciled against (ib.Injected), or "".
+	Lanes string
 
 	field int // index of the field in its struct
 }
@@ -51,7 +54,8 @@ func counterTable(t reflect.Type) []CounterDef {
 		}
 		tab = append(tab, CounterDef{
 			Name: name, Label: f.Tag.Get("label"), Table: f.Tag.Get("table"),
-			Help: f.Tag.Get("help"), FaultFreeNonzero: f.Tag.Get("faultfree") == "nonzero", field: i,
+			Help: f.Tag.Get("help"), FaultFreeNonzero: f.Tag.Get("faultfree") == "nonzero",
+			Lanes: f.Tag.Get("lanes"), field: i,
 		})
 	}
 	counterTables.Store(t, tab)
