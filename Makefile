@@ -1,7 +1,8 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
 # (see ROADMAP.md): build, the no-host-clock check on the engine, the size
-# ceilings on the conduit, the verbs model and all packages, the full test suite, the full
-# suite again under the race detector, the determinism contracts repeated
+# ceilings on the conduit, the verbs model, the OpenSHMEM runtime (1,300) and
+# all packages (14,800), the full test suite, the full suite again under the
+# race detector, the determinism contracts repeated
 # across GOMAXPROCS, a fast data-plane-integrity smoke, and the benchmark
 # module's own vet + smoke test.
 # Tier-2 adds vet, the fixed-seed chaos soaks (connection lifecycle, PE
@@ -164,20 +165,22 @@ loc:
 		printf '%6d  %s\n' $$n $$pkg; \
 	done
 
-# The conduit's size, the verbs model's, and the size of all packages together
-# are ceilings, not re-anchor findings: where the last simplification landed,
+# The conduit's size, the verbs model's, the OpenSHMEM runtime's and the size of
+# all packages together are ceilings, not re-anchor findings: where the last simplification landed,
 # rounded up to the next fifty. A change that needs more room says so by
 # raising the number, in the open.
 GASNET_LOC_MAX = 3000
 IB_LOC_MAX = 1700
-TOTAL_LOC_MAX = 15100
+SHMEM_LOC_MAX = 1300
+TOTAL_LOC_MAX = 14800
 
 loc-check:
-	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \
+	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \
 		'{ total += $$1 } $$2 == "goshmem/internal/gasnet" { gasnet = $$1 } $$2 == "goshmem/internal/ib" { ib = $$1 } \
-		END { over = gasnet > gmax || ib > imax || total > tmax; \
-			printf "loc-check: internal/gasnet %d (ceiling %d), internal/ib %d (ceiling %d), all packages %d (ceiling %d)%s\n", \
-				gasnet, gmax, ib, imax, total, tmax, over ? ": OVER" : ""; exit over }'
+		$$2 == "goshmem/internal/shmem" { shmem = $$1 } \
+		END { over = gasnet > gmax || ib > imax || shmem > smax || total > tmax; \
+			printf "loc-check: internal/gasnet %d (ceiling %d), internal/ib %d (ceiling %d), internal/shmem %d (ceiling %d), all packages %d (ceiling %d)%s\n", \
+				gasnet, gmax, ib, imax, shmem, smax, total, tmax, over ? ": OVER" : ""; exit over }'
 
 # Write an 8-PE sample Perfetto trace (open trace-demo.json at
 # https://ui.perfetto.dev) plus the text report with phase breakdown,

@@ -82,6 +82,8 @@ func Attach(env shmem.Env, opts Options) *Image {
 		ConnectPayload:   im.encodeSeg,
 		OnConnectPayload: im.storeSeg,
 	})
+	// A job abort wakes an image parked in a sync so it sees the error.
+	im.conduit.OnAbort(func(error) { im.syncCond.Broadcast() })
 	im.conduit.RegisterHandler(amSync, func(src int, args [4]uint64, payload []byte, at int64) {
 		im.syncMu.Lock()
 		im.inbox[[2]uint64{args[0], uint64(src)}] = struct{}{}
@@ -265,6 +267,10 @@ func (im *Image) waitSync(seq uint64, from int) {
 			delete(im.inbox, key)
 			im.syncMu.Unlock()
 			return
+		}
+		if err := im.conduit.LivenessErr(); err != nil {
+			im.syncMu.Unlock()
+			panic(fmt.Errorf("caf: sync: %w", err))
 		}
 		im.syncCond.Wait()
 	}

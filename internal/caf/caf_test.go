@@ -3,10 +3,12 @@ package caf_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"goshmem/internal/caf"
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
+	"goshmem/internal/ib"
 	"goshmem/internal/shmem"
 )
 
@@ -129,5 +131,38 @@ func TestCAFOnDemandEndpoints(t *testing.T) {
 		if e == 0 || e >= n {
 			t.Fatalf("image %d created %d endpoints", img, e)
 		}
+	}
+}
+
+// An image killed mid-job must unwind every survivor parked in "sync all" or
+// "sync images": waitSync checks the conduit's liveness and the abort wakes
+// it. RunEnvs has no watchdog, so the test brings its own deadline.
+func TestSyncUnwindsOnPEKill(t *testing.T) {
+	for name, step := range map[string]func(im *caf.Image){
+		"sync-all":    func(im *caf.Image) { im.SyncAll() },
+		"sync-images": func(im *caf.Image) { im.SyncImages([]int{im.ThisImage()%4 + 1, (im.ThisImage()+2)%4 + 1}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fi := ib.NewFaultInjector(1)
+			fi.KillPE(1, 1_000_000)
+			done := make(chan error, 1)
+			go func() {
+				done <- cluster.RunEnvs(cluster.Config{NP: 4, PPN: 4, SkipLaunchCost: true, Faults: fi},
+					func(env shmem.Env) {
+						im := caf.Attach(env, caf.Options{Mode: gasnet.OnDemand})
+						for {
+							step(im)
+						}
+					})
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("job with a killed image returned no error")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("images still parked in a sync 10 s after a peer was killed")
+			}
+		})
 	}
 }

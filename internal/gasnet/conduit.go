@@ -269,8 +269,7 @@ type Conduit struct {
 	exchanged  atomic.Bool
 	ready      atomic.Bool
 
-	stats Stats  // see Stats for who may touch which field
-	xpath string // endpoint-exchange path actually taken (guarded by connMu)
+	stats Stats // see Stats for who may touch which field
 
 	// Observability (nil-safe: a disabled plane leaves all of these nil).
 	obs      *obs.PE
@@ -467,10 +466,8 @@ func (c *Conduit) ExchangeEndpoints() error {
 			return err
 		}
 		c.udResolved.Store(true)
-		c.setExchangePath("put-fence-get")
 	} else {
 		c.udOp = c.cfg.PMI.IAllgather(encodeDest(c.udQP.Addr()))
-		c.setExchangePath("iallgather")
 	}
 	c.exchanged.Store(true)
 	return nil
@@ -597,24 +594,7 @@ func (c *Conduit) fallbackExchangeLocked(cause error) error {
 		return err
 	}
 	c.bump(&c.stats.FallbackExchanges, 1)
-	c.setExchangePath("put-fence-get (fallback)")
 	return nil
-}
-
-// setExchangePath records which endpoint-exchange path actually ran.
-func (c *Conduit) setExchangePath(p string) {
-	c.connMu.Lock()
-	c.xpath = p
-	c.connMu.Unlock()
-}
-
-// ExchangePath reports which endpoint-exchange path this PE ended up on:
-// "iallgather", "put-fence-get", or "put-fence-get (fallback)" when the
-// non-blocking exchange was lost and the conduit degraded gracefully.
-func (c *Conduit) ExchangePath() string {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.xpath
 }
 
 // deferredAM is an active message that arrived before its handler was

@@ -1,12 +1,6 @@
 package shmem
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"goshmem/internal/obs"
-)
+import "fmt"
 
 // ActiveSet is the OpenSHMEM 1.0 subgroup abstraction used by collectives:
 // the PEs {Start, Start+2^LogStride, ...} of size Size. The era-appropriate
@@ -20,7 +14,7 @@ type ActiveSet struct {
 // World returns the active set covering the whole job.
 func (c *Ctx) World() ActiveSet { return ActiveSet{Start: 0, LogStride: 0, Size: c.n} }
 
-// contains returns this PE's index within the set, or -1.
+// index returns rank's index within the set, or -1.
 func (as ActiveSet) index(rank int) int {
 	stride := 1 << as.LogStride
 	off := rank - as.Start
@@ -46,116 +40,15 @@ func (c *Ctx) mustIndex(as ActiveSet) int {
 	return idx
 }
 
-// BarrierSet synchronizes the PEs of an active set (shmem_barrier). All and
-// only the set's members must call it.
-func (c *Ctx) BarrierSet(as ActiveSet) {
-	c.Quiet()
-	if as.Size <= 1 {
-		return
-	}
-	me := c.mustIndex(as)
-	ctx := as.ctxID(c.n)
-	seq := c.coll.next(ctx)
-	for k, dist := uint32(0), 1; dist < as.Size; k, dist = k+1, dist*2 {
-		to := as.rankOf((me + dist) % as.Size)
-		from := as.rankOf((me - dist%as.Size + as.Size) % as.Size)
-		c.collSendCtx(ctx, to, seq, k, nil, obs.FlowBarrier)
-		c.collRecvCtx(ctx, seq, k, from)
-	}
-}
-
-// BroadcastSet distributes rootIdx's data over the active set (shmem_broadcast).
-// rootIdx is an index within the set, like PE_root in the specification.
-func (c *Ctx) BroadcastSet(as ActiveSet, rootIdx int, data []byte) []byte {
-	if as.Size <= 1 {
-		return data
-	}
-	me := c.mustIndex(as)
-	ctx := as.ctxID(c.n)
-	seq := c.coll.next(ctx)
-	relative := (me - rootIdx + as.Size) % as.Size
-	buf := data
-	mask := 1
-	for mask < as.Size {
-		if relative&mask != 0 {
-			parentIdx := (relative - mask + rootIdx) % as.Size
-			buf = c.collRecvCtx(ctx, seq, 0, as.rankOf(parentIdx))
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if relative+mask < as.Size {
-			dstIdx := (relative + mask + rootIdx) % as.Size
-			c.collSendCtx(ctx, as.rankOf(dstIdx), seq, 0, buf, obs.FlowColl)
-		}
-		mask >>= 1
-	}
-	return buf
-}
-
 // ReduceInt64Set is the active-set allreduce (shmem_long_<op>_to_all over an
 // active set).
 func (c *Ctx) ReduceInt64Set(as ActiveSet, op ReduceOp, local []int64) []int64 {
-	buf := make([]byte, 8*len(local))
-	for i, v := range local {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	res := c.reduceBytesSet(as, buf, func(acc, in []byte) {
-		for i := 0; i < len(acc); i += 8 {
-			a := int64(binary.LittleEndian.Uint64(acc[i:]))
-			b := int64(binary.LittleEndian.Uint64(in[i:]))
-			binary.LittleEndian.PutUint64(acc[i:], uint64(combineInt64(op, a, b)))
-		}
-	})
-	out := make([]int64, len(local))
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(res[8*i:]))
-	}
-	return out
+	return reduceSet(c, as, op, local)
 }
 
 // ReduceFloat64Set is the active-set float64 allreduce.
 func (c *Ctx) ReduceFloat64Set(as ActiveSet, op ReduceOp, local []float64) []float64 {
-	buf := make([]byte, 8*len(local))
-	for i, v := range local {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	res := c.reduceBytesSet(as, buf, func(acc, in []byte) {
-		for i := 0; i < len(acc); i += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(in[i:]))
-			binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(combineFloat64(op, a, b)))
-		}
-	})
-	out := make([]float64, len(local))
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(res[8*i:]))
-	}
-	return out
-}
-
-func (c *Ctx) reduceBytesSet(as ActiveSet, local []byte, combine func(acc, in []byte)) []byte {
-	acc := append([]byte(nil), local...)
-	if as.Size > 1 {
-		me := c.mustIndex(as)
-		ctx := as.ctxID(c.n)
-		seq := c.coll.next(ctx)
-		for mask := 1; mask < as.Size; mask <<= 1 {
-			if me&mask == 0 {
-				src := me | mask
-				if src < as.Size {
-					in := c.collRecvCtx(ctx, seq, 0, as.rankOf(src))
-					combine(acc, in)
-				}
-			} else {
-				c.collSendCtx(ctx, as.rankOf(me&^mask), seq, 0, acc, obs.FlowColl)
-				break
-			}
-		}
-	}
-	return c.BroadcastSet(as, 0, acc)
+	return reduceSet(c, as, op, local)
 }
 
 // AlltoallInt64 exchanges one int64 block per PE pair across the whole job
@@ -167,14 +60,11 @@ func (c *Ctx) AlltoallInt64(send []int64) []int64 {
 	seq := c.coll.next(worldCtx)
 	out := make([]int64, c.n)
 	out[c.rank] = send[c.rank]
-	var buf [8]byte
 	for off := 1; off < c.n; off++ {
 		dst := (c.rank + off) % c.n
 		src := (c.rank - off + c.n) % c.n
-		binary.LittleEndian.PutUint64(buf[:], uint64(send[dst]))
-		c.collSend(dst, seq, uint32(0), append([]byte(nil), buf[:]...))
-		in := c.collRecv(seq, 0, src)
-		out[src] = int64(binary.LittleEndian.Uint64(in))
+		c.collSend(dst, seq, 0, encodeSlice(send[dst:dst+1]))
+		out[src] = load[int64](c.collRecv(seq, 0, src))
 	}
 	return out
 }

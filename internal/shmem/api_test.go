@@ -8,6 +8,7 @@ import (
 
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
+	"goshmem/internal/obs"
 	"goshmem/internal/shmem"
 )
 
@@ -159,6 +160,37 @@ func TestActiveSetCollectives(t *testing.T) {
 		}
 		c.BarrierAll()
 	})
+}
+
+// Set collectives run the same engine as the world ones, so they feed the same
+// histograms: a job whose odd PEs call three set barriers, two set broadcasts
+// and one set reduce (a reduce span plus its nested broadcast span) records
+// exactly that many more samples than the same job without them.
+func TestActiveSetCollectivesAreObserved(t *testing.T) {
+	odds := shmem.ActiveSet{Start: 1, LogStride: 1, Size: 4}
+	counts := func(setCalls bool) (barriers, collectives int64) {
+		res := run(t, cluster.Config{NP: 8, Mode: gasnet.OnDemand, Obs: obs.Config{Metrics: true}},
+			func(c *shmem.Ctx) {
+				if !setCalls || c.Me()%2 == 0 {
+					return
+				}
+				for i := 0; i < 3; i++ {
+					c.BarrierSet(odds)
+				}
+				for i := 0; i < 2; i++ {
+					c.BroadcastSet(odds, 1, []byte("odds"))
+				}
+				c.ReduceInt64Set(odds, shmem.OpSum, []int64{1})
+			})
+		reg := res.Obs.Registry()
+		return reg.Hist("shmem.barrier_ns").Count(), reg.Hist("shmem.collective_ns").Count()
+	}
+	b0, c0 := counts(false)
+	b1, c1 := counts(true)
+	if b1-b0 != 4*3 || c1-c0 != 4*(2+2) {
+		t.Errorf("set collectives recorded %d barrier and %d collective samples, want %d and %d",
+			b1-b0, c1-c0, 4*3, 4*(2+2))
+	}
 }
 
 func TestActiveSetMembershipPanics(t *testing.T) {

@@ -3,7 +3,6 @@ package shmem
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"unsafe"
 
@@ -146,82 +145,96 @@ func (c *Ctx) collRecv(seq uint64, round uint32, from int) []byte {
 	return c.collRecvCtx(worldCtx, seq, round, from)
 }
 
-// BarrierAll is shmem_barrier_all: it completes outstanding puts (quiet) and
-// synchronizes all PEs with a dissemination barrier (ceil(log2 N) rounds,
-// each PE talking to peers at distance 2^k — which is exactly why global
-// barriers during init force O(log P) connections, paper section IV-E).
-func (c *Ctx) BarrierAll() {
+// BarrierAll is shmem_barrier_all: BarrierSet over the whole job.
+func (c *Ctx) BarrierAll() { c.BarrierSet(c.World()) }
+
+// BarrierSet synchronizes the PEs of an active set (shmem_barrier). All and
+// only the set's members must call it. It completes outstanding puts (quiet)
+// and runs a dissemination barrier (ceil(log2 N) rounds, each PE talking to
+// peers at distance 2^k — which is exactly why global barriers during init
+// force O(log P) connections, paper section IV-E).
+func (c *Ctx) BarrierSet(as ActiveSet) {
 	start := c.clk.Now()
 	c.Quiet()
-	if c.n == 1 {
+	if as.Size <= 1 {
 		return
 	}
-	seq := c.coll.next(worldCtx)
-	for k, dist := uint32(0), 1; dist < c.n; k, dist = k+1, dist*2 {
-		to := (c.rank + dist) % c.n
-		from := (c.rank - dist%c.n + c.n) % c.n
-		c.collSendCtx(worldCtx, to, seq, k, nil, obs.FlowBarrier)
-		c.collRecv(seq, k, from)
+	me := c.mustIndex(as)
+	ctx := as.ctxID(c.n)
+	seq := c.coll.next(ctx)
+	for k, dist := uint32(0), 1; dist < as.Size; k, dist = k+1, dist*2 {
+		to := as.rankOf((me + dist) % as.Size)
+		from := as.rankOf((me - dist%as.Size + as.Size) % as.Size)
+		c.collSendCtx(ctx, to, seq, k, nil, obs.FlowBarrier)
+		c.collRecvCtx(ctx, seq, k, from)
 	}
 	c.collSpan("barrier", start, c.hBarrier)
 }
 
-// BroadcastBytes distributes root's data to all PEs over a binomial tree and
-// returns it (root's own buffer is returned on the root).
+// BroadcastBytes distributes root's data to all PEs and returns it (root's
+// own buffer is returned on the root).
 func (c *Ctx) BroadcastBytes(root int, data []byte) []byte {
-	if c.n == 1 {
+	return c.BroadcastSet(c.World(), root, data)
+}
+
+// BroadcastSet distributes rootIdx's data over the active set on a binomial
+// tree (shmem_broadcast). rootIdx is an index within the set, like PE_root in
+// the specification.
+func (c *Ctx) BroadcastSet(as ActiveSet, rootIdx int, data []byte) []byte {
+	if as.Size <= 1 {
 		return data
 	}
 	start := c.clk.Now()
 	defer c.collSpan("broadcast", start, c.hColl)
-	seq := c.coll.next(worldCtx)
-	relative := (c.rank - root + c.n) % c.n
+	me := c.mustIndex(as)
+	ctx := as.ctxID(c.n)
+	seq := c.coll.next(ctx)
+	relative := (me - rootIdx + as.Size) % as.Size
 	buf := data
 	mask := 1
-	for mask < c.n {
+	for mask < as.Size {
 		if relative&mask != 0 {
-			parent := (relative - mask + root) % c.n
-			buf = c.collRecv(seq, 0, parent)
+			parentIdx := (relative - mask + rootIdx) % as.Size
+			buf = c.collRecvCtx(ctx, seq, 0, as.rankOf(parentIdx))
 			break
 		}
 		mask <<= 1
 	}
 	mask >>= 1
 	for mask > 0 {
-		if relative+mask < c.n {
-			dst := (relative + mask + root) % c.n
-			c.collSend(dst, seq, 0, buf)
+		if relative+mask < as.Size {
+			dstIdx := (relative + mask + rootIdx) % as.Size
+			c.collSendCtx(ctx, as.rankOf(dstIdx), seq, 0, buf, obs.FlowColl)
 		}
 		mask >>= 1
 	}
 	return buf
 }
 
-// reduceBytes performs an allreduce on opaque fixed-size values: binomial
-// reduction to rank 0, then binomial broadcast — the "sparse" collective of
-// the paper's Figure 7(b): each PE exchanges with at most 2*ceil(log2 N)
-// distinct peers.
-func (c *Ctx) reduceBytes(local []byte, combine func(acc, in []byte)) []byte {
+// reduceBytesSet performs an allreduce over the active set on opaque
+// fixed-size values: binomial reduction to index 0, then binomial broadcast —
+// the "sparse" collective of the paper's Figure 7(b): each PE exchanges with
+// at most 2*ceil(log2 N) distinct peers. acc is the caller's contribution and
+// is folded into in place.
+func (c *Ctx) reduceBytesSet(as ActiveSet, acc []byte, combine func(acc, in []byte)) []byte {
 	start := c.clk.Now()
 	defer c.collSpan("reduce", start, c.hColl)
-	acc := append([]byte(nil), local...)
-	if c.n > 1 {
-		seq := c.coll.next(worldCtx)
-		for mask := 1; mask < c.n; mask <<= 1 {
-			if c.rank&mask == 0 {
-				src := c.rank | mask
-				if src < c.n {
-					in := c.collRecv(seq, uint32(0), src)
-					combine(acc, in)
+	if as.Size > 1 {
+		me := c.mustIndex(as)
+		ctx := as.ctxID(c.n)
+		seq := c.coll.next(ctx)
+		for mask := 1; mask < as.Size; mask <<= 1 {
+			if me&mask == 0 {
+				if src := me | mask; src < as.Size {
+					combine(acc, c.collRecvCtx(ctx, seq, 0, as.rankOf(src)))
 				}
 			} else {
-				dst := c.rank &^ mask
-				c.collSend(dst, seq, 0, acc)
+				c.collSendCtx(ctx, as.rankOf(me&^mask), seq, 0, acc, obs.FlowColl)
 				break
 			}
 		}
 	}
-	return c.BroadcastBytes(0, acc)
+	return c.BroadcastSet(as, 0, acc)
 }
 
 // FCollectBytes is shmem_fcollect: every PE contributes the same number of
@@ -332,110 +345,14 @@ const (
 
 // ReduceInt64 performs an element-wise allreduce over int64 vectors
 // (shmem_long_<op>_to_all with the result available on every PE).
-func (c *Ctx) ReduceInt64(op ReduceOp, local []int64) []int64 {
-	buf := make([]byte, 8*len(local))
-	for i, v := range local {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	res := c.reduceBytes(buf, func(acc, in []byte) {
-		for i := 0; i < len(acc); i += 8 {
-			a := int64(binary.LittleEndian.Uint64(acc[i:]))
-			b := int64(binary.LittleEndian.Uint64(in[i:]))
-			binary.LittleEndian.PutUint64(acc[i:], uint64(combineInt64(op, a, b)))
-		}
-	})
-	out := make([]int64, len(local))
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(res[8*i:]))
-	}
-	return out
-}
+func (c *Ctx) ReduceInt64(op ReduceOp, local []int64) []int64 { return Reduce(c, op, local) }
 
 // ReduceFloat64 performs an element-wise allreduce over float64 vectors.
 // Bitwise operators are invalid for floating point.
-func (c *Ctx) ReduceFloat64(op ReduceOp, local []float64) []float64 {
-	buf := make([]byte, 8*len(local))
-	for i, v := range local {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	res := c.reduceBytes(buf, func(acc, in []byte) {
-		for i := 0; i < len(acc); i += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(in[i:]))
-			binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(combineFloat64(op, a, b)))
-		}
-	})
-	out := make([]float64, len(local))
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(res[8*i:]))
-	}
-	return out
-}
+func (c *Ctx) ReduceFloat64(op ReduceOp, local []float64) []float64 { return Reduce(c, op, local) }
 
 // FCollectFloat64 allgathers equal-length float64 vectors, ordered by rank.
-func (c *Ctx) FCollectFloat64(contrib []float64) []float64 {
-	buf := make([]byte, 8*len(contrib))
-	for i, v := range contrib {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	res := c.FCollectBytes(buf)
-	out := make([]float64, c.n*len(contrib))
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(res[8*i:]))
-	}
-	return out
-}
+func (c *Ctx) FCollectFloat64(contrib []float64) []float64 { return FCollect(c, contrib) }
 
 // FCollectInt64 allgathers equal-length int64 vectors, ordered by rank.
-func (c *Ctx) FCollectInt64(contrib []int64) []int64 {
-	buf := make([]byte, 8*len(contrib))
-	for i, v := range contrib {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	res := c.FCollectBytes(buf)
-	out := make([]int64, c.n*len(contrib))
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(res[8*i:]))
-	}
-	return out
-}
-
-func combineInt64(op ReduceOp, a, b int64) int64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpProd:
-		return a * b
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case OpAnd:
-		return a & b
-	case OpOr:
-		return a | b
-	case OpXor:
-		return a ^ b
-	}
-	panic("shmem: unknown reduce op")
-}
-
-func combineFloat64(op ReduceOp, a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpProd:
-		return a * b
-	case OpMin:
-		return math.Min(a, b)
-	case OpMax:
-		return math.Max(a, b)
-	}
-	panic("shmem: reduce op invalid for float64")
-}
+func (c *Ctx) FCollectInt64(contrib []int64) []int64 { return FCollect(c, contrib) }

@@ -3,79 +3,63 @@ package shmem
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 )
 
-// Generic typed layer. OpenSHMEM defines its RMA/collective surface per C
-// type (short, int, long, long long, float, double); Go generics express
-// the same families once. The element wire format is little-endian, matching
-// the simulated fabric's atomics.
+// Typed layer. OpenSHMEM defines its RMA/collective surface per C type
+// (short, int, long, long long, float, double); here each family is written
+// once over Element, and the *Int64 / *Float64 methods on Ctx are its
+// instantiations. This file holds the only element encode, decode and
+// combine in the package. The wire format is little-endian, matching the
+// simulated fabric's atomics.
 
 // Element is the constraint covering the OpenSHMEM element types.
 type Element interface {
 	~int32 | ~int64 | ~uint32 | ~uint64 | ~float32 | ~float64
 }
 
-func elemSize[T Element]() int {
-	var z T
-	switch any(z).(type) {
-	case int32, uint32, float32:
-		return 4
-	default:
-		return 8
+func elemSize[T Element]() int { return int(unsafe.Sizeof(*new(T))) }
+
+// store writes v's bits at b[0:], load reads them back. An element is 4 or 8
+// bytes wide and its bits are reinterpreted the way math.Float64bits does, so
+// the width is a constant of the instantiation, not a type switch per element.
+func store[T Element](b []byte, v T) {
+	if unsafe.Sizeof(v) == 4 {
+		binary.LittleEndian.PutUint32(b, *(*uint32)(unsafe.Pointer(&v)))
+	} else {
+		binary.LittleEndian.PutUint64(b, *(*uint64)(unsafe.Pointer(&v)))
 	}
 }
 
-func encodeElem[T Element](b []byte, v T) {
-	switch x := any(v).(type) {
-	case int32:
-		binary.LittleEndian.PutUint32(b, uint32(x))
-	case uint32:
-		binary.LittleEndian.PutUint32(b, x)
-	case float32:
-		binary.LittleEndian.PutUint32(b, math.Float32bits(x))
-	case int64:
-		binary.LittleEndian.PutUint64(b, uint64(x))
-	case uint64:
-		binary.LittleEndian.PutUint64(b, x)
-	case float64:
-		binary.LittleEndian.PutUint64(b, math.Float64bits(x))
+func load[T Element](b []byte) (v T) {
+	if unsafe.Sizeof(v) == 4 {
+		*(*uint32)(unsafe.Pointer(&v)) = binary.LittleEndian.Uint32(b)
+	} else {
+		*(*uint64)(unsafe.Pointer(&v)) = binary.LittleEndian.Uint64(b)
 	}
-}
-
-func decodeElem[T Element](b []byte) T {
-	var z T
-	switch any(z).(type) {
-	case int32:
-		return any(int32(binary.LittleEndian.Uint32(b))).(T)
-	case uint32:
-		return any(binary.LittleEndian.Uint32(b)).(T)
-	case float32:
-		return any(math.Float32frombits(binary.LittleEndian.Uint32(b))).(T)
-	case int64:
-		return any(int64(binary.LittleEndian.Uint64(b))).(T)
-	case uint64:
-		return any(binary.LittleEndian.Uint64(b)).(T)
-	default:
-		return any(math.Float64frombits(binary.LittleEndian.Uint64(b))).(T)
-	}
+	return v
 }
 
 func encodeSlice[T Element](src []T) []byte {
 	sz := elemSize[T]()
 	b := make([]byte, sz*len(src))
 	for i, v := range src {
-		encodeElem(b[sz*i:], v)
+		store(b[sz*i:], v)
 	}
 	return b
 }
 
-func decodeSlice[T Element](b []byte, n int) []T {
+// decodeInto fills dst from the first len(dst) elements of b.
+func decodeInto[T Element](dst []T, b []byte) []T {
 	sz := elemSize[T]()
-	out := make([]T, n)
-	for i := range out {
-		out[i] = decodeElem[T](b[sz*i:])
+	for i := range dst {
+		dst[i] = load[T](b[sz*i:])
 	}
-	return out
+	return dst
+}
+
+func decodeSlice[T Element](b []byte) []T {
+	return decodeInto(make([]T, len(b)/elemSize[T]()), b)
 }
 
 // Put writes a typed vector into dest at pe (the shmem_TYPE_put family).
@@ -85,9 +69,13 @@ func Put[T Element](c *Ctx, dest SymAddr, src []T, pe int) {
 
 // Get reads n typed elements from src at pe (the shmem_TYPE_get family).
 func Get[T Element](c *Ctx, src SymAddr, n, pe int) []T {
-	buf := make([]byte, elemSize[T]()*n)
+	return getInto(c, make([]T, n), src, pe)
+}
+
+func getInto[T Element](c *Ctx, dest []T, src SymAddr, pe int) []T {
+	buf := make([]byte, elemSize[T]()*len(dest))
 	c.GetMem(buf, src, pe)
-	return decodeSlice[T](buf, n)
+	return decodeInto(dest, buf)
 }
 
 // P writes one element (shmem_TYPE_p).
@@ -97,38 +85,29 @@ func P[T Element](c *Ctx, dest SymAddr, v T, pe int) {
 
 // G reads one element (shmem_TYPE_g).
 func G[T Element](c *Ctx, src SymAddr, pe int) T {
-	return Get[T](c, src, 1, pe)[0]
+	var out [1]T
+	return getInto(c, out[:], src, pe)[0]
 }
 
 // Reduce performs a typed allreduce (the shmem_TYPE_OP_to_all family).
 // Bitwise operators are rejected for floating-point element types, like the
 // specification.
 func Reduce[T Element](c *Ctx, op ReduceOp, local []T) []T {
-	isFloat := false
-	var z T
-	switch any(z).(type) {
-	case float32, float64:
-		isFloat = true
-	}
-	if isFloat && (op == OpAnd || op == OpOr || op == OpXor) {
+	return reduceSet(c, c.World(), op, local)
+}
+
+func reduceSet[T Element](c *Ctx, as ActiveSet, op ReduceOp, local []T) []T {
+	if op >= OpAnd && isFloat[T]() {
 		panic("shmem: bitwise reduction invalid for floating-point types")
 	}
-	sz := elemSize[T]()
-	res := c.reduceBytes(encodeSlice(local), func(acc, in []byte) {
-		for i := 0; i+sz <= len(acc); i += sz {
-			a := decodeElem[T](acc[i:])
-			b := decodeElem[T](in[i:])
-			encodeElem(acc[i:], combineElem(op, a, b))
-		}
-	})
-	return decodeSlice[T](res, len(local))
+	res := c.reduceBytesSet(as, encodeSlice(local), func(acc, in []byte) { combine[T](op, acc, in) })
+	return decodeSlice[T](res)
 }
 
 // FCollect gathers equal-length typed vectors from all PEs, rank-ordered
 // (the shmem_fcollect family).
 func FCollect[T Element](c *Ctx, contrib []T) []T {
-	res := c.FCollectBytes(encodeSlice(contrib))
-	return decodeSlice[T](res, c.n*len(contrib))
+	return decodeSlice[T](c.FCollectBytes(encodeSlice(contrib)))
 }
 
 // Broadcast distributes root's typed vector to all PEs (shmem_broadcast).
@@ -137,47 +116,43 @@ func Broadcast[T Element](c *Ctx, root int, data []T) []T {
 	if c.rank == root {
 		buf = encodeSlice(data)
 	}
-	out := c.BroadcastBytes(root, buf)
-	return decodeSlice[T](out, len(out)/elemSize[T]())
+	return decodeSlice[T](c.BroadcastBytes(root, buf))
 }
 
-func combineElem[T Element](op ReduceOp, a, b T) T {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpProd:
-		return a * b
-	case OpMin:
-		if b < a {
-			return b
+// isFloat tells the two floating-point instantiations from the four integer
+// ones: a half survives only where division does not truncate.
+func isFloat[T Element]() bool { return T(1)/2 != 0 }
+
+// combine folds in into acc element-wise, both in wire format. Bitwise
+// operators are defined on the representation, so they fold the bytes as they
+// are; floating-point OpMin/OpMax are math.Min/math.Max (NaN wins, -0 < +0).
+func combine[T Element](op ReduceOp, acc, in []byte) {
+	if op >= OpAnd {
+		for i := range acc {
+			acc[i] = bitwise(op, acc[i], in[i])
 		}
-		return a
-	case OpMax:
-		if b > a {
-			return b
+		return
+	}
+	float := isFloat[T]()
+	for sz, i := elemSize[T](), 0; i+sz <= len(acc); i += sz {
+		a, b := load[T](acc[i:]), load[T](in[i:])
+		switch {
+		case op == OpSum:
+			a += b
+		case op == OpProd:
+			a *= b
+		case op == OpMin && float:
+			a = T(math.Min(float64(a), float64(b)))
+		case op == OpMax && float:
+			a = T(math.Max(float64(a), float64(b)))
+		case op == OpMin && b < a, op == OpMax && b > a:
+			a = b
 		}
-		return a
+		store(acc[i:], a)
 	}
-	// Bitwise ops: only integer instantiations reach here.
-	return bitwiseGeneric(op, a, b)
 }
 
-// bitwiseGeneric dispatches the integer bitwise operators.
-func bitwiseGeneric[T Element](op ReduceOp, a, b T) T {
-	switch x := any(a).(type) {
-	case int32:
-		return any(int32(bitwiseInt64(op, int64(x), int64(any(b).(int32))))).(T)
-	case uint32:
-		return any(uint32(bitwiseInt64(op, int64(x), int64(any(b).(uint32))))).(T)
-	case int64:
-		return any(bitwiseInt64(op, x, any(b).(int64))).(T)
-	case uint64:
-		return any(uint64(bitwiseInt64(op, int64(x), int64(any(b).(uint64))))).(T)
-	}
-	panic("shmem: bitwise reduction on non-integer type")
-}
-
-func bitwiseInt64(op ReduceOp, a, b int64) int64 {
+func bitwise(op ReduceOp, a, b byte) byte {
 	switch op {
 	case OpAnd:
 		return a & b

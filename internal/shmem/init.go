@@ -39,6 +39,80 @@ type Env struct {
 //	           (overlapped with the allgather); shared memory; intra-node
 //	           barrier. Connections and segment exchange are deferred.
 func Attach(env Env, opts Options) *Ctx {
+	c := newCtx(env, opts)
+	last := c.startVT
+	// mark closes one initialization phase: it charges the elapsed region to
+	// the legacy breakdown bucket AND records it as a named startup phase, so
+	// the phases tile [startVT, now] exactly (the phase-sum invariant).
+	mark := func(bucket *int64, phase string) {
+		now := c.clk.Now()
+		*bucket += now - last
+		c.obs.InitPhase(phase, last, now)
+		last = now
+	}
+
+	c.startConduit(env)
+	mark(&c.breakdown.Other, "qp-setup")
+
+	// --- PMI exchange of UD endpoint info ---
+	if err := c.conduit.ExchangeEndpoints(); err != nil {
+		// Permanent control-plane failure: the conduit has already raised
+		// the job abort (ExitPMIFailure); unwind this PE through the same
+		// panic path GlobalExit uses so the launcher classifies the code.
+		panic(fmt.Errorf("shmem: endpoint exchange: %w", err))
+	}
+	mark(&c.breakdown.PMIExchange, "pmi-exchange")
+
+	c.registerHeap()
+	mark(&c.breakdown.MemoryReg, "mem-reg")
+
+	// --- Shared-memory (intra-node) setup ---
+	c.clk.Advance(c.model.SharedMemSetup)
+	c.conduit.IntraNodeBarrier()
+	mark(&c.breakdown.SharedMemSetup, "shared-mem")
+
+	c.conduit.SetReady()
+
+	// --- Connection setup & segment exchange ---
+	// Both sub-phases are marked in every mode (zero-length when skipped), so
+	// the phase names line up across static and on-demand runs.
+	static := c.opts.Mode == gasnet.Static
+	// The current design's broadcast forces all-to-all connectivity even on an
+	// on-demand conduit (the SegBroadcast ablation).
+	eager := static || c.opts.SegEx == SegBroadcast
+	switch {
+	case static:
+		if err := c.conduit.ConnectAll(); err != nil {
+			panic("shmem: static connect: " + err.Error())
+		}
+	case !eager && c.opts.GlobalInitBarriers:
+		// Section IV-E ablation: a global barrier during on-demand init
+		// forces O(log P) connections right here.
+		c.BarrierAll()
+	}
+	mark(&c.breakdown.ConnectionSetup, "conn-setup")
+	if eager {
+		c.broadcastSegs()
+		c.BarrierAll() // the current design's global synchronization
+	}
+	mark(&c.breakdown.ConnectionSetup, "rkey-exchange")
+
+	// --- Remaining constant setup ---
+	c.clk.Advance(c.model.InitOther)
+	if static || c.opts.GlobalInitBarriers {
+		c.BarrierAll()
+	} else {
+		c.conduit.IntraNodeBarrier() // paper section IV-E replacement
+	}
+	mark(&c.breakdown.Other, "other")
+
+	c.breakdown.Total = c.clk.Now() - c.startVT
+	return c
+}
+
+// newCtx fills in the option defaults and builds the context up to the point
+// where start_pes' clock starts: no conduit, no heap.
+func newCtx(env Env, opts Options) *Ctx {
 	if opts.HeapSize <= 0 {
 		opts.HeapSize = 1 << 20
 	}
@@ -75,27 +149,22 @@ func Attach(env Env, opts Options) *Ctx {
 	c.hColl = c.obs.Hist("shmem.collective_ns")
 	env.PMI.SetObs(c.obs)
 	c.startVT = c.clk.Now()
-	last := c.startVT
-	// mark closes one initialization phase: it charges the elapsed region to
-	// the legacy breakdown bucket AND records it as a named startup phase, so
-	// the phases tile [startVT, now] exactly (the phase-sum invariant).
-	mark := func(bucket *int64, phase string) {
-		now := c.clk.Now()
-		*bucket += now - last
-		c.obs.InitPhase(phase, last, now)
-		last = now
-	}
+	return c
+}
 
+// startConduit creates the PE's conduit (UD endpoint) and registers the
+// runtime's active-message handlers and its abort wake-up.
+func (c *Ctx) startConduit(env Env) {
 	cfg := gasnet.Config{
 		Rank: env.Rank, NProcs: env.NProcs, Node: env.Node, PPN: env.PPN,
 		HCA: env.HCA, PMI: env.PMI, Clock: env.Clock,
-		Mode: opts.Mode, BlockingPMI: opts.BlockingPMI,
+		Mode: c.opts.Mode, BlockingPMI: c.opts.BlockingPMI,
 		NodeBarrier: env.NodeBarrier,
 		Obs:         env.Obs,
-		MaxLiveRC:   opts.MaxLiveRC,
-		Heartbeat:   opts.Heartbeat,
+		MaxLiveRC:   c.opts.MaxLiveRC,
+		Heartbeat:   c.opts.Heartbeat,
 	}
-	if opts.SegEx == SegPiggyback {
+	if c.opts.SegEx == SegPiggyback {
 		cfg.ConnectPayload = func() []byte { return c.encodeOwnSeg() }
 		cfg.OnConnectPayload = func(peer int, b []byte, at int64) { c.storeSeg(peer, b, at) }
 	}
@@ -119,25 +188,17 @@ func Attach(env Env, opts Options) *Ctx {
 	c.conduit.RegisterHandler(amSignal, func(src int, args [4]uint64, payload []byte, at int64) {
 		c.applySignal(int64(args[0]), args[1], at)
 	})
-	mark(&c.breakdown.Other, "qp-setup")
+}
 
-	// --- PMI exchange of UD endpoint info ---
-	if err := c.conduit.ExchangeEndpoints(); err != nil {
-		// Permanent control-plane failure: the conduit has already raised
-		// the job abort (ExitPMIFailure); unwind this PE through the same
-		// panic path GlobalExit uses so the launcher classifies the code.
-		panic(fmt.Errorf("shmem: endpoint exchange: %w", err))
-	}
-	mark(&c.breakdown.PMIExchange, "pmi-exchange")
-
-	// --- Symmetric heap allocation and registration ---
-	c.heapBuf = make([]byte, opts.HeapSize)
-	c.heap = newHeap(opts.HeapSize)
+// registerHeap allocates the symmetric heap and registers it with the HCA.
+func (c *Ctx) registerHeap() {
+	c.heapBuf = make([]byte, c.opts.HeapSize)
+	c.heap = newHeap(c.opts.HeapSize)
 	// Registration goes through the conduit's degradation ladder: a refused
 	// pinning (budget or injected fault) falls back to a bounce-buffered
 	// region, and only a PE with no registered heap at all aborts.
 	c.mr = c.conduit.RegisterHeap(c.heapBuf)
-	if extra := c.model.MemRegTime(opts.DeclaredHeapSize) - c.model.MemRegTime(opts.HeapSize); extra > 0 {
+	if extra := c.model.MemRegTime(c.opts.DeclaredHeapSize) - c.model.MemRegTime(c.opts.HeapSize); extra > 0 {
 		c.clk.Advance(extra) // model the declared (paper-scale) heap size
 	}
 	c.mr.SetOnWrite(func(off, n int, vt int64) {
@@ -149,54 +210,7 @@ func Attach(env Env, opts Options) *Ctx {
 		c.watchCond.Broadcast()
 	})
 	c.setOwnSeg()
-	c.obs.Emit(c.clk.Now(), obs.LayerIB, "mr-register", -1, int64(opts.DeclaredHeapSize))
-	mark(&c.breakdown.MemoryReg, "mem-reg")
-
-	// --- Shared-memory (intra-node) setup ---
-	c.clk.Advance(c.model.SharedMemSetup)
-	c.conduit.IntraNodeBarrier()
-	mark(&c.breakdown.SharedMemSetup, "shared-mem")
-
-	c.conduit.SetReady()
-
-	// --- Connection setup & segment exchange ---
-	// Both sub-phases are marked in every mode (zero-length when skipped), so
-	// the phase names line up across static and on-demand runs.
-	if opts.Mode == gasnet.Static {
-		if err := c.conduit.ConnectAll(); err != nil {
-			panic("shmem: static connect: " + err.Error())
-		}
-		mark(&c.breakdown.ConnectionSetup, "conn-setup")
-		c.broadcastSegs()
-		c.BarrierAll() // the current design's global synchronization
-		mark(&c.breakdown.ConnectionSetup, "rkey-exchange")
-	} else if opts.SegEx == SegBroadcast {
-		// Unusual combination (ablation): broadcast still forces all-to-all.
-		mark(&c.breakdown.ConnectionSetup, "conn-setup")
-		c.broadcastSegs()
-		c.BarrierAll()
-		mark(&c.breakdown.ConnectionSetup, "rkey-exchange")
-	} else {
-		if opts.GlobalInitBarriers {
-			// Section IV-E ablation: a global barrier during on-demand init
-			// forces O(log P) connections right here.
-			c.BarrierAll()
-		}
-		mark(&c.breakdown.ConnectionSetup, "conn-setup")
-		mark(&c.breakdown.ConnectionSetup, "rkey-exchange")
-	}
-
-	// --- Remaining constant setup ---
-	c.clk.Advance(c.model.InitOther)
-	if opts.Mode == gasnet.Static || opts.GlobalInitBarriers {
-		c.BarrierAll()
-	} else {
-		c.conduit.IntraNodeBarrier() // paper section IV-E replacement
-	}
-	mark(&c.breakdown.Other, "other")
-
-	c.breakdown.Total = c.clk.Now() - c.startVT
-	return c
+	c.obs.Emit(c.clk.Now(), obs.LayerIB, "mr-register", -1, int64(c.opts.DeclaredHeapSize))
 }
 
 // InitTime returns the virtual duration of start_pes.

@@ -2,6 +2,7 @@ package shmem_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -127,6 +128,48 @@ func combineRef(op shmem.ReduceOp, a, b int64) int64 {
 	default:
 		return a ^ b
 	}
+}
+
+// Floating-point OpMin/OpMax are math.Min/math.Max whichever instantiation
+// reaches the one combine: a NaN contribution wins from any PE, and -0 orders
+// below +0 (a plain b < a would drop the NaN and keep whichever zero came
+// first). One row per column of the reduced vector, one contribution per PE.
+func TestReduceFloatMinMaxSpecials(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	rows := [][3]float64{
+		{0, negZero, 0},
+		{negZero, 0, negZero},
+		{1, nan, 2},
+		{nan, 1, 2},
+		{1, 2, nan},
+		{inf, nan, -inf},
+		{inf, 3, -inf},
+	}
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+	}
+	run(t, cluster.Config{NP: 3, Mode: gasnet.OnDemand}, func(c *shmem.Ctx) {
+		local := make([]float64, len(rows))
+		narrow := make([]float32, len(rows))
+		for i, r := range rows {
+			local[i], narrow[i] = r[c.Me()], float32(r[c.Me()])
+		}
+		for _, tc := range []struct {
+			op  shmem.ReduceOp
+			ref func(a, b float64) float64
+		}{{shmem.OpMin, math.Min}, {shmem.OpMax, math.Max}} {
+			got := c.ReduceFloat64(tc.op, local)
+			set := c.ReduceFloat64Set(c.World(), tc.op, local)
+			got32 := shmem.Reduce(c, tc.op, narrow)
+			for i, r := range rows {
+				want := tc.ref(tc.ref(r[0], r[1]), r[2])
+				if !same(got[i], want) || !same(set[i], want) || !same(float64(got32[i]), want) {
+					t.Errorf("op %d over %v = %v (set %v, float32 %v), want %v",
+						tc.op, r, got[i], set[i], got32[i], want)
+				}
+			}
+		}
+	})
 }
 
 // Property: FCollect of random-size contributions (equal across PEs per

@@ -1,9 +1,7 @@
 package shmem
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"goshmem/internal/obs"
 )
@@ -83,67 +81,33 @@ func (c *Ctx) GetMem(dest []byte, src SymAddr, pe int) {
 }
 
 // PutInt64 writes a vector of int64 to the target PE (shmem_long_put).
-func (c *Ctx) PutInt64(dest SymAddr, src []int64, pe int) {
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	c.PutMem(dest, buf, pe)
-}
+func (c *Ctx) PutInt64(dest SymAddr, src []int64, pe int) { Put(c, dest, src, pe) }
 
 // GetInt64 reads a vector of int64 from the target PE (shmem_long_get).
-func (c *Ctx) GetInt64(dest []int64, src SymAddr, pe int) {
-	buf := make([]byte, 8*len(dest))
-	c.GetMem(buf, src, pe)
-	for i := range dest {
-		dest[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-}
+func (c *Ctx) GetInt64(dest []int64, src SymAddr, pe int) { getInto(c, dest, src, pe) }
 
 // PutFloat64 writes a vector of float64 to the target PE (shmem_double_put).
-func (c *Ctx) PutFloat64(dest SymAddr, src []float64, pe int) {
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	c.PutMem(dest, buf, pe)
-}
+func (c *Ctx) PutFloat64(dest SymAddr, src []float64, pe int) { Put(c, dest, src, pe) }
 
 // GetFloat64 reads a vector of float64 from the target PE (shmem_double_get).
-func (c *Ctx) GetFloat64(dest []float64, src SymAddr, pe int) {
-	buf := make([]byte, 8*len(dest))
-	c.GetMem(buf, src, pe)
-	for i := range dest {
-		dest[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-}
+func (c *Ctx) GetFloat64(dest []float64, src SymAddr, pe int) { getInto(c, dest, src, pe) }
 
 // P64 writes a single int64 (shmem_long_p).
-func (c *Ctx) P64(dest SymAddr, v int64, pe int) { c.PutInt64(dest, []int64{v}, pe) }
+func (c *Ctx) P64(dest SymAddr, v int64, pe int) { P(c, dest, v, pe) }
 
 // G64 reads a single int64 (shmem_long_g).
-func (c *Ctx) G64(src SymAddr, pe int) int64 {
-	var out [1]int64
-	c.GetInt64(out[:], src, pe)
-	return out[0]
-}
+func (c *Ctx) G64(src SymAddr, pe int) int64 { return G[int64](c, src, pe) }
 
 // LocalInt64 views a symmetric int64 vector in this PE's own partition.
 // Reads and writes through the view race with concurrent remote atomics;
 // use LoadInt64 for values that remote PEs update atomically.
 func (c *Ctx) LocalInt64(addr SymAddr, n int) []int64 {
-	b := c.Local(addr, 8*n)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
+	return decodeSlice[int64](c.Local(addr, 8*n))
 }
 
 // StoreLocalInt64 writes v into this PE's own partition at addr+8*i.
 func (c *Ctx) StoreLocalInt64(addr SymAddr, i int, v int64) {
-	b := c.Local(addr+SymAddr(8*i), 8)
-	binary.LittleEndian.PutUint64(b, uint64(v))
+	store(c.Local(addr+SymAddr(8*i), 8), v)
 }
 
 // LoadInt64 atomically (with respect to remote atomics) loads the local
@@ -161,16 +125,10 @@ func (c *Ctx) StoreInt64(addr SymAddr, i int, v int64) {
 
 // LocalFloat64 views a symmetric float64 vector in this PE's own partition.
 func (c *Ctx) LocalFloat64(addr SymAddr, n int) []float64 {
-	b := c.Local(addr, 8*n)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
+	return decodeSlice[float64](c.Local(addr, 8*n))
 }
 
 // StoreLocalFloat64 writes v into this PE's own partition at addr+8*i.
 func (c *Ctx) StoreLocalFloat64(addr SymAddr, i int, v float64) {
-	b := c.Local(addr+SymAddr(8*i), 8)
-	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+	store(c.Local(addr+SymAddr(8*i), 8), v)
 }

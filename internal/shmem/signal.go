@@ -1,7 +1,6 @@
 package shmem
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"goshmem/internal/obs"
@@ -44,7 +43,7 @@ func (c *Ctx) PutMemSignal(dest SymAddr, src []byte, sig SymAddr, sadd int64, pe
 // P64Signal writes a single int64 with a signal (shmem_long_p + signal).
 func (c *Ctx) P64Signal(dest SymAddr, v int64, sig SymAddr, sadd int64, pe int) {
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
+	store(buf[:], v)
 	c.PutMemSignal(dest, buf[:], sig, sadd, pe)
 }
 

@@ -1,9 +1,6 @@
 package shmem
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Strided transfers (shmem_iput/shmem_iget). Strides are in elements, as in
 // the OpenSHMEM specification. Each contiguous element is transferred
@@ -18,7 +15,7 @@ func (c *Ctx) PutInt64Strided(dest SymAddr, src []int64, dst, sst, n int, pe int
 	}
 	var buf [8]byte
 	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(buf[:], uint64(src[i*sst]))
+		store(buf[:], src[i*sst])
 		c.PutMem(dest+SymAddr(8*i*dst), buf[:], pe)
 	}
 }
@@ -32,7 +29,7 @@ func (c *Ctx) GetInt64Strided(dest []int64, src SymAddr, dst, sst, n int, pe int
 	var buf [8]byte
 	for i := 0; i < n; i++ {
 		c.GetMem(buf[:], src+SymAddr(8*i*sst), pe)
-		dest[i*dst] = int64(binary.LittleEndian.Uint64(buf[:]))
+		dest[i*dst] = load[int64](buf[:])
 	}
 }
 

@@ -89,6 +89,8 @@ func Attach(env shmem.Env, opts Options) *Thread {
 		OnConnectPayload: t.storeSeg,
 	}
 	t.conduit = gasnet.New(cfg)
+	// A job abort wakes a thread parked in Barrier so it sees the error.
+	t.conduit.OnAbort(func(error) { t.barCond.Broadcast() })
 	t.conduit.RegisterHandler(amBarrier, func(src int, args [4]uint64, payload []byte, at int64) {
 		t.barMu.Lock()
 		t.inbox[[2]uint64{args[0], uint64(src)}] = at
@@ -272,6 +274,10 @@ func (t *Thread) Barrier() {
 				t.barMu.Unlock()
 				t.conduit.Clock().AdvanceTo(at)
 				break
+			}
+			if err := t.conduit.LivenessErr(); err != nil {
+				t.barMu.Unlock()
+				panic(fmt.Errorf("upc: barrier: %w", err))
 			}
 			t.barCond.Wait()
 		}

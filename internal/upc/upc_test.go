@@ -3,9 +3,11 @@ package upc_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
+	"goshmem/internal/ib"
 	"goshmem/internal/shmem"
 	"goshmem/internal/upc"
 )
@@ -116,4 +118,30 @@ func TestUPCAffinityLayout(t *testing.T) {
 		}
 		th.Barrier()
 	})
+}
+
+// A thread killed mid-job must unwind every survivor parked in upc_barrier:
+// the wait loop checks the conduit's liveness and the abort wakes it. RunEnvs
+// has no watchdog, so the test brings its own deadline.
+func TestBarrierUnwindsOnPEKill(t *testing.T) {
+	fi := ib.NewFaultInjector(1)
+	fi.KillPE(1, 1_000_000)
+	done := make(chan error, 1)
+	go func() {
+		done <- cluster.RunEnvs(cluster.Config{NP: 4, PPN: 4, SkipLaunchCost: true, Faults: fi},
+			func(env shmem.Env) {
+				th := upc.Attach(env, upc.Options{Mode: gasnet.OnDemand})
+				for {
+					th.Barrier()
+				}
+			})
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("job with a killed thread returned no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("threads still parked in Barrier 10 s after a peer was killed")
+	}
 }
