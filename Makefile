@@ -1,7 +1,7 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
 # (see ROADMAP.md): build, the no-host-clock check on the engine, the size
 # ceilings on the conduit, the verbs model, the OpenSHMEM runtime (1,300) and
-# all packages (14,800), the full test suite, the full suite again under the
+# all packages (14,400), the full test suite, the full suite again under the
 # race detector, the determinism contracts repeated
 # across GOMAXPROCS, a fast data-plane-integrity smoke, and the benchmark
 # module's own vet + smoke test.
@@ -172,7 +172,7 @@ loc:
 GASNET_LOC_MAX = 3000
 IB_LOC_MAX = 1700
 SHMEM_LOC_MAX = 1300
-TOTAL_LOC_MAX = 14800
+TOTAL_LOC_MAX = 14400
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

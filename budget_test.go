@@ -10,12 +10,20 @@ import (
 )
 
 // TestFunctionBudget pins the shape earlier simplifications bought: in the
-// listed packages no function in a non-test file has a body over 80 lines, so
-// the verbs model cannot grow back into one switch (sendRC was 295 lines,
-// sendUD 103) nor start_pes into one function (Attach was 160).
+// engine, the launcher and the two CLIs that drive them, no function in a
+// non-test file has a body over 80 lines, so the verbs model cannot grow back
+// into one switch (sendRC was 295 lines, sendUD 103), start_pes into one
+// function (Attach was 160), nor a job into one function (cluster.Run was 268,
+// oshrun's main 447).
 func TestFunctionBudget(t *testing.T) {
 	const budget = 80
-	for _, pkg := range []string{"internal/ib", "internal/shmem"} {
+	// The single exemption, by name: the handshake protocol is one pure
+	// transition table, read and model-checked row by row as a whole.
+	exempt := map[string]bool{"internal/gasnet.step": true}
+	for _, pkg := range []string{
+		"internal/ib", "internal/shmem", "internal/cluster", "internal/gasnet",
+		"internal/pmi", "internal/vclock", "cmd/oshrun", "cmd/osu",
+	} {
 		t.Run(pkg, func(t *testing.T) {
 			files, err := filepath.Glob(filepath.Join(pkg, "*.go"))
 			if err != nil || len(files) == 0 {
@@ -32,7 +40,7 @@ func TestFunctionBudget(t *testing.T) {
 				}
 				for _, decl := range file.Decls {
 					fn, ok := decl.(*ast.FuncDecl)
-					if !ok || fn.Body == nil {
+					if !ok || fn.Body == nil || exempt[pkg+"."+fn.Name.Name] {
 						continue
 					}
 					if n := fset.Position(fn.Body.Rbrace).Line - fset.Position(fn.Body.Lbrace).Line - 1; n > budget {

@@ -6,43 +6,29 @@
 //
 // Like the originals: put/get run between two PEs on two nodes; collectives
 // run across -np PEs; numbers are averaged over -iters iterations after
-// warmup. The -conn flag selects the connection design under test.
+// warmup. The -conn flag selects the connection design under test. The
+// kernels are internal/bench's — the ones `reproduce -exp fig6|fig7` runs under
+// both designs — so this file is flags, headers and rows.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
+	"goshmem/internal/bench"
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
 	"goshmem/internal/obs"
-	"goshmem/internal/shmem"
 )
-
-// withHist mirrors the -hist flag: it turns on the observability plane's
-// metric registry so each benchmark can print latency percentiles alongside
-// the OSU-style averages.
-var withHist bool
-
-// obsCfg is the cluster observability config for the current flags.
-func obsCfg() obs.Config { return obs.Config{Metrics: withHist} }
 
 // printHists dumps the run's non-empty latency histograms (percentiles in
 // virtual µs), OSU-style: averages hide tails, percentiles do not.
 func printHists(res *cluster.Result) {
-	if !withHist || res == nil || res.Obs == nil {
-		return
-	}
-	reg := res.Obs.Registry()
-	if reg == nil {
-		return
-	}
 	fmt.Println()
 	fmt.Println("# OSU OpenSHMEM Latency Percentiles (simulated, virtual time)")
 	fmt.Printf("%-28s%-10s%-12s%-12s%-12s%-12s\n", "# Histogram", "Count", "p50 (us)", "p95 (us)", "p99 (us)", "max (us)")
-	for _, h := range reg.Hists() {
+	for _, h := range res.Obs.Registry().Hists() {
 		if h.Count == 0 {
 			continue
 		}
@@ -51,8 +37,32 @@ func printHists(res *cluster.Result) {
 	}
 }
 
+// doubling lists first, 2·first, 4·first, … up to max (first itself always).
+func doubling(first, max int) []int {
+	sizes := []int{first}
+	for s := 2 * first; s <= max; s *= 2 {
+		sizes = append(sizes, s)
+	}
+	return sizes
+}
+
+// row is one line of an OSU table: its left-hand label and the measurement
+// that fills it.
+type row struct {
+	label string
+	key   bench.Key
+}
+
+// bySize is the rows of a size-indexed table for op.
+func bySize(op string, sizes []int) (rows []row) {
+	for _, s := range sizes {
+		rows = append(rows, row{fmt.Sprintf("%-16d", s), bench.Key{Op: op, N: s}})
+	}
+	return rows
+}
+
 func main() {
-	bench := flag.String("bench", "put", "put | get | atomics | barrier | reduce | collect | put_bw")
+	which := flag.String("bench", "put", "put | get | atomics | barrier | reduce | collect | put_bw")
 	np := flag.Int("np", 64, "PEs for collective benchmarks")
 	ppn := flag.Int("ppn", 8, "PEs per node")
 	conn := flag.String("conn", "ondemand", "static | ondemand")
@@ -60,226 +70,66 @@ func main() {
 	maxSize := flag.Int("max", 1<<20, "largest message size")
 	hist := flag.Bool("hist", false, "also print latency percentiles (p50/p95/p99/max) from the obs plane")
 	flag.Parse()
-	withHist = *hist
-
-	mode := gasnet.OnDemand
-	if *conn == "static" {
-		mode = gasnet.Static
-	}
-
-	sizes := []int{1}
-	for s := 2; s <= *maxSize; s *= 2 {
-		sizes = append(sizes, s)
-	}
-
-	switch *bench {
-	case "put", "get":
-		runPutGet(*bench, mode, sizes, *iters)
-	case "atomics":
-		runAtomics(mode, *iters)
-	case "barrier":
-		runBarrier(mode, *np, *ppn, *iters)
-	case "reduce", "collect":
-		runCollective(*bench, mode, *np, *ppn, minInt(*maxSize, 2048), *iters)
-	case "put_bw":
-		runPutBW(mode, sizes, *iters)
-	default:
-		fmt.Fprintf(os.Stderr, "osu: unknown -bench %q\n", *bench)
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "osu: %v\n", err)
 		os.Exit(2)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
+	mode, err := gasnet.ParseMode(*conn)
+	if err != nil {
+		usage(err)
 	}
-	return b
-}
+	oc := obs.Config{Metrics: *hist}
+	sizes := doubling(1, *maxSize)
 
-func header(name string, cols ...string) {
-	fmt.Printf("# OSU OpenSHMEM %s Test (simulated, virtual time)\n", name)
-	for _, c := range cols {
-		fmt.Printf("%-16s", c)
-	}
-	fmt.Println()
-}
-
-func runPutGet(which string, mode gasnet.Mode, sizes []int, iters int) {
-	max := sizes[len(sizes)-1]
-	results := map[int]float64{}
-	var mu sync.Mutex
-	res, err := cluster.Run(cluster.Config{NP: 2, PPN: 1, Mode: mode, SkipLaunchCost: true, Obs: obsCfg(),
-		HeapSize: max}, func(c *shmem.Ctx) {
-		buf := c.Malloc(max)
-		scratch := make([]byte, max)
-		for _, size := range sizes {
-			c.BarrierAll()
-			if c.Me() == 0 {
-				t0 := c.Clock().Now()
-				for i := 0; i < iters; i++ {
-					if which == "put" {
-						c.PutMem(buf, scratch[:size], 1)
-						c.Quiet()
-					} else {
-						c.GetMem(scratch[:size], buf, 1)
-					}
-				}
-				mu.Lock()
-				results[size] = float64(c.Clock().Now()-t0) / float64(iters) / 1000
-				mu.Unlock()
+	var (
+		lat   bench.Lat
+		res   *cluster.Result
+		rows  []row
+		title string
+		cols  = []string{"# Size", "Latency (us)"}
+		value = "%-16.2f\n"
+	)
+	switch *which {
+	case "put", "get":
+		title, rows = "shmem_"+*which+"mem Latency", bySize(*which, sizes)
+		lat, res, err = bench.PutGet(mode, []string{*which}, sizes, *iters, oc)
+	case "atomics":
+		title, cols[0] = "Atomic Operation Rate", "# Operation"
+		for _, op := range bench.AtomicOps {
+			rows = append(rows, row{fmt.Sprintf("%-24s", "shmem_long_"+op), bench.Key{Op: op}})
+		}
+		lat, res, err = bench.Atomics(mode, *iters, oc)
+	case "barrier":
+		title, cols[0], rows = "shmem_barrier_all Latency", "# PEs", bySize("barrier", []int{*np})
+		lat, res, err = bench.Barrier(mode, *np, *ppn, *iters, oc)
+	case "reduce", "collect":
+		sizes = doubling(4, min(*maxSize, 2048))
+		title, rows = fmt.Sprintf("shmem_%s Latency (%d PEs)", *which, *np), bySize(*which, sizes)
+		if *which == "reduce" {
+			// A reduce row of size bytes has always reduced size/8+1 float64s
+			// here; the kernel reduces ⌈bytes/8⌉, so ask it for that many
+			// whole elements and keep the row's label.
+			for i, s := range sizes {
+				sizes[i] = 8 * (s/8 + 1)
+				rows[i].key.N = sizes[i]
 			}
 		}
-		c.BarrierAll()
-	})
-	die(err)
-	header("shmem_"+which+"mem Latency", "# Size", "Latency (us)")
-	for _, s := range sizes {
-		fmt.Printf("%-16d%-16.2f\n", s, results[s])
+		lat, res, err = bench.Collectives(mode, []string{*which}, *np, *ppn, sizes, *iters, oc)
+	case "put_bw":
+		title, cols[1], rows, value = "shmem_putmem Bandwidth", "MB/s", bySize("put_bw", sizes), "%-16.1f\n"
+		lat, res, err = bench.PutBW(mode, sizes, 32, *iters, oc)
+	default:
+		usage(fmt.Errorf("unknown -bench %q", *which))
 	}
-	printHists(res)
-}
-
-func runAtomics(mode gasnet.Mode, iters int) {
-	type row struct {
-		op string
-		fn func(c *shmem.Ctx, a shmem.SymAddr)
-	}
-	ops := []row{
-		{"shmem_long_fadd", func(c *shmem.Ctx, a shmem.SymAddr) { c.FetchAddInt64(a, 1, 1) }},
-		{"shmem_long_finc", func(c *shmem.Ctx, a shmem.SymAddr) { c.FetchIncInt64(a, 1) }},
-		{"shmem_long_add", func(c *shmem.Ctx, a shmem.SymAddr) { c.AddInt64(a, 1, 1) }},
-		{"shmem_long_inc", func(c *shmem.Ctx, a shmem.SymAddr) { c.IncInt64(a, 1) }},
-		{"shmem_long_cswap", func(c *shmem.Ctx, a shmem.SymAddr) { c.CompareSwapInt64(a, 0, 1, 1) }},
-		{"shmem_long_swap", func(c *shmem.Ctx, a shmem.SymAddr) { c.SwapInt64(a, 1, 1) }},
-	}
-	results := map[string]float64{}
-	var mu sync.Mutex
-	res, err := cluster.Run(cluster.Config{NP: 2, PPN: 1, Mode: mode, SkipLaunchCost: true, Obs: obsCfg(),
-		HeapSize: 4096}, func(c *shmem.Ctx) {
-		a := c.Malloc(8)
-		for _, op := range ops {
-			c.BarrierAll()
-			if c.Me() == 0 {
-				t0 := c.Clock().Now()
-				for i := 0; i < iters; i++ {
-					op.fn(c, a)
-				}
-				mu.Lock()
-				results[op.op] = float64(c.Clock().Now()-t0) / float64(iters) / 1000
-				mu.Unlock()
-			}
-		}
-		c.BarrierAll()
-	})
-	die(err)
-	header("Atomic Operation Rate", "# Operation", "Latency (us)")
-	for _, op := range ops {
-		fmt.Printf("%-24s%-16.2f\n", op.op, results[op.op])
-	}
-	printHists(res)
-}
-
-func runBarrier(mode gasnet.Mode, np, ppn, iters int) {
-	var lat float64
-	var mu sync.Mutex
-	res, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: mode, SkipLaunchCost: true, Obs: obsCfg(),
-		HeapSize: 4096}, func(c *shmem.Ctx) {
-		c.BarrierAll()
-		c.BarrierAll()
-		t0 := c.Clock().Now()
-		for i := 0; i < iters; i++ {
-			c.BarrierAll()
-		}
-		if c.Me() == 0 {
-			mu.Lock()
-			lat = float64(c.Clock().Now()-t0) / float64(iters) / 1000
-			mu.Unlock()
-		}
-	})
-	die(err)
-	header("shmem_barrier_all Latency", "# PEs", "Latency (us)")
-	fmt.Printf("%-16d%-16.2f\n", np, lat)
-	printHists(res)
-}
-
-func runCollective(which string, mode gasnet.Mode, np, ppn, maxSize, iters int) {
-	sizes := []int{4}
-	for s := 8; s <= maxSize; s *= 2 {
-		sizes = append(sizes, s)
-	}
-	results := map[int]float64{}
-	var mu sync.Mutex
-	res, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: mode, SkipLaunchCost: true, Obs: obsCfg(),
-		HeapSize: 4096}, func(c *shmem.Ctx) {
-		contrib := make([]byte, maxSize)
-		fcontrib := make([]float64, maxSize/8+1)
-		c.FCollectBytes(contrib[:1])
-		c.ReduceFloat64(shmem.OpSum, fcontrib[:1])
-		c.BarrierAll()
-		c.BarrierAll()
-		for _, size := range sizes {
-			c.BarrierAll()
-			t0 := c.Clock().Now()
-			for i := 0; i < iters; i++ {
-				if which == "collect" {
-					c.FCollectBytes(contrib[:size])
-				} else {
-					c.ReduceFloat64(shmem.OpSum, fcontrib[:size/8+1])
-				}
-			}
-			if c.Me() == 0 {
-				mu.Lock()
-				results[size] = float64(c.Clock().Now()-t0) / float64(iters) / 1000
-				mu.Unlock()
-			}
-		}
-	})
-	die(err)
-	header("shmem_"+which+" Latency ("+fmt.Sprint(np)+" PEs)", "# Size", "Latency (us)")
-	for _, s := range sizes {
-		fmt.Printf("%-16d%-16.2f\n", s, results[s])
-	}
-	printHists(res)
-}
-
-func runPutBW(mode gasnet.Mode, sizes []int, iters int) {
-	const window = 32
-	max := sizes[len(sizes)-1]
-	results := map[int]float64{}
-	var mu sync.Mutex
-	res, err := cluster.Run(cluster.Config{NP: 2, PPN: 1, Mode: mode, SkipLaunchCost: true, Obs: obsCfg(),
-		HeapSize: max * window}, func(c *shmem.Ctx) {
-		buf := c.Malloc(max * window)
-		scratch := make([]byte, max)
-		for _, size := range sizes {
-			c.BarrierAll()
-			if c.Me() == 0 {
-				t0 := c.Clock().Now()
-				for it := 0; it < iters; it++ {
-					for w := 0; w < window; w++ {
-						c.PutMem(buf+shmem.SymAddr(w*size), scratch[:size], 1)
-					}
-					c.Quiet()
-				}
-				dt := float64(c.Clock().Now() - t0)
-				mu.Lock()
-				results[size] = float64(size) * window * float64(iters) / dt * 1e9 / (1 << 20)
-				mu.Unlock()
-			}
-		}
-		c.BarrierAll()
-	})
-	die(err)
-	header("shmem_putmem Bandwidth", "# Size", "MB/s")
-	for _, s := range sizes {
-		fmt.Printf("%-16d%-16.1f\n", s, results[s])
-	}
-	printHists(res)
-}
-
-func die(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "osu:", err)
 		os.Exit(1)
+	}
+	fmt.Printf("# OSU OpenSHMEM %s Test (simulated, virtual time)\n%-16s%-16s\n", title, cols[0], cols[1])
+	for _, r := range rows {
+		fmt.Printf("%s"+value, r.label, lat[r.key])
+	}
+	if *hist {
+		printHists(res)
 	}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"sync"
-
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
 	"goshmem/internal/shmem"
@@ -61,24 +59,17 @@ func Ablations(np, ppn int) ([]AblationRow, error) {
 
 	// --- IV-C: piggybacked vs explicit segment exchange: latency of the
 	// first put to a fresh peer ---
+	put := Key{Op: "put"}
 	firstPut := func(segEx shmem.SegExchange) (float64, error) {
-		var lat float64
-		var mu sync.Mutex
-		_, err := cluster.Run(cluster.Config{NP: 2, PPN: 1, Mode: gasnet.OnDemand,
-			SegEx: segEx, SkipLaunchCost: true, HeapSize: 4096},
-			func(c *shmem.Ctx) {
+		lat, _, err := micro(cluster.Config{NP: 2, PPN: 1, Mode: gasnet.OnDemand, SegEx: segEx, HeapSize: 4096},
+			func(c *shmem.Ctx, lat Lat) {
 				a := c.Malloc(64)
 				if c.Me() == 0 {
-					t0 := c.Clock().Now()
-					c.PutMem(a, []byte{1, 2, 3, 4}, 1)
-					c.Quiet()
-					mu.Lock()
-					lat = float64(c.Clock().Now()-t0) / 1000
-					mu.Unlock()
+					lat[put] = timed(c, 1, func() { c.PutMem(a, []byte{1, 2, 3, 4}, 1); c.Quiet() })
 				}
 				c.BarrierAll()
 			})
-		return lat, err
+		return lat[put], err
 	}
 	pg, err := firstPut(shmem.SegPiggyback)
 	if err != nil {
@@ -98,30 +89,20 @@ func Ablations(np, ppn int) ([]AblationRow, error) {
 	cacheLat := func(cacheQPs int) (float64, error) {
 		model := vclock.Default()
 		model.HCACacheQPs = cacheQPs
-		var lat float64
-		var mu sync.Mutex
-		_, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: gasnet.Static,
-			Model: model, SkipLaunchCost: true, HeapSize: 4096},
-			func(c *shmem.Ctx) {
+		lat, _, err := micro(cluster.Config{NP: np, PPN: ppn, Mode: gasnet.Static, Model: model, HeapSize: 4096},
+			func(c *shmem.Ctx, lat Lat) {
 				a := c.Malloc(64)
 				// Cross-node target: intra-node loopback bypasses the wire
 				// (and therefore the endpoint cache).
 				peer := (c.Me() + ppn) % c.NPEs()
-				const iters = 50
 				c.BarrierAll()
-				t0 := c.Clock().Now()
-				for i := 0; i < iters; i++ {
-					c.PutMem(a, []byte{9}, peer)
-					c.Quiet()
-				}
+				us := timed(c, 50, func() { c.PutMem(a, []byte{9}, peer); c.Quiet() })
 				if c.Me() == 0 {
-					mu.Lock()
-					lat = float64(c.Clock().Now()-t0) / iters / 1000
-					mu.Unlock()
+					lat[put] = us
 				}
 				c.BarrierAll()
 			})
-		return lat, err
+		return lat[put], err
 	}
 	big, err := cacheLat(1 << 20) // cache never oversubscribed
 	if err != nil {

@@ -38,24 +38,20 @@ func nasApps(class nas.Class) map[string]appRunner {
 // NAS kernels with static and on-demand connections.
 func NASExecution(np, ppn int, class nas.Class) ([]NASPoint, error) {
 	apps := nasApps(class)
-	order := []string{"BT", "EP", "MG", "SP"}
 	var out []NASPoint
-	for _, name := range order {
-		app := apps[name]
-		st, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: gasnet.Static,
-			HeapSize: 4 << 20, DeclaredHeapSize: DeclaredHeap}, app)
+	for _, name := range []string{"BT", "EP", "MG", "SP"} {
+		s, o, err := both(func(mode gasnet.Mode) (float64, error) {
+			res, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: mode,
+				HeapSize: 4 << 20, DeclaredHeapSize: DeclaredHeap}, apps[name])
+			if err != nil {
+				return 0, fmt.Errorf("%s %s: %w", name, mode, err)
+			}
+			return vclock.Seconds(res.JobVT), nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("%s static: %w", name, err)
+			return nil, err
 		}
-		od, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: gasnet.OnDemand,
-			HeapSize: 4 << 20, DeclaredHeapSize: DeclaredHeap}, app)
-		if err != nil {
-			return nil, fmt.Errorf("%s on-demand: %w", name, err)
-		}
-		s := vclock.Seconds(st.JobVT)
-		o := vclock.Seconds(od.JobVT)
-		out = append(out, NASPoint{App: name, Static: s, OnDemand: o,
-			ImprovementPct: (s - o) / s * 100})
+		out = append(out, NASPoint{App: name, Static: s, OnDemand: o, ImprovementPct: (s - o) / s * 100})
 	}
 	return out, nil
 }
@@ -85,28 +81,21 @@ type G500Point struct {
 // process counts, both connection modes.
 func Graph500Execution(sizes []int, ppn int) ([]G500Point, error) {
 	p := graph500.DefaultParams()
-	run := func(np int, mode gasnet.Mode) (float64, error) {
-		res, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: mode,
-			HeapSize: 1 << 20, DeclaredHeapSize: DeclaredHeap},
-			func(c *shmem.Ctx) {
-				m := mpi.New(c.Conduit())
-				r := graph500.Run(c, m, p)
-				if !r.ValidationOK {
-					panic("graph500: BFS validation failed")
-				}
-			})
-		if err != nil {
-			return 0, err
-		}
-		return vclock.Seconds(res.JobVT), nil
-	}
 	var out []G500Point
 	for _, n := range sizes {
-		s, err := run(n, gasnet.Static)
-		if err != nil {
-			return nil, err
-		}
-		o, err := run(n, gasnet.OnDemand)
+		s, o, err := both(func(mode gasnet.Mode) (float64, error) {
+			res, err := cluster.Run(cluster.Config{NP: n, PPN: ppn, Mode: mode,
+				HeapSize: 1 << 20, DeclaredHeapSize: DeclaredHeap},
+				func(c *shmem.Ctx) {
+					if !graph500.Run(c, mpi.New(c.Conduit()), p).ValidationOK {
+						panic("graph500: BFS validation failed")
+					}
+				})
+			if err != nil {
+				return 0, err
+			}
+			return vclock.Seconds(res.JobVT), nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -201,20 +190,14 @@ func PeersTableRender(np int, pts []PeerPoint) *Table {
 // process for each application across job sizes, plus a linear-regression
 // projection to projN (the paper projects 4,096 from 64/256/1,024).
 func ResourceUsage(sizes []int, ppn, projN int) (map[string][]PeerPoint, map[string]float64, error) {
-	order, apps := tinyApps()
 	series := map[string][]PeerPoint{}
 	for _, np := range sizes {
-		for _, name := range order {
-			if (name == "BT" || name == "SP") && !isSquare(np) {
-				continue
-			}
-			res, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: gasnet.OnDemand,
-				HeapSize: 8 << 20}, apps[name])
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s at %d: %w", name, np, err)
-			}
-			series[name] = append(series[name], PeerPoint{App: name, N: np,
-				AvgPeers: res.AvgPeers(), Endpoints: res.AvgEndpoints(), StaticEP: float64(np)})
+		pts, err := PeersAt(np, ppn)
+		if err != nil {
+			return nil, nil, fmt.Errorf("at %d PEs: %w", np, err)
+		}
+		for _, p := range pts {
+			series[p.App] = append(series[p.App], p)
 		}
 	}
 	proj := map[string]float64{}

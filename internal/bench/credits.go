@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
@@ -27,14 +26,12 @@ type CreditPoint struct {
 // counters reports how hard. Depth 0 is the unbounded baseline.
 func CreditStallLatency(depths []int, burst, iters int) ([]CreditPoint, error) {
 	var out []CreditPoint
+	burstOp := Key{Op: "burst"}
 	for _, depth := range depths {
-		var mu sync.Mutex
-		var perOp float64
 		total := int64(iters * burst)
-		res, err := cluster.Run(cluster.Config{
-			NP: 2, PPN: 1, Mode: gasnet.OnDemand, SkipLaunchCost: true,
-			HeapSize: 4096, RQDepth: depth,
-		}, func(c *shmem.Ctx) {
+		lat, res, err := micro(cluster.Config{
+			NP: 2, PPN: 1, Mode: gasnet.OnDemand, HeapSize: 4096, RQDepth: depth,
+		}, func(c *shmem.Ctx, lat Lat) {
 			data := c.Malloc(8)
 			sig := c.Malloc(8)
 			// Warm up: one signal establishes the connection so the
@@ -54,9 +51,7 @@ func CreditStallLatency(depths []int, burst, iters int) ([]CreditPoint, error) {
 					}
 					c.Quiet()
 				}
-				mu.Lock()
-				perOp = float64(c.Clock().Now()-t0) / float64(total)
-				mu.Unlock()
+				lat[burstOp] = float64(c.Clock().Now()-t0) / float64(total) // ns, not µs
 			} else {
 				c.WaitUntilInt64(sig, shmem.CmpGE, 1+total)
 			}
@@ -68,7 +63,7 @@ func CreditStallLatency(depths []int, burst, iters int) ([]CreditPoint, error) {
 		ctr := res.Counters()
 		out = append(out, CreditPoint{
 			RQDepth:      depth,
-			BurstPutNS:   perOp,
+			BurstPutNS:   lat[burstOp],
 			CreditStalls: int64(ctr.CreditStalls),
 			RNRNaks:      int64(ctr.RNRNaks),
 		})

@@ -8,7 +8,6 @@ import (
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
 	"goshmem/internal/obs"
-	"goshmem/internal/shmem"
 	"goshmem/internal/vclock"
 )
 
@@ -60,11 +59,7 @@ func FootprintSweep(mode gasnet.Mode, sizes []int, ppn, maxStatic int) ([]Footpr
 		if mode == gasnet.Static && maxStatic > 0 && n > maxStatic {
 			continue
 		}
-		res, err := cluster.Run(cluster.Config{
-			NP: n, PPN: ppn, Mode: mode,
-			HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap,
-			Obs: obs.Config{Footprint: true},
-		}, func(c *shmem.Ctx) {})
+		res, err := startupJob(mode, n, ppn, obs.Config{Footprint: true})
 		if err != nil {
 			return nil, err
 		}

@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
 	"goshmem/internal/obs"
-	"goshmem/internal/shmem"
 )
 
 // PhasePoint is one job size of the observability-plane startup breakdown:
@@ -27,11 +25,7 @@ type PhasePoint struct {
 func PhaseBreakdown(mode gasnet.Mode, sizes []int, ppn int) ([]PhasePoint, error) {
 	var out []PhasePoint
 	for _, n := range sizes {
-		res, err := cluster.Run(cluster.Config{
-			NP: n, PPN: ppn, Mode: mode,
-			HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap,
-			Obs: obs.Config{Metrics: true},
-		}, func(c *shmem.Ctx) {})
+		res, err := startupJob(mode, n, ppn, obs.Config{Metrics: true})
 		if err != nil {
 			return nil, err
 		}

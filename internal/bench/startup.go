@@ -5,6 +5,7 @@ import (
 
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
+	"goshmem/internal/obs"
 	"goshmem/internal/shmem"
 	"goshmem/internal/vclock"
 )
@@ -16,6 +17,15 @@ const (
 	DeclaredHeap = 1 << 30
 	ActualHeap   = 64 << 10
 )
+
+// startupJob runs the empty application the startup experiments time: only
+// launch, start_pes and finalize happen.
+func startupJob(mode gasnet.Mode, np, ppn int, oc obs.Config) (*cluster.Result, error) {
+	return cluster.Run(cluster.Config{
+		NP: np, PPN: ppn, Mode: mode,
+		HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap, Obs: oc,
+	}, func(c *shmem.Ctx) {})
+}
 
 // BreakdownPoint is one bar of Figure 1 / Figure 5(b) (seconds).
 type BreakdownPoint struct {
@@ -34,10 +44,7 @@ type BreakdownPoint struct {
 func InitBreakdown(mode gasnet.Mode, sizes []int, ppn int) ([]BreakdownPoint, error) {
 	var out []BreakdownPoint
 	for _, n := range sizes {
-		res, err := cluster.Run(cluster.Config{
-			NP: n, PPN: ppn, Mode: mode,
-			HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap,
-		}, func(c *shmem.Ctx) {})
+		res, err := startupJob(mode, n, ppn, obs.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -96,26 +103,18 @@ type StartupPoint struct {
 func Startup(sizes []int, ppn, maxStatic int) ([]StartupPoint, error) {
 	var out []StartupPoint
 	for _, n := range sizes {
-		p := StartupPoint{N: n}
-		od, err := cluster.Run(cluster.Config{
-			NP: n, PPN: ppn, Mode: gasnet.OnDemand,
-			HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap,
-		}, func(c *shmem.Ctx) {})
+		st, od, err := both(func(mode gasnet.Mode) (*cluster.Result, error) {
+			if mode == gasnet.Static && maxStatic > 0 && n > maxStatic {
+				return nil, nil
+			}
+			return startupJob(mode, n, ppn, obs.Config{})
+		})
 		if err != nil {
 			return nil, err
 		}
-		p.InitOnDemand = vclock.Seconds(od.InitAvg)
-		p.HelloOnDemand = vclock.Seconds(od.JobVT)
-		if maxStatic <= 0 || n <= maxStatic {
-			st, err := cluster.Run(cluster.Config{
-				NP: n, PPN: ppn, Mode: gasnet.Static,
-				HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap,
-			}, func(c *shmem.Ctx) {})
-			if err != nil {
-				return nil, err
-			}
-			p.InitStatic = vclock.Seconds(st.InitAvg)
-			p.HelloStatic = vclock.Seconds(st.JobVT)
+		p := StartupPoint{N: n, InitOnDemand: vclock.Seconds(od.InitAvg), HelloOnDemand: vclock.Seconds(od.JobVT)}
+		if st != nil {
+			p.InitStatic, p.HelloStatic = vclock.Seconds(st.InitAvg), vclock.Seconds(st.JobVT)
 		}
 		out = append(out, p)
 	}

@@ -195,6 +195,11 @@ type Result struct {
 
 	HCA []ib.HCAStats
 
+	// Incidents is the causal-incident summary and the reconciliation of the
+	// ledger against the fault injectors' own counts, built at job end
+	// whenever Config.Obs.Incidents was set, else nil.
+	Incidents *IncidentReport
+
 	// Aborted is set when the job terminated abnormally (PE failure,
 	// global exit, or watchdog); AbortReason describes why and Dump holds
 	// the watchdog's diagnostic state dump when it fired.
@@ -203,41 +208,30 @@ type Result struct {
 	Dump        string
 }
 
-// AvgPeers returns the mean communicating-peer count (Table I metric).
-func (r *Result) AvgPeers() float64 {
+// avg is the per-PE mean of one PEResult quantity.
+func (r *Result) avg(of func(*PEResult) int) float64 {
 	if len(r.PEs) == 0 {
 		return 0
 	}
 	sum := 0
-	for _, p := range r.PEs {
-		sum += p.Peers
+	for i := range r.PEs {
+		sum += of(&r.PEs[i])
 	}
 	return float64(sum) / float64(len(r.PEs))
 }
+
+// AvgPeers returns the mean communicating-peer count (Table I metric).
+func (r *Result) AvgPeers() float64 { return r.avg(func(p *PEResult) int { return p.Peers }) }
 
 // AvgEndpoints returns the mean number of RC endpoints created per PE
 // (Figure 9 metric).
 func (r *Result) AvgEndpoints() float64 {
-	if len(r.PEs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, p := range r.PEs {
-		sum += p.Stats.RCQPsCreated
-	}
-	return float64(sum) / float64(len(r.PEs))
+	return r.avg(func(p *PEResult) int { return p.Stats.RCQPsCreated })
 }
 
 // AvgConns returns the mean number of established connections per PE.
 func (r *Result) AvgConns() float64 {
-	if len(r.PEs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, p := range r.PEs {
-		sum += p.Stats.ConnsEstablished
-	}
-	return float64(sum) / float64(len(r.PEs))
+	return r.avg(func(p *PEResult) int { return p.Stats.ConnsEstablished })
 }
 
 // Counters sums the per-PE conduit counters over the job. PeersContacted and
@@ -251,20 +245,23 @@ func (r *Result) Counters() gasnet.Stats {
 }
 
 // substrate is what every job stands on: the fabric with one adapter and one
-// shared-memory barrier per node, the PMI server, and — on a fabric where
-// something can go missing — the timer queue they all share.
+// shared-memory barrier per node, the PMI server, one virtual clock per PE
+// and — on a fabric where something can go missing — the timer queue they all
+// share.
 type substrate struct {
 	model    *vclock.CostModel
 	fab      *ib.Fabric
 	srv      *pmi.Server
 	hcas     []*ib.HCA
 	bars     []*vclock.VBarrier
+	clks     []*vclock.Clock
 	sched    *vclock.Sched
 	launchVT int64
 }
 
-// prepare validates the job's shape and folds its scheduled faults into the
-// injector (creating one if needed).
+// prepare validates the job's shape and folds its scheduled faults — PE kills
+// and wedges, Nth-allocation failures, port, rail and partition schedules —
+// into the fabric injector, creating one if the config has none.
 func (cfg *Config) prepare() error {
 	if cfg.NP <= 0 {
 		return fmt.Errorf("cluster: NP must be positive, got %d", cfg.NP)
@@ -272,17 +269,38 @@ func (cfg *Config) prepare() error {
 	if cfg.PPN <= 0 {
 		cfg.PPN = 16
 	}
-	applyPEFaults(cfg)
-	applyAllocFaults(cfg)
-	applyRailFaults(cfg)
+	if len(cfg.KillPEs)+len(cfg.WedgePEs)+len(cfg.FailQPAllocs)+len(cfg.FailMRAllocs) == 0 && !cfg.netFaulted() {
+		return nil
+	}
+	if cfg.Faults == nil {
+		cfg.Faults = ib.NewFaultInjector(1)
+	}
+	fi := cfg.Faults
+	for _, f := range cfg.KillPEs {
+		fi.KillPE(f.Rank, f.At)
+	}
+	for _, f := range cfg.WedgePEs {
+		fi.WedgePE(f.Rank, f.At)
+	}
+	fi.FailQPAllocOn(cfg.FailQPAllocs...)
+	fi.FailMRAllocOn(cfg.FailMRAllocs...)
+	for _, f := range cfg.FailPorts {
+		fi.FailPort(f.LID, f.Rail, f.At)
+	}
+	for _, f := range cfg.FailRails {
+		fi.FailRail(f.Rail, f.At)
+	}
+	for _, p := range cfg.Partitions {
+		fi.Partition(cfg.lids(p.A), cfg.lids(p.B), p.At, p.Heal)
+	}
 	return nil
 }
 
 // newSubstrate builds the job's substrate from a prepared config. plane may
 // be nil. The blocking waits outside the conduit — PMI fences and exchanges,
 // the intra-node barriers — are made visible to the fabric's timer queue, with
-// which the launcher registers its PE goroutines: a timer fires only when
-// every one of them is parked.
+// which every PE is registered before launch starts the first one: a timer
+// fires only when every one of them is parked.
 func newSubstrate(cfg *Config, plane *obs.Plane) *substrate {
 	s := &substrate{model: cfg.Model}
 	if s.model == nil {
@@ -295,7 +313,7 @@ func newSubstrate(cfg *Config, plane *obs.Plane) *substrate {
 	nodes := (cfg.NP + cfg.PPN - 1) / cfg.PPN
 	s.hcas = make([]*ib.HCA, nodes)
 	s.bars = make([]*vclock.VBarrier, nodes)
-	limits := cfg.limits()
+	limits := ib.Limits{MaxQPs: cfg.QPBudget, MaxMRBytes: cfg.MRBudget, RQDepth: cfg.RQDepth}
 	for i := 0; i < nodes; i++ {
 		s.hcas[i] = s.fab.AddHCA()
 		// Attach the adapter's gauge/ledger hooks before arming budgets so
@@ -320,42 +338,41 @@ func newSubstrate(cfg *Config, plane *obs.Plane) *substrate {
 	if !cfg.SkipLaunchCost {
 		s.launchVT = s.model.LaunchCost(cfg.NP, nodes)
 	}
-	for r := 0; r < cfg.NP; r++ {
+	s.clks = make([]*vclock.Clock, cfg.NP)
+	for r := range s.clks {
+		s.clks[r] = vclock.NewClock(s.launchVT)
 		s.sched.Enter() // every PE counts before the first one runs: it may block on one not yet started
 	}
 	return s
 }
 
-// RunEnvs launches a job but hands each PE its raw substrate environment
-// instead of an initialized OpenSHMEM context. Alternative PGAS clients of
-// the conduit (the mini-UPC layer, custom runtimes, tests) use it; the body
-// is responsible for its own attach/finalize.
-func RunEnvs(cfg Config, body func(env shmem.Env)) error {
-	if err := cfg.prepare(); err != nil {
-		return err
-	}
-	sub := newSubstrate(&cfg, nil)
+// launch starts one goroutine per PE, hands each its substrate environment and
+// returns when the last has exited. It is the only place a PE goroutine
+// starts: a panic that escapes body is a launcher bug and comes back as the
+// job's error, with the stack of the PE that raised it.
+func (s *substrate) launch(cfg *Config, body func(env shmem.Env)) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, cfg.NP)
+	runPE := func(rank int) {
+		defer s.sched.Exit()
+		defer func() {
+			if p := recover(); p != nil {
+				errs <- fmt.Errorf("cluster: PE %d panicked: %v\n%s", rank, p, debug.Stack())
+			}
+		}()
+		node, clk := rank/cfg.PPN, s.clks[rank]
+		body(shmem.Env{
+			Rank: rank, NProcs: cfg.NP, Node: node, PPN: cfg.PPN,
+			HCA: s.hcas[node], PMI: s.srv.Client(rank, clk), Clock: clk,
+			NodeBarrier: s.bars[node],
+		})
+	}
 	for r := 0; r < cfg.NP; r++ {
 		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer sub.sched.Exit()
-			defer func() {
-				if p := recover(); p != nil {
-					errs <- fmt.Errorf("cluster: PE %d panicked: %v\n%s", rank, p, debug.Stack())
-				}
-			}()
-			node := rank / cfg.PPN
-			clk := vclock.NewClock(sub.launchVT)
-			pmiC := sub.srv.Client(rank, clk)
-			body(shmem.Env{
-				Rank: rank, NProcs: cfg.NP, Node: node, PPN: cfg.PPN,
-				HCA: sub.hcas[node], PMI: pmiC, Clock: clk,
-				NodeBarrier: sub.bars[node],
-			})
-		}(r)
+		// The PE runs a frame below the goroutine's own, so that a goroutine
+		// the host descheduled between Done and its exit holds no reference
+		// to the job: the caller may measure the heap the moment we return.
+		go func(rank int) { defer wg.Done(); runPE(rank) }(r)
 	}
 	wg.Wait()
 	select {
@@ -366,255 +383,274 @@ func RunEnvs(cfg Config, body func(env shmem.Env)) error {
 	}
 }
 
+// RunEnvs launches a job but hands each PE its raw substrate environment
+// instead of an initialized OpenSHMEM context. Alternative PGAS clients of
+// the conduit (the mini-UPC layer, custom runtimes, tests) use it; the body
+// is responsible for its own attach/finalize.
+func RunEnvs(cfg Config, body func(env shmem.Env)) error {
+	if err := cfg.prepare(); err != nil {
+		return err
+	}
+	return newSubstrate(&cfg, nil).launch(&cfg, body)
+}
+
 // Run launches the job and executes app on every PE concurrently. It
 // returns when every PE has finished and finalized.
 func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
+	j := setup(cfg, app)
+	start := time.Now()
+	err := j.sub.launch(&j.res.Cfg, j.runPE)
+	j.wd.stop()
+	j.stopSampler()
+	j.res.Wall = time.Since(start)
+	if err != nil {
+		return nil, err
+	}
+	return j.collect(), nil
+}
+
+// job is one Run in flight: the substrate it stands on, the planes that watch
+// it, and the result its PEs fill in.
+type job struct {
+	app    func(ctx *shmem.Ctx)
+	sub    *substrate
+	plane  *obs.Plane  // nil when no observability was asked for
+	census *obs.Census // nil unless Obs.Footprint; every call on it is nil-safe
+	res    *Result
+	wd     *watchdog
+
+	// The init-done census gate (census != nil only): every PE arrives once
+	// after shmem.Attach, the last arrival triggers the snapshot, and only
+	// then are the PEs released into the app.
+	initWG      sync.WaitGroup
+	censusReady chan struct{}
+
+	stopSampler func()
+}
+
+// setup builds everything a job needs before its first PE runs: the
+// observability plane with the census baseline and the scheduled faults'
+// incidents, the substrate, the result, the init-done gate, the runtime
+// sampler and the watchdog.
+func setup(cfg Config, app func(ctx *shmem.Ctx)) *job {
 	if cfg.HeapSize <= 0 {
 		cfg.HeapSize = 256 << 10
 	}
-
 	obsCfg := cfg.Obs
 	if cfg.Trace {
 		obsCfg.Events = true
 	}
-	var plane *obs.Plane
+	j := &job{app: app, stopSampler: func() {}}
 	if obsCfg.Enabled() {
-		plane = obs.NewPlane(cfg.NP, obsCfg)
+		j.plane = obs.NewPlane(cfg.NP, obsCfg)
 	}
 	// The engine census baseline is taken before any job object exists, so
-	// later snapshots measure job-owned heap growth only. Every census call
-	// below is nil-safe: a disabled footprint plane costs one pointer check.
-	census := plane.Census()
-	census.Snapshot("baseline", 0)
+	// later snapshots measure job-owned heap growth only.
+	j.census = j.plane.Census()
+	j.census.Snapshot("baseline", 0)
 	// Scheduled PE faults open their incidents at setup: the injection time
 	// is the scheduled trigger, known before any PE runs. The failure
 	// detector's suspicion/confirmation stamps detection later; the sweep
 	// marks them aborted (detection + job abort IS the designed outcome).
 	for _, f := range cfg.KillPEs {
-		plane.Ledger().Open("pe", "kill", f.Rank, obs.InstJob, f.At)
+		j.plane.Ledger().Open("pe", "kill", f.Rank, obs.InstJob, f.At)
 	}
 	for _, f := range cfg.WedgePEs {
-		plane.Ledger().Open("pe", "wedge", f.Rank, obs.InstJob, f.At)
+		j.plane.Ledger().Open("pe", "wedge", f.Rank, obs.InstJob, f.At)
 	}
-	seedRailTelemetry(plane, &cfg)
+	seedRailTelemetry(j.plane, &cfg)
 
-	sub := newSubstrate(&cfg, plane)
-	model, fab, srv, hcas, bars, launchVT := sub.model, sub.fab, sub.srv, sub.hcas, sub.bars, sub.launchVT
-
-	res := &Result{Cfg: cfg, PEs: make([]PEResult, cfg.NP), Obs: plane}
-	clks := make([]*vclock.Clock, cfg.NP)
-	for r := 0; r < cfg.NP; r++ {
-		clks[r] = vclock.NewClock(launchVT)
+	j.sub = newSubstrate(&cfg, j.plane)
+	j.res = &Result{Cfg: cfg, PEs: make([]PEResult, cfg.NP), Obs: j.plane}
+	for _, h := range j.sub.hcas {
+		j.census.Register(h)
 	}
-	for _, h := range hcas {
-		census.Register(h)
-	}
-	census.Register(srv)
-	census.Register(vclockReporter{clks: clks, bars: bars})
-	census.Register(engineReporter{res: res})
-	census.Snapshot("setup", 0)
+	j.census.Register(j.sub.srv)
+	j.census.Register(vclockReporter{clks: j.sub.clks, bars: j.sub.bars})
+	j.census.Register(engineReporter{res: j.res})
+	j.census.Snapshot("setup", 0)
 
-	// The init-done census waits for every PE to finish shmem.Attach — the
-	// point Fig. 5(a)'s per-PE memory is defined at. Each PE goroutine
-	// arrives exactly once (a deferred arrive covers panic paths, so a
-	// crashed PE can never strand the barrier), the last arrival triggers
-	// the snapshot, and only then are the PEs released into the app: the
-	// snapshot must see post-init state, not the first application puts.
-	var initWG sync.WaitGroup
-	var censusReady chan struct{}
-	if census != nil {
-		initWG.Add(cfg.NP)
-		censusReady = make(chan struct{})
+	if j.census != nil {
+		// The init-done census is the point Fig. 5(a)'s per-PE memory is
+		// defined at: it must see post-init state, not the first application
+		// puts, so the PEs wait for it.
+		j.initWG.Add(cfg.NP)
+		j.censusReady = make(chan struct{})
 		go func() {
-			initWG.Wait()
-			census.Snapshot("init-done", maxClockVT(clks))
-			close(censusReady)
+			j.initWG.Wait()
+			j.census.Snapshot("init-done", maxClockVT(j.sub.clks))
+			close(j.censusReady)
+		}()
+		if cfg.MemstatsEvery > 0 {
+			j.stopSampler = startSampler(j.census, j.sub.clks, cfg.MemstatsEvery)
+		}
+	}
+	j.wd = newWatchdog(cfg, j.sub)
+	return j
+}
+
+// startSampler is the -memstats-every soak sampler: wall-clock runtime
+// observations stamped at the engine's current virtual frontier. The returned
+// stop joins it — its stack references the job, which it must not outlive.
+func startSampler(census *obs.Census, clks []*vclock.Clock, every time.Duration) (stop func()) {
+	done, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				census.ObserveRuntime(maxClockVT(clks))
+			}
+		}
+	}()
+	return func() { close(done); <-stopped }
+}
+
+// runPE is one PE's life under launch: start_pes, the init-done gate, the
+// application, finalize, and its slot of the result.
+func (j *job) runPE(env shmem.Env) {
+	rank, clk := env.Rank, env.Clock
+	env.Obs = j.plane.PE(rank)
+	var ctx *shmem.Ctx
+	defer func() {
+		if p := recover(); p != nil {
+			j.peDied(rank, clk, ctx, p)
+		}
+	}()
+	ctx = j.attachPE(env)
+	if j.censusReady != nil {
+		// Hold every PE at the init boundary until the census has read
+		// post-attach state. Pure real-time synchronization: no clock
+		// advances, so virtual-time results are unchanged.
+		<-j.censusReady
+	}
+	appVT := clk.Now()
+	j.app(ctx)
+	env.Obs.Span(appVT, clk.Now(), obs.LayerCluster, "app", -1, 0)
+	// Snapshot resource counters before finalize so Table I / Fig. 9
+	// metrics reflect the application, not the teardown barrier.
+	stats := ctx.Stats()
+	finVT := clk.Now()
+	ctx.Finalize()
+	env.Obs.Span(finVT, clk.Now(), obs.LayerCluster, "finalize", -1, 0)
+	exit := 0
+	if err := ctx.Err(); err != nil {
+		// The job aborted but this PE was never blocked on the dead peer; it
+		// still exits nonzero, like a process killed by the launcher during
+		// teardown.
+		if code, ok := exitCodeForErr(err); ok {
+			exit = code
+		} else {
+			exit = 1
+		}
+	}
+	j.res.PEs[rank] = PEResult{
+		Rank:      rank,
+		Breakdown: ctx.Breakdown(),
+		InitVT:    ctx.InitTime(),
+		FinalVT:   clk.Now(),
+		Stats:     stats,
+		Peers:     stats.PeersContacted,
+		ExitCode:  exit,
+	}
+}
+
+// attachPE runs start_pes on one PE, hands its conduit to the watchdog and the
+// census, and arrives at the init-done gate — exactly once, on a panic unwind
+// too, so a crashed PE can never strand the gate, and before runPE's handler
+// runs: its best-effort Finalize may block on peers that are themselves
+// parked on the gate.
+func (j *job) attachPE(env shmem.Env) *shmem.Ctx {
+	if j.censusReady != nil {
+		defer j.initWG.Done()
+	}
+	cfg, clk := &j.res.Cfg, env.Clock
+	env.Obs.Span(0, j.sub.launchVT, obs.LayerCluster, "launch", -1, 0)
+	attachVT := clk.Now()
+	ctx := shmem.Attach(env, shmem.Options{
+		Mode: cfg.Mode, BlockingPMI: cfg.BlockingPMI, SegEx: cfg.SegEx,
+		HeapSize: cfg.HeapSize, DeclaredHeapSize: cfg.DeclaredHeapSize,
+		GlobalInitBarriers: cfg.GlobalInitBarriers,
+		MaxLiveRC:          cfg.MaxLiveRC,
+		Heartbeat:          cfg.Heartbeat,
+	})
+	env.Obs.Span(attachVT, clk.Now(), obs.LayerCluster, "init", -1, 0)
+	j.wd.register(env.Rank, ctx.Conduit())
+	j.census.Register(ctx.Conduit())
+	j.census.Register(ctx)
+	return ctx
+}
+
+// peDied handles a panic out of one PE. A controlled job abort (the runtime
+// layers panic with wrapped liveness errors) becomes the PE's exit status;
+// anything else is a launcher bug and is re-raised into launch's handler.
+// ctx is nil when the PE died inside start_pes.
+func (j *job) peDied(rank int, clk *vclock.Clock, ctx *shmem.Ctx, p any) {
+	code, controlled := exitCodeForPanic(p)
+	if controlled {
+		pr := PEResult{Rank: rank, ExitCode: code, FinalVT: clk.Now()}
+		if ctx != nil {
+			pr.Breakdown = ctx.Breakdown()
+			pr.InitVT = ctx.InitTime()
+			pr.Stats = ctx.Stats()
+		}
+		j.res.PEs[rank] = pr
+	}
+	if ctx != nil {
+		// Best-effort finalize so surviving PEs are not stranded in the
+		// teardown barrier. A panic inside a collective can still leave
+		// peers blocked; the launcher only guarantees recovery for
+		// application level panics between collectives.
+		func() {
+			defer func() { _ = recover() }()
+			ctx.Finalize()
 		}()
 	}
+	if !controlled {
+		panic(p)
+	}
+}
 
-	// The -memstats-every soak sampler: wall-clock runtime observations
-	// stamped at the engine's current virtual frontier.
-	var samplerStop chan struct{}
-	if census != nil && cfg.MemstatsEvery > 0 {
-		samplerStop = make(chan struct{})
-		go func() {
-			t := time.NewTicker(cfg.MemstatsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case <-t.C:
-					census.ObserveRuntime(maxClockVT(clks))
-				}
-			}
-		}()
-	}
-
-	wd := newWatchdog(cfg, clks, fab, srv, bars)
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.NP)
-	runPE := func(rank int) {
-		defer sub.sched.Exit()
-		clk := clks[rank]
-		var ctx *shmem.Ctx
-		arrived := false
-		arrive := func() {
-			if censusReady != nil && !arrived {
-				arrived = true
-				initWG.Done()
-			}
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				if code, ok := exitCodeForPanic(p); ok {
-					// Controlled job abort: record the PE's exit status
-					// instead of treating it as a launcher bug.
-					pr := PEResult{Rank: rank, ExitCode: code, FinalVT: clk.Now()}
-					if ctx != nil {
-						pr.Breakdown = ctx.Breakdown()
-						pr.InitVT = ctx.InitTime()
-						pr.Stats = ctx.Stats()
-					}
-					res.PEs[rank] = pr
-				} else {
-					errs <- fmt.Errorf("cluster: PE %d panicked: %v\n%s", rank, p, debug.Stack())
-				}
-				if ctx != nil {
-					// Best-effort finalize so surviving PEs are not
-					// stranded in the teardown barrier. A panic inside a
-					// collective can still leave peers blocked; the
-					// launcher only guarantees recovery for application
-					// level panics between collectives.
-					func() {
-						defer func() { _ = recover() }()
-						ctx.Finalize()
-					}()
-				}
-			}
-		}()
-		// Registered after the recover handler so it runs first on a
-		// panic unwind (LIFO): the init barrier is released before the
-		// handler's best-effort Finalize can block on peers that are
-		// themselves parked on the census gate.
-		defer arrive()
-		node := rank / cfg.PPN
-		pe := plane.PE(rank)
-		pe.Span(0, launchVT, obs.LayerCluster, "launch", -1, 0)
-		attachVT := clk.Now()
-		pmiC := srv.Client(rank, clk)
-		ctx = shmem.Attach(shmem.Env{
-			Rank: rank, NProcs: cfg.NP, Node: node, PPN: cfg.PPN,
-			HCA: hcas[node], PMI: pmiC, Clock: clk,
-			NodeBarrier: bars[node],
-			Obs:         pe,
-		}, shmem.Options{
-			Mode: cfg.Mode, BlockingPMI: cfg.BlockingPMI, SegEx: cfg.SegEx,
-			HeapSize: cfg.HeapSize, DeclaredHeapSize: cfg.DeclaredHeapSize,
-			GlobalInitBarriers: cfg.GlobalInitBarriers,
-			MaxLiveRC:          cfg.MaxLiveRC,
-			Heartbeat:          cfg.Heartbeat,
-		})
-		pe.Span(attachVT, clk.Now(), obs.LayerCluster, "init", -1, 0)
-		wd.register(rank, ctx.Conduit())
-		census.Register(ctx.Conduit())
-		census.Register(ctx)
-		arrive()
-		if censusReady != nil {
-			// Hold every PE at the init boundary until the census has
-			// read post-attach state. Pure real-time synchronization: no
-			// clock advances, so virtual-time results are unchanged.
-			<-censusReady
-		}
-		appVT := clk.Now()
-		app(ctx)
-		pe.Span(appVT, clk.Now(), obs.LayerCluster, "app", -1, 0)
-		// Snapshot resource counters before finalize so Table I / Fig. 9
-		// metrics reflect the application, not the teardown barrier.
-		stats := ctx.Stats()
-		finVT := clk.Now()
-		ctx.Finalize()
-		pe.Span(finVT, clk.Now(), obs.LayerCluster, "finalize", -1, 0)
-		exit := 0
-		if err := ctx.Err(); err != nil {
-			// The job aborted but this PE was never blocked on the dead
-			// peer; it still exits nonzero, like a process killed by the
-			// launcher during teardown.
-			if code, ok := exitCodeForErr(err); ok {
-				exit = code
-			} else {
-				exit = 1
-			}
-		}
-		res.PEs[rank] = PEResult{
-			Rank:      rank,
-			Breakdown: ctx.Breakdown(),
-			InitVT:    ctx.InitTime(),
-			FinalVT:   clk.Now(),
-			Stats:     stats,
-			Peers:     stats.PeersContacted,
-			ExitCode:  exit,
-		}
-	}
-	for r := 0; r < cfg.NP; r++ {
-		wg.Add(1)
-		// The PE runs a frame below the goroutine's own, so that a goroutine
-		// the host descheduled between Done and its exit holds no reference
-		// to the job: Run's caller may measure the heap the moment it returns.
-		go func(rank int) { defer wg.Done(); runPE(rank) }(r)
-	}
-	wg.Wait()
-	wd.stop()
-	if samplerStop != nil {
-		close(samplerStop)
-	}
-	res.Wall = time.Since(start)
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-
-	if n, ok := srv.Aborted(); ok {
+// collect turns the PEs' slots into the job's result once every PE has
+// exited: abort state, the start_pes and job-time aggregates, adapter
+// counters, the connection trace, and the end-of-job accounting of every
+// observability plane.
+func (j *job) collect() *Result {
+	res, plane := j.res, j.plane
+	if n, ok := j.sub.srv.Aborted(); ok {
 		res.Aborted = true
 		res.AbortReason = n.Reason
 	}
-	if fired, reason, dump := wd.result(); fired {
+	if fired, reason, dump := j.wd.result(); fired {
 		res.Aborted = true
 		res.AbortReason = reason
 		res.Dump = dump
 	}
+	var initSum, finalMax int64
 	for _, p := range res.PEs {
 		if p.ExitCode != 0 {
 			res.Aborted = true
 		}
-	}
-
-	var initSum, initMax, finalMax int64
-	for _, p := range res.PEs {
 		initSum += p.InitVT
-		if p.InitVT > initMax {
-			initMax = p.InitVT
-		}
-		if p.FinalVT > finalMax {
-			finalMax = p.FinalVT
-		}
+		res.InitMax = max(res.InitMax, p.InitVT)
+		finalMax = max(finalMax, p.FinalVT)
 	}
-	res.InitAvg = initSum / int64(cfg.NP)
-	res.InitMax = initMax
-	res.JobVT = finalMax + model.TeardownBase
-	for _, h := range fab.HCAs() {
+	res.InitAvg = initSum / int64(len(res.PEs))
+	res.JobVT = finalMax + j.sub.model.TeardownBase
+	for _, h := range j.sub.fab.HCAs() {
 		res.HCA = append(res.HCA, h.Stats())
 	}
-	if cfg.Trace {
+	if res.Cfg.Trace {
 		// The trace is the connection-lifecycle slice of the plane's event
-		// stream. Events() returns it under the full deterministic sort key
-		// (VT, rank, layer, kind, peer), fixing the old VT-only ordering that
-		// left same-VT events in schedule-dependent order.
+		// stream, which Events() returns under the full deterministic sort
+		// key (VT, rank, layer, kind, peer).
 		for _, e := range plane.Events() {
 			if isConnLifecycle(e) {
 				res.Trace = append(res.Trace, TraceEvent{VT: e.VT, Rank: e.Rank, Kind: e.Kind, Peer: e.Peer})
@@ -625,16 +661,15 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 	// the sweep is what turns leftover-open into closed/aborted/unresolved,
 	// and the registry mirror below wants final timestamps.
 	plane.Ledger().Sweep(res.JobVT, res.Aborted)
-	// The job-end census is taken before the registry mirrors below so the
-	// mirrored counters cannot perturb the measured heap. Its forced
-	// collection also subsumes the old unconditional post-job runtime.GC():
-	// with engine telemetry off, plain runs no longer pay a forced
-	// collection at all — O(NP^2) dead protocol objects after large static
-	// jobs are left to the normal GC pacer (and sweep callers that care run
-	// with the census on, where the collection doubles as measurement).
-	census.Snapshot("job-end", res.JobVT)
-	res.Footprint = census.BuildReport()
+	// The job-end census is taken before the reconciliation and the registry
+	// mirrors below so neither can perturb the measured heap. Its forced
+	// collection is the only one a job pays: with engine telemetry off,
+	// O(NP^2) dead protocol objects after large static jobs are left to the
+	// normal GC pacer.
+	j.census.Snapshot("job-end", res.JobVT)
+	res.Footprint = j.census.BuildReport()
+	res.Incidents = buildIncidentReport(res)
 	mirrorCounters(plane, res)
 	mirrorIncidents(plane)
-	return res, nil
+	return res
 }

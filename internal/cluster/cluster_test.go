@@ -62,17 +62,40 @@ func TestRunLaunchCostSetsClockOrigin(t *testing.T) {
 	}
 }
 
+// TestRunAppPanicPropagates: a body panic on one PE is a launcher bug whichever
+// way the job was launched — launch is the one loop behind Run and RunEnvs —
+// and surfaces as the same error: the PE, the panic value, and a stack that
+// reaches the frame that raised it.
 func TestRunAppPanicPropagates(t *testing.T) {
-	_, err := cluster.Run(cluster.Config{NP: 2, PPN: 2, Mode: gasnet.OnDemand},
-		func(c *shmem.Ctx) {
-			if c.Me() == 1 {
-				panic("boom")
-			}
+	cfg := cluster.Config{NP: 2, PPN: 2, Mode: gasnet.OnDemand}
+	for _, tc := range []struct {
+		name   string
+		launch func() error
+	}{
+		{"Run", func() error {
 			// PE 0 must not hang on a collective with a dead partner; it
 			// simply finishes without synchronizing in this test.
-		})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want panic propagation", err)
+			_, err := cluster.Run(cfg, func(c *shmem.Ctx) { boomOn(c.Me()) })
+			return err
+		}},
+		{"RunEnvs", func() error { return cluster.RunEnvs(cfg, func(env shmem.Env) { boomOn(env.Rank) }) }},
+	} {
+		err := tc.launch()
+		if err == nil {
+			t.Errorf("%s: a PE panicked and the launcher returned no error", tc.name)
+			continue
+		}
+		for _, want := range []string{"cluster: PE 1 panicked: boom\n", "goroutine ", "cluster_test.boomOn"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error lacks %q:\n%v", tc.name, want, err)
+			}
+		}
+	}
+}
+
+func boomOn(rank int) {
+	if rank == 1 {
+		panic("boom")
 	}
 }
 
@@ -92,8 +115,21 @@ func TestAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgPeers() <= 0 || res.AvgEndpoints() <= 0 || res.AvgConns() <= 0 {
-		t.Fatalf("aggregates: peers=%v eps=%v conns=%v", res.AvgPeers(), res.AvgEndpoints(), res.AvgConns())
+	// The three averages are one loop over the per-PE slots: each must equal
+	// its own column's mean.
+	var peers, eps, conns int
+	for _, p := range res.PEs {
+		peers, eps, conns = peers+p.Peers, eps+p.Stats.RCQPsCreated, conns+p.Stats.ConnsEstablished
+	}
+	if peers == 0 || eps == 0 || conns == 0 {
+		t.Fatalf("ring left a column empty: peers=%d eps=%d conns=%d", peers, eps, conns)
+	}
+	if res.AvgPeers() != float64(peers)/4 || res.AvgEndpoints() != float64(eps)/4 || res.AvgConns() != float64(conns)/4 {
+		t.Fatalf("aggregates: peers=%v eps=%v conns=%v, want %d/4 %d/4 %d/4",
+			res.AvgPeers(), res.AvgEndpoints(), res.AvgConns(), peers, eps, conns)
+	}
+	if empty := (&cluster.Result{}); empty.AvgPeers() != 0 {
+		t.Fatalf("no PEs: AvgPeers = %v, want 0", empty.AvgPeers())
 	}
 	// On-demand ring: endpoints per PE well below NP+1.
 	if res.AvgEndpoints() > 6 {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"goshmem/internal/gasnet"
-	"goshmem/internal/ib"
 	"goshmem/internal/pmi"
 	"goshmem/internal/vclock"
 )
@@ -80,42 +79,6 @@ func exitCodeForPanic(p any) (int, bool) {
 	return exitCodeForErr(err)
 }
 
-// applyPEFaults installs the kill/wedge schedules into the fault injector,
-// creating one if the config has none.
-func applyPEFaults(cfg *Config) {
-	if len(cfg.KillPEs)+len(cfg.WedgePEs) == 0 {
-		return
-	}
-	if cfg.Faults == nil {
-		cfg.Faults = ib.NewFaultInjector(1)
-	}
-	for _, f := range cfg.KillPEs {
-		cfg.Faults.KillPE(f.Rank, f.At)
-	}
-	for _, f := range cfg.WedgePEs {
-		cfg.Faults.WedgePE(f.Rank, f.At)
-	}
-}
-
-// limits assembles the per-adapter budget block; the zero value leaves the
-// whole resource plane disarmed.
-func (cfg *Config) limits() ib.Limits {
-	return ib.Limits{MaxQPs: cfg.QPBudget, MaxMRBytes: cfg.MRBudget, RQDepth: cfg.RQDepth}
-}
-
-// applyAllocFaults installs the injected Nth-allocation fault schedules into
-// the fault injector, creating one if the config has none.
-func applyAllocFaults(cfg *Config) {
-	if len(cfg.FailQPAllocs)+len(cfg.FailMRAllocs) == 0 {
-		return
-	}
-	if cfg.Faults == nil {
-		cfg.Faults = ib.NewFaultInjector(1)
-	}
-	cfg.Faults.FailQPAllocOn(cfg.FailQPAllocs...)
-	cfg.Faults.FailMRAllocOn(cfg.FailMRAllocs...)
-}
-
 // watchdog is the hung-job detector: it fires when the job's virtual time
 // exceeds a deadline or when no PE makes progress (virtual clocks and fabric
 // deliveries frozen) for a stretch of real time, then dumps diagnostic state
@@ -125,10 +88,7 @@ type watchdog struct {
 	stall    time.Duration // real-time progress timeout (0 = none)
 	poll     time.Duration
 
-	clks []*vclock.Clock
-	fab  *ib.Fabric
-	srv  *pmi.Server
-	bars []*vclock.VBarrier
+	sub *substrate // the clocks, fabric, PMI server and node barriers it reads and aborts
 
 	mu       sync.Mutex
 	conduits map[int]*gasnet.Conduit
@@ -140,7 +100,7 @@ type watchdog struct {
 	stopped chan struct{} // closed when run has returned
 }
 
-func newWatchdog(cfg Config, clks []*vclock.Clock, fab *ib.Fabric, srv *pmi.Server, bars []*vclock.VBarrier) *watchdog {
+func newWatchdog(cfg Config, sub *substrate) *watchdog {
 	if cfg.Deadline <= 0 && cfg.StallTimeout <= 0 {
 		return nil
 	}
@@ -150,7 +110,7 @@ func newWatchdog(cfg Config, clks []*vclock.Clock, fab *ib.Fabric, srv *pmi.Serv
 	}
 	w := &watchdog{
 		deadline: cfg.Deadline, stall: cfg.StallTimeout, poll: poll,
-		clks: clks, fab: fab, srv: srv, bars: bars,
+		sub:      sub,
 		conduits: make(map[int]*gasnet.Conduit),
 		done:     make(chan struct{}),
 		stopped:  make(chan struct{}),
@@ -195,8 +155,8 @@ func (w *watchdog) result() (fired bool, reason, dump string) {
 func (w *watchdog) maxVT() int64 {
 	// The timer queue's frontier counts: a job waiting out a silence spends
 	// its virtual time there while every PE clock stands still.
-	m := w.fab.Sched().Now()
-	for _, clk := range w.clks {
+	m := w.sub.fab.Sched().Now()
+	for _, clk := range w.sub.clks {
 		if t := clk.Now(); t > m {
 			m = t
 		}
@@ -208,10 +168,10 @@ func (w *watchdog) maxVT() int64 {
 // total fabric deliveries. A wedged or deadlocked job freezes it.
 func (w *watchdog) progress() int64 {
 	var sig int64
-	for _, clk := range w.clks {
+	for _, clk := range w.sub.clks {
 		sig += clk.Now()
 	}
-	for _, h := range w.fab.HCAs() {
+	for _, h := range w.sub.fab.HCAs() {
 		sig += h.Stats().MsgsDelivered
 	}
 	return sig
@@ -272,8 +232,8 @@ func (w *watchdog) fire(reason string) {
 	w.dump = dump
 	w.mu.Unlock()
 
-	w.srv.RaiseAbort(pmi.AbortNotice{Origin: -1, Dead: -1, Code: ExitWatchdog, Reason: reason})
-	for _, b := range w.bars {
+	w.sub.srv.RaiseAbort(pmi.AbortNotice{Origin: -1, Dead: -1, Code: ExitWatchdog, Reason: reason})
+	for _, b := range w.sub.bars {
 		b.Abort()
 	}
 	w.abortAll()
@@ -308,7 +268,7 @@ func (w *watchdog) buildDump(reason string) string {
 	sort.Ints(ranks)
 
 	var minVT, maxVT int64 = -1, 0
-	for _, clk := range w.clks {
+	for _, clk := range w.sub.clks {
 		t := clk.Now()
 		if minVT < 0 || t < minVT {
 			minVT = t

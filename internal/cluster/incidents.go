@@ -24,105 +24,100 @@ type ReconcileRow struct {
 // IncidentReport is the causal-incident section of a run's report: the
 // per-(class, kind) detection-latency and MTTR summary plus the
 // reconciliation of ledger contents against the fault injectors' own
-// counters. `oshrun -incidents` renders it; `-json` embeds it.
+// counters. Run builds it at job end whenever the ledger is on
+// (Result.Incidents); `oshrun -incidents` renders it, `-json` embeds it.
 type IncidentReport struct {
 	Kinds      []obs.IncidentKindSummary `json:"kinds"`
 	Reconcile  []ReconcileRow            `json:"reconciliation"`
 	Reconciled bool                      `json:"reconciled"`
 }
 
-// BuildIncidentReport assembles the incident section from a finished run, or
-// returns nil when the incident ledger was not enabled. Call only after the
-// run completed (Run sweeps the ledger before returning).
-func BuildIncidentReport(res *Result) *IncidentReport {
-	led := res.Obs.Ledger()
-	if led == nil {
-		return nil
-	}
-	kinds := obs.SummarizeIncidents(led.Snapshot())
-	byKey := make(map[[2]string]obs.IncidentKindSummary, len(kinds))
-	for _, k := range kinds {
-		byKey[[2]string{k.Class, k.Kind}] = k
-	}
-	consumed := make(map[[2]string]bool, len(kinds))
+// lane is one (class, kind) row of the ledger.
+type lane [2]string
 
-	// take sums the ledger rows for a set of (class, kind) lanes that share
-	// one injector counter (e.g. the fabric's single slowdown counter feeds
-	// both ud/slow and rc/slow).
-	take := func(keys ...[2]string) (recorded, resolved int) {
-		for _, k := range keys {
-			consumed[k] = true
-			row := byKey[k]
-			recorded += row.Total
-			resolved += row.Closed + row.Aborted
-		}
-		return
-	}
+// injection is one fault source's own count of what it injected and the
+// ledger lanes those injections must appear on.
+type injection struct {
+	class, kind string
+	injected    int
+	lanes       []lane
+}
 
-	type spec struct {
-		class, kind string
-		injected    int
-		lanes       [][2]string
-	}
-	// The fabric injector's rows are its own declaration (ib.Injected: one
-	// tagged field per kind, count and lanes together). A kind that feeds
-	// several lanes (one slowdown tally for ud/slow and rc/slow) is one row
-	// named after all of them: "ud+rc" "slow", "alloc" "qp+mr".
-	var specs []spec
+// injections lists every fault source of a finished run. The fabric injector's
+// rows are its own declaration (ib.Injected: one tagged field per kind, count
+// and lanes together). A kind that feeds several lanes (one slowdown tally for
+// ud/slow and rc/slow) is one row named after all of them: "ud+rc" "slow",
+// "alloc" "qp+mr".
+func injections(res *Result) []injection {
+	var out []injection
 	obs.EachCounter(res.Cfg.Faults.Injected(), func(def obs.CounterDef, v int64) {
 		if def.Lanes == "" {
 			return
 		}
-		sp := spec{injected: int(v)}
-		for _, lane := range strings.Split(def.Lanes, ",") {
-			class, kind, _ := strings.Cut(lane, "/")
-			sp.lanes = append(sp.lanes, [2]string{class, kind})
-			sp.class, sp.kind = joinNew(sp.class, class), joinNew(sp.kind, kind)
+		in := injection{injected: int(v)}
+		for _, l := range strings.Split(def.Lanes, ",") {
+			class, kind, _ := strings.Cut(l, "/")
+			in.lanes = append(in.lanes, lane{class, kind})
+			in.class, in.kind = joinNew(in.class, class), joinNew(in.kind, kind)
 		}
-		specs = append(specs, sp)
+		out = append(out, in)
 	})
 	pf := res.Cfg.PMIFaults
 	crash := 0
 	if pf.CrashTripped() {
 		crash = 1
 	}
-	specs = append(specs,
-		spec{"pe", "kill", len(res.Cfg.KillPEs), [][2]string{{"pe", "kill"}}},
-		spec{"pe", "wedge", len(res.Cfg.WedgePEs), [][2]string{{"pe", "wedge"}}},
-		spec{"pmi", "drop", pf.Drops(), [][2]string{{"pmi", "drop"}}},
-		spec{"pmi", "dup", pf.Dups(), [][2]string{{"pmi", "dup"}}},
-		spec{"pmi", "slow", pf.Slowdowns(), [][2]string{{"pmi", "slow"}}},
-		spec{"pmi", "unavail", pf.UnavailHits(), [][2]string{{"pmi", "unavail"}}},
-		spec{"pmi", "crash", crash, [][2]string{{"pmi", "crash"}}},
-	)
+	for _, in := range []injection{
+		{class: "pe", kind: "kill", injected: len(res.Cfg.KillPEs)},
+		{class: "pe", kind: "wedge", injected: len(res.Cfg.WedgePEs)},
+		{class: "pmi", kind: "drop", injected: pf.Drops()},
+		{class: "pmi", kind: "dup", injected: pf.Dups()},
+		{class: "pmi", kind: "slow", injected: pf.Slowdowns()},
+		{class: "pmi", kind: "unavail", injected: pf.UnavailHits()},
+		{class: "pmi", kind: "crash", injected: crash},
+	} {
+		in.lanes = []lane{{in.class, in.kind}}
+		out = append(out, in)
+	}
+	return out
+}
 
-	rep := &IncidentReport{Kinds: kinds, Reconciled: true}
-	for _, sp := range specs {
-		recorded, resolved := take(sp.lanes...)
-		if sp.injected == 0 && recorded == 0 {
-			continue // nothing injected, nothing recorded: omit the noise
+// buildIncidentReport assembles the incident section of a finished run from
+// its swept ledger, or returns nil when the ledger was not enabled.
+func buildIncidentReport(res *Result) *IncidentReport {
+	led := res.Obs.Ledger()
+	if led == nil {
+		return nil
+	}
+	rep := &IncidentReport{Kinds: obs.SummarizeIncidents(led.Snapshot()), Reconciled: true}
+	byLane := make(map[lane]obs.IncidentKindSummary, len(rep.Kinds))
+	for _, k := range rep.Kinds {
+		byLane[lane{k.Class, k.Kind}] = k
+	}
+	row := func(r ReconcileRow) {
+		r.OK = r.Injected == r.Recorded && r.Resolved == r.Recorded
+		rep.Reconcile = append(rep.Reconcile, r)
+		rep.Reconciled = rep.Reconciled && r.OK
+	}
+	for _, in := range injections(res) {
+		r := ReconcileRow{Class: in.class, Kind: in.kind, Injected: in.injected}
+		for _, l := range in.lanes {
+			k := byLane[l]
+			delete(byLane, l)
+			r.Recorded += k.Total
+			r.Resolved += k.Closed + k.Aborted
 		}
-		ok := sp.injected == recorded && resolved == recorded
-		rep.Reconcile = append(rep.Reconcile, ReconcileRow{
-			Class: sp.class, Kind: sp.kind,
-			Injected: sp.injected, Recorded: recorded, Resolved: resolved, OK: ok,
-		})
-		if !ok {
-			rep.Reconciled = false
+		if r.Injected != 0 || r.Recorded != 0 { // nothing injected, nothing recorded: omit the noise
+			row(r)
 		}
 	}
-	// Any ledger lane no spec consumed is accounting drift: an instrumented
-	// site invented a (class, kind) the reconciliation does not know about.
-	for _, k := range kinds {
-		key := [2]string{k.Class, k.Kind}
-		if consumed[key] {
-			continue
+	// Any ledger lane no injection consumed is accounting drift: an
+	// instrumented site invented a (class, kind) the reconciliation does not
+	// know about.
+	for _, k := range rep.Kinds {
+		if _, left := byLane[lane{k.Class, k.Kind}]; left {
+			row(ReconcileRow{Class: k.Class, Kind: k.Kind, Recorded: k.Total, Resolved: k.Closed + k.Aborted})
 		}
-		rep.Reconcile = append(rep.Reconcile, ReconcileRow{
-			Class: k.Class, Kind: k.Kind,
-			Injected: 0, Recorded: k.Total, Resolved: k.Closed + k.Aborted, OK: false,
-		})
-		rep.Reconciled = false
 	}
 	return rep
 }

@@ -7,6 +7,7 @@ import (
 	"goshmem/internal/apps/traffic"
 	"goshmem/internal/gasnet"
 	"goshmem/internal/ib"
+	"goshmem/internal/obs"
 	"goshmem/internal/pmi"
 	"goshmem/internal/shmem"
 	"goshmem/internal/vclock"
@@ -44,6 +45,7 @@ func runIntegrity(t *testing.T, fi *ib.FaultInjector) ([churnNP]uint64, *Result)
 		Deadline:     60 * vclock.Second,
 		StallTimeout: 30 * time.Second,
 		Faults:       fi,
+		Obs:          obs.Config{Incidents: true}, // for mustReconcile
 	}
 	res, err := Run(cfg, func(c *shmem.Ctx) {
 		digests[c.Me()] = traffic.Run(c, churnParams()).Digest
@@ -51,6 +53,7 @@ func runIntegrity(t *testing.T, fi *ib.FaultInjector) ([churnNP]uint64, *Result)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustReconcile(t, res)
 	return digests, res
 }
 

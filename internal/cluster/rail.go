@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"goshmem/internal/ib"
-	"goshmem/internal/obs"
-)
+import "goshmem/internal/obs"
 
 // PortFault schedules one HCA port going dark: the adapter with the given
 // LID loses its port on one rail at virtual time At (permanently). Paths
@@ -59,26 +56,6 @@ func (cfg *Config) lids(ranks []int) []uint16 {
 		}
 	}
 	return out
-}
-
-// applyRailFaults installs the port/rail/partition schedules into the fault
-// injector, creating one if the config has none.
-func applyRailFaults(cfg *Config) {
-	if !cfg.netFaulted() {
-		return
-	}
-	if cfg.Faults == nil {
-		cfg.Faults = ib.NewFaultInjector(1)
-	}
-	for _, f := range cfg.FailPorts {
-		cfg.Faults.FailPort(f.LID, f.Rail, f.At)
-	}
-	for _, f := range cfg.FailRails {
-		cfg.Faults.FailRail(f.Rail, f.At)
-	}
-	for _, p := range cfg.Partitions {
-		cfg.Faults.Partition(cfg.lids(p.A), cfg.lids(p.B), p.At, p.Heal)
-	}
 }
 
 // seedRailTelemetry pre-opens the "net" incidents and pre-records the

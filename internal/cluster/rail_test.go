@@ -81,7 +81,7 @@ func TestRailFailoverTransparent(t *testing.T) {
 		t.Errorf("rail failure misdiagnosed as %d peer deaths", c.PEFailures)
 	}
 
-	ir := BuildIncidentReport(res)
+	ir := res.Incidents
 	if ir == nil || !ir.Reconciled {
 		t.Fatalf("rail-down incident did not reconcile: %+v", ir)
 	}
@@ -136,7 +136,7 @@ func TestPartitionHealTransparent(t *testing.T) {
 	if c.PartitionHeals == 0 {
 		t.Error("no suspended peer was observed to heal")
 	}
-	ir := BuildIncidentReport(res)
+	ir := res.Incidents
 	if ir == nil || !ir.Reconciled {
 		t.Fatalf("partition incident did not reconcile: %+v", ir)
 	}
@@ -161,7 +161,7 @@ func TestIncidentStragglerSweep(t *testing.T) {
 	if res.Aborted {
 		t.Fatalf("idle run with one dead rail aborted: %s", res.AbortReason)
 	}
-	ir := BuildIncidentReport(res)
+	ir := res.Incidents
 	if ir == nil || !ir.Reconciled {
 		t.Fatalf("straggler rail-down incident did not reconcile: %+v", ir)
 	}

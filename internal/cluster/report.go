@@ -123,7 +123,7 @@ func BuildReport(res *Result) *Report {
 			rep.Histograms = reg.Hists()
 		}
 		rep.Gauges = res.Obs.Gauges().Stats()
-		rep.Incidents = BuildIncidentReport(res)
+		rep.Incidents = res.Incidents
 		rep.Footprint = res.Footprint
 	}
 	rep.Topology = BuildTopology(res)

@@ -7,6 +7,7 @@ import (
 	"goshmem/internal/apps/traffic"
 	"goshmem/internal/gasnet"
 	"goshmem/internal/ib"
+	"goshmem/internal/obs"
 	"goshmem/internal/shmem"
 	"goshmem/internal/vclock"
 )
@@ -51,6 +52,7 @@ func runChurn(t *testing.T, budgets, chaos bool, seed int64) ([churnNP]uint64, *
 		// livelock into a visible 124 instead of a hung test run.
 		Deadline:     60 * vclock.Second,
 		StallTimeout: 30 * time.Second,
+		Obs:          obs.Config{Incidents: true}, // for mustReconcile
 	}
 	if budgets {
 		cfg.QPBudget = churnQPBudget
@@ -83,6 +85,7 @@ func runChurn(t *testing.T, budgets, chaos bool, seed int64) ([churnNP]uint64, *
 			t.Fatalf("rank %d issued no traffic", r)
 		}
 	}
+	mustReconcile(t, res)
 	return digests, res
 }
 

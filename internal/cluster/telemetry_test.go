@@ -43,7 +43,7 @@ func TestGaugeSeriesByteIdenticalFaultFree(t *testing.T) {
 	if incs := resA.Obs.Ledger().Snapshot(); len(incs) != 0 {
 		t.Errorf("fault-free run recorded %d incidents, want 0: %+v", len(incs), incs)
 	}
-	ir := BuildIncidentReport(resA)
+	ir := resA.Incidents
 	if ir == nil || !ir.Reconciled {
 		t.Errorf("fault-free run does not reconcile: %+v", ir)
 	}
@@ -115,7 +115,7 @@ func TestIncidentReconciliationChaosSoak(t *testing.T) {
 		t.Fatal("control-plane fault schedule idle: no PMI drops")
 	}
 
-	ir := BuildIncidentReport(res)
+	ir := res.Incidents
 	if ir == nil {
 		t.Fatal("incident ledger enabled but report section missing")
 	}

@@ -49,6 +49,17 @@ func (m Mode) String() string {
 	return "on-demand"
 }
 
+// ParseMode reads a -conn flag: String's inverse, "ondemand" accepted too.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "static":
+		return Static, nil
+	case "ondemand", "on-demand":
+		return OnDemand, nil
+	}
+	return OnDemand, fmt.Errorf("unknown -conn %q", s)
+}
+
 // Handler is an active-message handler. It runs on the conduit's progress
 // goroutine and must not block or invoke blocking conduit operations (Get,
 // Quiet, barriers); it may send further AMRequests. at is the virtual time
