@@ -40,12 +40,8 @@ type Image struct {
 	heap    []byte
 	alloc   uint64
 
-	segMu sync.Mutex
-	segs  []struct {
-		base uint64
-		rkey uint32
-		have bool
-	}
+	segMu sync.Mutex // serializes segs' stores
+	segs  shmem.SegDir
 
 	syncMu   sync.Mutex
 	syncCond *vclock.Cond
@@ -69,11 +65,7 @@ func Attach(env shmem.Env, opts Options) *Image {
 	im := &Image{rank: env.Rank, n: env.NProcs}
 	im.syncCond = vclock.NewCond(&im.syncMu, env.HCA.Fabric().Sched())
 	im.inbox = make(map[[2]uint64]struct{})
-	im.segs = make([]struct {
-		base uint64
-		rkey uint32
-		have bool
-	}, env.NProcs)
+	im.segs = shmem.NewSegDir(env.NProcs)
 
 	im.conduit = gasnet.New(gasnet.Config{
 		Rank: env.Rank, NProcs: env.NProcs, Node: env.Node, PPN: env.PPN,
@@ -93,9 +85,9 @@ func Attach(env shmem.Env, opts Options) *Image {
 	im.conduit.ExchangeEndpoints()
 	im.heap = make([]byte, opts.HeapBytes)
 	im.mr = env.HCA.RegisterMR(im.heap, env.Clock)
-	im.segs[im.rank].base = im.mr.Base()
-	im.segs[im.rank].rkey = im.mr.RKey()
-	im.segs[im.rank].have = true
+	im.segMu.Lock()
+	im.segs.Store(im.rank, im.mr.Base(), uint64(len(im.heap)), im.mr.RKey())
+	im.segMu.Unlock()
 	im.conduit.IntraNodeBarrier()
 	im.conduit.SetReady()
 	return im
@@ -114,9 +106,7 @@ func (im *Image) storeSeg(peer int, b []byte, at int64) {
 		return
 	}
 	im.segMu.Lock()
-	im.segs[peer].base = binary.LittleEndian.Uint64(b[4:])
-	im.segs[peer].rkey = binary.LittleEndian.Uint32(b[12:])
-	im.segs[peer].have = true
+	im.segs.Store(peer, binary.LittleEndian.Uint64(b[4:]), 0, binary.LittleEndian.Uint32(b[12:]))
 	im.segMu.Unlock()
 }
 
@@ -203,21 +193,11 @@ func (im *Image) check(a Coarray, i, img int) {
 }
 
 func (im *Image) segAddr(peer int) (uint64, uint32) {
-	im.segMu.Lock()
-	if im.segs[peer].have {
-		defer im.segMu.Unlock()
-		return im.segs[peer].base, im.segs[peer].rkey
-	}
-	im.segMu.Unlock()
-	if err := im.conduit.EnsureConnected(peer); err != nil {
+	s, err := im.segs.Connect(im.conduit, peer)
+	if err != nil {
 		panic(err.Error())
 	}
-	im.segMu.Lock()
-	defer im.segMu.Unlock()
-	if !im.segs[peer].have {
-		panic(fmt.Sprintf("caf: descriptor for image %d missing after connect", peer+1))
-	}
-	return im.segs[peer].base, im.segs[peer].rkey
+	return s.Base, s.RKey
 }
 
 // SyncAll is "sync all": completes outstanding accesses and synchronizes

@@ -70,6 +70,43 @@ func TestFootprintReconcilesNP256(t *testing.T) {
 	}
 }
 
+// TestFootprintSegDirSparseOnDemand: at the init boundary an on-demand PE has
+// heard from no peer, so its segment directory is its own chunk plus the top
+// level — not the np-entry table (24 B × 1024 = 24,576 B per PE) it once was.
+// The census must still reconcile.
+func TestFootprintSegDirSparseOnDemand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("np=1024 census run in -short mode")
+	}
+	const np = 1024
+	fp := runFootprint(t, gasnet.OnDemand, np).Footprint
+	if fp == nil {
+		t.Fatal("footprint plane enabled but report missing")
+	}
+	for _, d := range fp.Drift {
+		t.Errorf("drift row %s: modeled %d vs measured %d", d.Label, d.ModeledBytes, d.MeasuredBytes)
+	}
+	if !fp.Reconciled {
+		t.Fatal("census failed to tile the heap")
+	}
+	for _, s := range fp.Snapshots {
+		if s.Label != "init-done" {
+			continue
+		}
+		var segDir int64
+		for _, it := range s.Items {
+			if it.Subsystem == "shmem" && it.Category == "seg-dir" {
+				segDir += it.Bytes
+			}
+		}
+		if perPE := segDir / np; perPE <= 0 || perPE > 2<<10 {
+			t.Errorf("init-done shmem/seg-dir %d B per PE, want (0, 2048]", perPE)
+		}
+		return
+	}
+	t.Fatal("missing census snapshot \"init-done\"")
+}
+
 // TestFootprintModeledBytesStable pins byte-stability: two identical
 // fault-free static runs must model identical per-category numbers. The
 // models use exact lengths (never capacities) and deterministic object

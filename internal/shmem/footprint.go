@@ -7,13 +7,15 @@ import (
 )
 
 // Footprint models this context's retained memory for the engine census
-// (obs.FootprintReporter). The dominant term is the segment directory: every
-// PE holds an <address, size, rkey> triplet for every peer's symmetric heap,
-// O(np) per PE and therefore O(np²) job-wide — alongside the connection mesh
-// and the endpoint directory, one of the quantities that make static-mode
-// jobs expensive at scale. (The census caught this table as an unattributed
-// ~400 MB drift row at np=4096 before this reporter existed, which is
-// exactly the failure mode the reconciliation check is for.)
+// (obs.FootprintReporter). The segment directory holds an <address, size,
+// rkey> triplet for each peer this PE has heard from, in chunks of
+// segChunkLen ranks allocated on first store, plus one pointer per chunk
+// range: an on-demand PE pays for the chunks around the peers it talks to,
+// and the directory is dense — O(np) per PE, O(np²) job-wide — only when
+// every peer is known (static, SegBroadcast). (The census caught the old
+// dense table as an unattributed ~400 MB drift row at np=4096 before this
+// reporter existed, which is exactly the failure mode the reconciliation
+// check is for.)
 //
 // The symmetric heap's backing buffer is NOT counted here: it is registered
 // with the adapter and already attributed as ib/pinned-bytes; counting it
@@ -23,11 +25,9 @@ import (
 // All quantities are object counts × struct sizes plus exact lengths (len,
 // never cap), keeping modeled numbers byte-stable across identical runs.
 func (c *Ctx) Footprint() []obs.FootprintItem {
-	segDir := obs.FootprintItem{Subsystem: "shmem", Category: "seg-dir"}
-	c.segMu.Lock()
-	segDir.Objects = int64(len(c.segs))
-	segDir.Bytes = int64(len(c.segs)) * int64(unsafe.Sizeof(segInfo{}))
-	c.segMu.Unlock()
+	segDir := obs.FootprintItem{Subsystem: "shmem", Category: "seg-dir", Objects: c.segs.chunks()}
+	segDir.Bytes = segDir.Objects*int64(unsafe.Sizeof(segChunk{})) +
+		int64(len(c.segs.top))*int64(unsafe.Sizeof(c.segs.top[0]))
 
 	shell := obs.FootprintItem{Subsystem: "shmem", Category: "ctx", Objects: 1}
 	shell.Bytes = int64(unsafe.Sizeof(Ctx{}))

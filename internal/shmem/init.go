@@ -135,7 +135,7 @@ func newCtx(env Env, opts Options) *Ctx {
 		pmiC:  env.PMI,
 		clk:   env.Clock,
 		model: env.HCA.Fabric().Model(),
-		segs:  make([]segInfo, env.NProcs),
+		segs:  NewSegDir(env.NProcs),
 	}
 	sched := env.HCA.Fabric().Sched()
 	c.segCond = vclock.NewCond(&c.segMu, sched)

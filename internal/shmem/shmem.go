@@ -22,7 +22,6 @@ package shmem
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"goshmem/internal/gasnet"
 	"goshmem/internal/ib"
@@ -90,22 +89,6 @@ type InitBreakdown struct {
 	Total           int64
 }
 
-// segInfo is the <address, size, rkey> triplet for one peer's symmetric heap.
-// It is written at most once, under segMu, and have is written last: whoever
-// sees have set may read the triplet without the lock.
-type segInfo struct {
-	base uint64
-	size uint64
-	rkey uint32
-	have atomic.Bool
-}
-
-// set installs the triplet. Caller holds segMu.
-func (s *segInfo) set(base, size uint64, rkey uint32) {
-	s.base, s.size, s.rkey = base, size, rkey
-	s.have.Store(true)
-}
-
 // AM handler identifiers used by the runtime (the mini-MPI built on the same
 // conduit uses 32+).
 const (
@@ -137,9 +120,9 @@ type Ctx struct {
 	heap    *heap
 	mr      *ib.MR
 
-	segMu   sync.Mutex
+	segMu   sync.Mutex // serializes segs' stores; segCond waits on them
 	segCond *vclock.Cond
-	segs    []segInfo
+	segs    SegDir
 
 	coll *collState
 
@@ -198,15 +181,16 @@ func (c *Ctx) remoteAddr(pe int, addr SymAddr, n int) (uint64, uint32, error) {
 	if pe < 0 || pe >= c.n {
 		return 0, 0, fmt.Errorf("shmem: pe %d out of range [0,%d)", pe, c.n)
 	}
-	s := &c.segs[pe]
-	if !s.have.Load() {
-		if err := c.fetchSeg(pe); err != nil { // nil: seen installed, under segMu
+	s := c.segs.Lookup(pe)
+	if s == nil {
+		var err error
+		if s, err = c.fetchSeg(pe); err != nil {
 			return 0, 0, err
 		}
 	}
-	if uint64(addr)+uint64(n) > s.size {
+	if uint64(addr)+uint64(n) > s.Size {
 		return 0, 0, fmt.Errorf("shmem: symmetric address %#x+%d outside pe %d's segment of %d bytes",
-			uint64(addr), n, pe, s.size)
+			uint64(addr), n, pe, s.Size)
 	}
-	return s.base + uint64(addr), s.rkey, nil
+	return s.Base + uint64(addr), s.RKey, nil
 }

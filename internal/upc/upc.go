@@ -41,13 +41,8 @@ type Thread struct {
 	shared  []byte
 	alloc   uint64 // bump allocator over the shared segment
 
-	segMu   sync.Mutex
-	segCond *vclock.Cond
-	segs    []struct {
-		base uint64
-		rkey uint32
-		have bool
-	}
+	segMu sync.Mutex // serializes segs' stores
+	segs  shmem.SegDir
 
 	barMu   sync.Mutex
 	barCond *vclock.Cond
@@ -71,15 +66,9 @@ func Attach(env shmem.Env, opts Options) *Thread {
 		opts.SharedBytes = 1 << 20
 	}
 	t := &Thread{rank: env.Rank, n: env.NProcs}
-	sched := env.HCA.Fabric().Sched()
-	t.segCond = vclock.NewCond(&t.segMu, sched)
-	t.barCond = vclock.NewCond(&t.barMu, sched)
+	t.barCond = vclock.NewCond(&t.barMu, env.HCA.Fabric().Sched())
 	t.inbox = make(map[[2]uint64]int64)
-	t.segs = make([]struct {
-		base uint64
-		rkey uint32
-		have bool
-	}, env.NProcs)
+	t.segs = shmem.NewSegDir(env.NProcs)
 
 	cfg := gasnet.Config{
 		Rank: env.Rank, NProcs: env.NProcs, Node: env.Node, PPN: env.PPN,
@@ -100,9 +89,9 @@ func Attach(env shmem.Env, opts Options) *Thread {
 	t.conduit.ExchangeEndpoints()
 	t.shared = make([]byte, opts.SharedBytes)
 	t.mr = env.HCA.RegisterMR(t.shared, env.Clock)
-	t.segs[t.rank].base = t.mr.Base()
-	t.segs[t.rank].rkey = t.mr.RKey()
-	t.segs[t.rank].have = true
+	t.segMu.Lock()
+	t.segs.Store(t.rank, t.mr.Base(), uint64(len(t.shared)), t.mr.RKey())
+	t.segMu.Unlock()
 	t.conduit.IntraNodeBarrier()
 	t.conduit.SetReady()
 	return t
@@ -123,11 +112,8 @@ func (t *Thread) storeSeg(peer int, b []byte, at int64) {
 		return
 	}
 	t.segMu.Lock()
-	t.segs[peer].rkey = binary.LittleEndian.Uint32(b[4:])
-	t.segs[peer].base = binary.LittleEndian.Uint64(b[8:])
-	t.segs[peer].have = true
+	t.segs.Store(peer, binary.LittleEndian.Uint64(b[8:]), binary.LittleEndian.Uint64(b[16:]), binary.LittleEndian.Uint32(b[4:]))
 	t.segMu.Unlock()
-	t.segCond.Broadcast()
 }
 
 // MyThread returns this thread's index (MYTHREAD).
@@ -232,21 +218,11 @@ func (t *Thread) ForAll(a SharedArray, body func(i int)) {
 // segAddr waits for (and returns) a peer's segment descriptor; with the
 // on-demand conduit this arrives on the connect handshake.
 func (t *Thread) segAddr(peer int) (uint64, uint32) {
-	t.segMu.Lock()
-	if t.segs[peer].have {
-		defer t.segMu.Unlock()
-		return t.segs[peer].base, t.segs[peer].rkey
-	}
-	t.segMu.Unlock()
-	if err := t.conduit.EnsureConnected(peer); err != nil {
+	s, err := t.segs.Connect(t.conduit, peer)
+	if err != nil {
 		panic(err.Error())
 	}
-	t.segMu.Lock()
-	defer t.segMu.Unlock()
-	if !t.segs[peer].have {
-		panic(fmt.Sprintf("upc: segment descriptor for thread %d missing after connect", peer))
-	}
-	return t.segs[peer].base, t.segs[peer].rkey
+	return s.Base, s.RKey
 }
 
 // Barrier is upc_barrier (dissemination, with an implicit fence of
