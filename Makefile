@@ -1,7 +1,7 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
 # (see ROADMAP.md): build, the no-host-clock check on the engine, the size
-# ceilings on the conduit, the verbs model, the OpenSHMEM runtime (1,300) and
-# all packages (14,400), the full test suite, the full suite again under the
+# ceilings on the conduit, the verbs model, the OpenSHMEM runtime (1,264) and
+# all packages (14,382), the full test suite, the full suite again under the
 # race detector, the determinism contracts repeated
 # across GOMAXPROCS, a fast data-plane-integrity smoke, and the benchmark
 # module's own vet + smoke test.
@@ -166,13 +166,13 @@ loc:
 	done
 
 # The conduit's size, the verbs model's, the OpenSHMEM runtime's and the size of
-# all packages together are ceilings, not re-anchor findings: where the last simplification landed,
-# rounded up to the next fifty. A change that needs more room says so by
-# raising the number, in the open.
+# all packages together are ceilings, not re-anchor findings: where the last change that lowered
+# each one landed (the conduit's rounded up to the next fifty). A change that needs more room
+# says so by raising the number, in the open.
 GASNET_LOC_MAX = 3000
-IB_LOC_MAX = 1700
-SHMEM_LOC_MAX = 1300
-TOTAL_LOC_MAX = 14400
+IB_LOC_MAX = 1697
+SHMEM_LOC_MAX = 1264
+TOTAL_LOC_MAX = 14382
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

@@ -25,7 +25,7 @@ func main() {
 		for i, mode := range []gasnet.Mode{gasnet.Static, gasnet.OnDemand} {
 			res, err := cluster.Run(cluster.Config{
 				NP: np, PPN: 16, Mode: mode,
-				HeapSize: 64 << 10, DeclaredHeapSize: 1 << 30,
+				HeapSize: 1 << 30,
 			}, func(c *shmem.Ctx) {})
 			if err != nil {
 				log.Fatal(err)

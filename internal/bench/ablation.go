@@ -25,7 +25,7 @@ func Ablations(np, ppn int) ([]AblationRow, error) {
 	initOf := func(blocking, globalBars bool, segEx shmem.SegExchange) (float64, float64, error) {
 		res, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: gasnet.OnDemand,
 			BlockingPMI: blocking, GlobalInitBarriers: globalBars, SegEx: segEx,
-			HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap},
+			HeapSize: paperHeap},
 			func(c *shmem.Ctx) {})
 		if err != nil {
 			return 0, 0, err

@@ -42,7 +42,7 @@ func NASExecution(np, ppn int, class nas.Class) ([]NASPoint, error) {
 	for _, name := range []string{"BT", "EP", "MG", "SP"} {
 		s, o, err := both(func(mode gasnet.Mode) (float64, error) {
 			res, err := cluster.Run(cluster.Config{NP: np, PPN: ppn, Mode: mode,
-				HeapSize: 4 << 20, DeclaredHeapSize: DeclaredHeap}, apps[name])
+				HeapSize: paperHeap}, apps[name])
 			if err != nil {
 				return 0, fmt.Errorf("%s %s: %w", name, mode, err)
 			}
@@ -85,7 +85,7 @@ func Graph500Execution(sizes []int, ppn int) ([]G500Point, error) {
 	for _, n := range sizes {
 		s, o, err := both(func(mode gasnet.Mode) (float64, error) {
 			res, err := cluster.Run(cluster.Config{NP: n, PPN: ppn, Mode: mode,
-				HeapSize: 1 << 20, DeclaredHeapSize: DeclaredHeap},
+				HeapSize: paperHeap},
 				func(c *shmem.Ctx) {
 					if !graph500.Run(c, mpi.New(c.Conduit()), p).ValidationOK {
 						panic("graph500: BFS validation failed")

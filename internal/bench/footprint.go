@@ -45,14 +45,13 @@ type FootprintPoint struct {
 }
 
 // FootprintSweep measures the engine footprint across job sizes in one
-// connection mode. Like Startup, it allocates ActualHeap per PE while
-// modeling DeclaredHeap for registration cost — and it subtracts the
-// symmetric-heap backing (np × ActualHeap, a measurement artifact of the
-// shrunken heaps) from BytesPerPE so the reported curve is the engine's own
-// per-PE cost: connection state, queue pairs, endpoint directories,
-// telemetry. Static points above maxStatic are skipped (same rationale as
-// Startup: the O(np²) connection mesh at full scale is the pressure under
-// study, not a number this harness needs minutes to reproduce).
+// connection mode. Like Startup, each PE registers a 1 GiB symmetric heap
+// and allocates nothing from it, so nothing of it is backed: BytesPerPE is
+// the engine's own per-PE cost — connection state, queue pairs, endpoint
+// directories, telemetry — with no heap to subtract. Static points above
+// maxStatic are skipped (same rationale as Startup: the O(np²) connection
+// mesh at full scale is the pressure under study, not a number this harness
+// needs minutes to reproduce).
 func FootprintSweep(mode gasnet.Mode, sizes []int, ppn, maxStatic int) ([]FootprintPoint, error) {
 	var out []FootprintPoint
 	for _, n := range sizes {
@@ -89,12 +88,11 @@ func footprintPoint(res *cluster.Result, n int) (FootprintPoint, error) {
 	if base == nil || init == nil {
 		return FootprintPoint{}, fmt.Errorf("footprint: baseline/init-done snapshots missing at np=%d", n)
 	}
-	heapArtifact := int64(n) * ActualHeap // shrunken symmetric heaps (see doc)
 	p := FootprintPoint{
 		N:                   n,
 		Mode:                fmt.Sprint(res.Cfg.Mode),
-		BytesPerPE:          float64(init.HeapBytes-base.HeapBytes-heapArtifact) / float64(n),
-		ModeledBytesPerPE:   float64(init.ModeledHeapBytes()-heapArtifact) / float64(n),
+		BytesPerPE:          float64(init.HeapBytes-base.HeapBytes) / float64(n),
+		ModeledBytesPerPE:   float64(init.ModeledHeapBytes()) / float64(n),
 		GoroutinesPerPE:     float64(init.Goroutines) / float64(n),
 		Reconciled:          fp.Reconciled,
 		StartupS:            vclock.Seconds(res.InitAvg),
@@ -102,9 +100,6 @@ func footprintPoint(res *cluster.Result, n int) (FootprintPoint, error) {
 		WallNS:              res.Wall.Nanoseconds(),
 	}
 	for sub, b := range init.SubsystemHeapBytes() {
-		if sub == "ib" {
-			b -= heapArtifact
-		}
 		p.SubsystemBytesPerPE[sub] = float64(b) / float64(n)
 	}
 	return p, nil
@@ -137,7 +132,7 @@ func FootprintTable(static, onDemand []FootprintPoint) *Table {
 	}
 	sort.Ints(ns)
 	t := &Table{
-		Title: "Engine footprint vs job size (census at init-done; heap-artifact bytes excluded)",
+		Title: "Engine footprint vs job size (census at init-done)",
 		Headers: []string{"nprocs", "static B/PE", "ondemand B/PE", "ratio",
 			"static gor/PE", "ondemand gor/PE", "static init(s)", "ondemand init(s)"},
 		Notes: []string{

@@ -10,20 +10,17 @@ import (
 	"goshmem/internal/vclock"
 )
 
-// DeclaredHeap is the symmetric-heap size modeled for registration cost in
-// the startup experiments (a realistic 1 GiB per PE), while only ActualHeap
-// bytes are really allocated so 8K-PE sweeps fit in memory.
-const (
-	DeclaredHeap = 1 << 30
-	ActualHeap   = 64 << 10
-)
+// paperHeap is the symmetric heap the experiments register per PE: a
+// realistic 1 GiB, whose registration start_pes pays for in full. Only the
+// blocks a program allocates are backed, so 8K-PE sweeps fit in memory.
+const paperHeap = 1 << 30
 
 // startupJob runs the empty application the startup experiments time: only
 // launch, start_pes and finalize happen.
 func startupJob(mode gasnet.Mode, np, ppn int, oc obs.Config) (*cluster.Result, error) {
 	return cluster.Run(cluster.Config{
 		NP: np, PPN: ppn, Mode: mode,
-		HeapSize: ActualHeap, DeclaredHeapSize: DeclaredHeap, Obs: oc,
+		HeapSize: paperHeap, Obs: oc,
 	}, func(c *shmem.Ctx) {})
 }
 

@@ -37,11 +37,9 @@ type Config struct {
 	// (section IV-E ablation).
 	GlobalInitBarriers bool
 
-	// HeapSize is the actual symmetric heap per PE (default 256 KiB);
-	// DeclaredHeapSize the size used by the registration cost model
-	// (default: HeapSize).
-	HeapSize         int
-	DeclaredHeapSize int
+	// HeapSize is the symmetric heap per PE (default 256 KiB): registered
+	// and paid for at start_pes, backed only by what the program allocates.
+	HeapSize int
 
 	// Model overrides the cost model; Faults injects UD and RC faults
 	// (drops, duplicates, bounded reordering, link flaps, PE slowdowns,
@@ -575,8 +573,7 @@ func (j *job) attachPE(env shmem.Env) *shmem.Ctx {
 	env.Obs.Span(0, j.sub.launchVT, obs.LayerCluster, "launch", -1, 0)
 	attachVT := clk.Now()
 	ctx := shmem.Attach(env, shmem.Options{
-		Mode: cfg.Mode, BlockingPMI: cfg.BlockingPMI, SegEx: cfg.SegEx,
-		HeapSize: cfg.HeapSize, DeclaredHeapSize: cfg.DeclaredHeapSize,
+		Mode: cfg.Mode, BlockingPMI: cfg.BlockingPMI, SegEx: cfg.SegEx, HeapSize: cfg.HeapSize,
 		GlobalInitBarriers: cfg.GlobalInitBarriers,
 		MaxLiveRC:          cfg.MaxLiveRC,
 		Heartbeat:          cfg.Heartbeat,

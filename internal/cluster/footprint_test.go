@@ -5,6 +5,7 @@ import (
 
 	"goshmem/internal/gasnet"
 	"goshmem/internal/obs"
+	"goshmem/internal/shmem"
 )
 
 func runFootprint(t *testing.T, mode gasnet.Mode, np int) *Result {
@@ -62,11 +63,63 @@ func TestFootprintReconcilesNP256(t *testing.T) {
 				t.Errorf("%v: subsystem %s modeled no bytes at init-done", mode, s)
 			}
 		}
-		// The symmetric heaps alone are np x 64 KiB = 16 MiB of pinned
-		// bytes; ib must claim at least that.
-		if sub["ib"] < 256*(64<<10) {
-			t.Errorf("%v: ib modeled %d bytes, want >= %d (the symmetric heaps)", mode, sub["ib"], 256*(64<<10))
+		// The 64 KiB heaps are registered at init but backed per allocation:
+		// ib holds no heap bytes at init-done, and by job end exactly the
+		// one 512-byte block per PE ringApp allocates.
+		for label, want := range map[string]int64{"init-done": 0, "job-end": 256 * 512} {
+			if got := pinnedBytes(labels[label]); got != want {
+				t.Errorf("%v: %s ib/pinned-bytes = %d, want %d (the allocated blocks)", mode, label, got, want)
+			}
 		}
+	}
+}
+
+// pinnedBytes is the census's ib/pinned-bytes total in one snapshot: the
+// backed windows of the pinned regions, i.e. the symmetric-heap blocks.
+func pinnedBytes(s obs.CensusSnapshot) int64 {
+	var n int64
+	for _, it := range s.Items {
+		if it.Subsystem == "ib" && it.Category == "pinned-bytes" {
+			n += it.Bytes
+		}
+	}
+	return n
+}
+
+// TestFootprintHeapBackedByAllocation registers the paper's 1 GiB heap on
+// each of 256 PEs — 256 GiB if it were backed densely — and allocates one
+// 4 KiB block: the census must reconcile and ib/pinned-bytes must be the
+// allocation, 0 at init-done and 4,096 B per PE at job end.
+func TestFootprintHeapBackedByAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("np=256 census run in -short mode")
+	}
+	const np = 256
+	res, err := Run(Config{
+		NP: np, PPN: 16, Mode: gasnet.OnDemand, HeapSize: 1 << 30,
+		Obs: obs.Config{Footprint: true},
+	}, func(c *shmem.Ctx) { c.Malloc(4096) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := res.Footprint
+	for _, d := range fp.Drift {
+		t.Errorf("drift row %s: modeled %d vs measured %d", d.Label, d.ModeledBytes, d.MeasuredBytes)
+	}
+	if !fp.Reconciled {
+		t.Fatal("census failed to tile the heap")
+	}
+	want := map[string]int64{"init-done": 0, "job-end": np * 4096}
+	for _, s := range fp.Snapshots {
+		if w, ok := want[s.Label]; ok {
+			if got := pinnedBytes(s); got != w {
+				t.Errorf("%s ib/pinned-bytes = %d, want %d", s.Label, got, w)
+			}
+			delete(want, s.Label)
+		}
+	}
+	for label := range want {
+		t.Errorf("missing census snapshot %q", label)
 	}
 }
 

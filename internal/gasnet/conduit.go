@@ -805,19 +805,20 @@ func log2ceil(n int) int {
 	return k
 }
 
-// RegisterHeap registers the PE's symmetric-heap backing with the adapter,
+// RegisterHeapSize registers a size-byte symmetric heap with the adapter,
 // running the pinned-memory degradation ladder: a refused registration
 // (budget exceeded or injected allocation fault) falls back to a
 // bounce-buffered region staged through the adapter's pre-registered slab;
 // when even that path is closed the job aborts with ExitResourceExhausted —
 // an OpenSHMEM PE without a registered heap can never serve remote memory.
-func (c *Conduit) RegisterHeap(buf []byte) *ib.MR {
-	mr, err := c.cfg.HCA.TryRegisterMR(buf, c.clk)
+// Nothing is backed yet: the runtime backs each allocation (ib.MR.Back).
+func (c *Conduit) RegisterHeapSize(size int) *ib.MR {
+	mr, err := c.cfg.HCA.TryRegisterMR(size, c.clk)
 	if err == nil {
 		return mr
 	}
 	c.bump(&c.stats.AllocFailures, 1)
-	mr, berr := c.cfg.HCA.RegisterBounced(buf, c.clk)
+	mr, berr := c.cfg.HCA.RegisterBounced(size, c.clk)
 	if berr == nil {
 		c.bump(&c.stats.BounceFallbacks, 1)
 		c.event("mr-bounce", -1, c.clk.Now())
@@ -827,6 +828,14 @@ func (c *Conduit) RegisterHeap(buf []byte) *ib.MR {
 		Reason: fmt.Sprintf("rank %d: heap registration failed (%v) with no bounce path (%v)", c.cfg.Rank, err, berr)}
 	c.Abort(ae)
 	panic(fmt.Errorf("gasnet: heap registration: %w", ae))
+}
+
+// RegisterHeap is RegisterHeapSize(len(buf)) with buf backing the whole
+// heap, for callers that own a dense buffer (benchmark/ladder).
+func (c *Conduit) RegisterHeap(buf []byte) *ib.MR {
+	mr := c.RegisterHeapSize(len(buf))
+	mr.Back(0, buf)
+	return mr
 }
 
 // Stats returns a snapshot of the PE's resource and traffic counters: an

@@ -208,7 +208,7 @@ func TestRegisterHeapBounceFallback(t *testing.T) {
 
 // TestRegisterHeapNoSlabAborts removes the degradation path: a pinned-memory
 // budget too small to spare a bounce slab leaves an oversized registration
-// nowhere to go, so RegisterHeap must abort the job with
+// nowhere to go, so RegisterHeapSize must abort the job with
 // ExitResourceExhausted (and panic out of the failed PE).
 func TestRegisterHeapNoSlabAborts(t *testing.T) {
 	// 6 KiB budget: half of it is below the one-page minimum slab, so no
@@ -217,14 +217,14 @@ func TestRegisterHeapNoSlabAborts(t *testing.T) {
 		limits: ib.Limits{MaxMRBytes: 6 << 10}})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RegisterHeap returned instead of panicking with no degradation path")
+			t.Fatal("RegisterHeapSize returned instead of panicking with no degradation path")
 		}
 		var ae *AbortError
 		if err := pes[0].C.Err(); !errors.As(err, &ae) || ae.Code != ExitResourceExhausted {
 			t.Fatalf("abort state = %v, want code %d", err, ExitResourceExhausted)
 		}
 	}()
-	pes[0].C.RegisterHeap(make([]byte, 8<<10))
+	pes[0].C.RegisterHeapSize(8 << 10)
 }
 
 // TestEvictionSparesAcceptedConn is the regression guard for the idle-LRU

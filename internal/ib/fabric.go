@@ -486,12 +486,11 @@ func (h *HCA) takeRQSlotLocked(dq *QP, arrival int64) bool {
 	return true
 }
 
-// land copies data, a write's payload or a prefix of it, into target memory
-// at off and notifies the region's watcher.
-func (x *rcOp) land(mr *MR, off int, data []byte, arrival int64) {
-	n := len(data)
+// land copies data, a write's payload or a prefix of it, into mem, the
+// resolved target bytes at off, and notifies the region's watcher.
+func (x *rcOp) land(mr *MR, off int, mem, data []byte, arrival int64) {
 	x.dh.memMu.Lock()
-	copy(mr.buf[off:off+n], data)
+	n := copy(mem, data)
 	x.dh.memMu.Unlock()
 	x.dh.countDelivery(n)
 	if mr.onWrite != nil {
@@ -512,7 +511,7 @@ func (x *rcOp) land(mr *MR, off int, data []byte, arrival int64) {
 // replays the write, and wr.Data is never touched.
 func (x *rcOp) rcWrite(wr *SendWR) error {
 	f := x.f
-	mr, off, ok := x.dh.resolve(wr.RemoteAddr, wr.RKey, len(wr.Data))
+	mr, off, mem, ok := x.dh.resolve(wr.RemoteAddr, wr.RKey, len(wr.Data))
 	if !ok {
 		return x.accessErr(wr)
 	}
@@ -527,7 +526,7 @@ func (x *rcOp) rcWrite(wr *SendWR) error {
 		landed := dmg.pkts * RCMTU
 		injected(x.q, x.clk, dmg.kind, x.lane, landed)
 		if landed > 0 {
-			x.land(mr, off, wr.Data[:landed], arrival)
+			x.land(mr, off, mem, wr.Data[:landed], arrival)
 		}
 		x.errorBoth()
 		if dmg.kind == kindTornWrite {
@@ -535,7 +534,7 @@ func (x *rcOp) rcWrite(wr *SendWR) error {
 		}
 		return ErrRCCorrupt
 	}
-	x.land(mr, off, wr.Data, arrival)
+	x.land(mr, off, mem, wr.Data, arrival)
 	x.complete(wr, Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency}, true)
 	return nil
 }
@@ -546,7 +545,7 @@ func (x *rcOp) rcWrite(wr *SendWR) error {
 // no remote side effect to tear.
 func (x *rcOp) rcRead(wr *SendWR) error {
 	f, q, dh := x.f, x.q, x.dh
-	mr, off, ok := dh.resolve(wr.RemoteAddr, wr.RKey, wr.Len)
+	mr, _, mem, ok := dh.resolve(wr.RemoteAddr, wr.RKey, wr.Len)
 	if !ok {
 		return x.accessErr(wr)
 	}
@@ -561,7 +560,7 @@ func (x *rcOp) rcRead(wr *SendWR) error {
 	req := f.oneWay(q.hca, dh, f.model.RCSendLatency, 0)
 	data := make([]byte, wr.Len)
 	dh.memMu.Lock()
-	copy(data, mr.buf[off:off+wr.Len])
+	copy(data, mem)
 	dh.memMu.Unlock()
 	resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, wr.Len)
 	dh.countDelivery(wr.Len)
@@ -572,7 +571,7 @@ func (x *rcOp) rcRead(wr *SendWR) error {
 // rcAtomic executes a fetching atomic on an aligned remote word.
 func (x *rcOp) rcAtomic(wr *SendWR) error {
 	f, q, dh := x.f, x.q, x.dh
-	mr, off, ok := dh.resolve(wr.RemoteAddr, wr.RKey, 8)
+	mr, off, word, ok := dh.resolve(wr.RemoteAddr, wr.RKey, 8)
 	if !ok {
 		return x.accessErr(wr)
 	}
@@ -583,21 +582,26 @@ func (x *rcOp) rcAtomic(wr *SendWR) error {
 		x.clk.Advance(f.model.IntraXferTime(8)) // stage through the slab
 	}
 	arrival := x.depart + f.oneWay(q.hca, dh, f.model.RCSendLatency, 8) + f.model.AtomicLatency
-	old, _ := dh.rmw(mr, off, wr.Op, wr.Add, wr.Compare, wr.Swap, arrival)
+	old, _ := dh.rmw(mr, off, word, wr.Op, wr.Add, wr.Compare, wr.Swap, arrival)
 	resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, 8)
 	x.complete(wr, Completion{Status: StatusOK, Old: old, VTime: arrival + resp}, true)
 	return nil
 }
 
 // resolve validates an (rkey, addr, len) triple against the adapter's
-// memory-region table and returns the region and byte offset.
-func (h *HCA) resolve(addr uint64, rkey uint32, n int) (*MR, int, bool) {
-	mr := h.lookupMR(rkey)
-	if mr == nil || mr.dead || n < 0 {
-		return nil, 0, false
+// memory-region table and returns the region, the byte offset and the n
+// backed bytes there. An access outside the region or outside every single
+// live window of it fails alike: the caller reports StatusRemoteAccessErr.
+// A window released after resolve returns keeps its bytes as storage nobody
+// reads: OpenSHMEM's shmem_free barriers first, so a correct program's
+// accesses to a block have all landed before it is released.
+func (h *HCA) resolve(addr uint64, rkey uint32, n int) (*MR, int, []byte, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	mr := h.mrs[rkey]
+	if mr == nil || addr < mr.base || addr-mr.base > uint64(mr.size) {
+		return nil, 0, nil, false
 	}
-	if addr < mr.base || addr+uint64(n) > mr.base+uint64(len(mr.buf)) {
-		return nil, 0, false
-	}
-	return mr, int(addr - mr.base), true
+	mem, ok := mr.view(int(addr-mr.base), n)
+	return mr, int(addr - mr.base), mem, ok
 }

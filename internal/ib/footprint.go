@@ -17,12 +17,15 @@ import (
 //   - qps: live queue-pair shells (the qpn table keeps destroyed slots as
 //     nil, so retained == live) plus the table itself and each QP's
 //     receive-queue release list.
-//   - mrs: registered-region shells and registry entries. The backing
-//     buffers are attributed separately because they are the scaling story:
-//   - pinned-bytes: backing bytes of pinned regions (the symmetric heaps
-//     dominate; attributed here, not in shmem — the registration pins them).
+//   - mrs: registered-region shells, registry entries and window tables. The
+//     backing windows are attributed separately, one object each:
+//   - pinned-bytes: backed bytes of pinned regions. A symmetric heap is
+//     registered at its full size but backed per allocation, so this is what
+//     the programs allocated, not np × HeapSize (attributed here, not in
+//     shmem — the region owns its windows). ib.bytes_pinned and the
+//     pinned-memory budget still count the registered size.
 //   - bounce-slab: the pre-registered degradation slab.
-//   - bounced-bytes: backing bytes of regions degraded past the pinned
+//   - bounced-bytes: backed bytes of regions degraded past the pinned
 //     budget (unpinned, but still live Go heap).
 //   - ports: per-rail port bookkeeping (one entry per rail on this HCA).
 func (h *HCA) Footprint() []obs.FootprintItem {
@@ -44,17 +47,16 @@ func (h *HCA) Footprint() []obs.FootprintItem {
 	var mrs, pinned, slab, bounced obs.FootprintItem
 	for _, m := range h.mrs {
 		mrs.Objects++
-		mrs.Bytes += mrSize + mapEntryOverhead
-		switch {
-		case h.slab != nil && m == h.slab:
-			slab.Objects++
-			slab.Bytes += int64(len(m.buf))
-		case m.bounced:
-			bounced.Objects++
-			bounced.Bytes += int64(len(m.buf))
-		default:
-			pinned.Objects++
-			pinned.Bytes += int64(len(m.buf))
+		mrs.Bytes += mrSize + mapEntryOverhead + int64(len(m.wins))*int64(unsafe.Sizeof(window{}))
+		backing := &pinned
+		if m == h.slab {
+			backing = &slab
+		} else if m.bounced {
+			backing = &bounced
+		}
+		for _, w := range m.wins {
+			backing.Objects++
+			backing.Bytes += int64(len(w.mem))
 		}
 	}
 	return []obs.FootprintItem{

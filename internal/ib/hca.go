@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"goshmem/internal/obs"
@@ -27,7 +28,8 @@ type HCA struct {
 	mrAllocs int // MR allocation attempts
 
 	// memMu serializes remote RDMA/atomic access to this HCA's registered
-	// memory, giving network atomics their atomicity guarantee.
+	// memory, giving network atomics their atomicity guarantee. A change to
+	// a region's window table holds both mu and memMu (MR.Back).
 	memMu sync.Mutex
 
 	// Pressure-relief registry: each tenant (connection manager) sharing the
@@ -149,22 +151,25 @@ func (h *HCA) CreateQP(typ QPType, clk *vclock.Clock, sendCQ, recvCQ *CQ) *QP {
 	return q
 }
 
-// RegisterMR registers (pins) buf with the adapter and returns the region.
-// The registration cost is charged on the buffer's declared size. On a
-// budgeted adapter it panics when the budget is exhausted; callers that can
-// degrade use TryRegisterMR/RegisterBounced instead.
+// RegisterMR registers (pins) len(buf) bytes with the adapter and backs the
+// whole region with buf as one window. The registration cost is charged on
+// the registered size. On a budgeted adapter it panics when the budget is
+// exhausted; callers that can degrade use TryRegisterMR/RegisterBounced
+// instead.
 func (h *HCA) RegisterMR(buf []byte, clk *vclock.Clock) *MR {
-	m, err := h.TryRegisterMR(buf, clk)
+	m, err := h.TryRegisterMR(len(buf), clk)
 	if err != nil {
 		panic("ib: RegisterMR: " + err.Error())
 	}
+	m.Back(0, buf)
 	return m
 }
 
-// registerLocked assigns a region of the adapter's virtual address space and
-// an rkey for buf. Bounced regions do not count against the pinned budget:
-// their remote traffic stages through the pre-registered slab instead.
-func (h *HCA) registerLocked(buf []byte, bounced bool) *MR {
+// registerLocked assigns a size-byte region of the adapter's virtual address
+// space and an rkey; nothing is backed yet. Bounced regions do not count
+// against the pinned budget: their remote traffic stages through the
+// pre-registered slab instead.
+func (h *HCA) registerLocked(size int, bounced bool) *MR {
 	if h.mrs == nil {
 		h.mrs = make(map[uint32]*MR)
 	}
@@ -172,15 +177,15 @@ func (h *HCA) registerLocked(buf []byte, bounced bool) *MR {
 	// Separate regions by a guard page in the fake virtual address space so
 	// out-of-bounds accesses cannot silently land in a neighbouring region.
 	h.nextVA += 0x1000
-	m := &MR{hca: h, base: h.nextVA, buf: buf, lkey: h.nextRK, rkey: h.nextRK | 0x80000000, bounced: bounced}
-	h.nextVA += uint64(len(buf))
+	m := &MR{hca: h, base: h.nextVA, size: size, rkey: h.nextRK | 0x80000000, bounced: bounced}
+	h.nextVA += uint64(size)
 	if rem := h.nextVA % 0x1000; rem != 0 {
 		h.nextVA += 0x1000 - rem
 	}
 	h.mrs[m.rkey] = m
 	h.stats.MRsRegistered++
 	if !bounced {
-		h.stats.BytesPinned += int64(len(buf))
+		h.stats.BytesPinned += int64(size)
 	}
 	return m
 }
@@ -190,10 +195,9 @@ func (h *HCA) registerLocked(buf []byte, bounced bool) *MR {
 func (h *HCA) DeregisterMR(m *MR) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m.dead = true
 	delete(h.mrs, m.rkey)
 	if !m.bounced {
-		h.stats.BytesPinned -= int64(len(m.buf))
+		h.stats.BytesPinned -= int64(m.size)
 	}
 }
 
@@ -215,12 +219,6 @@ func (h *HCA) qpLocked(qpn uint32) *QP {
 	return q
 }
 
-func (h *HCA) lookupMR(rkey uint32) *MR {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.mrs[rkey]
-}
-
 // cachePenalty returns the extra latency a message pays at this adapter when
 // the endpoint cache is oversubscribed by live RC connections.
 func (h *HCA) cachePenalty() int64 {
@@ -239,32 +237,31 @@ func (h *HCA) cachePenalty() int64 {
 // instead of fabric-level atomic work requests, so the exactly-once dedup
 // ledger can guard them. The memory effect and the onWrite notification are
 // the fabric's atomic path's own (rmw); ok is false when the (rkey, addr)
-// pair does not resolve to an aligned uint64 inside a live region.
+// pair does not resolve to an aligned uint64 in a live window.
 func (h *HCA) AtomicRMW(op Opcode, addr uint64, rkey uint32, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
-	mr, off, ok := h.resolve(addr, rkey, 8)
+	mr, off, word, ok := h.resolve(addr, rkey, 8)
 	if !ok || addr%8 != 0 {
 		return 0, false
 	}
-	return h.rmw(mr, off, op, add, compare, swap, vt)
+	return h.rmw(mr, off, word, op, add, compare, swap, vt)
 }
 
-// rmw executes one fetching atomic on the word at off of mr under the
-// adapter's memory lock, then counts the delivery and notifies the region's
-// watcher with the arrival time vt. ok is false, and nothing happens, for an
-// opcode that is not an atomic.
-func (h *HCA) rmw(mr *MR, off int, op Opcode, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
-	word := mr.buf[off : off+8]
+// rmw executes one fetching atomic on word, the backed bytes at off of mr,
+// under the adapter's memory lock, then counts the delivery and notifies the
+// region's watcher with the arrival time vt. ok is false, and nothing
+// happens, for an opcode that is not an atomic.
+func (h *HCA) rmw(mr *MR, off int, word []byte, op Opcode, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
 	h.memMu.Lock()
-	old = leU64(word)
+	old = binary.LittleEndian.Uint64(word)
 	switch op {
 	case OpFetchAdd:
-		putLeU64(word, old+add)
+		binary.LittleEndian.PutUint64(word, old+add)
 	case OpCmpSwap:
 		if old == compare {
-			putLeU64(word, swap)
+			binary.LittleEndian.PutUint64(word, swap)
 		}
 	case OpSwap:
-		putLeU64(word, swap)
+		binary.LittleEndian.PutUint64(word, swap)
 	default:
 		h.memMu.Unlock()
 		return 0, false

@@ -139,10 +139,7 @@ func (d Dest) String() string { return fmt.Sprintf("%d:%d", d.LID, d.QPN) }
 // Errors returned by fabric operations.
 var (
 	ErrBadState      = errors.New("ib: queue pair in wrong state for operation")
-	ErrBadQP         = errors.New("ib: no such queue pair")
 	ErrBadLID        = errors.New("ib: no such lid")
-	ErrBadRKey       = errors.New("ib: invalid rkey")
-	ErrOutOfBounds   = errors.New("ib: remote access out of memory-region bounds")
 	ErrMTUExceeded   = errors.New("ib: UD payload exceeds MTU")
 	ErrNotConnected  = errors.New("ib: RC queue pair has no remote")
 	ErrLinkDown      = errors.New("ib: RC link fault (queue pair in Error state)")

@@ -298,6 +298,101 @@ func TestRDMAFaults(t *testing.T) {
 	}
 }
 
+// TestWindowTable drives remote and local access against a region registered
+// by size and backed in windows: A [0,64) and B [64,128) adjacent, C
+// [256,320) past an unbacked gap. An access inside one live window works at
+// either edge; one that straddles two windows, touches the gap or lands on a
+// released window fails exactly like an access outside the region.
+func TestWindowTable(t *testing.T) {
+	r := newRig(t, nil)
+	q1, _ := r.connectRC(t)
+	mr, err := r.h2.TryRegisterMR(4096, r.c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := make([]byte, 64), make([]byte, 64), make([]byte, 64)
+	mr.Back(0, a)
+	mr.Back(64, b)
+	mr.Back(256, c)
+	post := func(wr SendWR) Status {
+		t.Helper()
+		wr.RemoteAddr += mr.Base()
+		wr.RKey = mr.RKey()
+		if err := q1.PostSend(wr); err != nil {
+			t.Fatal(err)
+		}
+		comp, _ := r.cq1.Wait()
+		return comp.Status
+	}
+	write := func(off uint64, n int) SendWR {
+		return SendWR{Op: OpRDMAWrite, RemoteAddr: off, Data: bytes.Repeat([]byte{0xAB}, n)}
+	}
+	read := func(off uint64, n int) SendWR { return SendWR{Op: OpRDMARead, RemoteAddr: off, Len: n} }
+	fadd := func(off uint64) SendWR { return SendWR{Op: OpFetchAdd, RemoteAddr: off, Add: 1} }
+	for _, tc := range []struct {
+		name string
+		wr   SendWR
+		want Status
+	}{
+		{"first byte of A", write(0, 8), StatusOK},
+		{"last word of A", write(56, 8), StatusOK},
+		{"first word of B", read(64, 8), StatusOK},
+		{"last word of C", fadd(312), StatusOK},
+		{"straddles A and B", write(60, 8), StatusRemoteAccessErr},
+		{"read straddles A and B", read(32, 64), StatusRemoteAccessErr},
+		{"unbacked gap", write(128, 8), StatusRemoteAccessErr},
+		{"runs off C into the gap", read(312, 16), StatusRemoteAccessErr},
+		{"atomic in the gap", fadd(200), StatusRemoteAccessErr},
+	} {
+		if got := post(tc.wr); got != tc.want {
+			t.Errorf("%s: status %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if !bytes.Equal(b[:8], make([]byte, 8)) || b[8] != 0 || a[59] != 0xAB || a[60] != 0xAB {
+		t.Errorf("a refused access touched memory: A %x B %x", a[56:], b[:16])
+	}
+	if !mr.Release(256) || mr.Release(256) {
+		t.Fatal("Release must drop C once")
+	}
+	for _, tc := range []struct {
+		name string
+		wr   SendWR
+	}{{"write after release", write(256, 8)}, {"atomic on a released word", fadd(312)}} {
+		if got := post(tc.wr); got != StatusRemoteAccessErr {
+			t.Errorf("%s: status %v, want %v", tc.name, got, StatusRemoteAccessErr)
+		}
+	}
+	if _, ok := r.h2.AtomicRMW(OpFetchAdd, mr.Base()+312, mr.RKey(), 1, 0, 0, 0); ok {
+		t.Error("software atomic on a released word succeeded")
+	}
+	if _, ok := mr.AddUint64(312, 1); ok {
+		t.Error("AddUint64 on a released word succeeded")
+	}
+	if c[56] != 1 {
+		t.Errorf("released window changed after release: last word is %d, want 1", c[56])
+	}
+	for _, fp := range r.h2.Footprint() {
+		if fp.Category == "pinned-bytes" && (fp.Bytes != 128 || fp.Objects != 2) {
+			t.Errorf("pinned-bytes = %d B in %d windows, want 128 in 2", fp.Bytes, fp.Objects)
+		}
+	}
+	for name, fn := range map[string]func(){
+		"load of a released word": func() { mr.LoadUint64(256) },
+		"store in the gap":        func() { mr.StoreUint64(128, 1) },
+		"overlapping window":      func() { mr.Back(32, make([]byte, 64)) },
+		"window past the region":  func() { mr.Back(4090, make([]byte, 8)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func TestAtomics(t *testing.T) {
 	r := newRig(t, nil)
 	q1, _ := r.connectRC(t)

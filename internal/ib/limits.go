@@ -55,13 +55,13 @@ func (h *HCA) SetLimits(l Limits, clk *vclock.Clock) {
 	if slab < minBounceSlab {
 		return // budget too small to stage through: no bounce path
 	}
-	buf := make([]byte, slab)
 	h.mu.Lock()
-	h.slab = h.registerLocked(buf, false)
+	h.slab = h.registerLocked(int(slab), false)
 	g := h.gPinned
 	h.mu.Unlock()
-	clk.Advance(h.f.model.MemRegTime(len(buf)))
-	g.Add(clk.Now(), int64(len(buf)))
+	h.slab.Back(0, make([]byte, slab))
+	clk.Advance(h.f.model.MemRegTime(int(slab)))
+	g.Add(clk.Now(), slab)
 }
 
 // Limits returns the adapter's budgets (zero value when unbudgeted).
@@ -151,11 +151,11 @@ func (h *HCA) TryCreateQP(typ QPType, clk *vclock.Clock, sendCQ, recvCQ *CQ) (*Q
 	return q, nil
 }
 
-// TryRegisterMR is RegisterMR under the adapter's budget: it fails with
-// ErrMRExhausted when pinning buf would exceed the pinned-byte budget or the
-// fault injector scheduled this allocation to fail. Callers degrade to
-// RegisterBounced.
-func (h *HCA) TryRegisterMR(buf []byte, clk *vclock.Clock) (*MR, error) {
+// TryRegisterMR registers size bytes under the adapter's budget, backing
+// none of them (see MR.Back): it fails with ErrMRExhausted when pinning them
+// would exceed the pinned-byte budget or the fault injector scheduled this
+// allocation to fail. Callers degrade to RegisterBounced.
+func (h *HCA) TryRegisterMR(size int, clk *vclock.Clock) (*MR, error) {
 	h.mu.Lock()
 	h.mrAllocs++
 	if h.f.faults.refusesAlloc(true, h.mrAllocs) {
@@ -164,33 +164,34 @@ func (h *HCA) TryRegisterMR(buf []byte, clk *vclock.Clock) (*MR, error) {
 		h.ledger.OpenDetected("alloc", "mr", obs.InstJob, obs.InstHCA(h.lid), clk.Now(), "alloc-refused")
 		return nil, ErrMRExhausted
 	}
-	if h.limits.MaxMRBytes > 0 && h.stats.BytesPinned+int64(len(buf)) > h.limits.MaxMRBytes {
+	if h.limits.MaxMRBytes > 0 && h.stats.BytesPinned+int64(size) > h.limits.MaxMRBytes {
 		h.stats.AllocFailures++
 		h.mu.Unlock()
 		return nil, ErrMRExhausted
 	}
-	m := h.registerLocked(buf, false)
+	m := h.registerLocked(size, false)
 	g := h.gPinned
 	h.mu.Unlock()
-	clk.Advance(h.f.model.MemRegTime(len(buf)))
-	g.Add(clk.Now(), int64(len(buf)))
+	clk.Advance(h.f.model.MemRegTime(size))
+	g.Add(clk.Now(), int64(size))
 	h.ledger.CloseAll("alloc", []string{"mr"}, obs.InstJob, obs.InstHCA(h.lid), clk.Now(), "alloc-ok")
 	return m, nil
 }
 
-// RegisterBounced registers buf as a degraded, unpinned region that stages
-// its remote traffic through the adapter's pre-registered bounce slab. The
-// region keeps a real rkey and backing store — remote RDMA and atomics work
-// unchanged — but only the slab's bytes count against the pinned budget
-// (they were charged at SetLimits), and every data operation through the
-// region pays an extra staging copy. Fails when no slab exists.
-func (h *HCA) RegisterBounced(buf []byte, clk *vclock.Clock) (*MR, error) {
+// RegisterBounced registers size bytes as a degraded, unpinned region that
+// stages its remote traffic through the adapter's pre-registered bounce
+// slab. The region keeps a real rkey and is backed window by window like any
+// other — remote RDMA and atomics work unchanged — but only the slab's bytes
+// count against the pinned budget (they were charged at SetLimits), and
+// every data operation through the region pays an extra staging copy. Fails
+// when no slab exists.
+func (h *HCA) RegisterBounced(size int, clk *vclock.Clock) (*MR, error) {
 	h.mu.Lock()
 	if h.slab == nil {
 		h.mu.Unlock()
 		return nil, ErrMRExhausted
 	}
-	m := h.registerLocked(buf, true)
+	m := h.registerLocked(size, true)
 	h.stats.BouncedMRs++
 	h.mu.Unlock()
 	clk.Advance(h.f.model.MemRegBase) // descriptor only: nothing is pinned

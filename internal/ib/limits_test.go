@@ -100,15 +100,15 @@ func TestMRBudgetAndBounce(t *testing.T) {
 		t.Fatal("no bounce slab pre-registered")
 	}
 	slabBytes := int64(r.h1.BounceSlab().Size())
-	m1, err := r.h1.TryRegisterMR(make([]byte, 128<<10), r.c1)
+	m1, err := r.h1.TryRegisterMR(128<<10, r.c1)
 	if err != nil {
 		t.Fatalf("register under budget: %v", err)
 	}
 	// 64K slab + 128K = 192K pinned; another 128K would exceed 256K.
-	if _, err := r.h1.TryRegisterMR(make([]byte, 128<<10), r.c1); !errors.Is(err, ErrMRExhausted) {
+	if _, err := r.h1.TryRegisterMR(128<<10, r.c1); !errors.Is(err, ErrMRExhausted) {
 		t.Fatalf("register past budget = %v, want ErrMRExhausted", err)
 	}
-	bm, err := r.h1.RegisterBounced(make([]byte, 128<<10), r.c1)
+	bm, err := r.h1.RegisterBounced(128<<10, r.c1)
 	if err != nil {
 		t.Fatalf("RegisterBounced: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestBounceSlabSkippedWhenBudgetTiny(t *testing.T) {
 	if r.h1.BounceSlab() != nil {
 		t.Fatal("tiny budget still got a slab")
 	}
-	if _, err := r.h1.RegisterBounced(make([]byte, 1<<10), r.c1); !errors.Is(err, ErrMRExhausted) {
+	if _, err := r.h1.RegisterBounced(1<<10, r.c1); !errors.Is(err, ErrMRExhausted) {
 		t.Fatalf("RegisterBounced without slab = %v, want ErrMRExhausted", err)
 	}
 }
@@ -156,10 +156,11 @@ func TestBouncedMRDataPath(t *testing.T) {
 		var mr *MR
 		if bounced {
 			var err error
-			mr, err = r.h2.RegisterBounced(buf, r.c2)
+			mr, err = r.h2.RegisterBounced(len(buf), r.c2)
 			if err != nil {
 				t.Fatalf("RegisterBounced: %v", err)
 			}
+			mr.Back(0, buf)
 		} else {
 			mr = r.h2.RegisterMR(buf, r.c2)
 		}
@@ -269,10 +270,10 @@ func TestInjectedAllocFaults(t *testing.T) {
 	if _, err := r.h1.TryCreateQP(RC, r.c1, r.cq1, r.cq1); err != nil {
 		t.Fatalf("alloc 3: %v", err)
 	}
-	if _, err := r.h1.TryRegisterMR(make([]byte, 4096), r.c1); !errors.Is(err, ErrMRExhausted) {
+	if _, err := r.h1.TryRegisterMR(4096, r.c1); !errors.Is(err, ErrMRExhausted) {
 		t.Fatalf("mr alloc 1 = %v, want injected ErrMRExhausted", err)
 	}
-	if _, err := r.h1.TryRegisterMR(make([]byte, 4096), r.c1); err != nil {
+	if _, err := r.h1.TryRegisterMR(4096, r.c1); err != nil {
 		t.Fatalf("mr alloc 2: %v", err)
 	}
 	// Schedules are per-adapter: h2's own 2nd QP allocation fails too.

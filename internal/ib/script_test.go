@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"math/rand"
@@ -103,20 +104,21 @@ func runInjectionScript(t testing.TB, seed int64, ops int, plane *obs.Plane) scr
 	}
 	connect()
 	mem := make([]byte, 64<<10)
-	if _, err := h2.TryRegisterMR(make([]byte, 64), c2); err != nil {
+	if _, err := h2.TryRegisterMR(64, c2); err != nil {
 		t.Fatal(err)
 	}
 	var mr *MR
 	for mr == nil { // the injector refuses the adapter's second registration
-		m, err := h2.TryRegisterMR(mem, c2)
+		m, err := h2.TryRegisterMR(len(mem), c2)
 		note(err)
 		mr = m
 	}
+	mr.Back(0, mem)
 
 	hash := fnv.New64a()
 	var word [8]byte
 	mix := func(v uint64) {
-		putLeU64(word[:], v)
+		binary.LittleEndian.PutUint64(word[:], v)
 		hash.Write(word[:])
 	}
 	drain := func(cq *CQ) {

@@ -17,10 +17,10 @@ import (
 // reporter existed, which is exactly the failure mode the reconciliation
 // check is for.)
 //
-// The symmetric heap's backing buffer is NOT counted here: it is registered
-// with the adapter and already attributed as ib/pinned-bytes; counting it
-// twice would overstate the modeled total by the largest single allocation
-// in the job.
+// The symmetric heap's blocks are NOT counted here: Malloc backs each one as
+// a window of the region registered with the adapter, which attributes them
+// as ib/pinned-bytes; counting them twice would overstate the modeled total.
+// A heap nobody allocates from costs nothing, whatever HeapSize says.
 //
 // All quantities are object counts × struct sizes plus exact lengths (len,
 // never cap), keeping modeled numbers byte-stable across identical runs.

@@ -117,9 +117,6 @@ func newCtx(env Env, opts Options) *Ctx {
 		opts.HeapSize = 1 << 20
 	}
 	opts.HeapSize = (opts.HeapSize + heapAlign - 1) &^ (heapAlign - 1) // the allocator hands out whole units
-	if opts.DeclaredHeapSize < opts.HeapSize {
-		opts.DeclaredHeapSize = opts.HeapSize
-	}
 	if opts.SegEx == SegAuto {
 		if opts.Mode == gasnet.Static {
 			opts.SegEx = SegBroadcast
@@ -190,17 +187,14 @@ func (c *Ctx) startConduit(env Env) {
 	})
 }
 
-// registerHeap allocates the symmetric heap and registers it with the HCA.
+// registerHeap registers the symmetric heap with the HCA by size, paying
+// the registration cost of all of it; Malloc backs each block it hands out.
 func (c *Ctx) registerHeap() {
-	c.heapBuf = make([]byte, c.opts.HeapSize)
 	c.heap = newHeap(c.opts.HeapSize)
 	// Registration goes through the conduit's degradation ladder: a refused
 	// pinning (budget or injected fault) falls back to a bounce-buffered
 	// region, and only a PE with no registered heap at all aborts.
-	c.mr = c.conduit.RegisterHeap(c.heapBuf)
-	if extra := c.model.MemRegTime(c.opts.DeclaredHeapSize) - c.model.MemRegTime(c.opts.HeapSize); extra > 0 {
-		c.clk.Advance(extra) // model the declared (paper-scale) heap size
-	}
+	c.mr = c.conduit.RegisterHeapSize(c.opts.HeapSize)
 	c.mr.SetOnWrite(func(off, n int, vt int64) {
 		c.watchMu.Lock()
 		if vt > c.lastWrite {
@@ -210,7 +204,7 @@ func (c *Ctx) registerHeap() {
 		c.watchCond.Broadcast()
 	})
 	c.setOwnSeg()
-	c.obs.Emit(c.clk.Now(), obs.LayerIB, "mr-register", -1, int64(c.opts.DeclaredHeapSize))
+	c.obs.Emit(c.clk.Now(), obs.LayerIB, "mr-register", -1, int64(c.opts.HeapSize))
 }
 
 // InitTime returns the virtual duration of start_pes.

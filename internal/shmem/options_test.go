@@ -1,7 +1,9 @@
 package shmem_test
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
@@ -91,13 +93,54 @@ func TestHeapAccounting(t *testing.T) {
 	})
 }
 
+// TestLocalViewsPanicOutOfBounds: a local view must lie inside one live
+// allocation — not past the heap, not in memory nobody allocated, not across
+// two blocks, not in a freed block.
 func TestLocalViewsPanicOutOfBounds(t *testing.T) {
 	run(t, cluster.Config{NP: 1, PPN: 1, Mode: gasnet.OnDemand, HeapSize: 4096}, func(c *shmem.Ctx) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Local beyond heap should panic")
-			}
-		}()
-		c.Local(shmem.SymAddr(4000), 200)
+		a, b := c.Malloc(64), c.Malloc(64)
+		freed := c.Malloc(64)
+		c.Free(freed)
+		for name, v := range map[string][2]int{
+			"beyond the heap": {4000, 200},
+			"unallocated":     {1024, 8},
+			"across blocks":   {int(a) + 32, 64},
+			"freed block":     {int(freed), 8},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Local %s should panic", name)
+					}
+				}()
+				c.Local(shmem.SymAddr(v[0]), v[1])
+			}()
+		}
+		if len(c.Local(b, 64)) != 64 {
+			t.Error("Local of a whole live block is not that block")
+		}
 	})
+}
+
+// TestFreeBarriersBeforeRelease: shmem_free synchronizes on entry. PE 1's put
+// into PE 0's block is posted late, while PE 0 is already inside Free; the
+// barrier must complete it before PE 0 lets go of the block. A put that hits
+// a released block fails with a remote access error nobody waits for, so the
+// test looks at the block's bytes: the put must have landed in them.
+func TestFreeBarriersBeforeRelease(t *testing.T) {
+	want := bytes.Repeat([]byte{0xAB}, 64)
+	for _, mode := range []gasnet.Mode{gasnet.Static, gasnet.OnDemand} {
+		run(t, cluster.Config{NP: 2, PPN: 1, Mode: mode}, func(c *shmem.Ctx) {
+			a := c.Malloc(64)
+			mine := c.Local(a, 64) // still readable after Free releases the window
+			if c.Me() == 1 {
+				time.Sleep(20 * time.Millisecond) // host time: PE 0 is in Free by now
+				c.PutMem(a, want, 0)
+			}
+			c.Free(a)
+			if c.Me() == 0 && !bytes.Equal(mine, want) {
+				t.Errorf("%v: PE 1's put did not land before PE 0 released the block", mode)
+			}
+		})
+	}
 }

@@ -8,33 +8,29 @@ import (
 
 // Malloc allocates n bytes on the symmetric heap of every PE and returns the
 // symmetric address. Like shmem_malloc it is collective: all PEs must call
-// it with the same size, and it synchronizes before returning.
+// it with the same size, and it synchronizes before returning. The block is
+// backed with fresh zeroed memory before the barrier, so no peer can reach
+// it unbacked.
 func (c *Ctx) Malloc(n int) SymAddr {
 	a, err := c.heap.alloc(n)
 	if err != nil {
 		panic(err.Error())
 	}
+	c.mr.Back(int(a), make([]byte, c.heap.blockLen(a)))
 	c.BarrierAll()
 	return a
 }
 
 // Free releases a symmetric allocation on all PEs (collective, like
-// shmem_free).
+// shmem_free). It synchronizes first, as shmem_free does: the barrier
+// completes every PE's outstanding accesses to the block before any PE lets
+// go of its copy.
 func (c *Ctx) Free(a SymAddr) {
+	c.BarrierAll()
 	if err := c.heap.dealloc(a); err != nil {
 		panic(err.Error())
 	}
-	c.BarrierAll()
-}
-
-// mallocLocal allocates without the collective barrier; the runtime uses it
-// during initialization when all PEs are known to allocate in lockstep.
-func (c *Ctx) mallocLocal(n int) SymAddr {
-	a, err := c.heap.alloc(n)
-	if err != nil {
-		panic(err.Error())
-	}
-	return a
+	c.mr.Release(int(a))
 }
 
 // PutMem copies len(src) bytes into dest on the target PE (shmem_putmem).

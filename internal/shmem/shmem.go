@@ -58,12 +58,11 @@ type Options struct {
 	BlockingPMI bool
 	// SegEx selects the segment-key exchange strategy.
 	SegEx SegExchange
-	// HeapSize is the symmetric heap size in bytes (default 1 MiB).
+	// HeapSize is the symmetric heap size in bytes (default 1 MiB). It is
+	// registered, and its registration paid for, at start_pes; memory is
+	// held only for the blocks Malloc hands out, so a paper-scale heap of
+	// 1 GiB costs a PE nothing until it allocates.
 	HeapSize int
-	// DeclaredHeapSize, when nonzero, is the heap size used for the
-	// memory-registration cost model; it lets large-scale startup sweeps
-	// model realistic multi-GiB heaps without allocating them.
-	DeclaredHeapSize int
 	// GlobalInitBarriers makes even the on-demand design use global
 	// barriers during initialization — the ablation for the paper's
 	// section IV-E (intra-node barrier substitution).
@@ -116,9 +115,8 @@ type Ctx struct {
 	hBarrier *obs.Hist
 	hColl    *obs.Hist
 
-	heapBuf []byte
-	heap    *heap
-	mr      *ib.MR
+	heap *heap
+	mr   *ib.MR
 
 	segMu   sync.Mutex // serializes segs' stores; segCond waits on them
 	segCond *vclock.Cond
@@ -154,21 +152,13 @@ func (c *Ctx) Breakdown() InitBreakdown { return c.breakdown }
 // HeapBase returns the local symmetric heap's registered base address.
 func (c *Ctx) HeapBase() uint64 { return c.mr.Base() }
 
-// local returns the local bytes backing [addr, addr+n).
-func (c *Ctx) local(addr SymAddr, n int) ([]byte, error) {
-	if uint64(addr)+uint64(n) > uint64(len(c.heapBuf)) {
-		return nil, fmt.Errorf("shmem: symmetric address %#x+%d outside heap of %d bytes",
-			uint64(addr), n, len(c.heapBuf))
-	}
-	return c.heapBuf[addr : uint64(addr)+uint64(n)], nil
-}
-
 // Local returns the local backing bytes for a symmetric allocation, for
 // direct computation on one's own partition of the global address space.
+// [addr, addr+n) must lie inside one live allocation: it panics otherwise.
 func (c *Ctx) Local(addr SymAddr, n int) []byte {
-	b, err := c.local(addr, n)
-	if err != nil {
-		panic(err)
+	b, ok := c.mr.View(int(addr), n)
+	if !ok {
+		panic(fmt.Errorf("shmem: symmetric range %#x+%d lies in no live allocation", uint64(addr), n))
 	}
 	return b
 }

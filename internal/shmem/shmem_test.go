@@ -173,7 +173,7 @@ func TestMisalignedAtomicSameInBothModes(t *testing.T) {
 				c.FetchAddInt64(word+4, 1, (c.Me()+3)%n)
 			}()
 			c.BarrierAll()
-			if v := c.LoadInt64(word, c.Me()) | c.LoadInt64(word+8, c.Me()); v != 0 {
+			if v := c.LoadInt64(word, 0) | c.LoadInt64(word, 1); v != 0 {
 				t.Errorf("%v, pe %d: a refused atomic touched the target: %#x", mode, c.Me(), v)
 			}
 		})

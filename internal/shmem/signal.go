@@ -47,11 +47,11 @@ func (c *Ctx) P64Signal(dest SymAddr, v int64, sig SymAddr, sadd int64, pe int) 
 	c.PutMemSignal(dest, buf[:], sig, sadd, pe)
 }
 
-// checkSignalAddr validates a signal word against the symmetric heap bounds;
-// the heap is symmetric, so a locally valid word is valid on every PE.
+// checkSignalAddr validates a signal word against the live allocations; the
+// heap is symmetric, so a locally valid word is valid on every PE.
 func (c *Ctx) checkSignalAddr(sig SymAddr) error {
-	if int64(sig) < 0 || int64(sig)+8 > int64(c.mr.Size()) {
-		return fmt.Errorf("signal word at %d outside the symmetric heap", sig)
+	if _, ok := c.mr.View(int(sig), 8); !ok {
+		return fmt.Errorf("signal word at %d lies in no live allocation", sig)
 	}
 	return nil
 }
@@ -60,10 +60,9 @@ func (c *Ctx) checkSignalAddr(sig SymAddr) error {
 // heap and wake shmem_wait-style watchers, mirroring the remote-write
 // notification RDMA traffic gets from the memory region itself.
 func (c *Ctx) applySignal(off int64, delta uint64, at int64) {
-	if off < 0 || off+8 > int64(c.mr.Size()) {
+	if _, ok := c.mr.AddUint64(int(off), delta); !ok {
 		return // malformed frame; drop rather than corrupt the heap
 	}
-	c.mr.AddUint64(int(off), delta)
 	c.watchMu.Lock()
 	if at > c.lastWrite {
 		c.lastWrite = at
