@@ -1,7 +1,7 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
 # (see ROADMAP.md): build, the no-host-clock check on the engine, the size
 # ceilings on the conduit, the verbs model, the OpenSHMEM runtime (1,264) and
-# all packages (14,382), the full test suite, the full suite again under the
+# all packages (14,356), the full test suite, the full suite again under the
 # race detector, the determinism contracts repeated
 # across GOMAXPROCS, a fast data-plane-integrity smoke, and the benchmark
 # module's own vet + smoke test.
@@ -170,9 +170,9 @@ loc:
 # each one landed (the conduit's rounded up to the next fifty). A change that needs more room
 # says so by raising the number, in the open.
 GASNET_LOC_MAX = 3000
-IB_LOC_MAX = 1697
+IB_LOC_MAX = 1662
 SHMEM_LOC_MAX = 1264
-TOTAL_LOC_MAX = 14382
+TOTAL_LOC_MAX = 14356
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

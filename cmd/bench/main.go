@@ -74,18 +74,15 @@ const warnPct = 10.0
 // footprintSizes is the fixed np sweep of the footprint suite.
 var footprintSizes = []int{64, 256, 1024, 4096}
 
-// loadBaseline decodes the lexically-latest BENCH_*.json in the current
-// directory other than the file this run just wrote — with date-stamped
-// names, lexical order is chronological order, so this is the most recent
-// committed trajectory point.
-func loadBaseline(exclude string) (*doc, string) {
-	matches, _ := filepath.Glob("BENCH_*.json")
+// loadBaseline decodes the lexically-latest BENCH_*.json in dir — with
+// date-stamped names, lexical order is chronological order, so this is the
+// most recent committed trajectory point. It runs before the suite writes
+// anything.
+func loadBaseline(dir string) (*doc, string) {
+	matches, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	sort.Strings(matches)
 	for i := len(matches) - 1; i >= 0; i-- {
 		p := matches[i]
-		if filepath.Clean(p) == filepath.Clean(exclude) {
-			continue
-		}
 		b, err := os.ReadFile(p)
 		if err != nil {
 			continue
@@ -98,6 +95,22 @@ func loadBaseline(exclude string) (*doc, string) {
 		return &d, p
 	}
 	return nil, ""
+}
+
+// outputPath is the file the run writes: out, else BENCH_<today>.json in dir.
+// A -check run never writes over the baseline it checks against; a plain run
+// may, which is how a baseline is regenerated.
+func outputPath(dir, out, today, basePath string, check bool) (string, error) {
+	path := out
+	if path == "" {
+		path = filepath.Join(dir, "BENCH_"+today+".json")
+	}
+	abs, _ := filepath.Abs(path)
+	baseAbs, _ := filepath.Abs(basePath)
+	if check && basePath != "" && abs == baseAbs {
+		return "", fmt.Errorf("-check would overwrite its baseline %s: name another output with -o", basePath)
+	}
+	return path, nil
 }
 
 // pctDelta is the relative change in percent; a zero baseline reports 0 so
@@ -223,9 +236,11 @@ func main() {
 	fpCSV := flag.String("footprint-csv", "", "also write the footprint sweep as CSV to FILE (the nightly artifact)")
 	flag.Parse()
 
-	path := *out
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("2006-01-02"))
+	base, basePath := loadBaseline(".")
+	path, err := outputPath(".", *out, time.Now().UTC().Format("2006-01-02"), basePath, *check)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(2)
 	}
 
 	d := doc{
@@ -245,7 +260,6 @@ func main() {
 
 	t0 := time.Now()
 
-	var err error
 	d.Startup, err = bench.Startup([]int{64, 128, 256}, 8, 256)
 	die(err)
 
@@ -301,7 +315,6 @@ func main() {
 	die(f.Close())
 	fmt.Printf("wrote %s (suite wall time %.1fs)\n", path, float64(d.WallNS)/1e9)
 
-	base, basePath := loadBaseline(path)
 	if base == nil {
 		if *check {
 			// A -check run with nothing to check against must be loud: a CI

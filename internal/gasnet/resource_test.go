@@ -171,19 +171,16 @@ func TestRegisterHeapBounceFallback(t *testing.T) {
 		limits: ib.Limits{MaxMRBytes: 96 << 10}})
 	heap0 := make([]byte, 32<<10)
 	heap1 := make([]byte, 32<<10)
-	mr0 := pes[0].C.RegisterHeap(heap0)
-	if mr0.Bounced() {
+	pes[0].C.RegisterHeap(heap0)
+	if hs := pes[0].HCA.Stats(); hs.BouncedMRs != 0 {
 		t.Fatal("first registration bounced while the budget still had room")
 	}
 	mr1 := pes[1].C.RegisterHeap(heap1)
-	if !mr1.Bounced() {
-		t.Fatal("second registration pinned past the budget instead of bouncing")
+	if hs := pes[1].HCA.Stats(); hs.BouncedMRs != 1 {
+		t.Fatalf("adapter bounced-MR count = %d, want 1: the second registration must bounce", hs.BouncedMRs)
 	}
 	if st := pes[1].C.Stats(); st.BounceFallbacks != 1 || st.AllocFailures != 1 {
 		t.Fatalf("fallback accounting: %+v", st)
-	}
-	if hs := pes[1].HCA.Stats(); hs.BouncedMRs != 1 {
-		t.Fatalf("adapter bounced-MR count = %d, want 1", hs.BouncedMRs)
 	}
 	// Data plane through the degraded region: put then get back.
 	if err := pes[0].C.EnsureConnected(1); err != nil {
@@ -352,7 +349,7 @@ func TestUnbudgetedRunsPayNoResourceCost(t *testing.T) {
 		if hs.AllocFailures != 0 || hs.RNRNaks != 0 || hs.BouncedMRs != 0 {
 			t.Fatalf("rank %d: adapter resource activity on an unbudgeted run: %+v", p.C.Rank(), hs)
 		}
-		if p.HCA.Limited() {
+		if p.HCA.Limits() != (ib.Limits{}) {
 			t.Fatalf("rank %d: adapter reports budgets armed", p.C.Rank())
 		}
 	}

@@ -37,6 +37,9 @@ type Completion struct {
 	Imm uint32
 }
 
+// maxIdleCap is the most capacity a drained completion queue keeps.
+const maxIdleCap = 256
+
 // CQ is an unbounded completion queue. It is unbounded so that a slow
 // consumer can never block a sender inside the fabric, which would distort
 // virtual-time accounting; flow control belongs to the layers above.
@@ -139,7 +142,14 @@ func (q *CQ) takeLocked() (Completion, bool) {
 	q.buf[q.head] = Completion{} // allow payload GC
 	q.head++
 	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
+		// Drained. A backlog's grown array is dropped rather than kept for
+		// the rest of the job; a small one is reused, so a steady
+		// one-in, one-out stream allocates nothing.
+		if cap(q.buf) > maxIdleCap {
+			q.buf = nil
+		} else {
+			q.buf = q.buf[:0]
+		}
 		q.head = 0
 	} else if q.head > 4096 && q.head*2 > len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])

@@ -1,7 +1,7 @@
 package ib
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"goshmem/internal/obs"
 	"goshmem/internal/vclock"
@@ -23,11 +23,13 @@ type Fabric struct {
 	// fabric provides; every HCA exposes one port per rail. Each rail is its
 	// own fault domain: a failed rail or port blocks only the paths crossing
 	// it, and RC queue pairs migrate to their alternate path (IB APM) while
-	// other rails stay up. Default 1 — the flat single-rail fabric.
+	// other rails stay up. Default 1 — the flat single-rail fabric. Set at
+	// setup (SetRails) and read without a lock.
 	rails int
 
-	mu   sync.RWMutex
-	hcas []*HCA
+	// hcas is the adapter table, published whole by AddHCA so that HCA(lid),
+	// asked on every post, takes no lock.
+	hcas atomic.Pointer[[]*HCA]
 }
 
 // NewFabric creates an empty fabric. faults may be nil.
@@ -36,6 +38,7 @@ func NewFabric(model *vclock.CostModel, faults *FaultInjector) *Fabric {
 		model = vclock.Default()
 	}
 	f := &Fabric{model: model, faults: faults, rails: 1}
+	f.hcas.Store(new([]*HCA))
 	if faults != nil {
 		f.sched = vclock.NewSched()
 	}
@@ -48,21 +51,10 @@ func (f *Fabric) Sched() *vclock.Sched { return f.sched }
 
 // SetRails sets the number of independent rails (ports per HCA). Call it at
 // setup, before traffic flows; values below 1 are clamped to 1.
-func (f *Fabric) SetRails(n int) {
-	if n < 1 {
-		n = 1
-	}
-	f.mu.Lock()
-	f.rails = n
-	f.mu.Unlock()
-}
+func (f *Fabric) SetRails(n int) { f.rails = max(n, 1) }
 
 // Rails returns the number of independent rails the fabric provides.
-func (f *Fabric) Rails() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.rails
-}
+func (f *Fabric) Rails() int { return f.rails }
 
 // Model returns the fabric's cost model.
 func (f *Fabric) Model() *vclock.CostModel { return f.model }
@@ -123,33 +115,29 @@ func (f *Fabric) PEFate(rank int, now int64) PEFate {
 }
 
 // AddHCA attaches a new adapter and assigns it the next LID (LIDs start at 1,
-// as LID 0 is reserved, like the permissive LID in real InfiniBand).
+// as LID 0 is reserved, like the permissive LID in real InfiniBand). Like
+// SetRails it is setup: call it from one goroutine, before traffic flows.
+// The append may fill the published table's spare capacity, past the length
+// any reader holds.
 func (f *Fabric) AddHCA() *HCA {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h := &HCA{f: f, lid: uint16(len(f.hcas) + 1)}
-	f.hcas = append(f.hcas, h)
+	hs := *f.hcas.Load()
+	h := &HCA{f: f, lid: uint16(len(hs) + 1)}
+	hs = append(hs, h)
+	f.hcas.Store(&hs)
 	return h
 }
 
 // HCA returns the adapter with the given LID, or nil.
 func (f *Fabric) HCA(lid uint16) *HCA {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if lid == 0 || int(lid) > len(f.hcas) {
+	hs := *f.hcas.Load()
+	if lid == 0 || int(lid) > len(hs) {
 		return nil
 	}
-	return f.hcas[lid-1]
+	return hs[lid-1]
 }
 
 // HCAs returns all adapters (for stats aggregation).
-func (f *Fabric) HCAs() []*HCA {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]*HCA, len(f.hcas))
-	copy(out, f.hcas)
-	return out
-}
+func (f *Fabric) HCAs() []*HCA { return append([]*HCA(nil), *f.hcas.Load()...) }
 
 // oneWay returns the one-way wire time for n payload bytes between two
 // adapters, including endpoint-cache penalties on both sides.
@@ -188,10 +176,27 @@ func (q *QP) clock(wr *SendWR) *vclock.Clock {
 	return q.clk
 }
 
-// liveLocked reports whether q exists as a typ queue pair that can receive.
-// Caller holds the adapter lock.
-func (q *QP) liveLocked(typ QPType) bool {
-	return q != nil && q.typ == typ && (q.state == StateRTR || q.state == StateRTS)
+// live reports whether q exists as a typ queue pair that can receive.
+func (q *QP) live(typ QPType) bool {
+	if q == nil || q.typ != typ {
+		return false
+	}
+	st := q.State()
+	return st == StateRTR || st == StateRTS
+}
+
+// peerOf returns q's connected remote queue pair on dh, nil when it was
+// destroyed before q ever posted. It is looked up under dh.mu on the first
+// post and kept (QPNs are never reused), so every later post learns whether
+// the far half is alive from one atomic load of its state.
+func (q *QP) peerOf(dh *HCA) *QP {
+	p := q.peer.Load()
+	if p == nil {
+		if p = dh.QP(q.remote.QPN); p != nil {
+			q.peer.Store(p)
+		}
+	}
+	return p
 }
 
 // injected reports one injected fault of kind k on q's traffic: the trace
@@ -270,9 +275,7 @@ func (f *Fabric) udTarget(dest Dest) (*HCA, *CQ) {
 	if dh == nil {
 		return nil, nil
 	}
-	dh.mu.Lock()
-	defer dh.mu.Unlock()
-	if dq := dh.qpLocked(dest.QPN); dq.liveLocked(UD) && dq.recvCQ != nil {
+	if dq := dh.QP(dest.QPN); dq.live(UD) && dq.recvCQ != nil {
 		return dh, dq.recvCQ
 	}
 	return nil, nil
@@ -308,6 +311,7 @@ type rcOp struct {
 	f      *Fabric
 	q      *QP
 	dh     *HCA // the peer's adapter
+	dq     *QP  // the peer queue pair (peerOf), nil when already destroyed
 	clk    *vclock.Clock
 	depart int64
 	// lane is the connection's incident lane, (sender rank, destination LID).
@@ -329,7 +333,7 @@ func (f *Fabric) sendRC(q *QP, wr SendWR) error {
 	if dh == nil {
 		return ErrBadLID
 	}
-	x := rcOp{f: f, q: q, dh: dh, clk: q.clock(&wr), lane: int(q.remote.LID)}
+	x := rcOp{f: f, q: q, dh: dh, dq: q.peerOf(dh), clk: q.clock(&wr), lane: int(q.remote.LID)}
 	var fate rcFate
 	if f.faults != nil {
 		fate = f.faults.admitRC(q.hca.lid, q.remote.LID, q.Rail(), x.clk.Now()+f.model.SendPostOverhead)
@@ -353,10 +357,7 @@ func (f *Fabric) sendRC(q *QP, wr SendWR) error {
 		x.errorBoth()
 		return ErrLinkDown
 	}
-	dh.mu.Lock()
-	live := dh.qpLocked(q.remote.QPN).liveLocked(RC)
-	dh.mu.Unlock()
-	if !live {
+	if !x.dq.live(RC) {
 		q.ToError()
 		return ErrLinkDown
 	}
@@ -405,26 +406,23 @@ func (x *rcOp) damage(op Opcode, data []byte, pkts int) rcDamage {
 // errorBoth kills the connection, as a link fault does on real RC: both queue
 // pairs go to Error.
 func (x *rcOp) errorBoth() {
-	x.dh.mu.Lock()
-	dq := x.dh.qpLocked(x.q.remote.QPN)
-	x.dh.mu.Unlock()
 	x.q.ToError()
-	if dq != nil && dq.typ == RC {
-		dq.ToError()
+	if x.dq != nil && x.dq.typ == RC {
+		x.dq.ToError()
 	}
 }
 
 // rcSend delivers a two-sided message. The sender pays the wire occupancy
 // (LogGP gap); the receiver sees the last byte one latency later.
+//
+// The per-target in-order clamp and receive-queue slot are the one piece of
+// the data path under the target adapter's mu.
 func (x *rcOp) rcSend(wr *SendWR) error {
-	f, q, dh := x.f, x.q, x.dh
+	f, q, dh, dq := x.f, x.q, x.dh, x.dq
 	depart := x.clk.Advance(f.occupancy(q.hca, dh, len(wr.Data)))
-	// Compute the latency before taking the target HCA lock: the
-	// cache-penalty accounting locks both adapters itself.
 	arrival := depart + f.latencyOnly(q.hca, dh, f.model.RCSendLatency)
 	dh.mu.Lock()
-	dq := dh.qpLocked(q.remote.QPN)
-	if !dq.liveLocked(RC) || dq.recvCQ == nil {
+	if !dq.live(RC) || dq.recvCQ == nil {
 		// The remote died between the liveness check and delivery.
 		dh.mu.Unlock()
 		q.ToError()
@@ -477,7 +475,7 @@ func (h *HCA) takeRQSlotLocked(dq *QP, arrival int64) bool {
 	if i > 0 {
 		dq.rqRel = append(dq.rqRel[:0], dq.rqRel[i:]...)
 	}
-	if len(dq.rqRel) >= dq.rqDepth {
+	if len(dq.rqRel) >= int(dq.rqDepth) {
 		h.stats.RNRNaks++
 		return false
 	}
@@ -596,8 +594,8 @@ func (x *rcOp) rcAtomic(wr *SendWR) error {
 // reads: OpenSHMEM's shmem_free barriers first, so a correct program's
 // accesses to a block have all landed before it is released.
 func (h *HCA) resolve(addr uint64, rkey uint32, n int) (*MR, int, []byte, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.memMu.Lock()
+	defer h.memMu.Unlock()
 	mr := h.mrs[rkey]
 	if mr == nil || addr < mr.base || addr-mr.base > uint64(mr.size) {
 		return nil, 0, nil, false

@@ -370,19 +370,6 @@ func (fi *FaultInjector) landUD(d *udDelivery, hold bool) (due []udDelivery) {
 	return due
 }
 
-// ReleaseHeld immediately delivers every datagram still parked for
-// reordering. Tests and teardown paths use it to flush the window.
-func (fi *FaultInjector) ReleaseHeld() {
-	if fi == nil {
-		return
-	}
-	fi.mu.Lock()
-	held := fi.held
-	fi.held = nil
-	fi.mu.Unlock()
-	landAll(held)
-}
-
 // rcFate is the admission verdict on an RC post: the slowdown charged to its
 // sender and what refuses it before any byte moves — kindPathDown when the
 // queue pair's primary rail is dark between the adapters (both queue pairs

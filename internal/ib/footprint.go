@@ -34,7 +34,6 @@ func (h *HCA) Footprint() []obs.FootprintItem {
 	rails := h.f.Rails()
 
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	var qps obs.FootprintItem
 	qps.Bytes = int64(len(h.qps)) * int64(unsafe.Sizeof((*QP)(nil)))
 	for _, q := range h.qps {
@@ -44,12 +43,16 @@ func (h *HCA) Footprint() []obs.FootprintItem {
 		qps.Objects++
 		qps.Bytes += qpSize + int64(len(q.rqRel))*8
 	}
+	slabMR := h.slab
+	h.mu.Unlock()
+	h.memMu.Lock()
+	defer h.memMu.Unlock()
 	var mrs, pinned, slab, bounced obs.FootprintItem
 	for _, m := range h.mrs {
 		mrs.Objects++
 		mrs.Bytes += mrSize + mapEntryOverhead + int64(len(m.wins))*int64(unsafe.Sizeof(window{}))
 		backing := &pinned
-		if m == h.slab {
+		if m == slabMR {
 			backing = &slab
 		} else if m.bounced {
 			backing = &bounced

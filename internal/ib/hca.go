@@ -2,7 +2,9 @@ package ib
 
 import (
 	"encoding/binary"
+	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"goshmem/internal/obs"
 	"goshmem/internal/vclock"
@@ -15,9 +17,13 @@ type HCA struct {
 	f   *Fabric
 	lid uint16
 
-	mu     sync.Mutex // guards qps, mrs, counters
-	qps    []*QP      // index qpn-1
-	mrs    map[uint32]*MR
+	// mu guards the adapter's control plane: the QP table and every queue
+	// pair's lifecycle (transitions store QP.state atomically under it),
+	// budgets, MR registration and pressure relief. The fault-free data path
+	// never takes it; rcSend's in-order clamp and receive-queue slot are the
+	// one exception.
+	mu     sync.Mutex
+	qps    []*QP // index qpn-1; Destroy nils a slot and QPNs are never reused
 	nextVA uint64
 	nextRK uint32
 
@@ -27,10 +33,11 @@ type HCA struct {
 	qpAllocs int // QP allocation attempts (drives injected Nth-alloc faults)
 	mrAllocs int // MR allocation attempts
 
-	// memMu serializes remote RDMA/atomic access to this HCA's registered
-	// memory, giving network atomics their atomicity guarantee. A change to
-	// a region's window table holds both mu and memMu (MR.Back).
+	// memMu alone guards registered memory: the MR table, every region's
+	// window table and the bytes remote RDMA and atomics touch, which gives
+	// network atomics their atomicity guarantee.
 	memMu sync.Mutex
+	mrs   map[uint32]*MR
 
 	// Pressure-relief registry: each tenant (connection manager) sharing the
 	// adapter registers a callback that releases one idle endpoint on demand.
@@ -48,6 +55,8 @@ type HCA struct {
 	gRQOcc   *obs.Gauge
 	ledger   *obs.Ledger
 
+	// stats: MsgsDelivered, BytesDelivered, CacheMisses and LiveRC are
+	// atomic, the data path bumps them; the rest change under mu.
 	stats HCAStats
 }
 
@@ -76,21 +85,23 @@ func (h *HCA) LID() uint16 { return h.lid }
 // Fabric returns the fabric this adapter is attached to.
 func (h *HCA) Fabric() *Fabric { return h.f }
 
-// Stats returns a snapshot of the adapter's counters.
+// Stats returns a snapshot of the adapter's counters, each field loaded
+// atomically: a plain copy would race with the data path's atomic adds.
 func (h *HCA) Stats() HCAStats {
+	var s HCAStats
+	src, dst := reflect.ValueOf(&h.stats).Elem(), reflect.ValueOf(&s).Elem()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.stats
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
+	}
+	return s
 }
 
 // LiveRC returns the number of RC queue pairs currently in RTS on this
 // adapter. Connection managers consult it to enforce a live-QP cap (the
 // endpoint-cache pressure the paper's section I describes).
-func (h *HCA) LiveRC() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats.LiveRC
-}
+func (h *HCA) LiveRC() int64 { return atomic.LoadInt64(&h.stats.LiveRC) }
 
 // AttachObs wires the adapter to the job's gauge registry and incident
 // ledger. Call it at setup, before any QP or MR is allocated (including
@@ -168,11 +179,9 @@ func (h *HCA) RegisterMR(buf []byte, clk *vclock.Clock) *MR {
 // registerLocked assigns a size-byte region of the adapter's virtual address
 // space and an rkey; nothing is backed yet. Bounced regions do not count
 // against the pinned budget: their remote traffic stages through the
-// pre-registered slab instead.
+// pre-registered slab instead. Caller holds h.mu; the table insert takes
+// h.memMu.
 func (h *HCA) registerLocked(size int, bounced bool) *MR {
-	if h.mrs == nil {
-		h.mrs = make(map[uint32]*MR)
-	}
 	h.nextRK++
 	// Separate regions by a guard page in the fake virtual address space so
 	// out-of-bounds accesses cannot silently land in a neighbouring region.
@@ -182,7 +191,12 @@ func (h *HCA) registerLocked(size int, bounced bool) *MR {
 	if rem := h.nextVA % 0x1000; rem != 0 {
 		h.nextVA += 0x1000 - rem
 	}
+	h.memMu.Lock()
+	if h.mrs == nil {
+		h.mrs = make(map[uint32]*MR)
+	}
 	h.mrs[m.rkey] = m
+	h.memMu.Unlock()
 	h.stats.MRsRegistered++
 	if !bounced {
 		h.stats.BytesPinned += int64(size)
@@ -193,11 +207,13 @@ func (h *HCA) registerLocked(size int, bounced bool) *MR {
 // DeregisterMR removes the region; later remote accesses fail with
 // StatusRemoteAccessErr.
 func (h *HCA) DeregisterMR(m *MR) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.memMu.Lock()
 	delete(h.mrs, m.rkey)
+	h.memMu.Unlock()
 	if !m.bounced {
+		h.mu.Lock()
 		h.stats.BytesPinned -= int64(m.size)
+		h.mu.Unlock()
 	}
 }
 
@@ -205,27 +221,17 @@ func (h *HCA) DeregisterMR(m *MR) {
 func (h *HCA) QP(qpn uint32) *QP {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.qpLocked(qpn)
-}
-
-func (h *HCA) qpLocked(qpn uint32) *QP {
 	if qpn == 0 || int(qpn) > len(h.qps) {
 		return nil
 	}
-	q := h.qps[qpn-1]
-	if q == nil || q.state == StateDestroyed {
-		return nil
-	}
-	return q
+	return h.qps[qpn-1] // nil once destroyed
 }
 
 // cachePenalty returns the extra latency a message pays at this adapter when
 // the endpoint cache is oversubscribed by live RC connections.
 func (h *HCA) cachePenalty() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if int(h.stats.LiveRC) > h.f.model.HCACacheQPs {
-		h.stats.CacheMisses++
+	if atomic.LoadInt64(&h.stats.LiveRC) > int64(h.f.model.HCACacheQPs) {
+		atomic.AddInt64(&h.stats.CacheMisses, 1)
 		return h.f.model.HCACacheMissPenalty
 	}
 	return 0
@@ -275,8 +281,6 @@ func (h *HCA) rmw(mr *MR, off int, word []byte, op Opcode, add, compare, swap ui
 }
 
 func (h *HCA) countDelivery(bytes int) {
-	h.mu.Lock()
-	h.stats.MsgsDelivered++
-	h.stats.BytesDelivered += int64(bytes)
-	h.mu.Unlock()
+	atomic.AddInt64(&h.stats.MsgsDelivered, 1)
+	atomic.AddInt64(&h.stats.BytesDelivered, int64(bytes))
 }

@@ -2,11 +2,14 @@ package ib
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"goshmem/internal/vclock"
 )
@@ -674,6 +677,9 @@ func TestCQPollAndClose(t *testing.T) {
 			t.Fatalf("poll %d: %v %v", i, c, ok)
 		}
 	}
+	if c := cap(q.buf); c > maxIdleCap {
+		t.Fatalf("drained queue keeps %d entries of capacity, want at most %d", c, maxIdleCap)
+	}
 	done := make(chan struct{})
 	go func() {
 		if _, ok := q.Wait(); ok {
@@ -701,5 +707,63 @@ func TestDestroyedTargetSendFails(t *testing.T) {
 	}
 	if n := r.cq1.Len(); n != 0 {
 		t.Fatalf("completions after synchronous link fault = %d, want 0", n)
+	}
+}
+
+// TestCQSteadyStreamAllocatesNothing: a queue drained after every push reuses
+// its array, so the steady one-in, one-out stream of a put or a fetch-add
+// costs no allocation.
+func TestCQSteadyStreamAllocatesNothing(t *testing.T) {
+	q := NewCQ()
+	if n := testing.AllocsPerRun(1000, func() {
+		q.Push(Completion{WRID: 1})
+		q.Poll()
+	}); n != 0 {
+		t.Fatalf("Push+Poll allocates %v per op, want 0", n)
+	}
+}
+
+// TestDataPathTakesNoAdapterLock pins the adapter's locking rule: once the
+// first post has resolved the peer, an RDMA write, a read and a fetch-add on
+// an RTS RC pair complete while both adapters' control-plane mutexes are held.
+func TestDataPathTakesNoAdapterLock(t *testing.T) {
+	r := newRig(t, nil)
+	q1, _ := r.connectRC(t)
+	heap := make([]byte, 16)
+	mr := r.h2.RegisterMR(heap, r.c2)
+	wr := func(op Opcode, off uint64) SendWR {
+		return SendWR{Op: op, RemoteAddr: mr.Base() + off, RKey: mr.RKey(), Data: []byte("lockfree"), Len: 8, Add: 5}
+	}
+	if err := q1.PostSend(wr(OpRDMAWrite, 8)); err != nil {
+		t.Fatal(err)
+	}
+	r.cq1.Wait()
+	r.h1.mu.Lock()
+	r.h2.mu.Lock()
+	defer func() { r.h2.mu.Unlock(); r.h1.mu.Unlock() }()
+	done := make(chan error, 1)
+	go func() {
+		for _, w := range []SendWR{wr(OpRDMAWrite, 0), wr(OpRDMARead, 0), wr(OpFetchAdd, 8)} {
+			if err := q1.PostSend(w); err != nil {
+				done <- err
+				return
+			}
+			if c, _ := r.cq1.Wait(); c.Status != StatusOK || (w.Op == OpRDMARead && string(c.Data) != "lockfree") {
+				done <- fmt.Errorf("%v completion: %+v", w.Op, c)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an RDMA write, read or fetch-add blocked on an adapter's mu")
+	}
+	if string(heap[:8]) != "lockfree" || binary.LittleEndian.Uint64(heap[8:]) != binary.LittleEndian.Uint64([]byte("lockfree"))+5 {
+		t.Fatalf("target memory %q, want the write and the fetch-add to have landed", heap)
 	}
 }

@@ -71,23 +71,6 @@ func (h *HCA) Limits() Limits {
 	return h.limits
 }
 
-// Limited reports whether any finite budget is armed on this adapter. Upper
-// layers use it (like Fabric.Lossy for datagram loss) to arm their
-// retry/backpressure machinery only when resource pressure is possible.
-func (h *HCA) Limited() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.limits != Limits{}
-}
-
-// BounceSlab returns the pre-registered bounce slab, nil when the adapter has
-// no pinned-memory budget or the budget was too small to spare one.
-func (h *HCA) BounceSlab() *MR {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.slab
-}
-
 // QPImpossible reports whether a queue-pair allocation can never succeed on
 // this adapter: the budget is exhausted and no RC queue pair is live to ever
 // be evicted (the remaining slots are held by UD endpoints, which live for
@@ -99,7 +82,7 @@ func (h *HCA) QPImpossible() bool {
 		return false
 	}
 	for _, q := range h.qps {
-		if q != nil && q.typ == RC && q.state != StateDestroyed && q.state != StateError {
+		if q != nil && q.typ == RC && q.State() != StateError { // a destroyed QP's slot is nil
 			return false
 		}
 	}
@@ -134,9 +117,9 @@ func (h *HCA) TryCreateQP(typ QPType, clk *vclock.Clock, sendCQ, recvCQ *CQ) (*Q
 	}
 	sendCQ.bind(h.f.sched)
 	recvCQ.bind(h.f.sched)
-	q := &QP{hca: h, typ: typ, clk: clk, sendCQ: sendCQ, recvCQ: recvCQ, state: StateReset}
+	q := &QP{hca: h, typ: typ, clk: clk, sendCQ: sendCQ, recvCQ: recvCQ}
 	if typ == RC {
-		q.rqDepth = h.limits.RQDepth
+		q.rqDepth = int32(h.limits.RQDepth)
 	}
 	h.qps = append(h.qps, q)
 	q.qpn = uint32(len(h.qps))

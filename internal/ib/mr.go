@@ -22,10 +22,9 @@ type MR struct {
 	hca  *HCA
 	base uint64 // virtual address of offset 0
 	size int    // registered length in bytes
-	// wins are the backed windows, sorted by offset and disjoint. They are
-	// changed under both hca.mu and hca.memMu and read under either: resolve
-	// finds a remote access's window under the mu it looks the rkey up with,
-	// the word helpers under the memMu they serialize with atomics.
+	// wins are the backed windows, sorted by offset and disjoint. hca.memMu
+	// guards them, as it guards the MR table resolve finds the region in and
+	// the bytes remote atomics and the word helpers touch.
 	wins []window
 	rkey uint32
 	// onWrite, when non-nil, is invoked after a remote RDMA write or atomic
@@ -54,10 +53,6 @@ func (m *MR) Size() int { return m.size }
 // RKey returns the remote key peers must present to access the region.
 func (m *MR) RKey() uint32 { return m.rkey }
 
-// Bounced reports whether the region is a degraded (unpinned) registration
-// that stages remote traffic through the adapter's bounce slab.
-func (m *MR) Bounced() bool { return m.bounced }
-
 // SetOnWrite installs the remote-write notification callback.
 func (m *MR) SetOnWrite(fn func(off, n int, vtime int64)) { m.onWrite = fn }
 
@@ -65,7 +60,8 @@ func (m *MR) SetOnWrite(fn func(off, n int, vtime int64)) { m.onWrite = fn }
 // their storage. It panics when the window leaves the region or overlaps a
 // live one: the caller's allocator hands out disjoint blocks.
 func (m *MR) Back(off int, mem []byte) {
-	defer m.hca.lockWindows()()
+	m.hca.memMu.Lock()
+	defer m.hca.memMu.Unlock()
 	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off >= off })
 	if off < 0 || len(mem) > m.size-off || (i > 0 && m.wins[i-1].off+len(m.wins[i-1].mem) > off) ||
 		(i < len(m.wins) && off+len(mem) > m.wins[i].off) {
@@ -78,21 +74,14 @@ func (m *MR) Back(off int, mem []byte) {
 // one. Its bytes become inaccessible: a remote access fails with
 // StatusRemoteAccessErr, a local word access panics.
 func (m *MR) Release(off int) bool {
-	defer m.hca.lockWindows()()
+	m.hca.memMu.Lock()
+	defer m.hca.memMu.Unlock()
 	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off >= off })
 	if i == len(m.wins) || m.wins[i].off != off {
 		return false
 	}
 	m.wins = slices.Delete(m.wins, i, i+1)
 	return true
-}
-
-// lockWindows takes both locks a change to a window table holds and returns
-// their release.
-func (h *HCA) lockWindows() (unlock func()) {
-	h.mu.Lock()
-	h.memMu.Lock()
-	return func() { h.memMu.Unlock(); h.mu.Unlock() }
 }
 
 // View returns the n backed bytes at off, or false when no single live
@@ -104,7 +93,7 @@ func (m *MR) View(off, n int) ([]byte, bool) {
 	return m.view(off, n)
 }
 
-// view is View for a caller that holds hca.mu or hca.memMu.
+// view is View for a caller that holds hca.memMu.
 func (m *MR) view(off, n int) ([]byte, bool) {
 	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off > off }) - 1
 	if i < 0 || n < 0 {

@@ -1,6 +1,8 @@
 package ib
 
 import (
+	"sync/atomic"
+
 	"goshmem/internal/obs"
 	"goshmem/internal/vclock"
 )
@@ -11,20 +13,27 @@ import (
 // pressure of that fully connected model (the paper's section I, item 2) is
 // one of the phenomena under study.
 type QP struct {
-	hca     *HCA
-	clk     *vclock.Clock
-	sendCQ  *CQ
-	recvCQ  *CQ
-	obs     *obs.PE // owning PE's recorder; nil/Nop when observability is off
-	qpn     uint32
-	remote  Dest
+	hca    *HCA
+	clk    *vclock.Clock
+	sendCQ *CQ
+	recvCQ *CQ
+	obs    *obs.PE // owning PE's recorder; nil/Nop when observability is off
+	// peer is the connected remote queue pair, resolved on the first post
+	// (peerOf) and kept: QPNs are never reused, so from then on its state
+	// alone says whether the far half of the connection is alive.
+	peer   atomic.Pointer[QP]
+	qpn    uint32
+	remote Dest
+	// state changes under hca.mu and is read without it (PostSend).
+	state   atomic.Uint32
 	lastArr int64 // monotone arrival clamp for ordered RC delivery
 	// rqDepth, when positive, bounds the receive queue: rqRel holds the
 	// virtual times at which delivered-but-unprocessed messages release
 	// their slot (arrival + RQDrain). A send arriving while rqDepth slots
 	// are held is NAKed with ErrRNR (see Fabric.sendRC). The list stays
 	// sorted because RC arrivals on one QP are monotone.
-	rqDepth int
+	rqDepth int32
+	typ     QPType
 	rqRel   []int64
 	// primaryRail and altRail are the QP's loaded paths on a multi-rail
 	// fabric (IB APM: the alternate path is programmed alongside the primary
@@ -32,8 +41,6 @@ type QP struct {
 	// which on a single-rail fabric means no alternate exists.
 	primaryRail int
 	altRail     int
-	typ         QPType
-	state       QPState
 }
 
 // SetObs binds the owning PE's observability recorder, so state transitions
@@ -51,11 +58,10 @@ func (q *QP) QPN() uint32 { return q.qpn }
 func (q *QP) Type() QPType { return q.typ }
 
 // State returns the current state.
-func (q *QP) State() QPState {
-	q.hca.mu.Lock()
-	defer q.hca.mu.Unlock()
-	return q.state
-}
+func (q *QP) State() QPState { return QPState(q.state.Load()) }
+
+// set moves the QP to state s. Caller holds q.hca.mu.
+func (q *QP) set(s QPState) { q.state.Store(uint32(s)) }
 
 // Addr returns the <lid,qpn> address peers use to reach this QP.
 func (q *QP) Addr() Dest { return Dest{LID: q.hca.lid, QPN: q.qpn} }
@@ -109,7 +115,7 @@ func (q *QP) AltRail() int {
 func (q *QP) Migrate() error {
 	q.hca.mu.Lock()
 	defer q.hca.mu.Unlock()
-	if q.state != StateRTS {
+	if q.State() != StateRTS {
 		return ErrBadState
 	}
 	if q.altRail == q.primaryRail {
@@ -125,10 +131,10 @@ func (q *QP) Migrate() error {
 func (q *QP) ToInit() error {
 	q.hca.mu.Lock()
 	defer q.hca.mu.Unlock()
-	if q.state != StateReset {
+	if q.State() != StateReset {
 		return ErrBadState
 	}
-	q.state = StateInit
+	q.set(StateInit)
 	q.clk.Advance(q.hca.f.model.QPTransition)
 	q.obs.Emit(q.clk.Now(), obs.LayerIB, "qp-init", -1, 0)
 	return nil
@@ -140,7 +146,7 @@ func (q *QP) ToInit() error {
 func (q *QP) ToRTR(remote Dest) error {
 	q.hca.mu.Lock()
 	defer q.hca.mu.Unlock()
-	if q.state != StateInit {
+	if q.State() != StateInit {
 		return ErrBadState
 	}
 	if q.typ == RC {
@@ -149,7 +155,7 @@ func (q *QP) ToRTR(remote Dest) error {
 		}
 		q.remote = remote
 	}
-	q.state = StateRTR
+	q.set(StateRTR)
 	q.clk.Advance(q.hca.f.model.QPTransition)
 	q.obs.Emit(q.clk.Now(), obs.LayerIB, "qp-rtr", -1, 0)
 	return nil
@@ -159,14 +165,14 @@ func (q *QP) ToRTR(remote Dest) error {
 func (q *QP) ToRTS() error {
 	q.hca.mu.Lock()
 	defer q.hca.mu.Unlock()
-	if q.state != StateRTR {
+	if q.State() != StateRTR {
 		return ErrBadState
 	}
-	q.state = StateRTS
+	q.set(StateRTS)
 	q.clk.Advance(q.hca.f.model.QPTransition)
 	if q.typ == RC {
 		q.hca.stats.RCEstablished++
-		q.hca.stats.LiveRC++
+		atomic.AddInt64(&q.hca.stats.LiveRC, 1)
 	}
 	q.obs.Emit(q.clk.Now(), obs.LayerIB, "qp-rts", -1, 0)
 	return nil
@@ -180,13 +186,14 @@ func (q *QP) ToRTS() error {
 func (q *QP) ToError() {
 	q.hca.mu.Lock()
 	defer q.hca.mu.Unlock()
-	if q.state == StateError || q.state == StateDestroyed {
+	st := q.State()
+	if st == StateError || st == StateDestroyed {
 		return
 	}
-	if q.typ == RC && q.state == StateRTS {
-		q.hca.stats.LiveRC--
+	if q.typ == RC && st == StateRTS {
+		atomic.AddInt64(&q.hca.stats.LiveRC, -1)
 	}
-	q.state = StateError
+	q.set(StateError)
 	q.obs.Emit(q.clk.Now(), obs.LayerIB, "qp-error", -1, 0)
 }
 
@@ -194,13 +201,14 @@ func (q *QP) ToError() {
 func (q *QP) Destroy() {
 	q.hca.mu.Lock()
 	defer q.hca.mu.Unlock()
-	if q.state == StateDestroyed {
+	st := q.State()
+	if st == StateDestroyed {
 		return
 	}
-	if q.typ == RC && q.state == StateRTS {
-		q.hca.stats.LiveRC--
+	if q.typ == RC && st == StateRTS {
+		atomic.AddInt64(&q.hca.stats.LiveRC, -1)
 	}
-	q.state = StateDestroyed
+	q.set(StateDestroyed)
 	q.hca.liveQPs--
 	q.hca.stats.QPsDestroyed++
 	q.hca.gLiveQPs.Add(q.clk.Now(), -1)
@@ -245,10 +253,7 @@ type SendWR struct {
 // reported asynchronously through the send CQ with an error status, matching
 // verbs semantics.
 func (q *QP) PostSend(wr SendWR) error {
-	q.hca.mu.Lock()
-	st := q.state
-	q.hca.mu.Unlock()
-	if st != StateRTS {
+	if q.State() != StateRTS {
 		return ErrBadState
 	}
 	switch q.typ {
