@@ -122,6 +122,7 @@ func (f *Fabric) PEFate(rank int, now int64) PEFate {
 func (f *Fabric) AddHCA() *HCA {
 	hs := *f.hcas.Load()
 	h := &HCA{f: f, lid: uint16(len(hs) + 1)}
+	h.mrs.Store(new([]*MR))
 	hs = append(hs, h)
 	f.hcas.Store(&hs)
 	return h
@@ -485,11 +486,12 @@ func (h *HCA) takeRQSlotLocked(dq *QP, arrival int64) bool {
 }
 
 // land copies data, a write's payload or a prefix of it, into mem, the
-// resolved target bytes at off, and notifies the region's watcher.
+// resolved target bytes at off, under the region's lock, and notifies the
+// region's watcher with no lock held.
 func (x *rcOp) land(mr *MR, off int, mem, data []byte, arrival int64) {
-	x.dh.memMu.Lock()
+	mr.mu.Lock()
 	n := copy(mem, data)
-	x.dh.memMu.Unlock()
+	mr.mu.Unlock()
 	x.dh.countDelivery(n)
 	if mr.onWrite != nil {
 		mr.onWrite(off, n, arrival)
@@ -557,9 +559,9 @@ func (x *rcOp) rcRead(wr *SendWR) error {
 	}
 	req := f.oneWay(q.hca, dh, f.model.RCSendLatency, 0)
 	data := make([]byte, wr.Len)
-	dh.memMu.Lock()
+	mr.mu.Lock()
 	copy(data, mem)
-	dh.memMu.Unlock()
+	mr.mu.Unlock()
 	resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, wr.Len)
 	dh.countDelivery(wr.Len)
 	x.complete(wr, Completion{Status: StatusOK, Data: data, VTime: x.depart + req + resp}, true)
@@ -569,7 +571,7 @@ func (x *rcOp) rcRead(wr *SendWR) error {
 // rcAtomic executes a fetching atomic on an aligned remote word.
 func (x *rcOp) rcAtomic(wr *SendWR) error {
 	f, q, dh := x.f, x.q, x.dh
-	mr, off, word, ok := dh.resolve(wr.RemoteAddr, wr.RKey, 8)
+	mr, off, _, ok := dh.resolve(wr.RemoteAddr, wr.RKey, 8)
 	if !ok {
 		return x.accessErr(wr)
 	}
@@ -580,7 +582,7 @@ func (x *rcOp) rcAtomic(wr *SendWR) error {
 		x.clk.Advance(f.model.IntraXferTime(8)) // stage through the slab
 	}
 	arrival := x.depart + f.oneWay(q.hca, dh, f.model.RCSendLatency, 8) + f.model.AtomicLatency
-	old, _ := dh.rmw(mr, off, word, wr.Op, wr.Add, wr.Compare, wr.Swap, arrival)
+	old, _ := dh.rmw(mr, off, wr.Op, wr.Add, wr.Compare, wr.Swap, arrival)
 	resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, 8)
 	x.complete(wr, Completion{Status: StatusOK, Old: old, VTime: arrival + resp}, true)
 	return nil
@@ -591,15 +593,16 @@ func (x *rcOp) rcAtomic(wr *SendWR) error {
 // backed bytes there. An access outside the region or outside every single
 // live window of it fails alike: the caller reports StatusRemoteAccessErr.
 // A window released after resolve returns keeps its bytes as storage nobody
-// reads: OpenSHMEM's shmem_free barriers first, so a correct program's
-// accesses to a block have all landed before it is released.
+// reads, and an atomic that finds its word gone changes nothing: OpenSHMEM's
+// shmem_free barriers first, so a correct program's accesses to a block have
+// all landed before it is released. The table read takes no lock; the view
+// takes the region's.
 func (h *HCA) resolve(addr uint64, rkey uint32, n int) (*MR, int, []byte, bool) {
-	h.memMu.Lock()
-	defer h.memMu.Unlock()
-	mr := h.mrs[rkey]
-	if mr == nil || addr < mr.base || addr-mr.base > uint64(mr.size) {
-		return nil, 0, nil, false
+	for _, mr := range *h.mrs.Load() {
+		if mr.rkey == rkey && addr >= mr.base && addr-mr.base <= uint64(mr.size) {
+			mem, ok := mr.View(int(addr-mr.base), n)
+			return mr, int(addr - mr.base), mem, ok
+		}
 	}
-	mem, ok := mr.view(int(addr-mr.base), n)
-	return mr, int(addr - mr.base), mem, ok
+	return nil, 0, nil, false
 }

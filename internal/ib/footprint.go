@@ -45,12 +45,11 @@ func (h *HCA) Footprint() []obs.FootprintItem {
 	}
 	slabMR := h.slab
 	h.mu.Unlock()
-	h.memMu.Lock()
-	defer h.memMu.Unlock()
 	var mrs, pinned, slab, bounced obs.FootprintItem
-	for _, m := range h.mrs {
+	for _, m := range *h.mrs.Load() {
+		m.mu.Lock()
 		mrs.Objects++
-		mrs.Bytes += mrSize + mapEntryOverhead + int64(len(m.wins))*int64(unsafe.Sizeof(window{}))
+		mrs.Bytes += mrSize + int64(unsafe.Sizeof(m)) + int64(len(m.wins))*int64(unsafe.Sizeof(window{}))
 		backing := &pinned
 		if m == slabMR {
 			backing = &slab
@@ -61,6 +60,7 @@ func (h *HCA) Footprint() []obs.FootprintItem {
 			backing.Objects++
 			backing.Bytes += int64(len(w.mem))
 		}
+		m.mu.Unlock()
 	}
 	return []obs.FootprintItem{
 		{Subsystem: "ib", Category: "qps", Bytes: qps.Bytes, Objects: qps.Objects},
@@ -77,7 +77,3 @@ func (h *HCA) Footprint() []obs.FootprintItem {
 // one port. Small by construction; it exists so a 4-rail sweep shows the
 // per-rail term rather than silently folding it into drift.
 const portStateBytes = int64(unsafe.Sizeof(portFault{})) + int64(unsafe.Sizeof(railFault{}))
-
-// mapEntryOverhead mirrors obs.mapEntryOverhead: the estimated per-entry
-// cost of a Go map beyond key and value.
-const mapEntryOverhead = 48

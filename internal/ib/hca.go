@@ -1,8 +1,8 @@
 package ib
 
 import (
-	"encoding/binary"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,11 +33,12 @@ type HCA struct {
 	qpAllocs int // QP allocation attempts (drives injected Nth-alloc faults)
 	mrAllocs int // MR allocation attempts
 
-	// memMu alone guards registered memory: the MR table, every region's
-	// window table and the bytes remote RDMA and atomics touch, which gives
-	// network atomics their atomicity guarantee.
-	memMu sync.Mutex
-	mrs   map[uint32]*MR
+	// mrs is the MR table, the live regions in registration order, published
+	// whole like Fabric.hcas: registration appends under mu, deregistration
+	// publishes a copy without the region, and resolve and Footprint read it
+	// without a lock. The adapter has no memory lock: each region guards its
+	// own bytes (MR.mu).
+	mrs atomic.Pointer[[]*MR]
 
 	// Pressure-relief registry: each tenant (connection manager) sharing the
 	// adapter registers a callback that releases one idle endpoint on demand.
@@ -179,24 +180,19 @@ func (h *HCA) RegisterMR(buf []byte, clk *vclock.Clock) *MR {
 // registerLocked assigns a size-byte region of the adapter's virtual address
 // space and an rkey; nothing is backed yet. Bounced regions do not count
 // against the pinned budget: their remote traffic stages through the
-// pre-registered slab instead. Caller holds h.mu; the table insert takes
-// h.memMu.
+// pre-registered slab instead. Caller holds h.mu.
 func (h *HCA) registerLocked(size int, bounced bool) *MR {
 	h.nextRK++
 	// Separate regions by a guard page in the fake virtual address space so
 	// out-of-bounds accesses cannot silently land in a neighbouring region.
 	h.nextVA += 0x1000
-	m := &MR{hca: h, base: h.nextVA, size: size, rkey: h.nextRK | 0x80000000, bounced: bounced}
+	m := &MR{base: h.nextVA, size: size, rkey: h.nextRK | 0x80000000, bounced: bounced}
 	h.nextVA += uint64(size)
 	if rem := h.nextVA % 0x1000; rem != 0 {
 		h.nextVA += 0x1000 - rem
 	}
-	h.memMu.Lock()
-	if h.mrs == nil {
-		h.mrs = make(map[uint32]*MR)
-	}
-	h.mrs[m.rkey] = m
-	h.memMu.Unlock()
+	mrs := append(*h.mrs.Load(), m)
+	h.mrs.Store(&mrs)
 	h.stats.MRsRegistered++
 	if !bounced {
 		h.stats.BytesPinned += int64(size)
@@ -207,13 +203,12 @@ func (h *HCA) registerLocked(size int, bounced bool) *MR {
 // DeregisterMR removes the region; later remote accesses fail with
 // StatusRemoteAccessErr.
 func (h *HCA) DeregisterMR(m *MR) {
-	h.memMu.Lock()
-	delete(h.mrs, m.rkey)
-	h.memMu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	mrs := slices.DeleteFunc(slices.Clone(*h.mrs.Load()), func(x *MR) bool { return x == m })
+	h.mrs.Store(&mrs)
 	if !m.bounced {
-		h.mu.Lock()
 		h.stats.BytesPinned -= int64(m.size)
-		h.mu.Unlock()
 	}
 }
 
@@ -245,39 +240,24 @@ func (h *HCA) cachePenalty() int64 {
 // the fabric's atomic path's own (rmw); ok is false when the (rkey, addr)
 // pair does not resolve to an aligned uint64 in a live window.
 func (h *HCA) AtomicRMW(op Opcode, addr uint64, rkey uint32, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
-	mr, off, word, ok := h.resolve(addr, rkey, 8)
+	mr, off, _, ok := h.resolve(addr, rkey, 8)
 	if !ok || addr%8 != 0 {
 		return 0, false
 	}
-	return h.rmw(mr, off, word, op, add, compare, swap, vt)
+	return h.rmw(mr, off, op, add, compare, swap, vt)
 }
 
-// rmw executes one fetching atomic on word, the backed bytes at off of mr,
-// under the adapter's memory lock, then counts the delivery and notifies the
-// region's watcher with the arrival time vt. ok is false, and nothing
-// happens, for an opcode that is not an atomic.
-func (h *HCA) rmw(mr *MR, off int, word []byte, op Opcode, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
-	h.memMu.Lock()
-	old = binary.LittleEndian.Uint64(word)
-	switch op {
-	case OpFetchAdd:
-		binary.LittleEndian.PutUint64(word, old+add)
-	case OpCmpSwap:
-		if old == compare {
-			binary.LittleEndian.PutUint64(word, swap)
+// rmw executes one fetching atomic on the word at off of mr under the
+// region's lock (MR.rmw), then counts the delivery and, with no lock held,
+// notifies the region's watcher with the arrival time vt.
+func (h *HCA) rmw(mr *MR, off int, op Opcode, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
+	if old, ok = mr.rmw(off, op, add, compare, swap); ok {
+		h.countDelivery(8)
+		if mr.onWrite != nil {
+			mr.onWrite(off, 8, vt)
 		}
-	case OpSwap:
-		binary.LittleEndian.PutUint64(word, swap)
-	default:
-		h.memMu.Unlock()
-		return 0, false
 	}
-	h.memMu.Unlock()
-	h.countDelivery(8)
-	if mr.onWrite != nil {
-		mr.onWrite(off, 8, vt)
-	}
-	return old, true
+	return old, ok
 }
 
 func (h *HCA) countDelivery(bytes int) {

@@ -393,6 +393,13 @@ func TestWindowTable(t *testing.T) {
 			}()
 			fn()
 		}()
+		served := make(chan struct{})
+		go func() { mr.View(0, 8); close(served) }()
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: a panicking word access left the region locked", name)
+		}
 	}
 }
 
@@ -445,7 +452,8 @@ func TestAtomics(t *testing.T) {
 	}
 }
 
-// Property: concurrent remote fetch-adds from many QPs sum exactly.
+// Property: concurrent remote fetch-adds from many QPs, and the owner's own
+// AddUint64s on the same word, sum exactly.
 func TestAtomicFetchAddConcurrent(t *testing.T) {
 	f := NewFabric(vclock.Default(), nil)
 	target := f.AddHCA()
@@ -455,7 +463,7 @@ func TestAtomicFetchAddConcurrent(t *testing.T) {
 	targetCQ := NewCQ()
 	tqps := make([]*QP, 0)
 
-	const workers, adds = 8, 200
+	const workers, adds, ownerAdds = 8, 200, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		h := f.AddHCA()
@@ -480,8 +488,18 @@ func TestAtomicFetchAddConcurrent(t *testing.T) {
 			}
 		}(q, cq, w)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < ownerAdds; i++ {
+			if _, ok := mr.AddUint64(0, 1); !ok {
+				t.Error("owner AddUint64 found no window")
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	want := uint64(0)
+	want := uint64(ownerAdds)
 	for w := 0; w < workers; w++ {
 		want += uint64(w+1) * adds
 	}
@@ -532,6 +550,41 @@ func TestOnWriteNotification(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 4 || got[0] != 16 || got[1] != 4 || got[2] != 32 || got[3] != 8 {
 		t.Fatalf("onWrite calls = %v", got)
+	}
+}
+
+// TestOnWriteReentrant pins that onWrite runs with no lock held: a callback
+// that loads the word it was notified for completes, after a landed RDMA
+// write, a fabric fetch-add and a software atomic alike.
+func TestOnWriteReentrant(t *testing.T) {
+	r := newRig(t, nil)
+	q1, _ := r.connectRC(t)
+	mr := r.h2.RegisterMR(make([]byte, 64), r.c2)
+	var seen []uint64
+	mr.SetOnWrite(func(off, n int, vtime int64) { seen = append(seen, mr.LoadUint64(off)) })
+	done := make(chan error, 1)
+	go func() {
+		for _, wr := range []SendWR{{Op: OpRDMAWrite, Data: []byte{9, 0, 0, 0, 0, 0, 0, 0}}, {Op: OpFetchAdd, Add: 1}} {
+			wr.RemoteAddr, wr.RKey = mr.Base()+8, mr.RKey()
+			if err := q1.PostSend(wr); err != nil {
+				done <- err
+				return
+			}
+			r.cq1.Wait()
+		}
+		r.h2.AtomicRMW(OpFetchAdd, mr.Base()+8, mr.RKey(), 1, 0, 0, 0)
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an onWrite callback that loads its own region blocked: it ran under the region lock")
+	}
+	if fmt.Sprint(seen) != "[9 10 11]" {
+		t.Fatalf("words seen by onWrite = %v, want [9 10 11]", seen)
 	}
 }
 
@@ -765,5 +818,59 @@ func TestDataPathTakesNoAdapterLock(t *testing.T) {
 	}
 	if string(heap[:8]) != "lockfree" || binary.LittleEndian.Uint64(heap[8:]) != binary.LittleEndian.Uint64([]byte("lockfree"))+5 {
 		t.Fatalf("target memory %q, want the write and the fetch-add to have landed", heap)
+	}
+}
+
+// TestRegionsShareNoLock pins the memory-locking rule: each region guards its
+// own bytes, so while one region's lock is held, every local word access,
+// window change and remote write, read and fetch-add into another region of
+// the same adapter completes.
+func TestRegionsShareNoLock(t *testing.T) {
+	r := newRig(t, nil)
+	q1, _ := r.connectRC(t)
+	a := r.h2.RegisterMR(make([]byte, 64), r.c2)
+	b, err := r.h2.TryRegisterMR(128, r.c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := make([]byte, 64)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		b.Back(0, heap)
+		b.Back(64, make([]byte, 64))
+		b.StoreUint64(0, 7)
+		if v, ok := b.AddUint64(0, 3); !ok || v != 10 || b.LoadUint64(0) != 10 {
+			done <- fmt.Errorf("word helpers on B: add gave %d, %v", v, ok)
+			return
+		}
+		if _, ok := b.View(0, 64); !ok || !b.Release(64) {
+			done <- errors.New("View or Release on B failed")
+			return
+		}
+		for _, w := range []SendWR{{Op: OpRDMAWrite, Data: []byte("lockfree")}, {Op: OpRDMARead, Len: 8}, {Op: OpFetchAdd, Add: 5}} {
+			w.RemoteAddr, w.RKey = b.Base()+8, b.RKey()
+			if err := q1.PostSend(w); err != nil {
+				done <- err
+				return
+			}
+			if c, _ := r.cq1.Wait(); c.Status != StatusOK || (w.Op == OpRDMARead && string(c.Data) != "lockfree") {
+				done <- fmt.Errorf("%v completion: %+v", w.Op, c)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an access to region B blocked on region A's lock")
+	}
+	if binary.LittleEndian.Uint64(heap) != 10 || binary.LittleEndian.Uint64(heap[8:]) != binary.LittleEndian.Uint64([]byte("lockfree"))+5 {
+		t.Fatalf("region B's bytes %q, want the stores, the write and the fetch-add to have landed", heap[:16])
 	}
 }

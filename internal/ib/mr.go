@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // MR is a registered memory region. Registration assigns a region of the
@@ -19,18 +20,21 @@ import (
 // an operating system backs registered pages on first touch; RegisterMR
 // registers a buffer and backs all of it as one window.
 type MR struct {
-	hca  *HCA
 	base uint64 // virtual address of offset 0
 	size int    // registered length in bytes
-	// wins are the backed windows, sorted by offset and disjoint. hca.memMu
-	// guards them, as it guards the MR table resolve finds the region in and
-	// the bytes remote atomics and the word helpers touch.
+	// mu guards the region's memory: its window table and every backed byte
+	// the word helpers, RDMA landings and reads and the fetching atomics
+	// touch. It is the only memory lock. A word belongs to exactly one
+	// region, so network atomics stay atomic against local word access while
+	// one region's traffic never waits on another's.
+	mu sync.Mutex
+	// wins are the backed windows, sorted by offset and disjoint.
 	wins []window
 	rkey uint32
 	// onWrite, when non-nil, is invoked after a remote RDMA write or atomic
 	// lands in the region, with the offset/length written and the virtual
 	// time of arrival. Upper layers use it to implement shmem_wait. It is
-	// called without the HCA memory lock held and must not block.
+	// called with no lock held and must not block.
 	onWrite func(off, n int, vtime int64)
 	// bounced marks a degraded region registered past the pinned-memory
 	// budget: it has no pinned backing of its own, so remote traffic stages
@@ -60,8 +64,8 @@ func (m *MR) SetOnWrite(fn func(off, n int, vtime int64)) { m.onWrite = fn }
 // their storage. It panics when the window leaves the region or overlaps a
 // live one: the caller's allocator hands out disjoint blocks.
 func (m *MR) Back(off int, mem []byte) {
-	m.hca.memMu.Lock()
-	defer m.hca.memMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off >= off })
 	if off < 0 || len(mem) > m.size-off || (i > 0 && m.wins[i-1].off+len(m.wins[i-1].mem) > off) ||
 		(i < len(m.wins) && off+len(mem) > m.wins[i].off) {
@@ -74,8 +78,8 @@ func (m *MR) Back(off int, mem []byte) {
 // one. Its bytes become inaccessible: a remote access fails with
 // StatusRemoteAccessErr, a local word access panics.
 func (m *MR) Release(off int) bool {
-	m.hca.memMu.Lock()
-	defer m.hca.memMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off >= off })
 	if i == len(m.wins) || m.wins[i].off != off {
 		return false
@@ -88,12 +92,12 @@ func (m *MR) Release(off int) bool {
 // window holds them all. The caller owns local reads and writes through the
 // view; bytes that remote atomics may touch should go through LoadUint64.
 func (m *MR) View(off, n int) ([]byte, bool) {
-	m.hca.memMu.Lock()
-	defer m.hca.memMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.view(off, n)
 }
 
-// view is View for a caller that holds hca.memMu.
+// view is View for a caller that holds m.mu.
 func (m *MR) view(off, n int) ([]byte, bool) {
 	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off > off }) - 1
 	if i < 0 || n < 0 {
@@ -106,7 +110,7 @@ func (m *MR) view(off, n int) ([]byte, bool) {
 	return w.mem[off-w.off : off-w.off+n], true
 }
 
-// word is the backed word at off for a caller holding hca.memMu. A local
+// word is the backed word at off for a caller holding m.mu. A local
 // access to memory no window backs is a program error, so it panics.
 func (m *MR) word(off int) []byte {
 	w, ok := m.view(off, 8)
@@ -119,31 +123,50 @@ func (m *MR) word(off int) []byte {
 // LoadUint64 atomically (with respect to remote fetching atomics) loads the
 // little-endian uint64 at the given offset.
 func (m *MR) LoadUint64(off int) uint64 {
-	m.hca.memMu.Lock()
-	defer m.hca.memMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return binary.LittleEndian.Uint64(m.word(off))
 }
 
 // StoreUint64 atomically stores v at the given offset.
 func (m *MR) StoreUint64(off int, v uint64) {
-	m.hca.memMu.Lock()
-	defer m.hca.memMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	binary.LittleEndian.PutUint64(m.word(off), v)
 }
 
 // AddUint64 atomically adds delta to the little-endian uint64 at the given
-// offset and returns the new value, serialized against remote atomics and
-// the word load/store helpers by the adapter's memory lock. Software-side
-// signal delivery (shmem_put_signal's SIGNAL_ADD) lands through this, on a
-// word a peer named: ok is false, and nothing changes, when no live window
-// holds it.
+// offset and returns the new value. Software-side signal delivery
+// (shmem_put_signal's SIGNAL_ADD) lands through this, on a word a peer
+// named: ok is false, and nothing changes, when no live window holds it.
 func (m *MR) AddUint64(off int, delta uint64) (v uint64, ok bool) {
-	m.hca.memMu.Lock()
-	defer m.hca.memMu.Unlock()
+	old, ok := m.rmw(off, OpFetchAdd, delta, 0, 0)
+	return old + delta, ok
+}
+
+// rmw executes one fetching atomic (OpFetchAdd/OpCmpSwap/OpSwap) on the
+// word at off under the region lock and returns the word's old value. ok is
+// false, and nothing changes, when no live window holds the word or op is
+// not an atomic.
+func (m *MR) rmw(off int, op Opcode, add, compare, swap uint64) (old uint64, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	w, ok := m.view(off, 8)
-	if ok {
-		v = binary.LittleEndian.Uint64(w) + delta
-		binary.LittleEndian.PutUint64(w, v)
+	if !ok {
+		return 0, false
 	}
-	return v, ok
+	old = binary.LittleEndian.Uint64(w)
+	switch op {
+	case OpFetchAdd:
+		binary.LittleEndian.PutUint64(w, old+add)
+	case OpCmpSwap:
+		if old == compare {
+			binary.LittleEndian.PutUint64(w, swap)
+		}
+	case OpSwap:
+		binary.LittleEndian.PutUint64(w, swap)
+	default:
+		return 0, false
+	}
+	return old, true
 }
