@@ -60,7 +60,10 @@ race:
 # decides (a permanent partition exits 126, an idle job with a dead rail does
 # not abort), fifty times each on one processor, on the host's own count and on
 # eight, then once more race-instrumented (the faulted tests five times there:
-# they run ten times slower under the detector).
+# they run ten times slower under the detector). Last, the lock-free word path
+# under the race detector: the word tests twenty times, and the apps whose
+# programs poll words while puts land (heat2d's flags, traffic's puts) five
+# times, so a lost atomicity shows up as a race report, not as a flake.
 IDENTITY = TestTraceByteIdenticalAcrossRuns|TestFlowTelemetryByteIdentical|TestGaugeSeriesByteIdenticalFaultFree
 FAULTED = TestPartitionHealTransparent|TestRecoveryCountersIndependentOfGOMAXPROCS|TestPermanentPartitionExitCode|TestIncidentStragglerSweep
 
@@ -70,6 +73,8 @@ determinism:
 	GOMAXPROCS=8 $(GO) test -count=50 -run '$(IDENTITY)|$(FAULTED)' ./internal/cluster
 	$(GO) test -race -count=50 -run '$(IDENTITY)' ./internal/cluster
 	$(GO) test -race -count=5 -run '$(FAULTED)' ./internal/cluster
+	$(GO) test -race -count=20 -run 'TestWordPath|TestAtomicFetchAddConcurrent|TestOnWriteReentrant|TestWindowTable' ./internal/ib
+	$(GO) test -race -count=5 ./internal/apps/...
 
 SOAKS = TestChaosSoak|TestChaosRun|TestChaosPEFailureSoak|TestChaosControlPlaneSoak|TestResourceChurnSoak|TestIntegrityChaosSoak|TestChaosCombinedSoak
 
@@ -171,9 +176,9 @@ loc:
 # each one landed (the conduit's rounded up to the next fifty). A change that needs more room
 # says so by raising the number, in the open.
 GASNET_LOC_MAX = 3000
-IB_LOC_MAX = 1658
+IB_LOC_MAX = 1657
 SHMEM_LOC_MAX = 1264
-TOTAL_LOC_MAX = 14352
+TOTAL_LOC_MAX = 14351
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"goshmem/internal/obs"
@@ -486,12 +487,19 @@ func (h *HCA) takeRQSlotLocked(dq *QP, arrival int64) bool {
 }
 
 // land copies data, a write's payload or a prefix of it, into mem, the
-// resolved target bytes at off, under the region's lock, and notifies the
-// region's watcher with no lock held.
+// resolved target bytes at off, and notifies the region's watcher with no
+// lock held. One aligned word lands as one atomic store; anything longer
+// copies under the region's mu, ordered against its other multi-word
+// transfers.
 func (x *rcOp) land(mr *MR, off int, mem, data []byte, arrival int64) {
-	mr.mu.Lock()
-	n := copy(mem, data)
-	mr.mu.Unlock()
+	n := len(data)
+	if n == 8 && off%8 == 0 {
+		atomic.StoreUint64(wordOf(mem), binary.NativeEndian.Uint64(data))
+	} else {
+		mr.mu.Lock()
+		n = copy(mem, data)
+		mr.mu.Unlock()
+	}
 	x.dh.countDelivery(n)
 	if mr.onWrite != nil {
 		mr.onWrite(off, n, arrival)
@@ -545,7 +553,7 @@ func (x *rcOp) rcWrite(wr *SendWR) error {
 // no remote side effect to tear.
 func (x *rcOp) rcRead(wr *SendWR) error {
 	f, q, dh := x.f, x.q, x.dh
-	mr, _, mem, ok := dh.resolve(wr.RemoteAddr, wr.RKey, wr.Len)
+	mr, off, mem, ok := dh.resolve(wr.RemoteAddr, wr.RKey, wr.Len)
 	if !ok {
 		return x.accessErr(wr)
 	}
@@ -559,9 +567,13 @@ func (x *rcOp) rcRead(wr *SendWR) error {
 	}
 	req := f.oneWay(q.hca, dh, f.model.RCSendLatency, 0)
 	data := make([]byte, wr.Len)
-	mr.mu.Lock()
-	copy(data, mem)
-	mr.mu.Unlock()
+	if wr.Len == 8 && off%8 == 0 { // one aligned word: one atomic load, as land stores it
+		binary.NativeEndian.PutUint64(data, atomic.LoadUint64(wordOf(mem)))
+	} else {
+		mr.mu.Lock()
+		copy(data, mem)
+		mr.mu.Unlock()
+	}
 	resp := f.oneWay(dh, q.hca, f.model.RCSendLatency, wr.Len)
 	dh.countDelivery(wr.Len)
 	x.complete(wr, Completion{Status: StatusOK, Data: data, VTime: x.depart + req + resp}, true)
@@ -595,8 +607,7 @@ func (x *rcOp) rcAtomic(wr *SendWR) error {
 // A window released after resolve returns keeps its bytes as storage nobody
 // reads, and an atomic that finds its word gone changes nothing: OpenSHMEM's
 // shmem_free barriers first, so a correct program's accesses to a block have
-// all landed before it is released. The table read takes no lock; the view
-// takes the region's.
+// all landed before it is released. Neither table read takes a lock.
 func (h *HCA) resolve(addr uint64, rkey uint32, n int) (*MR, int, []byte, bool) {
 	for _, mr := range *h.mrs.Load() {
 		if mr.rkey == rkey && addr >= mr.base && addr-mr.base <= uint64(mr.size) {

@@ -47,20 +47,19 @@ func (h *HCA) Footprint() []obs.FootprintItem {
 	h.mu.Unlock()
 	var mrs, pinned, slab, bounced obs.FootprintItem
 	for _, m := range *h.mrs.Load() {
-		m.mu.Lock()
+		wins := *m.wins.Load()
 		mrs.Objects++
-		mrs.Bytes += mrSize + int64(unsafe.Sizeof(m)) + int64(len(m.wins))*int64(unsafe.Sizeof(window{}))
+		mrs.Bytes += mrSize + int64(unsafe.Sizeof(m)) + int64(len(wins))*int64(unsafe.Sizeof(window{}))
 		backing := &pinned
 		if m == slabMR {
 			backing = &slab
 		} else if m.bounced {
 			backing = &bounced
 		}
-		for _, w := range m.wins {
+		for _, w := range wins {
 			backing.Objects++
 			backing.Bytes += int64(len(w.mem))
 		}
-		m.mu.Unlock()
 	}
 	return []obs.FootprintItem{
 		{Subsystem: "ib", Category: "qps", Bytes: qps.Bytes, Objects: qps.Objects},

@@ -36,8 +36,7 @@ type HCA struct {
 	// mrs is the MR table, the live regions in registration order, published
 	// whole like Fabric.hcas: registration appends under mu, deregistration
 	// publishes a copy without the region, and resolve and Footprint read it
-	// without a lock. The adapter has no memory lock: each region guards its
-	// own bytes (MR.mu).
+	// without a lock. The adapter has no memory lock (see MR.mu).
 	mrs atomic.Pointer[[]*MR]
 
 	// Pressure-relief registry: each tenant (connection manager) sharing the
@@ -187,10 +186,8 @@ func (h *HCA) registerLocked(size int, bounced bool) *MR {
 	// out-of-bounds accesses cannot silently land in a neighbouring region.
 	h.nextVA += 0x1000
 	m := &MR{base: h.nextVA, size: size, rkey: h.nextRK | 0x80000000, bounced: bounced}
-	h.nextVA += uint64(size)
-	if rem := h.nextVA % 0x1000; rem != 0 {
-		h.nextVA += 0x1000 - rem
-	}
+	m.wins.Store(new([]window))
+	h.nextVA = (h.nextVA + uint64(size) + 0xfff) &^ 0xfff // round up to a page
 	mrs := append(*h.mrs.Load(), m)
 	h.mrs.Store(&mrs)
 	h.stats.MRsRegistered++
@@ -247,9 +244,9 @@ func (h *HCA) AtomicRMW(op Opcode, addr uint64, rkey uint32, add, compare, swap 
 	return h.rmw(mr, off, op, add, compare, swap, vt)
 }
 
-// rmw executes one fetching atomic on the word at off of mr under the
-// region's lock (MR.rmw), then counts the delivery and, with no lock held,
-// notifies the region's watcher with the arrival time vt.
+// rmw executes one fetching atomic on the word at off of mr (MR.rmw), then
+// counts the delivery and notifies the region's watcher with the arrival
+// time vt.
 func (h *HCA) rmw(mr *MR, off int, op Opcode, add, compare, swap uint64, vt int64) (old uint64, ok bool) {
 	if old, ok = mr.rmw(off, op, add, compare, swap); ok {
 		h.countDelivery(8)

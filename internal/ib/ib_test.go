@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -383,7 +384,11 @@ func TestWindowTable(t *testing.T) {
 		"load of a released word": func() { mr.LoadUint64(256) },
 		"store in the gap":        func() { mr.StoreUint64(128, 1) },
 		"overlapping window":      func() { mr.Back(32, make([]byte, 64)) },
-		"window past the region":  func() { mr.Back(4090, make([]byte, 8)) },
+		"window past the region":  func() { mr.Back(4088, make([]byte, 16)) },
+		"unaligned word load":     func() { mr.LoadUint64(4) },
+		"unaligned word store":    func() { mr.StoreUint64(68, 1) },
+		"misaligned window":       func() { mr.Back(1028, make([]byte, 8)) },
+		"misaligned storage":      func() { mr.Back(1024, make([]byte, 16)[1:9]) },
 	} {
 		func() {
 			defer func() {
@@ -394,12 +399,52 @@ func TestWindowTable(t *testing.T) {
 			fn()
 		}()
 		served := make(chan struct{})
-		go func() { mr.View(0, 8); close(served) }()
+		go func() { mr.Release(2048); close(served) }()
 		select {
 		case <-served:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: a panicking word access left the region locked", name)
+			t.Fatalf("%s: a panicking access left the region locked", name)
 		}
+	}
+	if _, ok := mr.AddUint64(4, 1); ok {
+		t.Error("AddUint64 on an unaligned word succeeded")
+	}
+	if _, ok := mr.View(1024, 8); ok {
+		t.Error("a refused Back left a window behind")
+	}
+}
+
+// TestWordByteOrder pins a window's byte layout: a word stored locally reads
+// back little-endian through View and through an 8-byte RDMA read, and a
+// little-endian 8-byte RDMA write loads back as its value.
+func TestWordByteOrder(t *testing.T) {
+	r := newRig(t, nil)
+	q1, _ := r.connectRC(t)
+	mr := r.h2.RegisterMR(make([]byte, 32), r.c2)
+	const v = 0x0102030405060708
+	le := binary.LittleEndian.AppendUint64(nil, v)
+	mr.StoreUint64(8, v)
+	if b, _ := mr.View(8, 8); !bytes.Equal(b, le) {
+		t.Errorf("View after StoreUint64 = %x, want %x", b, le)
+	}
+	post := func(wr SendWR) Completion {
+		t.Helper()
+		wr.RKey = mr.RKey()
+		if err := q1.PostSend(wr); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := r.cq1.Wait()
+		if c.Status != StatusOK {
+			t.Fatalf("%v: %+v", wr.Op, c)
+		}
+		return c
+	}
+	if c := post(SendWR{Op: OpRDMARead, RemoteAddr: mr.Base() + 8, Len: 8}); !bytes.Equal(c.Data, le) {
+		t.Errorf("RDMA read after StoreUint64 = %x, want %x", c.Data, le)
+	}
+	post(SendWR{Op: OpRDMAWrite, RemoteAddr: mr.Base() + 16, Data: le})
+	if got := mr.LoadUint64(16); got != v {
+		t.Errorf("LoadUint64 after an RDMA write of %x = %#x, want %#x", le, got, uint64(v))
 	}
 }
 
@@ -453,7 +498,12 @@ func TestAtomics(t *testing.T) {
 }
 
 // Property: concurrent remote fetch-adds from many QPs, and the owner's own
-// AddUint64s on the same word, sum exactly.
+// AddUint64s on the same word, sum exactly. Then remote compare-and-swap
+// increment loops race token passes on the same word: a remote OpSwap or an
+// owner AtomicRMW swap takes the value out, leaving held, checks with
+// LoadUint64 (owner) or the hand-back's old value (remote) that nobody
+// touched the word meanwhile, and hands value+1 back by OpSwap,
+// StoreUint64 or AddUint64. Every increment and pass counts exactly once.
 func TestAtomicFetchAddConcurrent(t *testing.T) {
 	f := NewFabric(vclock.Default(), nil)
 	target := f.AddHCA()
@@ -506,7 +556,134 @@ func TestAtomicFetchAddConcurrent(t *testing.T) {
 	if got := mr.LoadUint64(0); got != want {
 		t.Fatalf("sum = %d, want %d", got, want)
 	}
+	// A lost or torn update strands the word at held and the passes spin:
+	// stop ends them once the deadline below passes.
+	const held, casIncs, passes, ownerPasses = 1 << 63, 100, 50, 200
+	var stop atomic.Bool
+	rmw := func(q *QP, cq *CQ, op Opcode, compare, swap uint64) uint64 {
+		if err := q.PostSend(SendWR{Op: op, RemoteAddr: mr.Base(), RKey: mr.RKey(), Compare: compare, Swap: swap}); err != nil {
+			t.Errorf("post: %v", err)
+		}
+		c, _ := cq.Wait()
+		if c.Status != StatusOK {
+			t.Errorf("completion: %+v", c)
+		}
+		return c.Old
+	}
+	for w := 0; w < workers; w++ {
+		h := f.AddHCA()
+		clk := vclock.NewClock(0)
+		cq := NewCQ()
+		q := h.CreateQP(RC, clk, cq, cq)
+		mustConnect(t, q, target.CreateQP(RC, tclk, nil, targetCQ))
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			if id%2 == 0 {
+				for n, guess := 0, uint64(0); n < casIncs && !stop.Load(); {
+					if old := rmw(q, cq, OpCmpSwap, guess, guess+1); old == guess {
+						n, guess = n+1, guess+1
+					} else if old != held {
+						guess = old
+					}
+				}
+				return
+			}
+			for n := 0; n < passes && !stop.Load(); {
+				if v := rmw(q, cq, OpSwap, 0, held); v != held {
+					if back := rmw(q, cq, OpSwap, 0, v+1); back != held {
+						t.Errorf("the word changed while worker %d held it: %#x", id, back)
+					}
+					n++
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; n < ownerPasses && !stop.Load(); {
+			v, ok := target.AtomicRMW(OpSwap, mr.Base(), mr.RKey(), 0, 0, held, 0)
+			if !ok {
+				t.Error("owner swap found no window")
+				return
+			}
+			if v == held {
+				continue
+			}
+			if got := mr.LoadUint64(0); got != held {
+				t.Errorf("the word changed while the owner held it: %#x", got)
+			}
+			if n%2 == 0 {
+				mr.StoreUint64(0, v+1)
+			} else {
+				mr.AddUint64(0, v+1-held)
+			}
+			n++
+		}
+	}()
+	passed := make(chan struct{})
+	go func() { wg.Wait(); close(passed) }()
+	select {
+	case <-passed:
+	case <-time.After(20 * time.Second):
+		stop.Store(true)
+		<-passed
+		t.Fatalf("token passes stalled: the word is stuck at %#x", mr.LoadUint64(0))
+	}
+	want += workers/2*casIncs + workers/2*passes + ownerPasses
+	if got := mr.LoadUint64(0); got != want {
+		t.Fatalf("after token passes: word = %d, want %d", got, want)
+	}
 	_ = tqps
+}
+
+// TestWordPathTakesNoRegionLock pins that no word access takes a region's
+// lock: while the region's mu is held, the word helpers, View, a remote
+// 8-byte RDMA write and read, and every fetching atomic into it complete.
+func TestWordPathTakesNoRegionLock(t *testing.T) {
+	r := newRig(t, nil)
+	q1, _ := r.connectRC(t)
+	heap := make([]byte, 64)
+	mr := r.h2.RegisterMR(heap, r.c2)
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		mr.StoreUint64(0, 7)
+		if v, ok := mr.AddUint64(0, 3); !ok || v != 10 || mr.LoadUint64(0) != 10 {
+			done <- fmt.Errorf("word helpers: add gave %d, %v", v, ok)
+			return
+		}
+		if _, ok := mr.View(0, 64); !ok {
+			done <- errors.New("View failed")
+			return
+		}
+		for _, w := range []SendWR{{Op: OpRDMAWrite, Data: []byte("lockfree")}, {Op: OpRDMARead, Len: 8},
+			{Op: OpFetchAdd, Add: 5}, {Op: OpCmpSwap, Compare: 99, Swap: 1}, {Op: OpSwap, Swap: 42}} {
+			w.RemoteAddr, w.RKey = mr.Base()+8, mr.RKey()
+			if err := q1.PostSend(w); err != nil {
+				done <- err
+				return
+			}
+			if c, _ := r.cq1.Wait(); c.Status != StatusOK || (w.Op == OpRDMARead && string(c.Data) != "lockfree") {
+				done <- fmt.Errorf("%v completion: %+v", w.Op, c)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a word access blocked on the region's lock")
+	}
+	if binary.LittleEndian.Uint64(heap) != 10 || binary.LittleEndian.Uint64(heap[8:]) != 42 {
+		t.Fatalf("region bytes %x, want the stores and the atomics to have landed", heap[:16])
+	}
 }
 
 func mustConnect(t *testing.T, a, b *QP) {

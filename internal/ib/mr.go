@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // MR is a registered memory region. Registration assigns a region of the
@@ -22,14 +24,15 @@ import (
 type MR struct {
 	base uint64 // virtual address of offset 0
 	size int    // registered length in bytes
-	// mu guards the region's memory: its window table and every backed byte
-	// the word helpers, RDMA landings and reads and the fetching atomics
-	// touch. It is the only memory lock. A word belongs to exactly one
-	// region, so network atomics stay atomic against local word access while
-	// one region's traffic never waits on another's.
+	// mu serialises the region's window-table writes (Back, Release) and its
+	// multi-word RDMA landings and reads, so two multi-word transfers never
+	// interleave. No word access takes it: the word helpers, the fetching
+	// atomics and one-word transfers are sync/atomic operations on the
+	// aligned word, so network atomics stay atomic against local word access.
 	mu sync.Mutex
-	// wins are the backed windows, sorted by offset and disjoint.
-	wins []window
+	// wins is the window table, sorted by offset and disjoint. Back and
+	// Release publish a new copy under mu; readers load it with no lock.
+	wins atomic.Pointer[[]window]
 	rkey uint32
 	// onWrite, when non-nil, is invoked after a remote RDMA write or atomic
 	// lands in the region, with the offset/length written and the virtual
@@ -43,6 +46,8 @@ type MR struct {
 }
 
 // window is one backed range of a region: mem holds bytes [off, off+len(mem)).
+// Both off and mem are 8-byte aligned, so every aligned offset of the region
+// is an aligned word of memory.
 type window struct {
 	off int
 	mem []byte
@@ -61,17 +66,21 @@ func (m *MR) RKey() uint32 { return m.rkey }
 func (m *MR) SetOnWrite(fn func(off, n int, vtime int64)) { m.onWrite = fn }
 
 // Back makes bytes [off, off+len(mem)) of the region accessible with mem as
-// their storage. It panics when the window leaves the region or overlaps a
-// live one: the caller's allocator hands out disjoint blocks.
+// their storage. It panics when the window leaves the region, overlaps a live
+// one, or has an offset or storage that is not 8-byte aligned: the caller's
+// allocator hands out disjoint aligned blocks.
 func (m *MR) Back(off int, mem []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off >= off })
-	if off < 0 || len(mem) > m.size-off || (i > 0 && m.wins[i-1].off+len(m.wins[i-1].mem) > off) ||
-		(i < len(m.wins) && off+len(mem) > m.wins[i].off) {
-		panic(fmt.Sprintf("ib: window [%d,%d) leaves the %d-byte region or overlaps a live one", off, off+len(mem), m.size))
+	wins := *m.wins.Load()
+	i := sort.Search(len(wins), func(i int) bool { return wins[i].off >= off })
+	if off < 0 || len(mem) > m.size-off || (i > 0 && wins[i-1].off+len(wins[i-1].mem) > off) ||
+		(i < len(wins) && off+len(mem) > wins[i].off) || off%8 != 0 || uintptr(unsafe.Pointer(unsafe.SliceData(mem)))%8 != 0 {
+		panic(fmt.Sprintf("ib: window [%d,%d) leaves the %d-byte region, overlaps a live one or is unaligned", off, off+len(mem), m.size))
 	}
-	m.wins = slices.Insert(m.wins, i, window{off, mem})
+	// Clip makes Insert copy: readers of the old table never see it change.
+	wins = slices.Insert(slices.Clip(wins), i, window{off, mem})
+	m.wins.Store(&wins)
 }
 
 // Release drops the window that starts at off, reporting whether there was
@@ -80,93 +89,86 @@ func (m *MR) Back(off int, mem []byte) {
 func (m *MR) Release(off int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off >= off })
-	if i == len(m.wins) || m.wins[i].off != off {
+	wins := *m.wins.Load()
+	i := sort.Search(len(wins), func(i int) bool { return wins[i].off >= off })
+	if i == len(wins) || wins[i].off != off {
 		return false
 	}
-	m.wins = slices.Delete(m.wins, i, i+1)
+	wins = slices.Delete(slices.Clone(wins), i, i+1)
+	m.wins.Store(&wins)
 	return true
 }
 
 // View returns the n backed bytes at off, or false when no single live
-// window holds them all. The caller owns local reads and writes through the
-// view; bytes that remote atomics may touch should go through LoadUint64.
+// window holds them all. It takes no lock. Plain reads and writes through
+// the view are the caller's: a word that a peer updates or polls while the
+// caller touches it goes through LoadUint64/StoreUint64, as OpenSHMEM
+// requires of a program.
 func (m *MR) View(off, n int) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.view(off, n)
-}
-
-// view is View for a caller that holds m.mu.
-func (m *MR) view(off, n int) ([]byte, bool) {
-	i := sort.Search(len(m.wins), func(i int) bool { return m.wins[i].off > off }) - 1
-	if i < 0 || n < 0 {
+	wins := *m.wins.Load()
+	i := sort.Search(len(wins), func(i int) bool { return wins[i].off > off }) - 1
+	if i < 0 || n < 0 || n > wins[i].off+len(wins[i].mem)-off {
 		return nil, false
 	}
-	w := m.wins[i]
-	if n > w.off+len(w.mem)-off {
-		return nil, false
+	return wins[i].mem[off-wins[i].off:][:n], true
+}
+
+// word returns the aligned word at off. A local access to an unaligned word,
+// or to one no window backs, is a program error, so it panics.
+func (m *MR) word(off int) *uint64 {
+	w, ok := m.View(off, 8)
+	if !ok || off%8 != 0 {
+		panic(fmt.Sprintf("ib: word at offset %d of a %d-byte region is unaligned or lies in no live window", off, m.size))
 	}
-	return w.mem[off-w.off : off-w.off+n], true
+	return wordOf(w)
 }
 
-// word is the backed word at off for a caller holding m.mu. A local
-// access to memory no window backs is a program error, so it panics.
-func (m *MR) word(off int) []byte {
-	w, ok := m.view(off, 8)
-	if !ok {
-		panic(fmt.Sprintf("ib: word at offset %d of a %d-byte region lies in no live window", off, m.size))
-	}
-	return w
+// wordOf is the aligned word whose bytes are b[:8].
+func wordOf(b []byte) *uint64 { return (*uint64)(unsafe.Pointer(unsafe.SliceData(b))) }
+
+// le converts between a word's host value and the value its bytes hold
+// little-endian: a window's bytes are little-endian on every host.
+func le(v uint64) uint64 {
+	var b [8]byte
+	binary.NativeEndian.PutUint64(b[:], v)
+	return binary.LittleEndian.Uint64(b[:])
 }
 
-// LoadUint64 atomically (with respect to remote fetching atomics) loads the
-// little-endian uint64 at the given offset.
-func (m *MR) LoadUint64(off int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return binary.LittleEndian.Uint64(m.word(off))
-}
+// LoadUint64 atomically loads the little-endian uint64 at the aligned offset.
+func (m *MR) LoadUint64(off int) uint64 { return le(atomic.LoadUint64(m.word(off))) }
 
-// StoreUint64 atomically stores v at the given offset.
-func (m *MR) StoreUint64(off int, v uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	binary.LittleEndian.PutUint64(m.word(off), v)
-}
+// StoreUint64 atomically stores v little-endian at the aligned offset.
+func (m *MR) StoreUint64(off int, v uint64) { atomic.StoreUint64(m.word(off), le(v)) }
 
 // AddUint64 atomically adds delta to the little-endian uint64 at the given
 // offset and returns the new value. Software-side signal delivery
 // (shmem_put_signal's SIGNAL_ADD) lands through this, on a word a peer
-// named: ok is false, and nothing changes, when no live window holds it.
+// named: ok is false, and nothing changes, when the word is unaligned or no
+// live window holds it.
 func (m *MR) AddUint64(off int, delta uint64) (v uint64, ok bool) {
 	old, ok := m.rmw(off, OpFetchAdd, delta, 0, 0)
 	return old + delta, ok
 }
 
 // rmw executes one fetching atomic (OpFetchAdd/OpCmpSwap/OpSwap) on the
-// word at off under the region lock and returns the word's old value. ok is
-// false, and nothing changes, when no live window holds the word or op is
-// not an atomic.
+// word at off as one compare-and-swap loop and returns the word's old value.
+// ok is false, and nothing changes, when the word is unaligned, no live
+// window holds it, or op is not an atomic.
 func (m *MR) rmw(off int, op Opcode, add, compare, swap uint64) (old uint64, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.view(off, 8)
-	if !ok {
+	w, ok := m.View(off, 8)
+	if !ok || off%8 != 0 || op != OpFetchAdd && op != OpCmpSwap && op != OpSwap {
 		return 0, false
 	}
-	old = binary.LittleEndian.Uint64(w)
-	switch op {
-	case OpFetchAdd:
-		binary.LittleEndian.PutUint64(w, old+add)
-	case OpCmpSwap:
-		if old == compare {
-			binary.LittleEndian.PutUint64(w, swap)
+	for {
+		raw := atomic.LoadUint64(wordOf(w))
+		old, next := le(raw), swap
+		if op == OpFetchAdd {
+			next = old + add
+		} else if op == OpCmpSwap && old != compare {
+			return old, true
 		}
-	case OpSwap:
-		binary.LittleEndian.PutUint64(w, swap)
-	default:
-		return 0, false
+		if atomic.CompareAndSwapUint64(wordOf(w), raw, le(next)) {
+			return old, true
+		}
 	}
-	return old, true
 }

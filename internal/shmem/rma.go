@@ -94,9 +94,9 @@ func (c *Ctx) P64(dest SymAddr, v int64, pe int) { P(c, dest, v, pe) }
 // G64 reads a single int64 (shmem_long_g).
 func (c *Ctx) G64(src SymAddr, pe int) int64 { return G[int64](c, src, pe) }
 
-// LocalInt64 views a symmetric int64 vector in this PE's own partition.
-// Reads and writes through the view race with concurrent remote atomics;
-// use LoadInt64 for values that remote PEs update atomically.
+// LocalInt64 copies a symmetric int64 vector out of this PE's own partition
+// with plain loads. A word a peer may update while it is read (by an atomic,
+// P, or a one-word put) goes through LoadInt64 instead.
 func (c *Ctx) LocalInt64(addr SymAddr, n int) []int64 {
 	return decodeSlice[int64](c.Local(addr, 8*n))
 }
@@ -106,14 +106,17 @@ func (c *Ctx) StoreLocalInt64(addr SymAddr, i int, v int64) {
 	store(c.Local(addr+SymAddr(8*i), 8), v)
 }
 
-// LoadInt64 atomically (with respect to remote atomics) loads the local
-// int64 at addr+8*i.
+// LoadInt64 atomically loads the local int64 at addr+8*i, which must be
+// 8-byte aligned. It takes no lock and is atomic against remote atomics, P
+// and one-word puts. A word polled while a multi-word put lands on it is a
+// program race, as in OpenSHMEM: flag with P, an atomic or put-with-signal.
 func (c *Ctx) LoadInt64(addr SymAddr, i int) int64 {
 	off := int(addr) + 8*i
 	return int64(c.mr.LoadUint64(off))
 }
 
-// StoreInt64 atomically stores the local int64 at addr+8*i.
+// StoreInt64 atomically stores the local int64 at addr+8*i, which must be
+// 8-byte aligned, under the same rule as LoadInt64.
 func (c *Ctx) StoreInt64(addr SymAddr, i int, v int64) {
 	off := int(addr) + 8*i
 	c.mr.StoreUint64(off, uint64(v))

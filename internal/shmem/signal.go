@@ -47,11 +47,12 @@ func (c *Ctx) P64Signal(dest SymAddr, v int64, sig SymAddr, sadd int64, pe int) 
 	c.PutMemSignal(dest, buf[:], sig, sadd, pe)
 }
 
-// checkSignalAddr validates a signal word against the live allocations; the
-// heap is symmetric, so a locally valid word is valid on every PE.
+// checkSignalAddr validates a signal word against the live allocations and
+// the word alignment the target's atomic add needs; the heap is symmetric,
+// so a locally valid word is valid on every PE.
 func (c *Ctx) checkSignalAddr(sig SymAddr) error {
-	if _, ok := c.mr.View(int(sig), 8); !ok {
-		return fmt.Errorf("signal word at %d lies in no live allocation", sig)
+	if _, ok := c.mr.View(int(sig), 8); !ok || sig%8 != 0 {
+		return fmt.Errorf("signal word at %d is unaligned or lies in no live allocation", sig)
 	}
 	return nil
 }
