@@ -1,11 +1,12 @@
 # Build/test entry points. Tier-1 is the gate every change must keep green
 # (see ROADMAP.md): build, the no-host-clock check on the engine, the size
-# ceilings on the conduit, the verbs model, the OpenSHMEM runtime (1,264) and
-# all packages (14,352), the full test suite, the full suite again under the
+# ceilings on the conduit, the verbs model, the OpenSHMEM runtime and all
+# packages, the full test suite, the full suite again under the
 # race detector (both under a 5-minute timeout, so a hang fails in minutes, not
 # go test's default ten), the determinism contracts repeated
-# across GOMAXPROCS, a fast data-plane-integrity smoke, and the benchmark
-# module's own vet + smoke test.
+# across GOMAXPROCS, a fast data-plane-integrity smoke, the benchmark
+# module's own vet + smoke test, and the perf trajectory's virtual numbers
+# checked against the committed BENCH_*.json.
 # Tier-2 adds vet, the fixed-seed chaos soaks (connection lifecycle, PE
 # failure, control plane, resource churn, data-plane integrity, combined) and
 # the same soaks swept over 32 more seeds.
@@ -16,11 +17,11 @@ GO ?= go
 # CHAOS_SEED=<seed> make soak (failures print the seed to replay).
 CHAOS_SEED ?= 1786034998553156286
 
-.PHONY: all tier1 tier2 build no-wallclock loc-check test vet race determinism soak soak-sweep smoke incident-smoke rail-smoke footprint-smoke bench-smoke fuzz-smoke loc trace-demo bench clean
+.PHONY: all tier1 tier2 build no-wallclock loc-check test vet race determinism soak soak-sweep smoke incident-smoke rail-smoke footprint-smoke bench-smoke bench-check fuzz-smoke loc trace-demo bench clean
 
 all: tier1
 
-tier1: build no-wallclock loc-check test race determinism smoke incident-smoke rail-smoke footprint-smoke bench-smoke
+tier1: build no-wallclock loc-check test race determinism smoke incident-smoke rail-smoke footprint-smoke bench-smoke bench-check
 
 build:
 	$(GO) build ./...
@@ -152,6 +153,16 @@ footprint-smoke:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# The perf trajectory's virtual numbers (start_pes, put/get latency, credit
+# stalls, startup phases) are the cost model's output: this run must
+# reproduce every one in the latest committed BENCH_*.json exactly, or the
+# change declares a cost-model change and regenerates the baseline with
+# `make bench`. The footprint sweep stops at np=256 here and only warns, as
+# does the suite's wall time. About ten seconds; the document goes to a
+# temporary file, never over the baseline.
+bench-check:
+	$(GO) run ./cmd/reproduce -exp bench -check -o "$$(mktemp)" -footprint-max-np 256
+
 # Mutate from the checked-in seed corpus of every wire-decoder fuzz target for
 # ten seconds each (go test accepts one -fuzz target per run). The seeds alone
 # already run as unit tests under `make test`; this is the nightly search for
@@ -178,7 +189,7 @@ loc:
 GASNET_LOC_MAX = 3000
 IB_LOC_MAX = 1657
 SHMEM_LOC_MAX = 1264
-TOTAL_LOC_MAX = 14351
+TOTAL_LOC_MAX = 14240
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \
@@ -195,10 +206,10 @@ loc-check:
 trace-demo:
 	$(GO) run ./cmd/oshrun -np 8 -ppn 4 -app heat2d -trace-out=trace-demo.json -metrics -topology
 
-# Record the perf trajectory: run the fixed startup/latency/phase suite and
-# write BENCH_<date>.json (schema-versioned; nightly CI uploads it).
+# Record the perf trajectory: run the fixed startup/latency/phase/footprint
+# suite and write BENCH_<date>.json (schema-versioned; nightly CI uploads it).
 bench:
-	$(GO) run ./cmd/bench
+	$(GO) run ./cmd/reproduce -exp bench
 
 clean:
 	$(GO) clean ./...

@@ -525,16 +525,15 @@ func (o *options) write(res *cluster.Result, cpu *bytes.Buffer, stdout, stderr i
 // path the job actually ran — the line that records a control-plane
 // degradation (Iallgather lost, Put-Fence-Get fallback taken).
 func printPhaseTable(w io.Writer, res *cluster.Result) {
-	phases := res.Obs.StartupPhases()
-	names, sums, maxes := obs.PhaseTotals(phases)
-	if len(names) == 0 {
+	if res.Obs == nil {
 		return
 	}
-	np := int64(len(phases))
+	sums, maxes := res.PhaseTotals()
+	np := int64(len(res.PEs))
 	fmt.Fprintf(w, "\n--- start_pes phase breakdown ---\n")
 	fmt.Fprintf(w, "%-14s %12s %12s\n", "phase", "avg", "max")
-	for _, n := range names {
-		fmt.Fprintf(w, "%-14s %11.6fs %11.6fs\n", n, vclock.Seconds(sums[n]/np), vclock.Seconds(maxes[n]))
+	for i, n := range shmem.PhaseNames {
+		fmt.Fprintf(w, "%-14s %11.6fs %11.6fs\n", n, vclock.Seconds(sums[i]/np), vclock.Seconds(maxes[i]))
 	}
 	fmt.Fprintf(w, "pmi exchange path: %s\n", res.ExchangePath())
 }
@@ -632,11 +631,11 @@ func writeText(w io.Writer, o *options, res *cluster.Result) {
 			fmt.Fprintf(w, "%12.6fs  pe %4d  %-20s peer %d\n", vclock.Seconds(e.VT), e.Rank, e.Kind, e.Peer)
 		}
 	}
-	b := res.PEs[0].Breakdown
+	b := res.PEs[0].Phases.Fig1()
 	fmt.Fprintf(w, "\n--- job report (%s, %d PEs, %d ppn) ---\n", res.Cfg.Mode, res.Cfg.NP, res.Cfg.PPN)
 	fmt.Fprintf(w, "start_pes avg:      %8.3fs  (conn %.3fs, pmi %.3fs, memreg %.3fs, shmem %.3fs, other %.3fs)\n",
-		vclock.Seconds(res.InitAvg), vclock.Seconds(b.ConnectionSetup), vclock.Seconds(b.PMIExchange),
-		vclock.Seconds(b.MemoryReg), vclock.Seconds(b.SharedMemSetup), vclock.Seconds(b.Other))
+		vclock.Seconds(res.InitAvg), vclock.Seconds(b[0]), vclock.Seconds(b[1]),
+		vclock.Seconds(b[2]), vclock.Seconds(b[3]), vclock.Seconds(b[4]))
 	fmt.Fprintf(w, "job time (virtual): %8.3fs\n", vclock.Seconds(res.JobVT))
 	fmt.Fprintf(w, "avg RC endpoints/PE: %7.1f   avg peers/PE: %.1f   (simulated in %v real)\n",
 		res.AvgEndpoints(), res.AvgPeers(), res.Wall.Round(1e6))

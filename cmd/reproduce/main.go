@@ -3,16 +3,26 @@
 // scales; -full uses the paper's scales where memory permits (the static
 // fully connected sweep is capped by -maxstatic; see EXPERIMENTS.md).
 //
+// -exp bench records the simulator's performance trajectory instead: a
+// small, fixed suite of startup, latency, phase and footprint measurements
+// written as one JSON document, BENCH_<date>.json. With -check it compares
+// every virtual number against the latest committed BENCH_*.json and exits 1
+// when one differs; `make bench` writes the file, and CI runs the check.
+//
 // Usage:
 //
-//	reproduce [-exp all|fig1|fig2|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|table1|ablation|phases|topology|credits|footprint] [-full]
+//	reproduce [-exp all|fig1|fig2|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|table1|ablation|phases|topology|credits|footprint] [-full] [-maxstatic N]
+//	reproduce -exp bench [-check] [-o FILE] [-footprint-max-np N] [-footprint-csv FILE]
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"goshmem/internal/apps/nas"
 	"goshmem/internal/bench"
@@ -20,29 +30,20 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, fig1, fig2, fig5a, fig5b, fig6, fig7, fig8a, fig8b, fig9, table1, ablation, phases, topology, credits, footprint)")
+	exp := flag.String("exp", "all", "experiment to run (all, fig1, fig2, fig5a, fig5b, fig6, fig7, fig8a, fig8b, fig9, table1, ablation, phases, topology, credits, footprint), or bench for the perf trajectory")
 	full := flag.Bool("full", false, "use paper-scale job sizes (slower; needs several GiB of RAM)")
 	maxStatic := flag.Int("maxstatic", 0, "largest job size for static (fully connected) sweeps; 0 = preset")
-	out := flag.String("o", "", "also write output to this file")
+	out := flag.String("o", "", "-exp bench: output file (default BENCH_<yyyy-mm-dd>.json)")
+	check := flag.Bool("check", false, "-exp bench: compare against the most recent committed BENCH_*.json and exit nonzero when any virtual-time number differs from it (wall time and footprint warn only)")
+	fpMaxNP := flag.Int("footprint-max-np", 4096, "-exp bench: cap the footprint sweep at this np (CI runners cap lower)")
+	fpCSV := flag.String("footprint-csv", "", "-exp bench: also write the footprint sweep as CSV to FILE (the nightly artifact)")
 	flag.Parse()
 
-	w := os.Stdout
-	var tee *os.File
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		tee = f
+	if strings.EqualFold(*exp, "bench") {
+		trajectory(*out, *check, *fpMaxNP, *fpCSV)
+		return
 	}
-	emit := func(t *bench.Table) {
-		t.Fprint(w)
-		if tee != nil {
-			t.Fprint(tee)
-		}
-	}
+	emit := func(t *bench.Table) { t.Fprint(os.Stdout) }
 
 	// Scale presets.
 	ppn := 16
@@ -73,25 +74,18 @@ func main() {
 	}
 
 	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
-	die := func(err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reproduce:", err)
-			os.Exit(1)
-		}
-	}
-
 	var startupPts []bench.StartupPoint
 	var nasPts []bench.NASPoint
 	var resSeries map[string][]bench.PeerPoint
 
 	if want("fig1") {
 		sizes := capSizes(initSizes, capStatic)
-		pts, err := bench.InitBreakdown(gasnet.Static, sizes, ppn)
+		pts, err := bench.StartupPhases(gasnet.Static, sizes, ppn)
 		die(err)
 		emit(bench.BreakdownTable("Figure 1: start_pes breakdown, current (static) design, 16 ppn", pts))
 	}
 	if want("fig5b") {
-		pts, err := bench.InitBreakdown(gasnet.OnDemand, initSizes, ppn)
+		pts, err := bench.StartupPhases(gasnet.OnDemand, initSizes, ppn)
 		die(err)
 		emit(bench.BreakdownTable("Figure 5(b): start_pes breakdown, proposed (on-demand + PMIX_Iallgather) design", pts))
 	}
@@ -154,13 +148,12 @@ func main() {
 		emit(bench.SummaryTable(startupPts, nasPts, resSeries))
 	}
 	if want("phases") {
-		// Observability-plane view of the Fig 1 / Fig 5(b) breakdowns: the
-		// same init interval, attributed by obs.InitPhase at finer grain.
+		// The Fig 1 / Fig 5(b) breakdowns before the fold: every startup phase.
 		sizes := capSizes(initSizes, capStatic)
-		pts, err := bench.PhaseBreakdown(gasnet.Static, sizes, ppn)
+		pts, err := bench.StartupPhases(gasnet.Static, sizes, ppn)
 		die(err)
 		emit(bench.PhaseTable("Startup phases (obs plane), current (static) design", pts))
-		pts, err = bench.PhaseBreakdown(gasnet.OnDemand, initSizes, ppn)
+		pts, err = bench.StartupPhases(gasnet.OnDemand, initSizes, ppn)
 		die(err)
 		emit(bench.PhaseTable("Startup phases (obs plane), proposed (on-demand) design", pts))
 	}
@@ -205,12 +198,62 @@ func main() {
 	}
 }
 
+// capSizes keeps the sizes up to max; a max <= 0 keeps them all.
 func capSizes(sizes []int, max int) []int {
 	var out []int
 	for _, s := range sizes {
-		if s <= max {
+		if s <= max || max <= 0 {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+// trajectory runs the perf-trajectory suite, writes it to out (default
+// BENCH_<today>.json) and prints its deltas against the latest committed
+// BENCH_*.json. It exits 1 when -check finds a changed virtual number and 2
+// when -check would overwrite its own baseline.
+func trajectory(out string, check bool, fpMaxNP int, fpCSV string) {
+	base, basePath, err := bench.LoadBaseline(".")
+	die(err)
+	path, err := bench.OutputPath(".", out, time.Now().UTC().Format("2006-01-02"), basePath, check)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
+		os.Exit(2)
+	}
+	// A capped sweep must be loud about what it dropped: a silently-truncated
+	// sweep reads as "covered the full range" in the committed trajectory.
+	fpSizes := capSizes(bench.FootprintSizes, fpMaxNP)
+	if dropped := bench.FootprintSizes[len(fpSizes):]; len(dropped) > 0 {
+		fmt.Fprintf(os.Stderr, "reproduce: footprint sweep capped at np=%d; dropping sizes %v\n", fpMaxNP, dropped)
+	}
+	d, err := bench.Trajectory(fpSizes)
+	die(err)
+	if fpCSV != "" {
+		f, err := os.Create(fpCSV)
+		die(err)
+		die(errors.Join(bench.WriteFootprintCSV(f, d.Footprint), f.Close()))
+	}
+	b, err := json.MarshalIndent(d, "", "  ")
+	die(err)
+	die(os.WriteFile(path, append(b, '\n'), 0o644))
+	fmt.Printf("wrote %s (suite wall time %.1fs)\n", path, float64(d.WallNS)/1e9)
+	if base == nil {
+		// Loud, so a lane whose baseline went missing cannot pass silently;
+		// exit 0, so a fresh checkout can bootstrap its first baseline.
+		fmt.Fprintf(os.Stderr, "reproduce: WARNING: no prior BENCH_*.json baseline; %s is the first, and nothing was compared\n", path)
+		return
+	}
+	if bench.Compare(os.Stdout, base, d, basePath) && check {
+		fmt.Fprintf(os.Stderr, "reproduce: virtual-time numbers differ from %s: a cost-model change must be declared and the baseline regenerated\n", basePath)
+		os.Exit(1)
+	}
+}
+
+// die exits 1 on a failed experiment.
+func die(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
+		os.Exit(1)
+	}
 }

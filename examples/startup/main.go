@@ -30,10 +30,10 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			b := res.PEs[0].Breakdown
+			b := res.PEs[0].Phases.Fig1()
 			times[i] = vclock.Seconds(res.InitAvg)
 			detail[i] = fmt.Sprintf("%6.3fs (%5.3f/%5.3f)", times[i],
-				vclock.Seconds(b.ConnectionSetup), vclock.Seconds(b.PMIExchange))
+				vclock.Seconds(b[0]), vclock.Seconds(b[1]))
 		}
 		fmt.Printf("%8d  %28s  %28s  %7.1fx\n", np, detail[0], detail[1], times[0]/times[1])
 	}

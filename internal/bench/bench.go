@@ -5,12 +5,14 @@
 //
 // Mapping (see DESIGN.md for the full index):
 //
-//	Fig. 1   InitBreakdown(Static)      Fig. 5b  InitBreakdown(OnDemand)
+//	Fig. 1   StartupPhases(Static)      Fig. 5b  StartupPhases(OnDemand)
 //	Fig. 5a  Startup                    Fig. 6   PutGetLatency, AtomicLatency
 //	Fig. 7   CollectiveLatency, BarrierLatency
 //	Fig. 8a  NASExecution               Fig. 8b  Graph500Execution
 //	Fig. 9   ResourceUsage              Table I  PeersTable
 //	Fig. 2   Summary (derived)          §IV ablations: Ablations
+//
+// Trajectory is the BENCH_<date>.json suite, and Compare its one check.
 package bench
 
 import (

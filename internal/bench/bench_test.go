@@ -25,21 +25,28 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestInitBreakdownTiny(t *testing.T) {
-	pts, err := InitBreakdown(gasnet.OnDemand, []int{8}, 4)
+func TestStartupPhasesTiny(t *testing.T) {
+	pts, err := StartupPhases(gasnet.OnDemand, []int{8}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pts[0]
-	if p.Total <= 0 {
+	b, total := p.sum.Fig1(), p.sum.Total()
+	if total <= 0 {
 		t.Fatal("zero total")
 	}
-	sum := p.ConnectionSetup + p.PMIExchange + p.MemoryReg + p.SharedMemSetup + p.Other
-	if diff := sum - p.Total; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("buckets %.9f != total %.9f", sum, p.Total)
+	if sum := b[0] + b[1] + b[2] + b[3] + b[4]; sum != total {
+		t.Fatalf("buckets %d != total %d", sum, total)
 	}
-	if p.ConnectionSetup > p.Total/10 {
+	if b[0] > total/10 {
 		t.Fatal("on-demand connection setup should be negligible")
+	}
+	var avg float64
+	for _, name := range p.Names {
+		avg += p.AvgSec[name]
+	}
+	if diff := avg - avgSec(total, p.N); diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("phase averages %.9f != average total %.9f", avg, avgSec(total, p.N))
 	}
 }
 

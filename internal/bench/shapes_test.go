@@ -10,39 +10,51 @@ import (
 // the runtime or cost model are caught by `go test` long before anyone
 // re-runs the full sweeps.
 
+// fig1 folds a startup-phase point into Figure 1's buckets and total,
+// averaged over PEs in seconds.
+func fig1(p PhasePoint) (conn, pmi, memreg, total float64) {
+	b := p.sum.Fig1()
+	return avgSec(b[0], p.N), avgSec(b[1], p.N), avgSec(b[2], p.N), avgSec(p.sum.Total(), p.N)
+}
+
 func TestShapeOnDemandInitConstant(t *testing.T) {
-	pts, err := InitBreakdown(gasnet.OnDemand, []int{8, 32, 64}, 8)
+	pts, err := StartupPhases(gasnet.OnDemand, []int{8, 32, 64}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := pts[0].Total
+	_, _, _, base := fig1(pts[0])
 	for _, p := range pts {
-		if diff := (p.Total - base) / base; diff > 0.02 || diff < -0.02 {
+		conn, pmi, _, total := fig1(p)
+		if diff := (total - base) / base; diff > 0.02 || diff < -0.02 {
 			t.Fatalf("on-demand init not constant: %.4f at N=%d vs %.4f at N=%d",
-				p.Total, p.N, base, pts[0].N)
+				total, p.N, base, pts[0].N)
 		}
-		if p.ConnectionSetup > 0.001 || p.PMIExchange > 0.001 {
-			t.Fatalf("on-demand init spends time in conn/PMI at N=%d: %+v", p.N, p)
+		if conn > 0.001 || pmi > 0.001 {
+			t.Fatalf("on-demand init spends time in conn/PMI at N=%d: %+v", p.N, p.AvgSec)
 		}
 	}
 }
 
 func TestShapeStaticInitGrows(t *testing.T) {
-	pts, err := InitBreakdown(gasnet.Static, []int{8, 32, 64}, 8)
+	pts, err := StartupPhases(gasnet.Static, []int{8, 32, 64}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Total <= pts[i-1].Total {
+		conn, _, _, total := fig1(pts[i])
+		prevConn, _, _, prevTotal := fig1(pts[i-1])
+		if total <= prevTotal {
 			t.Fatalf("static init not growing: %.4f at N=%d vs %.4f at N=%d",
-				pts[i].Total, pts[i].N, pts[i-1].Total, pts[i-1].N)
+				total, pts[i].N, prevTotal, pts[i-1].N)
 		}
-		if pts[i].ConnectionSetup <= pts[i-1].ConnectionSetup {
+		if conn <= prevConn {
 			t.Fatalf("static conn setup not growing with N")
 		}
 	}
 	// Registration is independent of job size.
-	if d := pctDiff(pts[0].MemoryReg, pts[len(pts)-1].MemoryReg); d > 1 {
+	_, _, first, _ := fig1(pts[0])
+	_, _, last, _ := fig1(pts[len(pts)-1])
+	if d := pctDiff(first, last); d > 1 {
 		t.Fatalf("memory registration should be constant: %.1f%% drift", d)
 	}
 }

@@ -24,65 +24,6 @@ func startupJob(mode gasnet.Mode, np, ppn int, oc obs.Config) (*cluster.Result, 
 	}, func(c *shmem.Ctx) {})
 }
 
-// BreakdownPoint is one bar of Figure 1 / Figure 5(b) (seconds).
-type BreakdownPoint struct {
-	N               int
-	ConnectionSetup float64
-	PMIExchange     float64
-	MemoryReg       float64
-	SharedMemSetup  float64
-	Other           float64
-	Total           float64
-}
-
-// InitBreakdown reproduces Figure 1 (mode == Static) and Figure 5(b)
-// (mode == OnDemand): the per-phase breakdown of start_pes averaged over
-// PEs, versus job size, at the paper's 16 processes per node.
-func InitBreakdown(mode gasnet.Mode, sizes []int, ppn int) ([]BreakdownPoint, error) {
-	var out []BreakdownPoint
-	for _, n := range sizes {
-		res, err := startupJob(mode, n, ppn, obs.Config{})
-		if err != nil {
-			return nil, err
-		}
-		var b shmem.InitBreakdown
-		for _, p := range res.PEs {
-			b.ConnectionSetup += p.Breakdown.ConnectionSetup
-			b.PMIExchange += p.Breakdown.PMIExchange
-			b.MemoryReg += p.Breakdown.MemoryReg
-			b.SharedMemSetup += p.Breakdown.SharedMemSetup
-			b.Other += p.Breakdown.Other
-			b.Total += p.Breakdown.Total
-		}
-		d := float64(n) * 1e9
-		out = append(out, BreakdownPoint{
-			N:               n,
-			ConnectionSetup: float64(b.ConnectionSetup) / d,
-			PMIExchange:     float64(b.PMIExchange) / d,
-			MemoryReg:       float64(b.MemoryReg) / d,
-			SharedMemSetup:  float64(b.SharedMemSetup) / d,
-			Other:           float64(b.Other) / d,
-			Total:           float64(b.Total) / d,
-		})
-	}
-	return out, nil
-}
-
-// BreakdownTable renders breakdown points.
-func BreakdownTable(title string, pts []BreakdownPoint) *Table {
-	t := &Table{
-		Title:   title,
-		Headers: []string{"nprocs", "conn-setup(s)", "pmi(s)", "memreg(s)", "shmem(s)", "other(s)", "total(s)"},
-	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.N), f3(p.ConnectionSetup), f3(p.PMIExchange),
-			f3(p.MemoryReg), f3(p.SharedMemSetup), f3(p.Other), f3(p.Total),
-		})
-	}
-	return t
-}
-
 // StartupPoint is one x of Figure 5(a) (seconds; zero when not measured).
 type StartupPoint struct {
 	N             int

@@ -148,12 +148,12 @@ type TraceEvent struct {
 
 // PEResult is one PE's outcome.
 type PEResult struct {
-	Rank      int
-	Breakdown shmem.InitBreakdown
-	InitVT    int64 // start_pes duration (virtual ns)
-	FinalVT   int64 // clock when the PE finished Finalize
-	Stats     gasnet.Stats
-	Peers     int // distinct communicating peers, excluding self
+	Rank    int
+	Phases  shmem.Phases // start_pes duration per startup phase (virtual ns)
+	InitVT  int64        // start_pes duration (virtual ns)
+	FinalVT int64        // clock when the PE finished Finalize
+	Stats   gasnet.Stats
+	Peers   int // distinct communicating peers, excluding self
 
 	// ExitCode is the PE's simulated process exit status: 0 on success,
 	// 137 crashed, 134 wedged (killed by the launcher), 124 watchdog,
@@ -204,6 +204,18 @@ type Result struct {
 	Aborted     bool
 	AbortReason string
 	Dump        string
+}
+
+// PhaseTotals sums each startup phase over the PEs and finds its longest
+// single-PE duration (virtual ns).
+func (r *Result) PhaseTotals() (sum, worst shmem.Phases) {
+	for _, p := range r.PEs {
+		for i, d := range p.Phases {
+			sum[i] += d
+			worst[i] = max(worst[i], d)
+		}
+	}
+	return sum, worst
 }
 
 // avg is the per-PE mean of one PEResult quantity.
@@ -550,13 +562,13 @@ func (j *job) runPE(env shmem.Env) {
 		}
 	}
 	j.res.PEs[rank] = PEResult{
-		Rank:      rank,
-		Breakdown: ctx.Breakdown(),
-		InitVT:    ctx.InitTime(),
-		FinalVT:   clk.Now(),
-		Stats:     stats,
-		Peers:     stats.PeersContacted,
-		ExitCode:  exit,
+		Rank:     rank,
+		Phases:   ctx.Phases(),
+		InitVT:   ctx.Phases().Total(),
+		FinalVT:  clk.Now(),
+		Stats:    stats,
+		Peers:    stats.PeersContacted,
+		ExitCode: exit,
 	}
 }
 
@@ -594,8 +606,8 @@ func (j *job) peDied(rank int, clk *vclock.Clock, ctx *shmem.Ctx, p any) {
 	if controlled {
 		pr := PEResult{Rank: rank, ExitCode: code, FinalVT: clk.Now()}
 		if ctx != nil {
-			pr.Breakdown = ctx.Breakdown()
-			pr.InitVT = ctx.InitTime()
+			pr.Phases = ctx.Phases()
+			pr.InitVT = pr.Phases.Total()
 			pr.Stats = ctx.Stats()
 		}
 		j.res.PEs[rank] = pr

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"goshmem/internal/gasnet"
@@ -62,7 +63,9 @@ func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 // connection modes: per PE, the recorded startup phases are contiguous,
 // start at the PE's init start, and their durations sum exactly to the
 // reported init virtual time. The phase name sequence must also be
-// identical across modes so breakdown tables stay aligned.
+// identical across modes so breakdown tables stay aligned. The always-on
+// per-PE durations (PEResult.Phases) are the same phases, and with the obs
+// plane off they are unchanged and still tile the init time.
 func TestStartupPhasesSumToInitVT(t *testing.T) {
 	nameSets := map[string][]string{}
 	for _, mode := range []gasnet.Mode{gasnet.OnDemand, gasnet.Static} {
@@ -84,7 +87,7 @@ func TestStartupPhasesSumToInitVT(t *testing.T) {
 			}
 			var sum int64
 			prevEnd := pp.Phases[0].Start
-			for _, ph := range pp.Phases {
+			for i, ph := range pp.Phases {
 				if ph.Start != prevEnd {
 					t.Errorf("%v: PE %d phase %q starts at %d, want %d (phases must tile)",
 						mode, pp.Rank, ph.Name, ph.Start, prevEnd)
@@ -94,6 +97,9 @@ func TestStartupPhasesSumToInitVT(t *testing.T) {
 				}
 				prevEnd = ph.End
 				sum += ph.Dur()
+				if i >= len(shmem.PhaseNames) || ph.Name != shmem.PhaseNames[i] || ph.Dur() != res.PEs[pp.Rank].Phases[i] {
+					t.Errorf("%v: PE %d phase %d %q (%d ns) is not PEResult.Phases' %v", mode, pp.Rank, i, ph.Name, ph.Dur(), res.PEs[pp.Rank].Phases)
+				}
 				if pp.Rank == 0 {
 					names = append(names, ph.Name)
 				}
@@ -103,6 +109,19 @@ func TestStartupPhasesSumToInitVT(t *testing.T) {
 			}
 		}
 		nameSets[mode.String()] = names
+
+		off, err := Run(Config{NP: 8, PPN: 4, Mode: mode, HeapSize: 1 << 16}, func(c *shmem.Ctx) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range off.PEs {
+			if p.Phases.Total() != p.InitVT || p.InitVT <= 0 || slices.ContainsFunc(p.Phases[:], func(d int64) bool { return d < 0 }) {
+				t.Errorf("%v, obs off: PE %d phases %v do not tile init VT %d", mode, p.Rank, p.Phases, p.InitVT)
+			}
+			if p.Phases != res.PEs[p.Rank].Phases {
+				t.Errorf("%v: PE %d phases obs off %v != obs on %v", mode, p.Rank, p.Phases, res.PEs[p.Rank].Phases)
+			}
+		}
 	}
 	if !reflect.DeepEqual(nameSets["static"], nameSets["on-demand"]) {
 		t.Errorf("phase name sequences differ across modes: static=%v on-demand=%v",

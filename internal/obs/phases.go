@@ -58,30 +58,3 @@ func (pl *Plane) StartupPhases() []PEPhases {
 	}
 	return out
 }
-
-// PhaseTotals aggregates phase durations across PEs: names holds each
-// phase name in first-seen order, sums the per-name total virtual ns
-// across all PEs, and maxes the largest single-PE total per name.
-func PhaseTotals(pes []PEPhases) (names []string, sums, maxes map[string]int64) {
-	sums = make(map[string]int64)
-	maxes = make(map[string]int64)
-	perPE := make(map[string]int64)
-	for _, pp := range pes {
-		for k := range perPE {
-			delete(perPE, k)
-		}
-		for _, ph := range pp.Phases {
-			if _, ok := sums[ph.Name]; !ok {
-				names = append(names, ph.Name)
-			}
-			sums[ph.Name] += ph.Dur()
-			perPE[ph.Name] += ph.Dur()
-		}
-		for name, d := range perPE {
-			if d > maxes[name] {
-				maxes[name] = d
-			}
-		}
-	}
-	return names, sums, maxes
-}

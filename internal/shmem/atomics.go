@@ -11,15 +11,19 @@ import (
 	"goshmem/internal/obs"
 )
 
-// atomicSpan closes an atomic op's observability span and feeds the latency
-// histogram.
-func (c *Ctx) atomicSpan(kind string, pe int, start int64) {
-	if !c.obs.Active() {
-		return
+// atomicDone finishes an atomic op begun at start: it panics on err, else
+// closes the op's observability span, feeds the latency histogram and
+// returns the previous value.
+func (c *Ctx) atomicDone(kind string, pe int, start int64, old uint64, err error) int64 {
+	if err != nil {
+		panic(fmt.Errorf("shmem: %s on pe %d: %w", kind, pe, err))
 	}
-	end := c.clk.Now()
-	c.obs.Span(start, end, obs.LayerShmem, kind, pe, 8)
-	c.hAtomic.Record(end - start)
+	if c.obs.Active() {
+		end := c.clk.Now()
+		c.obs.Span(start, end, obs.LayerShmem, kind, pe, 8)
+		c.hAtomic.Record(end - start)
+	}
+	return int64(old)
 }
 
 // FetchAddInt64 atomically adds delta to the int64 at addr on pe and returns
@@ -27,15 +31,11 @@ func (c *Ctx) atomicSpan(kind string, pe int, start int64) {
 func (c *Ctx) FetchAddInt64(addr SymAddr, delta int64, pe int) int64 {
 	start := c.clk.Now()
 	raddr, rkey, err := c.remoteAddr(pe, addr, 8)
-	if err != nil {
-		panic(fmt.Errorf("shmem: fadd on pe %d: %w", pe, err))
+	var old uint64
+	if err == nil {
+		old, err = c.conduit.FetchAdd(pe, raddr, rkey, uint64(delta))
 	}
-	old, err := c.conduit.FetchAdd(pe, raddr, rkey, uint64(delta))
-	if err != nil {
-		panic(fmt.Errorf("shmem: fadd on pe %d: %w", pe, err))
-	}
-	c.atomicSpan("fadd", pe, start)
-	return int64(old)
+	return c.atomicDone("fadd", pe, start, old, err)
 }
 
 // FetchIncInt64 atomically increments and returns the previous value
@@ -59,15 +59,11 @@ func (c *Ctx) IncInt64(addr SymAddr, pe int) {
 func (c *Ctx) SwapInt64(addr SymAddr, value int64, pe int) int64 {
 	start := c.clk.Now()
 	raddr, rkey, err := c.remoteAddr(pe, addr, 8)
-	if err != nil {
-		panic(fmt.Errorf("shmem: swap on pe %d: %w", pe, err))
+	var old uint64
+	if err == nil {
+		old, err = c.conduit.Swap(pe, raddr, rkey, uint64(value))
 	}
-	old, err := c.conduit.Swap(pe, raddr, rkey, uint64(value))
-	if err != nil {
-		panic(fmt.Errorf("shmem: swap on pe %d: %w", pe, err))
-	}
-	c.atomicSpan("swap", pe, start)
-	return int64(old)
+	return c.atomicDone("swap", pe, start, old, err)
 }
 
 // CompareSwapInt64 atomically stores value if the current value equals cond,
@@ -75,13 +71,9 @@ func (c *Ctx) SwapInt64(addr SymAddr, value int64, pe int) int64 {
 func (c *Ctx) CompareSwapInt64(addr SymAddr, cond, value int64, pe int) int64 {
 	start := c.clk.Now()
 	raddr, rkey, err := c.remoteAddr(pe, addr, 8)
-	if err != nil {
-		panic(fmt.Errorf("shmem: cswap on pe %d: %w", pe, err))
+	var old uint64
+	if err == nil {
+		old, err = c.conduit.CompareSwap(pe, raddr, rkey, uint64(cond), uint64(value))
 	}
-	old, err := c.conduit.CompareSwap(pe, raddr, rkey, uint64(cond), uint64(value))
-	if err != nil {
-		panic(fmt.Errorf("shmem: cswap on pe %d: %w", pe, err))
-	}
-	c.atomicSpan("cswap", pe, start)
-	return int64(old)
+	return c.atomicDone("cswap", pe, start, old, err)
 }

@@ -40,19 +40,18 @@ type Env struct {
 //	           barrier. Connections and segment exchange are deferred.
 func Attach(env Env, opts Options) *Ctx {
 	c := newCtx(env, opts)
-	last := c.startVT
-	// mark closes one initialization phase: it charges the elapsed region to
-	// the legacy breakdown bucket AND records it as a named startup phase, so
-	// the phases tile [startVT, now] exactly (the phase-sum invariant).
-	mark := func(bucket *int64, phase string) {
+	last := c.clk.Now()
+	// mark closes one startup phase and hands it to the obs plane, so the
+	// phases tile start_pes exactly (the phase-sum invariant).
+	mark := func(ph int) {
 		now := c.clk.Now()
-		*bucket += now - last
-		c.obs.InitPhase(phase, last, now)
+		c.phases[ph] = now - last
+		c.obs.InitPhase(PhaseNames[ph], last, now)
 		last = now
 	}
 
 	c.startConduit(env)
-	mark(&c.breakdown.Other, "qp-setup")
+	mark(PhaseQPSetup)
 
 	// --- PMI exchange of UD endpoint info ---
 	if err := c.conduit.ExchangeEndpoints(); err != nil {
@@ -61,15 +60,15 @@ func Attach(env Env, opts Options) *Ctx {
 		// panic path GlobalExit uses so the launcher classifies the code.
 		panic(fmt.Errorf("shmem: endpoint exchange: %w", err))
 	}
-	mark(&c.breakdown.PMIExchange, "pmi-exchange")
+	mark(PhasePMIExchange)
 
 	c.registerHeap()
-	mark(&c.breakdown.MemoryReg, "mem-reg")
+	mark(PhaseMemReg)
 
 	// --- Shared-memory (intra-node) setup ---
 	c.clk.Advance(c.model.SharedMemSetup)
 	c.conduit.IntraNodeBarrier()
-	mark(&c.breakdown.SharedMemSetup, "shared-mem")
+	mark(PhaseSharedMem)
 
 	c.conduit.SetReady()
 
@@ -90,12 +89,12 @@ func Attach(env Env, opts Options) *Ctx {
 		// forces O(log P) connections right here.
 		c.BarrierAll()
 	}
-	mark(&c.breakdown.ConnectionSetup, "conn-setup")
+	mark(PhaseConnSetup)
 	if eager {
 		c.broadcastSegs()
 		c.BarrierAll() // the current design's global synchronization
 	}
-	mark(&c.breakdown.ConnectionSetup, "rkey-exchange")
+	mark(PhaseRkeyExchange)
 
 	// --- Remaining constant setup ---
 	c.clk.Advance(c.model.InitOther)
@@ -104,9 +103,7 @@ func Attach(env Env, opts Options) *Ctx {
 	} else {
 		c.conduit.IntraNodeBarrier() // paper section IV-E replacement
 	}
-	mark(&c.breakdown.Other, "other")
-
-	c.breakdown.Total = c.clk.Now() - c.startVT
+	mark(PhaseOther)
 	return c
 }
 
@@ -145,7 +142,6 @@ func newCtx(env Env, opts Options) *Ctx {
 	c.hBarrier = c.obs.Hist("shmem.barrier_ns")
 	c.hColl = c.obs.Hist("shmem.collective_ns")
 	env.PMI.SetObs(c.obs)
-	c.startVT = c.clk.Now()
 	return c
 }
 
@@ -206,9 +202,6 @@ func (c *Ctx) registerHeap() {
 	c.setOwnSeg()
 	c.obs.Emit(c.clk.Now(), obs.LayerIB, "mr-register", -1, int64(c.opts.HeapSize))
 }
-
-// InitTime returns the virtual duration of start_pes.
-func (c *Ctx) InitTime() int64 { return c.breakdown.Total }
 
 // Finalize synchronizes all PEs for teardown. Even the on-demand design
 // needs a true global barrier here (the paper notes Hello World still pays

@@ -25,7 +25,7 @@ func TestBlockingPMIOnDemandCorrect(t *testing.T) {
 			}
 		})
 	// Blocking PMI pays the fence at init.
-	if res.PEs[0].Breakdown.PMIExchange == 0 {
+	if res.PEs[0].Phases[shmem.PhasePMIExchange] == 0 {
 		t.Fatal("blocking PMI should show fence time in the breakdown")
 	}
 }
@@ -40,7 +40,7 @@ func TestGlobalInitBarriersOnDemandCorrect(t *testing.T) {
 		})
 	// The global barrier during init forces connections before the app ran.
 	for _, p := range res.PEs {
-		if p.Breakdown.ConnectionSetup == 0 {
+		if p.Phases.Fig1()[0] == 0 {
 			t.Fatal("global init barrier should surface connection time")
 		}
 	}

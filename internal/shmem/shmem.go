@@ -77,15 +77,38 @@ type Options struct {
 	Heartbeat gasnet.HeartbeatConfig
 }
 
-// InitBreakdown is the per-phase virtual time spent in start_pes, matching
-// the buckets of the paper's Figure 1 / Figure 5(b).
-type InitBreakdown struct {
-	PMIExchange     int64
-	MemoryReg       int64
-	SharedMemSetup  int64
-	ConnectionSetup int64
-	Other           int64
-	Total           int64
+// The startup phases: the named slices of start_pes. Attach closes each once,
+// in this order, so their durations tile the init interval exactly.
+const (
+	PhaseQPSetup = iota
+	PhasePMIExchange
+	PhaseMemReg
+	PhaseSharedMem
+	PhaseConnSetup
+	PhaseRkeyExchange
+	PhaseOther
+)
+
+// PhaseNames are the phases' obs.InitPhase names.
+var PhaseNames = [...]string{"qp-setup", "pmi-exchange", "mem-reg", "shared-mem", "conn-setup", "rkey-exchange", "other"}
+
+// Phases is the virtual time (ns) start_pes spent in each phase.
+type Phases [len(PhaseNames)]int64
+
+// Total is the whole start_pes interval, which the phases tile.
+func (p Phases) Total() (t int64) {
+	for _, d := range p {
+		t += d
+	}
+	return t
+}
+
+// Fig1 folds the phases into the buckets of the paper's Figure 1 / 5(b):
+// connection setup, PMI exchange, memory registration, shared-memory setup
+// and other.
+func (p Phases) Fig1() [5]int64 {
+	return [5]int64{p[PhaseConnSetup] + p[PhaseRkeyExchange], p[PhasePMIExchange],
+		p[PhaseMemReg], p[PhaseSharedMem], p[PhaseQPSetup] + p[PhaseOther]}
 }
 
 // AM handler identifiers used by the runtime (the mini-MPI built on the same
@@ -128,8 +151,7 @@ type Ctx struct {
 	watchCond *vclock.Cond
 	lastWrite int64
 
-	breakdown InitBreakdown
-	startVT   int64
+	phases    Phases
 	finalized bool
 }
 
@@ -146,8 +168,8 @@ func (c *Ctx) Clock() *vclock.Clock { return c.clk }
 // hybrid programs — the unified-runtime model of MVAPICH2-X).
 func (c *Ctx) Conduit() *gasnet.Conduit { return c.conduit }
 
-// Breakdown returns the start_pes phase breakdown.
-func (c *Ctx) Breakdown() InitBreakdown { return c.breakdown }
+// Phases returns start_pes' duration per phase.
+func (c *Ctx) Phases() Phases { return c.phases }
 
 // HeapBase returns the local symmetric heap's registered base address.
 func (c *Ctx) HeapBase() uint64 { return c.mr.Base() }

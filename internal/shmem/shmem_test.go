@@ -436,31 +436,30 @@ func TestSegExchangeStrategies(t *testing.T) {
 	}
 }
 
-func TestInitBreakdownShapes(t *testing.T) {
+func TestStartupPhaseShapes(t *testing.T) {
 	const n = 16
 	static := run(t, cluster.Config{NP: n, PPN: 4, Mode: gasnet.Static}, func(c *shmem.Ctx) {})
 	ondemand := run(t, cluster.Config{NP: n, PPN: 4, Mode: gasnet.OnDemand}, func(c *shmem.Ctx) {})
 
-	sb := static.PEs[0].Breakdown
-	ob := ondemand.PEs[0].Breakdown
-	if sb.ConnectionSetup <= 0 {
+	// Figure 1's buckets: conn, pmi, memreg, shmem, other.
+	sb := static.PEs[0].Phases.Fig1()
+	ob := ondemand.PEs[0].Phases.Fig1()
+	if sb[0] <= 0 {
 		t.Error("static init should spend time in connection setup")
 	}
-	if ob.ConnectionSetup >= sb.ConnectionSetup/4 {
-		t.Errorf("on-demand connection setup should be near zero: %d vs static %d",
-			ob.ConnectionSetup, sb.ConnectionSetup)
+	if ob[0] >= sb[0]/4 {
+		t.Errorf("on-demand connection setup should be near zero: %d vs static %d", ob[0], sb[0])
 	}
-	if ob.PMIExchange >= sb.PMIExchange/2 {
-		t.Errorf("non-blocking PMI exchange should be much cheaper: %d vs %d",
-			ob.PMIExchange, sb.PMIExchange)
+	if ob[1] >= sb[1]/2 {
+		t.Errorf("non-blocking PMI exchange should be much cheaper: %d vs %d", ob[1], sb[1])
 	}
 	if ondemand.InitAvg >= static.InitAvg {
 		t.Errorf("on-demand init (%d) should beat static (%d)", ondemand.InitAvg, static.InitAvg)
 	}
 	// Buckets sum to the total.
-	total := sb.PMIExchange + sb.MemoryReg + sb.SharedMemSetup + sb.ConnectionSetup + sb.Other
-	if total != sb.Total {
-		t.Errorf("breakdown buckets %d != total %d", total, sb.Total)
+	total := sb[0] + sb[1] + sb[2] + sb[3] + sb[4]
+	if total != static.PEs[0].InitVT {
+		t.Errorf("breakdown buckets %d != init VT %d", total, static.PEs[0].InitVT)
 	}
 }
 
