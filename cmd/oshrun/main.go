@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 		pprof.StopCPUProfile() // no-op unless startProfile started one
 		if err == nil {
-			err = o.write(res, cpu, stdout, stderr)
+			err = o.write(res, cpu, stdout)
 		}
 		if err == nil {
 			return exitCode(o, res)
@@ -296,6 +296,9 @@ func (o *options) job() (kernel, error) {
 		Footprint: wantFootprint,
 		Incidents: o.incidents || (o.json && anyFaults),
 	}
+	if o.traceOut != "" {
+		cfg.Obs.RingCap = -1 // the exported trace is complete: no ring drops an event
+	}
 	return k, nil
 }
 
@@ -477,7 +480,7 @@ func (o *options) startProfile() (*bytes.Buffer, error) {
 
 // write emits what the flags asked of a finished job: the profile, trace and
 // time-series artifacts, then the report on stdout, JSON or text.
-func (o *options) write(res *cluster.Result, cpu *bytes.Buffer, stdout, stderr io.Writer) error {
+func (o *options) write(res *cluster.Result, cpu *bytes.Buffer, stdout io.Writer) error {
 	if o.profileOut != "" {
 		profile := func(name string, write func(w io.Writer) error) error {
 			return writeFile(filepath.Join(o.profileOut, name+".pprof"), name+".pprof", write)
@@ -496,9 +499,6 @@ func (o *options) write(res *cluster.Result, cpu *bytes.Buffer, stdout, stderr i
 	if o.traceOut != "" {
 		if err := writeFile(o.traceOut, "trace", res.Obs.WritePerfetto); err != nil {
 			return err
-		}
-		if n := res.Obs.Dropped(); n > 0 {
-			fmt.Fprintf(stderr, "oshrun: warning: %d events dropped to ring overflow; rerun with a larger ring\n", n)
 		}
 	}
 	if o.timeseriesOut != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"regexp"
 	"strings"
 	"testing"
@@ -192,6 +193,32 @@ func TestParsePEFaultsErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "wedge-pe") {
 			t.Errorf("spec %q: error %q does not name the flag", tc.spec, err)
+		}
+	}
+}
+
+// TestTraceOutUnboundedRing: -trace-out records into unbounded rings, so the
+// file it writes holds every event; -trace alone keeps the default ring.
+func TestTraceOutUnboundedRing(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		events bool
+		ring   int
+	}{
+		{[]string{"-trace-out", "t.json"}, true, -1},
+		{[]string{"-trace", "30", "-trace-out", "t.json"}, true, -1},
+		{[]string{"-trace", "30"}, true, 0},
+		{nil, false, 0},
+	} {
+		o, err := parseFlags(tc.args, io.Discard)
+		if err == nil {
+			_, err = o.job()
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if got := o.cfg.Obs; got.RingCap != tc.ring || got.Events != tc.events {
+			t.Errorf("%q: RingCap %d Events %v, want %d %v", tc.args, got.RingCap, got.Events, tc.ring, tc.events)
 		}
 	}
 }

@@ -36,9 +36,6 @@ func runTwice(t *testing.T, cfg Config, app func(*shmem.Ctx)) (a, b *Result) {
 func firstDivergence(a, b *Result) string {
 	ea, eb := a.Obs.Events(), b.Obs.Events()
 	for _, evs := range [][]obs.Event{ea, eb} {
-		for i := range evs {
-			evs[i].Wall = 0 // wall-clock stamps differ by construction
-		}
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].VT+evs[i].Dur < evs[j].VT+evs[j].Dur })
 	}
 	n := len(ea)

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -32,11 +35,12 @@ func ringApp(iters, blockSize int) func(c *shmem.Ctx) {
 }
 
 // TestTraceByteIdenticalAcrossRuns extends the determinism invariant to the
-// observability plane: the connection-lifecycle trace of two identical runs
-// must be byte-identical, even though goroutine scheduling differs between
-// the runs. This is what the secondary sort keys in obs.SortEvents buy —
-// with VT-only ordering, same-timestamp events from different PEs would
-// serialize in schedule-dependent order.
+// observability plane: the connection-lifecycle trace and the full Perfetto
+// export (events and gauges) of two identical runs must be byte-identical,
+// and valid JSON, even though goroutine scheduling differs between the runs.
+// This is what the secondary sort keys of obs.Plane.Events buy — with
+// VT-only ordering, same-timestamp events from different PEs would serialize
+// in schedule-dependent order.
 func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 	for _, mode := range []gasnet.Mode{gasnet.OnDemand, gasnet.Static} {
 		// Odd np, as in TestFlowTelemetryByteIdentical: at even np the
@@ -48,6 +52,7 @@ func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 		// demand is causally ordered behind the first establishment.
 		a, b := runTwice(t, Config{
 			NP: 9, PPN: 3, Mode: mode, HeapSize: 1 << 16, Trace: true,
+			Obs: obs.Config{Events: true, Gauges: true},
 		}, ringApp(3, 512))
 		if len(a.Trace) == 0 {
 			t.Fatalf("%v: empty trace", mode)
@@ -55,6 +60,14 @@ func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 		if !reflect.DeepEqual(a.Trace, b.Trace) {
 			t.Errorf("%v: traces differ across identical runs (len %d vs %d)\n%s",
 				mode, len(a.Trace), len(b.Trace), firstDivergence(a, b))
+		}
+		var pa, pb bytes.Buffer
+		if err := errors.Join(a.Obs.WritePerfetto(&pa), b.Obs.WritePerfetto(&pb)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pa.Bytes(), pb.Bytes()) || !json.Valid(pa.Bytes()) {
+			t.Errorf("%v: Perfetto exports differ across identical runs or are not JSON (%d vs %d bytes)\n%s",
+				mode, pa.Len(), pb.Len(), firstDivergence(a, b))
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // The design splits responsibilities three ways:
 //
 //   - Events are point ("i") or span ("X") records carrying
-//     {vt, wallns, rank, layer, kind, peer, bytes, attrs}. Each PE owns a
+//     {vt, rank, layer, kind, peer, bytes, dur, attrs}. Each PE owns a
 //     private ring buffer so recording never contends across PEs; the
 //     job-level Plane merges and deterministically orders them on demand.
 //   - Metrics are typed values — monotonic counters and HDR-style latency
@@ -19,17 +19,16 @@
 // stay unconditional. The overhead of that path is benchmarked (see
 // nop_bench_test.go and the cluster-level overhead guard).
 //
-// Timestamps: the primary timestamp of every event is virtual time (VT,
-// nanoseconds on the PE's vclock). Wall-clock nanoseconds since plane
-// creation are recorded alongside for debugging real-schedule effects, but
-// deterministic outputs (traces, the Perfetto export, reports) are derived
-// from VT only.
+// Timestamps: the only timestamp of an event is virtual time (VT,
+// nanoseconds on the PE's vclock), so every output derived from events
+// (traces, the Perfetto export, reports) is a function of VT alone.
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
-	"time"
 )
 
 // Layer names used across the codebase. They double as Perfetto thread
@@ -54,7 +53,6 @@ type Attr struct {
 // event has no remote party.
 type Event struct {
 	VT    int64  // virtual time (ns) at which the event begins
-	Wall  int64  // wall-clock ns since plane creation (non-deterministic)
 	Rank  int    // PE that recorded the event
 	Layer string // one of the Layer* constants
 	Kind  string // event kind, e.g. "conn-initiate", "put", "init:pmi-exchange"
@@ -111,7 +109,6 @@ type Plane struct {
 	ledger *Ledger
 	census *Census
 	pes    []*PE
-	start  time.Time
 }
 
 // NewPlane creates a plane for np PEs. If cfg disables both events and
@@ -121,7 +118,7 @@ func NewPlane(np int, cfg Config) *Plane {
 	if cfg.RingCap == 0 {
 		cfg.RingCap = DefaultRingCap
 	}
-	p := &Plane{cfg: cfg, start: time.Now()}
+	p := &Plane{cfg: cfg}
 	if cfg.Metrics {
 		p.reg = NewRegistry()
 	}
@@ -192,19 +189,24 @@ func (pl *Plane) Ledger() *Ledger {
 }
 
 // Events returns all recorded events merged across PEs in deterministic
-// order: (VT, Rank, Layer, Kind, Peer, Dur, Bytes). Wall-clock is never a
-// sort key, so two runs that produce the same virtual-time event multiset
-// serialize identically.
+// order: (VT, Rank, Layer, Kind, Peer, Dur, Bytes), ties in recording order.
+// Two runs that produce the same virtual-time event multiset, recorded in
+// the same order per PE, serialize identically.
 func (pl *Plane) Events() []Event {
 	if pl == nil {
 		return nil
 	}
-	var all []Event
+	n := 0
 	for _, pe := range pl.pes {
-		all = append(all, pe.snapshot()...)
+		pe.mu.Lock()
+		n += len(pe.ring)
+		pe.mu.Unlock()
 	}
-	SortEvents(all)
-	return all
+	all := make([]Event, 0, n)
+	for _, pe := range pl.pes {
+		all = pe.appendEvents(all)
+	}
+	return sortEvents(all)
 }
 
 // Dropped returns the total number of events lost to ring overflow.
@@ -221,30 +223,35 @@ func (pl *Plane) Dropped() int64 {
 	return n
 }
 
-// SortEvents orders events by (VT, Rank, Layer, Kind, Peer, Dur, Bytes).
-func SortEvents(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := &evs[i], &evs[j]
-		if a.VT != b.VT {
-			return a.VT < b.VT
+// compareEvents orders events by (VT, Rank, Layer, Kind, Peer, Dur, Bytes).
+func compareEvents(a, b *Event) int {
+	if a.VT != b.VT {
+		return cmp.Compare(a.VT, b.VT)
+	}
+	return cmp.Or(cmp.Compare(a.Rank, b.Rank), strings.Compare(a.Layer, b.Layer), strings.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.Peer, b.Peer), cmp.Compare(a.Dur, b.Dur), cmp.Compare(a.Bytes, b.Bytes))
+}
+
+// sortEvents returns evs in compareEvents order, ties in input order. It
+// sorts (VT, index) pairs, reading an event only on a VT tie, and moves each
+// event once, where a stable sort of the events themselves moves them
+// O(n log² n) times.
+func sortEvents(evs []Event) []Event {
+	keys := make([][2]int64, len(evs))
+	for i := range evs {
+		keys[i] = [2]int64{evs[i].VT, int64(i)}
+	}
+	slices.SortFunc(keys, func(a, b [2]int64) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
 		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Peer != b.Peer {
-			return a.Peer < b.Peer
-		}
-		if a.Dur != b.Dur {
-			return a.Dur < b.Dur
-		}
-		return a.Bytes < b.Bytes
+		return cmp.Or(compareEvents(&evs[a[1]], &evs[b[1]]), cmp.Compare(a[1], b[1]))
 	})
+	out := make([]Event, len(evs))
+	for i, k := range keys {
+		out[i] = evs[k[1]]
+	}
+	return out
 }
 
 // Nop is the disabled recorder: every method on a nil *PE returns
@@ -297,7 +304,7 @@ func (p *PE) Emit(vt int64, layer, kind string, peer int, bytes int64, attrs ...
 		return
 	}
 	p.record(Event{
-		VT: vt, Wall: p.wall(), Rank: p.rank,
+		VT: vt, Rank: p.rank,
 		Layer: layer, Kind: kind, Peer: peer, Bytes: bytes, Attrs: attrs,
 	})
 }
@@ -312,7 +319,7 @@ func (p *PE) Span(startVT, endVT int64, layer, kind string, peer int, bytes int6
 		d = 0
 	}
 	p.record(Event{
-		VT: startVT, Wall: p.wall(), Rank: p.rank,
+		VT: startVT, Rank: p.rank,
 		Layer: layer, Kind: kind, Peer: peer, Bytes: bytes, Dur: d, Attrs: attrs,
 	})
 }
@@ -372,8 +379,6 @@ func (p *PE) Observe(name string, v int64) {
 	p.plane.reg.Hist(name).Record(v)
 }
 
-func (p *PE) wall() int64 { return int64(time.Since(p.plane.start)) }
-
 func (p *PE) record(e Event) {
 	p.mu.Lock()
 	limit := p.plane.cfg.RingCap
@@ -390,16 +395,9 @@ func (p *PE) record(e Event) {
 	p.mu.Unlock()
 }
 
-// snapshot returns the PE's events oldest-first.
-func (p *PE) snapshot() []Event {
+// appendEvents appends the PE's events to dst oldest-first.
+func (p *PE) appendEvents(dst []Event) []Event {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]Event, 0, len(p.ring))
-	if p.dropped > 0 {
-		out = append(out, p.ring[p.next:]...)
-		out = append(out, p.ring[:p.next]...)
-	} else {
-		out = append(out, p.ring...)
-	}
-	return out
+	return append(append(dst, p.ring[p.next:]...), p.ring[:p.next]...)
 }

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -102,7 +105,7 @@ func TestSortEventsDeterministicOrder(t *testing.T) {
 		{VT: 5, Rank: 0, Layer: LayerGasnet, Kind: "a", Peer: 1},
 		{VT: 3, Rank: 7, Layer: LayerIB, Kind: "z"},
 	}
-	SortEvents(evs)
+	evs = sortEvents(evs)
 	want := []Event{
 		{VT: 3, Rank: 7, Layer: LayerIB, Kind: "z"},
 		{VT: 5, Rank: 0, Layer: LayerGasnet, Kind: "a", Peer: 1},
@@ -112,6 +115,65 @@ func TestSortEventsDeterministicOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(evs, want) {
 		t.Fatalf("sort order wrong:\n got %+v\nwant %+v", evs, want)
+	}
+}
+
+// refSortEvents is the reference Events' order must equal: a stable sort on
+// the seven keys.
+func refSortEvents(evs []Event) {
+	sort.SliceStable(evs, func(i, j int) bool {
+		a, b := &evs[i], &evs[j]
+		if a.VT != b.VT {
+			return a.VT < b.VT
+		}
+		if a.Rank != b.Rank {
+			return a.Rank < b.Rank
+		}
+		if a.Layer != b.Layer {
+			return a.Layer < b.Layer
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		if a.Peer != b.Peer {
+			return a.Peer < b.Peer
+		}
+		if a.Dur != b.Dur {
+			return a.Dur < b.Dur
+		}
+		return a.Bytes < b.Bytes
+	})
+}
+
+// TestEventsOrderMatchesStableSort: over random planes whose rings overflow
+// and whose events tie on every key (told apart by an attr), Events returns
+// exactly what a stable sort of the rings' oldest-first concatenation does.
+func TestEventsOrderMatchesStableSort(t *testing.T) {
+	layers := []string{LayerShmem, LayerGasnet, LayerIB, "app"}
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		np, ringCap := 1+r.Intn(5), 8+r.Intn(64)
+		pl := NewPlane(np, Config{Events: true, RingCap: ringCap})
+		kept := make([][]Event, np) // what each ring holds, oldest first
+		for i := 0; i < 40*ringCap; i++ {
+			rank := r.Intn(np)
+			e := Event{VT: int64(r.Intn(8)) * 100, Rank: rank, Layer: layers[r.Intn(len(layers))],
+				Kind: []string{"a", "b"}[r.Intn(2)], Peer: r.Intn(3) - 1, Bytes: int64(r.Intn(2)) * 8,
+				Dur: int64(r.Intn(2)) * 50, Attrs: []Attr{{Key: "i", Val: strconv.Itoa(i)}}}
+			pl.PE(rank).Span(e.VT, e.VT+e.Dur, e.Layer, e.Kind, e.Peer, e.Bytes, e.Attrs...)
+			kept[rank] = append(kept[rank], e)
+			if len(kept[rank]) > ringCap {
+				kept[rank] = kept[rank][1:]
+			}
+		}
+		var want []Event
+		for _, k := range kept {
+			want = append(want, k...)
+		}
+		refSortEvents(want)
+		if got := pl.Events(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Events differs from the stable sort (%d vs %d events)", seed, len(got), len(want))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -18,8 +19,8 @@ import (
 //
 // Determinism: timestamps are virtual time (µs with ns precision), never
 // wall clock, and the JSON is emitted field-by-field in a fixed order from
-// events pre-sorted by SortEvents — so byte-identical event multisets
-// produce byte-identical files. The golden-file test pins this down.
+// events in Events order — so byte-identical event multisets
+// produce byte-identical files. Two golden-file tests pin this down.
 
 // perfettoTID maps a layer to a stable thread id within each PE process.
 var perfettoTID = map[string]int{
@@ -42,38 +43,30 @@ const (
 	perfettoConnTIDBase = 16 // tid = base + peer
 )
 
-// WritePerfetto writes the plane's merged events as a Perfetto-loadable
-// Chrome trace, including counter tracks for any recorded gauges and spans
-// for any ledgered incidents.
-func (pl *Plane) WritePerfetto(w io.Writer) error {
-	if pl == nil {
-		return WriteTraceEvents(w, nil, 0)
-	}
-	return WriteTraceEventsFull(w, pl.Events(), len(pl.pes),
-		pl.gauges.Series(DefaultGaugeTick), pl.ledger.Snapshot())
-}
-
-// WriteTraceEvents writes events (already in deterministic order — callers
-// should use SortEvents) as Chrome trace-event JSON. np sizes the process
-// metadata; ranks outside [0,np) still render, just without a name record.
-func WriteTraceEvents(w io.Writer, evs []Event, np int) error {
-	return WriteTraceEventsFull(w, evs, np, nil, nil)
-}
-
 // perfettoIncidentTID hosts incident spans inside the victim's process,
 // above the conn sub-tracks (which use tid 16+peer).
 const perfettoIncidentTID = 15
 
-// WriteTraceEventsFull is WriteTraceEvents plus gauge counter tracks ("C"
-// events) and incident spans. Per-PE gauges (inst in [0,np)) render as
-// counter tracks inside the rank's process; job- and adapter-level gauges
-// (inst == -1, or an HCA lid at/above np) render in a dedicated "job"
-// process with pid np. Incidents render as "X" spans named class/kind on a
-// per-process "incidents" thread of the victim rank (the job process for
-// rank -1), covering inject -> repair.
-func WriteTraceEventsFull(w io.Writer, evs []Event, np int, gauges []GaugeSeries, incidents []Incident) error {
-	// Synthesize the per-pair lifecycle slices (timeline.go) and merge them
-	// into the stream; SortEvents keeps the merged order deterministic.
+// WritePerfetto writes the plane's merged events as a Perfetto-loadable
+// Chrome trace, with gauge counter tracks ("C" events) and incident spans.
+// Per-PE gauges (inst in [0,np)) render as counter tracks inside the rank's
+// process; job- and adapter-level gauges (inst == -1, or an HCA lid at/above
+// np) render in a dedicated "job" process with pid np. Incidents render as
+// "X" spans named class/kind on a per-process "incidents" thread of the
+// victim rank (the job process for rank -1), covering inject -> repair.
+//
+// Past the one sort in Events, the cost is linear in the output: the
+// synthesized conn-lifecycle slices are sorted alone and merged in while
+// writing (a recorded event first on a full-key tie, where a stable sort of
+// the two streams concatenated put it), and every record is appended to one
+// reused buffer.
+func (pl *Plane) WritePerfetto(w io.Writer) error {
+	evs, np := pl.Events(), 0
+	if pl != nil {
+		np = len(pl.pes)
+	}
+	gauges, incidents := pl.Gauges().Series(DefaultGaugeTick), pl.Ledger().Snapshot()
+	// Synthesize the per-pair lifecycle slices (timeline.go).
 	tls := BuildConnTimelines(evs)
 	connPeers := make(map[int][]int) // rank -> peers with a conn track (sorted)
 	var synth []Event
@@ -91,30 +84,13 @@ func WriteTraceEventsFull(w io.Writer, evs []Event, np int, gauges []GaugeSeries
 			})
 		}
 	}
-	if len(synth) > 0 {
-		evs = append(append([]Event(nil), evs...), synth...)
-		SortEvents(evs)
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"traceEvents\":[")
-	first := true
-	sep := func() {
-		if first {
-			first = false
-		} else {
-			bw.WriteString(",\n")
-		}
-	}
+	synth = sortEvents(synth)
+	t := &traceOut{bw: bufio.NewWriterSize(w, 64<<10), b: []byte(`{"traceEvents":[`)}
 	// The "job" process (pid = np) hosts job-level gauges (inst == -1),
 	// adapter gauges (inst at/above np is an HCA lid), and incidents with no
 	// victim rank.
 	jobPID := np
-	needJob := false
-	for i := range gauges {
-		if gauges[i].Inst < 0 || gauges[i].Inst >= np {
-			needJob = true
-		}
-	}
+	needJob := slices.ContainsFunc(gauges, func(g GaugeSeries) bool { return g.Inst < 0 || g.Inst >= np })
 	incRanks := make(map[int]bool)
 	for i := range incidents {
 		r := incidents[i].Rank
@@ -125,69 +101,31 @@ func WriteTraceEventsFull(w io.Writer, evs []Event, np int, gauges []GaugeSeries
 		incRanks[r] = true
 	}
 	for rank := 0; rank < np; rank++ {
-		sep()
-		fmt.Fprintf(bw, `{"ph":"M","pid":%d,"name":"process_name","args":{"name":"PE %d"}}`, rank, rank)
+		t.meta(rank, -1, "PE "+strconv.Itoa(rank))
 		for _, layer := range []string{LayerCluster, LayerShmem, LayerMPI, LayerGasnet, LayerPMI, LayerIB} {
-			sep()
-			fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-				rank, perfettoTID[layer], strconv.Quote(layer))
+			t.meta(rank, perfettoTID[layer], layer)
 		}
 		for _, peer := range connPeers[rank] {
-			sep()
-			fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-				rank, perfettoConnTIDBase+peer, strconv.Quote(fmt.Sprintf("conn peer %d", peer)))
+			t.meta(rank, perfettoConnTIDBase+peer, "conn peer "+strconv.Itoa(peer))
 		}
 		if incRanks[rank] {
-			sep()
-			fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"incidents"}}`,
-				rank, perfettoIncidentTID)
+			t.meta(rank, perfettoIncidentTID, "incidents")
 		}
 	}
 	if needJob {
-		sep()
-		fmt.Fprintf(bw, `{"ph":"M","pid":%d,"name":"process_name","args":{"name":"job"}}`, jobPID)
+		t.meta(jobPID, -1, "job")
 		if incRanks[jobPID] {
-			sep()
-			fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"incidents"}}`,
-				jobPID, perfettoIncidentTID)
+			t.meta(jobPID, perfettoIncidentTID, "incidents")
 		}
 	}
-	for i := range evs {
-		e := &evs[i]
-		tid, ok := perfettoTID[e.Layer]
-		if e.Layer == layerConn && e.Peer >= 0 {
-			tid = perfettoConnTIDBase + e.Peer
-		} else if !ok {
-			tid = perfettoOtherTID
-		}
-		sep()
-		if e.Dur > 0 {
-			fmt.Fprintf(bw, `{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":%s`,
-				e.Rank, tid, usec(e.VT), usec(e.Dur), strconv.Quote(e.Kind))
+	for i, j := 0, 0; i < len(evs) || j < len(synth); {
+		if j == len(synth) || i < len(evs) && compareEvents(&evs[i], &synth[j]) <= 0 {
+			t.event(&evs[i])
+			i++
 		} else {
-			fmt.Fprintf(bw, `{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%s,"name":%s`,
-				e.Rank, tid, usec(e.VT), strconv.Quote(e.Kind))
+			t.event(&synth[j])
+			j++
 		}
-		bw.WriteString(`,"args":{`)
-		argFirst := true
-		arg := func(k, v string) {
-			if argFirst {
-				argFirst = false
-			} else {
-				bw.WriteString(",")
-			}
-			fmt.Fprintf(bw, "%s:%s", strconv.Quote(k), v)
-		}
-		if e.Peer >= 0 {
-			arg("peer", strconv.Itoa(e.Peer))
-		}
-		if e.Bytes > 0 {
-			arg("bytes", strconv.FormatInt(e.Bytes, 10))
-		}
-		for _, a := range e.Attrs {
-			arg(a.Key, strconv.Quote(a.Val))
-		}
-		bw.WriteString("}}")
 	}
 	for i := range gauges {
 		sr := &gauges[i]
@@ -197,12 +135,13 @@ func WriteTraceEventsFull(w io.Writer, evs []Event, np int, gauges []GaugeSeries
 		} else if sr.Inst < InstJob {
 			// Adapter gauge: the instance encodes an HCA lid (InstHCA).
 			pid = jobPID
-			name = fmt.Sprintf("%s/hca%d", sr.Name, InstLID(sr.Inst))
+			name = sr.Name + "/hca" + strconv.Itoa(int(InstLID(sr.Inst)))
 		}
 		for _, p := range sr.Points {
-			sep()
-			fmt.Fprintf(bw, `{"ph":"C","pid":%d,"ts":%s,"name":%s,"args":{"value":%d}}`,
-				pid, usec(p.VT), strconv.Quote(name), p.Value)
+			t.rec()
+			t.b = strconv.AppendInt(append(t.b, `{"ph":"C","pid":`...), int64(pid), 10)
+			t.b = strconv.AppendQuote(append(appendUsec(append(t.b, `,"ts":`...), p.VT), `,"name":`...), name)
+			t.b = append(strconv.AppendInt(append(t.b, `,"args":{"value":`...), p.Value, 10), "}}"...)
 		}
 	}
 	for i := range incidents {
@@ -211,28 +150,106 @@ func WriteTraceEventsFull(w io.Writer, evs []Event, np int, gauges []GaugeSeries
 		if pid < 0 || pid >= np {
 			pid = jobPID
 		}
-		name := strconv.Quote(in.Class + "/" + in.Kind)
-		sep()
-		if in.RepairVT > in.InjectVT {
-			fmt.Fprintf(bw, `{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":%s`,
-				pid, perfettoIncidentTID, usec(in.InjectVT), usec(in.RepairVT-in.InjectVT), name)
-		} else {
-			fmt.Fprintf(bw, `{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%s,"name":%s`,
-				pid, perfettoIncidentTID, usec(in.InjectVT), name)
-		}
-		fmt.Fprintf(bw, `,"args":{"state":%s,"inst":%d}}`, strconv.Quote(in.State), in.Inst)
+		t.slice(pid, perfettoIncidentTID, in.InjectVT, in.RepairVT-in.InjectVT, in.Class+"/"+in.Kind)
+		t.b = strconv.AppendQuote(append(t.b, `,"args":{"state":`...), in.State)
+		t.b = append(strconv.AppendInt(append(t.b, `,"inst":`...), int64(in.Inst), 10), "}}"...)
 	}
-	bw.WriteString("]}\n")
-	return bw.Flush()
+	t.bw.Write(t.b)
+	t.bw.WriteString("]}\n")
+	return t.bw.Flush()
 }
 
-// usec renders a virtual-ns quantity as microseconds with nanosecond
-// precision, the unit Chrome trace events use for ts/dur.
-func usec(ns int64) string {
-	us := ns / 1000
-	frac := ns % 1000
-	if frac == 0 {
-		return strconv.FormatInt(us, 10)
+// traceOut builds each record in one reused buffer and hands it to a
+// bufio.Writer, whose sticky error Flush reports.
+type traceOut struct {
+	bw  *bufio.Writer
+	b   []byte
+	sep bool
+}
+
+// rec starts a record: it writes out the one built so far and leaves the
+// buffer holding the separator.
+func (t *traceOut) rec() {
+	t.bw.Write(t.b)
+	t.b = t.b[:0]
+	if t.sep {
+		t.b = append(t.b, ",\n"...)
 	}
-	return fmt.Sprintf("%d.%03d", us, frac)
+	t.sep = true
+}
+
+// meta writes a process_name metadata record (tid < 0) or a thread_name one.
+func (t *traceOut) meta(pid, tid int, name string) {
+	t.rec()
+	t.b = strconv.AppendInt(append(t.b, `{"ph":"M","pid":`...), int64(pid), 10)
+	what := `,"name":"process_name","args":{"name":`
+	if tid >= 0 {
+		t.b = strconv.AppendInt(append(t.b, `,"tid":`...), int64(tid), 10)
+		what = `,"name":"thread_name","args":{"name":`
+	}
+	t.b = append(strconv.AppendQuote(append(t.b, what...), name), "}}"...)
+}
+
+// slice starts a complete ("X") record when dur > 0 and an instant
+// otherwise, up to and including its name.
+func (t *traceOut) slice(pid, tid int, ts, dur int64, name string) {
+	t.rec()
+	if dur > 0 {
+		t.b = append(t.b, `{"ph":"X","pid":`...)
+	} else {
+		t.b = append(t.b, `{"ph":"i","s":"t","pid":`...)
+	}
+	t.b = strconv.AppendInt(t.b, int64(pid), 10)
+	t.b = appendUsec(append(strconv.AppendInt(append(t.b, `,"tid":`...), int64(tid), 10), `,"ts":`...), ts)
+	if dur > 0 {
+		t.b = appendUsec(append(t.b, `,"dur":`...), dur)
+	}
+	t.b = strconv.AppendQuote(append(t.b, `,"name":`...), name)
+}
+
+// event writes one event on its layer's thread (a conn sub-track for a conn
+// slice, tid 9 for an unknown layer).
+func (t *traceOut) event(e *Event) {
+	tid, ok := perfettoTID[e.Layer]
+	if e.Layer == layerConn && e.Peer >= 0 {
+		tid = perfettoConnTIDBase + e.Peer
+	} else if !ok {
+		tid = perfettoOtherTID
+	}
+	t.slice(e.Rank, tid, e.VT, e.Dur, e.Kind)
+	t.b = append(t.b, `,"args":{`...)
+	args := len(t.b)
+	if e.Peer >= 0 {
+		t.b = strconv.AppendInt(append(t.b, `"peer":`...), int64(e.Peer), 10)
+	}
+	if e.Bytes > 0 {
+		t.b = strconv.AppendInt(append(t.argSep(args), `"bytes":`...), e.Bytes, 10)
+	}
+	for _, a := range e.Attrs {
+		t.b = strconv.AppendQuote(append(strconv.AppendQuote(t.argSep(args), a.Key), ':'), a.Val)
+	}
+	t.b = append(t.b, "}}"...)
+}
+
+// argSep returns the buffer with a comma appended when an argument already
+// follows the args object's start.
+func (t *traceOut) argSep(start int) []byte {
+	if len(t.b) > start {
+		return append(t.b, ',')
+	}
+	return t.b
+}
+
+// appendUsec appends a virtual-ns quantity as microseconds with nanosecond
+// precision, the unit Chrome trace events use for ts/dur.
+func appendUsec(b []byte, ns int64) []byte {
+	us, frac := ns/1000, ns%1000
+	if frac < 0 {
+		return fmt.Appendf(b, "%d.%03d", us, frac)
+	}
+	b = strconv.AppendInt(b, us, 10)
+	if frac == 0 {
+		return b
+	}
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
