@@ -239,7 +239,9 @@ func (o *options) job() (kernel, error) {
 		checkProb("pmi-slow", o.pmiSlow), checkProb("pmi-drop", o.pmiDrop),
 		checkNonNegative("slow-time", "duration", o.slowTime), checkNonNegative("deadline", "duration", o.deadline),
 		checkNonNegative("qp-budget", budget, int64(cfg.QPBudget)), checkNonNegative("mr-budget", budget, cfg.MRBudget),
-		checkNonNegative("rq-depth", budget, int64(cfg.RQDepth)))
+		checkNonNegative("rq-depth", budget, int64(cfg.RQDepth)), checkNonNegative("qp-cap", budget, int64(cfg.MaxLiveRC)),
+		checkNonNegative("trace", "event count", int64(o.trace)),
+		checkNonNegative("memstats-every", "period (0 = off)", int64(o.memstatsEvery)))
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +282,6 @@ func (o *options) job() (kernel, error) {
 	wantMetrics := o.json || o.metrics || o.metricsAll
 	wantFootprint := o.footprint || o.memstatsEvery > 0
 	cfg.HeapSize = 8 << 20
-	cfg.Trace = o.trace > 0
 	cfg.Deadline = vt(o.deadline)
 	cfg.MemstatsEvery = time.Duration(o.memstatsEvery) * time.Millisecond
 	cfg.Obs = obs.Config{
@@ -599,6 +600,26 @@ func printGaugeTable(w io.Writer, res *cluster.Result) {
 	}
 }
 
+// isConnLifecycle selects the conduit's connection-lifecycle and failure
+// plane events out of the full gasnet-layer stream (which also carries
+// ud-send/ud-recv datagrams, connect spans and heartbeat traffic). These are
+// the events -trace prints.
+func isConnLifecycle(e obs.Event) bool {
+	if e.Layer != obs.LayerGasnet || e.Dur != 0 {
+		return false
+	}
+	if strings.HasPrefix(e.Kind, "conn-") {
+		return true
+	}
+	switch e.Kind {
+	case "pe-fail", "suspect", "suspect-clear", "confirm-dead", "abort",
+		"path-migrate", "rail-failover",
+		"partition-suspend", "partition-heal", "partition-fatal":
+		return true
+	}
+	return false
+}
+
 // printResilience prints the one unified failure/resilience table, two rows
 // abreast in the order the counters are declared; all-zero rows (and an
 // all-zero table) suppressed.
@@ -625,8 +646,14 @@ func printResilience(w io.Writer, res *cluster.Result) {
 // for an aborted job — why, the watchdog's dump and the per-PE exit codes.
 func writeText(w io.Writer, o *options, res *cluster.Result) {
 	if o.trace > 0 {
-		shown := res.Trace[:min(o.trace, len(res.Trace))]
-		fmt.Fprintf(w, "\n--- connection trace (first %d of %d events) ---\n", len(shown), len(res.Trace))
+		var trace []obs.Event
+		for _, e := range res.Obs.Events() {
+			if isConnLifecycle(e) {
+				trace = append(trace, e)
+			}
+		}
+		shown := trace[:min(o.trace, len(trace))]
+		fmt.Fprintf(w, "\n--- connection trace (first %d of %d events) ---\n", len(shown), len(trace))
 		for _, e := range shown {
 			fmt.Fprintf(w, "%12.6fs  pe %4d  %-20s peer %d\n", vclock.Seconds(e.VT), e.Rank, e.Kind, e.Peer)
 		}

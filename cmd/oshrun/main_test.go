@@ -38,6 +38,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-slow-time", "-1"}, "-slow-time wants a non-negative duration"},
 		{[]string{"-deadline", "-1"}, "-deadline wants a non-negative duration"},
 		{[]string{"-mr-budget", "-1"}, "-mr-budget wants a non-negative budget"},
+		{[]string{"-qp-cap", "-1"}, "-qp-cap wants a non-negative budget"},
+		{[]string{"-trace", "-1"}, "-trace wants a non-negative event count"},
+		{[]string{"-memstats-every", "-1"}, "-memstats-every wants a non-negative period"},
 		{[]string{"-alloc-fail", "cq:1"}, "-alloc-fail: "},
 		{[]string{"-rails", "0"}, "-rails wants at least one rail"},
 		{[]string{"-kill-pe", "3"}, "-kill-pe wants rank@seconds"},
@@ -56,14 +59,14 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-// TestRunTextReportRepeats: the text report of a fault-free job is the same
-// text on every run once the wall-clock clause is cut. (Static: at the parent
-// too, the on-demand endpoint count of this job differs in about one run of
-// ten — ROADMAP item 1.)
+// TestRunTextReportRepeats: the text report of a fault-free job, connection
+// trace included, is the same text on every run once the wall-clock clause is
+// cut. (Static: at the parent too, the on-demand endpoint count of this job
+// differs in about one run of ten — ROADMAP item 1.)
 func TestRunTextReportRepeats(t *testing.T) {
 	wall := regexp.MustCompile(`\(simulated in .* real\)`)
 	report := func() string {
-		code, stdout, stderr := oshrun("-np", "9", "-ppn", "3", "-app", "ep", "-conn", "static")
+		code, stdout, stderr := oshrun("-np", "9", "-ppn", "3", "-app", "ep", "-conn", "static", "-trace", "1000")
 		if code != 0 || stderr != "" {
 			t.Fatalf("exit %d, stderr %q", code, stderr)
 		}
@@ -75,6 +78,10 @@ func TestRunTextReportRepeats(t *testing.T) {
 	}
 	if !strings.Contains(a, "EP class S: checksum") || !strings.Contains(a, "--- job report (static, 9 PEs, 3 ppn) ---") {
 		t.Errorf("report lacks the kernel line or the job header:\n%s", a)
+	}
+	if !regexp.MustCompile(`--- connection trace \(first \d+ of \d+ events\) ---`).MatchString(a) ||
+		!strings.Contains(a, " conn-ready") {
+		t.Errorf("report lacks the connection trace or a conn-ready event:\n%s", a)
 	}
 }
 

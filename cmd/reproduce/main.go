@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	reproduce [-exp all|fig1|fig2|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|table1|ablation|phases|topology|credits|footprint] [-full] [-maxstatic N]
+//	reproduce [-exp all|fig1|fig2|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|table1|ablation|phases|credits|footprint] [-full] [-maxstatic N]
 //	reproduce -exp bench [-check] [-o FILE] [-footprint-max-np N] [-footprint-csv FILE]
 package main
 
@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, fig1, fig2, fig5a, fig5b, fig6, fig7, fig8a, fig8b, fig9, table1, ablation, phases, topology, credits, footprint), or bench for the perf trajectory")
+	exp := flag.String("exp", "all", "experiment to run (all, fig1, fig2, fig5a, fig5b, fig6, fig7, fig8a, fig8b, fig9, table1, ablation, phases, credits, footprint), or bench for the perf trajectory")
 	full := flag.Bool("full", false, "use paper-scale job sizes (slower; needs several GiB of RAM)")
 	maxStatic := flag.Int("maxstatic", 0, "largest job size for static (fully connected) sweeps; 0 = preset")
 	out := flag.String("o", "", "-exp bench: output file (default BENCH_<yyyy-mm-dd>.json)")
@@ -183,18 +183,6 @@ func main() {
 		od, err := bench.FootprintSweep(gasnet.OnDemand, sizes, ppn, 0)
 		die(err)
 		emit(bench.FootprintTable(st, od))
-	}
-	if want("topology") {
-		// Flow-telemetry reproduction of Table I: rerun the applications
-		// with the per-pair matrix recorder on and reduce the recorded
-		// traffic instead of reading the conduit's peer sets.
-		np := 256
-		if !*full {
-			np = 64
-		}
-		pts, err := bench.TopologyAt(np, 8)
-		die(err)
-		emit(bench.TopologyTable(np, pts))
 	}
 }
 

@@ -152,8 +152,8 @@ type PeerPoint struct {
 	StaticEP  float64 // endpoints per PE under the static design (= N)
 }
 
-// PeersTable reproduces Table I: average communicating peers per process for
-// each application at the given size.
+// PeersAt reproduces Table I: average communicating peers per process for
+// each application at the given size, from the conduits' peer sets.
 func PeersAt(np, ppn int) ([]PeerPoint, error) {
 	order, apps := tinyApps()
 	var out []PeerPoint

@@ -9,7 +9,7 @@
 //	Fig. 5a  Startup                    Fig. 6   PutGetLatency, AtomicLatency
 //	Fig. 7   CollectiveLatency, BarrierLatency
 //	Fig. 8a  NASExecution               Fig. 8b  Graph500Execution
-//	Fig. 9   ResourceUsage              Table I  PeersTable
+//	Fig. 9   ResourceUsage              Table I  PeersAt
 //	Fig. 2   Summary (derived)          §IV ablations: Ablations
 //
 // Trajectory is the BENCH_<date>.json suite, and Compare its one check.

@@ -116,20 +116,13 @@ type Config struct {
 	// watchdog terminates the job with exit code 124 when any PE's clock
 	// exceeds it. StallTimeout, when positive, terminates the job when no
 	// PE makes progress (virtual clocks and fabric deliveries frozen) for
-	// that much real time. WatchdogPoll is the check interval (default
-	// 20ms real time).
+	// that much real time.
 	Deadline     int64
 	StallTimeout time.Duration
-	WatchdogPoll time.Duration
 
 	// SkipLaunchCost starts clocks at zero instead of the modeled
 	// fork/exec fan-out (useful for latency microbenchmarks).
 	SkipLaunchCost bool
-
-	// Trace records connection-lifecycle events into Result.Trace
-	// (virtual-time-ordered across all PEs). It implies Obs.Events: the
-	// trace is a filtered view of the observability plane.
-	Trace bool
 
 	// Obs configures the structured observability plane (per-PE multi-layer
 	// events, job-wide metric registry). When enabled, Result.Obs exposes
@@ -138,22 +131,12 @@ type Config struct {
 	Obs obs.Config
 }
 
-// TraceEvent is one connection-lifecycle event from a traced run.
-type TraceEvent struct {
-	VT   int64 // virtual time (ns)
-	Rank int   // the PE the event occurred on
-	Kind string
-	Peer int
-}
-
 // PEResult is one PE's outcome.
 type PEResult struct {
 	Rank    int
-	Phases  shmem.Phases // start_pes duration per startup phase (virtual ns)
-	InitVT  int64        // start_pes duration (virtual ns)
+	Phases  shmem.Phases // start_pes duration per startup phase (virtual ns); Total() is start_pes
 	FinalVT int64        // clock when the PE finished Finalize
-	Stats   gasnet.Stats
-	Peers   int // distinct communicating peers, excluding self
+	Stats   gasnet.Stats // PeersContacted is the PE's Table I peer count
 
 	// ExitCode is the PE's simulated process exit status: 0 on success,
 	// 137 crashed, 134 wedged (killed by the launcher), 124 watchdog,
@@ -171,14 +154,9 @@ type Result struct {
 	// PE's finalize plus teardown — what "time ./hello_world" reports.
 	JobVT int64
 
-	// Trace holds connection-lifecycle events when Config.Trace was set,
-	// deterministically ordered by (virtual time, rank, kind, peer) so two
-	// runs of the same causally-serialized job produce identical traces
-	// regardless of goroutine scheduling.
-	Trace []TraceEvent
-
-	// Obs is the observability plane when Config.Trace or Config.Obs
-	// enabled it, else nil.
+	// Obs is the observability plane when Config.Obs enabled it, else nil.
+	// Its Events() are the job's connection trace (and every other layer's
+	// events), in a deterministic order.
 	Obs *obs.Plane
 
 	// Footprint is the engine self-observability report — census snapshots
@@ -231,7 +209,9 @@ func (r *Result) avg(of func(*PEResult) int) float64 {
 }
 
 // AvgPeers returns the mean communicating-peer count (Table I metric).
-func (r *Result) AvgPeers() float64 { return r.avg(func(p *PEResult) int { return p.Peers }) }
+func (r *Result) AvgPeers() float64 {
+	return r.avg(func(p *PEResult) int { return p.Stats.PeersContacted })
+}
 
 // AvgEndpoints returns the mean number of RC endpoints created per PE
 // (Figure 9 metric).
@@ -449,13 +429,9 @@ func setup(cfg Config, app func(ctx *shmem.Ctx)) *job {
 	if cfg.HeapSize <= 0 {
 		cfg.HeapSize = 256 << 10
 	}
-	obsCfg := cfg.Obs
-	if cfg.Trace {
-		obsCfg.Events = true
-	}
 	j := &job{app: app, stopSampler: func() {}}
-	if obsCfg.Enabled() {
-		j.plane = obs.NewPlane(cfg.NP, obsCfg)
+	if cfg.Obs.Enabled() {
+		j.plane = obs.NewPlane(cfg.NP, cfg.Obs)
 	}
 	// The engine census baseline is taken before any job object exists, so
 	// later snapshots measure job-owned heap growth only.
@@ -564,10 +540,8 @@ func (j *job) runPE(env shmem.Env) {
 	j.res.PEs[rank] = PEResult{
 		Rank:     rank,
 		Phases:   ctx.Phases(),
-		InitVT:   ctx.Phases().Total(),
 		FinalVT:  clk.Now(),
 		Stats:    stats,
-		Peers:    stats.PeersContacted,
 		ExitCode: exit,
 	}
 }
@@ -607,7 +581,6 @@ func (j *job) peDied(rank int, clk *vclock.Clock, ctx *shmem.Ctx, p any) {
 		pr := PEResult{Rank: rank, ExitCode: code, FinalVT: clk.Now()}
 		if ctx != nil {
 			pr.Phases = ctx.Phases()
-			pr.InitVT = pr.Phases.Total()
 			pr.Stats = ctx.Stats()
 		}
 		j.res.PEs[rank] = pr
@@ -629,8 +602,7 @@ func (j *job) peDied(rank int, clk *vclock.Clock, ctx *shmem.Ctx, p any) {
 
 // collect turns the PEs' slots into the job's result once every PE has
 // exited: abort state, the start_pes and job-time aggregates, adapter
-// counters, the connection trace, and the end-of-job accounting of every
-// observability plane.
+// counters, and the end-of-job accounting of every observability plane.
 func (j *job) collect() *Result {
 	res, plane := j.res, j.plane
 	if n, ok := j.sub.srv.Aborted(); ok {
@@ -647,24 +619,15 @@ func (j *job) collect() *Result {
 		if p.ExitCode != 0 {
 			res.Aborted = true
 		}
-		initSum += p.InitVT
-		res.InitMax = max(res.InitMax, p.InitVT)
+		init := p.Phases.Total()
+		initSum += init
+		res.InitMax = max(res.InitMax, init)
 		finalMax = max(finalMax, p.FinalVT)
 	}
 	res.InitAvg = initSum / int64(len(res.PEs))
 	res.JobVT = finalMax + j.sub.model.TeardownBase
 	for _, h := range j.sub.fab.HCAs() {
 		res.HCA = append(res.HCA, h.Stats())
-	}
-	if res.Cfg.Trace {
-		// The trace is the connection-lifecycle slice of the plane's event
-		// stream, which Events() returns under the full deterministic sort
-		// key (VT, rank, layer, kind, peer).
-		for _, e := range plane.Events() {
-			if isConnLifecycle(e) {
-				res.Trace = append(res.Trace, TraceEvent{VT: e.VT, Rank: e.Rank, Kind: e.Kind, Peer: e.Peer})
-			}
-		}
 	}
 	// Resolve incidents still open at job end before any report is built:
 	// the sweep is what turns leftover-open into closed/aborted/unresolved,

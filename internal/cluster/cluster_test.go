@@ -119,7 +119,7 @@ func TestAggregates(t *testing.T) {
 	// its own column's mean.
 	var peers, eps, conns int
 	for _, p := range res.PEs {
-		peers, eps, conns = peers+p.Peers, eps+p.Stats.RCQPsCreated, conns+p.Stats.ConnsEstablished
+		peers, eps, conns = peers+p.Stats.PeersContacted, eps+p.Stats.RCQPsCreated, conns+p.Stats.ConnsEstablished
 	}
 	if peers == 0 || eps == 0 || conns == 0 {
 		t.Fatalf("ring left a column empty: peers=%d eps=%d conns=%d", peers, eps, conns)

@@ -86,7 +86,6 @@ func exitCodeForPanic(p any) (int, bool) {
 type watchdog struct {
 	deadline int64         // virtual-time budget (0 = none)
 	stall    time.Duration // real-time progress timeout (0 = none)
-	poll     time.Duration
 
 	sub *substrate // the clocks, fabric, PMI server and node barriers it reads and aborts
 
@@ -100,16 +99,15 @@ type watchdog struct {
 	stopped chan struct{} // closed when run has returned
 }
 
+// watchdogPoll is how often, in real time, the watchdog checks the job.
+const watchdogPoll = 20 * time.Millisecond
+
 func newWatchdog(cfg Config, sub *substrate) *watchdog {
 	if cfg.Deadline <= 0 && cfg.StallTimeout <= 0 {
 		return nil
 	}
-	poll := cfg.WatchdogPoll
-	if poll <= 0 {
-		poll = 20 * time.Millisecond
-	}
 	w := &watchdog{
-		deadline: cfg.Deadline, stall: cfg.StallTimeout, poll: poll,
+		deadline: cfg.Deadline, stall: cfg.StallTimeout,
 		sub:      sub,
 		conduits: make(map[int]*gasnet.Conduit),
 		done:     make(chan struct{}),
@@ -179,7 +177,7 @@ func (w *watchdog) progress() int64 {
 
 func (w *watchdog) run() {
 	defer close(w.stopped)
-	ticker := time.NewTicker(w.poll)
+	ticker := time.NewTicker(watchdogPoll)
 	defer ticker.Stop()
 	lastSig := w.progress()
 	lastChange := time.Now()

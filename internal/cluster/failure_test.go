@@ -119,7 +119,6 @@ func TestWatchdogStallFiresOnWedgedJob(t *testing.T) {
 		WedgePEs:     []PEFault{{Rank: victim, At: 1 * vclock.Second}},
 		Heartbeat:    gasnet.HeartbeatConfig{Disable: true},
 		StallTimeout: 250 * time.Millisecond,
-		WatchdogPoll: 10 * time.Millisecond,
 	}
 	res := runBounded(t, cfg, computeBarrierLoop(300, 2.5e7))
 
@@ -154,8 +153,7 @@ func TestWatchdogStallFiresOnWedgedJob(t *testing.T) {
 func TestWatchdogDeadlineFires(t *testing.T) {
 	cfg := Config{
 		NP: 4, PPN: 4, Mode: gasnet.OnDemand, HeapSize: 1 << 20,
-		Deadline:     500 * vclock.Millisecond,
-		WatchdogPoll: 5 * time.Millisecond,
+		Deadline: 500 * vclock.Millisecond,
 	}
 	res := runBounded(t, cfg, func(c *shmem.Ctx) {
 		// 10s of virtual compute against a 0.5s deadline; poll Err so the
@@ -208,7 +206,7 @@ func TestFaultFreeJobHasZeroFailureCounters(t *testing.T) {
 func TestWatchdogStopJoins(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		fab := ib.NewFabric(vclock.Default(), nil)
-		w := newWatchdog(Config{StallTimeout: time.Hour, WatchdogPoll: time.Microsecond}, &substrate{fab: fab})
+		w := newWatchdog(Config{StallTimeout: time.Hour}, &substrate{fab: fab})
 		w.stop()
 		select {
 		case <-w.stopped:

@@ -35,12 +35,12 @@ func ringApp(iters, blockSize int) func(c *shmem.Ctx) {
 }
 
 // TestTraceByteIdenticalAcrossRuns extends the determinism invariant to the
-// observability plane: the connection-lifecycle trace and the full Perfetto
-// export (events and gauges) of two identical runs must be byte-identical,
-// and valid JSON, even though goroutine scheduling differs between the runs.
-// This is what the secondary sort keys of obs.Plane.Events buy — with
-// VT-only ordering, same-timestamp events from different PEs would serialize
-// in schedule-dependent order.
+// observability plane: the full Perfetto export (every event, the connection
+// lifecycle's included, and the gauges) of two identical runs must be
+// byte-identical and valid JSON, even though goroutine scheduling differs
+// between the runs. This is what the secondary sort keys of obs.Plane.Events
+// buy — with VT-only ordering, same-timestamp events from different PEs would
+// serialize in schedule-dependent order.
 func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 	for _, mode := range []gasnet.Mode{gasnet.OnDemand, gasnet.Static} {
 		// Odd np, as in TestFlowTelemetryByteIdentical: at even np the
@@ -51,16 +51,9 @@ func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 		// no barrier distance is self-inverse and every pair's second
 		// demand is causally ordered behind the first establishment.
 		a, b := runTwice(t, Config{
-			NP: 9, PPN: 3, Mode: mode, HeapSize: 1 << 16, Trace: true,
+			NP: 9, PPN: 3, Mode: mode, HeapSize: 1 << 16,
 			Obs: obs.Config{Events: true, Gauges: true},
 		}, ringApp(3, 512))
-		if len(a.Trace) == 0 {
-			t.Fatalf("%v: empty trace", mode)
-		}
-		if !reflect.DeepEqual(a.Trace, b.Trace) {
-			t.Errorf("%v: traces differ across identical runs (len %d vs %d)\n%s",
-				mode, len(a.Trace), len(b.Trace), firstDivergence(a, b))
-		}
 		var pa, pb bytes.Buffer
 		if err := errors.Join(a.Obs.WritePerfetto(&pa), b.Obs.WritePerfetto(&pb)); err != nil {
 			t.Fatal(err)
@@ -117,7 +110,7 @@ func TestStartupPhasesSumToInitVT(t *testing.T) {
 					names = append(names, ph.Name)
 				}
 			}
-			if init := res.PEs[pp.Rank].InitVT; sum != init {
+			if init := res.PEs[pp.Rank].Phases.Total(); sum != init {
 				t.Errorf("%v: PE %d phase sum %d != init VT %d", mode, pp.Rank, sum, init)
 			}
 		}
@@ -128,8 +121,8 @@ func TestStartupPhasesSumToInitVT(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range off.PEs {
-			if p.Phases.Total() != p.InitVT || p.InitVT <= 0 || slices.ContainsFunc(p.Phases[:], func(d int64) bool { return d < 0 }) {
-				t.Errorf("%v, obs off: PE %d phases %v do not tile init VT %d", mode, p.Rank, p.Phases, p.InitVT)
+			if p.Phases.Total() <= 0 || slices.ContainsFunc(p.Phases[:], func(d int64) bool { return d < 0 }) {
+				t.Errorf("%v, obs off: PE %d phases %v do not tile a positive init VT", mode, p.Rank, p.Phases)
 			}
 			if p.Phases != res.PEs[p.Rank].Phases {
 				t.Errorf("%v: PE %d phases obs off %v != obs on %v", mode, p.Rank, p.Phases, res.PEs[p.Rank].Phases)

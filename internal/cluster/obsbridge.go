@@ -1,30 +1,6 @@
 package cluster
 
-import (
-	"strings"
-
-	"goshmem/internal/obs"
-)
-
-// isConnLifecycle selects the conduit's connection-lifecycle and failure
-// plane events out of the full gasnet-layer stream (which also carries
-// ud-send/ud-recv datagrams, connect spans and heartbeat traffic). These are
-// the events Result.Trace has always exposed.
-func isConnLifecycle(e obs.Event) bool {
-	if e.Layer != obs.LayerGasnet || e.Dur != 0 {
-		return false
-	}
-	if strings.HasPrefix(e.Kind, "conn-") {
-		return true
-	}
-	switch e.Kind {
-	case "pe-fail", "suspect", "suspect-clear", "confirm-dead", "abort",
-		"path-migrate", "rail-failover",
-		"partition-suspend", "partition-heal", "partition-fatal":
-		return true
-	}
-	return false
-}
+import "goshmem/internal/obs"
 
 // mirrorCounters publishes the job-wide conduit counters, the per-HCA verbs
 // counters and — on a faulted fabric — the injector's tally into the plane's

@@ -108,9 +108,9 @@ func BuildReport(res *Result) *Report {
 	for _, p := range res.PEs {
 		rep.PEs = append(rep.PEs, PEReport{
 			Rank:         p.Rank,
-			InitVT:       p.InitVT,
+			InitVT:       p.Phases.Total(),
 			FinalVT:      p.FinalVT,
-			Peers:        p.Peers,
+			Peers:        p.Stats.PeersContacted,
 			RCQPsCreated: p.Stats.RCQPsCreated,
 			ExitCode:     p.ExitCode,
 		})

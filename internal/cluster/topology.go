@@ -17,8 +17,7 @@ import (
 type PETopology struct {
 	Rank int `json:"rank"`
 	// Peers is the data-plane degree: distinct peers (excluding self) this
-	// PE sent puts/gets/atomics/AMs/collectives/barriers to, computed from
-	// the matrix (it matches the conduit's Table I peer count).
+	// PE sent data-plane operations to — the conduit's Table I peer count.
 	Peers int `json:"peers"`
 	// QPsEstablished counts handshakes this PE completed, re-establishments
 	// after eviction or faults included.
@@ -70,7 +69,7 @@ func BuildTopology(res *Result) *TopologyReport {
 		}
 		pt := PETopology{
 			Rank:           p.Rank,
-			Peers:          obs.DataPeers(p.Rank, edges),
+			Peers:          p.Stats.PeersContacted,
 			QPsEstablished: p.Stats.ConnsEstablished,
 			QPsUsed:        used,
 			Edges:          edges,

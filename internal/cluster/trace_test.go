@@ -1,16 +1,18 @@
 package cluster_test
 
 import (
+	"strings"
 	"testing"
 
 	"goshmem/internal/cluster"
 	"goshmem/internal/gasnet"
+	"goshmem/internal/obs"
 	"goshmem/internal/shmem"
 )
 
 func TestTraceRecordsHandshakeLifecycle(t *testing.T) {
 	res, err := cluster.Run(cluster.Config{NP: 4, PPN: 2, Mode: gasnet.OnDemand,
-		Trace: true, SkipLaunchCost: true},
+		Obs: obs.Config{Events: true}, SkipLaunchCost: true},
 		func(c *shmem.Ctx) {
 			a := c.Malloc(8)
 			c.P64(a, 1, (c.Me()+1)%4)
@@ -19,15 +21,16 @@ func TestTraceRecordsHandshakeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) == 0 {
-		t.Fatal("no trace events recorded")
-	}
+	evs := res.Obs.Events()
 	kinds := map[string]int{}
-	for i, e := range res.Trace {
-		kinds[e.Kind]++
-		if i > 0 && e.VT < res.Trace[i-1].VT {
-			t.Fatal("trace not sorted by virtual time")
+	for i, e := range evs {
+		if i > 0 && e.VT < evs[i-1].VT {
+			t.Fatal("events not sorted by virtual time")
 		}
+		if e.Layer != obs.LayerGasnet || !strings.HasPrefix(e.Kind, "conn-") {
+			continue
+		}
+		kinds[e.Kind]++
 		if e.Rank < 0 || e.Rank >= 4 || e.Peer < 0 || e.Peer >= 4 {
 			t.Fatalf("bad event %+v", e)
 		}
@@ -40,20 +43,5 @@ func TestTraceRecordsHandshakeLifecycle(t *testing.T) {
 	// Every client-side establishment pairs an initiate with a ready.
 	if kinds["conn-ready-client"] > kinds["conn-initiate"] {
 		t.Errorf("more client-ready than initiate events: %v", kinds)
-	}
-}
-
-func TestTraceOffByDefault(t *testing.T) {
-	res, err := cluster.Run(cluster.Config{NP: 2, PPN: 2, Mode: gasnet.OnDemand, SkipLaunchCost: true},
-		func(c *shmem.Ctx) {
-			a := c.Malloc(8)
-			c.P64(a, 1, 1-c.Me())
-			c.BarrierAll()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != 0 {
-		t.Fatalf("trace recorded without Trace=true: %d events", len(res.Trace))
 	}
 }

@@ -127,19 +127,6 @@ func (p *PE) FlowSnapshot() []FlowEdge {
 	return out
 }
 
-// DataPeers counts the distinct peers (excluding self) an edge list carries
-// data-plane traffic to — the paper's Table I "communicating peers" metric
-// computed from the matrix instead of the conduit's peer set.
-func DataPeers(self int, edges []FlowEdge) int {
-	n := 0
-	for i := range edges {
-		if edges[i].Peer != self && edges[i].DataOps() > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // DegreeDist is the distribution of per-PE peer degrees.
 type DegreeDist struct {
 	Min int     `json:"min"`

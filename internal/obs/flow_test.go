@@ -64,18 +64,6 @@ func TestFlowSnapshotSortedAndAccumulated(t *testing.T) {
 	}
 }
 
-func TestDataPeersExcludesSelfAndCtrlOnly(t *testing.T) {
-	pl := NewPlane(1, Config{Flows: true})
-	pe := pl.PE(0)
-	pe.Flow(0, FlowPut, 8)  // self
-	pe.Flow(1, FlowCtrl, 8) // ctrl-only peer
-	pe.Flow(2, FlowAM, 8)
-	pe.Flow(3, FlowBarrier, 0)
-	if n := DataPeers(0, pe.FlowSnapshot()); n != 2 {
-		t.Fatalf("DataPeers = %d, want 2 (self and ctrl-only excluded)", n)
-	}
-}
-
 func TestDegreeDistribution(t *testing.T) {
 	if d := DegreeDistribution(nil); d != (DegreeDist{}) {
 		t.Fatalf("empty input: %+v", d)

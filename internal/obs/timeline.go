@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -10,10 +8,10 @@ import (
 // Connection-lifecycle timelines: a per-pair reduction of the conduit's
 // conn-* trace events into the full state machine each directed pair walked
 // (demand -> REQ served -> ready -> evicted -> reconnected ...), with
-// virtual timestamps and attempt counts. The reducer consumes the ordinary
-// event stream, so it needs no extra recording hooks and inherits the
-// stream's determinism: at a fixed seed two runs produce byte-identical
-// rendered timelines.
+// virtual timestamps. The reducer consumes the ordinary event stream, so it
+// needs no extra recording hooks and inherits the stream's determinism: at a
+// fixed seed two runs produce identical timelines. The Perfetto export
+// synthesizes its per-peer conn tracks from them.
 
 // TimelinePoint is one state transition of a directed pair.
 type TimelinePoint struct {
@@ -24,13 +22,9 @@ type TimelinePoint struct {
 // ConnTimeline is the lifecycle of the directed pair (Rank -> Peer) as rank
 // Rank observed it.
 type ConnTimeline struct {
-	Rank        int             `json:"rank"`
-	Peer        int             `json:"peer"`
-	States      []TimelinePoint `json:"states"`
-	Attempts    int             `json:"attempts"`    // initiates + retransmits
-	Established int             `json:"established"` // times the pair reached ready
-	Evictions   int             `json:"evictions"`
-	Reconnects  int             `json:"reconnects"` // re-establishments after the first
+	Rank   int             `json:"rank"`
+	Peer   int             `json:"peer"`
+	States []TimelinePoint `json:"states"`
 }
 
 // connTimelineState reports whether an event is a lifecycle transition the
@@ -56,16 +50,7 @@ func BuildConnTimelines(evs []Event) []ConnTimeline {
 			tl = &ConnTimeline{Rank: e.Rank, Peer: e.Peer}
 			byPair[key] = tl
 		}
-		state := strings.TrimPrefix(e.Kind, "conn-")
-		tl.States = append(tl.States, TimelinePoint{VT: e.VT, State: state})
-		switch e.Kind {
-		case "conn-initiate", "conn-retransmit":
-			tl.Attempts++
-		case "conn-ready-client", "conn-ready-server":
-			tl.Established++
-		case "conn-evict":
-			tl.Evictions++
-		}
+		tl.States = append(tl.States, TimelinePoint{VT: e.VT, State: strings.TrimPrefix(e.Kind, "conn-")})
 	}
 	out := make([]ConnTimeline, 0, len(byPair))
 	for _, tl := range byPair {
@@ -76,9 +61,6 @@ func BuildConnTimelines(evs []Event) []ConnTimeline {
 			}
 			return a.State < b.State
 		})
-		if tl.Established > 1 {
-			tl.Reconnects = tl.Established - 1
-		}
 		out = append(out, *tl)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -88,24 +70,6 @@ func BuildConnTimelines(evs []Event) []ConnTimeline {
 		return out[i].Peer < out[j].Peer
 	})
 	return out
-}
-
-// WriteTimelines renders timelines as stable text, one line per pair:
-//
-//	0->3  attempts=1 est=2 evict=1 recon=1 | initiate@2000 ready-client@5250 ...
-//
-// The rendering is a pure function of the timelines, so byte-comparing two
-// renders compares the underlying lifecycle histories.
-func WriteTimelines(w io.Writer, tls []ConnTimeline) {
-	for i := range tls {
-		tl := &tls[i]
-		fmt.Fprintf(w, "%d->%d attempts=%d est=%d evict=%d recon=%d |",
-			tl.Rank, tl.Peer, tl.Attempts, tl.Established, tl.Evictions, tl.Reconnects)
-		for _, s := range tl.States {
-			fmt.Fprintf(w, " %s@%d", s.State, s.VT)
-		}
-		fmt.Fprintln(w)
-	}
 }
 
 // connSpan is one synthesized Perfetto slice for a pair's lifecycle.

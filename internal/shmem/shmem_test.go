@@ -458,8 +458,8 @@ func TestStartupPhaseShapes(t *testing.T) {
 	}
 	// Buckets sum to the total.
 	total := sb[0] + sb[1] + sb[2] + sb[3] + sb[4]
-	if total != static.PEs[0].InitVT {
-		t.Errorf("breakdown buckets %d != init VT %d", total, static.PEs[0].InitVT)
+	if init := static.PEs[0].Phases.Total(); total != init {
+		t.Errorf("breakdown buckets %d != init VT %d", total, init)
 	}
 }
 
@@ -508,8 +508,8 @@ func TestPeersExcludesSelf(t *testing.T) {
 	for _, p := range res.PEs {
 		// 1 explicit peer + barrier partners (log2(4)=2 peers at distance 1,2;
 		// distance-1 overlaps the explicit peer).
-		if p.Peers < 1 || p.Peers > 3 {
-			t.Fatalf("rank %d peers = %d, want 1..3", p.Rank, p.Peers)
+		if n := p.Stats.PeersContacted; n < 1 || n > 3 {
+			t.Fatalf("rank %d peers = %d, want 1..3", p.Rank, n)
 		}
 	}
 }
