@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,67 +74,54 @@ func main() {
 		capStatic = *maxStatic
 	}
 
-	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
+	// asked records every name a block asks for, so an -exp that none of
+	// them knows is refused with the list of those that are known.
+	var asked []string
+	want := func(name string) bool {
+		asked = append(asked, name)
+		return *exp == "all" || strings.EqualFold(*exp, name)
+	}
 	var startupPts []bench.StartupPoint
 	var nasPts []bench.NASPoint
 	var resSeries map[string][]bench.PeerPoint
 
 	if want("fig1") {
-		sizes := capSizes(initSizes, capStatic)
-		pts, err := bench.StartupPhases(gasnet.Static, sizes, ppn)
-		die(err)
+		pts := must(bench.StartupPhases(gasnet.Static, capSizes(initSizes, capStatic), ppn))
 		emit(bench.BreakdownTable("Figure 1: start_pes breakdown, current (static) design, 16 ppn", pts))
 	}
 	if want("fig5b") {
-		pts, err := bench.StartupPhases(gasnet.OnDemand, initSizes, ppn)
-		die(err)
+		pts := must(bench.StartupPhases(gasnet.OnDemand, initSizes, ppn))
 		emit(bench.BreakdownTable("Figure 5(b): start_pes breakdown, proposed (on-demand + PMIX_Iallgather) design", pts))
 	}
 	if want("fig5a") || want("fig2") {
-		var err error
-		startupPts, err = bench.Startup(startupSizes, ppn, capStatic)
-		die(err)
+		startupPts = must(bench.Startup(startupSizes, ppn, capStatic))
 		if want("fig5a") {
 			emit(bench.StartupTable(startupPts))
 		}
 	}
 	if want("fig6") {
-		pts, err := bench.PutGetLatency(msgSizes, 200)
-		die(err)
-		emit(bench.PutGetTable(pts))
-		apts, err := bench.AtomicLatency(500)
-		die(err)
-		emit(bench.AtomicTable(apts))
+		emit(bench.PutGetTable(must(bench.PutGetLatency(msgSizes, 200))))
+		emit(bench.AtomicTable(must(bench.AtomicLatency(500))))
 	}
 	if want("fig7") {
-		pts, err := bench.CollectiveLatency(collNP, collSizes, 5, 8)
-		die(err)
-		emit(bench.CollectiveTable(collNP, pts))
-		bpts, err := bench.BarrierLatency(barrierSizes, 20, 8)
-		die(err)
-		emit(bench.BarrierTable(bpts))
+		emit(bench.CollectiveTable(collNP, must(bench.CollectiveLatency(collNP, collSizes, 5, 8))))
+		emit(bench.BarrierTable(must(bench.BarrierLatency(barrierSizes, 20, 8))))
 	}
 	if want("fig8a") || want("fig2") {
-		var err error
-		nasPts, err = bench.NASExecution(nasNP, 8, nasClass)
-		die(err)
+		nasPts = must(bench.NASExecution(nasNP, 8, nasClass))
 		if want("fig8a") {
 			emit(bench.NASTable(nasNP, nasClass, nasPts))
 		}
 	}
 	if want("fig8b") {
-		pts, err := bench.Graph500Execution(g500Sizes, 8)
-		die(err)
-		emit(bench.Graph500Table(pts))
+		emit(bench.Graph500Table(must(bench.Graph500Execution(g500Sizes, 8))))
 	}
 	if want("table1") {
 		np := 256
 		if !*full {
 			np = 64
 		}
-		pts, err := bench.PeersAt(np, 8)
-		die(err)
-		emit(bench.PeersTableRender(np, pts))
+		emit(bench.PeersTableRender(np, must(bench.PeersAt(np, 8))))
 	}
 	if want("fig9") || want("fig2") {
 		var proj map[string]float64
@@ -149,25 +137,18 @@ func main() {
 	}
 	if want("phases") {
 		// The Fig 1 / Fig 5(b) breakdowns before the fold: every startup phase.
-		sizes := capSizes(initSizes, capStatic)
-		pts, err := bench.StartupPhases(gasnet.Static, sizes, ppn)
-		die(err)
+		pts := must(bench.StartupPhases(gasnet.Static, capSizes(initSizes, capStatic), ppn))
 		emit(bench.PhaseTable("Startup phases (obs plane), current (static) design", pts))
-		pts, err = bench.StartupPhases(gasnet.OnDemand, initSizes, ppn)
-		die(err)
+		pts = must(bench.StartupPhases(gasnet.OnDemand, initSizes, ppn))
 		emit(bench.PhaseTable("Startup phases (obs plane), proposed (on-demand) design", pts))
 	}
 	if want("ablation") {
-		rows, err := bench.Ablations(64, 8)
-		die(err)
-		emit(bench.AblationTable(rows))
+		emit(bench.AblationTable(must(bench.Ablations(64, 8))))
 	}
 	if want("credits") {
 		// Not a paper figure: the resource plane's backpressure tax, burst
 		// put-with-signal latency as the receive-queue depth shrinks.
-		pts, err := bench.CreditStallLatency([]int{0, 16, 4, 1}, 32, 20)
-		die(err)
-		emit(bench.CreditTable(pts))
+		emit(bench.CreditTable(must(bench.CreditStallLatency([]int{0, 16, 4, 1}, 32, 20))))
 	}
 	if want("footprint") {
 		// Fig 5(a)'s memory story measured from inside the engine: the
@@ -178,11 +159,14 @@ func main() {
 		if *full {
 			sizes = []int{64, 256, 1024, 4096}
 		}
-		st, err := bench.FootprintSweep(gasnet.Static, capSizes(sizes, capStatic), ppn, 0)
-		die(err)
-		od, err := bench.FootprintSweep(gasnet.OnDemand, sizes, ppn, 0)
-		die(err)
+		st := must(bench.FootprintSweep(gasnet.Static, capSizes(sizes, capStatic), ppn, 0))
+		od := must(bench.FootprintSweep(gasnet.OnDemand, sizes, ppn, 0))
 		emit(bench.FootprintTable(st, od))
+	}
+	if *exp != "all" && !slices.ContainsFunc(asked, func(n string) bool { return strings.EqualFold(n, *exp) }) {
+		slices.Sort(asked)
+		fmt.Fprintf(os.Stderr, "reproduce: unknown experiment %q; valid: all, bench, %s\n", *exp, strings.Join(slices.Compact(asked), ", "))
+		os.Exit(2)
 	}
 }
 
@@ -236,6 +220,12 @@ func trajectory(out string, check bool, fpMaxNP int, fpCSV string) {
 		fmt.Fprintf(os.Stderr, "reproduce: virtual-time numbers differ from %s: a cost-model change must be declared and the baseline regenerated\n", basePath)
 		os.Exit(1)
 	}
+}
+
+// must exits 1 on a failed experiment and returns its result otherwise.
+func must[T any](v T, err error) T {
+	die(err)
+	return v
 }
 
 // die exits 1 on a failed experiment.

@@ -65,7 +65,6 @@ func Attach(env shmem.Env, opts Options) *Image {
 	im := &Image{rank: env.Rank, n: env.NProcs}
 	im.syncCond = vclock.NewCond(&im.syncMu, env.HCA.Fabric().Sched())
 	im.inbox = make(map[[2]uint64]struct{})
-	im.segs = shmem.NewSegDir(env.NProcs)
 
 	im.conduit = gasnet.New(gasnet.Config{
 		Rank: env.Rank, NProcs: env.NProcs, Node: env.Node, PPN: env.PPN,

@@ -124,9 +124,11 @@ func TestFootprintHeapBackedByAllocation(t *testing.T) {
 }
 
 // TestFootprintSegDirSparseOnDemand: at the init boundary an on-demand PE has
-// heard from no peer, so its segment directory is its own chunk plus the top
-// level — not the np-entry table (24 B × 1024 = 24,576 B per PE) it once was.
-// The census must still reconcile.
+// heard from no peer, so its segment directory is its own chunk and one index
+// entry — not the np-entry table (24 B × 1024 = 24,576 B per PE) it once was,
+// nor a pointer per 32 ranks (256 B at np=1024) beside a 32-rank chunk. At
+// job end it holds the chunks around the peers it talked to. The census must
+// still reconcile.
 func TestFootprintSegDirSparseOnDemand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("np=1024 census run in -short mode")
@@ -142,22 +144,54 @@ func TestFootprintSegDirSparseOnDemand(t *testing.T) {
 	if !fp.Reconciled {
 		t.Fatal("census failed to tile the heap")
 	}
+	want := map[string]int64{"init-done": 256, "job-end": 4 << 10}
 	for _, s := range fp.Snapshots {
-		if s.Label != "init-done" {
+		max, ok := want[s.Label]
+		if !ok {
 			continue
 		}
+		delete(want, s.Label)
 		var segDir int64
 		for _, it := range s.Items {
 			if it.Subsystem == "shmem" && it.Category == "seg-dir" {
 				segDir += it.Bytes
 			}
 		}
-		if perPE := segDir / np; perPE <= 0 || perPE > 2<<10 {
-			t.Errorf("init-done shmem/seg-dir %d B per PE, want (0, 2048]", perPE)
+		if perPE := segDir / np; perPE <= 0 || perPE > max {
+			t.Errorf("%s shmem/seg-dir %d B per PE, want (0, %d]", s.Label, perPE, max)
 		}
-		return
 	}
-	t.Fatal("missing census snapshot \"init-done\"")
+	for label := range want {
+		t.Errorf("missing census snapshot %q", label)
+	}
+}
+
+// TestFootprintPerPEIndependentOfNP is the paper's premise per PE: an
+// on-demand PE that has heard from no peer yet costs the same whatever the
+// job size, so its modeled on-heap bytes at the init boundary are equal
+// within 5% at np=256 and np=2,048. (np=4,096 would run 8,192 PE goroutines,
+// past the race detector's limit of 8,128 live ones.)
+func TestFootprintPerPEIndependentOfNP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("np=2048 census run in -short mode")
+	}
+	perPE := map[int]float64{}
+	for _, np := range []int{256, 2048} {
+		for _, s := range runFootprint(t, gasnet.OnDemand, np).Footprint.Snapshots {
+			if s.Label == "init-done" {
+				var b int64
+				for _, n := range s.SubsystemHeapBytes() {
+					b += n
+				}
+				perPE[np] = float64(b) / float64(np)
+			}
+		}
+	}
+	t.Logf("init-done modeled on-heap bytes per PE: %.0f at np=256, %.0f at np=2048", perPE[256], perPE[2048])
+	if r := perPE[2048] / perPE[256]; !(r >= 0.95 && r <= 1.05) {
+		t.Errorf("init-done modeled on-heap bytes per PE: %.0f at np=256, %.0f at np=2048 (%+.1f%%), want within 5%%",
+			perPE[256], perPE[2048], (r-1)*100)
+	}
 }
 
 // TestFootprintModeledBytesStable pins byte-stability: two identical

@@ -5,6 +5,7 @@ import (
 
 	"goshmem/internal/ib"
 	"goshmem/internal/obs"
+	"goshmem/internal/vclock"
 )
 
 // Footprint models this conduit's retained memory for the engine census
@@ -29,7 +30,7 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 	complSize := int64(unsafe.Sizeof(ib.Completion{}))
 
 	var conns, retained, credits, misc obs.FootprintItem
-	misc.Bytes = int64(unsafe.Sizeof(Conduit{}))
+	misc.Bytes = int64(unsafe.Sizeof(Conduit{}) + 2*unsafe.Sizeof(vclock.Cond{})) // connCond, done.cond
 	misc.Objects = 1
 
 	c.connMu.Lock()

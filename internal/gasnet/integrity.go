@@ -34,11 +34,14 @@ func frameSum(sections ...[]byte) uint32 {
 }
 
 // connMsgSum computes a UD control frame's checksum with the CRC field
-// treated as zero.
+// treated as zero. The zero field is a package variable: a local array would
+// escape through frameSum's variadic slice into crc32.Update, costing an
+// allocation on every control frame encoded or decoded.
 func connMsgSum(b []byte) uint32 {
-	var zero [4]byte
-	return frameSum(b[:connMsgCRCOff], zero[:], b[connMsgHdr:])
+	return frameSum(b[:connMsgCRCOff], zeroCRC[:], b[connMsgHdr:])
 }
+
+var zeroCRC [4]byte
 
 // rcTrailerLen is the size of the RC integrity trailer:
 // [seq u64][epoch u32][crc u32].

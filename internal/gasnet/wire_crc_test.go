@@ -56,3 +56,23 @@ func TestConnMsgTruncationIsCorruptFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestConnMsgChecksumAllocs pins the control frame's allocations: the
+// checksum and the decode allocate nothing, the encode only its frame.
+func TestConnMsgChecksumAllocs(t *testing.T) {
+	m := connMsg{Kind: msgConnReq, SrcRank: 3, Seq: 41, UD: ib.Dest{LID: 2, QPN: 55}, Payload: make([]byte, 20)}
+	frame := m.encode()
+	for _, tc := range []struct {
+		name string
+		fn   func()
+		want float64
+	}{
+		{"connMsgSum", func() { connMsgSum(frame) }, 0},
+		{"decodeConnMsg", func() { decodeConnMsg(frame) }, 0},
+		{"encode", func() { m.encode() }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
+			t.Errorf("%s allocates %.0f times, want %.0f", tc.name, got, tc.want)
+		}
+	}
+}

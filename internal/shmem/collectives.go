@@ -71,7 +71,7 @@ type collMsg struct {
 func (s *collState) memSize() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := int64(unsafe.Sizeof(collState{}))
+	b := int64(unsafe.Sizeof(collState{}) + unsafe.Sizeof(vclock.Cond{}))
 	b += int64(len(s.seqs)) * (16 + mapEntryOverhead)
 	for _, m := range s.inbox {
 		b += int64(unsafe.Sizeof(collKey{})) + int64(unsafe.Sizeof(collMsg{})) +
@@ -112,10 +112,8 @@ func (s *collState) recv(ctx, seq uint64, round uint32, src int) collMsg {
 			delete(s.inbox, k)
 			return m
 		}
-		if s.liveness != nil {
-			if err := s.liveness(); err != nil {
-				panic(fmt.Errorf("shmem: collective receive from pe %d: %w", src, err))
-			}
+		if err := s.liveness(); err != nil {
+			panic(fmt.Errorf("shmem: collective receive from pe %d: %w", src, err))
 		}
 		s.cond.Wait()
 	}

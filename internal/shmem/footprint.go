@@ -4,15 +4,16 @@ import (
 	"unsafe"
 
 	"goshmem/internal/obs"
+	"goshmem/internal/vclock"
 )
 
 // Footprint models this context's retained memory for the engine census
 // (obs.FootprintReporter). The segment directory holds an <address, size,
 // rkey> triplet for each peer this PE has heard from, in chunks of
-// segChunkLen ranks allocated on first store, plus one pointer per chunk
-// range: an on-demand PE pays for the chunks around the peers it talks to,
-// and the directory is dense — O(np) per PE, O(np²) job-wide — only when
-// every peer is known (static, SegBroadcast). (The census caught the old
+// segChunkLen ranks allocated on first store, plus one index entry per chunk:
+// an on-demand PE pays for the chunks around the peers it talks to, whatever
+// np is, and the directory is dense — O(np) per PE, O(np²) job-wide — only
+// when every peer is known (static, SegBroadcast). (The census caught the old
 // dense table as an unattributed ~400 MB drift row at np=4096 before this
 // reporter existed, which is exactly the failure mode the reconciliation
 // check is for.)
@@ -25,12 +26,12 @@ import (
 // All quantities are object counts × struct sizes plus exact lengths (len,
 // never cap), keeping modeled numbers byte-stable across identical runs.
 func (c *Ctx) Footprint() []obs.FootprintItem {
-	segDir := obs.FootprintItem{Subsystem: "shmem", Category: "seg-dir", Objects: c.segs.chunks()}
-	segDir.Bytes = segDir.Objects*int64(unsafe.Sizeof(segChunk{})) +
-		int64(len(c.segs.top))*int64(unsafe.Sizeof(c.segs.top[0]))
+	idx, _, _ := c.segs.find(0) // the published index, one entry per chunk
+	segDir := obs.FootprintItem{Subsystem: "shmem", Category: "seg-dir", Objects: int64(len(idx))}
+	segDir.Bytes = segDir.Objects * int64(unsafe.Sizeof(segChunk{})+unsafe.Sizeof(segRef{}))
 
 	shell := obs.FootprintItem{Subsystem: "shmem", Category: "ctx", Objects: 1}
-	shell.Bytes = int64(unsafe.Sizeof(Ctx{}))
+	shell.Bytes = int64(unsafe.Sizeof(Ctx{}) + 2*unsafe.Sizeof(vclock.Cond{})) // segCond, watchCond
 	if c.heap != nil {
 		c.heap.mu.Lock()
 		shell.Bytes += int64(unsafe.Sizeof(heap{}))

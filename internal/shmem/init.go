@@ -129,7 +129,9 @@ func newCtx(env Env, opts Options) *Ctx {
 		pmiC:  env.PMI,
 		clk:   env.Clock,
 		model: env.HCA.Fabric().Model(),
-		segs:  NewSegDir(env.NProcs),
+	}
+	if opts.SegEx == SegBroadcast {
+		c.segs.reserve(c.n)
 	}
 	sched := env.HCA.Fabric().Sched()
 	c.segCond = vclock.NewCond(&c.segMu, sched)
@@ -158,8 +160,7 @@ func (c *Ctx) startConduit(env Env) {
 		Heartbeat:   c.opts.Heartbeat,
 	}
 	if c.opts.SegEx == SegPiggyback {
-		cfg.ConnectPayload = func() []byte { return c.encodeOwnSeg() }
-		cfg.OnConnectPayload = func(peer int, b []byte, at int64) { c.storeSeg(peer, b, at) }
+		cfg.ConnectPayload, cfg.OnConnectPayload = c.encodeOwnSeg, c.storeSeg
 	}
 	c.conduit = gasnet.New(cfg)
 	c.coll.liveness = c.conduit.LivenessErr
@@ -171,14 +172,12 @@ func (c *Ctx) startConduit(env Env) {
 		c.watchCond.Broadcast()
 	})
 	c.conduit.RegisterHandler(amColl, c.coll.handle)
-	c.conduit.RegisterHandler(amSegInfo, func(src int, args [4]uint64, payload []byte, at int64) {
-		c.storeSeg(src, payload, at)
-	})
-	c.conduit.RegisterHandler(amSegReq, func(src int, args [4]uint64, payload []byte, at int64) {
-		// Explicit segment-info request (SegAMOnDemand ablation): reply.
+	c.conduit.RegisterHandler(amSegInfo, func(src int, _ [4]uint64, payload []byte, at int64) { c.storeSeg(src, payload, at) })
+	// An explicit segment-info request (SegAMOnDemand ablation) is answered.
+	c.conduit.RegisterHandler(amSegReq, func(src int, _ [4]uint64, _ []byte, _ int64) {
 		_ = c.conduit.AMRequest(src, amSegInfo, [4]uint64{}, c.encodeOwnSeg())
 	})
-	c.conduit.RegisterHandler(amSignal, func(src int, args [4]uint64, payload []byte, at int64) {
+	c.conduit.RegisterHandler(amSignal, func(_ int, args [4]uint64, _ []byte, at int64) {
 		c.applySignal(int64(args[0]), args[1], at)
 	})
 }
@@ -199,7 +198,7 @@ func (c *Ctx) registerHeap() {
 		c.watchMu.Unlock()
 		c.watchCond.Broadcast()
 	})
-	c.setOwnSeg()
+	c.storeSeg(c.rank, c.encodeOwnSeg(), 0) // self put/get are legal
 	c.obs.Emit(c.clk.Now(), obs.LayerIB, "mr-register", -1, int64(c.opts.HeapSize))
 }
 

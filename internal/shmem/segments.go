@@ -3,6 +3,7 @@ package shmem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"goshmem/internal/gasnet"
@@ -12,7 +13,7 @@ import (
 const segWireLen = 8 + 8 + 4
 
 // segChunkLen is how many consecutive ranks one directory chunk covers.
-const segChunkLen = 32
+const segChunkLen = 8
 
 // Seg is one peer's <address, size, rkey> triplet. It is written at most
 // once, under the directory owner's lock, and have is written last: whoever
@@ -23,32 +24,50 @@ type Seg struct {
 	have       atomic.Bool
 }
 
-// segChunk is a fixed array, the last one included (its slots past np stay
-// unused), so indexing it needs no bounds check on the lookup path.
+// segChunk holds the triplets of segChunkLen consecutive ranks.
 type segChunk [segChunkLen]Seg
 
-// SegDir is a PE's directory of its peers' segments, holding only the peers
-// it has heard from: the chunk covering a rank's range of segChunkLen is
-// allocated by the first store into it, so an on-demand PE pays for the
-// neighbourhood it talks to and the directory is dense only when every peer
-// is known (static, SegBroadcast). Entries outlive QP eviction — a reconnect
-// re-carries the triplet and Store keeps the first. Stores are serialized by
-// the owner's lock; Lookup takes none. Every rank passed must be in range.
-type SegDir struct {
-	top []atomic.Pointer[segChunk]
+// segRef is one index entry: the chunk whose first rank is first.
+type segRef struct {
+	first int
+	ch    *segChunk
 }
 
-// NewSegDir returns an empty directory for an np-rank job.
-func NewSegDir(np int) SegDir {
-	return SegDir{top: make([]atomic.Pointer[segChunk], (np+segChunkLen-1)/segChunkLen)}
+// SegDir is a PE's directory of its peers' segments, holding only the peers
+// it has heard from: a chunk is allocated by the first store into its range
+// and entered in a sorted index, so an on-demand PE pays for the
+// neighbourhood it talks to whatever np is, and the directory is dense only
+// when every peer is known (static, SegBroadcast). The index is
+// copy-on-write, published through one pointer, like ib.MR's window table.
+// Entries outlive QP eviction — a reconnect re-carries the triplet and Store
+// keeps the first. Stores are serialized by the owner's lock; Lookup takes
+// none. Ranks are non-negative; the zero SegDir is empty and ready to use.
+type SegDir struct {
+	index atomic.Pointer[[]segRef]
+}
+
+// find returns the published index and where pe's chunk is in it, or would
+// be inserted. The search is written out: the hit path of every put and get
+// runs it, and slices.BinarySearchFunc costs an indirect call per step.
+func (d *SegDir) find(pe int) (idx []segRef, i int, ok bool) {
+	if p := d.index.Load(); p != nil {
+		idx = *p
+	}
+	first := pe - pe%segChunkLen
+	for j := len(idx); i < j; {
+		if h := int(uint(i+j) >> 1); idx[h].first < first {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return idx, i, i < len(idx) && idx[i].first == first
 }
 
 // Lookup returns pe's segment, or nil if none is stored yet.
 func (d *SegDir) Lookup(pe int) *Seg {
-	if ch := d.top[uint(pe)/segChunkLen].Load(); ch != nil {
-		if s := &ch[uint(pe)%segChunkLen]; s.have.Load() {
-			return s
-		}
+	if idx, i, ok := d.find(pe); ok && idx[i].ch[pe%segChunkLen].have.Load() {
+		return &idx[i].ch[pe%segChunkLen]
 	}
 	return nil
 }
@@ -56,16 +75,30 @@ func (d *SegDir) Lookup(pe int) *Seg {
 // Store records pe's segment unless one is already there. The caller holds
 // the lock that serializes this directory's stores.
 func (d *SegDir) Store(pe int, base, size uint64, rkey uint32) {
-	slot := &d.top[uint(pe)/segChunkLen]
-	ch := slot.Load()
-	if ch == nil {
-		ch = new(segChunk)
-		slot.Store(ch)
+	idx, i, ok := d.find(pe)
+	if !ok {
+		// Clip makes Insert copy: readers of the old index never see it change.
+		grown := slices.Insert(slices.Clip(idx), i, segRef{pe - pe%segChunkLen, new(segChunk)})
+		d.index.Store(&grown)
+		idx = grown
 	}
-	if s := &ch[uint(pe)%segChunkLen]; !s.have.Load() {
+	if s := &idx[i].ch[pe%segChunkLen]; !s.have.Load() {
 		s.Base, s.Size, s.RKey = base, size, rkey
 		s.have.Store(true)
 	}
+}
+
+// reserve enters an empty chunk for each of ranks [0, n) in one index. It is
+// for a directory that every peer will fill (static, SegBroadcast), and runs
+// before any store: the fill, whose order is the network's, then copies no
+// index per chunk (a shuffled fill of 4,096 ranks would allocate 4 MB).
+func (d *SegDir) reserve(n int) {
+	chunks := make([]segChunk, (n+segChunkLen-1)/segChunkLen)
+	idx := make([]segRef, len(chunks))
+	for i := range chunks {
+		idx[i] = segRef{i * segChunkLen, &chunks[i]}
+	}
+	d.index.Store(&idx)
 }
 
 // Connect returns pe's segment, connecting to pe first when it is not known:
@@ -81,17 +114,6 @@ func (d *SegDir) Connect(conduit *gasnet.Conduit, pe int) (*Seg, error) {
 		return s, nil
 	}
 	return nil, fmt.Errorf("shmem: segment of pe %d missing after connect", pe)
-}
-
-// chunks counts the allocated chunks.
-func (d *SegDir) chunks() int64 {
-	n := int64(0)
-	for i := range d.top {
-		if d.top[i].Load() != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // encodeOwnSeg serializes this PE's <address, size, rkey> triplet. It is the
@@ -117,13 +139,6 @@ func (c *Ctx) storeSeg(peer int, b []byte, at int64) {
 	c.segCond.Broadcast()
 }
 
-// setOwnSeg installs this PE's own triplet (self put/get are legal).
-func (c *Ctx) setOwnSeg() {
-	c.segMu.Lock()
-	c.segs.Store(c.rank, c.mr.Base(), uint64(c.mr.Size()), c.mr.RKey())
-	c.segMu.Unlock()
-}
-
 // broadcastSegs implements the current design's init-time exchange: send the
 // triplet to every peer and wait until every peer's triplet has arrived.
 // This is the step that forces all-to-all connectivity even on a conduit
@@ -138,24 +153,19 @@ func (c *Ctx) broadcastSegs() {
 			panic(fmt.Errorf("shmem: segment broadcast to pe %d: %w", pe, err))
 		}
 	}
+	// Wait for each rank in turn: ranks already passed stay known, so a wake
+	// looks up only what is still missing.
 	c.segMu.Lock()
-	for !c.allSegsLocked() {
-		if err := c.conduit.LivenessErr(); err != nil {
-			c.segMu.Unlock()
-			panic(fmt.Errorf("shmem: segment broadcast: %w", err))
+	for pe := 0; pe < c.n; pe++ {
+		for c.segs.Lookup(pe) == nil {
+			if err := c.conduit.LivenessErr(); err != nil {
+				c.segMu.Unlock()
+				panic(fmt.Errorf("shmem: segment broadcast: %w", err))
+			}
+			c.segCond.Wait()
 		}
-		c.segCond.Wait()
 	}
 	c.segMu.Unlock()
-}
-
-func (c *Ctx) allSegsLocked() bool {
-	for pe := 0; pe < c.n; pe++ {
-		if c.segs.Lookup(pe) == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // fetchSeg obtains a missing segment triplet according to the configured
@@ -183,15 +193,14 @@ func (c *Ctx) fetchSeg(pe int) (*Seg, error) {
 		}
 		c.segMu.Lock()
 		defer c.segMu.Unlock()
-		for {
-			if s := c.segs.Lookup(pe); s != nil {
-				return s, nil
-			}
+		s := c.segs.Lookup(pe)
+		for ; s == nil; s = c.segs.Lookup(pe) {
 			if err := c.conduit.LivenessErr(); err != nil {
 				return nil, fmt.Errorf("shmem: segment fetch from pe %d: %w", pe, err)
 			}
 			c.segCond.Wait()
 		}
+		return s, nil
 	}
 	return nil, fmt.Errorf("shmem: unknown segment exchange strategy %d", c.opts.SegEx)
 }

@@ -1,6 +1,7 @@
 package shmem_test
 
 import (
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,9 +12,9 @@ import (
 	"goshmem/internal/shmem"
 )
 
-// TestSegDirChunkEdges: np=70 spans three directory chunks, the last one
+// TestSegDirChunkEdges: np=70 spans nine directory chunks, the last one
 // partial. Every PE puts, fetch-adds and gets at every PE — self and the
-// chunk edges 31/32, 63/64 and 69 included — under every way a triplet can
+// chunk edges 7/8, 63/64 and 69 included — under every way a triplet can
 // arrive: the static broadcast, the on-demand piggyback, the explicit AM
 // round-trip, and the broadcast forced onto an on-demand conduit. Under -race
 // this is also a progress thread's store racing the app thread's lookups in
@@ -63,22 +64,39 @@ func TestSegDirChunkEdges(t *testing.T) {
 	}
 }
 
-// TestSegDirSparseAndFirstWriterWins: a store allocates only the chunk it
-// lands in; two writers filling interleaved ranks of the same chunks race a
-// reader, which sees each segment whole once it sees it at all; a second
-// store to a known rank is ignored.
+// TestSegDirSparseAndFirstWriterWins: the zero directory is empty at any
+// rank, and a store allocates only the one chunk it lands in, wherever that
+// is, and a new index; a Lookup hit allocates nothing. Two writers filling interleaved ranks
+// race a reader, which sees each segment whole once it sees it at all; a
+// second store to a known rank is ignored; a full np=70 directory is dense.
 func TestSegDirSparseAndFirstWriterWins(t *testing.T) {
-	d := shmem.NewSegDir(4096)
-	d.Store(100, 1, 2, 3)
-	if got := d.Chunks(); got != 1 {
-		t.Fatalf("one store allocated %d chunks, want 1", got)
+	var d shmem.SegDir
+	if d.Lookup(0) != nil || d.Chunks() != 0 {
+		t.Fatal("the zero directory is not empty")
 	}
-	if d.Lookup(99) != nil || d.Lookup(101) != nil || d.Lookup(4095) != nil {
+	for i, pe := range []int{100, 1 << 30, 3} {
+		d.Store(pe, 1, 2, 3)
+		if got := d.Chunks(); got != int64(i+1) {
+			t.Fatalf("store %d (rank %d) left %d chunks, want %d", i, pe, got, i+1)
+		}
+	}
+	if d.Lookup(99) != nil || d.Lookup(101) != nil || d.Lookup(4095) != nil || d.Lookup(1<<30-1) != nil {
 		t.Fatal("lookup of a never-stored rank found a segment")
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Lookup(1 << 30) }); n != 0 {
+		t.Errorf("Lookup hit allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Store(101, 1, 2, 3) }); n != 0 {
+		t.Errorf("a store into an allocated chunk allocates %.0f times, want 0", n)
+	}
+	fresh := 1 << 20
+	// The chunk, the index and its pointer: 3 (4 under -race), whatever np.
+	if n := testing.AllocsPerRun(100, func() { d.Store(fresh, 1, 2, 3); fresh += 8 }); n > 4 {
+		t.Errorf("a store opening a chunk allocates %.0f times, want at most 4", n)
 	}
 
 	const np = 70
-	d = shmem.NewSegDir(np)
+	d = shmem.SegDir{}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -106,7 +124,37 @@ func TestSegDirSparseAndFirstWriterWins(t *testing.T) {
 	if s := d.Lookup(5); s.Base != 5<<12 {
 		t.Fatalf("second store overwrote rank 5: base %#x", s.Base)
 	}
-	if got := d.Chunks(); got != 3 {
-		t.Fatalf("full np=70 directory has %d chunks, want 3", got)
+	if got, want := d.Chunks(), int64((np+7)/8); got != want {
+		t.Fatalf("full np=70 directory has %d chunks, want %d", got, want)
+	}
+	if d.Lookup(np) != nil {
+		t.Fatal("rank np, never stored, found in the last chunk")
+	}
+}
+
+// TestSegDirReserve: a directory reserved for np ranks, as static and
+// SegBroadcast reserve theirs, holds every chunk and no segment, and filling
+// it in the network's order — any order — allocates nothing more.
+func TestSegDirReserve(t *testing.T) {
+	const np = 70
+	var d shmem.SegDir
+	d.Reserve(np)
+	if got, want := d.Chunks(), int64((np+7)/8); got != want {
+		t.Fatalf("reserved directory has %d chunks, want %d", got, want)
+	}
+	for pe := 0; pe < np; pe++ {
+		if d.Lookup(pe) != nil {
+			t.Fatalf("reserved directory already holds rank %d", pe)
+		}
+	}
+	order, k := rand.New(rand.NewSource(1)).Perm(np), 0
+	fill := func() { d.Store(order[k], uint64(order[k]), 1, 2); k++ }
+	if n := testing.AllocsPerRun(np-1, fill); n != 0 {
+		t.Errorf("filling a reserved directory allocates %.2f times a store, want 0", n)
+	}
+	for pe := 0; pe < np; pe++ {
+		if s := d.Lookup(pe); s == nil || s.Base != uint64(pe) {
+			t.Fatalf("rank %d after the fill: %+v", pe, s)
+		}
 	}
 }

@@ -68,7 +68,6 @@ func Attach(env shmem.Env, opts Options) *Thread {
 	t := &Thread{rank: env.Rank, n: env.NProcs}
 	t.barCond = vclock.NewCond(&t.barMu, env.HCA.Fabric().Sched())
 	t.inbox = make(map[[2]uint64]int64)
-	t.segs = shmem.NewSegDir(env.NProcs)
 
 	cfg := gasnet.Config{
 		Rank: env.Rank, NProcs: env.NProcs, Node: env.Node, PPN: env.PPN,
