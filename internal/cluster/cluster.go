@@ -374,9 +374,11 @@ func (s *substrate) launch(cfg *Config, body func(env shmem.Env)) error {
 }
 
 // RunEnvs launches a job but hands each PE its raw substrate environment
-// instead of an initialized OpenSHMEM context. Alternative PGAS clients of
-// the conduit (the mini-UPC layer, custom runtimes, tests) use it; the body
-// is responsible for its own attach/finalize.
+// instead of an initialized OpenSHMEM context. The benchmark ladder and tests
+// use it to run the conduit or an attach of their own. The body owns whatever
+// it attaches, its conduit's Close included: a body that dies before calling
+// Close (a killed PE) leaves that conduit's progress loop and timers running
+// after RunEnvs returns.
 func RunEnvs(cfg Config, body func(env shmem.Env)) error {
 	if err := cfg.prepare(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -72,15 +73,25 @@ func computeBarrierLoop(iters int, flops float64) func(c *shmem.Ctx) {
 
 // TestKillPETerminatesJobWithExitCodes injects a fail-stop crash mid-job and
 // verifies the whole job terminates in bounded time with launcher-style exit
-// codes: 137 for the crashed PE, nonzero for every stranded survivor.
+// codes: 137 for the crashed PE, nonzero for every stranded survivor. Nothing
+// of the killed job outlives Run: the goroutine count gets back to where it
+// was before the launch.
 func TestKillPETerminatesJobWithExitCodes(t *testing.T) {
 	const np, victim = 8, 5
 	cfg := Config{
 		NP: np, PPN: 4, Mode: gasnet.OnDemand, HeapSize: 1 << 20,
 		KillPEs: []PEFault{{Rank: victim, At: 1 * vclock.Second}},
 	}
+	before := runtime.NumGoroutine()
 	// 300 x 10ms virtual = 3s of virtual work; the victim crashes at 1s.
 	res := runBounded(t, cfg, computeBarrierLoop(300, 2.5e7))
+	// A goroutine that has signalled its end may still be exiting (the PE's
+	// own, runBounded's): give them a second of wall time, no more.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the killed job", runtime.NumGoroutine()-before)
+		}
+	}
 
 	if !res.Aborted {
 		t.Fatal("job with a killed PE did not report Aborted")

@@ -304,9 +304,12 @@ func TestSelfCommunication(t *testing.T) {
 	}
 }
 
+// TestStaticConnectAll: the eager all-pairs connect leaves every PE ready to
+// every peer, and — the static half of the opaque-payload contract — each PE
+// holds every peer's payload, delivered exactly once.
 func TestStaticConnectAll(t *testing.T) {
 	const n = 8
-	pes, run := startJob(t, jobOpts{n: n, ppn: 4, mode: Static})
+	pes, run := startJob(t, jobOpts{n: n, ppn: 4, mode: Static, payloads: true})
 	run(func(p *pe) {
 		if err := p.C.ConnectAll(); err != nil {
 			t.Errorf("rank %d: %v", p.C.Rank(), err)
@@ -322,6 +325,13 @@ func TestStaticConnectAll(t *testing.T) {
 		if st.RCQPsCreated < n || st.RCQPsCreated > n+2 {
 			t.Fatalf("rank %d: RC QPs created = %d, want ~%d", p.C.Rank(), st.RCQPsCreated, n)
 		}
+		p.mu.Lock()
+		for k := 0; k < n; k++ {
+			if got, want := string(p.payloads[k]), fmt.Sprintf("seg-of-%d", k); got != want || p.payCount[k] != 1 {
+				t.Errorf("rank %d: payload of %d = %q (count %d), want %q once", p.C.Rank(), k, got, p.payCount[k], want)
+			}
+		}
+		p.mu.Unlock()
 	}
 	// Everyone can message everyone.
 	var mu sync.Mutex
@@ -334,10 +344,6 @@ func TestStaticConnectAll(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	done := make(chan struct{})
-	cnt := 0
-	mu.Lock()
-	mu.Unlock()
 	run(func(p *pe) {
 		for peer := 0; peer < n; peer++ {
 			if err := p.C.AMRequest(peer, 9, [4]uint64{}, nil); err != nil {
@@ -346,17 +352,13 @@ func TestStaticConnectAll(t *testing.T) {
 		}
 	})
 	// Drain: each PE should receive n messages.
-	for {
+	for cnt := 0; cnt != n*n; {
 		mu.Lock()
 		cnt = 0
 		for _, v := range recv {
 			cnt += v
 		}
 		mu.Unlock()
-		if cnt == n*n {
-			close(done)
-			break
-		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
-
-	"goshmem/internal/gasnet"
 )
 
 // Segment triplet wire format: base u64 | size u64 | rkey u32.
@@ -101,21 +99,6 @@ func (d *SegDir) reserve(n int) {
 	d.index.Store(&idx)
 }
 
-// Connect returns pe's segment, connecting to pe first when it is not known:
-// the segment rides the connect handshake as the conduit's opaque payload.
-func (d *SegDir) Connect(conduit *gasnet.Conduit, pe int) (*Seg, error) {
-	if s := d.Lookup(pe); s != nil {
-		return s, nil
-	}
-	if err := conduit.EnsureConnected(pe); err != nil {
-		return nil, err
-	}
-	if s := d.Lookup(pe); s != nil {
-		return s, nil
-	}
-	return nil, fmt.Errorf("shmem: segment of pe %d missing after connect", pe)
-}
-
 // encodeOwnSeg serializes this PE's <address, size, rkey> triplet. It is the
 // opaque payload the conduit piggybacks on connect messages; the conduit
 // never parses it (separation of concerns, paper section IV-C).
@@ -173,9 +156,19 @@ func (c *Ctx) broadcastSegs() {
 func (c *Ctx) fetchSeg(pe int) (*Seg, error) {
 	switch c.opts.SegEx {
 	case SegPiggyback:
-		// The triplet rides on the connect handshake; after EnsureConnected
-		// it is guaranteed to be present.
-		return c.segs.Connect(c.conduit, pe)
+		// The triplet rides on the connect handshake as the conduit's opaque
+		// payload: a peer that connected to us since the caller looked has
+		// delivered it already, and after EnsureConnected it is present.
+		if s := c.segs.Lookup(pe); s != nil {
+			return s, nil
+		}
+		if err := c.conduit.EnsureConnected(pe); err != nil {
+			return nil, err
+		}
+		if s := c.segs.Lookup(pe); s != nil {
+			return s, nil
+		}
+		return nil, fmt.Errorf("shmem: segment of pe %d missing after connect", pe)
 	case SegBroadcast:
 		// Attach waited for every triplet: a miss is a lost one.
 		return nil, fmt.Errorf("shmem: segment info for pe %d missing after init broadcast", pe)
