@@ -189,7 +189,7 @@ loc:
 GASNET_LOC_MAX = 3000
 IB_LOC_MAX = 1657
 SHMEM_LOC_MAX = 1259
-TOTAL_LOC_MAX = 13640
+TOTAL_LOC_MAX = 13638
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

@@ -18,6 +18,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -27,6 +28,12 @@ type Table struct {
 	Headers []string
 	Rows    [][]string
 	Notes   []string
+}
+
+// CapSizes keeps the sizes up to max: the one place a sweep is cut short,
+// whether to spare the static mesh or a small machine.
+func CapSizes(sizes []int, max int) []int {
+	return slices.DeleteFunc(slices.Clone(sizes), func(n int) bool { return n > max })
 }
 
 // Fprint writes the table as aligned text.

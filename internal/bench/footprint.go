@@ -48,16 +48,13 @@ type FootprintPoint struct {
 // connection mode. Like Startup, each PE registers a 1 GiB symmetric heap
 // and allocates nothing from it, so nothing of it is backed: BytesPerPE is
 // the engine's own per-PE cost — connection state, queue pairs, endpoint
-// directories, telemetry — with no heap to subtract. Static points above
-// maxStatic are skipped (same rationale as Startup: the O(np²) connection
-// mesh at full scale is the pressure under study, not a number this harness
-// needs minutes to reproduce).
-func FootprintSweep(mode gasnet.Mode, sizes []int, ppn, maxStatic int) ([]FootprintPoint, error) {
+// directories, telemetry — with no heap to subtract. It runs every size it
+// is given: a static caller caps them first with CapSizes (the O(np²)
+// connection mesh at full scale is the pressure under study, not a number
+// this harness needs minutes to reproduce).
+func FootprintSweep(mode gasnet.Mode, sizes []int, ppn int) ([]FootprintPoint, error) {
 	var out []FootprintPoint
 	for _, n := range sizes {
-		if mode == gasnet.Static && maxStatic > 0 && n > maxStatic {
-			continue
-		}
 		res, err := startupJob(mode, n, ppn, obs.Config{Footprint: true})
 		if err != nil {
 			return nil, err

@@ -35,14 +35,15 @@ type StartupPoint struct {
 
 // Startup reproduces Figure 5(a): average start_pes time and Hello World
 // job time for both designs across job sizes. Static points above
-// maxStatic are skipped (the fully connected model at 8K PEs needs ~67M
-// queue pairs — the memory pressure the paper criticizes; the shape is
-// established by the smaller points).
+// maxStatic are skipped and their rows keep only the on-demand columns (the
+// fully connected model at 8K PEs needs ~67M queue pairs — the memory
+// pressure the paper criticizes; the shape is established by the smaller
+// points).
 func Startup(sizes []int, ppn, maxStatic int) ([]StartupPoint, error) {
 	var out []StartupPoint
 	for _, n := range sizes {
 		st, od, err := both(func(mode gasnet.Mode) (*cluster.Result, error) {
-			if mode == gasnet.Static && maxStatic > 0 && n > maxStatic {
+			if mode == gasnet.Static && n > maxStatic {
 				return nil, nil
 			}
 			return startupJob(mode, n, ppn, obs.Config{})

@@ -65,7 +65,8 @@ type Doc struct {
 // the committed baseline has no such row.
 var FootprintSizes = []int{64, 256, 1024, 4096}
 
-// Trajectory runs the fixed suite, the footprint sweep at fpSizes.
+// Trajectory runs the fixed suite, the footprint sweep at fpSizes (static's
+// capped at np=1024).
 func Trajectory(fpSizes []int) (*Doc, error) {
 	d := &Doc{
 		SchemaVersion: SchemaVersion,
@@ -81,9 +82,9 @@ func Trajectory(fpSizes []int) (*Doc, error) {
 	set(&d.CreditStall, &err)(CreditStallLatency([]int{0, 16, 4, 1}, 32, 20))
 	set(&d.PhasesStatic, &err)(StartupPhases(gasnet.Static, []int{64, 128}, 8))
 	set(&d.PhasesOnDemand, &err)(StartupPhases(gasnet.OnDemand, []int{64, 128}, 8))
-	set(&d.Footprint, &err)(FootprintSweep(gasnet.Static, fpSizes, 16, 1024))
+	set(&d.Footprint, &err)(FootprintSweep(gasnet.Static, CapSizes(fpSizes, 1024), 16))
 	var onDemand []FootprintPoint
-	set(&onDemand, &err)(FootprintSweep(gasnet.OnDemand, fpSizes, 16, 0))
+	set(&onDemand, &err)(FootprintSweep(gasnet.OnDemand, fpSizes, 16))
 	d.Footprint = append(d.Footprint, onDemand...)
 	d.WallNS = time.Since(t0).Nanoseconds()
 	return d, err
