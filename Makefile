@@ -103,10 +103,10 @@ smoke:
 		-rc-corrupt 0.05 -torn-writes 0.05 -flap 0.02 -fault-seed 7
 
 # Incident-reconciliation smoke: the same seeded fault mix plus UD loss and
-# duplication, with the incident ledger on. oshrun -incidents exits nonzero
-# unless every injected fault maps to exactly one resolved incident, so this
-# run failing means an injector fired without opening an incident or a
-# recovery path stopped closing one.
+# duplication, with the incident ledger on and its table printed. cluster.Run
+# audits the ledger, and oshrun exits 1 unless every injected fault maps to
+# exactly one resolved incident, so this run failing means an injector fired
+# without opening an incident or a recovery path stopped closing one.
 incident-smoke:
 	$(GO) run ./cmd/oshrun -np 8 -ppn 4 -app traffic \
 		-drop 0.05 -dup 0.05 -rc-corrupt 0.05 -torn-writes 0.05 -flap 0.02 \
@@ -116,14 +116,14 @@ incident-smoke:
 # fabric, clean and with rail 0 killed mid-workload (0.16s virtual lands in
 # the RC traffic phase, after handshake-time rail selection is done, so the
 # recovery is live-QP path migration). The faulted run must finish with a
-# digest byte-identical to the clean run's and reconcile its incident
-# (-incidents exits nonzero otherwise).
+# digest byte-identical to the clean run's and reconcile its incident (the
+# audit in cluster.Run fails the run, and oshrun exits 1, otherwise).
 rail-smoke:
 	@clean=$$($(GO) run ./cmd/oshrun -np 8 -ppn 4 -rails 2 -app traffic \
 		| grep -o 'digest [0-9a-f]*'); \
 	out=$$($(GO) run ./cmd/oshrun -np 8 -ppn 4 -rails 2 -app traffic \
 		-fail-rail "0@0.16" -incidents) || \
-		{ echo "rail-smoke: faulted run failed (incident reconciliation?)"; exit 1; }; \
+		{ echo "rail-smoke: faulted run failed (incident audit?)"; exit 1; }; \
 	faulted=$$(echo "$$out" | grep -o 'digest [0-9a-f]*'); \
 	echo "rail-smoke: clean $$clean / rail-failure $$faulted"; \
 	test -n "$$clean" && test "$$clean" = "$$faulted" || \
@@ -189,7 +189,7 @@ loc:
 GASNET_LOC_MAX = 3000
 IB_LOC_MAX = 1657
 SHMEM_LOC_MAX = 1259
-TOTAL_LOC_MAX = 13638
+TOTAL_LOC_MAX = 13628
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

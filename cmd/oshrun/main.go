@@ -47,7 +47,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is oshrun: parse the flags into a cluster.Config and a kernel, run the
 // job, write what was asked for. It returns the process exit status — 2 for a
-// usage error, 1 for a launcher or I/O failure, else the job's (exitCode).
+// usage error, 1 for a launcher or I/O failure or a completed job whose ledger
+// does not reconcile, else the job's (exitCode).
 func run(args []string, stdout, stderr io.Writer) int {
 	o, err := parseFlags(args, stderr)
 	if err != nil {
@@ -71,11 +72,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		})
 		pprof.StopCPUProfile() // no-op unless startProfile started one
-		if err == nil {
-			err = o.write(res, cpu, stdout)
+		// A job whose audit failed still reports what it did.
+		if res != nil {
+			err = errors.Join(err, o.write(res, cpu, stdout))
 		}
 		if err == nil {
-			return exitCode(o, res)
+			return exitCode(res)
 		}
 	}
 	fmt.Fprintln(stderr, "oshrun:", err)
@@ -122,7 +124,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.footprint, "footprint", false, "take engine footprint censuses (per-subsystem memory/goroutine attribution reconciled against the measured heap) at startup boundaries and job end; prints the census table and adds the footprint section to -json")
 	fs.StringVar(&o.profileOut, "profile-out", "", "write Go pprof profiles of the simulator itself (cpu.pprof, heap.pprof, allocs.pprof) into DIR")
 	fs.IntVar(&o.memstatsEvery, "memstats-every", 0, "sample the runtime (heap bytes, goroutines) into the engine.* gauge series every N milliseconds of real time — long-soak memory telemetry; implies -footprint")
-	fs.BoolVar(&o.incidents, "incidents", false, "record the causal incident ledger and print the per-fault-kind detection/MTTR summary plus the injector reconciliation; exit 1 when reconciliation fails on a completed job")
+	fs.BoolVar(&o.incidents, "incidents", false, "record the causal incident ledger and print the per-fault-kind detection/MTTR summary plus the injector reconciliation")
 	fs.BoolVar(&o.topology, "topology", false, "record the per-pair flow matrix and print the traffic heatmap, peer-degree table and QP waste attribution")
 	fs.IntVar(&o.cfg.MaxLiveRC, "qp-cap", 0, "cap live RC queue pairs per HCA; idle connections are LRU-evicted (0 = unbounded; on-demand mode only)")
 	fs.IntVar(&o.cfg.QPBudget, "qp-budget", 0, "hard per-HCA queue-pair budget (UD+RC) the adapter enforces; exhaustion triggers eviction+retry, admission rejection, and exit 125 when progress is impossible (0 = unbounded)")
@@ -694,22 +696,17 @@ func writeText(w io.Writer, o *options, res *cluster.Result) {
 	}
 }
 
-// exitCode is the launcher's own status for a finished job: the worst per-PE
-// status when it aborted; else 1 when -incidents was asked for and the ledger
-// does not reconcile (an aborted job may leave incidents unreconciled — the
-// abort tore recovery down mid-flight — a completed one may not); else 0.
-func exitCode(o *options, res *cluster.Result) int {
-	if res.Aborted {
-		code := 1
-		for _, p := range res.PEs {
-			code = max(code, p.ExitCode)
-		}
-		return code
+// exitCode is the launcher's own status for a job that ran and passed its
+// audit: the worst per-PE status when it aborted, else 0.
+func exitCode(res *cluster.Result) int {
+	if !res.Aborted {
+		return 0
 	}
-	if o.incidents && res.Incidents != nil && !res.Incidents.Reconciled {
-		return 1
+	code := 1
+	for _, p := range res.PEs {
+		code = max(code, p.ExitCode)
 	}
-	return 0
+	return code
 }
 
 // writeFile creates path, fills it through write and closes it: the one way

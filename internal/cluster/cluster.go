@@ -9,6 +9,7 @@ package cluster
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -152,7 +153,8 @@ type Result struct {
 
 	// JobVT is the modeled job wall clock: launch fan-out through the last
 	// PE's finalize plus teardown — what "time ./hello_world" reports.
-	JobVT int64
+	JobVT    int64
+	LaunchVT int64 // where the fan-out leaves every clock: each start_pes begins here
 
 	// Obs is the observability plane when Config.Obs enabled it, else nil.
 	// Its Events() are the job's connection trace (and every other layer's
@@ -173,7 +175,7 @@ type Result struct {
 
 	// Incidents is the causal-incident summary and the reconciliation of the
 	// ledger against the fault injectors' own counts, built at job end
-	// whenever Config.Obs.Incidents was set, else nil.
+	// whenever Config.Obs.Incidents was set, else nil. Run audits it.
 	Incidents *IncidentReport
 
 	// Aborted is set when the job terminated abnormally (PE failure,
@@ -259,8 +261,31 @@ func (cfg *Config) prepare() error {
 	if cfg.PPN <= 0 {
 		cfg.PPN = 16
 	}
-	if len(cfg.KillPEs)+len(cfg.WedgePEs)+len(cfg.FailQPAllocs)+len(cfg.FailMRAllocs) == 0 && !cfg.netFaulted() {
-		return nil
+	// A fault naming a PE, adapter or rail the job lacks would count as
+	// injected, and the ledger would reconcile a fault that never happened.
+	var err error
+	in := func(what string, v, lo, hi int) {
+		if err == nil && (v < lo || v >= hi) {
+			err = fmt.Errorf("cluster: %s %d outside [%d, %d)", what, v, lo, hi)
+		}
+	}
+	for _, f := range slices.Concat(cfg.KillPEs, cfg.WedgePEs) {
+		in("PE fault rank", f.Rank, 0, cfg.NP)
+	}
+	for _, f := range cfg.FailPorts {
+		in("port fault LID", int(f.LID), 1, (cfg.NP+cfg.PPN-1)/cfg.PPN+1)
+		in("port fault rail", f.Rail, 0, cfg.railCount())
+	}
+	for _, f := range cfg.FailRails {
+		in("rail fault rail", f.Rail, 0, cfg.railCount())
+	}
+	for _, p := range cfg.Partitions {
+		for _, r := range slices.Concat(p.A, p.B) {
+			in("partition rank", r, 0, cfg.NP)
+		}
+	}
+	if err != nil || len(cfg.KillPEs)+len(cfg.WedgePEs)+len(cfg.FailQPAllocs)+len(cfg.FailMRAllocs) == 0 && !cfg.netFaulted() {
+		return err
 	}
 	if cfg.Faults == nil {
 		cfg.Faults = ib.NewFaultInjector(1)
@@ -387,7 +412,8 @@ func RunEnvs(cfg Config, body func(env shmem.Env)) error {
 }
 
 // Run launches the job and executes app on every PE concurrently. It
-// returns when every PE has finished and finalized.
+// returns when every PE has finished and finalized; a completed job whose
+// incident ledger does not reconcile returns its Result and an error too.
 func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
@@ -401,7 +427,8 @@ func Run(cfg Config, app func(ctx *shmem.Ctx)) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return j.collect(), nil
+	res := j.collect()
+	return res, res.audit()
 }
 
 // job is one Run in flight: the substrate it stands on, the planes that watch
@@ -452,7 +479,7 @@ func setup(cfg Config, app func(ctx *shmem.Ctx)) *job {
 	seedRailTelemetry(j.plane, &cfg)
 
 	j.sub = newSubstrate(&cfg, j.plane)
-	j.res = &Result{Cfg: cfg, PEs: make([]PEResult, cfg.NP), Obs: j.plane}
+	j.res = &Result{Cfg: cfg, PEs: make([]PEResult, cfg.NP), Obs: j.plane, LaunchVT: j.sub.launchVT}
 	for _, h := range j.sub.hcas {
 		j.census.Register(h)
 	}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -38,26 +39,21 @@ func TestRunBasics(t *testing.T) {
 	}
 }
 
+// TestRunLaunchCostSetsClockOrigin: every clock starts at the modeled fan-out
+// (Result.LaunchVT, zero with SkipLaunchCost); start_pes does not depend on it.
 func TestRunLaunchCostSetsClockOrigin(t *testing.T) {
-	with, err := cluster.Run(cluster.Config{NP: 4, PPN: 4, Mode: gasnet.OnDemand},
-		func(c *shmem.Ctx) {})
-	if err != nil {
+	cfg := cluster.Config{NP: 4, PPN: 4, Mode: gasnet.OnDemand}
+	with, errWith := cluster.Run(cfg, func(c *shmem.Ctx) {})
+	cfg.SkipLaunchCost = true
+	without, errWithout := cluster.Run(cfg, func(c *shmem.Ctx) {})
+	if err := errors.Join(errWith, errWithout); err != nil {
 		t.Fatal(err)
 	}
-	without, err := cluster.Run(cluster.Config{NP: 4, PPN: 4, Mode: gasnet.OnDemand, SkipLaunchCost: true},
-		func(c *shmem.Ctx) {})
-	if err != nil {
-		t.Fatal(err)
+	if with.LaunchVT <= 0 || without.LaunchVT != 0 || with.JobVT <= without.JobVT {
+		t.Fatalf("launch cost missing: LaunchVT with=%d without=%d, JobVT with=%d without=%d",
+			with.LaunchVT, without.LaunchVT, with.JobVT, without.JobVT)
 	}
-	if with.JobVT <= without.JobVT {
-		t.Fatalf("launch cost missing: with=%d without=%d", with.JobVT, without.JobVT)
-	}
-	// Init duration itself should be unaffected by the clock origin.
-	diff := with.InitAvg - without.InitAvg
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > with.InitAvg/10 {
+	if diff := with.InitAvg - without.InitAvg; max(diff, -diff) > with.InitAvg/10 {
 		t.Fatalf("init duration should not depend on launch offset: %d vs %d", with.InitAvg, without.InitAvg)
 	}
 }
@@ -99,9 +95,35 @@ func boomOn(rank int) {
 	}
 }
 
+// TestRunRejectsBadConfig: no PEs, or a scheduled fault naming a PE, adapter or
+// rail the job lacks, is a configuration error. The last row puts every fault
+// field at the edge of its range, and runs.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := cluster.Run(cluster.Config{NP: 0}, func(c *shmem.Ctx) {}); err == nil {
-		t.Fatal("NP=0 should error")
+	const never = 1 << 62
+	for _, tc := range []struct {
+		name string
+		cfg  cluster.Config
+		ok   bool
+	}{
+		{"NP", cluster.Config{NP: -4}, false},
+		{"KillPEs rank", cluster.Config{KillPEs: []cluster.PEFault{{Rank: 4}}}, false},
+		{"WedgePEs rank", cluster.Config{WedgePEs: []cluster.PEFault{{Rank: -1}}}, false},
+		{"FailPorts LID", cluster.Config{FailPorts: []cluster.PortFault{{LID: 3}}}, false},
+		{"FailPorts rail", cluster.Config{FailPorts: []cluster.PortFault{{LID: 1, Rail: 2}}}, false},
+		{"FailRails rail", cluster.Config{FailRails: []cluster.RailFault{{Rail: 5}}}, false},
+		{"Partitions rank", cluster.Config{Partitions: []cluster.PartitionFault{{A: []int{0}, B: []int{4}}}}, false},
+		{"in range", cluster.Config{
+			KillPEs: []cluster.PEFault{{Rank: 3, At: never}}, WedgePEs: []cluster.PEFault{{Rank: 0, At: never}},
+			FailPorts: []cluster.PortFault{{LID: 2, Rail: 1, At: never}}, FailRails: []cluster.RailFault{{Rail: 1, At: never}},
+			Partitions: []cluster.PartitionFault{{A: []int{0, 1}, B: []int{2, 3}, At: never, Heal: -1}},
+		}, true},
+	} {
+		if tc.cfg.NP == 0 {
+			tc.cfg.NP, tc.cfg.PPN, tc.cfg.Rails = 4, 2, 2
+		}
+		if res, err := cluster.Run(tc.cfg, func(c *shmem.Ctx) {}); (err == nil) != tc.ok || (res != nil) != tc.ok {
+			t.Errorf("%s: Run returned %v, %v; want ok=%v", tc.name, res != nil, err, tc.ok)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func runHeatCP(t *testing.T, pmiFI *pmi.FaultInjector, ibFI *ib.FaultInjector) (
 		HeapSize:  1 << 20,
 		PMIFaults: pmiFI,
 		Faults:    ibFI,
-		Obs:       obs.Config{Incidents: true}, // for mustReconcile
+		Obs:       obs.Config{Incidents: true},
 	}
 	res := runBounded(t, cfg, func(c *shmem.Ctx) {
 		r := heat2d.Run(c, heat2d.Params{NX: 32, NY: 8 * c.NPEs(), MaxIters: 20, CheckEvery: 5, Tol: 1e-6})

@@ -20,7 +20,6 @@ func runTwice(t *testing.T, cfg Config, app func(*shmem.Ctx)) (a, b *Result) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustReconcile(t, r)
 		res[i] = r
 	}
 	return res[0], res[1]

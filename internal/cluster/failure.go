@@ -153,13 +153,7 @@ func (w *watchdog) result() (fired bool, reason, dump string) {
 func (w *watchdog) maxVT() int64 {
 	// The timer queue's frontier counts: a job waiting out a silence spends
 	// its virtual time there while every PE clock stands still.
-	m := w.sub.fab.Sched().Now()
-	for _, clk := range w.sub.clks {
-		if t := clk.Now(); t > m {
-			m = t
-		}
-	}
-	return m
+	return max(w.sub.fab.Sched().Now(), maxClockVT(w.sub.clks))
 }
 
 // progress is a monotone signature of job activity: total virtual time plus
@@ -265,18 +259,10 @@ func (w *watchdog) buildDump(reason string) string {
 	w.mu.Unlock()
 	sort.Ints(ranks)
 
-	var minVT, maxVT int64 = -1, 0
+	maxVT := maxClockVT(w.sub.clks)
+	minVT := maxVT
 	for _, clk := range w.sub.clks {
-		t := clk.Now()
-		if minVT < 0 || t < minVT {
-			minVT = t
-		}
-		if t > maxVT {
-			maxVT = t
-		}
-	}
-	if minVT < 0 {
-		minVT = 0
+		minVT = min(minVT, clk.Now())
 	}
 
 	var b strings.Builder

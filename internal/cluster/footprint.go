@@ -55,12 +55,9 @@ func (v vclockReporter) Footprint() []obs.FootprintItem {
 
 // maxClockVT is the census timestamp for asynchronous engine observations:
 // the furthest any PE has progressed in virtual time.
-func maxClockVT(clks []*vclock.Clock) int64 {
-	var max int64
+func maxClockVT(clks []*vclock.Clock) (vt int64) {
 	for _, c := range clks {
-		if now := c.Now(); now > max {
-			max = now
-		}
+		vt = max(vt, c.Now())
 	}
-	return max
+	return vt
 }

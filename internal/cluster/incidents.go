@@ -122,6 +122,22 @@ func buildIncidentReport(res *Result) *IncidentReport {
 	return rep
 }
 
+// audit is the ledger's verdict on a finished job: a completed job whose
+// ledger is on reconciles, kind by kind. An aborted job may not — the abort
+// tore recovery down mid-flight.
+func (r *Result) audit() error {
+	if r.Aborted || r.Incidents == nil {
+		return nil
+	}
+	for _, row := range r.Incidents.Reconcile {
+		if !row.OK {
+			return fmt.Errorf("cluster: incident ledger does not reconcile: %s/%s injected %d, recorded %d, resolved %d",
+				row.Class, row.Kind, row.Injected, row.Recorded, row.Resolved)
+		}
+	}
+	return nil
+}
+
 // joinNew appends part to a "+"-joined list unless it is the list's last part.
 func joinNew(list, part string) string {
 	switch {

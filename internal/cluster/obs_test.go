@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"reflect"
-	"slices"
+	"fmt"
 	"testing"
 
 	"goshmem/internal/gasnet"
@@ -65,73 +64,36 @@ func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestStartupPhasesSumToInitVT asserts the phase-tiling invariant in both
-// connection modes: per PE, the recorded startup phases are contiguous,
-// start at the PE's init start, and their durations sum exactly to the
-// reported init virtual time. The phase name sequence must also be
-// identical across modes so breakdown tables stay aligned. The always-on
-// per-PE durations (PEResult.Phases) are the same phases, and with the obs
-// plane off they are unchanged and still tile the init time.
+// TestStartupPhasesSumToInitVT: in both modes the report's phases, laid end to
+// end from launch, are the "init:<name>" spans the clocks drew (so they tile
+// each init interval), and the obs plane does not move them.
 func TestStartupPhasesSumToInitVT(t *testing.T) {
-	nameSets := map[string][]string{}
 	for _, mode := range []gasnet.Mode{gasnet.OnDemand, gasnet.Static} {
-		res, err := Run(Config{
-			NP: 8, PPN: 4, Mode: mode, HeapSize: 1 << 16,
-			Obs: obs.Config{Metrics: true},
-		}, func(c *shmem.Ctx) {})
-		if err != nil {
+		cfg := Config{NP: 8, PPN: 4, Mode: mode, HeapSize: 1 << 16}
+		off, errOff := Run(cfg, func(c *shmem.Ctx) {})
+		cfg.Obs = obs.Config{Events: true, Metrics: true}
+		on, errOn := Run(cfg, func(c *shmem.Ctx) {})
+		if err := errors.Join(errOff, errOn); err != nil {
 			t.Fatal(err)
 		}
-		pes := res.Obs.StartupPhases()
-		if len(pes) != 8 {
-			t.Fatalf("%v: got %d PE phase lists, want 8", mode, len(pes))
+		drawn := map[string]obs.Event{}
+		for _, e := range on.Obs.Events() {
+			drawn[fmt.Sprint(e.Rank, e.Kind)] = e
 		}
-		var names []string
-		for _, pp := range pes {
-			if len(pp.Phases) == 0 {
-				t.Fatalf("%v: PE %d recorded no phases", mode, pp.Rank)
+		startup := BuildReport(on).StartupPhases
+		if len(startup) != cfg.NP {
+			t.Fatalf("%v: report has %d PE phase lists, want %d", mode, len(startup), cfg.NP)
+		}
+		for r, pe := range startup {
+			if p := on.PEs[r].Phases; p != off.PEs[r].Phases || p.Total() <= 0 {
+				t.Errorf("%v: PE %d phases obs on %v, obs off %v: want equal and positive", mode, r, p, off.PEs[r].Phases)
 			}
-			var sum int64
-			prevEnd := pp.Phases[0].Start
-			for i, ph := range pp.Phases {
-				if ph.Start != prevEnd {
-					t.Errorf("%v: PE %d phase %q starts at %d, want %d (phases must tile)",
-						mode, pp.Rank, ph.Name, ph.Start, prevEnd)
-				}
-				if ph.End < ph.Start {
-					t.Errorf("%v: PE %d phase %q has negative duration", mode, pp.Rank, ph.Name)
-				}
-				prevEnd = ph.End
-				sum += ph.Dur()
-				if i >= len(shmem.PhaseNames) || ph.Name != shmem.PhaseNames[i] || ph.Dur() != res.PEs[pp.Rank].Phases[i] {
-					t.Errorf("%v: PE %d phase %d %q (%d ns) is not PEResult.Phases' %v", mode, pp.Rank, i, ph.Name, ph.Dur(), res.PEs[pp.Rank].Phases)
-				}
-				if pp.Rank == 0 {
-					names = append(names, ph.Name)
+			for _, ph := range pe.Phases {
+				if e := drawn[fmt.Sprint(r, "init:"+ph.Name)]; ph.Start != e.VT || ph.End-ph.Start != e.Dur {
+					t.Errorf("%v: PE %d report phase %+v, clock drew [%d, +%d]", mode, r, ph, e.VT, e.Dur)
 				}
 			}
-			if init := res.PEs[pp.Rank].Phases.Total(); sum != init {
-				t.Errorf("%v: PE %d phase sum %d != init VT %d", mode, pp.Rank, sum, init)
-			}
 		}
-		nameSets[mode.String()] = names
-
-		off, err := Run(Config{NP: 8, PPN: 4, Mode: mode, HeapSize: 1 << 16}, func(c *shmem.Ctx) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range off.PEs {
-			if p.Phases.Total() <= 0 || slices.ContainsFunc(p.Phases[:], func(d int64) bool { return d < 0 }) {
-				t.Errorf("%v, obs off: PE %d phases %v do not tile a positive init VT", mode, p.Rank, p.Phases)
-			}
-			if p.Phases != res.PEs[p.Rank].Phases {
-				t.Errorf("%v: PE %d phases obs off %v != obs on %v", mode, p.Rank, p.Phases, res.PEs[p.Rank].Phases)
-			}
-		}
-	}
-	if !reflect.DeepEqual(nameSets["static"], nameSets["on-demand"]) {
-		t.Errorf("phase name sequences differ across modes: static=%v on-demand=%v",
-			nameSets["static"], nameSets["on-demand"])
 	}
 }
 

@@ -28,11 +28,8 @@ func mirrorCounters(plane *obs.Plane, res *Result) {
 // attribution without a bespoke code path. Runs after Ledger.Sweep: only
 // resolved incidents have final timestamps.
 func mirrorIncidents(plane *obs.Plane) {
-	if plane == nil || !plane.Config().Metrics {
-		return
-	}
 	led := plane.Ledger()
-	if led == nil {
+	if led == nil || !plane.Config().Metrics {
 		return
 	}
 	reg := plane.Registry()

@@ -7,6 +7,7 @@ import (
 
 	"goshmem/internal/gasnet"
 	"goshmem/internal/obs"
+	"goshmem/internal/shmem"
 )
 
 // ExchangePath attributes the endpoint-exchange path startup actually took.
@@ -52,7 +53,7 @@ type Report struct {
 
 	PEs []PEReport `json:"pes"`
 
-	StartupPhases []obs.PEPhases        `json:"startup_phases,omitempty"`
+	StartupPhases []PEStartup           `json:"startup_phases,omitempty"`
 	Counters      []obs.CounterSnapshot `json:"counters,omitempty"`
 	Histograms    []obs.HistSnapshot    `json:"histograms,omitempty"`
 	DroppedEvents int64                 `json:"dropped_events,omitempty"`
@@ -86,6 +87,35 @@ type PEReport struct {
 	ExitCode     int   `json:"exit_code"`
 }
 
+// PEStartup is one rank's start_pes breakdown on the job's virtual timeline.
+type PEStartup struct {
+	Rank   int            `json:"rank"`
+	Phases []StartupPhase `json:"phases"`
+}
+
+// StartupPhase is one named slice of a start_pes.
+type StartupPhase struct {
+	Name  string `json:"name"`
+	Start int64  `json:"start_vt"`
+	End   int64  `json:"end_vt"`
+}
+
+// startupPhases lays each PE's phases end to end from LaunchVT: every clock
+// starts there and Attach is the first thing a PE runs, so the phases tile
+// its start_pes by construction.
+func startupPhases(res *Result) []PEStartup {
+	out := make([]PEStartup, len(res.PEs))
+	for r, p := range res.PEs {
+		out[r] = PEStartup{Rank: r, Phases: make([]StartupPhase, len(p.Phases))}
+		vt := res.LaunchVT
+		for i, d := range p.Phases {
+			out[r].Phases[i] = StartupPhase{Name: shmem.PhaseNames[i], Start: vt, End: vt + d}
+			vt += d
+		}
+	}
+	return out
+}
+
 // BuildReport assembles the report from a finished run. Observability
 // sections are present only when the corresponding plane was enabled.
 func BuildReport(res *Result) *Report {
@@ -116,7 +146,7 @@ func BuildReport(res *Result) *Report {
 		})
 	}
 	if res.Obs != nil {
-		rep.StartupPhases = res.Obs.StartupPhases()
+		rep.StartupPhases = startupPhases(res)
 		rep.DroppedEvents = res.Obs.Dropped()
 		if reg := res.Obs.Registry(); reg != nil {
 			rep.Counters = reg.Counters()

@@ -52,7 +52,7 @@ func runChurn(t *testing.T, budgets, chaos bool, seed int64) ([churnNP]uint64, *
 		// livelock into a visible 124 instead of a hung test run.
 		Deadline:     60 * vclock.Second,
 		StallTimeout: 30 * time.Second,
-		Obs:          obs.Config{Incidents: true}, // for mustReconcile
+		Obs:          obs.Config{Incidents: true},
 	}
 	if budgets {
 		cfg.QPBudget = churnQPBudget
@@ -85,7 +85,6 @@ func runChurn(t *testing.T, budgets, chaos bool, seed int64) ([churnNP]uint64, *
 			t.Fatalf("rank %d issued no traffic", r)
 		}
 	}
-	mustReconcile(t, res)
 	return digests, res
 }
 

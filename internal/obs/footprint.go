@@ -384,23 +384,19 @@ func (pl *Plane) Footprint() []FootprintItem {
 	}
 	eventSize := int64(unsafe.Sizeof(Event{}))
 	flowSize := int64(unsafe.Sizeof([NumFlowKinds]FlowCell{}))
-	phaseSize := int64(unsafe.Sizeof(Phase{}))
-	var rings, flows, phases FootprintItem
+	var rings, flows FootprintItem
 	for _, pe := range pl.pes {
 		pe.mu.Lock()
 		rings.Bytes += int64(cap(pe.ring)) * eventSize
 		rings.Objects += int64(len(pe.ring))
 		flows.Bytes += int64(len(pe.flows)) * (flowSize + mapEntryOverhead)
 		flows.Objects += int64(len(pe.flows))
-		phases.Bytes += int64(len(pe.phases)) * phaseSize
-		phases.Objects += int64(len(pe.phases))
 		pe.mu.Unlock()
 	}
 	peShell := int64(unsafe.Sizeof(PE{}))
 	items := []FootprintItem{
 		{Subsystem: "obs", Category: "event-rings", Bytes: rings.Bytes + int64(len(pl.pes))*peShell, Objects: rings.Objects},
 		{Subsystem: "obs", Category: "flow-matrices", Bytes: flows.Bytes, Objects: flows.Objects},
-		{Subsystem: "obs", Category: "phases", Bytes: phases.Bytes, Objects: phases.Objects},
 	}
 	items = append(items, pl.reg.footprint()...)
 	items = append(items, pl.gauges.footprint()...)

@@ -11,8 +11,6 @@
 //   - Metrics are typed values — monotonic counters and HDR-style latency
 //     histograms — registered once by name in a job-level Registry shared
 //     by all PEs (see metrics.go).
-//   - Startup phases are a small dedicated per-PE list (see phases.go) so
-//     the init-time breakdown can never be lost to ring overflow.
 //
 // The disabled path is a nil *PE (obs.Nop): every method starts with a nil
 // receiver check and returns immediately, so instrumentation call sites can
@@ -112,8 +110,7 @@ type Plane struct {
 }
 
 // NewPlane creates a plane for np PEs. If cfg disables both events and
-// metrics the plane still exists (phases are always recorded) but event
-// and metric calls no-op.
+// metrics the plane still exists but event and metric calls no-op.
 func NewPlane(np int, cfg Config) *Plane {
 	if cfg.RingCap == 0 {
 		cfg.RingCap = DefaultRingCap
@@ -259,7 +256,7 @@ func sortEvents(evs []Event) []Event {
 // is off.
 var Nop *PE
 
-// PE records events and phases for one rank. All methods are safe on a nil
+// PE records events for one rank. All methods are safe on a nil
 // receiver and safe for concurrent use (a PE's app goroutine and its
 // conduit progress goroutine both record).
 type PE struct {
@@ -268,9 +265,8 @@ type PE struct {
 
 	mu      sync.Mutex
 	ring    []Event
-	next    int   // next overwrite slot once the bounded ring is full
-	dropped int64 // events overwritten
-	phases  []Phase
+	next    int                             // next overwrite slot once the bounded ring is full
+	dropped int64                           // events overwritten
 	flows   map[int]*[NumFlowKinds]FlowCell // peer -> per-kind cells (flow.go)
 }
 

@@ -12,7 +12,6 @@ func TestNopIsSafe(t *testing.T) {
 	var p *PE // == Nop
 	p.Emit(1, LayerGasnet, "x", 2, 3)
 	p.Span(1, 2, LayerShmem, "y", -1, 0)
-	p.InitPhase("pmi", 0, 10)
 	p.Count("c", 1)
 	p.Observe("h", 5)
 	if p.Active() || p.EventsEnabled() {
@@ -21,7 +20,7 @@ func TestNopIsSafe(t *testing.T) {
 	if p.Counter("c") != nil || p.Hist("h") != nil {
 		t.Fatal("nil PE returned live metrics")
 	}
-	if p.Rank() != -1 || len(p.Phases()) != 0 {
+	if p.Rank() != -1 {
 		t.Fatal("nil PE leaked state")
 	}
 	var c *Counter
@@ -174,20 +173,6 @@ func TestEventsOrderMatchesStableSort(t *testing.T) {
 		if got := pl.Events(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: Events differs from the stable sort (%d vs %d events)", seed, len(got), len(want))
 		}
-	}
-}
-
-func TestPhasesSeparateFromRing(t *testing.T) {
-	pl := NewPlane(1, Config{Events: true, RingCap: 2})
-	pe := pl.PE(0)
-	pe.InitPhase("qp-setup", 0, 10)
-	pe.InitPhase("pmi-exchange", 10, 30)
-	for i := 0; i < 100; i++ { // overflow the ring
-		pe.Emit(int64(100+i), LayerGasnet, "noise", -1, 0)
-	}
-	ph := pe.Phases()
-	if len(ph) != 2 || ph[0].Name != "qp-setup" || ph[1].Dur() != 20 {
-		t.Fatalf("phases lost to ring overflow: %+v", ph)
 	}
 }
 

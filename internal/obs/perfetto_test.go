@@ -13,7 +13,7 @@ import (
 func buildTestPlane() *Plane {
 	pl := NewPlane(2, Config{Events: true})
 	p0, p1 := pl.PE(0), pl.PE(1)
-	p0.InitPhase("pmi-exchange", 0, 1500)
+	p0.Span(0, 1500, LayerShmem, "init:pmi-exchange", -1, 0)
 	p0.Emit(2000, LayerGasnet, "conn-initiate", 1, 0)
 	p0.Span(2000, 5250, LayerGasnet, "connect", 1, 0)
 	p0.Span(6000, 6800, LayerShmem, "put", 1, 4096, Attr{Key: "class", Val: "one-sided"})

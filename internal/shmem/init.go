@@ -41,13 +41,14 @@ type Env struct {
 func Attach(env Env, opts Options) *Ctx {
 	c := newCtx(env, opts)
 	last := c.clk.Now()
-	// mark closes one startup phase and hands it to the obs plane, so the
-	// phases tile start_pes exactly (the phase-sum invariant).
+	// mark closes one startup phase, so the phases tile start_pes exactly,
+	// and shows it on the event timeline as an "init:<name>" span.
 	mark := func(ph int) {
 		now := c.clk.Now()
-		c.phases[ph] = now - last
-		c.obs.InitPhase(PhaseNames[ph], last, now)
-		last = now
+		if c.obs.EventsEnabled() {
+			c.obs.Span(last, now, obs.LayerShmem, "init:"+PhaseNames[ph], -1, 0)
+		}
+		c.phases[ph], last = now-last, now
 	}
 
 	c.startConduit(env)
@@ -115,10 +116,9 @@ func newCtx(env Env, opts Options) *Ctx {
 	}
 	opts.HeapSize = (opts.HeapSize + heapAlign - 1) &^ (heapAlign - 1) // the allocator hands out whole units
 	if opts.SegEx == SegAuto {
+		opts.SegEx = SegPiggyback
 		if opts.Mode == gasnet.Static {
 			opts.SegEx = SegBroadcast
-		} else {
-			opts.SegEx = SegPiggyback
 		}
 	}
 

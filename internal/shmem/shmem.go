@@ -89,7 +89,7 @@ const (
 	PhaseOther
 )
 
-// PhaseNames are the phases' obs.InitPhase names.
+// PhaseNames name the phases in reports and in their "init:<name>" spans.
 var PhaseNames = [...]string{"qp-setup", "pmi-exchange", "mem-reg", "shared-mem", "conn-setup", "rkey-exchange", "other"}
 
 // Phases is the virtual time (ns) start_pes spent in each phase.
