@@ -167,7 +167,7 @@ bench-check:
 # ten seconds each (go test accepts one -fuzz target per run). The seeds alone
 # already run as unit tests under `make test`; this is the nightly search for
 # new crashers, which land under internal/gasnet/testdata/fuzz when found.
-FUZZ_TARGETS = FuzzDecodeConnMsg FuzzDecodeAM FuzzSplitRCTrailer FuzzDecodeSeqPayload FuzzDecodeAbortPayload FuzzDecodeDest
+FUZZ_TARGETS = FuzzDecodeConnMsg FuzzDecodeAM FuzzSplitRCTrailer FuzzDecodeSeqPayload FuzzDecodeDest
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -186,10 +186,10 @@ loc:
 # all packages together are ceilings, not re-anchor findings: where the last change that lowered
 # each one landed (the conduit's rounded up to the next fifty). A change that needs more room
 # says so by raising the number, in the open.
-GASNET_LOC_MAX = 3000
+GASNET_LOC_MAX = 2950
 IB_LOC_MAX = 1657
 SHMEM_LOC_MAX = 1259
-TOTAL_LOC_MAX = 13628
+TOTAL_LOC_MAX = 13567
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

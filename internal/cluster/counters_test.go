@@ -99,7 +99,7 @@ func lineDiff(got, want string) string {
 // has an injector.
 func TestExportedCounterNamesPinned(t *testing.T) {
 	want := []string{
-		"gasnet.aborts_propagated", "gasnet.admission_rejects", "gasnet.alloc_failures",
+		"gasnet.admission_rejects", "gasnet.alloc_failures",
 		"gasnet.ams_sent", "gasnet.atomics_issued", "gasnet.bounce_fallbacks",
 		"gasnet.bytes_got", "gasnet.bytes_put", "gasnet.conns_established",
 		"gasnet.corrupt_frames", "gasnet.credit_stalls", "gasnet.dup_ops_suppressed",

@@ -87,7 +87,7 @@ type watchdog struct {
 	deadline int64         // virtual-time budget (0 = none)
 	stall    time.Duration // real-time progress timeout (0 = none)
 
-	sub *substrate // the clocks, fabric, PMI server and node barriers it reads and aborts
+	sub *substrate // the clocks and fabric it reads, the PMI server it aborts through
 
 	mu       sync.Mutex
 	conduits map[int]*gasnet.Conduit
@@ -117,19 +117,16 @@ func newWatchdog(cfg Config, sub *substrate) *watchdog {
 	return w
 }
 
-// register hands the watchdog one PE's conduit once it exists. If the
-// watchdog already fired, the late arrival is aborted immediately.
+// register hands the watchdog one PE's conduit once it exists, for the
+// diagnostic dump. A conduit that arrives after the firing needs nothing
+// more: it subscribed to the PMI abort, which reached it at once.
 func (w *watchdog) register(rank int, c *gasnet.Conduit) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
 	w.conduits[rank] = c
-	fired, reason := w.fired, w.reason
 	w.mu.Unlock()
-	if fired {
-		c.AbortLocal(&gasnet.AbortError{Origin: -1, Dead: -1, Code: ExitWatchdog, Reason: reason})
-	}
 }
 
 func (w *watchdog) stop() {
@@ -181,20 +178,11 @@ func (w *watchdog) run() {
 			return
 		case <-ticker.C:
 		}
-		w.mu.Lock()
-		fired := w.fired
-		w.mu.Unlock()
-		if fired {
-			// Keep sweeping so conduits registered after the firing (PEs
-			// still inside Attach) are aborted too.
-			w.abortAll()
-			continue
-		}
 		if w.deadline > 0 {
 			if vt := w.maxVT(); vt > w.deadline {
 				w.fire(fmt.Sprintf("watchdog: job exceeded virtual-time deadline (%.3fs > %.3fs)",
 					vclock.Seconds(vt), vclock.Seconds(w.deadline)))
-				continue
+				return
 			}
 		}
 		if w.stall > 0 {
@@ -203,45 +191,22 @@ func (w *watchdog) run() {
 				lastChange = time.Now()
 			} else if time.Since(lastChange) >= w.stall {
 				w.fire(fmt.Sprintf("watchdog: no progress (virtual clocks and fabric deliveries frozen) for %v", w.stall))
+				return
 			}
 		}
 	}
 }
 
+// fire dumps the job's state, then kills it the way a launcher does: one
+// PMI abort, which every PE's conduit has subscribed to (and each conduit's
+// abort releases its node barrier).
 func (w *watchdog) fire(reason string) {
-	w.mu.Lock()
-	if w.fired {
-		w.mu.Unlock()
-		return
-	}
-	w.fired = true
-	w.reason = reason
-	w.mu.Unlock()
-
 	// Capture diagnostics before tearing anything down.
 	dump := w.buildDump(reason)
 	w.mu.Lock()
-	w.dump = dump
+	w.fired, w.reason, w.dump = true, reason, dump
 	w.mu.Unlock()
-
 	w.sub.srv.RaiseAbort(pmi.AbortNotice{Origin: -1, Dead: -1, Code: ExitWatchdog, Reason: reason})
-	for _, b := range w.sub.bars {
-		b.Abort()
-	}
-	w.abortAll()
-}
-
-func (w *watchdog) abortAll() {
-	w.mu.Lock()
-	reason := w.reason
-	cs := make([]*gasnet.Conduit, 0, len(w.conduits))
-	for _, c := range w.conduits {
-		cs = append(cs, c)
-	}
-	w.mu.Unlock()
-	for _, c := range cs {
-		c.AbortLocal(&gasnet.AbortError{Origin: -1, Dead: -1, Code: ExitWatchdog, Reason: reason})
-	}
 }
 
 // buildDump renders the per-PE diagnostic state dump: QP/connection states,

@@ -242,3 +242,37 @@ func TestRecoveryCountersIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Errorf("recovery work depends on the host: %v", seen)
 	}
 }
+
+// TestRailIncidentDetectedAfterInjection runs the rail-smoke faulted shape
+// (oshrun -np 8 -ppn 4 -rails 2 -app traffic -fail-rail 0@0.16 -incidents)
+// sixteen times: no incident may be detected before it was injected. A path
+// migration used to stamp its detection with the manager clock, which can
+// lag the rail's scheduled death, so about one run in eight showed a negative
+// detection latency on net/rail-down.
+func TestRailIncidentDetectedAfterInjection(t *testing.T) {
+	cfg := Config{
+		NP: 8, PPN: 4, Mode: gasnet.OnDemand, HeapSize: 8 << 20,
+		Rails:     2,
+		FailRails: []RailFault{{Rail: 0, At: 160 * vclock.Millisecond}},
+		Obs:       obs.Config{Incidents: true},
+	}
+	for run := 0; run < 16; run++ {
+		res := runBounded(t, cfg, func(c *shmem.Ctx) {
+			traffic.Run(c, traffic.Params{
+				SlotsPerPE: 6, Ops: 300, Epochs: 3,
+				Pattern: "zipf", ZipfS: 1.3,
+				GetFrac: 0.2, AddFrac: 0.3, QuietEvery: 32,
+				BulkEvery: 25, Seed: 77,
+			})
+		})
+		if res.Aborted {
+			t.Fatalf("run %d aborted: %s", run, res.AbortReason)
+		}
+		for _, in := range res.Obs.Ledger().Snapshot() {
+			if in.DetectVT < in.InjectVT {
+				t.Errorf("run %d: %s/%s detected at %d, before its injection at %d",
+					run, in.Class, in.Kind, in.DetectVT, in.InjectVT)
+			}
+		}
+	}
+}

@@ -141,14 +141,13 @@ type Stats struct {
 	// Connection-lifecycle recovery interleaved with PE-failure detection:
 	// the resilience table prints two rows abreast, link-level recovery on
 	// the left and the failure plane on the right.
-	LinkFaults       int `ctr:"gasnet.link_faults" label:"link faults" table:"resilience" help:"broken RC connections this PE detected and tore down"`
-	PEFailures       int `ctr:"gasnet.pe_failures" label:"pe failures" table:"resilience" help:"peers this PE's detector confirmed dead (crash or wedge)"`
-	Reconnects       int `ctr:"gasnet.reconnects" label:"reconnects" table:"resilience" help:"connections re-established after a fault or eviction"`
-	HeartbeatsSent   int `ctr:"gasnet.heartbeats_sent" label:"heartbeats sent" table:"resilience" help:"explicit failure-detector heartbeat probes sent"`
-	Evictions        int `ctr:"gasnet.evictions" label:"evictions" table:"resilience" help:"idle connections LRU-evicted under the live-QP cap (-qp-cap) or adapter budget pressure"`
-	FalseSuspicions  int `ctr:"gasnet.false_suspicions" label:"false suspicions" table:"resilience" help:"suspicions cleared by a late sign of life"`
-	Retransmits      int `ctr:"gasnet.retransmits" label:"retransmits" table:"resilience" help:"UD handshake control-frame retransmissions"`
-	AbortsPropagated int `ctr:"gasnet.aborts_propagated" label:"aborts propagated" table:"resilience" help:"abort notices this PE sent to its peers"`
+	LinkFaults      int `ctr:"gasnet.link_faults" label:"link faults" table:"resilience" help:"broken RC connections this PE detected and tore down"`
+	PEFailures      int `ctr:"gasnet.pe_failures" label:"pe failures" table:"resilience" help:"peers this PE's detector confirmed dead (crash or wedge)"`
+	Reconnects      int `ctr:"gasnet.reconnects" label:"reconnects" table:"resilience" help:"connections re-established after a fault or eviction"`
+	HeartbeatsSent  int `ctr:"gasnet.heartbeats_sent" label:"heartbeats sent" table:"resilience" help:"explicit failure-detector heartbeat probes sent"`
+	Evictions       int `ctr:"gasnet.evictions" label:"evictions" table:"resilience" help:"idle connections LRU-evicted under the live-QP cap (-qp-cap) or adapter budget pressure"`
+	FalseSuspicions int `ctr:"gasnet.false_suspicions" label:"false suspicions" table:"resilience" help:"suspicions cleared by a late sign of life"`
+	Retransmits     int `ctr:"gasnet.retransmits" label:"retransmits" table:"resilience" help:"UD handshake control-frame retransmissions"`
 
 	// Control plane (PMI resilience and checksummed UD frames).
 	PMIRetries        int `ctr:"pmi.retries" label:"pmi retries" table:"resilience" help:"PMI ops retried after a transient fault"`
@@ -379,6 +378,7 @@ func New(cfg Config) *Conduit {
 	}
 	c.wg.Add(1)
 	go c.progress()
+	cfg.PMI.OnAbort(c.pmiAbort)
 	return c
 }
 
@@ -503,8 +503,8 @@ func (c *Conduit) putFence(what string) error {
 
 // pmiFail converts a permanent control-plane failure into a job abort with
 // the distinct ExitPMIFailure exit code, so a dead launcher can never leave
-// the job hanging: the abort propagates through the (assumed reliable) PMI
-// kill channel and the in-band UD fan-out.
+// the job hanging: the abort reaches every PE through the PMI kill channel,
+// which is assumed reliable even when the key-value service is not.
 func (c *Conduit) pmiFail(what string, err error) error {
 	ae := &AbortError{
 		Origin: c.cfg.Rank, Dead: -1, Code: ExitPMIFailure,
@@ -523,7 +523,7 @@ func (c *Conduit) resolveUD(peer int) (ib.Dest, error) {
 }
 
 // resolveUDOpt is resolveUD with the fallback ladder optional: background
-// callers (the heartbeat prober, the abort fan-out) must never block in a
+// callers (the heartbeat prober, the partition verdict) must never block in a
 // Put-Fence collective or advance the PE's critical-path clock, so they pass
 // fallback=false and simply skip peers whose endpoints are unresolved.
 func (c *Conduit) resolveUDOpt(peer int, fallback bool) (ib.Dest, error) {
@@ -560,9 +560,10 @@ func (c *Conduit) completeExchange(peer int, fallback bool) error {
 		c.udMu.Lock()
 	} else if !c.udMu.TryLock() {
 		// A resolution (possibly the blocking fallback collective) is in
-		// flight on another goroutine — and a failed fallback aborts the job
-		// from *inside* the critical section, whose fan-out lands back here.
-		// Background callers skip rather than wait (or deadlock).
+		// flight on another goroutine. A background caller (a probe on the
+		// timer queue, an acknowledgement) skips rather than wait: the
+		// collective may itself be waiting on events that caller's goroutine
+		// would go on to run.
 		return fmt.Errorf("gasnet: endpoint resolution in flight for rank %d", peer)
 	}
 	defer c.udMu.Unlock()

@@ -32,8 +32,6 @@ func msgName(kind uint8) string {
 		return "heartbeat"
 	case msgHeartbeatAck:
 		return "heartbeat-ack"
-	case msgAbort:
-		return "abort"
 	case msgConnRej:
 		return "conn-rej"
 	case msgDataAck:
@@ -152,9 +150,9 @@ func (c *Conduit) tryMigrateLocked(cn *conn, peer int, vt int64) bool {
 		return false
 	}
 	c.stats.PathMigrations++
-	c.event("path-migrate", peer, c.mgrClk.Now())
-	c.led.Detect("net", -1, c.mgrClk.Now(), "path-error")
-	c.led.Act("net", -1, c.mgrClk.Now(), "path-migrate")
+	c.event("path-migrate", peer, now)
+	c.led.Detect("net", -1, now, "path-error")
+	c.led.Act("net", -1, now, "path-migrate")
 	return true
 }
 
@@ -565,13 +563,7 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 		return // no such rank: nothing below may index by it
 	}
 	if c.arrivalFate(comp.VTime) != selfAlive {
-		// A killed or wedged PE's software handles nothing — except the abort
-		// datagram, which models the launcher's out-of-band kill and is what
-		// finally releases a wedged process.
-		if m.Kind == msgAbort {
-			c.handleAbortMsg(m)
-		}
-		return
+		return // a killed or wedged PE's software handles nothing
 	}
 	c.noteAlive(peer, comp.VTime, m.Kind == msgHeartbeatAck)
 	if c.obs.EventsEnabled() {
@@ -599,8 +591,6 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 			Seq: m.Seq, UD: c.udQP.Addr()}, svc)
 	case msgHeartbeatAck:
 		// The noteAlive above is the entire effect.
-	case msgAbort:
-		c.handleAbortMsg(m)
 	}
 	c.mgrClk.AdvanceTo(svc.Now())
 }

@@ -41,8 +41,8 @@ const ExitPartitioned = 126
 
 // AbortError is the terminal job-abort error. It is raised by the PE that
 // confirms a peer dead, by an explicit GlobalExit, or by the cluster
-// watchdog, and propagated to every live PE in-band (a UD abort datagram)
-// and out-of-band (the PMI abort flag, the launcher's kill path).
+// watchdog, and reaches every PE through the PMI abort (the launcher's kill
+// path, pmiAbort).
 type AbortError struct {
 	Origin int // rank that raised the abort (-1: launcher/watchdog)
 	Dead   int // rank confirmed dead, -1 when no PE died
@@ -169,7 +169,7 @@ func (c *Conduit) enterKilled(now int64) {
 // dispatch, no heartbeat replies, no new sends — but the queue pairs stay
 // alive, so peers' RDMA against this PE's memory still completes in hardware.
 // The wedged PE is released only by the job abort that eventually reaches it
-// (an abort datagram or the launcher's out-of-band kill).
+// through PMI (the launcher's kill).
 func (c *Conduit) enterWedged(now int64) {
 	if !c.selfState.CompareAndSwap(selfAlive, selfWedged) {
 		return
@@ -231,13 +231,10 @@ func (c *Conduit) LivenessErr() error {
 	return c.Err()
 }
 
-// AbortCh returns a channel closed when the job aborts, for upper layers
-// that need a select-able abort signal.
-func (c *Conduit) AbortCh() <-chan struct{} { return c.abortCh }
-
 // OnAbort registers f to run once when the job aborts (or immediately if it
 // already has). Upper layers use it to wake their own condition variables so
-// blocked receives can observe LivenessErr.
+// blocked receives can observe LivenessErr: with vclock.Cond.Wake, since the
+// abort is published outside their locks.
 func (c *Conduit) OnAbort(f func(error)) {
 	c.done.mu.Lock()
 	err := c.Err()
@@ -312,24 +309,11 @@ func (c *Conduit) noteAlive(peer int, vt int64, ack bool) {
 }
 
 // hbTick is the detector's pass, one period of virtual time after the last:
-// check the out-of-band abort flag, then give every slot's health its tick and
-// do what it asks — raise the suspicion, send the probe, fetch the verdict. It
-// runs on the timer queue, so the job was stuck when it fired: virtual time
-// really has passed for every PE, and the manager clock follows it.
+// give every slot's health its tick and do what it asks — raise the
+// suspicion, send the probe, fetch the verdict. It runs on the timer queue, so
+// the job was stuck when it fired: virtual time really has passed for every
+// PE, and the manager clock follows it.
 func (c *Conduit) hbTick(vt int64) {
-	// Out-of-band backstop: the PMI abort flag is how the launcher's kill
-	// reaches a PE whose in-band abort datagram was lost — or that is wedged
-	// and no longer processes software messages.
-	if n, ok := c.cfg.PMI.Aborted(); ok && c.Err() == nil {
-		// Mark the dead rank before publishing the abort error, matching
-		// handleAbortMsg: once Err() is observable, PeerDead(dead) must
-		// already hold, so callers can fail-fast without a window where the
-		// job is aborted but the victim still looks alive.
-		if n.Dead >= 0 && n.Dead < c.cfg.NProcs && n.Dead != c.cfg.Rank {
-			c.markDead(n.Dead)
-		}
-		c.raiseLocal(&AbortError{Origin: n.Origin, Dead: n.Dead, Code: n.Code, Reason: n.Reason}, nil)
-	}
 	if c.Err() != nil {
 		return // job is dead; no further ticks
 	}
@@ -341,8 +325,9 @@ func (c *Conduit) hbTick(vt int64) {
 		now = c.mgrClk.AdvanceTo(app)
 	}
 	if c.selfFate(now) != selfAlive {
-		// A killed or wedged PE's software no longer probes; keep polling only
-		// the out-of-band abort flag above so the launcher's kill can land.
+		// A killed or wedged PE's software no longer probes. Its tick still
+		// rearms, so virtual time keeps moving while it hangs: the deadline
+		// watchdog reads the timer queue's frontier.
 		c.hbRearm(now)
 		return
 	}
@@ -419,9 +404,9 @@ func (c *Conduit) partitionVerdict(peer int, now int64) {
 		c.confirmDead(peer)
 	case fateFatal:
 		c.event("partition-fatal", peer, now)
-		c.raiseAbort(&AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitPartitioned,
+		c.Abort(&AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitPartitioned,
 			Reason: fmt.Sprintf("rank %d partitioned from rank %d on every rail with no scheduled heal",
-				c.cfg.Rank, peer)}, true)
+				c.cfg.Rank, peer)})
 	}
 }
 
@@ -440,8 +425,10 @@ func (c *Conduit) sendPing(peer int, now int64) {
 
 // markDead flags peer as dead and strips its connection slot: the handshake
 // (if any) is torn down and every queued work request is failed back to its
-// issuer. Returns whether this call did the marking.
-func (c *Conduit) markDead(peer int) bool {
+// issuer. Returns whether this call did the marking. confirmed (this PE's own
+// detector condemned the peer) counts a PEFailure before anything blocked on
+// the peer is released, so a PE that unwinds on ErrPeerDead reports it.
+func (c *Conduit) markDead(peer int, confirmed bool) bool {
 	c.connMu.Lock()
 	cn := c.conns.getOrCreate(peer)
 	if cn.dead {
@@ -449,6 +436,9 @@ func (c *Conduit) markDead(peer int) bool {
 		return false
 	}
 	cn.dead = true
+	if confirmed {
+		c.stats.PEFailures++
+	}
 	dropped := cn.pending
 	cn.pending = nil
 	c.driveLocked(cn, peer, event{kind: evPeerDead}, &driveIn{})
@@ -464,32 +454,22 @@ func (c *Conduit) markDead(peer int) bool {
 }
 
 // confirmDead finalizes a suspect: mark the peer dead, fail everything queued
-// against it, and raise the job abort that propagates to all live PEs.
+// against it, and raise the job abort that reaches every PE through PMI.
 func (c *Conduit) confirmDead(peer int) {
-	if !c.markDead(peer) {
+	if !c.markDead(peer, true) {
 		return
 	}
-	c.bump(&c.stats.PEFailures, 1)
 	c.event("confirm-dead", peer, c.mgrClk.Now())
 	c.gSuspect.Add(c.mgrClk.Now(), -1)
 	c.led.Act("pe", peer, c.mgrClk.Now(), "confirm-dead")
-	c.raiseAbort(&AbortError{Origin: c.cfg.Rank, Dead: peer, Code: 1,
-		Reason: fmt.Sprintf("rank %d confirmed dead by rank %d's failure detector", peer, c.cfg.Rank)}, true)
+	c.Abort(&AbortError{Origin: c.cfg.Rank, Dead: peer, Code: 1,
+		Reason: fmt.Sprintf("rank %d confirmed dead by rank %d's failure detector", peer, c.cfg.Rank)})
 }
-
-// Abort raises a job abort from this PE (shmem_global_exit semantics) and
-// propagates it to every peer in-band and through PMI.
-func (c *Conduit) Abort(ae *AbortError) { c.raiseAbort(ae, true) }
-
-// AbortLocal raises the abort on this PE only, without notifying peers — the
-// launcher's per-process kill path (the cluster watchdog fans it out itself).
-func (c *Conduit) AbortLocal(ae *AbortError) { c.raiseAbort(ae, false) }
 
 // raiseLocal records err as this PE's terminal state and releases every
 // blocked operation. First error wins; the winner runs announce (may be nil)
 // before anything blocked here is released, so by the time the application
-// thread unwinds, the abort it unwinds with has been told to the job and
-// counted.
+// thread unwinds, the abort it unwinds with has been told to the job.
 func (c *Conduit) raiseLocal(err error, announce func()) bool {
 	if !c.abortErr.CompareAndSwap(nil, &err) {
 		return false
@@ -504,7 +484,7 @@ func (c *Conduit) raiseLocal(err error, announce func()) bool {
 		announce()
 	}
 	close(c.abortCh)
-	c.connCond.Broadcast()
+	c.connCond.Wake() // its waiters read Err under connMu, which we do not hold
 	c.done.cond.Broadcast()
 	if c.cfg.NodeBarrier != nil {
 		// Release node-mates blocked in the intra-node barrier; the job is
@@ -517,11 +497,11 @@ func (c *Conduit) raiseLocal(err error, announce func()) bool {
 	return true
 }
 
-// raiseAbort records the abort locally and, when propagate is set, announces
-// it to PMI (out-of-band) and to every peer (in-band UD datagram — including
-// the dead rank, whose "death" may be a wedge that only an external kill can
-// release).
-func (c *Conduit) raiseAbort(ae *AbortError, propagate bool) {
+// Abort raises a job abort from this PE (shmem_global_exit semantics): it
+// records the abort here, then raises it through PMI (PMI2_Abort), which
+// delivers it to every PE of the job — the dead rank included, whose "death"
+// may be a wedge that only the launcher's kill can release.
+func (c *Conduit) Abort(ae *AbortError) {
 	if ae.Code == 0 {
 		ae.Code = 1
 	}
@@ -530,47 +510,23 @@ func (c *Conduit) raiseAbort(ae *AbortError, propagate bool) {
 		if ae.Dead >= 0 {
 			c.led.Act("pe", ae.Dead, c.mgrClk.Now(), "abort")
 		}
-		if propagate {
-			c.announceAbort(ae)
-		}
+		c.cfg.PMI.RaiseAbort(pmi.AbortNotice{Origin: ae.Origin, Dead: ae.Dead, Code: ae.Code, Reason: ae.Reason})
 	})
 }
 
-// announceAbort tells the job: PMI (out-of-band), then a UD datagram to every
-// peer.
-func (c *Conduit) announceAbort(ae *AbortError) {
-	c.cfg.PMI.RaiseAbort(pmi.AbortNotice{Origin: ae.Origin, Dead: ae.Dead, Code: ae.Code, Reason: ae.Reason})
-	payload := encodeAbortPayload(ae.Code, ae.Reason)
-	sent := 0
-	for peer := 0; peer < c.cfg.NProcs; peer++ {
-		if peer == c.cfg.Rank {
-			continue
-		}
-		// No fallback while aborting: peers whose endpoints never resolved
-		// are reached through the PMI kill channel above instead.
-		ud, err := c.resolveUDOpt(peer, false)
-		if err != nil {
-			continue
-		}
-		m := connMsg{Kind: msgAbort, SrcRank: int32(ae.Origin), Seq: uint32(int32(ae.Dead)),
-			UD: c.udQP.Addr(), Payload: payload}
-		if c.sendControl(peer, ud, m, c.mgrClk) == nil {
-			sent++
-		}
+// pmiAbort is this PE's end of the launcher's kill: the PMI server runs it
+// once the job's abort is raised (New registers it). It marks the dead rank
+// before publishing the abort error: once Err() is observable, PeerDead(dead)
+// must already hold, so callers can fail fast without a window where the job
+// is aborted but the victim still looks alive.
+func (c *Conduit) pmiAbort(n pmi.AbortNotice) {
+	if c.Err() != nil {
+		return // the origin, or a PE that crashed on its own
 	}
-	c.bump(&c.stats.AbortsPropagated, sent)
-}
-
-// handleAbortMsg processes an in-band abort datagram: mark the dead rank (if
-// any) and abort locally. No re-broadcast — the origin already notified
-// everyone, and PMI is the lost-datagram backstop.
-func (c *Conduit) handleAbortMsg(m connMsg) {
-	dead := int(int32(m.Seq))
-	code, reason := decodeAbortPayload(m.Payload)
-	if dead >= 0 && dead < c.cfg.NProcs && dead != c.cfg.Rank {
-		c.markDead(dead)
+	if n.Dead >= 0 && n.Dead < c.cfg.NProcs && n.Dead != c.cfg.Rank {
+		c.markDead(n.Dead, false)
 	}
-	c.raiseLocal(&AbortError{Origin: int(m.SrcRank), Dead: dead, Code: code, Reason: reason}, nil)
+	c.raiseLocal(&AbortError{Origin: n.Origin, Dead: n.Dead, Code: n.Code, Reason: n.Reason}, nil)
 }
 
 // HealthSnapshot is a point-in-time diagnostic view of one conduit, the raw

@@ -201,7 +201,7 @@ func TestFaultFreeRunsPayNoResilienceCost(t *testing.T) {
 		if st.LinkFaults != 0 || st.Reconnects != 0 || st.Evictions != 0 || st.Retransmits != 0 {
 			t.Fatalf("rank %d: resilience activity on a fault-free run: %+v", p.C.Rank(), st)
 		}
-		if st.PEFailures != 0 || st.HeartbeatsSent != 0 || st.FalseSuspicions != 0 || st.AbortsPropagated != 0 {
+		if st.PEFailures != 0 || st.HeartbeatsSent != 0 || st.FalseSuspicions != 0 {
 			t.Fatalf("rank %d: failure-detector activity on a fault-free run: %+v", p.C.Rank(), st)
 		}
 		if p.C.sched != nil {

@@ -76,13 +76,13 @@ func TestQueuedOpFailsTheWayADirectOneDoes(t *testing.T) {
 					if err := c.EnsureConnected(1); err != nil {
 						t.Fatal(err)
 					}
-					c.markDead(1)
+					c.markDead(1, false)
 					done <- op(c, mr)
 				} else {
 					pes[1].C.ready.Store(false) // the REQ is held: the request stays queued
 					go func() { done <- op(c, mr) }()
 					waitUntil(t, func() bool { return c.HealthSnapshot().PendingWRs == 1 })
-					c.markDead(1)
+					c.markDead(1, false)
 				}
 				select {
 				case err := <-done:

@@ -20,14 +20,11 @@ const (
 	msgConnRep uint8 = 2
 	msgConnRTU uint8 = 3
 
-	// Failure-detector and abort-plane datagrams (failure.go). They reuse
-	// the connMsg frame: a heartbeat carries only the sender's UD endpoint
-	// (for the ack); an abort notice carries the dead rank in Seq (cast from
-	// int32, so -1 encodes "no PE died") and [exit code u32][reason] in the
-	// payload.
+	// Failure-detector datagrams (failure.go). They reuse the connMsg frame:
+	// a heartbeat carries only the sender's UD endpoint (for the ack).
 	msgHeartbeat    uint8 = 4
 	msgHeartbeatAck uint8 = 5
-	msgAbort        uint8 = 6
+	// Kind 6 is retired: it was the in-band abort notice (aborts go by PMI).
 
 	// msgConnRej is the server's admission-control rejection of a connection
 	// request: the target adapter's queue-pair budget is exhausted and idle
@@ -134,21 +131,6 @@ func decodeAM(b []byte) (handler uint8, srcRank int, args [4]uint64, payload []b
 		args[i] = binary.LittleEndian.Uint64(b[5+8*i:])
 	}
 	return handler, srcRank, args, b[amHdrLen:], nil
-}
-
-// Abort-notice payload: [exit code u32][reason bytes].
-func encodeAbortPayload(code int, reason string) []byte {
-	b := make([]byte, 4+len(reason))
-	binary.LittleEndian.PutUint32(b, uint32(code))
-	copy(b[4:], reason)
-	return b
-}
-
-func decodeAbortPayload(b []byte) (code int, reason string) {
-	if len(b) < 4 {
-		return 1, ""
-	}
-	return int(binary.LittleEndian.Uint32(b)), string(b[4:])
 }
 
 // Endpoint string form used in the PMI key-value store: "<lid>:<qpn>".

@@ -85,7 +85,7 @@ func New(c *gasnet.Conduit) *Comm {
 	})
 	// Wake blocked receivers when the job aborts so they observe the error
 	// instead of waiting forever for a message from a dead peer.
-	c.OnAbort(func(error) { m.cond.Broadcast() })
+	c.OnAbort(func(error) { m.cond.Wake() })
 	return m
 }
 

@@ -54,6 +54,7 @@ type Server struct {
 	sched  *vclock.Sched // the job's timer queue (nil: none); sees who is blocked here
 
 	abort *AbortNotice
+	subs  []func(AbortNotice) // OnAbort callbacks not yet run; RaiseAbort takes them
 }
 
 // AbortNotice describes a job abort raised through the PMI control channel —
@@ -88,7 +89,7 @@ func (s *Server) NProcs() int { return s.n }
 
 // SetFaults installs the control-plane fault injector. Call before the job
 // starts; a nil injector (the default) keeps the server perfectly reliable.
-// The abort channel (RaiseAbort/Aborted) is deliberately NOT fault-injected:
+// The abort channel (RaiseAbort/OnAbort) is deliberately NOT fault-injected:
 // the launcher's kill path is assumed reliable even when its KVS service
 // degrades, which keeps abort semantics simple and bounded.
 func (s *Server) SetFaults(fi *FaultInjector) { s.faults = fi }
@@ -220,9 +221,10 @@ func (c *Client) Fence() error {
 	return nil
 }
 
-// RaiseAbort records a job abort and releases every blocked PMI operation:
-// the fence barrier and all outstanding allgather/ring waiters return
-// immediately. The first notice wins; later ones are dropped.
+// RaiseAbort records a job abort, releases every blocked PMI operation — the
+// fence barrier and all outstanding allgather/ring waiters return
+// immediately — and then runs every OnAbort callback once, outside the
+// server's lock. The first notice wins; later ones are dropped.
 func (s *Server) RaiseAbort(n AbortNotice) {
 	s.mu.Lock()
 	if s.abort != nil {
@@ -230,6 +232,8 @@ func (s *Server) RaiseAbort(n AbortNotice) {
 		return
 	}
 	s.abort = &n
+	subs := s.subs
+	s.subs = nil
 	ags := make([]*AllgatherOp, 0, len(s.ag))
 	for _, op := range s.ag {
 		ags = append(ags, op)
@@ -246,6 +250,9 @@ func (s *Server) RaiseAbort(n AbortNotice) {
 	for _, op := range rings {
 		op.abort()
 	}
+	for _, f := range subs {
+		f(n)
+	}
 }
 
 // Aborted returns the job-abort notice, if one has been raised.
@@ -261,8 +268,20 @@ func (s *Server) Aborted() (AbortNotice, bool) {
 // RaiseAbort raises a job abort from this client's rank (PMI2_Abort).
 func (c *Client) RaiseAbort(n AbortNotice) { c.s.RaiseAbort(n) }
 
-// Aborted returns the job-abort notice, if one has been raised.
-func (c *Client) Aborted() (AbortNotice, bool) { return c.s.Aborted() }
+// OnAbort registers f to run once with the job's abort notice: when the abort
+// is raised, or at once if it already has been. It is how the launcher's kill
+// reaches the process, wherever the process is blocked.
+func (c *Client) OnAbort(f func(AbortNotice)) {
+	c.s.mu.Lock()
+	n := c.s.abort
+	if n == nil {
+		c.s.subs = append(c.s.subs, f)
+	}
+	c.s.mu.Unlock()
+	if n != nil {
+		f(*n)
+	}
+}
 
 // KeyFor builds the conventional per-rank KVS key.
 func KeyFor(prefix string, rank int) string { return fmt.Sprintf("%s-%d", prefix, rank) }

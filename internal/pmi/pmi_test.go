@@ -243,3 +243,21 @@ func (s *Server) fencedNow() int {
 	defer s.mu.Unlock()
 	return s.fenced
 }
+
+// TestOnAbortDeliversOnce: a subscriber registered before the abort and one
+// registered after it each get the notice exactly once, and a second
+// RaiseAbort delivers nothing.
+func TestOnAbortDeliversOnce(t *testing.T) {
+	s := NewServer(2, vclock.Default())
+	var got [2][]AbortNotice
+	s.Client(0, vclock.NewClock(0)).OnAbort(func(n AbortNotice) { got[0] = append(got[0], n) })
+	first := AbortNotice{Origin: 1, Dead: 0, Code: 1, Reason: "first"}
+	s.Client(1, vclock.NewClock(0)).RaiseAbort(first)
+	s.Client(1, vclock.NewClock(0)).OnAbort(func(n AbortNotice) { got[1] = append(got[1], n) })
+	s.RaiseAbort(AbortNotice{Origin: -1, Dead: -1, Code: 124, Reason: "second"})
+	for i, ns := range got {
+		if len(ns) != 1 || ns[0] != first {
+			t.Errorf("subscriber %d got %+v, want exactly [%+v]", i, ns, first)
+		}
+	}
+}

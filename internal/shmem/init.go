@@ -167,9 +167,9 @@ func (c *Ctx) startConduit(env Env) {
 	// On a job abort, wake every blocked wait loop in the runtime so it can
 	// observe the error instead of sleeping forever on a condvar.
 	c.conduit.OnAbort(func(error) {
-		c.coll.cond.Broadcast()
-		c.segCond.Broadcast()
-		c.watchCond.Broadcast()
+		c.coll.cond.Wake()
+		c.segCond.Wake()
+		c.watchCond.Wake()
 	})
 	c.conduit.RegisterHandler(amColl, c.coll.handle)
 	c.conduit.RegisterHandler(amSegInfo, func(src int, _ [4]uint64, payload []byte, at int64) { c.storeSeg(src, payload, at) })

@@ -224,6 +224,17 @@ func (c *Cond) Wait() {
 	c.c.Wait()
 }
 
+// Wake is Broadcast for a condition that changed outside L, such as the job's
+// abort (an atomic), which waiters read under L before they wait. Taking L
+// first means each of them is already waiting: a plain Broadcast could land
+// between a waiter's check and its wait, leaving it asleep for good while
+// counted as running. Call without L held.
+func (c *Cond) Wake() {
+	c.c.L.Lock()
+	c.c.L.Unlock()
+	c.Broadcast()
+}
+
 // Broadcast wakes every waiter, counting them as running first.
 func (c *Cond) Broadcast() {
 	if c.s != nil && c.n.Load() != 0 {

@@ -2,7 +2,9 @@ package vclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // stuck reports the queue's own verdict, for white-box assertions.
@@ -170,6 +172,40 @@ func TestWokenWaiterCountsAsRunningBeforeWakerReturns(t *testing.T) {
 	s.Unpark(1)
 	if !timer.Stop() {
 		t.Fatal("timer fired across a wake-up")
+	}
+}
+
+// TestWakeReachesWaiterBetweenCheckAndWait is the job abort's wake-up: a
+// waiter has read the condition (false) under L and not yet waited when the
+// condition flips outside L. Wake must still reach it and leave it counted as
+// running; a plain Broadcast would land in between and be lost.
+func TestWakeReachesWaiterBetweenCheckAndWait(t *testing.T) {
+	s := NewSched()
+	var mu sync.Mutex
+	c := NewCond(&mu, s)
+	var flag atomic.Bool
+	checked, woke := make(chan struct{}), make(chan struct{})
+	s.Enter() // the waiter
+	go func() {
+		mu.Lock()
+		if !flag.Load() {
+			close(checked)
+			time.Sleep(10 * time.Millisecond) // the flip and the wake-up land here
+			c.Wait()
+		}
+		mu.Unlock()
+		close(woke)
+	}()
+	<-checked
+	flag.Store(true)
+	c.Wake()
+	select {
+	case <-woke:
+	case <-time.After(10 * time.Second):
+		t.Fatal("wake-up lost: the waiter checked before the flip and waited after it")
+	}
+	if n := s.parkedNow(); n != 0 {
+		t.Fatalf("%d goroutines still counted parked after the wake-up", n)
 	}
 }
 
