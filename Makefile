@@ -5,8 +5,9 @@
 # race detector (both under a 5-minute timeout, so a hang fails in minutes, not
 # go test's default ten), the determinism contracts repeated
 # across GOMAXPROCS, a fast data-plane-integrity smoke, the benchmark
-# module's own vet + smoke test, and the perf trajectory's virtual numbers
-# checked against the committed BENCH_*.json.
+# module's own vet + smoke test, the chaos_traffic benchmark workload on three
+# seeds, and the perf trajectory's virtual numbers checked against the
+# committed BENCH_*.json.
 # Tier-2 adds vet, the fixed-seed chaos soaks (connection lifecycle, PE
 # failure, control plane, resource churn, data-plane integrity, combined) and
 # the same soaks swept over 32 more seeds.
@@ -17,11 +18,11 @@ GO ?= go
 # CHAOS_SEED=<seed> make soak (failures print the seed to replay).
 CHAOS_SEED ?= 1786034998553156286
 
-.PHONY: all tier1 tier2 build no-wallclock loc-check test vet race determinism soak soak-sweep smoke incident-smoke rail-smoke footprint-smoke bench-smoke bench-check fuzz-smoke loc trace-demo bench clean
+.PHONY: all tier1 tier2 build no-wallclock loc-check test vet race determinism soak soak-sweep smoke incident-smoke rail-smoke footprint-smoke bench-smoke chaos-smoke bench-check fuzz-smoke loc trace-demo bench clean
 
 all: tier1
 
-tier1: build no-wallclock loc-check test race determinism smoke incident-smoke rail-smoke footprint-smoke bench-smoke bench-check
+tier1: build no-wallclock loc-check test race determinism smoke incident-smoke rail-smoke footprint-smoke bench-smoke chaos-smoke bench-check
 
 build:
 	$(GO) build ./...
@@ -152,6 +153,20 @@ footprint-smoke:
 # wall time; asserts no timing.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The benchmark's faulted workload end to end, through the same entry point
+# and build the benchmark comparison uses: np=32 traffic under drops, dups,
+# flaps, corruption and torn writes, a two-second window per seed. Each run's
+# last line is its result, and it must read "correct":true: every check the
+# runner makes on its jobs passed and not every job failed.
+CHAOS_SMOKE_SEEDS ?= 1 2 3
+
+chaos-smoke:
+	@for s in $(CHAOS_SMOKE_SEEDS); do \
+		last=$$(bash benchmark/run.sh --workload chaos_traffic --seed $$s --seconds 2 --trace 0 | tail -n 1); \
+		echo "$$last" | grep -q '"correct":true' || \
+			{ echo "chaos-smoke: seed $$s: $$last"; exit 1; }; \
+	done; echo "chaos-smoke: seeds $(CHAOS_SMOKE_SEEDS) correct"
 
 # The perf trajectory's virtual numbers (start_pes, put/get latency, credit
 # stalls, startup phases) are the cost model's output: this run must

@@ -485,7 +485,7 @@ func setup(cfg Config, app func(ctx *shmem.Ctx)) *job {
 	}
 	j.census.Register(j.sub.srv)
 	j.census.Register(vclockReporter{clks: j.sub.clks, bars: j.sub.bars})
-	j.census.Register(engineReporter{res: j.res})
+	j.census.Register(&engineReporter{res: j.res})
 	j.census.Snapshot("setup", 0)
 
 	if j.census != nil {

@@ -169,8 +169,8 @@ func TestFootprintSegDirSparseOnDemand(t *testing.T) {
 // TestFootprintPerPEIndependentOfNP is the paper's premise per PE: an
 // on-demand PE that has heard from no peer yet costs the same whatever the
 // job size, so its modeled on-heap bytes at the init boundary are equal
-// within 5% at np=256 and np=2,048. (np=4,096 would run 8,192 PE goroutines,
-// past the race detector's limit of 8,128 live ones.)
+// within 5% at np=256 and np=2,048, and at most 4 KiB. (np=4,096 would run
+// 8,192 PE goroutines, past the race detector's limit of 8,128 live ones.)
 func TestFootprintPerPEIndependentOfNP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("np=2048 census run in -short mode")
@@ -191,6 +191,13 @@ func TestFootprintPerPEIndependentOfNP(t *testing.T) {
 	if r := perPE[2048] / perPE[256]; !(r >= 0.95 && r <= 1.05) {
 		t.Errorf("init-done modeled on-heap bytes per PE: %.0f at np=256, %.0f at np=2048 (%+.1f%%), want within 5%%",
 			perPE[256], perPE[2048], (r-1)*100)
+	}
+	// And it is small: the conduit, its CQ, the shmem context, one seg-dir
+	// chunk, two goroutine descriptors and their share of the job's tables.
+	for np, b := range perPE {
+		if b > 4096 {
+			t.Errorf("init-done modeled on-heap bytes per PE at np=%d: %.0f, want <= 4096", np, b)
+		}
 	}
 }
 

@@ -240,8 +240,8 @@ type Conduit struct {
 	udQP *ib.QP
 	cq   *ib.CQ
 
-	handlers   [256]atomic.Pointer[Handler] // written under connMu, read by the receive path without it
-	deferredAM map[uint8][]deferredAM       // guarded by connMu
+	handlers   [16]atomic.Pointer[Handler] // written under connMu, read by the receive path without it
+	deferredAM map[uint8][]deferredAM      // guarded by connMu
 
 	connMu      sync.Mutex
 	connCond    *vclock.Cond
@@ -620,10 +620,11 @@ type deferredAM struct {
 }
 
 // RegisterHandler installs an active-message handler and replays any
-// messages for this id that arrived before registration.
+// messages for this id that arrived before registration. Clients own ids
+// 0..13; it panics on the conduit's reserved 14..15 and past the table.
 func (c *Conduit) RegisterHandler(id uint8, h Handler) {
 	if id >= amAtomicReq {
-		panic(fmt.Sprintf("gasnet: handler id %d is reserved for the conduit", id))
+		panic(fmt.Sprintf("gasnet: handler id %d is reserved for the conduit or outside the table", id))
 	}
 	c.connMu.Lock()
 	c.handlers[id].Store(&h)
@@ -980,8 +981,8 @@ func (c *Conduit) handleAM(comp ib.Completion) {
 		data = inner
 	}
 	handler, src, args, payload, err := decodeAM(data)
-	if err != nil {
-		return
+	if err != nil || int(handler) >= len(c.handlers) {
+		return // undecodable, or a handler byte outside the table: dropped
 	}
 	c.noteAlive(src, comp.VTime, false)
 	at := comp.VTime + c.model.AMProcess

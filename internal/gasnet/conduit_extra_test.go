@@ -3,6 +3,7 @@ package gasnet
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,13 +37,14 @@ func TestGetNBICompletesAtQuiet(t *testing.T) {
 	}
 }
 
+// TestDeferredAMReplay uses 13, the highest id a client may register.
 func TestDeferredAMReplay(t *testing.T) {
 	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand})
 	// Send before the receiver registers the handler.
-	if err := pes[0].C.AMRequest(1, 99, [4]uint64{7}, []byte("early")); err != nil {
+	if err := pes[0].C.AMRequest(1, 13, [4]uint64{7}, []byte("early")); err != nil {
 		t.Fatal(err)
 	}
-	if err := pes[0].C.AMRequest(1, 99, [4]uint64{8}, []byte("early2")); err != nil {
+	if err := pes[0].C.AMRequest(1, 13, [4]uint64{8}, []byte("early2")); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until both messages have been delivered and parked in the
@@ -50,15 +52,91 @@ func TestDeferredAMReplay(t *testing.T) {
 	waitUntil(t, func() bool {
 		pes[1].C.connMu.Lock()
 		defer pes[1].C.connMu.Unlock()
-		return len(pes[1].C.deferredAM[99]) == 2
+		return len(pes[1].C.deferredAM[13]) == 2
 	})
 	got := make(chan uint64, 2)
-	pes[1].C.RegisterHandler(99, func(src int, args [4]uint64, payload []byte, at int64) {
+	pes[1].C.RegisterHandler(13, func(src int, args [4]uint64, payload []byte, at int64) {
 		got <- args[0]
 	})
 	a, b := <-got, <-got
 	if a != 7 || b != 8 {
 		t.Fatalf("deferred replay out of order: %d, %d", a, b)
+	}
+}
+
+// TestOutOfTableAMDropped: a handler byte past the 16-slot table is input
+// from the wire the conduit cannot dispatch, so the target drops the frame —
+// no panic, nothing parked for a registration that can never come. An AM on
+// a registered id sent after it on the same connection proves it arrived.
+func TestOutOfTableAMDropped(t *testing.T) {
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand})
+	got := make(chan uint64, 1)
+	pes[1].C.RegisterHandler(5, func(_ int, args [4]uint64, _ []byte, _ int64) { got <- args[0] })
+	for _, id := range []uint8{16, 99, 255} {
+		if err := pes[0].C.AMRequest(1, id, [4]uint64{}, []byte("stray")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pes[0].C.AMRequest(1, 5, [4]uint64{42}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v := <-got; v != 42 {
+		t.Fatalf("handler 5 got %d, want 42", v)
+	}
+	pes[1].C.connMu.Lock()
+	defer pes[1].C.connMu.Unlock()
+	if len(pes[1].C.deferredAM) != 0 {
+		t.Fatalf("out-of-table AMs parked: %v", pes[1].C.deferredAM)
+	}
+}
+
+// TestReservedHandlerIDs: 14 and 15 carry the conduit's framed atomics and
+// no client may take them.
+func TestReservedHandlerIDs(t *testing.T) {
+	pes, _ := startJob(t, jobOpts{n: 1, mode: OnDemand})
+	for _, id := range []uint8{amAtomicReq, amAtomicRep, 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterHandler(%d) did not panic", id)
+				}
+			}()
+			pes[0].C.RegisterHandler(id, func(int, [4]uint64, []byte, int64) {})
+		}()
+	}
+}
+
+// TestFramedAtomicsOnReservedIDs: on a lossy fabric a fetching atomic is an
+// AM round trip on ids 14 (request, at the target) and 15 (reply, at the
+// issuer), and returns the old value the fabric-level atomic would have.
+func TestFramedAtomicsOnReservedIDs(t *testing.T) {
+	fi := ib.NewFaultInjector(7)
+	fi.DropProb, fi.MaxDrops = 0.2, 8
+	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi})
+	mr := pes[1].HCA.RegisterMR(make([]byte, 64), pes[1].Clk)
+	var reqs, reps atomic.Int32
+	count := func(c *Conduit, id uint8, n *atomic.Int32) {
+		inner := *c.handlers[id].Load()
+		h := Handler(func(src int, args [4]uint64, payload []byte, at int64) {
+			n.Add(1)
+			inner(src, args, payload, at)
+		})
+		c.handlers[id].Store(&h)
+	}
+	count(pes[1].C, amAtomicReq, &reqs)
+	count(pes[0].C, amAtomicRep, &reps)
+	if old, err := pes[0].C.FetchAdd(1, mr.Base()+8, mr.RKey(), 5); err != nil || old != 0 {
+		t.Fatalf("fetchadd: old %d, %v; want 0", old, err)
+	}
+	if old, err := pes[0].C.CompareSwap(1, mr.Base()+8, mr.RKey(), 5, 11); err != nil || old != 5 {
+		t.Fatalf("cswap: old %d, %v; want 5", old, err)
+	}
+	if got := mr.LoadUint64(8); got != 11 {
+		t.Fatalf("target word %d, want 11", got)
+	}
+	if reqs.Load() != 2 || reps.Load() != 2 {
+		t.Fatalf("framed atomics: %d requests on id %d, %d replies on id %d; want 2 and 2",
+			reqs.Load(), amAtomicReq, reps.Load(), amAtomicRep)
 	}
 }
 

@@ -1,6 +1,10 @@
 package gasnet
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"goshmem/internal/obs"
+)
 
 // connTable is a PE's peer -> connection-slot table. The representation is
 // chosen once from the connection mode, because the two modes sit at opposite
@@ -80,5 +84,5 @@ func (t *connTable) each(f func(peer int, cn *conn)) {
 // one map entry per contacted peer when sparse.
 func (t *connTable) footprintBytes() int64 {
 	const ptr = int64(unsafe.Sizeof((*conn)(nil)))
-	return int64(len(t.dense))*ptr + int64(len(t.sparse))*(ptr+mapEntryOverhead)
+	return int64(len(t.dense))*ptr + int64(len(t.sparse))*(ptr+obs.MapEntryOverhead)
 }

@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"sync"
 	"unsafe"
 
 	"goshmem/internal/ib"
@@ -30,7 +31,8 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 	complSize := int64(unsafe.Sizeof(ib.Completion{}))
 
 	var conns, retained, credits, misc obs.FootprintItem
-	misc.Bytes = int64(unsafe.Sizeof(Conduit{}) + 2*unsafe.Sizeof(vclock.Cond{})) // connCond, done.cond
+	// connCond and done.cond, then the completion queue's shell and its cond.
+	misc.Bytes = int64(unsafe.Sizeof(Conduit{}) + 2*unsafe.Sizeof(vclock.Cond{}) + unsafe.Sizeof(ib.CQ{}) + unsafe.Sizeof(sync.Cond{}))
 	misc.Objects = 1
 
 	c.connMu.Lock()
@@ -56,7 +58,7 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 		}
 	})
 	misc.Bytes += int64(len(c.heldReqs)) * heldSize
-	misc.Bytes += int64(len(c.qpPeer)) * (12 + mapEntryOverhead)
+	misc.Bytes += int64(len(c.qpPeer)) * (12 + obs.MapEntryOverhead)
 	for _, ams := range c.deferredAM {
 		for _, am := range ams {
 			misc.Bytes += defAMSize + int64(len(am.payload))
@@ -89,7 +91,3 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 		{Subsystem: "gasnet", Category: "conduit", Bytes: misc.Bytes, Objects: misc.Objects},
 	}
 }
-
-// mapEntryOverhead mirrors obs.mapEntryOverhead: the estimated per-entry
-// cost of a Go map beyond key and value.
-const mapEntryOverhead = 48

@@ -40,11 +40,13 @@ import (
 // work request stays queued (its Quiet hold intact) and the replacement
 // connection re-executes it, overwriting the torn prefix.
 
-// Reserved active-message handler ids for the conduit's own session traffic.
-// RegisterHandler refuses them; upper layers use 1..253.
+// Reserved active-message handler ids for the conduit's own session traffic:
+// the last two slots of the 16-slot handler table. RegisterHandler refuses
+// them; upper layers use 0..13 (OpenSHMEM 1..4, MPI 5, which share a
+// conduit in an OpenSHMEM+MPI job).
 const (
-	amAtomicReq uint8 = 254
-	amAtomicRep uint8 = 255
+	amAtomicReq uint8 = 14
+	amAtomicRep uint8 = 15
 )
 
 // session is the data-plane session with one peer, as a value: it owns no

@@ -450,6 +450,15 @@ func TestConnSlotSize(t *testing.T) {
 	}
 }
 
+// TestConduitSize: one conduit per PE is the largest part of an on-demand
+// PE's fixed heap, so its size class is a startup_ondemand heap_live_mb term;
+// the AM handler table has a slot per id the runtime uses, not per byte value.
+func TestConduitSize(t *testing.T) {
+	if n := unsafe.Sizeof(Conduit{}); n > 1152 {
+		t.Errorf("Conduit is %d bytes, want <= 1152 (its allocator size class)", n)
+	}
+}
+
 // TestConduitLockBudget: locks follow ownership — connMu (slots, handshake,
 // timers, counters), the completion table's, and udMu's single flight — and a
 // fourth mutex, or a map beside qpPeer and deferredAM, means some state has

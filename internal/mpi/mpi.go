@@ -26,9 +26,10 @@ const (
 	AnyTag    = -1
 )
 
-// amSend carries eager point-to-point payloads; MPI handler ids live above
-// the OpenSHMEM runtime's (32+ per the conduit's id-space convention).
-const amSend uint8 = 32
+// amSend carries eager point-to-point payloads. Its id sits above the
+// OpenSHMEM runtime's 1..4 (the two share one conduit in an OpenSHMEM+MPI
+// job) and below the conduit's reserved 14..15.
+const amSend uint8 = 5
 
 // collTagBase places collective traffic in a tag space user code cannot
 // reach (user tags must be >= 0).

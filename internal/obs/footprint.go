@@ -46,12 +46,12 @@ const DriftToleranceFrac = 0.35
 // any real run.
 const DriftFloorBytes = int64(1) << 20
 
-// mapEntryOverhead approximates the per-entry cost of a Go map beyond the
+// MapEntryOverhead approximates the per-entry cost of a Go map beyond the
 // key and value themselves (bucket array slots, overflow pointers, hash
 // metadata). The true cost varies with load factor; the census uses a flat
 // estimate because map-heavy structures are a small slice of the total and
 // the reconciliation tolerance absorbs the error.
-const mapEntryOverhead = 48
+const MapEntryOverhead = 48
 
 // GoroutineStackEstimate is the modeled stack cost of one goroutine. Stacks
 // start at 2 KiB and grow on demand; the simulator's PE goroutines settle
@@ -61,6 +61,12 @@ const mapEntryOverhead = 48
 // report rather than trusted. Stacks live outside the Go heap, so rows
 // built from this are OffHeap and excluded from heap reconciliation.
 const GoroutineStackEstimate = int64(8) << 10
+
+// GoroutineDescEstimate is the on-heap cost of one goroutine's descriptor
+// (runtime.g, in its 448 B allocator size class). Unlike its stack, the
+// descriptor is Go heap: the runtime allocates it on first use and keeps it
+// for reuse after the goroutine exits. TestGoroutineDescEstimate measures it.
+const GoroutineDescEstimate = int64(448)
 
 // FootprintItem is one (subsystem, category) attribution row: modeled bytes
 // and the object count behind them. OffHeap marks rows whose bytes do not
@@ -389,7 +395,7 @@ func (pl *Plane) Footprint() []FootprintItem {
 		pe.mu.Lock()
 		rings.Bytes += int64(cap(pe.ring)) * eventSize
 		rings.Objects += int64(len(pe.ring))
-		flows.Bytes += int64(len(pe.flows)) * (flowSize + mapEntryOverhead)
+		flows.Bytes += int64(len(pe.flows)) * (flowSize + MapEntryOverhead)
 		flows.Objects += int64(len(pe.flows))
 		pe.mu.Unlock()
 	}
@@ -413,8 +419,8 @@ func (r *Registry) footprint() []FootprintItem {
 	r.mu.Lock()
 	nc, nh := int64(len(r.counters)), int64(len(r.hists))
 	r.mu.Unlock()
-	cSize := int64(unsafe.Sizeof(Counter{})) + mapEntryOverhead
-	hSize := int64(unsafe.Sizeof(Hist{})) + mapEntryOverhead
+	cSize := int64(unsafe.Sizeof(Counter{})) + MapEntryOverhead
+	hSize := int64(unsafe.Sizeof(Hist{})) + MapEntryOverhead
 	return []FootprintItem{
 		{Subsystem: "obs", Category: "counters", Bytes: nc * cSize, Objects: nc},
 		{Subsystem: "obs", Category: "histograms", Bytes: nh * hSize, Objects: nh},
@@ -431,7 +437,7 @@ func (s *GaugeSet) footprint() []FootprintItem {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	deltaSize := int64(unsafe.Sizeof(gaugeDelta{}))
-	shell := int64(unsafe.Sizeof(Gauge{})) + mapEntryOverhead
+	shell := int64(unsafe.Sizeof(Gauge{})) + MapEntryOverhead
 	it := FootprintItem{Subsystem: "obs", Category: "gauge-logs"}
 	for _, g := range s.m {
 		g.mu.Lock()

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"os"
+	"os/exec"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -166,5 +169,52 @@ func TestPlaneSelfFootprint(t *testing.T) {
 	}
 	if pl.Census() == nil {
 		t.Fatal("Footprint config did not create a census")
+	}
+}
+
+// TestGoroutineDescEstimate measures the heap one goroutine adds while it is
+// parked: its descriptor, plus the 96 B wait record (a runtime sudog) that
+// parks it on a channel. The census models only the descriptor — the wait
+// record goes back to a runtime cache when the goroutine wakes — so the
+// measurement must fall in [estimate, estimate+128). A new goroutine reuses
+// the descriptor of one that exited, so the test measures in a process of its
+// own, where none has exited yet.
+func TestGoroutineDescEstimate(t *testing.T) {
+	if os.Getenv("OBS_MEASURE_GOROUTINES") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestGoroutineDescEstimate$", "-test.v", "-test.count=1")
+		cmd.Env = append(os.Environ(), "OBS_MEASURE_GOROUTINES=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("measuring process:\n%s", out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	const n = 4096
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	release := make(chan struct{})
+	var parked, done sync.WaitGroup
+	parked.Add(n)
+	done.Add(n)
+	before := heap()
+	for i := 0; i < n; i++ {
+		go func() {
+			parked.Done()
+			<-release
+			done.Done()
+		}()
+	}
+	parked.Wait()
+	per := (heap() - before) / n
+	close(release)
+	done.Wait()
+	t.Logf("%d B of heap per parked goroutine (descriptor estimate %d B)", per, GoroutineDescEstimate)
+	if hi := GoroutineDescEstimate + 128; per < GoroutineDescEstimate || per >= hi {
+		t.Errorf("%d B of heap per parked goroutine, want [%d, %d)", per, GoroutineDescEstimate, hi)
 	}
 }

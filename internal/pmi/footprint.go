@@ -22,15 +22,21 @@ func (s *Server) Footprint() []obs.FootprintItem {
 	kvs := obs.FootprintItem{Subsystem: "pmi", Category: "kvs"}
 	ag := obs.FootprintItem{Subsystem: "pmi", Category: "allgather"}
 
+	// One client per PE, plus each conduit's abort subscription: an 8 B slice
+	// slot and a 16 B method-value closure.
+	clients := obs.FootprintItem{Subsystem: "pmi", Category: "clients", Objects: s.clients.Load()}
+	clients.Bytes = clients.Objects * int64(unsafe.Sizeof(Client{}))
+
 	s.mu.Lock()
+	clients.Bytes += int64(len(s.subs)) * 24
 	for k, v := range s.kvs {
 		kvs.Objects++
-		kvs.Bytes += 2*int64(unsafe.Sizeof("")) + int64(len(k)) + int64(len(v)) + mapEntryOverhead
+		kvs.Bytes += 2*int64(unsafe.Sizeof("")) + int64(len(k)) + int64(len(v)) + obs.MapEntryOverhead
 	}
-	kvs.Bytes += int64(len(s.unfenced)+len(s.lost)) * (int64(unsafe.Sizeof("")) + mapEntryOverhead)
+	kvs.Bytes += int64(len(s.unfenced)+len(s.lost)) * (int64(unsafe.Sizeof("")) + obs.MapEntryOverhead)
 	for _, op := range s.ag {
 		ag.Objects++
-		ag.Bytes += int64(unsafe.Sizeof(AllgatherOp{})) + mapEntryOverhead
+		ag.Bytes += int64(unsafe.Sizeof(AllgatherOp{})) + obs.MapEntryOverhead
 		op.mu.Lock()
 		ag.Bytes += int64(len(op.vals)) * int64(unsafe.Sizeof(""))
 		for _, v := range op.vals {
@@ -40,7 +46,7 @@ func (s *Server) Footprint() []obs.FootprintItem {
 	}
 	for _, op := range s.ring {
 		ag.Objects++
-		ag.Bytes += int64(unsafe.Sizeof(ringOp{})) + mapEntryOverhead
+		ag.Bytes += int64(unsafe.Sizeof(ringOp{})) + obs.MapEntryOverhead
 		op.mu.Lock()
 		ag.Bytes += int64(len(op.vals)) * int64(unsafe.Sizeof(""))
 		for _, v := range op.vals {
@@ -50,9 +56,5 @@ func (s *Server) Footprint() []obs.FootprintItem {
 	}
 	s.mu.Unlock()
 
-	return []obs.FootprintItem{kvs, ag}
+	return []obs.FootprintItem{kvs, ag, clients}
 }
-
-// mapEntryOverhead mirrors obs.mapEntryOverhead: the estimated per-entry
-// cost of a Go map beyond key and value.
-const mapEntryOverhead = 48

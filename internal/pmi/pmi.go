@@ -19,6 +19,7 @@ package pmi
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -28,8 +29,9 @@ import (
 
 // Server is the process manager's PMI endpoint for one job.
 type Server struct {
-	n     int
-	model *vclock.CostModel
+	n       int
+	model   *vclock.CostModel
+	clients atomic.Int64 // handed out by Client (the census counts them)
 
 	mu     sync.Mutex
 	kvs    map[string]string
@@ -111,6 +113,7 @@ func (s *Server) Client(rank int, clk *vclock.Clock) *Client {
 	if rank < 0 || rank >= s.n {
 		panic(fmt.Sprintf("pmi: rank %d out of range [0,%d)", rank, s.n))
 	}
+	s.clients.Add(1)
 	return &Client{s: s, rank: rank, clk: clk, retry: RetryConfig{}.withDefaults()}
 }
 
@@ -283,5 +286,9 @@ func (c *Client) OnAbort(f func(AbortNotice)) {
 	}
 }
 
-// KeyFor builds the conventional per-rank KVS key.
-func KeyFor(prefix string, rank int) string { return fmt.Sprintf("%s-%d", prefix, rank) }
+// KeyFor builds the conventional per-rank KVS key, "<prefix>-<rank>", in one
+// allocation: a static job builds one per peer on every PE.
+func KeyFor(prefix string, rank int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(append(buf[:0], prefix...), '-'), int64(rank), 10))
+}

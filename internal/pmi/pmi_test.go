@@ -26,6 +26,24 @@ func runJob(t *testing.T, n int, body func(c *Client, clk *vclock.Clock)) []*vcl
 	return clks
 }
 
+// TestKeyFor pins the per-rank key's bytes and its one allocation.
+func TestKeyFor(t *testing.T) {
+	for _, c := range []struct {
+		prefix string
+		rank   int
+		want   string
+	}{{"ud", 0, "ud-0"}, {"ud", 4095, "ud-4095"}, {"durable", 12, "durable-12"}} {
+		if got := KeyFor(c.prefix, c.rank); got != c.want {
+			t.Errorf("KeyFor(%q, %d) = %q, want %q", c.prefix, c.rank, got, c.want)
+		}
+	}
+	var key string
+	if n := testing.AllocsPerRun(100, func() { key = KeyFor("ud", 4095) }); n != 1 {
+		t.Errorf("KeyFor allocates %v times, want 1", n)
+	}
+	_ = key
+}
+
 func TestPutFenceGet(t *testing.T) {
 	const n = 8
 	runJob(t, n, func(c *Client, clk *vclock.Clock) {

@@ -72,10 +72,10 @@ func (s *collState) memSize() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := int64(unsafe.Sizeof(collState{}) + unsafe.Sizeof(vclock.Cond{}))
-	b += int64(len(s.seqs)) * (16 + mapEntryOverhead)
+	b += int64(len(s.seqs)) * (16 + obs.MapEntryOverhead)
 	for _, m := range s.inbox {
 		b += int64(unsafe.Sizeof(collKey{})) + int64(unsafe.Sizeof(collMsg{})) +
-			mapEntryOverhead + int64(len(m.data))
+			obs.MapEntryOverhead + int64(len(m.data))
 	}
 	return b
 }

@@ -36,7 +36,7 @@ func (c *Ctx) Footprint() []obs.FootprintItem {
 		c.heap.mu.Lock()
 		shell.Bytes += int64(unsafe.Sizeof(heap{}))
 		shell.Bytes += int64(len(c.heap.free)) * int64(unsafe.Sizeof(span{}))
-		shell.Bytes += int64(len(c.heap.used)) * (16 + mapEntryOverhead)
+		shell.Bytes += int64(len(c.heap.used)) * (16 + obs.MapEntryOverhead)
 		c.heap.mu.Unlock()
 	}
 	if c.coll != nil {
@@ -45,7 +45,3 @@ func (c *Ctx) Footprint() []obs.FootprintItem {
 
 	return []obs.FootprintItem{segDir, shell}
 }
-
-// mapEntryOverhead mirrors obs.mapEntryOverhead: the estimated per-entry
-// cost of a Go map beyond key and value.
-const mapEntryOverhead = 48
