@@ -159,14 +159,12 @@ bench-smoke:
 # flaps, corruption and torn writes, a two-second window per seed. Each run's
 # last line is its result, and it must read "correct":true: every check the
 # runner makes on its jobs passed and not every job failed.
-CHAOS_SMOKE_SEEDS ?= 1 2 3
-
 chaos-smoke:
-	@for s in $(CHAOS_SMOKE_SEEDS); do \
+	@for s in 1 2 3; do \
 		last=$$(bash benchmark/run.sh --workload chaos_traffic --seed $$s --seconds 2 --trace 0 | tail -n 1); \
 		echo "$$last" | grep -q '"correct":true' || \
 			{ echo "chaos-smoke: seed $$s: $$last"; exit 1; }; \
-	done; echo "chaos-smoke: seeds $(CHAOS_SMOKE_SEEDS) correct"
+	done; echo "chaos-smoke: seeds 1 2 3 correct"
 
 # The perf trajectory's virtual numbers (start_pes, put/get latency, credit
 # stalls, startup phases) are the cost model's output: this run must
@@ -204,7 +202,7 @@ loc:
 GASNET_LOC_MAX = 2950
 IB_LOC_MAX = 1657
 SHMEM_LOC_MAX = 1259
-TOTAL_LOC_MAX = 13567
+TOTAL_LOC_MAX = 13572
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

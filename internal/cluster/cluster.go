@@ -465,6 +465,7 @@ func setup(cfg Config, app func(ctx *shmem.Ctx)) *job {
 	// The engine census baseline is taken before any job object exists, so
 	// later snapshots measure job-owned heap growth only.
 	j.census = j.plane.Census()
+	baseHW := noteGoroutines()
 	j.census.Snapshot("baseline", 0)
 	// Scheduled PE faults open their incidents at setup: the injection time
 	// is the scheduled trigger, known before any PE runs. The failure
@@ -485,7 +486,7 @@ func setup(cfg Config, app func(ctx *shmem.Ctx)) *job {
 	}
 	j.census.Register(j.sub.srv)
 	j.census.Register(vclockReporter{clks: j.sub.clks, bars: j.sub.bars})
-	j.census.Register(&engineReporter{res: j.res})
+	j.census.Register(engineReporter{res: j.res, baseHW: baseHW})
 	j.census.Snapshot("setup", 0)
 
 	if j.census != nil {
@@ -576,10 +577,10 @@ func (j *job) runPE(env shmem.Env) {
 }
 
 // attachPE runs start_pes on one PE, hands its conduit to the watchdog and the
-// census, and arrives at the init-done gate — exactly once, on a panic unwind
-// too, so a crashed PE can never strand the gate, and before runPE's handler
-// runs: its best-effort Finalize may block on peers that are themselves
-// parked on the gate.
+// census, raises the goroutine high-water mark, and arrives at the init-done
+// gate — exactly once, on a panic unwind too, so a crashed PE can never
+// strand the gate, and before runPE's handler runs: its best-effort Finalize
+// may block on peers that are themselves parked on the gate.
 func (j *job) attachPE(env shmem.Env) *shmem.Ctx {
 	if j.censusReady != nil {
 		defer j.initWG.Done()
@@ -597,6 +598,7 @@ func (j *job) attachPE(env shmem.Env) *shmem.Ctx {
 	j.wd.register(env.Rank, ctx.Conduit())
 	j.census.Register(ctx.Conduit())
 	j.census.Register(ctx)
+	noteGoroutines()
 	return ctx
 }
 

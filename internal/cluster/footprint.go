@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"sync/atomic"
 	"unsafe"
 
 	"goshmem/internal/obs"
@@ -17,25 +18,39 @@ import (
 // the result table. Goroutine stacks live outside the Go heap (OffHeap), so
 // the row informs the report without entering heap reconciliation; the
 // measured StackInuse recorded in every census snapshot is its cross-check.
-// Goroutine descriptors are on the heap and outlive their goroutines (the
-// runtime keeps them for reuse), so that row counts the most goroutines seen
-// alive at once, which also keeps it byte-stable at job end.
+// Goroutine descriptors are on the heap and are never freed (the runtime
+// keeps an exited goroutine's for reuse), so a job adds descriptors only past
+// the process's high-water mark at its baseline; that row claims those.
 type engineReporter struct {
-	res   *Result
-	peakG int64
+	res    *Result
+	baseHW int64 // goroutineHW at the census baseline
 }
 
-func (e *engineReporter) Footprint() []obs.FootprintItem {
+func (e engineReporter) Footprint() []obs.FootprintItem {
 	ng := int64(runtime.NumGoroutine())
-	e.peakG = max(e.peakG, ng)
+	descs := noteGoroutines() - e.baseHW
 	return []obs.FootprintItem{
 		{Subsystem: "cluster", Category: "goroutines",
 			Bytes: ng * obs.GoroutineStackEstimate, Objects: ng, OffHeap: true},
 		{Subsystem: "cluster", Category: "goroutine-descs",
-			Bytes: e.peakG * obs.GoroutineDescEstimate, Objects: e.peakG},
+			Bytes: descs * obs.GoroutineDescEstimate, Objects: descs},
 		{Subsystem: "cluster", Category: "pe-results",
 			Bytes: int64(len(e.res.PEs)) * int64(unsafe.Sizeof(PEResult{})), Objects: int64(len(e.res.PEs))},
 	}
+}
+
+// goroutineHW is the most goroutines this process has been seen running at
+// once: about the number of descriptors the runtime holds. Every job raises
+// it once its PEs have attached, census or not.
+var goroutineHW atomic.Int64
+
+// noteGoroutines raises goroutineHW to the goroutines alive now and returns it.
+func noteGoroutines() int64 {
+	ng := int64(runtime.NumGoroutine())
+	for hw := goroutineHW.Load(); ng > hw; hw = goroutineHW.Load() {
+		goroutineHW.CompareAndSwap(hw, ng)
+	}
+	return goroutineHW.Load()
 }
 
 // vclockReporter attributes the virtual-time engine: one clock per PE and

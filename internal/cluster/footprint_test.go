@@ -179,9 +179,14 @@ func TestFootprintPerPEIndependentOfNP(t *testing.T) {
 	for _, np := range []int{256, 2048} {
 		for _, s := range runFootprint(t, gasnet.OnDemand, np).Footprint.Snapshots {
 			if s.Label == "init-done" {
-				var b int64
-				for _, n := range s.SubsystemHeapBytes() {
-					b += n
+				// The job claims only goroutine descriptors past the
+				// process's high-water mark, which depends on what ran
+				// before it; a PE's own are its two goroutines'.
+				b := 2 * obs.GoroutineDescEstimate * int64(np)
+				for _, it := range s.Items {
+					if !it.OffHeap && it.Category != "goroutine-descs" {
+						b += it.Bytes
+					}
 				}
 				perPE[np] = float64(b) / float64(np)
 			}
@@ -205,14 +210,15 @@ func TestFootprintPerPEIndependentOfNP(t *testing.T) {
 // fault-free static runs must model identical per-category numbers. The
 // models use exact lengths (never capacities) and deterministic object
 // counts, so any instability here is a model reading schedule-dependent
-// state. The off-heap goroutine census is exempt — goroutine exit is
-// asynchronous, so the job-end count is inherently schedule-dependent.
+// state. The goroutine rows are exempt: goroutine exit is asynchronous, so
+// the job-end count is inherently schedule-dependent, and the descriptors a
+// job claims depend on the jobs the process ran before it.
 func TestFootprintModeledBytesStable(t *testing.T) {
 	onHeap := func(res *Result) map[string]obs.FootprintItem {
 		last := res.Footprint.Snapshots[len(res.Footprint.Snapshots)-1]
 		m := map[string]obs.FootprintItem{}
 		for _, it := range last.Items {
-			if !it.OffHeap {
+			if !it.OffHeap && it.Category != "goroutine-descs" {
 				m[it.Subsystem+"/"+it.Category] = it
 			}
 		}
@@ -226,6 +232,21 @@ func TestFootprintModeledBytesStable(t *testing.T) {
 	for k, ia := range a {
 		if ib, ok := b[k]; !ok || ia != ib {
 			t.Errorf("category %s not byte-stable: %+v vs %+v", k, ia, ib)
+		}
+	}
+}
+
+// TestFootprintClaimsOnlyNewGoroutineDescs: the runtime reuses an exited
+// goroutine's descriptor, so a job smaller than one the process already ran
+// adds no descriptor to the heap and must claim none; a row that claimed them
+// would close drift the measured heap delta does not contain.
+func TestFootprintClaimsOnlyNewGoroutineDescs(t *testing.T) {
+	runFootprint(t, gasnet.OnDemand, 128)
+	for _, s := range runFootprint(t, gasnet.OnDemand, 64).Footprint.Snapshots {
+		for _, it := range s.Items {
+			if it.Category == "goroutine-descs" && it.Bytes != 0 {
+				t.Errorf("%s: np=64 job after an np=128 one claims %d goroutine descriptors, want 0", s.Label, it.Objects)
+			}
 		}
 	}
 }

@@ -677,11 +677,7 @@ func (c *Conduit) begin(peer int, kind obs.FlowKind, n int, op pendingOp) (uint6
 // AMRequestKind is AMRequest with an explicit flow-matrix classification
 // for the message (obs.FlowAM, obs.FlowColl, obs.FlowBarrier).
 func (c *Conduit) AMRequestKind(peer int, handler uint8, args [4]uint64, payload []byte, kind obs.FlowKind) error {
-	if _, err := c.begin(peer, kind, amHdrLen+len(payload), pendingOp{}); err != nil {
-		return err
-	}
-	data := encodeAM(handler, c.cfg.Rank, args, payload)
-	return c.post(peer, ib.SendWR{Op: ib.OpSend, Data: data, NoSendCompletion: true}, false)
+	return c.amRequest(peer, handler, args, payload, kind, false)
 }
 
 // AMRequestFenced is AMRequest with Quiet-fence semantics: the send counts
@@ -690,12 +686,22 @@ func (c *Conduit) AMRequestKind(peer int, handler uint8, args [4]uint64, payload
 // still queued behind an in-flight handshake. Put-with-signal uses it for
 // the signal message, whose delivery OpenSHMEM requires Quiet to fence.
 func (c *Conduit) AMRequestFenced(peer int, handler uint8, args [4]uint64, payload []byte) error {
-	wrid, err := c.begin(peer, obs.FlowAM, amHdrLen+len(payload), pendingOp{hold: true})
+	return c.amRequest(peer, handler, args, payload, obs.FlowAM, true)
+}
+
+// amRequest sends one client active message; a fenced one holds a completion
+// entry until it is on the wire. Like RegisterHandler it refuses the ids a
+// client does not own, which the target would drop or misroute.
+func (c *Conduit) amRequest(peer int, handler uint8, args [4]uint64, payload []byte, kind obs.FlowKind, fenced bool) error {
+	if handler >= amAtomicReq {
+		return fmt.Errorf("gasnet: handler id %d is reserved for the conduit or outside the table", handler)
+	}
+	wrid, err := c.begin(peer, kind, amHdrLen+len(payload), pendingOp{hold: fenced})
 	if err != nil {
 		return err
 	}
 	data := encodeAM(handler, c.cfg.Rank, args, payload)
-	return c.post(peer, ib.SendWR{Op: ib.OpSend, WRID: wrid, Data: data}, false)
+	return c.post(peer, ib.SendWR{Op: ib.OpSend, WRID: wrid, Data: data, NoSendCompletion: !fenced}, false)
 }
 
 // Put issues a one-sided RDMA write of data into (raddr, rkey) at peer. It

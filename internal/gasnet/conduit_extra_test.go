@@ -66,14 +66,25 @@ func TestDeferredAMReplay(t *testing.T) {
 
 // TestOutOfTableAMDropped: a handler byte past the 16-slot table is input
 // from the wire the conduit cannot dispatch, so the target drops the frame —
-// no panic, nothing parked for a registration that can never come. An AM on
-// a registered id sent after it on the same connection proves it arrived.
+// no panic, nothing parked for a registration that can never come. The API
+// refuses such ids (and the reserved 14..15) at the sender, so the frames
+// here are encoded by hand. An AM on a registered id sent after them on the
+// same connection proves they arrived.
 func TestOutOfTableAMDropped(t *testing.T) {
 	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand})
 	got := make(chan uint64, 1)
 	pes[1].C.RegisterHandler(5, func(_ int, args [4]uint64, _ []byte, _ int64) { got <- args[0] })
+	for _, id := range []uint8{amAtomicReq, amAtomicRep, 16, 99, 255} {
+		if err := pes[0].C.AMRequest(1, id, [4]uint64{}, nil); err == nil {
+			t.Errorf("AMRequest on id %d: nil error, want a refusal", id)
+		}
+		if err := pes[0].C.AMRequestFenced(1, id, [4]uint64{}, nil); err == nil {
+			t.Errorf("AMRequestFenced on id %d: nil error, want a refusal", id)
+		}
+	}
 	for _, id := range []uint8{16, 99, 255} {
-		if err := pes[0].C.AMRequest(1, id, [4]uint64{}, []byte("stray")); err != nil {
+		wr := ib.SendWR{Op: ib.OpSend, Data: encodeAM(id, 0, [4]uint64{}, []byte("stray")), NoSendCompletion: true}
+		if err := pes[0].C.post(1, wr, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,9 +41,9 @@ import (
 // connection re-executes it, overwriting the torn prefix.
 
 // Reserved active-message handler ids for the conduit's own session traffic:
-// the last two slots of the 16-slot handler table. RegisterHandler refuses
-// them; upper layers use 0..13 (OpenSHMEM 1..4, MPI 5, which share a
-// conduit in an OpenSHMEM+MPI job).
+// the last two slots of the 16-slot handler table. RegisterHandler and the
+// AM send calls refuse them; upper layers use 0..13 (OpenSHMEM 1..4, MPI 5,
+// which share a conduit in an OpenSHMEM+MPI job).
 const (
 	amAtomicReq uint8 = 14
 	amAtomicRep uint8 = 15

@@ -111,8 +111,8 @@ func (p Phases) Fig1() [5]int64 {
 		p[PhaseMemReg], p[PhaseSharedMem], p[PhaseQPSetup] + p[PhaseOther]}
 }
 
-// AM handler identifiers used by the runtime (the mini-MPI built on the same
-// conduit uses 32+).
+// AM handler identifiers used by the runtime. The mini-MPI on the same
+// conduit uses 5; 14-15 are the conduit's own (framed atomics).
 const (
 	amColl    uint8 = 1 // collective fragments
 	amSegInfo uint8 = 2 // segment-info broadcast / reply
