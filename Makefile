@@ -95,10 +95,11 @@ soak-sweep:
 			{ echo "soak-sweep: seed $$s FAILS (CHAOS_SEED=$$s make soak)"; exit 1; }; \
 	done; echo "soak-sweep: $(words $(SEEDS)) seeds green"
 
-# Fast end-to-end integrity smoke: one seeded traffic run with silent RC
-# corruption, torn RDMA writes and link flaps. The digest printed for this
-# seed is byte-identical to the fault-free run; the counters at the end must
-# show all three fault classes detected and recovered.
+# Fast end-to-end integrity smoke: one seeded traffic run with RC corruption
+# (the adapter's ICRC drops it and the hardware retransmits), torn RDMA writes
+# and link flaps. The digest printed for this seed is byte-identical to the
+# fault-free run; the counters at the end must show the tears and flaps
+# detected and recovered by reconnect and replay.
 smoke:
 	$(GO) run ./cmd/oshrun -np 8 -ppn 4 -app traffic \
 		-rc-corrupt 0.05 -torn-writes 0.05 -flap 0.02 -fault-seed 7
@@ -199,10 +200,10 @@ loc:
 # all packages together are ceilings, not re-anchor findings: where the last change that lowered
 # each one landed (the conduit's rounded up to the next fifty). A change that needs more room
 # says so by raising the number, in the open.
-GASNET_LOC_MAX = 2950
-IB_LOC_MAX = 1657
+GASNET_LOC_MAX = 2900
+IB_LOC_MAX = 1656
 SHMEM_LOC_MAX = 1259
-TOTAL_LOC_MAX = 13572
+TOTAL_LOC_MAX = 13512
 
 loc-check:
 	@$(MAKE) -s loc | awk -v gmax=$(GASNET_LOC_MAX) -v imax=$(IB_LOC_MAX) -v smax=$(SHMEM_LOC_MAX) -v tmax=$(TOTAL_LOC_MAX) \

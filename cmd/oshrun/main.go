@@ -6,8 +6,8 @@
 // Applications: hello, heat2d, ep, mg, bt, sp, graph500.
 // It reports the start_pes breakdown, total job time (virtual), and the
 // resource usage counters the paper studies. The fault plane is exposed for
-// resilience experiments: -drop/-dup/-flap/-slow/-corrupt/-rc-corrupt/
-// -torn-writes inject fabric faults, -kill-pe/-wedge-pe schedule PE failures,
+// resilience experiments: -drop/-dup/-flap/-slow/-rc-corrupt/-torn-writes
+// inject fabric faults, -kill-pe/-wedge-pe schedule PE failures,
 // -rails/-fail-port/-fail-rail/-partition exercise the multi-rail fault plane
 // (automatic path migration, rail failover, partition suspend/heal),
 // -pmi-slow/-pmi-drop/-pmi-crash degrade the out-of-band control plane, and
@@ -98,7 +98,7 @@ type options struct {
 	json, metrics, metricsAll           bool
 	footprint, incidents, topology      bool
 	drop, dup, flap, slow, slowTime     float64
-	corrupt, rcCorrupt, tornWrites      float64
+	rcCorrupt, tornWrites               float64
 	deadline, pmiSlow, pmiDrop          float64
 	pmiCrash, pmiRecover                float64
 }
@@ -137,8 +137,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Float64Var(&o.flap, "flap", 0, "probability an RC operation suffers a link fault")
 	fs.Float64Var(&o.slow, "slow", 0, "probability an operation charges extra virtual time (PE slowdown)")
 	fs.Float64Var(&o.slowTime, "slow-time", 100, "slowdown charge in virtual microseconds (fabric and PMI)")
-	fs.Float64Var(&o.corrupt, "corrupt", 0, "probability a UD datagram has one bit flipped in flight (checksummed control frames recover via retransmission)")
-	fs.Float64Var(&o.rcCorrupt, "rc-corrupt", 0, "probability an RC payload has one bit flipped in flight (integrity trailers detect it; sends retransmit, RDMA replays over a reconnect)")
+	fs.Float64Var(&o.rcCorrupt, "rc-corrupt", 0, "probability an RC transmission is corrupted in flight (the receiving adapter's ICRC drops it and the requester retransmits; 7 in a row fail the request and the connection recovers by reconnect and replay)")
 	fs.Float64Var(&o.tornWrites, "torn-writes", 0, "probability a link fault tears an RDMA write mid-transfer, leaving a partial payload at the target until the clean replay overwrites it")
 	fs.StringVar(&o.killPE, "kill-pe", "", "crash PEs at virtual times: rank@seconds[,rank@seconds...]")
 	fs.StringVar(&o.wedgePE, "wedge-pe", "", "wedge PEs (stop progress, keep fabric ACKs) at virtual times: rank@seconds[,...]")
@@ -237,7 +236,7 @@ func (o *options) job() (kernel, error) {
 	const budget = "budget (0 = unbounded)"
 	err := firstErr(
 		checkProb("drop", o.drop), checkProb("dup", o.dup), checkProb("flap", o.flap), checkProb("slow", o.slow),
-		checkProb("corrupt", o.corrupt), checkProb("rc-corrupt", o.rcCorrupt), checkProb("torn-writes", o.tornWrites),
+		checkProb("rc-corrupt", o.rcCorrupt), checkProb("torn-writes", o.tornWrites),
 		checkProb("pmi-slow", o.pmiSlow), checkProb("pmi-drop", o.pmiDrop),
 		checkNonNegative("slow-time", "duration", o.slowTime), checkNonNegative("deadline", "duration", o.deadline),
 		checkNonNegative("qp-budget", budget, int64(cfg.QPBudget)), checkNonNegative("mr-budget", budget, cfg.MRBudget),
@@ -441,12 +440,11 @@ func parsePartitions(s string, np int, out *[]cluster.PartitionFault) error {
 // flags ask for, both seeded from -fault-seed.
 func (o *options) injectors() {
 	slowTime := int64(o.slowTime * float64(vclock.Microsecond))
-	if o.drop > 0 || o.dup > 0 || o.flap > 0 || o.slow > 0 || o.corrupt > 0 ||
-		o.rcCorrupt > 0 || o.tornWrites > 0 {
+	if o.drop > 0 || o.dup > 0 || o.flap > 0 || o.slow > 0 || o.rcCorrupt > 0 || o.tornWrites > 0 {
 		fi := ib.NewFaultInjector(o.faultSeed)
 		fi.DropProb, fi.DupProb, fi.FlapProb = o.drop, o.dup, o.flap
 		fi.SlowProb, fi.SlowTime = o.slow, slowTime
-		fi.CorruptProb, fi.RCCorruptProb, fi.TornWriteProb = o.corrupt, o.rcCorrupt, o.tornWrites
+		fi.RCCorruptProb, fi.TornWriteProb = o.rcCorrupt, o.tornWrites
 		o.cfg.Faults = fi
 	}
 	if o.pmiSlow > 0 || o.pmiDrop > 0 || o.pmiCrash >= 0 {

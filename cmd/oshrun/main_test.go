@@ -300,12 +300,12 @@ func TestCheckProb(t *testing.T) {
 		}
 	}
 	for _, bad := range []float64{-0.01, 1.01, 42} {
-		err := checkProb("corrupt", bad)
+		err := checkProb("rc-corrupt", bad)
 		if err == nil {
 			t.Errorf("checkProb(%v) = nil, want error", bad)
 			continue
 		}
-		if !strings.Contains(err.Error(), "corrupt") {
+		if !strings.Contains(err.Error(), "rc-corrupt") {
 			t.Errorf("checkProb(%v): error %q does not name the flag", bad, err)
 		}
 	}

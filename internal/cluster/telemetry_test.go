@@ -142,13 +142,13 @@ func TestIncidentReconciliationChaosSoak(t *testing.T) {
 func TestRunAuditsLedger(t *testing.T) {
 	ledger := &IncidentReport{Reconcile: []ReconcileRow{
 		{Class: "ud", Kind: "drop", Injected: 2, Recorded: 2, Resolved: 2, OK: true},
-		{Class: "rc", Kind: "corrupt", Injected: 4, Recorded: 3, Resolved: 2},
+		{Class: "rc", Kind: "rc-corrupt", Injected: 4, Recorded: 3, Resolved: 2},
 	}}
 	for i, tc := range []struct {
 		res  Result
 		want string
 	}{
-		{Result{Incidents: ledger}, "rc/corrupt injected 4, recorded 3, resolved 2"},
+		{Result{Incidents: ledger}, "rc/rc-corrupt injected 4, recorded 3, resolved 2"},
 		{Result{Incidents: ledger, Aborted: true}, ""},
 		{Result{}, ""},
 	} {

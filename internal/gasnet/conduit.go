@@ -149,11 +149,11 @@ type Stats struct {
 	FalseSuspicions int `ctr:"gasnet.false_suspicions" label:"false suspicions" table:"resilience" help:"suspicions cleared by a late sign of life"`
 	Retransmits     int `ctr:"gasnet.retransmits" label:"retransmits" table:"resilience" help:"UD handshake control-frame retransmissions"`
 
-	// Control plane (PMI resilience and checksummed UD frames).
+	// Control plane (PMI resilience and undecodable UD frames).
 	PMIRetries        int `ctr:"pmi.retries" label:"pmi retries" table:"resilience" help:"PMI ops retried after a transient fault"`
 	PMITimeouts       int `ctr:"pmi.timeouts" label:"pmi timeouts" table:"resilience" help:"PMI ops that failed permanently (retry budget exhausted)"`
 	FallbackExchanges int `ctr:"gasnet.fallback_exchanges" label:"fallback exchanges" table:"resilience" help:"Iallgather endpoint exchanges this PE degraded to Put-Fence-Get"`
-	CorruptFrames     int `ctr:"gasnet.corrupt_frames" label:"corrupt frames" table:"resilience" help:"UD control frames discarded by the CRC32 check"`
+	CorruptFrames     int `ctr:"gasnet.corrupt_frames" label:"corrupt frames" table:"resilience" help:"UD control frames discarded because they did not decode"`
 
 	// Resource pressure (finite adapter budgets, backpressure and
 	// degradation ladders).
@@ -163,12 +163,12 @@ type Stats struct {
 	BounceFallbacks  int `ctr:"gasnet.bounce_fallbacks" label:"bounce fallbacks" table:"resilience" help:"heap registrations degraded to bounce-buffering after an MR refusal"`
 	AdmissionRejects int `ctr:"gasnet.admission_rejects" label:"admission rejects" table:"resilience" help:"connection REQs this PE rejected at its QP cap"`
 
-	// Data-plane integrity (session.go): RC payload faults detected and the
-	// exactly-once recovery machinery that absorbed them.
-	RCCorruptFrames      int `ctr:"gasnet.rc_corrupt_frames" label:"rc corrupt frames" table:"resilience" help:"RC payloads damaged in flight and caught by the integrity trailer / link CRC"`
+	// Data-plane integrity (session.go): RC payload faults the adapter could
+	// not absorb and the exactly-once recovery machinery that did.
+	RCCorruptFrames      int `ctr:"gasnet.rc_corrupt_frames" label:"rc corrupt frames" table:"resilience" help:"RC work requests failed after the adapter's corrupted-packet retries ran out"`
 	TornWrites           int `ctr:"gasnet.torn_writes" label:"torn writes" table:"resilience" help:"multi-packet RDMA writes torn mid-transfer by a link fault"`
 	DupOpsSuppressed     int `ctr:"gasnet.dup_ops_suppressed" label:"dup ops suppressed" table:"resilience" help:"duplicate framed ops suppressed by the dedup ledger"`
-	IntegrityRetransmits int `ctr:"gasnet.integrity_retransmits" label:"integrity retransmits" table:"resilience" help:"framed sends replayed after NAK, RTO or reconnect"`
+	IntegrityRetransmits int `ctr:"gasnet.integrity_retransmits" label:"integrity retransmits" table:"resilience" help:"framed sends replayed after a timeout or a reconnect"`
 
 	// Multi-rail fault plane (rail failures, path migration and
 	// network-partition tolerance).
@@ -265,7 +265,6 @@ type Conduit struct {
 	// windows).
 	lossy   bool
 	rqDepth int
-	qpPeer  map[uint32]int // local RC QPN -> peer rank (guarded by connMu)
 
 	// udMu single-flights endpoint resolution: the app thread, handshake
 	// recovery goroutines and the heartbeat prober can all race into
@@ -327,7 +326,6 @@ func New(cfg Config) *Conduit {
 		abortCh: make(chan struct{}),
 	}
 	if c.lossy {
-		c.qpPeer = make(map[uint32]int)
 		// The session layer's own active messages (framed atomics) use the
 		// reserved handler ids; installed before the progress goroutine runs.
 		req, rep := Handler(c.handleAtomicReq), Handler(c.handleAtomicRep)
@@ -900,8 +898,8 @@ func (c *Conduit) Close() {
 		// would hang teardown forever.
 		//
 		// On a lossy fabric the retained session windows must drain too: a
-		// frame the peer NAKed (corrupt on delivery) has not executed, and
-		// the peer cannot finish its own final barrier without the replay —
+		// frame lost with a torn-down connection has not executed, and the
+		// peer cannot finish its own final barrier without the replay —
 		// quitting now would take the retransmission timer with us and strand
 		// it. The wait is bounded by progress rather than time: a peer that
 		// already executed everything (only the acknowledgements were lost)
@@ -976,19 +974,21 @@ func (c *Conduit) handleAM(comp ib.Completion) {
 	if c.arrivalFate(comp.VTime) != selfAlive {
 		return // a killed or wedged PE's software dispatches nothing
 	}
-	data := comp.Data
+	data, seq, ok := comp.Data, uint64(0), true
 	if c.lossy {
-		// Session layer first: verify the integrity trailer and dedup before
-		// a single byte of the frame reaches a handler.
-		inner, ok := c.sessionAccept(comp)
-		if !ok {
-			return
-		}
-		data = inner
+		data, seq, ok = splitRCTrailer(data)
 	}
 	handler, src, args, payload, err := decodeAM(data)
-	if err != nil || int(handler) >= len(c.handlers) {
-		return // undecodable, or a handler byte outside the table: dropped
+	if !ok || err != nil || src < 0 || src >= c.cfg.NProcs {
+		return // undecodable, or from no such rank: dropped
+	}
+	// Session layer before any handler: the frame's sender (the adapter
+	// delivers its bytes intact) dedups it against its session.
+	if c.lossy && !c.sessionAccept(src, seq, comp.VTime) {
+		return
+	}
+	if int(handler) >= len(c.handlers) {
+		return // a handler byte outside the table: dropped
 	}
 	c.noteAlive(src, comp.VTime, false)
 	at := comp.VTime + c.model.AMProcess

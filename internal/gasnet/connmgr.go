@@ -36,8 +36,6 @@ func msgName(kind uint8) string {
 		return "conn-rej"
 	case msgDataAck:
 		return "data-ack"
-	case msgDataNak:
-		return "data-nak"
 	}
 	return "unknown"
 }
@@ -209,28 +207,30 @@ func (c *Conduit) remoteQPAlive(d ib.Dest) bool {
 	return q != nil && q.State() != ib.StateError
 }
 
-// linkFaultLocked is the one epilogue for a failed post: classify the damage
-// (a torn or corrupted payload already landed at the target and is counted
-// here, whoever reports it), then — unless another reporter already
-// recovered this generation — tear the connection down. requeue says the
-// reporter leaves work queued behind the slot instead of retrying itself, so
-// the slot must restart its own handshake. Every path dark (ib.ErrPathDown,
-// no alternate to migrate to) is the rail-failover rung: the replacement
-// handshake's rail selection lands on a live rail when one exists, and
-// blackholes until the partition heals when none does. Caller holds connMu.
+// linkFaultLocked is the one epilogue for a failed post: classify the fault
+// (a torn write whose prefix already landed at the target, or a work request
+// the adapter gave up retrying, is counted here, whoever reports it), then —
+// unless another reporter already recovered this generation — tear the
+// connection down. requeue says the reporter leaves work queued behind the
+// slot instead of retrying itself, so the slot must restart its own
+// handshake. Every path dark (ib.ErrPathDown, no alternate to migrate to) is
+// the rail-failover rung: the replacement handshake runs on the manager clock
+// and its rail selection lands on a live rail when one exists, and blackholes
+// until the partition heals when none does; the ledger stamps the failed
+// post's own time, which the manager clock can lag. Caller holds connMu.
 func (c *Conduit) linkFaultLocked(cn *conn, peer int, epoch uint64, err error, requeue bool, clk *vclock.Clock) {
-	c.noteDataFault(err)
+	c.noteDataFault(err, clk)
 	if cn.epoch != epoch {
 		return
 	}
-	pathDown := errors.Is(err, ib.ErrPathDown)
+	pathDown, now := errors.Is(err, ib.ErrPathDown), clk.Now()
 	if pathDown {
 		clk = c.mgrClk
 	}
 	c.driveLocked(cn, peer, event{kind: evLinkFault, pathDown: pathDown, hasQueued: requeue}, &driveIn{clk: clk})
 	if pathDown && cn.epoch != epoch {
-		c.led.Detect("net", -1, clk.Now(), "path-error")
-		c.led.Act("net", -1, clk.Now(), "rail-failover")
+		c.led.Detect("net", -1, now, "path-error")
+		c.led.Act("net", -1, now, "rail-failover")
 	}
 }
 
@@ -549,9 +549,8 @@ func (c *Conduit) sendControl(peer int, dest ib.Dest, m connMsg, clk *vclock.Clo
 func (c *Conduit) handleControl(comp ib.Completion) {
 	m, err := decodeConnMsg(comp.Data)
 	if err != nil {
-		// A frame that fails checksum verification is discarded here, before
-		// any field could poison the connection or rkey tables; the sender's
-		// retransmission timer re-delivers the content.
+		// A frame whose framing does not add up is discarded here, before any
+		// field could poison the connection or rkey tables.
 		if errors.Is(err, errCorruptFrame) {
 			c.bump(&c.stats.CorruptFrames, 1)
 			c.event("ud-corrupt", -1, comp.VTime)
@@ -582,9 +581,7 @@ func (c *Conduit) handleControl(comp ib.Completion) {
 	case msgConnRej:
 		c.handleLeg(evRej, m, comp.VTime, svc)
 	case msgDataAck:
-		c.handleDataAck(peer, m.Payload, false, svc)
-	case msgDataNak:
-		c.handleDataAck(peer, m.Payload, true, svc)
+		c.handleDataAck(peer, m.Payload, svc.Now())
 	case msgHeartbeat:
 		// Echo a liveness ack to the prober, on the manager thread.
 		c.sendControl(peer, m.UD, connMsg{Kind: msgHeartbeatAck, SrcRank: int32(c.cfg.Rank),
@@ -885,7 +882,6 @@ func (c *Conduit) adoptQPLocked(cn *conn, peer int, ev event, in *driveIn) error
 		if in.loop == nil {
 			qp.SetPath(c.pickRailsLocked(dst, in.clk.Now()))
 		}
-		c.mapQPLocked(qp, peer)
 	}
 	cn.qp, cn.loopbk = in.qp, in.loop
 	in.qp, in.loop = nil, nil

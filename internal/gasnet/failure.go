@@ -401,12 +401,12 @@ func (c *Conduit) partitionVerdict(peer int, now int64) {
 	case fateRestart:
 		c.sendPing(peer, now)
 	case fateDead:
-		c.confirmDead(peer)
+		c.confirmDead(peer, now)
 	case fateFatal:
 		c.event("partition-fatal", peer, now)
-		c.Abort(&AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitPartitioned,
+		c.abortAt(&AbortError{Origin: c.cfg.Rank, Dead: -1, Code: ExitPartitioned,
 			Reason: fmt.Sprintf("rank %d partitioned from rank %d on every rail with no scheduled heal",
-				c.cfg.Rank, peer)})
+				c.cfg.Rank, peer)}, now)
 	}
 }
 
@@ -453,17 +453,18 @@ func (c *Conduit) markDead(peer int, confirmed bool) bool {
 	return true
 }
 
-// confirmDead finalizes a suspect: mark the peer dead, fail everything queued
-// against it, and raise the job abort that reaches every PE through PMI.
-func (c *Conduit) confirmDead(peer int) {
+// confirmDead finalizes a suspect at virtual time now, the detector's verdict
+// time: mark the peer dead, fail everything queued against it, and raise the
+// job abort that reaches every PE through PMI.
+func (c *Conduit) confirmDead(peer int, now int64) {
 	if !c.markDead(peer, true) {
 		return
 	}
-	c.event("confirm-dead", peer, c.mgrClk.Now())
-	c.gSuspect.Add(c.mgrClk.Now(), -1)
-	c.led.Act("pe", peer, c.mgrClk.Now(), "confirm-dead")
-	c.Abort(&AbortError{Origin: c.cfg.Rank, Dead: peer, Code: 1,
-		Reason: fmt.Sprintf("rank %d confirmed dead by rank %d's failure detector", peer, c.cfg.Rank)})
+	c.event("confirm-dead", peer, now)
+	c.gSuspect.Add(now, -1)
+	c.led.Act("pe", peer, now, "confirm-dead")
+	c.abortAt(&AbortError{Origin: c.cfg.Rank, Dead: peer, Code: 1,
+		Reason: fmt.Sprintf("rank %d confirmed dead by rank %d's failure detector", peer, c.cfg.Rank)}, now)
 }
 
 // raiseLocal records err as this PE's terminal state and releases every
@@ -501,14 +502,18 @@ func (c *Conduit) raiseLocal(err error, announce func()) bool {
 // records the abort here, then raises it through PMI (PMI2_Abort), which
 // delivers it to every PE of the job — the dead rank included, whose "death"
 // may be a wedge that only the launcher's kill can release.
-func (c *Conduit) Abort(ae *AbortError) {
+func (c *Conduit) Abort(ae *AbortError) { c.abortAt(ae, c.mgrClk.Now()) }
+
+// abortAt is Abort raised at virtual time now, by a path that knows it (the
+// manager clock can lag a detector verdict's time).
+func (c *Conduit) abortAt(ae *AbortError, now int64) {
 	if ae.Code == 0 {
 		ae.Code = 1
 	}
 	c.raiseLocal(ae, func() {
-		c.event("abort", ae.Dead, c.mgrClk.Now())
+		c.event("abort", ae.Dead, now)
 		if ae.Dead >= 0 {
-			c.led.Act("pe", ae.Dead, c.mgrClk.Now(), "abort")
+			c.led.Act("pe", ae.Dead, now, "abort")
 		}
 		c.cfg.PMI.RaiseAbort(pmi.AbortNotice{Origin: ae.Origin, Dead: ae.Dead, Code: ae.Code, Reason: ae.Reason})
 	})

@@ -58,7 +58,6 @@ func (c *Conduit) Footprint() []obs.FootprintItem {
 		}
 	})
 	misc.Bytes += int64(len(c.heldReqs)) * heldSize
-	misc.Bytes += int64(len(c.qpPeer)) * (12 + obs.MapEntryOverhead)
 	for _, ams := range c.deferredAM {
 		for _, am := range ams {
 			misc.Bytes += defAMSize + int64(len(am.payload))

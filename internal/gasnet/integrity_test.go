@@ -9,39 +9,6 @@ import (
 	"goshmem/internal/ib"
 )
 
-// TestRCTrailerCatchesBitFlips is the fuzz-style sweep over the RC integrity
-// trailer: every single-bit flip anywhere in a framed buffer — inner message,
-// sequence word, epoch word, or the CRC itself — must make splitRCTrailer
-// reject the frame. A silent pass anywhere would let corrupted payloads reach
-// an AM handler.
-func TestRCTrailerCatchesBitFlips(t *testing.T) {
-	inner := encodeAM(5, 3, [4]uint64{1, 2, 3, 4}, []byte("payload-under-test"))
-	framed := appendRCTrailer(inner, 7, 2)
-	got, seq, epoch, ok := splitRCTrailer(framed)
-	if !ok || seq != 7 || epoch != 2 || !bytes.Equal(got, inner) {
-		t.Fatalf("pristine frame: ok=%v seq=%d epoch=%d", ok, seq, epoch)
-	}
-	for bit := 0; bit < len(framed)*8; bit++ {
-		b := append([]byte(nil), framed...)
-		b[bit/8] ^= 1 << (bit % 8)
-		if _, _, _, ok := splitRCTrailer(b); ok {
-			t.Fatalf("bit flip at %d went undetected", bit)
-		}
-	}
-	// Truncation below the trailer length is corruption, not a short read.
-	for _, n := range []int{0, 1, rcTrailerLen - 1} {
-		if _, _, _, ok := splitRCTrailer(framed[:n]); ok {
-			t.Fatalf("truncated frame (%d bytes) accepted", n)
-		}
-	}
-	// The trailer append must not alias the caller's buffer: retained frames
-	// are immutable once posted.
-	framed[0] ^= 0xFF
-	if inner[0] == framed[0] {
-		t.Fatal("appendRCTrailer aliased the input frame")
-	}
-}
-
 // TestQuietBlocksOnTornWrite is the ordering guarantee for one-sided traffic:
 // a put whose RDMA write is torn mid-transfer (a prefix lands, then the link
 // dies) must not let Quiet complete until the reconnect has replayed the full
@@ -161,36 +128,57 @@ func TestAtomicExactlyOnceAcrossReconnect(t *testing.T) {
 	}
 }
 
-// TestRCFrameCorruptionRecovered streams AMs through a fabric that flips bits
-// in RC payloads: every corrupted frame must be caught by the trailer, NAKed
-// and retransmitted, and every message must reach its handler exactly once
-// and in order.
+// TestRCFrameCorruptionRecovered streams AMs and a put through a fabric that
+// corrupts RC transmissions: the first work request loses all RetryCnt of its
+// transmissions (the connection dies and is rebuilt), later ones are absorbed
+// by the adapter's retransmissions. No damaged byte may reach a handler or
+// registered memory, and every message reaches its handler exactly once and
+// in order.
 func TestRCFrameCorruptionRecovered(t *testing.T) {
 	const msgs = 64
 	fi := ib.NewFaultInjector(41)
-	fi.RCCorruptProb = 0.3
-	fi.MaxRCCorrupts = 12
+	fi.RCCorruptProb = 1
+	fi.MaxRCCorrupts = ib.RetryCnt + 5
 	pes, _ := startJob(t, jobOpts{n: 2, mode: OnDemand, faults: fi})
 	var mu sync.Mutex
 	var got []uint64
+	var damaged []string
+	body := []byte("body")
 	pes[1].C.RegisterHandler(5, func(src int, a [4]uint64, p []byte, at int64) {
 		mu.Lock()
+		if src != 0 || a[1] != ^a[0] || !bytes.Equal(p, body) {
+			damaged = append(damaged, fmt.Sprintf("src %d args %x payload %q", src, a, p))
+		}
 		got = append(got, a[0])
 		mu.Unlock()
 	})
+	heap := make([]byte, 4*ib.RCMTU)
+	mr := pes[1].HCA.RegisterMR(heap, pes[1].Clk)
+	put := bytes.Repeat([]byte{0x5A}, 3*ib.RCMTU)
+	mr.SetOnWrite(func(off, n int, vtime int64) {
+		mu.Lock()
+		if !bytes.Equal(heap[off:off+n], put[:n]) {
+			damaged = append(damaged, fmt.Sprintf("%d bytes at %d", n, off))
+		}
+		mu.Unlock()
+	})
 	for i := 0; i < msgs; i++ {
-		if err := pes[0].C.AMRequest(1, 5, [4]uint64{uint64(i)}, []byte("body")); err != nil {
+		if err := pes[0].C.AMRequest(1, 5, [4]uint64{uint64(i), ^uint64(i)}, body); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := pes[0].C.Put(1, mr.Base(), mr.RKey(), put); err != nil {
+		t.Fatal(err)
+	}
+	pes[0].C.Quiet()
 	waitUntil(t, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) >= msgs
 	})
 	mu.Lock()
-	if len(got) != msgs {
-		t.Fatalf("%d deliveries for %d sends", len(got), msgs)
+	if len(got) != msgs || len(damaged) != 0 {
+		t.Fatalf("%d deliveries for %d sends; damaged deliveries %v", len(got), msgs, damaged)
 	}
 	for i, v := range got {
 		if v != uint64(i) {
@@ -198,15 +186,16 @@ func TestRCFrameCorruptionRecovered(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if fi.Injected().RCCorrupts == 0 {
-		t.Fatal("injector never corrupted a frame; test exercised nothing")
+	if !bytes.Equal(heap[:len(put)], put) {
+		t.Fatal("the put did not land whole")
 	}
-	server := pes[1].C.Stats()
-	if server.RCCorruptFrames < 1 {
-		t.Fatalf("receiver RCCorruptFrames = %d, want >= 1", server.RCCorruptFrames)
+	if n := fi.Injected().RCCorrupts; n != ib.RetryCnt+5 {
+		t.Fatalf("injector corrupted %d transmissions, want %d", n, ib.RetryCnt+5)
 	}
-	if pes[0].C.Stats().IntegrityRetransmits < 1 {
-		t.Fatalf("sender IntegrityRetransmits = %d, want >= 1", pes[0].C.Stats().IntegrityRetransmits)
+	st := pes[0].C.Stats()
+	if st.RCCorruptFrames != 1 || st.LinkFaults < 1 || st.Reconnects < 1 {
+		t.Fatalf("sender RCCorruptFrames %d, link faults %d, reconnects %d; want 1 exhausted request and its reconnect",
+			st.RCCorruptFrames, st.LinkFaults, st.Reconnects)
 	}
 }
 

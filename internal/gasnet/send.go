@@ -42,9 +42,9 @@ func connDied(err error) bool {
 // migrates to the alternate path in place — once — when the primary fails, and
 // on a dead connection (connDied) runs the link-fault epilogue, which leaves
 // the slot recovering: restarting its own handshake, unless the issuer's loop
-// is there to do it. A torn or corrupted RDMA payload lands damage first; the
-// clean re-execution overwrites it before the operation ever completes, so
-// Quiet never observes it.
+// is there to do it. A torn RDMA write lands a clean prefix first; the
+// re-execution overwrites it before the operation ever completes, so Quiet
+// never observes it.
 //
 // Caller holds connMu. A direct transmit (fromIssuer) returns with it
 // released — before the post when nothing in it needs the lock's ordering:
@@ -66,7 +66,7 @@ func (c *Conduit) transmit(cn *conn, peer int, wr ib.SendWR, clk *vclock.Clock, 
 	if fresh {
 		// wr.Data is never mutated (the framing copies), so a request that
 		// fails here re-runs untouched.
-		wr.Data = cn.sess.frame(wr.Data, uint32(cn.seq))
+		wr.Data = cn.sess.frame(wr.Data)
 	}
 	locked := true
 	if src == fromIssuer && !framed && !gated && clk == c.clk {
@@ -201,8 +201,8 @@ func (c *Conduit) post(peer int, wr ib.SendWR, clonePending bool) (err error) {
 
 // flushLocked posts, in order, what waits for the connection that just became
 // ready: first the retained frames — the receiver's ledger suppresses what it
-// already executed, and a delivery the old connection corrupted or tore is
-// overwritten by this clean replay before any Quiet can complete — then the
+// already executed, and a delivery the old connection lost or tore is
+// made whole by this replay before any Quiet can complete — then the
 // traffic queued behind the handshake, each request departing at max(its
 // enqueue time, the connection-ready time) on a dedicated flush clock. A
 // request that fails for good is completed to its issuer. If the connection

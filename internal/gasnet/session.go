@@ -8,37 +8,35 @@ import (
 	"goshmem/internal/vclock"
 )
 
-// Data-plane session layer: end-to-end integrity and exactly-once effects for
-// RC payloads. Armed only on lossy fabrics (Fabric.Lossy) — a fault-free run
-// never frames, retains, ACKs or dedups anything, so its traffic and traces
-// stay byte-identical. The rules are the session value below, and beside it
+// Data-plane session layer: exactly-once effects for RC payloads across
+// connection teardowns. Armed only on lossy fabrics (Fabric.Lossy) — a
+// fault-free run never frames, retains, ACKs or dedups anything, so its
+// traffic and traces stay byte-identical. The rules are the session value below, and beside it
 // the receive-credit window of the resource plane (finite receive queues
 // only); the Conduit methods after them are lock-holding shells that apply a
 // value's answer: gauges, counters, the incident ledger, Quiet's window count.
 //
-// Sender side: every two-sided RC send is framed with the integrity trailer
+// Sender side: every two-sided RC send is framed with the session trailer
 // (integrity.go) under a per-pair monotone sequence and retained until the
 // receiver's cumulative ACK covers it. Retained frames are replayed — original
-// bytes, original sequence numbers — on NAK, on timeout, and first thing
-// after every reconnect, so a transfer the old connection damaged or tore is
-// always overwritten by a clean copy. Quiet blocks until the retained window
-// is empty, which is what turns "replayed eventually" into the OpenSHMEM
-// ordering guarantee.
+// bytes, original sequence numbers — on timeout and first thing after every
+// reconnect, so a transfer the old connection lost is always delivered again.
+// Quiet blocks until the retained window is empty, which is what turns
+// "replayed eventually" into the OpenSHMEM ordering guarantee.
 //
 // Receiver side: session.rxMax is the dedup ledger — the highest in-order
 // sequence executed from the peer. Exactly the next sequence is admitted;
 // duplicates (a replay whose original did land, because only the ACK was the
-// casualty) are re-acknowledged without re-execution; corrupt frames and gaps
-// are NAKed before any byte becomes visible to a handler. The ledger survives
+// casualty) are re-acknowledged without re-execution. The ledger survives
 // reconnect by riding the handshake payload, so non-idempotent operations —
 // atomics, signal AMs, collective contributions — apply exactly once across
 // any number of connection teardowns.
 //
-// One-sided RDMA cannot carry a software trailer; its payload faults surface
-// as typed link faults (ib.ErrTornWrite, ib.ErrRCCorrupt) after the damage
-// lands, and recovery is the existing pending-replay reconnect: the failed
-// work request stays queued (its Quiet hold intact) and the replacement
-// connection re-executes it, overwriting the torn prefix.
+// One-sided RDMA cannot carry a trailer; its faults surface as typed link
+// faults (ib.ErrTornWrite after a clean prefix landed, ib.ErrRCCorrupt when the
+// adapter's retries ran out), and recovery is the existing pending-replay
+// reconnect: the failed work request stays queued (its Quiet hold intact) and
+// the replacement connection re-executes it, overwriting any torn prefix.
 
 // Reserved active-message handler ids for the conduit's own session traffic:
 // the last two slots of the 16-slot handler table. RegisterHandler and the
@@ -73,11 +71,11 @@ func (s *session) retained() int {
 	return len(s.unacked)
 }
 
-// frame returns payload framed with the integrity trailer under the next
+// frame returns payload framed with the session trailer under the next
 // transfer sequence. Nothing is committed until sent: an errored RC send
 // delivers nothing, so a failed post simply leaves the number for the retry.
-func (s *session) frame(payload []byte, epoch uint32) []byte {
-	return appendRCTrailer(payload, s.txSeq+1, epoch)
+func (s *session) frame(payload []byte) []byte {
+	return appendRCTrailer(payload, s.txSeq+1)
 }
 
 // sent commits the frame the last frame call built, posted at now: it is
@@ -94,18 +92,13 @@ type verdict uint8
 const (
 	inOrder   verdict = iota // exactly the next sequence: execute it
 	duplicate                // already executed (its ACK was the casualty, or a replay raced it): never again
-	gap                      // an earlier frame died with its connection: the sender must replay from ack
-	corrupt                  // the trailer check failed: nothing in the frame is trustworthy, not even its sequence
+	gap                      // past the next sequence: not executed, and the sender's timeout replays from ack
 )
 
-// accept verifies and dedups one received frame. Every verdict is answered
-// with ack, our cumulative position — an ACK for in-order and duplicate
-// frames, a NAK for gaps and corruption — so the sender's window drains.
-func (s *session) accept(framed []byte) (inner []byte, v verdict, ack uint64) {
-	inner, seq, _, ok := splitRCTrailer(framed)
+// accept dedups one received frame's sequence. Every verdict is answered with
+// ack, our cumulative position, so the sender's window drains.
+func (s *session) accept(seq uint64) (v verdict, ack uint64) {
 	switch {
-	case !ok:
-		v = corrupt
 	case seq == s.rxMax+1:
 		s.rxMax = seq
 	case seq <= s.rxMax:
@@ -113,7 +106,7 @@ func (s *session) accept(framed []byte) (inner []byte, v verdict, ack uint64) {
 	default:
 		v = gap
 	}
-	return inner, v, s.rxMax
+	return v, s.rxMax
 }
 
 // acked releases the retained frames up to and including the peer's
@@ -167,17 +160,6 @@ func (w *creditWindow) reset() {
 	}
 }
 
-// mapQPLocked records the local RC queue pair serving peer, so an inbound
-// framed payload can be attributed to its sender without trusting the frame's
-// content (a corrupt frame's source field is garbage; the QP it arrived on is
-// not). Queue-pair numbers are never reused, so stale entries are harmless.
-// Caller holds connMu.
-func (c *Conduit) mapQPLocked(qp *ib.QP, peer int) {
-	if c.lossy && qp != nil {
-		c.qpPeer[qp.QPN()] = peer
-	}
-}
-
 // trimAckedLocked applies a cumulative acknowledgement that arrived at vt —
 // or, with seq at its maximum, gives up on a dead peer's window so Quiet does
 // not wait on a ghost — and wakes whoever waits on the window: Quiet, and
@@ -201,60 +183,44 @@ func (c *Conduit) trimAckedLocked(cn *conn, seq uint64, vt int64) {
 	}
 }
 
-// sessionAccept runs one framed RC payload through its sender's session on
-// the receive path and answers it. It returns the inner frame and whether to
-// dispatch it.
-func (c *Conduit) sessionAccept(comp ib.Completion) ([]byte, bool) {
+// sessionAccept runs the sequence of one framed RC payload from peer, which
+// arrived at vt, through the peer's session on the receive path and answers
+// it. It reports whether to dispatch the frame.
+func (c *Conduit) sessionAccept(peer int, seq uint64, vt int64) bool {
 	c.connMu.Lock()
-	peer, known := c.qpPeer[comp.QPN]
-	if !known {
-		c.connMu.Unlock()
-		return nil, false
-	}
 	cn := c.conns.getOrCreate(peer)
 	cn.quiet = 0
-	inner, v, ack := cn.sess.accept(comp.Data)
-	kind := msgDataAck
-	switch v {
-	case corrupt:
-		kind = msgDataNak
-		c.stats.RCCorruptFrames++
-		c.event("rc-corrupt", peer, comp.VTime)
-		// Detection moment for the sender's rc-corrupt incident: our trailer
-		// check caught the damage and the NAK below starts the replay.
-		c.led.Detect("rc", peer, comp.VTime, "nak-sent")
-	case duplicate:
+	v, ack := cn.sess.accept(seq)
+	if v == duplicate {
 		// Re-acknowledged, never re-executed: the exactly-once guarantee for
 		// non-idempotent payloads.
 		c.stats.DupOpsSuppressed++
-		c.event("dup-suppressed", peer, comp.VTime)
-	case gap:
-		kind = msgDataNak
+		c.event("dup-suppressed", peer, vt)
 	}
 	c.connMu.Unlock()
-	c.sendDataCtl(peer, kind, ack, comp.VTime)
-	return inner, v == inOrder
+	c.sendDataCtl(peer, ack, vt)
+	return v == inOrder
 }
 
-// sendDataCtl sends a data-plane ACK/NAK on a detached clock — session
+// sendDataCtl sends a data-plane ACK on a detached clock — session
 // acknowledgements are background control traffic and must not advance the
 // receiver's virtual clock. A peer whose endpoint is still unresolved is
 // skipped, like the heartbeat prober's; the sender's timeout replay recovers.
-func (c *Conduit) sendDataCtl(peer int, kind uint8, seq uint64, vt int64) {
+func (c *Conduit) sendDataCtl(peer int, seq uint64, vt int64) {
 	ud, err := c.resolveUDOpt(peer, false)
 	if err != nil {
 		return
 	}
-	m := connMsg{Kind: kind, SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr(),
+	m := connMsg{Kind: msgDataAck, SrcRank: int32(c.cfg.Rank), UD: c.udQP.Addr(),
 		Payload: encodeSeqPayload(seq)}
 	c.sendControl(peer, ud, m, vclock.NewClock(vt))
 }
 
-// handleDataAck processes a data-plane ACK or NAK from peer: release every
-// retained frame the cumulative sequence covers and, on a NAK against a live
-// connection, replay the remainder immediately. Frames still retained on a
-// torn-down connection wait for the timeout, which reconnects for the replay.
-func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.Clock) {
+// handleDataAck processes a data-plane ACK from peer, which arrived at vt:
+// release every retained frame the cumulative sequence covers. What stays
+// retained waits for the timeout, which replays it (reconnecting first on a
+// torn-down connection).
+func (c *Conduit) handleDataAck(peer int, payload []byte, vt int64) {
 	seq, ok := decodeSeqPayload(payload)
 	if !ok {
 		return
@@ -266,27 +232,24 @@ func (c *Conduit) handleDataAck(peer int, payload []byte, nak bool, svc *vclock.
 		return
 	}
 	cn.quiet = 0
-	c.trimAckedLocked(cn, seq, svc.Now())
-	if nak && cn.state == connReady {
-		c.replayLocked(cn, peer, svc)
-	}
+	c.trimAckedLocked(cn, seq, vt)
 	c.armForLocked(cn)
 }
 
-// noteDataFault classifies a link-fault error from a data-plane post: torn
-// writes and corrupted payloads are link faults whose damage already landed
-// at the target, counted so chaos runs can prove the overwrite-on-replay
-// recovery actually fired. Caller holds connMu.
-func (c *Conduit) noteDataFault(err error) {
+// noteDataFault classifies a link-fault error from a data-plane post on clk:
+// a torn write, whose clean prefix already landed at the target, and a work
+// request whose hardware retries ran out, counted so chaos runs can prove the
+// replay-after-reconnect recovery actually fired. Caller holds connMu.
+func (c *Conduit) noteDataFault(err error, clk *vclock.Clock) {
 	switch {
 	case errors.Is(err, ib.ErrTornWrite):
 		c.stats.TornWrites++
-		c.event("torn-write", -1, c.clk.Now())
-		c.led.Detect("rc", c.cfg.Rank, c.clk.Now(), "torn-write-detected")
+		c.event("torn-write", -1, clk.Now())
+		c.led.Detect("rc", c.cfg.Rank, clk.Now(), "torn-write-detected")
 	case errors.Is(err, ib.ErrRCCorrupt):
 		c.stats.RCCorruptFrames++
-		c.event("rc-corrupt", -1, c.clk.Now())
-		c.led.Detect("rc", c.cfg.Rank, c.clk.Now(), "icrc-drop")
+		c.event("rc-corrupt", -1, clk.Now())
+		c.led.Detect("rc", c.cfg.Rank, clk.Now(), "retry-exceeded")
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 
 // The model: two endpoints, each the sender of its own op stream and the
 // receiver of the other's, and one connection between them that can be torn
-// and re-established. RC frames arrive in the order they were posted (a
-// completion queue is a FIFO); a tear loses whatever is in flight, or leaves it
-// to straggle in behind the reconnect. UD acknowledgements are a multiset:
-// dropped, duplicated, delivered in any order. The sessions are the real
+// and re-established. RC frames arrive intact and in the order they were
+// posted (the adapter retransmits a corrupted packet, and a completion queue
+// is a FIFO); a tear loses whatever is in flight, or leaves it to straggle in
+// behind the reconnect. UD acknowledgements are a multiset: dropped,
+// duplicated, delivered in any order. The sessions are the real
 // values; the rest mirrors their lock-holding shells (transmit, flushLocked,
 // replayLocked, sessionAccept, handleDataAck, the handshake's rxMax prefix).
 // Like the handshake model: no fabric, no clocks, no goroutines.
@@ -23,12 +24,10 @@ import (
 type sframe struct {
 	data []byte
 	seq  uint8 // for the state key only: the frame is its bytes
-	bad  bool
 }
 
 type sctl struct {
 	to  uint8
-	nak bool
 	seq uint8
 }
 
@@ -46,7 +45,7 @@ type sworld struct {
 	rc  [2][]sframe // rc[d]: frames on their way to endpoint d, oldest first
 	ctl []sctl
 
-	ops, drops, dups, corrupts, tears, timeouts uint8 // budgets left
+	ops, drops, dups, tears, timeouts uint8 // budgets left
 }
 
 const (
@@ -66,26 +65,20 @@ func (w *sworld) clone() sworld {
 
 // key is the state's identity: sessions by their counters (what is retained
 // is always the contiguous run of sequences ending at txSeq), frames by
-// sequence and damage.
+// sequence.
 func (w *sworld) key() string {
-	b := []byte{w.ops, w.drops, w.dups, w.corrupts, w.tears, w.timeouts, 0}
+	b := []byte{w.ops, w.drops, w.dups, w.tears, w.timeouts, 0}
 	if w.up {
-		b[6] = 1
+		b[5] = 1
 	}
 	for i, e := range w.ep {
 		b = append(b, uint8(e.s.txSeq), uint8(e.s.rxMax), uint8(len(e.s.unacked)), e.issued, e.queued, e.applied, uint8(len(w.rc[i])))
 		for _, f := range w.rc[i] {
-			b = append(b, f.seq<<1)
-			if f.bad {
-				b[len(b)-1] |= 1
-			}
+			b = append(b, f.seq)
 		}
 	}
 	for _, c := range w.ctl {
-		b = append(b, c.to<<1, c.seq)
-		if c.nak {
-			b[len(b)-2] |= 1
-		}
+		b = append(b, c.to, c.seq)
 	}
 	return string(b)
 }
@@ -99,7 +92,7 @@ func (w *sworld) check(t *testing.T) {
 		}
 		for j, framed := range e.s.unacked {
 			want := e.s.txSeq - uint64(len(e.s.unacked)-1-j)
-			if _, seq, _, ok := splitRCTrailer(framed); !ok || seq != want {
+			if _, seq, ok := splitRCTrailer(framed); !ok || seq != want {
 				t.Fatalf("endpoint %d: retained frame %d of %d carries sequence %d (intact %v), want %d", i, j, len(e.s.unacked), seq, ok, want)
 			}
 		}
@@ -123,7 +116,7 @@ func (w *sworld) toWire(to int, f sframe) bool {
 // send is transmit for a fresh op: frame, post, commit.
 func (w *sworld) send(me int, op uint8) bool {
 	e := &w.ep[me]
-	f := e.s.frame([]byte{op}, 0)
+	f := e.s.frame([]byte{op})
 	if !w.toWire(1-me, sframe{data: f, seq: uint8(e.s.txSeq + 1)}) {
 		return false
 	}
@@ -183,16 +176,19 @@ func (w *sworld) connect() bool {
 	return true
 }
 
-// recv is sessionAccept plus the handler: the oldest frame in flight to
-// endpoint to is verified, deduplicated, executed if it is the next one, and
-// answered.
+// recv is handleAM's session step plus the handler: the oldest frame in
+// flight to endpoint to is deduplicated, executed if it is the next one, and
+// answered. Without a lost frame there is never a gap: a sender replays its
+// whole retained window, which starts at or below the receiver's next
+// sequence, before anything new.
 func (w *sworld) recv(t *testing.T, to int) bool {
 	f := w.rc[to][0]
 	w.rc[to] = w.rc[to][1:]
 	e := &w.ep[to]
-	inner, v, ack := e.s.accept(f.data)
-	if (v == corrupt) != f.bad {
-		t.Fatalf("frame %+v judged %d", f, v)
+	inner, seq, _ := splitRCTrailer(f.data)
+	v, ack := e.s.accept(seq)
+	if v == gap {
+		t.Fatalf("endpoint %d received sequence %d after %d: a frame vanished on a live connection", to, seq, e.s.rxMax)
 	}
 	if v == inOrder {
 		if len(inner) != 1 || inner[0] != e.applied+1 {
@@ -200,7 +196,7 @@ func (w *sworld) recv(t *testing.T, to int) bool {
 		}
 		e.applied++
 	}
-	c := sctl{to: uint8(1 - to), nak: v == gap || v == corrupt, seq: uint8(ack)}
+	c := sctl{to: uint8(1 - to), seq: uint8(ack)}
 	for _, d := range w.ctl {
 		if d == c {
 			return true // identical datagrams in flight are one state
@@ -215,18 +211,14 @@ func (w *sworld) recv(t *testing.T, to int) bool {
 		if a.to != b.to {
 			return a.to < b.to
 		}
-		if a.seq != b.seq {
-			return a.seq < b.seq
-		}
-		return !a.nak && b.nak
+		return a.seq < b.seq
 	})
 	return true
 }
 
 // ctlRecv is handleDataAck.
-func (w *sworld) ctlRecv(c sctl) bool {
+func (w *sworld) ctlRecv(c sctl) {
 	w.acked(int(c.to), uint64(c.seq))
-	return !c.nak || !w.up || w.replay(int(c.to))
 }
 
 // timeout is retransScan for a slot retaining frames: replay on a live
@@ -255,9 +247,7 @@ func (from *sworld) drain(t *testing.T) {
 			if len(w.ctl) > 0 {
 				c := w.ctl[0]
 				w.ctl = w.ctl[1:]
-				if !w.ctlRecv(c) {
-					return
-				}
+				w.ctlRecv(c)
 			}
 			w.check(t)
 		}
@@ -285,14 +275,14 @@ func (from *sworld) drain(t *testing.T) {
 }
 
 // TestSessionModelExhaustive explores every interleaving of issue / deliver /
-// corrupt / tear / reconnect / timeout and of dropped, duplicated and
+// tear / reconnect / timeout and of dropped, duplicated and
 // reordered acknowledgements within small budgets, and checks in every
 // reachable state that each op executes exactly once and in order (recv), that
 // no frame is released before its op executed and the conduit's window count
 // matches what is retained (check), and that a fault-free suffix executes
 // everything issued and drains both retained windows to zero (drain).
 func TestSessionModelExhaustive(t *testing.T) {
-	start := sworld{up: true, ops: 3, drops: 1, dups: 1, corrupts: 1, tears: 2, timeouts: 1}
+	start := sworld{up: true, ops: 3, drops: 1, dups: 1, tears: 2, timeouts: 2}
 	seen := map[string]bool{}
 	var queue []sworld
 	push := func(w sworld, ok bool) {
@@ -320,16 +310,6 @@ func TestSessionModelExhaustive(t *testing.T) {
 				n := w.clone()
 				push(n, n.recv(t, me))
 			}
-			for i, f := range w.rc[me] {
-				if w.corrupts > 0 && !f.bad {
-					n := w.clone()
-					n.corrupts--
-					bad := append([]byte(nil), f.data...)
-					bad[len(bad)-rcTrailerLen] ^= 1 // in the sequence word, where a silent pass would hurt most
-					n.rc[me][i] = sframe{data: bad, seq: f.seq, bad: true}
-					push(n, true)
-				}
-			}
 			if w.timeouts > 0 && (len(w.ep[me].s.unacked) > 0 || w.ep[me].queued > 0) {
 				n := w.clone()
 				n.timeouts--
@@ -339,7 +319,8 @@ func TestSessionModelExhaustive(t *testing.T) {
 		for i, c := range w.ctl {
 			n := w.clone() // deliver (in any order: reordering is free)
 			n.ctl = append(n.ctl[:i], n.ctl[i+1:]...)
-			push(n, n.ctlRecv(c))
+			n.ctlRecv(c)
+			push(n, true)
 			if w.drops > 0 {
 				n = w.clone()
 				n.drops--
@@ -349,7 +330,8 @@ func TestSessionModelExhaustive(t *testing.T) {
 			if w.dups > 0 {
 				n = w.clone()
 				n.dups--
-				push(n, n.ctlRecv(c))
+				n.ctlRecv(c)
+				push(n, true)
 			}
 		}
 		if w.up && w.tears > 0 {
@@ -367,8 +349,8 @@ func TestSessionModelExhaustive(t *testing.T) {
 			push(n, n.connect())
 		}
 	}
-	t.Logf("%d ops, %d drops, %d dups, %d corruptions, %d tears: explored %d states",
-		start.ops, start.drops, start.dups, start.corrupts, start.tears, len(seen))
+	t.Logf("%d ops, %d drops, %d dups, %d tears, %d timeouts: explored %d states",
+		start.ops, start.drops, start.dups, start.tears, start.timeouts, len(seen))
 	if len(seen) < 100000 {
 		t.Fatalf("only %d states reached: the model is not exploring", len(seen))
 	}
@@ -424,9 +406,10 @@ func TestSessionValuesDoNotAllocate(t *testing.T) {
 	payload := make([]byte, 64)
 	now := int64(0)
 	round := func() {
-		f := tx.frame(payload, 1)
+		f := tx.frame(payload)
 		tx.sent(f, now)
-		_, v, ack := rx.accept(f)
+		_, seq, _ := splitRCTrailer(f)
+		v, ack := rx.accept(seq)
 		if n, _ := tx.acked(ack); v != inOrder || n != 1 {
 			panic("round trip broke")
 		}

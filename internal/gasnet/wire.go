@@ -33,13 +33,13 @@ const (
 	// connection to ever evict), so the client must abort rather than retry.
 	msgConnRej uint8 = 7
 
-	// Data-plane session acknowledgements (integrity.go). Both carry the
-	// receiver's cumulative in-order sequence for the pair in the payload
-	// ([seq u64]): an ACK lets the sender release every retained frame up to
-	// and including seq; a NAK additionally asks it to retransmit everything
-	// past seq (a corrupt frame or a sequence gap was observed).
+	// Data-plane session acknowledgement (integrity.go): the receiver's
+	// cumulative in-order sequence for the pair ([seq u64] payload), which
+	// lets the sender release every retained frame up to and including seq.
 	msgDataAck uint8 = 8
-	msgDataNak uint8 = 9
+	// Kind 9 is retired: it was the data-plane NAK (no frame arrives damaged,
+	// and none goes missing without a teardown, after which the reconnect
+	// replays).
 )
 
 // connMsg is the UD control datagram for connection establishment.
@@ -53,18 +53,14 @@ type connMsg struct {
 }
 
 // connMsgHdr: [kind u8][src u32][seq u32][RC dest 6][UD dest 6]
-// [payload len u32][crc32 u32]. The trailing CRC covers the whole frame
-// (with the CRC field itself zeroed) — end-to-end protection for the
-// control channel, since a flipped bit in a REQ/REP would otherwise poison
-// the peer's rkey/endpoint tables silently. UD corruption never changes the
-// frame length, so the checksum is verified before any field is trusted.
-const connMsgHdr = 1 + 4 + 4 + 6 + 6 + 4 + 4
+// [payload len u32]. It carries no checksum: the adapter's ICRC drops a
+// damaged datagram, which reaches the receiver as a loss the sender's
+// retransmission timer recovers.
+const connMsgHdr = 1 + 4 + 4 + 6 + 6 + 4
 
-const connMsgCRCOff = connMsgHdr - 4
-
-// errCorruptFrame marks a control frame that failed checksum (or basic
-// framing) verification. The receiver discards it; the sender's
-// retransmission timer re-delivers the content.
+// errCorruptFrame marks a control frame whose length does not match its
+// framing (short, or a payload length field that disagrees). The receiver
+// discards it.
 var errCorruptFrame = errors.New("gasnet: corrupt control frame")
 
 func (m *connMsg) encode() []byte {
@@ -78,7 +74,6 @@ func (m *connMsg) encode() []byte {
 	binary.LittleEndian.PutUint32(b[17:], m.UD.QPN)
 	binary.LittleEndian.PutUint32(b[21:], uint32(len(m.Payload)))
 	copy(b[connMsgHdr:], m.Payload)
-	binary.LittleEndian.PutUint32(b[connMsgCRCOff:], connMsgSum(b))
 	return b
 }
 
@@ -86,9 +81,6 @@ func decodeConnMsg(b []byte) (connMsg, error) {
 	var m connMsg
 	if len(b) < connMsgHdr {
 		return m, fmt.Errorf("%w: short (%d bytes)", errCorruptFrame, len(b))
-	}
-	if got := binary.LittleEndian.Uint32(b[connMsgCRCOff:]); got != connMsgSum(b) {
-		return m, fmt.Errorf("%w: checksum mismatch", errCorruptFrame)
 	}
 	m.Kind = b[0]
 	m.SrcRank = int32(binary.LittleEndian.Uint32(b[1:]))

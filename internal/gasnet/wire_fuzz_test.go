@@ -51,15 +51,15 @@ func FuzzDecodeAM(f *testing.F) {
 }
 
 func FuzzSplitRCTrailer(f *testing.F) {
-	f.Add(appendRCTrailer([]byte("inner frame"), 12, 3))
-	f.Add(appendRCTrailer(nil, 1, 0))
+	f.Add(appendRCTrailer([]byte("inner frame"), 12))
+	f.Add(appendRCTrailer(nil, 1))
 	f.Add(make([]byte, rcTrailerLen))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		inner, seq, epoch, ok := splitRCTrailer(b)
+		inner, seq, ok := splitRCTrailer(b)
 		if !ok {
 			return
 		}
-		if got := appendRCTrailer(inner, seq, epoch); !bytes.Equal(got, b) {
+		if got := appendRCTrailer(inner, seq); !bytes.Equal(got, b) {
 			t.Fatalf("re-framed payload differs:\n in  %x\n out %x", b, got)
 		}
 	})

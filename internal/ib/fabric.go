@@ -253,14 +253,14 @@ func (f *Fabric) sendUD(q *QP, wr SendWR) error {
 		d.dh, d.cq = f.udTarget(wr.Dest)
 	}
 	if d.cq == nil {
-		landAll(f.settleUD(q, clk, nil, false))
+		landAll(f.settleUD(nil, false))
 		return nil
 	}
 	depart = clk.Advance(f.occupancy(q.hca, d.dh, len(wr.Data)))
 	d.c = Completion{QPN: wr.Dest.QPN, Src: q.Addr(), Op: OpSend, Recv: true, Imm: wr.Imm, Status: StatusOK,
 		Data:  append([]byte(nil), wr.Data...),
 		VTime: depart + f.latencyOnly(q.hca, d.dh, f.model.UDSendLatency)}
-	due := f.settleUD(q, clk, &d, fate.kind == kindReorder)
+	due := f.settleUD(&d, fate.kind == kindReorder)
 	if fate.kind == kindDup { // an independent flight of the pristine payload; it vouches for nothing
 		d.c.Data, d.clean = append([]byte(nil), wr.Data...), false
 		d.c.VTime += f.model.UDSendLatency
@@ -288,12 +288,9 @@ func (f *Fabric) udTarget(dest Dest) (*HCA, *CQ) {
 // it — parked, and the held datagrams whose reorder window this send closed
 // are returned for the caller to land behind it. On a fault-free fabric that
 // is just d.land().
-func (f *Fabric) settleUD(q *QP, clk *vclock.Clock, d *udDelivery, hold bool) (due []udDelivery) {
+func (f *Fabric) settleUD(d *udDelivery, hold bool) (due []udDelivery) {
 	if f.faults != nil {
 		due = f.faults.landUD(d, hold)
-	}
-	if d != nil && !d.clean {
-		injected(q, clk, kindCorrupt, d.lane, len(d.c.Data))
 	}
 	if d != nil && !hold {
 		d.land()
@@ -318,7 +315,8 @@ type rcOp struct {
 	depart int64
 	// lane is the connection's incident lane, (sender rank, destination LID).
 	// It survives QP teardown, so the reconnect's first clean completion
-	// closes the flap/corruption incident that killed the old queue pair.
+	// closes the flap or exhausted-retry incident that killed the old queue
+	// pair.
 	lane int
 }
 
@@ -398,11 +396,30 @@ func (x *rcOp) accessErr(wr *SendWR) error {
 
 // damage asks the injector for the operation's payload verdict; nothing on a
 // fault-free fabric.
-func (x *rcOp) damage(op Opcode, data []byte, pkts int) rcDamage {
+func (x *rcOp) damage(op Opcode, pkts int) rcDamage {
 	if x.f.faults == nil {
 		return rcDamage{}
 	}
-	return x.f.faults.damageRC(op, data, pkts)
+	return x.f.faults.damageRC(op, pkts)
+}
+
+// retransmit is the requester's answer to hits corrupted transmissions of an
+// n-byte payload, each dropped by the receiver's ICRC check: every hit is one
+// more round of the payload on the wire (its occupancy, the one-way latency
+// and the ACK timeout's share, RCAckLatency) by which delivery is late, and an
+// incident absorbed on the spot — unless it is the RetryCnt-th, which fails
+// the work request and kills the connection like a flap.
+func (x *rcOp) retransmit(hits, n int) (delay int64, err error) {
+	for i := 1; i <= hits; i++ {
+		if i == RetryCnt {
+			injected(x.q, x.clk, kindRetryExceeded, x.lane, n)
+			x.errorBoth()
+			return 0, ErrRCCorrupt
+		}
+		injected(x.q, x.clk, kindRCCorrupt, x.lane, n)
+	}
+	m := x.f.model
+	return int64(hits) * (m.RCSendLatency + m.RCAckLatency + x.f.occupancy(x.q.hca, x.dh, n)), nil
 }
 
 // errorBoth kills the connection, as a link fault does on real RC: both queue
@@ -423,6 +440,13 @@ func (x *rcOp) rcSend(wr *SendWR) error {
 	f, q, dh, dq := x.f, x.q, x.dh, x.dq
 	depart := x.clk.Advance(f.occupancy(q.hca, dh, len(wr.Data)))
 	arrival := depart + f.latencyOnly(q.hca, dh, f.model.RCSendLatency)
+	if dmg := x.damage(wr.Op, 0); dmg.hits > 0 {
+		delay, err := x.retransmit(dmg.hits, len(wr.Data))
+		if err != nil {
+			return err
+		}
+		arrival += delay
+	}
 	dh.mu.Lock()
 	if !dq.live(RC) || dq.recvCQ == nil {
 		// The remote died between the liveness check and delivery.
@@ -442,20 +466,11 @@ func (x *rcOp) rcSend(wr *SendWR) error {
 	recvCQ := dq.recvCQ
 	dh.mu.Unlock()
 
-	// The delivered copy may be damaged while wr.Data stays pristine for any
-	// software retransmission. Two-sided sends carry a software integrity
-	// trailer in this runtime, so a flip is delivered silently and detection
-	// is the receiver's job: the incident stays open until the trailer rejects
-	// the copy and a clean (software-retransmitted) send completes.
 	data := append([]byte(nil), wr.Data...)
-	dmg := x.damage(wr.Op, data, 0)
-	if dmg.kind != kindNone {
-		injected(q, x.clk, dmg.kind, x.lane, len(data))
-	}
 	dh.countDelivery(len(data))
 	recvCQ.Push(Completion{QPN: q.remote.QPN, Src: q.Addr(), Op: OpSend, Recv: true,
 		Data: data, Imm: wr.Imm, Status: StatusOK, VTime: arrival})
-	x.complete(wr, Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency}, dmg.kind == kindNone)
+	x.complete(wr, Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency}, true)
 	return nil
 }
 
@@ -506,17 +521,15 @@ func (x *rcOp) land(mr *MR, off int, mem, data []byte, arrival int64) {
 	}
 }
 
-// rcWrite executes an RDMA write. Injected one-sided data-plane faults act at
-// the link's packet granularity: the wire carries the message as
+// rcWrite executes an RDMA write. The wire carries the message as
 // ceil(n/RCMTU) packets, each protected by an invariant CRC the receiving
-// adapter verifies before DMA, so what lands at the target is always a clean
-// whole-packet prefix — never damaged bytes. A concurrent polling reader (flag
-// waits, signal spins) can therefore observe stale or partially-updated
-// memory, but never garbage. A torn write is a link fault between packets; a
-// corrupted packet fails the ICRC check and is dropped before DMA with the
-// clean packets ahead of it (possibly none) already landed. Either way the
-// link then dies, the prefix stays visible until the sender's reconnect
-// replays the write, and wr.Data is never touched.
+// adapter verifies before DMA, so a corrupted packet is retransmitted (or,
+// retries exhausted, the write fails having landed nothing) and target memory
+// never sees a damaged byte. A torn write is a link fault between packets: a
+// clean whole-packet prefix lands, the link dies, and the prefix stays visible
+// — a concurrent polling reader (flag waits, signal spins) can observe stale
+// or partially-updated memory, never garbage — until the sender's reconnect
+// replays the write. wr.Data is never touched.
 func (x *rcOp) rcWrite(wr *SendWR) error {
 	f := x.f
 	mr, off, mem, ok := x.dh.resolve(wr.RemoteAddr, wr.RKey, len(wr.Data))
@@ -530,42 +543,45 @@ func (x *rcOp) rcWrite(wr *SendWR) error {
 	}
 	depart := x.clk.Advance(f.occupancy(x.q.hca, x.dh, len(wr.Data)))
 	arrival := depart + f.latencyOnly(x.q.hca, x.dh, f.model.RCSendLatency)
-	if dmg := x.damage(wr.Op, nil, (len(wr.Data)+RCMTU-1)/RCMTU); dmg.kind != kindNone {
-		landed := dmg.pkts * RCMTU
-		injected(x.q, x.clk, dmg.kind, x.lane, landed)
-		if landed > 0 {
-			x.land(mr, off, mem, wr.Data[:landed], arrival)
-		}
-		x.errorBoth()
-		if dmg.kind == kindTornWrite {
+	if dmg := x.damage(wr.Op, (len(wr.Data)+RCMTU-1)/RCMTU); dmg != (rcDamage{}) {
+		if dmg.torn > 0 {
+			injected(x.q, x.clk, kindTornWrite, x.lane, dmg.torn*RCMTU)
+			x.land(mr, off, mem, wr.Data[:dmg.torn*RCMTU], arrival)
+			x.errorBoth()
 			return ErrTornWrite
 		}
-		return ErrRCCorrupt
+		delay, err := x.retransmit(dmg.hits, len(wr.Data))
+		if err != nil {
+			return err
+		}
+		arrival += delay
 	}
 	x.land(mr, off, mem, wr.Data, arrival)
 	x.complete(wr, Completion{Status: StatusOK, VTime: arrival + f.model.RCAckLatency}, true)
 	return nil
 }
 
-// rcRead executes an RDMA read. A corrupted response reaches the requester as
-// nothing: the link-CRC failure kills the connection and the requester
-// re-issues the read after reconnect. Target memory is untouched — reads have
-// no remote side effect to tear.
+// rcRead executes an RDMA read. A corrupted request or response is
+// retransmitted; retries exhausted, the read returns nothing, the connection
+// dies and the requester re-issues it after reconnect. Reads have no remote
+// side effect to tear.
 func (x *rcOp) rcRead(wr *SendWR) error {
 	f, q, dh := x.f, x.q, x.dh
 	mr, off, mem, ok := dh.resolve(wr.RemoteAddr, wr.RKey, wr.Len)
 	if !ok {
 		return x.accessErr(wr)
 	}
-	if dmg := x.damage(wr.Op, nil, 0); dmg.kind != kindNone {
-		injected(q, x.clk, dmg.kind, x.lane, wr.Len)
-		x.errorBoth()
-		return ErrRCCorrupt
-	}
 	if mr.bounced {
 		x.clk.Advance(f.model.IntraXferTime(wr.Len)) // stage through the slab
 	}
 	req := f.oneWay(q.hca, dh, f.model.RCSendLatency, 0)
+	if dmg := x.damage(wr.Op, 0); dmg.hits > 0 {
+		delay, err := x.retransmit(dmg.hits, wr.Len)
+		if err != nil {
+			return err
+		}
+		req += delay
+	}
 	data := make([]byte, wr.Len)
 	if wr.Len == 8 && off%8 == 0 { // one aligned word: one atomic load, as land stores it
 		binary.NativeEndian.PutUint64(data, atomic.LoadUint64(wordOf(mem)))

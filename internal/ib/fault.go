@@ -104,27 +104,15 @@ type FaultInjector struct {
 	SlowProb float64
 	SlowTime int64
 
-	// CorruptProb is the probability a single bit of a UD datagram is
-	// flipped in flight. UD has no hardware end-to-end payload protection in
-	// this model, so detection is the receiver's job: checksummed control
-	// frames discard the damage and the sender's retransmission recovers it.
-	// MaxCorrupts caps the number of corruptions (0 = unlimited) so a test
-	// can guarantee eventual convergence.
-	CorruptProb float64
-	MaxCorrupts int
-
-	// RCCorruptProb is the probability an RC payload is corrupted in flight.
-	// The two transport classes fail differently, matching real hardware. A
-	// two-sided send suffers the end-to-end-argument failure: the flip slips
-	// past the link CRCs (introduced before ICRC computation, or in switch
-	// buffer memory), the damaged copy is delivered silently, and detection
-	// is the job of the conduit's software integrity trailer. A one-sided
-	// RDMA write or read suffers an in-flight flip that the receiving
-	// adapter's per-packet ICRC catches before DMA: the damaged packet is
-	// dropped, both queue pairs die and the sender sees ErrRCCorrupt — no
-	// garbage ever lands, but the clean packets delivered before the fault
-	// have, so replay-after-reconnect must overwrite the partial landing.
-	// MaxRCCorrupts caps the number of injections (0 = unlimited).
+	// RCCorruptProb is the probability one transmission of an RC send, RDMA
+	// write or RDMA read is corrupted in flight. As on InfiniBand, the receiving
+	// adapter's ICRC check drops the damaged packet before DMA and the
+	// requester retransmits it: each hit costs one retransmission in virtual
+	// time and the bytes delivered are the clean ones. RetryCnt consecutive
+	// hits on one work request exhaust the hardware's retries: the request
+	// fails with ErrRCCorrupt and both queue pairs go to Error, as after a
+	// flap. A corrupted UD datagram is simply lost (DropProb). MaxRCCorrupts
+	// caps the number of hits (0 = unlimited).
 	RCCorruptProb float64
 	MaxRCCorrupts int
 
@@ -177,9 +165,8 @@ type Injected struct {
 	Drops      int `ctr:"ib.fault.drop" lanes:"ud/drop" help:"UD datagrams the injector dropped"`
 	Dups       int `ctr:"ib.fault.dup" lanes:"ud/dup" help:"UD datagrams the injector delivered twice"`
 	Reorders   int `ctr:"ib.fault.reorder" lanes:"ud/reorder" help:"UD datagrams held back and delivered late"`
-	Corrupts   int `ctr:"ib.fault.corrupt" lanes:"ud/corrupt" help:"UD datagrams with one bit flipped in flight"`
 	Flaps      int `ctr:"ib.fault.flap" lanes:"rc/flap" help:"injected RC link faults (both queue pairs to Error before any byte moves)"`
-	RCCorrupts int `ctr:"ib.fault.rc_corrupt" lanes:"rc/rc-corrupt" help:"RC payloads corrupted in flight (silent on a send, ICRC-dropped on a write or read)"`
+	RCCorrupts int `ctr:"ib.fault.rc_corrupt" lanes:"rc/rc-corrupt" help:"RC transmissions corrupted in flight and dropped by the receiving adapter's ICRC check"`
 	TornWrites int `ctr:"ib.fault.torn_write" lanes:"rc/torn-write" help:"multi-packet RDMA writes torn between packets"`
 	Slowdowns  int `ctr:"ib.fault.slowdown" lanes:"ud/slow,rc/slow" help:"PE slowdowns charged to a sender's clock"`
 	AllocFails int `ctr:"ib.fault.alloc_fail" lanes:"alloc/qp,alloc/mr" help:"scheduled Nth QP/MR allocations refused"`
@@ -217,10 +204,10 @@ const (
 	kindDrop
 	kindReorder
 	kindDup
-	kindCorrupt
 	kindPathDown
 	kindFlap
 	kindRCCorrupt
+	kindRetryExceeded
 	kindTornWrite
 )
 
@@ -233,11 +220,13 @@ var faultKinds = [...]struct{ event, kind, absorbed string }{
 	kindDrop:      {event: "fault-drop", kind: "drop"},
 	kindReorder:   {event: "fault-reorder", kind: "reorder", absorbed: "late-delivery"},
 	kindDup:       {event: "fault-dup", kind: "dup", absorbed: "dedup-absorbed"},
-	kindCorrupt:   {event: "fault-corrupt", kind: "corrupt"},
 	kindPathDown:  {event: "fault-path-down"},
 	kindFlap:      {event: "fault-flap", kind: "flap"},
-	kindRCCorrupt: {event: "fault-rc-corrupt", kind: "rc-corrupt"},
-	kindTornWrite: {event: "fault-torn-write", kind: "torn-write"},
+	kindRCCorrupt: {event: "fault-rc-corrupt", kind: "rc-corrupt", absorbed: "hw-retransmit"},
+	// The hit that exhausts a work request's retries is the same injection,
+	// left open for the reconnect's first clean completion to close.
+	kindRetryExceeded: {event: "fault-rc-retry-exceeded", kind: "rc-corrupt"},
+	kindTornWrite:     {event: "fault-torn-write", kind: "torn-write"},
 }
 
 // hit rolls one capped probabilistic injection and tallies it in *n. A zero
@@ -258,13 +247,6 @@ func (fi *FaultInjector) slowLocked() int64 {
 		return fi.SlowTime
 	}
 	return 0
-}
-
-// flipBit damages one random bit of data in place. The length never changes,
-// so detection must come from content verification, not framing.
-func (fi *FaultInjector) flipBit(data []byte) {
-	bit := fi.rng.Intn(len(data) * 8)
-	data[bit/8] ^= 1 << (bit % 8)
 }
 
 // udFate is the admission verdict on one datagram: the slowdown charged to
@@ -324,8 +306,8 @@ type udDelivery struct {
 	ttl        int
 }
 
-// land pushes the datagram. The copy that carries an injected corruption must
-// not close its own incident; any other delivery repairs the lane.
+// land pushes the datagram. A duplicate copy vouches for nothing and must not
+// close an incident; any other delivery repairs the lane.
 func (d *udDelivery) land() {
 	d.dh.countDelivery(len(d.c.Data))
 	d.cq.Push(d.c)
@@ -335,20 +317,14 @@ func (d *udDelivery) land() {
 }
 
 // landUD is the second and last question a datagram asks, once nothing can
-// stop it being delivered (d non-nil) or once it is lost (d nil): it may flip
-// one bit of the delivered copy — only the primary one; a duplicate re-copies
-// the pristine payload, an independent flight — parks d when the admission
-// verdict held it, for 1..ReorderWindow later sends (default 4), and ages the
-// reorder window by this send, returning the held datagrams now due. Lost
-// datagrams age it too, so the window drains even on a stream of drops. The
-// caller lands them outside the lock.
+// stop it being delivered (d non-nil) or once it is lost (d nil): it parks d
+// when the admission verdict held it, for 1..ReorderWindow later sends
+// (default 4), and ages the reorder window by this send, returning the held
+// datagrams now due. Lost datagrams age it too, so the window drains even on a
+// stream of drops. The caller lands them outside the lock.
 func (fi *FaultInjector) landUD(d *udDelivery, hold bool) (due []udDelivery) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	if d != nil && len(d.c.Data) > 0 && fi.hit(fi.CorruptProb, fi.MaxCorrupts, &fi.n.Corrupts) {
-		fi.flipBit(d.c.Data)
-		d.clean = false
-	}
 	if hold {
 		w := fi.ReorderWindow
 		if w <= 0 {
@@ -399,39 +375,39 @@ func (fi *FaultInjector) admitRC(src, dst uint16, rail int, now int64) (v rcFate
 	return v
 }
 
+// RetryCnt is the retry_cnt attribute of every RC queue pair: how many
+// transmissions of one work request the ICRC check may drop before the
+// requester gives up on the connection.
+const RetryCnt = 7
+
 // rcDamage is the payload verdict on an RC operation that passed every check
-// and will otherwise be delivered. On a send kindRCCorrupt is silent: a bit of
-// data is flipped and the copy delivered. On a write or read the link's
-// per-packet CRC catches the damage and the connection dies; of a write, pkts
-// whole clean packets reach target memory first — at least one and never all
-// when torn (kindTornWrite), possibly none when a packet was corrupted.
+// and will otherwise be delivered: hits consecutive transmissions corrupted in
+// flight (RetryCnt of them exhaust the work request), or, of a torn write
+// (torn > 0), the whole clean packets that reach target memory before the link
+// dies — at least one and never all.
 type rcDamage struct {
-	kind faultKind
-	pkts int
+	hits, torn int
 }
 
-// damageRC draws the payload verdict for op: data is the delivered copy of a
-// send, pkts the link packets a write spans. A single packet cannot tear — it
-// is the link's all-or-nothing unit — and atomics are never asked.
-func (fi *FaultInjector) damageRC(op Opcode, data []byte, pkts int) rcDamage {
+// damageRC draws the payload verdict for a send, write or read op, pkts the
+// link packets a write spans. A single packet cannot tear — it is the link's
+// all-or-nothing unit — and a torn write draws no corruption; any other
+// transmission may be corrupted, each retransmission drawn anew. Atomics are
+// never asked: on a lossy fabric the conduit carries them as sends.
+func (fi *FaultInjector) damageRC(op Opcode, pkts int) (d rcDamage) {
 	if fi.RCCorruptProb <= 0 && fi.TornWriteProb <= 0 {
-		return rcDamage{}
+		return d
 	}
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	corrupt := func() bool { return fi.hit(fi.RCCorruptProb, fi.MaxRCCorrupts, &fi.n.RCCorrupts) }
-	switch {
-	case op == OpSend && len(data) > 0 && corrupt():
-		fi.flipBit(data)
-		return rcDamage{kind: kindRCCorrupt}
-	case op == OpRDMAWrite && pkts >= 2 && fi.hit(fi.TornWriteProb, fi.MaxTornWrites, &fi.n.TornWrites):
-		return rcDamage{kindTornWrite, 1 + fi.rng.Intn(pkts-1)}
-	case op == OpRDMAWrite && pkts >= 1 && corrupt():
-		return rcDamage{kindRCCorrupt, fi.rng.Intn(pkts)}
-	case op == OpRDMARead && corrupt():
-		return rcDamage{kind: kindRCCorrupt}
+	if op == OpRDMAWrite && pkts >= 2 && fi.hit(fi.TornWriteProb, fi.MaxTornWrites, &fi.n.TornWrites) {
+		d.torn = 1 + fi.rng.Intn(pkts-1)
+		return d
 	}
-	return rcDamage{}
+	for d.hits < RetryCnt && fi.hit(fi.RCCorruptProb, fi.MaxRCCorrupts, &fi.n.RCCorrupts) {
+		d.hits++
+	}
+	return d
 }
 
 // PEFate is a PE's failure state under the injected kill/wedge schedule.

@@ -121,10 +121,9 @@ const UDMTU = 4096
 
 // RCMTU is the RC path MTU: the link fragments an RC message into packets of
 // at most this many bytes, each carrying its own invariant CRC that the
-// receiving adapter verifies before DMA. Packet boundaries are where injected
-// one-sided data-plane faults act — a packet either lands whole and clean or
-// not at all, so torn writes and dropped-corrupt-packet faults expose clean
-// whole-packet prefixes, never damaged bytes.
+// receiving adapter verifies before DMA. Packet boundaries are where a torn
+// write acts — a packet either lands whole and clean or not at all, so a torn
+// write exposes a clean whole-packet prefix, never damaged bytes.
 const RCMTU = 4096
 
 // Dest addresses a queue pair on the fabric, the simulated equivalent of the
@@ -170,21 +169,16 @@ var (
 	ErrPathDown = errors.New("ib: primary path (rail) down")
 )
 
-// RC payload-fault errors. Both wrap ErrLinkDown: the receiving adapter
-// detects the damage through the per-packet invariant CRC and kills the
-// connection, so the sender observes them exactly like a link fault (both
-// queue pairs in the Error state, reconnect required). The ICRC check runs
-// before DMA, so no damaged byte ever reaches target memory — but packets
-// delivered before the fault have already landed, leaving a clean
-// whole-packet prefix the replay must overwrite. errors.Is distinguishes the
-// flavor for accounting.
+// RC payload-fault errors. Both wrap ErrLinkDown: the sender observes them
+// exactly like a link fault (both queue pairs in the Error state, reconnect
+// required). The ICRC check runs before DMA, so no damaged byte ever reaches
+// target memory — but a torn write's packets delivered before the fault have
+// already landed, leaving a clean whole-packet prefix the replay must
+// overwrite. errors.Is distinguishes the flavor for accounting.
 var (
-	// ErrRCCorrupt marks a one-sided RC operation whose payload was corrupted
-	// in flight: the damaged packet was dropped by the ICRC check (at most a
-	// clean prefix of earlier packets landed), then the link tore down.
-	// Two-sided sends model the opposite, end-to-end-argument failure —
-	// silent corruption delivered past the link CRCs — which the conduit's
-	// software integrity trailer exists to catch.
+	// ErrRCCorrupt marks an RC work request whose transmission the receiving
+	// adapter's ICRC check dropped RetryCnt times in a row: the requester's
+	// retries ran out, nothing of it was delivered, and the link tore down.
 	ErrRCCorrupt = fmt.Errorf("ib: RC payload corrupted in flight: %w", ErrLinkDown)
 	// ErrTornWrite marks an RDMA write interrupted by a link fault between
 	// packets: a clean whole-packet prefix of the payload was applied to the

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"goshmem/internal/obs"
+	"goshmem/internal/vclock"
 )
 
 // TestTornWriteLeavesDeterministicPrefix checks the torn-write contract: the
@@ -83,129 +86,140 @@ func TestTornWriteLeavesDeterministicPrefix(t *testing.T) {
 	}
 }
 
-// TestRCSendCorruptionIsSilentSingleBitFlip checks the two-sided corruption
-// contract: the delivered copy differs from the posted payload in exactly one
-// bit, the sender's buffer stays pristine (retained for software replay), and
-// the fabric reports success — detection belongs to the conduit's trailer.
-func TestRCSendCorruptionIsSilentSingleBitFlip(t *testing.T) {
-	fi := NewFaultInjector(5)
-	fi.RCCorruptProb = 1.0
-	fi.MaxRCCorrupts = 1
-	r := newRig(t, fi)
-	q1, _ := r.connectRC(t)
-	payload := []byte("integrity-trailer-protected")
-	orig := append([]byte(nil), payload...)
-
-	if err := q1.PostSend(SendWR{Op: OpSend, Data: payload, NoSendCompletion: true}); err != nil {
-		t.Fatalf("corrupted send must not error at the fabric layer: %v", err)
+// TestICRCRetransmission is the hardware contract for corrupted RC
+// transmissions, on a send, a write and a read: k < RetryCnt consecutive hits
+// deliver exactly the posted bytes, complete exactly k retransmissions later
+// (each the payload's occupancy, the one-way latency and the ACK's) and leave
+// both queue pairs in RTS, each hit an incident absorbed on the spot;
+// RetryCnt hits fail the work request with ErrRCCorrupt, put both queue pairs
+// in Error and deliver nothing, leaving one incident open for the reconnect.
+func TestICRCRetransmission(t *testing.T) {
+	const n = 48
+	m := vclock.Default()
+	cost := m.RCSendLatency + m.RCAckLatency + m.XferTime(n)
+	payload := bytes.Repeat([]byte{0x3C}, n)
+	type outcome struct {
+		err      error
+		vt       int64  // the requester's completion
+		got      []byte // what the target received, or the read returned
+		up       bool   // both queue pairs still RTS
+		absorbed int    // rc-corrupt incidents closed on the spot
+		open     int    // ... and left open
 	}
-	c, ok := r.cq2.Wait()
-	if !ok {
-		t.Fatal("cq closed")
-	}
-	if !bytes.Equal(payload, orig) {
-		t.Fatal("sender's buffer was damaged; replay would resend garbage")
-	}
-	flipped := 0
-	for i := range c.Data {
-		b := c.Data[i] ^ orig[i]
-		for ; b != 0; b &= b - 1 {
-			flipped++
+	run := func(op Opcode, hits int) outcome {
+		fi := NewFaultInjector(1)
+		fi.RCCorruptProb, fi.MaxRCCorrupts = 1, hits
+		if hits == 0 {
+			fi.RCCorruptProb = 0
 		}
+		r := newRig(t, fi)
+		plane := obs.NewPlane(2, obs.Config{Incidents: true})
+		r.h1.AttachObs(plane.Gauges(), plane.Ledger())
+		q1, q2 := r.connectRC(t)
+		q1.SetObs(plane.PE(0))
+		heap := make([]byte, 2*n)
+		copy(heap[n:], payload)
+		mr := r.h2.RegisterMR(heap, r.c2)
+		wr := SendWR{Op: op, WRID: 9, Data: payload, RemoteAddr: mr.Base(), RKey: mr.RKey()}
+		if op == OpRDMARead {
+			wr = SendWR{Op: op, WRID: 9, Len: n, RemoteAddr: mr.Base() + n, RKey: mr.RKey()}
+		}
+		var o outcome
+		o.err = q1.PostSend(wr)
+		if c, ok := r.cq1.Poll(); ok {
+			o.vt, o.got = c.VTime, c.Data
+		}
+		switch op {
+		case OpSend:
+			o.got = nil
+			if c, ok := r.cq2.Poll(); ok {
+				o.got = c.Data
+			}
+		case OpRDMAWrite:
+			o.got = heap[:n]
+		}
+		o.up = q1.State() == StateRTS && q2.State() == StateRTS
+		for _, in := range plane.Ledger().Snapshot() {
+			if in.Class == "rc" && in.Kind == "rc-corrupt" {
+				if in.State == obs.IncidentOpen {
+					o.open++
+				} else if in.MTTR() == 0 {
+					o.absorbed++
+				}
+			}
+		}
+		return o
 	}
-	if flipped != 1 {
-		t.Fatalf("delivered copy differs in %d bits, want exactly 1", flipped)
-	}
-	if fi.Injected().RCCorrupts != 1 {
-		t.Fatalf("rc corrupts = %d, want 1", fi.Injected().RCCorrupts)
-	}
-
-	// Budget exhausted: the next send is clean.
-	if err := q1.PostSend(SendWR{Op: OpSend, Data: orig, NoSendCompletion: true}); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := r.cq2.Wait(); !ok || !bytes.Equal(c.Data, orig) {
-		t.Fatalf("post-budget send damaged: %q", c.Data)
+	for _, op := range []Opcode{OpSend, OpRDMAWrite, OpRDMARead} {
+		clean := run(op, 0)
+		if clean.err != nil || !bytes.Equal(clean.got, payload) || !clean.up {
+			t.Fatalf("%v: clean run %+v", op, clean)
+		}
+		for k := 1; k < RetryCnt; k++ {
+			o := run(op, k)
+			if o.err != nil || !bytes.Equal(o.got, payload) || !o.up {
+				t.Errorf("%v, %d hits: err %v, bytes %x, queue pairs up %v; want the exact bytes over a live connection", op, k, o.err, o.got, o.up)
+			}
+			if want := clean.vt + int64(k)*cost; o.vt != want {
+				t.Errorf("%v, %d hits: completes at %d, want %d (%d retransmissions of %d ns)", op, k, o.vt, want, k, cost)
+			}
+			if o.absorbed != k || o.open != 0 {
+				t.Errorf("%v, %d hits: %d incidents absorbed, %d open; want %d and 0", op, k, o.absorbed, o.open, k)
+			}
+		}
+		o := run(op, RetryCnt)
+		delivered := o.got != nil && !bytes.Equal(o.got, make([]byte, n))
+		if !errors.Is(o.err, ErrRCCorrupt) || !errors.Is(o.err, ErrLinkDown) || o.up || delivered || o.vt != 0 {
+			t.Errorf("%v, %d hits: err %v, queue pairs up %v, delivered %x, completion at %d; want ErrRCCorrupt, both in Error, nothing",
+				op, RetryCnt, o.err, o.up, o.got, o.vt)
+		}
+		if o.absorbed != RetryCnt-1 || o.open != 1 {
+			t.Errorf("%v, %d hits: %d incidents absorbed, %d open; want %d and 1", op, RetryCnt, o.absorbed, o.open, RetryCnt-1)
+		}
 	}
 }
 
-// TestRDMAWriteCorruptionDropsPacketBeforeDMA checks one-sided write
-// corruption: the damaged packet fails the receiving adapter's ICRC check and
-// is dropped before DMA, so no garbage ever reaches target memory — at most a
-// clean whole-packet prefix lands. The failure then surfaces as ErrRCCorrupt
-// and both queue pairs die; recovery is replay-after-reconnect.
+// TestRDMAWriteCorruptionDropsPacketBeforeDMA: the ICRC check runs before
+// DMA, so a multi-packet write whose retries run out lands nothing at all —
+// no damaged byte and no partial prefix — and the sender's buffer stays
+// pristine for the replay after reconnect.
 func TestRDMAWriteCorruptionDropsPacketBeforeDMA(t *testing.T) {
-	// Single-packet write: the one packet is the corrupt one, so nothing at
-	// all lands — a corrupted flag put can never show a garbage stamp to a
-	// polling waiter.
-	fi := NewFaultInjector(13)
+	fi := NewFaultInjector(99)
 	fi.RCCorruptProb = 1.0
-	fi.MaxRCCorrupts = 1
 	r := newRig(t, fi)
 	q1, q2 := r.connectRC(t)
-	heap := make([]byte, 128)
-	mr := r.h2.RegisterMR(heap, r.c2)
-	payload := bytes.Repeat([]byte{0x55}, 32)
+	big := make([]byte, 4*RCMTU)
+	mr := r.h2.RegisterMR(big, r.c2)
+	payload := bytes.Repeat([]byte{0xA7}, 3*RCMTU)
 
 	err := q1.PostSend(SendWR{Op: OpRDMAWrite, RemoteAddr: mr.Base(), RKey: mr.RKey(), Data: payload})
 	if !errors.Is(err, ErrRCCorrupt) {
-		t.Fatalf("corrupted RDMA write: %v, want ErrRCCorrupt", err)
-	}
-	if !errors.Is(err, ErrLinkDown) {
-		t.Fatal("ErrRCCorrupt must be classified as a link fault")
+		t.Fatalf("corrupted multi-packet write: %v, want ErrRCCorrupt", err)
 	}
 	if q1.State() != StateError || q2.State() != StateError {
 		t.Fatalf("states = %v/%v, want Error/Error", q1.State(), q2.State())
 	}
-	if !bytes.Equal(heap, make([]byte, 128)) {
-		t.Fatal("dropped corrupt packet still modified target memory")
+	if !bytes.Equal(big, make([]byte, 4*RCMTU)) {
+		t.Fatal("a write whose retries ran out modified target memory")
 	}
-	if !bytes.Equal(payload, bytes.Repeat([]byte{0x55}, 32)) {
+	if !bytes.Equal(payload, bytes.Repeat([]byte{0xA7}, 3*RCMTU)) {
 		t.Fatal("sender's buffer was damaged")
-	}
-
-	// Multi-packet write: whatever lands is a clean whole-packet prefix of
-	// the payload, never damaged bytes.
-	fi2 := NewFaultInjector(99)
-	fi2.RCCorruptProb = 1.0
-	fi2.MaxRCCorrupts = 1
-	r2 := newRig(t, fi2)
-	p1, _ := r2.connectRC(t)
-	big := make([]byte, 4*RCMTU)
-	bigMR := r2.h2.RegisterMR(big, r2.c2)
-	bigPayload := bytes.Repeat([]byte{0xA7}, 3*RCMTU)
-
-	err = p1.PostSend(SendWR{Op: OpRDMAWrite, RemoteAddr: bigMR.Base(), RKey: bigMR.RKey(), Data: bigPayload})
-	if !errors.Is(err, ErrRCCorrupt) {
-		t.Fatalf("corrupted multi-packet write: %v, want ErrRCCorrupt", err)
-	}
-	landed := 0
-	for landed < len(bigPayload) && big[landed] == 0xA7 {
-		landed++
-	}
-	if landed%RCMTU != 0 {
-		t.Fatalf("landed prefix = %d bytes, want a whole-packet multiple of %d", landed, RCMTU)
-	}
-	for i := landed; i < len(big); i++ {
-		if big[i] != 0 {
-			t.Fatalf("byte %d modified past the clean prefix", i)
-		}
 	}
 }
 
-// TestRDMAReadCorruptionDeliversNothing checks read-response corruption: the
-// caller gets ErrRCCorrupt, the link dies, and no data is returned — reads
-// have no remote side effect, so replay after reconnect is always safe.
+// TestRDMAReadCorruptionDeliversNothing: a read whose retries run out returns
+// no completion and no data, leaves target memory untouched, and the re-issue
+// over a fresh connection reads the exact bytes.
 func TestRDMAReadCorruptionDeliversNothing(t *testing.T) {
 	fi := NewFaultInjector(17)
-	fi.RCCorruptProb = 1.0
-	fi.MaxRCCorrupts = 1
+	fi.RCCorruptProb, fi.MaxRCCorrupts = 1.0, RetryCnt
 	r := newRig(t, fi)
 	q1, q2 := r.connectRC(t)
 	heap := bytes.Repeat([]byte{0xEE}, 64)
 	mr := r.h2.RegisterMR(heap, r.c2)
+	read := SendWR{Op: OpRDMARead, RemoteAddr: mr.Base(), RKey: mr.RKey(), Len: 32, WRID: 1}
 
-	err := q1.PostSend(SendWR{Op: OpRDMARead, RemoteAddr: mr.Base(), RKey: mr.RKey(), Len: 32, WRID: 1})
+	err := q1.PostSend(read)
 	if !errors.Is(err, ErrRCCorrupt) {
 		t.Fatalf("corrupted read: %v, want ErrRCCorrupt", err)
 	}
@@ -217,5 +231,12 @@ func TestRDMAReadCorruptionDeliversNothing(t *testing.T) {
 	}
 	if !bytes.Equal(heap, bytes.Repeat([]byte{0xEE}, 64)) {
 		t.Fatal("read corruption modified target memory")
+	}
+	p1, _ := r.connectRC(t)
+	if err := p1.PostSend(read); err != nil {
+		t.Fatalf("re-issued read: %v", err)
+	}
+	if c, ok := r.cq1.Poll(); !ok || !bytes.Equal(c.Data, heap[:32]) {
+		t.Fatalf("re-issued read returned %x", c.Data)
 	}
 }

@@ -68,32 +68,34 @@ func TestUDFate(t *testing.T) {
 		}
 	}
 
-	// landUD: the flip hits a delivered, non-empty copy only, honours its cap,
-	// and a held datagram comes back due after 1..ReorderWindow later sends.
+	// landUD: a held datagram comes back due, untouched, after
+	// 1..ReorderWindow later sends, lost ones aging the window too.
 	fi := NewFaultInjector(1)
-	fi.CorruptProb, fi.MaxCorrupts, fi.ReorderWindow = 1, 2, 3
-	fi.landUD(nil, false)
-	fi.landUD(&udDelivery{clean: true}, false)
-	if n := fi.Injected().Corrupts; n != 0 {
-		t.Errorf("a lost or empty datagram was corrupted (%d)", n)
-	}
-	held := &udDelivery{c: Completion{Data: []byte{0, 0}}, clean: true}
-	if due := fi.landUD(held, true); len(due) != 0 || held.clean || held.c.Data[0]|held.c.Data[1] == 0 {
-		t.Errorf("held datagram: due %d, clean %v, data %x; want parked with one bit flipped", len(due), held.clean, held.c.Data)
+	fi.ReorderWindow = 3
+	held := &udDelivery{c: Completion{Data: []byte{7, 9}}, clean: true}
+	if due := fi.landUD(held, true); len(due) != 0 {
+		t.Errorf("held datagram due at once (%d)", len(due))
 	}
 	overtaken := 0
-	for len(fi.landUD(&udDelivery{c: Completion{Data: []byte{0}}, clean: true}, false)) == 0 {
-		if overtaken++; overtaken > 3 {
+	for {
+		due := fi.landUD(nil, false)
+		if overtaken++; len(due) == 1 {
+			if !due[0].clean || due[0].c.Data[0] != 7 || due[0].c.Data[1] != 9 {
+				t.Errorf("held datagram came back as %+v", due[0])
+			}
+			break
+		}
+		if overtaken > 3 {
 			t.Fatal("held datagram outlived its reorder window")
 		}
 	}
-	if n := fi.Injected().Corrupts; overtaken == 0 || n != 2 {
-		t.Errorf("overtaken by %d sends, %d corruptions; want 1..3 and the cap of 2", overtaken, n)
+	if fi.Injected() != (Injected{}) {
+		t.Errorf("landUD tallied %+v: it injects nothing", fi.Injected())
 	}
 }
 
 // TestRCFate walks admitRC and damageRC: every kind against every opcode it
-// can and cannot hit.
+// can hit, and the cap on consecutive corrupted transmissions.
 func TestRCFate(t *testing.T) {
 	every := func(fi *FaultInjector) {
 		fi.RCCorruptProb, fi.TornWriteProb = 1, 1
@@ -123,54 +125,47 @@ func TestRCFate(t *testing.T) {
 		t.Errorf("admission tally %+v, want %+v", got, want)
 	}
 
-	data := func(n int) []byte { return make([]byte, n) }
 	cases := []struct {
 		name string
 		arm  func(fi *FaultInjector)
 		op   Opcode
-		data []byte
 		pkts int
-		kind faultKind
+		dmg  rcDamage
 		want Injected
 	}{
 		{name: "zero injector", arm: func(*FaultInjector) {}, op: OpRDMAWrite, pkts: 4},
-		{name: "send flips silently", arm: every, op: OpSend, data: data(8), kind: kindRCCorrupt, want: Injected{RCCorrupts: 1}},
-		{name: "empty send has no bit to flip", arm: every, op: OpSend},
-		{name: "multi-packet write tears first", arm: every, op: OpRDMAWrite, pkts: 3, kind: kindTornWrite, want: Injected{TornWrites: 1}},
-		{name: "single packet never tears", arm: every, op: OpRDMAWrite, pkts: 1, kind: kindRCCorrupt, want: Injected{RCCorrupts: 1}},
+		{name: "send", arm: every, op: OpSend, dmg: rcDamage{hits: RetryCnt}, want: Injected{RCCorrupts: RetryCnt}},
+		{name: "each retransmission is drawn anew, up to the cap", arm: func(fi *FaultInjector) { every(fi); fi.MaxRCCorrupts = 3 },
+			op: OpSend, dmg: rcDamage{hits: 3}, want: Injected{RCCorrupts: 3}},
+		{name: "multi-packet write tears first", arm: every, op: OpRDMAWrite, pkts: 3, dmg: rcDamage{torn: 1}, want: Injected{TornWrites: 1}},
+		{name: "single packet never tears", arm: every, op: OpRDMAWrite, pkts: 1, dmg: rcDamage{hits: RetryCnt}, want: Injected{RCCorrupts: RetryCnt}},
 		{name: "spent tear cap falls through to corruption", arm: func(fi *FaultInjector) { every(fi); fi.MaxTornWrites, fi.n.TornWrites = 1, 1 },
-			op: OpRDMAWrite, pkts: 3, kind: kindRCCorrupt, want: Injected{TornWrites: 1, RCCorrupts: 1}},
-		{name: "empty write spans no packet", arm: every, op: OpRDMAWrite},
-		{name: "read", arm: every, op: OpRDMARead, kind: kindRCCorrupt, want: Injected{RCCorrupts: 1}},
+			op: OpRDMAWrite, pkts: 3, dmg: rcDamage{hits: RetryCnt}, want: Injected{TornWrites: 1, RCCorrupts: RetryCnt}},
+		{name: "empty write", arm: every, op: OpRDMAWrite, dmg: rcDamage{hits: RetryCnt}, want: Injected{RCCorrupts: RetryCnt}},
+		{name: "read", arm: every, op: OpRDMARead, dmg: rcDamage{hits: RetryCnt}, want: Injected{RCCorrupts: RetryCnt}},
 		{name: "read under a spent cap", arm: func(fi *FaultInjector) { every(fi); fi.MaxRCCorrupts, fi.n.RCCorrupts = 2, 2 },
 			op: OpRDMARead, want: Injected{RCCorrupts: 2}},
-		{name: "atomics are never damaged", arm: every, op: OpFetchAdd, data: data(8), pkts: 1},
 	}
 	for _, tc := range cases {
 		fi := NewFaultInjector(1)
 		tc.arm(fi)
-		d := fi.damageRC(tc.op, tc.data, tc.pkts)
-		flipped := false
-		for _, b := range tc.data {
-			flipped = flipped || b != 0
+		d := fi.damageRC(tc.op, tc.pkts)
+		if fi.Injected() != tc.want || (d.torn > 0) != (tc.dmg.torn > 0) || d.hits != tc.dmg.hits {
+			t.Errorf("%s: damage %+v, tally %+v; want %+v, %+v", tc.name, d, fi.Injected(), tc.dmg, tc.want)
 		}
-		if d.kind != tc.kind || fi.Injected() != tc.want || flipped != (tc.op == OpSend && tc.kind != kindNone) {
-			t.Errorf("%s: damage %+v (payload flipped %v), tally %+v; want kind %d, %+v", tc.name, d, flipped, fi.Injected(), tc.kind, tc.want)
-		}
-		// A torn write lands at least one packet and never all of them; a
-		// corrupted one any clean prefix, possibly empty.
-		if lo, hi := map[faultKind]int{kindTornWrite: 1}[d.kind], tc.pkts-1; tc.op == OpRDMAWrite && d.kind != kindNone && (d.pkts < lo || d.pkts > hi) {
-			t.Errorf("%s: %d of %d packets landed, want %d..%d", tc.name, d.pkts, tc.pkts, lo, hi)
+		// A torn write lands at least one packet and never all of them.
+		if d.torn > 0 && (d.torn < 1 || d.torn > tc.pkts-1) {
+			t.Errorf("%s: %d of %d packets landed, want 1..%d", tc.name, d.torn, tc.pkts, tc.pkts-1)
 		}
 	}
 }
 
-// TestVerdictsDoNotAllocate: a draw is a lock, a few comparisons and at most
-// three random numbers.
+// TestVerdictsDoNotAllocate: a draw is a lock, a few comparisons and a few
+// random numbers.
 func TestVerdictsDoNotAllocate(t *testing.T) {
 	fi := NewFaultInjector(1)
 	fi.SlowProb, fi.SlowTime, fi.DropProb, fi.ReorderProb, fi.DupProb, fi.FlapProb = 0.5, 5, 0.3, 0, 0.3, 0.3
-	fi.CorruptProb, fi.RCCorruptProb, fi.TornWriteProb = 0.5, 0.5, 0.5
+	fi.RCCorruptProb, fi.TornWriteProb = 0.5, 0.5
 	fi.FailPort(1, 0, 1000)
 	payload := make([]byte, 64)
 	d := udDelivery{c: Completion{Data: payload}}
@@ -178,9 +173,9 @@ func TestVerdictsDoNotAllocate(t *testing.T) {
 		fi.admitUD(1, 2, 2, 500, payload)
 		fi.landUD(&d, false)
 		fi.admitRC(1, 2, 0, 500)
-		fi.damageRC(OpSend, payload, 0)
-		fi.damageRC(OpRDMAWrite, nil, 4)
-		fi.damageRC(OpRDMARead, nil, 0)
+		fi.damageRC(OpSend, 0)
+		fi.damageRC(OpRDMAWrite, 4)
+		fi.damageRC(OpRDMARead, 0)
 	}); n != 0 {
 		t.Errorf("%v allocs per round of verdicts, want 0", n)
 	}

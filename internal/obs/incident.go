@@ -16,13 +16,15 @@ import (
 //
 // Incident classes and their keying:
 //
-//	"ud"    — UD datagram faults (drop/dup/reorder/corrupt/slow). Rank is
-//	          the sender, Inst the destination endpoint key. Closed by the
-//	          next successful delivery on the same (sender, endpoint) lane:
-//	          UD is best-effort, so delivery is the proof of recovery.
+//	"ud"    — UD datagram faults (drop/dup/reorder/slow). Rank is the
+//	          sender, Inst the destination endpoint key. Closed by the next
+//	          successful delivery on the same (sender, endpoint) lane: UD is
+//	          best-effort, so delivery is the proof of recovery.
 //	"rc"    — RC connection faults (flap/rc-corrupt/torn-write). Rank is the
-//	          sender, Inst the destination LID. Closed by the next successful
-//	          RC completion on the lane (the session layer replays until then).
+//	          sender, Inst the destination LID. A corrupted transmission the
+//	          adapter retransmits is absorbed on the spot; the rest close at
+//	          the next successful RC completion on the lane (the session layer
+//	          replays until then).
 //	"alloc" — QP/MR allocation faults. Rank -1 (adapter-scoped), Inst the HCA
 //	          lid. Synchronously detected (DetectVT == InjectVT); closed by
 //	          the next successful allocation of the same kind, or by the
@@ -164,9 +166,12 @@ func (l *Ledger) Act(class string, rank int, vt int64, what string) {
 }
 
 // CloseAll closes every open incident matching (class, rank, inst) — and one
-// of kinds, when non-nil — stamping the repair time. The kind filter keeps a
-// successful QP allocation from closing an open MR-allocation incident that
-// shares the adapter key. An incident never detected before its repair gets
+// of kinds, when non-nil — that was injected no later than vt, stamping the
+// repair time. The kind filter keeps a successful QP allocation from closing
+// an open MR-allocation incident that shares the adapter key; the time filter
+// keeps a delivery that a lagging clock stamped before the fault from
+// proving its repair (each PE runs several clocks, so host order is not
+// virtual-time order). An incident never detected before its repair gets
 // DetectVT = RepairVT, so detection latency is always recorded. Returns the
 // number closed.
 func (l *Ledger) CloseAll(class string, kinds []string, rank, inst int, vt int64, what string) int {
@@ -177,7 +182,7 @@ func (l *Ledger) CloseAll(class string, kinds []string, rank, inst int, vt int64
 	defer l.mu.Unlock()
 	n := 0
 	for _, in := range l.incs {
-		if in.State != IncidentOpen || in.Class != class || in.Rank != rank || in.Inst != inst {
+		if in.State != IncidentOpen || in.Class != class || in.Rank != rank || in.Inst != inst || in.InjectVT > vt {
 			continue
 		}
 		if kinds != nil {
